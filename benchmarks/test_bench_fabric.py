@@ -1,19 +1,19 @@
-"""Batched fabric delivery vs. the per-member loop at platform scale.
+"""Batched fabric delivery cost at platform scale.
 
-The tentpole claim of the single-pass delivery engine: at DE-CIX-class
-member counts the per-member loop pays O(members × flows) in Python per
-interval, while :class:`~repro.ixp.delivery.FabricDeliveryPlan` runs one
-platform-level group-by + classification pass.
+:class:`~repro.ixp.delivery.FabricDeliveryPlan` carries an interval across
+the platform in one group-by + classification pass, so its cost must grow
+far slower than the member count (a per-member loop would pay
+O(members × flows) in Python per interval).
 
-* ``test_bench_batched_speedup_240_members`` delivers identical intervals
-  (~30k flows, 240 members across 4 PoPs / 8 edge routers, drop + shape
-  rules on the victim port) through both engines and asserts the batched
-  engine is at least 5× faster.
-* ``test_bench_member_count_scaling`` prints the speedup curve over the
-  member count (the per-member loop degrades linearly, the plan does not).
+* ``test_bench_batched_speedup_240_members`` delivers ~30k-flow intervals
+  (240 members across 4 PoPs / 8 edge routers, drop + shape rules on the
+  victim port), records the absolute time in ``BENCH_fabric.json``, and
+  asserts it stays within 4× of the same-sized interval at 60 members.
+* ``test_bench_member_count_scaling`` prints the cost curve over the
+  member count and asserts 480 members cost at most 4× what 60 do.
 
-Both engines are parity-tested in ``tests/ixp/test_fabric_delivery.py``;
-here only the clock differs.
+Functional parity with the naive reference in ``tests/oracle`` is pinned
+in ``tests/ixp/test_fabric_delivery.py``; here only the clock matters.
 """
 
 import time
@@ -91,23 +91,38 @@ def build_interval(members, flows_per_interval: int = 30_000) -> FlowTable:
     )
 
 
-def time_engine(
-    member_count: int, engine: str, table: FlowTable, rounds: int = 3, repeats: int = 2
-):
+#: Member count every scaling assertion compares against.
+BASELINE_MEMBERS = 60
+
+#: Largest allowed cost ratio against :data:`BASELINE_MEMBERS` on a
+#: same-sized interval (measured ~2.6× at 480 members).
+MAX_SCALING = 4.0
+
+
+def time_delivery(
+    member_count: int, table: FlowTable, rounds: int = 3, repeats: int = 2
+) -> float:
     """Best-of-``repeats`` wall clock of ``rounds`` intervals, fresh fabric each.
 
     The minimum over repeats is the standard microbenchmark estimator:
     it discards GC pauses and scheduler noise that would otherwise make
-    the speedup assertions flaky on loaded CI runners.
+    the scaling assertions flaky on loaded CI runners.
     """
     best = float("inf")
     for _ in range(repeats):
         fabric, _ = build_fabric(member_count)
         start = time.perf_counter()
         for step in range(rounds):
-            fabric.deliver(table, INTERVAL, step * INTERVAL, engine=engine)
+            fabric.deliver(table, INTERVAL, step * INTERVAL)
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def timed_interval(member_count: int, flows_per_interval: int, rounds: int) -> tuple:
+    """``(flow_count, seconds)`` for a fresh interval at ``member_count``."""
+    _, members = build_fabric(member_count)
+    table = build_interval(members, flows_per_interval=flows_per_interval)
+    return len(table), time_delivery(member_count, table, rounds=rounds)
 
 
 def test_bench_batched_speedup_240_members(benchmark):
@@ -116,23 +131,23 @@ def test_bench_batched_speedup_240_members(benchmark):
     table = build_interval(members)
     assert len(table) >= 25_000, f"interval has only {len(table)} flows"
 
-    per_member_seconds = time_engine(member_count, "per-member", table)
-    batched_seconds = time_engine(member_count, "batched", table)
+    batched_seconds = time_delivery(member_count, table)
+    _, baseline_seconds = timed_interval(BASELINE_MEMBERS, 30_000, rounds=3)
 
     fabric, _ = build_fabric(member_count)
 
     def batched_pass():
-        fabric.deliver(table, INTERVAL, 0.0, engine="batched")
+        fabric.deliver(table, INTERVAL, 0.0)
 
     benchmark.pedantic(batched_pass, rounds=1)
 
-    speedup = per_member_seconds / batched_seconds
+    ratio = batched_seconds / baseline_seconds
     print_table(
-        f"Fabric delivery, {member_count} members, {len(table)} flows (3 intervals)",
+        f"Fabric delivery, {len(table)} flows (3 intervals)",
         [
-            ("engine", "seconds", "speedup"),
-            ("per-member", f"{per_member_seconds:.3f}", "1.0x"),
-            ("batched", f"{batched_seconds:.3f}", f"{speedup:.1f}x"),
+            ("members", "seconds", "vs baseline"),
+            (str(BASELINE_MEMBERS), f"{baseline_seconds:.3f}", "1.0x"),
+            (str(member_count), f"{batched_seconds:.3f}", f"{ratio:.1f}x"),
         ],
     )
     write_bench_json(
@@ -141,61 +156,45 @@ def test_bench_batched_speedup_240_members(benchmark):
             "member_count": member_count,
             "flow_count": len(table),
             "intervals": 3,
-            "per_member_seconds": per_member_seconds,
             "batched_seconds": batched_seconds,
-            "speedup": speedup,
+            "baseline_member_count": BASELINE_MEMBERS,
+            "baseline_seconds": baseline_seconds,
         },
     )
-    assert speedup >= 5.0, (
-        f"expected >= 5x batched speedup at {member_count} members, "
-        f"got {speedup:.1f}x"
+    assert ratio <= MAX_SCALING, (
+        f"batched delivery at {member_count} members took {ratio:.1f}x its time at "
+        f"{BASELINE_MEMBERS} members (limit {MAX_SCALING}x)"
     )
 
 
 def test_bench_member_count_scaling(benchmark):
-    counts = (60, 120, 240, 480)
-    points = []
-    for member_count in counts:
-        _, members = build_fabric(member_count)
-        table = build_interval(members, flows_per_interval=20_000)
-        per_member_seconds = time_engine(member_count, "per-member", table, rounds=1)
-        batched_seconds = time_engine(member_count, "batched", table, rounds=1)
-        points.append((member_count, len(table), per_member_seconds, batched_seconds))
+    counts = (BASELINE_MEMBERS, 120, 240, 480)
+    points = [
+        (member_count, *timed_interval(member_count, 20_000, rounds=1))
+        for member_count in counts
+    ]
 
-    def batched_sweep():
-        for member_count, _, _, _ in points[-1:]:
-            fabric, members = build_fabric(member_count)
-            fabric.deliver(
-                build_interval(members, flows_per_interval=20_000),
-                INTERVAL,
-                0.0,
-                engine="batched",
-            )
+    def batched_largest():
+        fabric, members = build_fabric(counts[-1])
+        fabric.deliver(build_interval(members, flows_per_interval=20_000), INTERVAL, 0.0)
 
-    benchmark.pedantic(batched_sweep, rounds=1)
+    benchmark.pedantic(batched_largest, rounds=1)
 
-    rows = [("members", "flows", "per-member [ms]", "batched [ms]", "speedup")]
-    for member_count, flows, per_member_seconds, batched_seconds in points:
+    rows = [("members", "flows", "batched [ms]", "vs baseline")]
+    for member_count, flows, seconds in points:
         rows.append(
             (
                 str(member_count),
                 str(flows),
-                f"{per_member_seconds * 1e3:.1f}",
-                f"{batched_seconds * 1e3:.1f}",
-                f"{per_member_seconds / batched_seconds:.1f}x",
+                f"{seconds * 1e3:.2f}",
+                f"{seconds / points[0][2]:.1f}x",
             )
         )
     print_table("Fabric delivery scaling over member count", rows)
-    # The per-member loop pays O(members × flows): at 8× the members it
-    # must cost clearly more on the same-sized interval (1.5× leaves room
-    # for timer noise on loaded runners; the typical ratio is ~4×), while
-    # the batched engine keeps a solid lead at the largest count.
-    assert points[-1][2] > 1.5 * points[0][2], (
-        f"per-member loop should degrade with member count "
-        f"({points[0][2] * 1e3:.1f} ms at {counts[0]} -> "
-        f"{points[-1][2] * 1e3:.1f} ms at {counts[-1]})"
-    )
-    last_speedup = points[-1][2] / points[-1][3]
-    assert last_speedup >= 3.0, (
-        f"expected a clear batched win at {counts[-1]} members, got {last_speedup:.1f}x"
+    # One platform-wide pass: 8x the members on a same-sized interval
+    # must not cost anywhere near 8x.
+    ratio = points[-1][2] / points[0][2]
+    assert ratio <= MAX_SCALING, (
+        f"batched delivery at {counts[-1]} members took {ratio:.1f}x its time at "
+        f"{counts[0]} members (limit {MAX_SCALING}x)"
     )

@@ -1,21 +1,22 @@
-"""Compiled rule-match index vs. the per-rule pass at paper-claim scale.
+"""Compiled rule-match index cost at paper-claim scale.
 
-The tentpole claim of the rule-match index: classification must stay fast
-with *tens of thousands* of fine-grained blackholing rules (Table 1 / §5
-of the paper), where the per-rule pass pays one vectorized whole-table
-scan per rule — O(rules × flows).
+The claim of the rule-match index: classification must stay fast with
+*tens of thousands* of fine-grained blackholing rules (Table 1 / §5 of
+the paper), where one vectorized whole-table scan per rule would cost
+O(rules × flows).  The index's cost must therefore barely move with the
+installed rule count.
 
 * ``test_bench_indexed_speedup_10k_rules`` installs 12 000 rules in the
-  dominant Stellar shape (host dst /32 + UDP + src_port, plus shape rules
-  and a MAC fallback sliver) on one port, classifies an identical
-  ≥50 000-flow interval with both engines, asserts exact verdict parity
-  and at least a 10× indexed speedup, and records the measurement in
-  ``BENCH_ruleindex.json``.
-* ``test_bench_rule_count_scaling`` prints the speedup curve over the
-  rule count (the per-rule pass degrades linearly, the index does not).
+  dominant Stellar shape (host dst /32 + UDP + src_port, plus shape rules)
+  on one port, classifies a ≥50 000-flow interval, records the absolute
+  time in ``BENCH_ruleindex.json``, and asserts it stays within 3× of a
+  1 000-rule policy on a same-sized interval.
+* ``test_bench_rule_count_scaling`` prints the cost curve over the rule
+  count and asserts 30 000 rules cost at most 3× what 1 000 do.
 
-Functional parity (verdicts, rule_stats, precedence) is pinned in
-``tests/ixp/test_ruleindex.py``; here only the clock differs.
+Functional parity with the naive reference in ``tests/oracle`` (verdicts,
+rule_stats, precedence) is pinned in ``tests/ixp/test_ruleindex.py``;
+here only the clock matters.
 """
 
 import time
@@ -36,7 +37,15 @@ VICTIM_ASN = 64500
 PORTS = (19, 53, 111, 123, 137, 161, 389, 520, 1900, 11211, 3702, 17185)
 
 
-def build_policy(rule_count: int, engine: str) -> PortQosPolicy:
+#: Rule count every scaling assertion compares against.
+BASELINE_RULES = 1_000
+
+#: Largest allowed cost ratio against :data:`BASELINE_RULES` (measured
+#: ~1.4× at 30 000 rules).
+MAX_SCALING = 3.0
+
+
+def build_policy(rule_count: int) -> PortQosPolicy:
     """One port policy loaded with ``rule_count`` fine-grained rules."""
     hosts_needed = (rule_count + len(PORTS) - 1) // len(PORTS)
     hosts = [
@@ -50,7 +59,7 @@ def build_policy(rule_count: int, engine: str) -> PortQosPolicy:
         shape_every=10,
         shape_rate_bps=5e6,
     )
-    policy = PortQosPolicy(port_capacity_bps=100e9, classification_engine=engine)
+    policy = PortQosPolicy(port_capacity_bps=100e9)
     policy.install_many([rule.to_qos_rule() for rule in rules])
     return policy
 
@@ -100,12 +109,12 @@ def time_classification(
 ) -> float:
     """Best-of-``repeats`` wall clock of ``rounds`` classification passes.
 
-    Measures the cached steady state — the one-off index compilation is
-    absorbed before timing starts (by the parity check in the speedup
-    test, or by an explicit warm-up pass), which is what the data plane
-    runs every interval; the minimum over repeats discards GC/scheduler
-    noise, as in the fabric bench.
+    Measures the cached steady state — a warm-up pass absorbs the one-off
+    index compilation, which is what the data plane runs every interval;
+    the minimum over repeats discards GC/scheduler noise, as in the
+    fabric bench.
     """
+    policy.assign_table(table)
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
@@ -120,28 +129,30 @@ def test_bench_indexed_speedup_10k_rules(benchmark):
     table = build_interval(rule_count, flow_count)
     assert len(table) >= 50_000
 
-    indexed = build_policy(rule_count, "indexed")
-    per_rule = build_policy(rule_count, "per-rule")
+    indexed = build_policy(rule_count)
     assert len(indexed) >= 10_000
-
-    # Verdict-for-verdict parity on the benchmarked interval, first.
-    assert np.array_equal(indexed.assign_table(table), per_rule.assign_table(table))
-
-    per_rule_seconds = time_classification(per_rule, table, rounds=1, repeats=2)
-    indexed_seconds = time_classification(indexed, table, rounds=1, repeats=2)
+    indexed_seconds = time_classification(indexed, table, rounds=1, repeats=3)
+    # The baseline runs on its own interval of the same size and shape
+    # (half the flows aimed at its rules), as in the scaling sweep.
+    baseline_seconds = time_classification(
+        build_policy(BASELINE_RULES),
+        build_interval(BASELINE_RULES, flow_count),
+        rounds=1,
+        repeats=3,
+    )
 
     def indexed_pass():
         indexed.assign_table(table)
 
     benchmark.pedantic(indexed_pass, rounds=1)
 
-    speedup = per_rule_seconds / indexed_seconds
+    ratio = indexed_seconds / baseline_seconds
     print_table(
-        f"Rule-match index, {rule_count} rules, {len(table)} flows (1 interval)",
+        f"Rule-match index, {len(table)} flows (1 interval)",
         [
-            ("engine", "seconds", "speedup"),
-            ("per-rule", f"{per_rule_seconds:.3f}", "1.0x"),
-            ("indexed", f"{indexed_seconds:.4f}", f"{speedup:.0f}x"),
+            ("rules", "seconds", "vs baseline"),
+            (str(BASELINE_RULES), f"{baseline_seconds:.4f}", "1.0x"),
+            (str(rule_count), f"{indexed_seconds:.4f}", f"{ratio:.1f}x"),
         ],
     )
     write_bench_json(
@@ -149,59 +160,43 @@ def test_bench_indexed_speedup_10k_rules(benchmark):
         {
             "rule_count": rule_count,
             "flow_count": len(table),
-            "per_rule_seconds": per_rule_seconds,
             "indexed_seconds": indexed_seconds,
-            "speedup": speedup,
+            "baseline_rule_count": BASELINE_RULES,
+            "baseline_seconds": baseline_seconds,
             "index": indexed.compiled_index().describe(),
         },
     )
-    assert speedup >= 10.0, (
-        f"expected >= 10x indexed speedup at {rule_count} rules, got {speedup:.1f}x"
+    assert ratio <= MAX_SCALING, (
+        f"indexed classification at {rule_count} rules took {ratio:.1f}x its time "
+        f"at {BASELINE_RULES} rules (limit {MAX_SCALING}x)"
     )
 
 
 def test_bench_rule_count_scaling(benchmark):
-    counts = (1_000, 3_000, 10_000, 30_000)
+    counts = (BASELINE_RULES, 3_000, 10_000, 30_000)
     flow_count = 50_000
     points = []
     for rule_count in counts:
         table = build_interval(rule_count, flow_count)
-        per_rule_seconds = time_classification(
-            build_policy(rule_count, "per-rule"), table, rounds=1, repeats=1
-        )
-        indexed_seconds = time_classification(
-            build_policy(rule_count, "indexed"), table, rounds=2, repeats=2
-        ) / 2
-        points.append((rule_count, per_rule_seconds, indexed_seconds))
+        seconds = time_classification(build_policy(rule_count), table, rounds=2, repeats=2) / 2
+        points.append((rule_count, seconds))
 
     def indexed_largest():
-        policy = build_policy(counts[-1], "indexed")
+        policy = build_policy(counts[-1])
         policy.assign_table(build_interval(counts[-1], flow_count))
 
     benchmark.pedantic(indexed_largest, rounds=1)
 
-    rows = [("rules", "per-rule [ms]", "indexed [ms]", "speedup")]
-    for rule_count, per_rule_seconds, indexed_seconds in points:
-        rows.append(
-            (
-                str(rule_count),
-                f"{per_rule_seconds * 1e3:.1f}",
-                f"{indexed_seconds * 1e3:.2f}",
-                f"{per_rule_seconds / indexed_seconds:.0f}x",
-            )
-        )
+    rows = [("rules", "indexed [ms]", "vs baseline")]
+    for rule_count, seconds in points:
+        rows.append((str(rule_count), f"{seconds * 1e3:.2f}", f"{seconds / points[0][1]:.1f}x"))
     print_table(f"Rule-index scaling over rule count ({flow_count} flows)", rows)
-    # The per-rule pass is O(rules x flows): at 30x the rules it must cost
-    # clearly more on the same interval, while the index keeps a solid
-    # lead at the largest count.
-    assert points[-1][1] > 3.0 * points[0][1], (
-        f"per-rule pass should degrade with rule count "
-        f"({points[0][1] * 1e3:.1f} ms at {counts[0]} -> "
-        f"{points[-1][1] * 1e3:.1f} ms at {counts[-1]})"
-    )
-    last_speedup = points[-1][1] / points[-1][2]
-    assert last_speedup >= 10.0, (
-        f"expected a clear indexed win at {counts[-1]} rules, got {last_speedup:.0f}x"
+    # 30x the rules on a same-sized interval must not cost anywhere
+    # near 30x: the exact groups resolve whole intervals per lookup.
+    ratio = points[-1][1] / points[0][1]
+    assert ratio <= MAX_SCALING, (
+        f"indexed classification at {counts[-1]} rules took {ratio:.1f}x its time "
+        f"at {counts[0]} rules (limit {MAX_SCALING}x)"
     )
 
 
@@ -228,7 +223,7 @@ def test_bench_incremental_install_latency(benchmark):
     installs = 16
     points = []
     for rule_count in counts:
-        policy = build_policy(rule_count, "indexed")
+        policy = build_policy(rule_count)
         policy.compiled_index()  # warm snapshot: installs below patch it
         fresh = [
             QosRule(
@@ -261,7 +256,7 @@ def test_bench_incremental_install_latency(benchmark):
 
     # The patched snapshot is the compile, structurally (spot-check at
     # the smallest size; the fuzz suite pins it exhaustively).
-    check = build_policy(counts[0], "indexed")
+    check = build_policy(counts[0])
     check.compiled_index()
     check.install(fresh[0])
     assert (

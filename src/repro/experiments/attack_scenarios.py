@@ -449,10 +449,6 @@ class PaperScaleConfig:
     #: When the victim signals the Stellar drop rule for the attack vector.
     mitigation_time: float = 300.0
     vector_name: str = "ntp"
-    #: Fabric delivery engine: "batched" (the single-pass plan) or
-    #: "per-member" (the parity-tested fallback loop) — sweepable, so the
-    #: engine-parity and benchmark claims can be reproduced from the CLI.
-    delivery_engine: str = "batched"
     seed: int = 7
 
 
@@ -512,11 +508,10 @@ def run_paper_scale_experiment(
     """Run the paper-scale scenario: a booter attack on one member of a
     multi-PoP, DE-CIX-class platform carrying Tbps of background load.
 
-    The whole run executes on the batched fabric delivery engine — the
-    per-member loop would pay O(members × flows) per interval at this
-    scale — and the Stellar mitigation is signalled through the portal
-    API mid-attack, as in Fig. 10(c), so the victim series steps down
-    while the platform keeps carrying the background mesh.
+    Every interval crosses the platform in one batched delivery pass, and
+    the Stellar mitigation is signalled through the portal API mid-attack,
+    as in Fig. 10(c), so the victim series steps down while the platform
+    keeps carrying the background mesh.
     """
     config = config if config is not None else PaperScaleConfig()
     if scenario is None:
@@ -535,7 +530,6 @@ def run_paper_scale_experiment(
             benign_rate_bps=config.benign_rate_bps,
             vector_name=config.vector_name,
             seed=config.seed,
-            delivery_engine=config.delivery_engine,
         )
     stellar = scenario.stellar
     fabric = scenario.fabric

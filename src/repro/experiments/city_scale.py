@@ -233,8 +233,7 @@ class _ShardRuntime:
             pop_count=config.pop_count,
             routers_per_pop=config.routers_per_pop,
             profile=_router_profile(config),
-            delivery_engine="batched",
-            seed=config.seed,
+                seed=config.seed,
             pop_indices=spec.pop_indices,
             collect_ipfix=False,
             retain_reports=False,

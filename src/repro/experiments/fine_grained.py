@@ -11,11 +11,8 @@ of rule-targeted reflection traffic and platform background through the
 multi-PoP fabric.
 
 Classification runs on the compiled rule-match index
-(:mod:`repro.ixp.ruleindex`) by default; ``classification_engine`` is a
-sweepable knob, so the indexed and per-rule engines can be compared from
-the CLI — their results are pinned identical (modulo the knob itself) in
-``tests/experiments/test_scenarios.py``, and
-``benchmarks/test_bench_ruleindex.py`` pins the speedup.
+(:mod:`repro.ixp.ruleindex`); ``benchmarks/test_bench_ruleindex.py``
+pins how its cost scales with the installed rule count.
 
 A mid-run rule install (``late_rule_time``) proves end to end that the
 version-counter cache invalidation works: the late rule's (host, port)
@@ -66,12 +63,18 @@ class FineGrainedConfig:
     late_fraction: float = 0.02
     #: When the late rule is installed (< 0 disables the event).
     late_rule_time: float = 60.0
-    #: QoS classification engine: "indexed" (compiled rule-match index)
-    #: or "per-rule" (the parity-tested fallback pass) — sweepable.
+    #: The data path this run takes: the compiled rule-match index and the
+    #: batched delivery plan.  Each field accepts only that one value; they
+    #: stay in the config (and so in ``to_dict()``) until the pinned
+    #: end-to-end benchmark digests are next re-pinned.
     classification_engine: str = "indexed"
-    #: Fabric delivery engine: "batched" or "per-member".
     delivery_engine: str = "batched"
     seed: int = 7
+
+    def __post_init__(self) -> None:
+        for name, only in (("classification_engine", "indexed"), ("delivery_engine", "batched")):
+            if getattr(self, name) != only:
+                raise ValueError(f"{name} must be {only!r}, got {getattr(self, name)!r}")
 
 
 class FineGrainedTrafficSource:
@@ -220,8 +223,6 @@ def run_fine_grained_experiment(
             shape_every=config.shape_every,
             shape_rate_bps=config.shape_rate_bps,
             mac_rules_per_member=config.mac_rules_per_member,
-            delivery_engine=config.delivery_engine,
-            classification_engine=config.classification_engine,
             seed=config.seed,
         )
     fabric = scenario.fabric

@@ -229,7 +229,6 @@ def _build_platform(
         pop_count=config.pop_count,
         routers_per_pop=config.routers_per_pop,
         profile=_router_profile(config),
-        delivery_engine="batched",
         seed=config.seed,
         collect_ipfix=False,
         retain_reports=False,

@@ -178,7 +178,6 @@ def build_paper_scale_scenario(
     victim_asn: int = DEFAULT_VICTIM_ASN,
     victim_ip: str = DEFAULT_VICTIM_IP,
     seed: int = 7,
-    delivery_engine: str = "batched",
 ) -> PaperScaleScenario:
     """Build the paper-scale multi-PoP scenario (§4.5, footnote 1).
 
@@ -199,7 +198,6 @@ def build_paper_scale_scenario(
         pop_count=pop_count,
         routers_per_pop=routers_per_pop,
         platform_capacity_bps=platform_capacity_bps,
-        delivery_engine=delivery_engine,
         seed=seed,
     )
     stellar = Stellar(ixp_asn=ixp_asn, fabric=fabric)
@@ -306,8 +304,6 @@ def build_fine_grained_scenario(
     shape_rate_bps: float = 5e6,
     mac_rules_per_member: int = 2,
     platform_capacity_bps: float = 25e12,
-    delivery_engine: str = "batched",
-    classification_engine: str = "indexed",
     seed: int = 7,
 ) -> FineGrainedScenario:
     """Build the fine-grained rule-load scenario.
@@ -358,7 +354,6 @@ def build_fine_grained_scenario(
         routers_per_pop=routers_per_pop,
         platform_capacity_bps=platform_capacity_bps,
         profile=profile,
-        delivery_engine=delivery_engine,
         seed=seed,
     )
     members = make_member_population(member_count, pop_count=pop_count, seed=seed)
@@ -402,7 +397,6 @@ def build_fine_grained_scenario(
             covered.append(
                 (rule.dst_prefix.int_bounds[0], rule.src_port, member.asn)
             )
-    fabric.set_classification_engine(classification_engine)
 
     # The late-install rule's (host, port) pair: a port outside the
     # reflection pool towards the first protected member, so its traffic

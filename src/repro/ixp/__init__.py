@@ -7,7 +7,7 @@ from .control_plane import (
 )
 from .delivery import CompiledRule, FabricDeliveryPlan
 from .edge_router import EdgeRouter, PortNotFoundError, RuleInstallation
-from .fabric import DELIVERY_ENGINES, FabricIntervalReport, SwitchingFabric
+from .fabric import FabricIntervalReport, SwitchingFabric
 from .hardware_profiles import (
     PARALLEL_RTBH_95TH_PERCENTILE,
     HardwareProfile,
@@ -17,14 +17,7 @@ from .hardware_profiles import (
 )
 from .member import IxpMember, default_mac
 from .port import MemberPort, PortCounters
-from .qos import (
-    CLASSIFICATION_ENGINES,
-    FilterAction,
-    FlowMatch,
-    PortQosPolicy,
-    PortQosResult,
-    QosRule,
-)
+from .qos import FilterAction, FlowMatch, PortQosPolicy, PortQosResult, QosRule
 from .portal_client import PortalClient, ScriptedPortal
 from .queues import RateLimiter, TokenBucket
 from .service import (
@@ -64,7 +57,6 @@ __all__ = [
     "RuleInstallation",
     "CompiledRule",
     "FabricDeliveryPlan",
-    "DELIVERY_ENGINES",
     "FabricIntervalReport",
     "SwitchingFabric",
     "PARALLEL_RTBH_95TH_PERCENTILE",
@@ -76,7 +68,6 @@ __all__ = [
     "default_mac",
     "MemberPort",
     "PortCounters",
-    "CLASSIFICATION_ENGINES",
     "FilterAction",
     "FlowMatch",
     "PortQosPolicy",

@@ -1,27 +1,23 @@
-"""Batched (platform-level) fabric delivery.
+"""Fabric delivery: one interval across the whole platform in one pass.
 
-``SwitchingFabric.deliver``'s per-member fallback walks the interval's
-egress members one at a time: each member costs a full boolean scan of the
-egress column, a column-wise sub-table ``select``, one ``qos.apply`` call
-and one ``PortQosResult`` with eagerly materialised tables.  At paper
+:class:`FabricDeliveryPlan` is how :meth:`SwitchingFabric.deliver
+<repro.ixp.fabric.SwitchingFabric.deliver>` carries an interval's
+:class:`~repro.traffic.flowtable.FlowTable` to the egress ports.  At paper
 scale — DE-CIX-class fabrics carry traffic for hundreds of member ports
-per observation interval (§4.5, footnote 1) — that loop is O(members ×
-flows) in Python before any classification happens.
-
-:class:`FabricDeliveryPlan` replaces the loop with one platform-level
-pass:
+per observation interval (§4.5, footnote 1) — a Python loop over members
+would cost O(members × flows) before any classification happens, so the
+plan works platform-wide:
 
 1. **compile** — every connected port's QoS rules are snapshotted into a
    single columnar rule set; each :class:`CompiledRule` is tagged with its
    egress member, and per-port precedence (most-specific-first) is
    preserved inside the global order;
 2. **classify** — one vectorized group-by over the whole interval
-   :class:`~repro.traffic.flowtable.FlowTable` (``np.unique`` on the
-   egress column), then each filtered member's slice is classified through
-   the port's :meth:`~repro.ixp.qos.PortQosPolicy.assign_table` — the
-   compiled :class:`~repro.ixp.ruleindex.RuleMatchIndex` by default, the
-   per-rule pass when the port runs the fallback engine; per-rule matched
-   bits fall out of a single ``bincount``;
+   (``np.unique`` on the egress column), then each filtered member's slice
+   is classified through the port's
+   :meth:`~repro.ixp.qos.PortQosPolicy.assign_table` (its compiled
+   :class:`~repro.ixp.ruleindex.RuleMatchIndex`); per-rule matched bits
+   fall out of a single ``bincount``;
 3. **scatter** — the verdicts are folded back into per-port
    :class:`~repro.ixp.qos.PortQosResult`\\ s (with deferred table views),
    :class:`~repro.ixp.port.PortCounters`, port history and the
@@ -37,16 +33,13 @@ the counter, so only intervals after a configuration change recompile, and
 the per-port match indexes themselves are cached on the policies so
 untouched ports never recompile at all.
 
-The engine is bit-for-bit equal to the per-member loop (same float
-operations in the same order — ``tests/ixp/test_fabric_delivery.py`` pins
-multiset flow verdicts, bit accounting and counters across multi-router
-topologies), so experiments can switch engines freely; the per-member
-path remains as the parity-tested fallback and the only path for
-record-list input.
+The test suite checks every report bit for bit against a deliberately
+naive first-match reference (``tests/oracle``).
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -58,15 +51,34 @@ from .port import MemberPort
 from .qos import (
     _DROP_CODE,
     _FORWARD_CODE,
+    _SHAPE_CODE,
     FilterAction,
     PortQosResult,
     QosRule,
-    _group_rows,
-    _shape_rows_by_rank,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .fabric import FabricIntervalReport, SwitchingFabric
+
+
+def _shape_rows_by_rank(
+    assigned: np.ndarray, row_actions: np.ndarray
+) -> dict[int, np.ndarray]:
+    """Rows claimed by each SHAPE rule rank, ascending within each rank.
+
+    One stable group-by over the shaped rows replaces a per-shape-rule
+    ``np.isin`` scan of the whole interval — with thousands of installed
+    shape rules that scan was itself O(rules × flows).
+    """
+    shape_rows = np.flatnonzero(row_actions == _SHAPE_CODE)
+    if not len(shape_rows):
+        return {}
+    ranks = assigned[shape_rows]
+    order = np.argsort(ranks, kind="stable")
+    sorted_rows = shape_rows[order]
+    sorted_ranks = ranks[order]
+    unique, starts = np.unique(sorted_ranks, return_index=True)
+    return dict(zip(unique.tolist(), np.split(sorted_rows, starts[1:])))
 
 
 @dataclass(frozen=True)
@@ -96,8 +108,8 @@ class FabricDeliveryPlan:
     ) -> None:
         self.fabric = fabric
         # Key membership off the fabric's member registry (the same source
-        # of truth the per-member engine and the IPFIX export filter use),
-        # not off whatever ports the routers happen to carry.
+        # of truth the IPFIX export filter uses), not off whatever ports
+        # the routers happen to carry.
         self._ports: dict[int, MemberPort] = {
             member.asn: fabric.port_for_member(member.asn)
             for member in fabric.members()
@@ -174,8 +186,8 @@ class FabricDeliveryPlan:
         """Carry one interval across the platform in a single batched pass."""
         from .fabric import FabricIntervalReport
 
-        if interval <= 0:
-            raise ValueError("interval must be positive")
+        if not (math.isfinite(interval) and interval > 0):
+            raise ValueError("interval must be positive and finite")
         if not self.is_current():
             # Classification delegates to the live port policies while the
             # scatter indexes this plan's snapshot; running a stale plan
@@ -194,8 +206,7 @@ class FabricDeliveryPlan:
 
         # One platform-wide group-by: member ASNs in ascending order, each
         # group's rows as ascending original-order indices (the stable
-        # argsort preserves intra-member row order, which keeps the
-        # scattered tables identical to the per-member ``select`` path).
+        # argsort preserves intra-member row order in the scattered tables).
         unique_asns, inverse = np.unique(egress, return_inverse=True)
         order = np.argsort(inverse, kind="stable")
         boundaries = np.cumsum(np.bincount(inverse, minlength=len(unique_asns)))[:-1]
@@ -206,10 +217,8 @@ class FabricDeliveryPlan:
         )
 
         # Platform totals are collected per member and reduced once after
-        # the loop; sum() adds left-to-right in ascending-ASN group order,
-        # exactly the sequence the old running `+=` produced, so report
-        # payloads stay bit-for-bit identical (RPL006: no float `+=` in
-        # loops).
+        # the loop with sum(), in ascending-ASN group order (RPL006: no
+        # float `+=` in loops).
         offered_terms: list[float] = []
         delivered_terms: list[float] = []
         filtered_terms: list[float] = []
@@ -253,12 +262,11 @@ class FabricDeliveryPlan:
 
         Rules of different members are disjoint by the egress column, so
         each filtered member's rules are matched against that member's
-        row slice only, through the port policy's shared
-        :meth:`~repro.ixp.qos.PortQosPolicy.assign_table` — the compiled
-        rule-match index on the default engine.  ``assign_table`` is
-        row-wise, so verdicts on the slice equal verdicts on the full
-        table; local ranks map to global rule indices by the member's
-        contiguous block offset.
+        row slice only, through the port policy's
+        :meth:`~repro.ixp.qos.PortQosPolicy.assign_table` (its compiled
+        rule-match index).  ``assign_table`` is row-wise, so verdicts on
+        the slice equal verdicts on the full table; local ranks map to
+        global rule indices by the member's contiguous block offset.
         """
         if not any(
             asn in self._segments for asn in unique_asns.tolist()
@@ -318,10 +326,7 @@ class FabricDeliveryPlan:
     ) -> PortQosResult:
         """Scatter the platform-level verdicts back into one port's result.
 
-        Mirrors ``PortQosPolicy._apply_table`` operation for operation
-        (same accumulation order, same float conversions) so the batched
-        engine stays bit-for-bit equal to the fallback.  Only the rules
-        that actually claimed rows are visited.
+        Only the rules that actually claimed rows are visited.
         """
         qos = port.qos
         start = self._member_start[asn]
@@ -345,7 +350,7 @@ class FabricDeliveryPlan:
             row_actions[matched] = qos.action_codes()[local[matched]]
         forward_mask = row_actions == _FORWARD_CODE
         drop_mask = row_actions == _DROP_CODE
-        shape_groups: dict[str, list[int]] = {}
+        shape_ranks: list[int] = []
         for rank in claimed:
             rule = self._rules[start + rank].rule
             if rule.action is FilterAction.DROP:
@@ -354,21 +359,20 @@ class FabricDeliveryPlan:
                 stats["matched"] += matched_bits
                 stats["dropped"] += matched_bits
             elif rule.action is FilterAction.SHAPE:
-                # Rules sharing a shaper key share its budget (anonymous
-                # shape rules carry synthetic ids).
-                shape_groups.setdefault(rule.rule_id, []).append(rank)
+                shape_ranks.append(rank)
 
+        # Every SHAPE rule carries a unique id (anonymous ones a synthetic
+        # ``anon-<n>``), so each claimed shape rank drains its own shaper.
         rows_by_rank = _shape_rows_by_rank(local, row_actions)
         shaped_tables: list[FlowTable] = []
-        # Per-shaper terms, reduced once after the loop in the same order
-        # the old running `+=` added them (RPL006) — bit-for-bit identical.
+        # Per-shaper terms, reduced once after the loop (RPL006).
         passed_terms: list[float] = []
         dropped_terms: list[float] = []
-        for key, group_ranks in shape_groups.items():
-            positions = _group_rows(rows_by_rank, group_ranks)
-            group_rows = rows[positions]
+        for rank in shape_ranks:
+            rule = self._rules[start + rank].rule
+            group_rows = rows[rows_by_rank[rank]]
             offered_bits = float(bits[group_rows].sum())
-            shaper = qos.shaper_for(key)
+            shaper = qos.shaper_for(rule.rule_id)
             if shaper is None:
                 passed_bits, dropped_bits = offered_bits, 0.0
             else:
@@ -376,13 +380,10 @@ class FabricDeliveryPlan:
             scale = passed_bits / offered_bits if offered_bits > 0 else 0.0
             scaled = table.select(group_rows).scaled(scale)
             shaped_tables.append(scaled)
-            scaled_bits = scaled.bits
-            group_local = local[positions]
-            for rank in group_ranks:
-                rule_bits = float(scaled_bits[group_local == rank].sum())
-                stats = stats_for(self._rules[start + rank].rule)
-                stats["matched"] += rule_bits
-                stats["shaped"] += rule_bits
+            rule_bits = float(scaled.bits.sum())
+            stats = stats_for(rule)
+            stats["matched"] += rule_bits
+            stats["shaped"] += rule_bits
             passed_terms.append(passed_bits)
             dropped_terms.append(dropped_bits)
         shaped_passed = float(sum(passed_terms))

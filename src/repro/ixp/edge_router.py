@@ -9,16 +9,14 @@ router so TCAM accounting and update-rate accounting stay consistent.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Optional
 
-from ..traffic.flow import FlowRecord
-from ..traffic.flowtable import FlowTable
 from .control_plane import ControlPlaneCpuModel
 from .hardware_profiles import HardwareProfile, l_ixp_edge_router_profile
 from .member import IxpMember
 from .port import MemberPort
-from .qos import PortQosResult, QosRule
+from .qos import QosRule
 from .tcam import TcamExhaustedError, TcamModel, TcamStatus
 
 
@@ -221,22 +219,6 @@ class EdgeRouter:
 
     def installed_rules(self) -> list[QosRule]:
         return [installation.rule for installation in self._installations.values()]
-
-    # ------------------------------------------------------------------
-    # Data plane
-    # ------------------------------------------------------------------
-    def deliver(
-        self,
-        flows_by_member: dict[int, Union[Sequence[FlowRecord], FlowTable]],
-        interval: float,
-        interval_start: float = 0.0,
-    ) -> dict[int, PortQosResult]:
-        """Deliver one interval of egress traffic, per destination member."""
-        results: dict[int, PortQosResult] = {}
-        for member_asn, flows in flows_by_member.items():
-            port = self.port_for(member_asn)
-            results[member_asn] = port.deliver(flows, interval, interval_start)
-        return results
 
     # ------------------------------------------------------------------
     # Control plane

@@ -11,19 +11,16 @@ spare capacity to carry attack traffic to the egress port (§4.5).
 
 from __future__ import annotations
 
-from collections import defaultdict
-from collections.abc import Iterable
+import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from ..traffic.flow import FlowRecord
 from ..traffic.flowtable import FlowTable
 from ..traffic.ipfix import IpfixCollector, IpfixExporter
 from .delivery import FabricDeliveryPlan
 from .edge_router import EdgeRouter, PortNotFoundError
-from .hardware_profiles import HardwareProfile
 from .member import IxpMember
 from .port import MemberPort
 from .qos import PortQosResult
@@ -51,10 +48,10 @@ class FabricIntervalReport:
     def to_dict(self) -> dict:
         """Canonical JSON-serializable view of the interval outcome.
 
-        Every number the delivery engines *compute* is included — platform
-        totals plus each member's bit accounting and per-rule stats — so
-        equality of two reports' ``to_dict()`` is the parity contract
-        between the ``batched`` and ``per-member`` engines (the fuzz suite
+        Every number delivery *computes* is included — platform totals
+        plus each member's bit accounting and per-rule stats — so equality
+        of two reports' ``to_dict()`` is the parity contract between the
+        fabric and the naive reference in ``tests/oracle`` (the fuzz suite
         asserts it for arbitrary generated topologies and rule sets).
         """
         return {
@@ -136,19 +133,12 @@ MEMBER_REPORT_FIELDS = (
 )
 
 
-#: Delivery engines :meth:`SwitchingFabric.deliver` can run.
-DELIVERY_ENGINES = ("batched", "per-member")
-
-
 class SwitchingFabric:
     """The IXP's layer-2 switching platform.
 
-    ``delivery_engine`` selects how an interval's columnar traffic crosses
-    the platform: ``"batched"`` (the default) compiles a
-    :class:`~repro.ixp.delivery.FabricDeliveryPlan` and runs one
-    platform-level group-by + classification pass; ``"per-member"`` is the
-    parity-tested fallback that walks egress members one at a time.
-    Record-list input always takes the per-member path.
+    An interval's columnar traffic crosses the platform through a cached
+    :class:`~repro.ixp.delivery.FabricDeliveryPlan`: one platform-level
+    group-by + classification pass per interval.
     """
 
     def __init__(
@@ -156,20 +146,13 @@ class SwitchingFabric:
         name: str = "l-ixp",
         platform_capacity_bps: float = 25e12,
         ipfix_sampling_rate: int = 1,
-        delivery_engine: str = "batched",
         collect_ipfix: bool = True,
         retain_reports: bool = True,
         retain_history: bool = True,
     ) -> None:
-        if platform_capacity_bps <= 0:
-            raise ValueError("platform capacity must be positive")
-        if delivery_engine not in DELIVERY_ENGINES:
-            raise ValueError(
-                f"unknown delivery engine {delivery_engine!r}; "
-                f"known: {', '.join(DELIVERY_ENGINES)}"
-            )
+        if not (math.isfinite(platform_capacity_bps) and platform_capacity_bps > 0):
+            raise ValueError("platform capacity must be positive and finite")
         self.name = name
-        self.delivery_engine = delivery_engine
         #: Connected member capacity of the platform (25 Tbps at DE-CIX
         #: Frankfurt in 2017, paper footnote 1).
         self.platform_capacity_bps = platform_capacity_bps
@@ -270,10 +253,6 @@ class SwitchingFabric:
     # ------------------------------------------------------------------
     # Data plane
     # ------------------------------------------------------------------
-    def compile_delivery_plan(self) -> FabricDeliveryPlan:
-        """Snapshot the connected ports + rules into a batched delivery plan."""
-        return FabricDeliveryPlan(self)
-
     def current_delivery_plan(self) -> FabricDeliveryPlan:
         """The cached delivery plan, recompiled only when stale.
 
@@ -297,72 +276,29 @@ class SwitchingFabric:
             self._plan_cache = plan
         return plan
 
-    def set_classification_engine(self, engine: str) -> None:
-        """Switch every connected port's QoS classification engine.
-
-        ``"indexed"`` (the default) or ``"per-rule"`` — the parity knob
-        the fine-grained experiments sweep.  Applies to currently
-        connected ports; ports connected later use the policy default.
-        """
-        from .qos import CLASSIFICATION_ENGINES
-
-        if engine not in CLASSIFICATION_ENGINES:
-            raise ValueError(
-                f"unknown classification engine {engine!r}; "
-                f"known: {', '.join(CLASSIFICATION_ENGINES)}"
-            )
-        for router in self._edge_routers.values():
-            for port in router.ports():
-                port.qos.classification_engine = engine
-
     def deliver(
-        self,
-        flows: Union[Iterable[FlowRecord], FlowTable],
-        interval: float,
-        interval_start: float = 0.0,
-        engine: Optional[str] = None,
+        self, flows: FlowTable, interval: float, interval_start: float = 0.0
     ) -> FabricIntervalReport:
         """Carry one observation interval of traffic across the platform.
 
         Flows are grouped by their egress member, pushed through that
-        member's port QoS policy, and the per-member results plus a
-        platform-level summary are returned.  Flows whose egress member is
-        unknown are ignored (they never entered the IXP) — including by the
-        IPFIX export, which only sees traffic the platform actually
-        carried.  A columnar :class:`FlowTable` input runs on the fabric's
-        configured ``delivery_engine`` (overridable per call via
-        ``engine``); record-list input always takes the per-member path.
+        member's port QoS policy by the current delivery plan, and the
+        per-member results plus a platform-level summary are returned.
+        Flows whose egress member is unknown are ignored (they never
+        entered the IXP) — including by the IPFIX export, which only sees
+        traffic the platform actually carried.  Record lists go through
+        :meth:`FlowTable.from_records
+        <repro.traffic.flowtable.FlowTable.from_records>` first.
         """
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        engine = self.delivery_engine if engine is None else engine
-        if engine not in DELIVERY_ENGINES:
-            raise ValueError(
-                f"unknown delivery engine {engine!r}; known: {', '.join(DELIVERY_ENGINES)}"
+        if not isinstance(flows, FlowTable):
+            raise TypeError(
+                f"deliver takes a FlowTable, got {type(flows).__name__}; "
+                "convert records with FlowTable.from_records"
             )
-        if isinstance(flows, FlowTable):
-            export_flows: Union[list[FlowRecord], FlowTable] = self._known_egress(flows)
-            if engine == "batched":
-                report = self.current_delivery_plan().execute(
-                    flows, interval, interval_start
-                )
-            else:
-                report = self._deliver_per_member(
-                    self._group_table(flows), interval, interval_start
-                )
-        else:
-            flows = list(flows)
-            grouped: dict[int, list[FlowRecord]] = defaultdict(list)
-            export_flows = []
-            for flow in flows:
-                if flow.egress_member_asn in self._members:
-                    grouped[flow.egress_member_asn].append(flow)
-                    export_flows.append(flow)
-            report = self._deliver_per_member(dict(grouped), interval, interval_start)
-
+        report = self.current_delivery_plan().execute(flows, interval, interval_start)
         if self.collect_ipfix:
             self.collector.receive(
-                self._exporter.export(export_flows, export_time=interval_start)
+                self._exporter.export(self._known_egress(flows), export_time=interval_start)
             )
         if self.retain_reports:
             self.reports.append(report)
@@ -379,51 +315,6 @@ class SwitchingFabric:
         )
         known = np.isin(flows.egress_asn, member_asns)
         return flows if bool(known.all()) else flows.select(known)
-
-    def _group_table(self, flows: FlowTable) -> dict[int, FlowTable]:
-        """Per-member sub-tables (the per-member engine's group-by)."""
-        by_member: dict[int, FlowTable] = {}
-        egress = flows.egress_asn
-        for member_asn in np.unique(egress).tolist():
-            if member_asn in self._members:
-                by_member[member_asn] = flows.select(egress == member_asn)
-        return by_member
-
-    def _deliver_per_member(
-        self,
-        by_member: dict[int, Union[list[FlowRecord], FlowTable]],
-        interval: float,
-        interval_start: float,
-    ) -> FabricIntervalReport:
-        """The fallback engine: one ``qos.apply`` per egress member."""
-        report = FabricIntervalReport(interval_start=interval_start, interval=interval)
-        # Platform totals are collected per member and reduced once after
-        # the loop; sum() adds left-to-right in member order, exactly the
-        # sequence the old running `+=` produced, so report payloads stay
-        # bit-for-bit identical (RPL006: no float `+=` in loops).
-        offered_terms: list[float] = []
-        delivered_terms: list[float] = []
-        filtered_terms: list[float] = []
-        congestion_terms: list[float] = []
-        for member_asn, member_flows in by_member.items():
-            router = self.router_for_member(member_asn)
-            result = router.deliver(
-                {member_asn: member_flows}, interval, interval_start
-            )[member_asn]
-            report.results_by_member[member_asn] = result
-            if isinstance(member_flows, FlowTable):
-                offered = float(member_flows.total_bits)
-            else:
-                offered = float(sum(flow.bits for flow in member_flows))
-            offered_terms.append(offered)
-            delivered_terms.append(result.delivered_bits)
-            filtered_terms.append(result.dropped_bits + result.shaped_dropped_bits)
-            congestion_terms.append(result.congestion_dropped_bits)
-        report.offered_bits = float(sum(offered_terms))
-        report.delivered_bits = float(sum(delivered_terms))
-        report.filtered_bits = float(sum(filtered_terms))
-        report.congestion_dropped_bits = float(sum(congestion_terms))
-        return report
 
     def platform_overloaded(self, report: FabricIntervalReport) -> bool:
         """True if the interval's load exceeded the platform capacity."""

@@ -8,12 +8,8 @@ blackholing users receive (forwarded vs. dropped vs. shaped volumes).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass
 
-from ..traffic.flow import FlowRecord
-from ..traffic.flowtable import FlowTable
 from .member import IxpMember
 from .qos import PortQosPolicy, PortQosResult, QosRule
 
@@ -81,25 +77,8 @@ class MemberPort:
         return self.qos.rules()
 
     # ------------------------------------------------------------------
-    # Data plane
+    # Telemetry
     # ------------------------------------------------------------------
-    def deliver(
-        self,
-        flows: Union[Sequence[FlowRecord], FlowTable],
-        interval: float,
-        interval_start: float = 0.0,
-    ) -> PortQosResult:
-        """Push one interval of egress traffic through the port."""
-        if isinstance(flows, FlowTable):
-            offered_bits = float(flows.total_bits)
-        else:
-            offered_bits = float(sum(flow.bits for flow in flows))
-        result = self.qos.apply(flows, interval)
-        self.counters.update(offered_bits, result)
-        if self.retain_history:
-            self.history.append((interval_start, result))
-        return result
-
     def utilisation(self, result: PortQosResult, interval: float) -> float:
         """Egress demand on the port relative to its capacity (can exceed 1).
 

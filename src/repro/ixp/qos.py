@@ -10,25 +10,29 @@ stream leaving the IXP towards the member into one of three actions:
 * ``FORWARD`` — the default; enqueue on the member port's egress queue,
   which is itself limited by the port capacity.
 
-The reproduction models this at flow level per observation interval.  The
-policy accepts both representations of an interval's traffic: a sequence of
-:class:`FlowRecord` objects (classified flow by flow) or a columnar
-:class:`~repro.traffic.flowtable.FlowTable`, which is classified with
-vectorized column matchers — the fast path the attack experiments run on.
+The reproduction models this at flow level per observation interval.  A
+:class:`PortQosPolicy` holds a port's rules in most-specific-first order
+and classifies a columnar :class:`~repro.traffic.flowtable.FlowTable`
+through its compiled :class:`~repro.ixp.ruleindex.RuleMatchIndex`
+(:meth:`PortQosPolicy.assign_table`).  The verdict scatter, shaping and
+congestion accounting run platform-wide in
+:class:`~repro.ixp.delivery.FabricDeliveryPlan`, which builds the
+per-port :class:`PortQosResult`\\ s.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_right
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from ..bgp.prefix import Prefix, parse_prefix
+from ..bgp.prefix import Prefix
 from ..traffic.flow import FlowRecord
 from ..traffic.flowtable import (
     FlowTable,
@@ -40,12 +44,6 @@ from ..traffic.flowtable import (
 from ..traffic.packet import IpProtocol
 from .queues import RateLimiter
 from .ruleindex import RuleMatchIndex
-
-#: Classification engines :meth:`PortQosPolicy.assign_table` can run:
-#: ``"indexed"`` (the default) classifies through the compiled
-#: :class:`~repro.ixp.ruleindex.RuleMatchIndex`; ``"per-rule"`` is the
-#: parity-tested fallback running one vectorized match pass per rule.
-CLASSIFICATION_ENGINES = ("indexed", "per-rule")
 
 #: Journal entries kept between compiles.  A cached index older than the
 #: journal's reach is recompiled from scratch; 64 entries comfortably
@@ -153,9 +151,11 @@ class FlowMatch:
                 matching = [asn for asn in unique.tolist() if derived_mac(asn) == target]
                 mask &= np.isin(table.ingress_asn, matching)
             else:
-                mask &= np.fromiter(
-                    (mac.lower() == target for mac in table.src_mac), dtype=bool, count=n
-                )
+                # Compare each distinct MAC once, then scatter the verdict
+                # back to the rows through the inverse index.
+                unique, inverse = np.unique(table.src_mac, return_inverse=True)
+                hits = np.array([mac.lower() == target for mac in unique], dtype=bool)
+                mask &= hits[inverse]
         if self.protocol is not None:
             mask &= table.protocol == int(self.protocol)
         if self.src_port is not None:
@@ -187,8 +187,10 @@ class QosRule:
     rule_id: str = ""
 
     def __post_init__(self) -> None:
-        if self.action is FilterAction.SHAPE and self.shape_rate_bps <= 0:
-            raise ValueError("SHAPE rules require a positive shape_rate_bps")
+        if self.action is FilterAction.SHAPE and not (
+            math.isfinite(self.shape_rate_bps) and self.shape_rate_bps > 0
+        ):
+            raise ValueError("SHAPE rules require a positive, finite shape_rate_bps")
         if self.action is not FilterAction.SHAPE and self.shape_rate_bps:
             raise ValueError("shape_rate_bps is only valid for SHAPE rules")
 
@@ -196,45 +198,31 @@ class QosRule:
 class PortQosResult:
     """Outcome of pushing one interval of traffic through a port's QoS policy.
 
-    The per-action flow populations are available both as columnar tables
-    (``forwarded_table`` etc., when the vectorized path produced them) and
-    as lazily materialised record lists (``forwarded`` etc.), so legacy
-    consumers keep working while the hot paths stay columnar.
-    ``rule_stats`` attributes matched/dropped/shaped bits to the rule id
-    that classified them, which is what the telemetry layer reports.
-
-    ``table_source`` defers the columnar views themselves: the batched
-    fabric delivery engine accounts for hundreds of ports per interval and
-    hands each result a callable producing ``(forwarded, dropped, shaped)``
-    tables, which only runs if a consumer actually asks for a per-flow
-    view — the bit counters and ``rule_stats`` are always eager.
+    The bit counters and ``rule_stats`` are eager; ``rule_stats``
+    attributes matched/dropped/shaped bits to the rule id that classified
+    them, which is what the telemetry layer reports.  The per-action flow
+    populations are deferred: ``table_source`` produces the
+    ``(forwarded, dropped, shaped)`` tables, and only runs if a consumer
+    asks for a columnar view (``forwarded_table`` etc.) or a record view
+    (``forwarded`` etc.) — the fabric accounts for hundreds of ports per
+    interval and most results are never inspected flow by flow.
     """
 
     def __init__(
         self,
-        forwarded: Optional[list[FlowRecord]] = None,
-        dropped: Optional[list[FlowRecord]] = None,
-        shaped: Optional[list[FlowRecord]] = None,
+        table_source: Callable[[], tuple[FlowTable, FlowTable, FlowTable]],
         forwarded_bits: float = 0.0,
         dropped_bits: float = 0.0,
         shaped_passed_bits: float = 0.0,
         shaped_dropped_bits: float = 0.0,
         congestion_dropped_bits: float = 0.0,
-        forwarded_table: Optional[FlowTable] = None,
-        dropped_table: Optional[FlowTable] = None,
-        shaped_table: Optional[FlowTable] = None,
         rule_stats: Optional[dict[str, dict[str, float]]] = None,
-        table_source: Optional[
-            Callable[[], tuple[FlowTable, FlowTable, FlowTable]]
-        ] = None,
     ) -> None:
-        self._forwarded = forwarded
-        self._dropped = dropped
-        self._shaped = shaped
-        self._forwarded_table = forwarded_table
-        self._dropped_table = dropped_table
-        self._shaped_table = shaped_table
-        self._table_source = table_source
+        self._table_source: Optional[
+            Callable[[], tuple[FlowTable, FlowTable, FlowTable]]
+        ] = table_source
+        self._tables: tuple[FlowTable, FlowTable, FlowTable] | None = None
+        self._records: dict[int, list[FlowRecord]] = {}
         self.forwarded_bits = forwarded_bits
         self.dropped_bits = dropped_bits
         self.shaped_passed_bits = shaped_passed_bits
@@ -245,66 +233,43 @@ class PortQosResult:
         )
 
     # ------------------------------------------------------------------
-    # Columnar views (lazy when a table_source was deferred)
+    # Columnar and record views (built on first access)
     # ------------------------------------------------------------------
-    def _materialise_tables(self) -> None:
-        if self._table_source is not None:
+    def _table(self, which: int) -> FlowTable:
+        if self._tables is None:
+            assert self._table_source is not None
             source, self._table_source = self._table_source, None
-            self._forwarded_table, self._dropped_table, self._shaped_table = source()
+            self._tables = source()
+        return self._tables[which]
+
+    def _record_view(self, which: int) -> list[FlowRecord]:
+        if which not in self._records:
+            self._records[which] = self._table(which).to_records()
+        return self._records[which]
 
     @property
-    def forwarded_table(self) -> Optional[FlowTable]:
-        self._materialise_tables()
-        return self._forwarded_table
-
-    @forwarded_table.setter
-    def forwarded_table(self, table: Optional[FlowTable]) -> None:
-        self._forwarded_table = table
+    def forwarded_table(self) -> FlowTable:
+        return self._table(0)
 
     @property
-    def dropped_table(self) -> Optional[FlowTable]:
-        self._materialise_tables()
-        return self._dropped_table
-
-    @dropped_table.setter
-    def dropped_table(self, table: Optional[FlowTable]) -> None:
-        self._dropped_table = table
+    def dropped_table(self) -> FlowTable:
+        return self._table(1)
 
     @property
-    def shaped_table(self) -> Optional[FlowTable]:
-        self._materialise_tables()
-        return self._shaped_table
+    def shaped_table(self) -> FlowTable:
+        return self._table(2)
 
-    @shaped_table.setter
-    def shaped_table(self, table: Optional[FlowTable]) -> None:
-        self._shaped_table = table
-
-    # ------------------------------------------------------------------
-    # Record views (lazy when columnar tables are present)
-    # ------------------------------------------------------------------
     @property
     def forwarded(self) -> list[FlowRecord]:
-        if self._forwarded is None:
-            self._forwarded = (
-                self.forwarded_table.to_records() if self.forwarded_table is not None else []
-            )
-        return self._forwarded
+        return self._record_view(0)
 
     @property
     def dropped(self) -> list[FlowRecord]:
-        if self._dropped is None:
-            self._dropped = (
-                self.dropped_table.to_records() if self.dropped_table is not None else []
-            )
-        return self._dropped
+        return self._record_view(1)
 
     @property
     def shaped(self) -> list[FlowRecord]:
-        if self._shaped is None:
-            self._shaped = (
-                self.shaped_table.to_records() if self.shaped_table is not None else []
-            )
-        return self._shaped
+        return self._record_view(2)
 
     # ------------------------------------------------------------------
     @property
@@ -321,15 +286,15 @@ class PortQosResult:
     # ------------------------------------------------------------------
     def delivered_peer_asns(self) -> set[int]:
         """Distinct ingress members whose traffic still reaches the member."""
-        return ingress_peers(self.forwarded_table, self._forwarded) | ingress_peers(
-            self.shaped_table, self._shaped, positive_bytes=True
+        return ingress_peers(self.forwarded_table, None) | ingress_peers(
+            self.shaped_table, None, positive_bytes=True
         )
 
     def delivered_attack_bits(self) -> float:
         """Attack bits among forwarded + shaped traffic (pre-congestion)."""
-        return population_bits(
-            self.forwarded_table, self._forwarded, attack=True
-        ) + population_bits(self.shaped_table, self._shaped, attack=True)
+        return population_bits(self.forwarded_table, None, attack=True) + population_bits(
+            self.shaped_table, None, attack=True
+        )
 
 
 #: Compact action codes used by the vectorized verdict scatter.
@@ -341,57 +306,19 @@ _ACTION_CODES = {
 }
 
 
-def _shape_rows_by_rank(
-    assigned: np.ndarray, row_actions: np.ndarray
-) -> dict[int, np.ndarray]:
-    """Rows claimed by each SHAPE rule rank, ascending within each rank.
-
-    One stable group-by over the shaped rows replaces a per-shape-rule
-    ``np.isin`` scan of the whole interval — with thousands of installed
-    shape rules that scan was itself O(rules × flows).  Shared by the
-    per-member and batched delivery scatters.
-    """
-    shape_rows = np.flatnonzero(row_actions == _SHAPE_CODE)
-    if not len(shape_rows):
-        return {}
-    ranks = assigned[shape_rows]
-    order = np.argsort(ranks, kind="stable")
-    sorted_rows = shape_rows[order]
-    sorted_ranks = ranks[order]
-    unique, starts = np.unique(sorted_ranks, return_index=True)
-    return dict(zip(unique.tolist(), np.split(sorted_rows, starts[1:])))
-
-
-def _group_rows(rows_by_rank: dict[int, np.ndarray], rule_indices: list[int]) -> np.ndarray:
-    """Rows of a shaper group's rules, in ascending (original) row order."""
-    if len(rule_indices) == 1:
-        return rows_by_rank[rule_indices[0]]
-    return np.sort(np.concatenate([rows_by_rank[index] for index in rule_indices]))
-
-
 class PortQosPolicy:
     """The QoS policy configured on one member (egress) port.
 
-    ``classification_engine`` selects how columnar intervals are
-    classified: ``"indexed"`` (the default) compiles the sorted rules into
-    a :class:`~repro.ixp.ruleindex.RuleMatchIndex` cached behind
-    :attr:`rules_version` (the counter bumped by every :meth:`install` /
-    :meth:`remove` / :meth:`clear`), ``"per-rule"`` runs the parity-tested
-    one-pass-per-rule fallback.  Both produce identical verdicts.
+    Columnar intervals are classified through a
+    :class:`~repro.ixp.ruleindex.RuleMatchIndex` compiled from the sorted
+    rules and cached behind :attr:`rules_version` (the counter bumped by
+    every :meth:`install` / :meth:`remove` / :meth:`clear`).
     """
 
-    def __init__(
-        self, port_capacity_bps: float, classification_engine: str = "indexed"
-    ) -> None:
-        if port_capacity_bps <= 0:
-            raise ValueError("port capacity must be positive")
-        if classification_engine not in CLASSIFICATION_ENGINES:
-            raise ValueError(
-                f"unknown classification engine {classification_engine!r}; "
-                f"known: {', '.join(CLASSIFICATION_ENGINES)}"
-            )
+    def __init__(self, port_capacity_bps: float) -> None:
+        if not (math.isfinite(port_capacity_bps) and port_capacity_bps > 0):
+            raise ValueError("port capacity must be positive and finite")
         self.port_capacity_bps = port_capacity_bps
-        self.classification_engine = classification_engine
         self._rules: list[QosRule] = []
         self._sorted_rules: list[QosRule] = []
         #: Negated specificity of each sorted rule (ascending), so a
@@ -601,18 +528,16 @@ class PortQosPolicy:
     def sorted_rules(self) -> list[QosRule]:
         """The rules in classification (most-specific-first) order.
 
-        The batched fabric delivery engine compiles these into its
-        platform-level rule set; the order is exactly the order
-        :meth:`classify` / ``_apply_table`` evaluate them in, and the rank
-        order :meth:`assign_table` reports.
+        The fabric delivery plan compiles these into its platform-level
+        rule set; the order is the rank order :meth:`assign_table`
+        reports.
         """
         return list(self._sorted_rules)
 
     def shaper_for(self, key: str) -> Optional[RateLimiter]:
-        """The stateful shaper behind a SHAPE rule id, shared with the
-        batched delivery engine so both engines drain the same token
-        state.  Anonymous shape rules are keyed by their synthetic
-        ``anon-<n>`` id assigned at install time."""
+        """The stateful shaper behind a SHAPE rule id, drained by the
+        fabric delivery plan.  Anonymous shape rules are keyed by their
+        synthetic ``anon-<n>`` id assigned at install time."""
         return self._shapers.get(key)
 
     def clear(self) -> None:
@@ -691,201 +616,19 @@ class PortQosPolicy:
     # ------------------------------------------------------------------
     # Classification
     # ------------------------------------------------------------------
-    def classify(self, flow: FlowRecord) -> QosRule | None:
-        """Return the most specific matching rule, or ``None`` (forward)."""
-        for rule in self._sorted_rules:
-            if rule.match.matches(flow):
-                return rule
-        return None
-
     def assign_table(self, table: FlowTable) -> np.ndarray:
         """Rank of each row's claiming rule in :meth:`sorted_rules` order.
 
-        ``-1`` means no rule matches (forward).  The configured
-        ``classification_engine`` decides how the ranks are computed; the
-        two engines are pinned verdict-for-verdict equal, so downstream
-        accounting is bit-for-bit identical either way.  This is the
-        shared classification entry point of both delivery engines: the
-        per-member loop calls it from ``_apply_table`` and the batched
-        fabric plan calls it per member slice.
+        ``-1`` means no rule matches (forward).  The batched fabric
+        delivery plan calls this once per filtered member slice.
         """
         n = len(table)
         if not self._sorted_rules or n == 0:
             return np.full(n, -1, dtype=np.int32)
-        if self.classification_engine == "indexed":
-            return self.compiled_index().assign(table)
-        if self.classification_engine != "per-rule":
-            raise ValueError(
-                f"unknown classification engine {self.classification_engine!r}; "
-                f"known: {', '.join(CLASSIFICATION_ENGINES)}"
-            )
-        # Per-rule fallback: one vectorized match pass per rule, first
-        # (most specific) match claims the row.
-        assigned = np.full(n, -1, dtype=np.int32)
-        unmatched = np.ones(n, dtype=bool)
-        for index, rule in enumerate(self._sorted_rules):
-            if not unmatched.any():
-                break
-            claimed = rule.match.matches_table(table) & unmatched
-            assigned[claimed] = index
-            unmatched &= ~claimed
-        return assigned
-
-    def apply(
-        self, flows: Union[Sequence[FlowRecord], FlowTable], interval: float
-    ) -> PortQosResult:
-        """Push one observation interval of traffic through the policy."""
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        if isinstance(flows, FlowTable):
-            return self._apply_table(flows, interval)
-        return self._apply_records(flows, interval)
-
-    # ------------------------------------------------------------------
-    def _apply_records(self, flows: Sequence[FlowRecord], interval: float) -> PortQosResult:
-        result = PortQosResult(forwarded=[], dropped=[], shaped=[])
-        shaped_by_rule: dict[str, list[FlowRecord]] = {}
-        shaped_assignment: dict[str, list[QosRule]] = {}
-
-        def stats_for(rule: QosRule) -> dict[str, float]:
-            return result.rule_stats.setdefault(
-                rule.rule_id, {"matched": 0.0, "dropped": 0.0, "shaped": 0.0}
-            )
-
-        for flow in flows:
-            rule = self.classify(flow)
-            if rule is None or rule.action is FilterAction.FORWARD:
-                result.forwarded.append(flow)
-                result.forwarded_bits += flow.bits
-            elif rule.action is FilterAction.DROP:
-                result.dropped.append(flow)
-                result.dropped_bits += flow.bits
-                stats = stats_for(rule)
-                stats["matched"] += flow.bits
-                stats["dropped"] += flow.bits
-            else:  # SHAPE (anonymous shape rules carry synthetic ids)
-                key = rule.rule_id
-                shaped_by_rule.setdefault(key, []).append(flow)
-                shaped_assignment.setdefault(key, []).append(rule)
-
-        # Shaping queues: the flows matching one shaping rule share that
-        # rule's rate limit (paper §5.2).
-        for key, shaped_flows in shaped_by_rule.items():
-            shaper = self._shapers.get(key)
-            offered_bits = sum(flow.bits for flow in shaped_flows)
-            if shaper is None:
-                passed_bits, dropped_bits = float(offered_bits), 0.0
-            else:
-                passed_bits, dropped_bits = shaper.shape(offered_bits, interval)
-            scale = passed_bits / offered_bits if offered_bits > 0 else 0.0
-            for flow, rule in zip(shaped_flows, shaped_assignment[key]):
-                scaled = flow.scaled(scale)
-                result.shaped.append(scaled)
-                stats = stats_for(rule)
-                stats["matched"] += scaled.bits
-                stats["shaped"] += scaled.bits
-            result.shaped_passed_bits += passed_bits
-            result.shaped_dropped_bits += dropped_bits
-
-        self.apply_congestion(result, interval)
-        return result
-
-    def _apply_table(self, table: FlowTable, interval: float) -> PortQosResult:
-        n = len(table)
-        rule_stats: dict[str, dict[str, float]] = {}
-        if not self._sorted_rules or n == 0:
-            result = PortQosResult(
-                forwarded_table=table,
-                dropped_table=FlowTable.empty(),
-                shaped_table=FlowTable.empty(),
-                forwarded_bits=float(table.total_bits),
-                rule_stats=rule_stats,
-            )
-            self.apply_congestion(result, interval)
-            return result
-
-        # Assign each row to its most specific matching rule (the compiled
-        # index or the per-rule fallback, both rank-equivalent).
-        assigned = self.assign_table(table)
-
-        bits = table.bits
-        matched = assigned >= 0
-        # Per-rule matched bits and the set of rules that actually claimed
-        # rows fall out of one bincount/unique pass, so the verdict
-        # scatter below is O(claimed rules), not O(installed rules).
-        per_rank_bits = np.bincount(
-            assigned[matched], weights=bits[matched], minlength=len(self._sorted_rules)
-        )
-        claimed = np.unique(assigned[matched]).tolist()
-        row_actions = np.full(n, _FORWARD_CODE, dtype=np.int8)
-        if claimed:
-            row_actions[matched] = self.action_codes()[assigned[matched]]
-        forward_mask = row_actions == _FORWARD_CODE
-        drop_mask = row_actions == _DROP_CODE
-        shape_groups: dict[str, list[int]] = {}
-
-        def stats_for(rule: QosRule) -> dict[str, float]:
-            return rule_stats.setdefault(
-                rule.rule_id, {"matched": 0.0, "dropped": 0.0, "shaped": 0.0}
-            )
-
-        for index in claimed:
-            rule = self._sorted_rules[index]
-            if rule.action is FilterAction.DROP:
-                matched_bits = float(per_rank_bits[index])
-                stats = stats_for(rule)
-                stats["matched"] += matched_bits
-                stats["dropped"] += matched_bits
-            elif rule.action is FilterAction.SHAPE:
-                # Group rules sharing a shaper key, as in the record path
-                # (anonymous shape rules carry synthetic ids).
-                shape_groups.setdefault(rule.rule_id, []).append(index)
-
-        rows_by_rank = _shape_rows_by_rank(assigned, row_actions)
-        shaped_tables: list[FlowTable] = []
-        # Collected per-group and reduced once after the loop: a single
-        # left-to-right sum() is bit-for-bit the running += it replaces,
-        # and keeps the accumulation order explicit (see RPL006 in
-        # docs/STATIC_ANALYSIS.md).
-        passed_terms: list[float] = []
-        dropped_terms: list[float] = []
-        for key, rule_indices in shape_groups.items():
-            group_rows = _group_rows(rows_by_rank, rule_indices)
-            offered_bits = float(bits[group_rows].sum())
-            shaper = self._shapers.get(key)
-            if shaper is None:
-                passed_bits, dropped_bits = offered_bits, 0.0
-            else:
-                passed_bits, dropped_bits = shaper.shape(offered_bits, interval)
-            scale = passed_bits / offered_bits if offered_bits > 0 else 0.0
-            scaled = table.select(group_rows).scaled(scale)
-            shaped_tables.append(scaled)
-            scaled_bits = scaled.bits
-            group_assigned = assigned[group_rows]
-            for index in rule_indices:
-                rule_bits = float(scaled_bits[group_assigned == index].sum())
-                stats = stats_for(self._sorted_rules[index])
-                stats["matched"] += rule_bits
-                stats["shaped"] += rule_bits
-            passed_terms.append(passed_bits)
-            dropped_terms.append(dropped_bits)
-
-        shaped_passed = float(sum(passed_terms))
-        shaped_dropped = float(sum(dropped_terms))
-        result = PortQosResult(
-            forwarded_table=table.select(forward_mask),
-            dropped_table=table.select(drop_mask),
-            shaped_table=FlowTable.concat(shaped_tables) if shaped_tables else FlowTable.empty(),
-            forwarded_bits=float(bits[forward_mask].sum()),
-            dropped_bits=float(bits[drop_mask].sum()),
-            shaped_passed_bits=shaped_passed,
-            shaped_dropped_bits=shaped_dropped,
-            rule_stats=rule_stats,
-        )
-        self.apply_congestion(result, interval)
-        return result
+        return self.compiled_index().assign(table)
 
     def apply_congestion(self, result: PortQosResult, interval: float) -> None:
+        """Cap forwarded + shaped traffic at the port capacity, in place."""
         # Egress queue: forwarded + shaped traffic shares the port capacity;
         # anything beyond it is congestion loss at the member port.
         capacity_bits = self.port_capacity_bps * interval

@@ -14,6 +14,7 @@ Two kinds of "queues" appear in the reproduction:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -92,8 +93,8 @@ class RateLimiter:
     _credit_bits: float = field(init=False, default=0.0)
 
     def __post_init__(self) -> None:
-        if self.rate_bps < 0:
-            raise ValueError("rate_bps must be non-negative")
+        if not (math.isfinite(self.rate_bps) and self.rate_bps >= 0):
+            raise ValueError("rate_bps must be non-negative and finite")
         if self.burst_bits < 0:
             raise ValueError("burst_bits must be non-negative")
         self._credit_bits = self.burst_bits

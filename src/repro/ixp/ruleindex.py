@@ -3,7 +3,7 @@
 The paper's central scalability claim (Table 1 / §5) is that advanced
 blackholing stays effective with *tens of thousands* of fine-grained rules
 — far beyond RTBH/ACL hardware limits.  Matching that in the reproduction
-needs more than vectorizing the per-rule pass: one
+needs more than a vectorized pass per rule: one
 :meth:`~repro.ixp.qos.FlowMatch.matches_table` scan per rule is
 O(rules × flows), so a 10 000-rule port costs 10 000 whole-table passes
 per observation interval.
@@ -40,9 +40,9 @@ first-match loop would have claimed the row with.  Duplicate exact keys
 keep every entry (sorted by rank within the key), and the ``side="left"``
 lookup returns the lowest rank — the most specific / earliest-installed
 rule, matching the sequential loop.  The index is therefore
-verdict-for-verdict equal to the per-rule pass (pinned in
-``tests/ixp/test_ruleindex.py``), which keeps the downstream accounting
-bit-for-bit identical.
+verdict-for-verdict equal to a naive first-match loop (pinned against the
+reference in ``tests/oracle`` by ``tests/ixp/test_ruleindex.py`` and the
+fuzz suite).
 
 Indexes are immutable snapshots.  :class:`~repro.ixp.qos.PortQosPolicy`
 caches one per rule-set version and, under steady churn, *derives the

@@ -77,7 +77,6 @@ def build_multi_pop_fabric(
     name: str = "l-ixp",
     platform_capacity_bps: float = 25e12,
     profile: Optional[HardwareProfile] = None,
-    delivery_engine: str = "batched",
     seed: Optional[int] = None,
     pop_indices: Optional[Sequence[int]] = None,
     collect_ipfix: bool = True,
@@ -113,7 +112,6 @@ def build_multi_pop_fabric(
     fabric = SwitchingFabric(
         name=name,
         platform_capacity_bps=platform_capacity_bps,
-        delivery_engine=delivery_engine,
         collect_ipfix=collect_ipfix,
         retain_reports=retain_reports,
         retain_history=retain_history,

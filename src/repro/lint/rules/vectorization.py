@@ -8,8 +8,10 @@ loop the benchmarks exist to keep out, and at city scale (hundreds of
 thousands of rows per interval) it dominates the interval cost.  This
 rule flags ``for`` loops and comprehensions whose iterable reaches into
 per-row data — a FlowTable column attribute, ``.to_records()``, or a
-``zip`` over columns — inside ``ixp/delivery.py``, ``ixp/ruleindex.py``
-and ``mitigation/``.  The per-record compatibility shims (functions with
+``zip`` over columns — inside ``ixp/qos.py``, ``ixp/fabric.py``,
+``ixp/delivery.py``, ``ixp/ruleindex.py`` and ``mitigation/``.  A literal
+tuple or list display iterates its fixed elements, not rows, so it is
+never flagged.  The per-record compatibility shims (functions with
 ``record`` in their name) are the sanctioned slow path and allow-listed.
 """
 
@@ -42,6 +44,12 @@ _COLUMN_ATTRS = {
 
 def _touches_rows(iterable: ast.AST) -> str | None:
     """Why ``iterable`` walks per-row data, or ``None`` if it doesn't."""
+    if isinstance(iterable, (ast.Tuple, ast.List)) and not any(
+        isinstance(element, ast.Starred) for element in iterable.elts
+    ):
+        # `for column in (table.src_ip, table.dst_ip)` visits two columns,
+        # not their rows.
+        return None
     for node in ast.walk(iterable):
         if isinstance(node, ast.Call):
             func = node.func
@@ -66,6 +74,8 @@ class VectorizationRule(LintRule):
     rule_id = "RPL004"
     title = "data-plane modules must not loop over FlowTable rows in Python"
     paths = (
+        "src/repro/ixp/qos.py",
+        "src/repro/ixp/fabric.py",
         "src/repro/ixp/delivery.py",
         "src/repro/ixp/ruleindex.py",
         "src/repro/mitigation/*.py",

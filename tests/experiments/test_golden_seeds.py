@@ -1,7 +1,7 @@
 """Golden-seed determinism snapshots for the headline scenarios.
 
-The fuzz suite proves the two data-plane engines agree with *each
-other*; these tests pin the absolute output.  Each digest is the SHA-256
+The fuzz suite proves the data plane agrees with the naive reference in
+``tests/oracle``; these tests pin the absolute output.  Each digest is the SHA-256
 of the canonical JSON (``sort_keys=True``) of a quick-config scenario's
 ``to_dict()`` for a fixed seed.  Any behavioural change to the traffic
 generators, rule compilation or delivery accounting shows up here as a
@@ -25,8 +25,8 @@ from repro.experiments import get_experiment
 GOLDEN = {
     ("fine_grained", 3): "36f1e8eb666f3d777a7ffc7763446a19cd4a2cfa1256c6259a747263ff3270b2",
     ("fine_grained", 11): "01c22e0b38b233eeb6ca3b57a44831670f7d8c504b993767436e9f6becd13c46",
-    ("paper_scale", 3): "526d349fd2a2331543209e2004ed41dbc4925eb7529110330c03bffd910a0c1f",
-    ("paper_scale", 11): "bf2dfff4ae647effd50554efa221a4c50833245d8a6230a6a70f3724e4a9c6c0",
+    ("paper_scale", 3): "b0629411f0faf0dd437255817b06f89713068677a649e6efb485ba6b4266b43f",
+    ("paper_scale", 11): "7659c90cbc4faeeefc07baa45b5af201401d4189f1873ca282c5b06d51c0dd1f",
     ("rule_churn", 3): "c77116be69c903587f44cbbd352a64f3cb90431001b8a2d582717ae69ce76353",
     ("rule_churn", 11): "f8a5558be271028af2f34bc71e69e27656ac36ef6ba21b3b228086c17a099a3b",
 }

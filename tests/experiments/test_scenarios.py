@@ -158,23 +158,6 @@ class TestPaperScaleScenario:
         assert summary["oversubscribed_port_intervals"] > 0
         assert 0.0 < summary["platform_load_fraction"] < 1.0
 
-    def test_batched_and_per_member_engines_agree_end_to_end(self):
-        from repro.experiments import PaperScaleConfig, run_paper_scale_experiment
-
-        results = {}
-        for engine in ("batched", "per-member"):
-            config = PaperScaleConfig(
-                **{**self.QUICK, "duration": 120.0}, delivery_engine=engine
-            )
-            results[engine] = run_paper_scale_experiment(config)
-        batched = results["batched"].to_dict()
-        fallback = results["per-member"].to_dict()
-        # The config (and thus the engine name) is part of the payload;
-        # everything the engines *computed* must be identical.
-        batched["config"].pop("delivery_engine")
-        fallback["config"].pop("delivery_engine")
-        assert batched == fallback
-
     def test_deterministic_per_seed(self):
         from repro.experiments import PaperScaleConfig, run_paper_scale_experiment
 
@@ -227,31 +210,15 @@ class TestFineGrainedScenario:
         assert result.late_bits_after > 0.0
         assert [name for _, name, _ in result.events] == ["late-rule-install"]
 
-    def test_classification_engines_agree_end_to_end(self):
-        from repro.experiments import FineGrainedConfig, run_fine_grained_experiment
+    def test_engine_fields_accept_only_the_one_data_path(self):
+        from repro.experiments import FineGrainedConfig
 
-        results = {}
-        for engine in ("indexed", "per-rule"):
-            config = FineGrainedConfig(**self.QUICK, classification_engine=engine)
-            results[engine] = run_fine_grained_experiment(config).to_dict()
-        indexed, per_rule = results["indexed"], results["per-rule"]
-        # The config (and thus the engine name) is part of the payload;
-        # everything the engines *computed* must be identical.
-        indexed["config"].pop("classification_engine")
-        per_rule["config"].pop("classification_engine")
-        assert indexed == per_rule
-
-    def test_delivery_engines_agree_end_to_end(self):
-        from repro.experiments import FineGrainedConfig, run_fine_grained_experiment
-
-        results = {}
-        for engine in ("batched", "per-member"):
-            config = FineGrainedConfig(**self.QUICK, delivery_engine=engine)
-            results[engine] = run_fine_grained_experiment(config).to_dict()
-        batched, fallback = results["batched"], results["per-member"]
-        batched["config"].pop("delivery_engine")
-        fallback["config"].pop("delivery_engine")
-        assert batched == fallback
+        config = FineGrainedConfig(**self.QUICK)
+        assert (config.classification_engine, config.delivery_engine) == ("indexed", "batched")
+        with pytest.raises(ValueError, match="classification_engine"):
+            FineGrainedConfig(**self.QUICK, classification_engine="per-rule")
+        with pytest.raises(ValueError, match="delivery_engine"):
+            FineGrainedConfig(**self.QUICK, delivery_engine="per-member")
 
     def test_deterministic_per_seed(self):
         from repro.experiments import FineGrainedConfig, run_fine_grained_experiment

@@ -22,26 +22,31 @@ Three layers:
   whose rows straddle the rule pools (empty and single-flow tables
   included).
 * **Topology strategies** — ``fabric_specs`` describes small multi-PoP
-  fabrics; :func:`build_fabric` materialises one per delivery engine so
-  parity tests can run the same spec on both engines in lockstep.
+  fabrics; :func:`build_fabric` materialises one, and
+  :func:`single_port_fabric` is the smallest fabric a QoS test can
+  deliver through.  Parity tests check what they deliver against the
+  naive reference in ``tests/oracle``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import Optional
 
 import numpy as np
 from hypothesis import strategies as st
 
 from repro.bgp import Prefix
 from repro.ixp import (
+    EdgeRouter,
     FilterAction,
     FlowMatch,
+    IxpMember,
+    MemberPort,
     QosRule,
     SwitchingFabric,
     build_multi_pop_fabric,
     make_member_population,
+    small_ixp_edge_router_profile,
 )
 from repro.sim.rng import make_rng
 from repro.traffic import FlowTable
@@ -104,7 +109,9 @@ RULE_IDS: tuple[str, ...] = tuple(f"rule-{i}" for i in range(12))
 hosts = st.sampled_from(HOSTS)
 pool_ports = st.sampled_from(PORT_POOL)
 ingress_asns = st.sampled_from(INGRESS_ASNS)
-shape_rate_pool = st.sampled_from([5e5, 2e6, 1e7, 5e7])
+#: Shaping rates; 1 kbps cuts nearly every shaped interval, so the
+#: per-flow rounding of scaled bytes is always under test.
+shape_rate_pool = st.sampled_from([1e3, 5e5, 2e6, 1e7, 5e7])
 
 
 # ----------------------------------------------------------------------
@@ -349,17 +356,12 @@ def member_asns_of(spec: dict) -> list[int]:
     return [MEMBER_BASE_ASN + index for index in range(spec["member_count"])]
 
 
-def build_fabric(
-    spec: dict,
-    delivery_engine: str = "batched",
-    classification_engine: Optional[str] = None,
-) -> SwitchingFabric:
+def build_fabric(spec: dict) -> SwitchingFabric:
     """Materialise one spec as a live fabric (deterministic per spec)."""
     fabric = build_multi_pop_fabric(
         pop_count=spec["pop_count"],
         routers_per_pop=spec["routers_per_pop"],
         name="fuzz-ixp",
-        delivery_engine=delivery_engine,
         seed=spec["seed"],
     )
     members = make_member_population(
@@ -370,6 +372,14 @@ def build_fabric(
     )
     for member in members:
         fabric.connect_member(member)
-    if classification_engine is not None:
-        fabric.set_classification_engine(classification_engine)
     return fabric
+
+
+def single_port_fabric(
+    port_capacity_bps: float = 10e9, asn: int = MEMBER_BASE_ASN
+) -> tuple[SwitchingFabric, MemberPort]:
+    """One edge router with one member port (the flow tables' default egress)."""
+    fabric = SwitchingFabric(name="single-port-ixp")
+    fabric.add_edge_router(EdgeRouter("er-1", profile=small_ixp_edge_router_profile()))
+    port = fabric.connect_member(IxpMember(asn=asn, port_capacity_bps=port_capacity_bps))
+    return fabric, port

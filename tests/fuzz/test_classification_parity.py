@@ -1,65 +1,64 @@
-"""Property tests: indexed == per-rule classification, bit conservation.
+"""Property tests: rule-index classification against the naive reference.
 
-The first parity contract — ``classification_engine="indexed"`` must be
-*verdict-for-verdict* equal to ``"per-rule"`` in
-:meth:`PortQosPolicy.assign_table` — plus the conservation and accounting
-invariants of a full ``apply`` pass, for arbitrary generated rule sets and
-intervals (not just the scripted scenarios).
+The first parity contract — :meth:`PortQosPolicy.assign_table` (the
+compiled rule-match index) must be *verdict-for-verdict* equal to the
+naive per-rule first match in ``tests/oracle`` — plus the conservation
+and accounting invariants of a full delivery, for arbitrary generated
+rule sets and intervals (not just the scripted scenarios).
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fuzz.strategies import build_flow_table, flow_tables, rule_sets
-from repro.ixp import PortQosPolicy
+from fuzz.strategies import build_flow_table, flow_tables, rule_sets, single_port_fabric
+from oracle.reference import ReferenceFabric, assign, first_match, precedence
+from repro.traffic import FlowTable
 
 PORT_CAPACITY = 10e9
 INTERVAL = 10.0
 
 
-def make_policy(engine, rules):
-    policy = PortQosPolicy(port_capacity_bps=PORT_CAPACITY, classification_engine=engine)
+def make_fabric(rules, port_capacity_bps=PORT_CAPACITY):
+    fabric, port = single_port_fabric(port_capacity_bps)
     for rule in rules:
-        policy.install(rule)
-    return policy
+        port.qos.install(rule)
+    return fabric, port
+
+
+def deliver(rules, table, port_capacity_bps=PORT_CAPACITY):
+    """One interval through a fresh port holding ``rules``."""
+    fabric, port = make_fabric(rules, port_capacity_bps)
+    report = fabric.deliver(table, INTERVAL)
+    return fabric, port, report, report.results_by_member.get(port.asn)
 
 
 class TestAssignParity:
     @given(rules=rule_sets(), table=flow_tables())
     def test_indexed_equals_per_rule(self, rules, table):
-        indexed = make_policy("indexed", rules).assign_table(table)
-        per_rule = make_policy("per-rule", rules).assign_table(table)
-        assert np.array_equal(indexed, per_rule)
+        _, port = make_fabric(rules)
+        assert np.array_equal(port.qos.assign_table(table), assign(port.qos, table))
 
     @given(rules=rule_sets(min_size=1), table=flow_tables(min_rows=1))
     def test_assigned_rank_really_is_first_match(self, rules, table):
-        """Spot-check the winner against the sequential record-path oracle."""
-        policy = make_policy("indexed", rules)
-        ranks = policy.assign_table(table)
-        sorted_rules = policy.sorted_rules()
-        records = table.to_records()
-        # Checking every row re-runs the O(rules) scalar matcher per row;
-        # bound the oracle to the first rows to keep examples cheap.
-        for row, record in enumerate(records[:10]):
-            expected = policy.classify(record)
+        """The claiming rule is the reference's first match, object for object."""
+        _, port = make_fabric(rules)
+        ranks = port.qos.assign_table(table)
+        sorted_rules = port.qos.sorted_rules()
+        reference_rules = precedence(port.qos)
+        for row, record in enumerate(table.to_records()[:10]):
+            expected = first_match(reference_rules, record)
             if ranks[row] < 0:
-                assert expected is None, (
-                    f"row {row}: engine says no match but oracle matched {expected}"
-                )
+                assert expected == -1, f"row {row}: index says no match"
             else:
-                assert expected is sorted_rules[ranks[row]]
+                assert sorted_rules[ranks[row]] is reference_rules[expected]
 
 
 class TestApplyInvariants:
-    @given(
-        rules=rule_sets(),
-        table=flow_tables(),
-        engine=st.sampled_from(["indexed", "per-rule"]),
-    )
-    def test_bit_conservation(self, rules, table, engine):
+    @given(rules=rule_sets(), table=flow_tables(min_rows=1))
+    def test_bit_conservation(self, rules, table):
         """forwarded + dropped + shaped + congestion-dropped == input bits."""
-        result = make_policy(engine, rules).apply(table, interval=INTERVAL)
+        result = deliver(rules, table)[3]
         total = (
             result.forwarded_bits
             + result.dropped_bits
@@ -69,69 +68,49 @@ class TestApplyInvariants:
         )
         assert total == pytest.approx(float(table.total_bits), rel=1e-9, abs=1e-6)
 
-    @given(
-        rules=rule_sets(min_size=1),
-        table=flow_tables(min_rows=1),
-        engine=st.sampled_from(["indexed", "per-rule"]),
-    )
-    def test_rule_stats_match_claimed_flows(self, rules, table, engine):
+    @given(rules=rule_sets(min_size=1), table=flow_tables(min_rows=1))
+    def test_rule_stats_match_claimed_flows(self, rules, table):
         """rule_stats sums reconcile with the aggregate verdict buckets."""
-        policy = make_policy(engine, rules)
-        result = policy.apply(table, interval=INTERVAL)
+        _, port, _, result = deliver(rules, table)
         dropped = sum(stats["dropped"] for stats in result.rule_stats.values())
         assert dropped == pytest.approx(result.dropped_bits, rel=1e-9, abs=1e-6)
         shaped = sum(stats["shaped"] for stats in result.rule_stats.values())
-        shaped_table = result.shaped_table
-        assert shaped_table is not None
         # Shaped stats are computed from the rounded (scaled) byte column,
         # so the reconciliation target is the shaped table itself.
-        assert shaped == pytest.approx(float(shaped_table.total_bits), rel=1e-9, abs=1e-6)
+        assert shaped == pytest.approx(
+            float(result.shaped_table.total_bits), rel=1e-9, abs=1e-6
+        )
         for stats in result.rule_stats.values():
             assert stats["matched"] == pytest.approx(
                 stats["dropped"] + stats["shaped"], rel=1e-9, abs=1e-6
             )
-        assert set(result.rule_stats) <= {
-            rule.rule_id for rule in policy.sorted_rules()
-        }
+        assert set(result.rule_stats) <= set(port.qos.rule_ids())
 
-    @given(rules=rule_sets(), table=flow_tables())
-    def test_full_apply_parity_bit_for_bit(self, rules, table):
-        """Same verdict tables, bits and rule_stats on both engines."""
-        a = make_policy("indexed", rules).apply(table, interval=INTERVAL)
-        b = make_policy("per-rule", rules).apply(table, interval=INTERVAL)
-        assert a.forwarded_bits == b.forwarded_bits
-        assert a.dropped_bits == b.dropped_bits
-        assert a.shaped_passed_bits == b.shaped_passed_bits
-        assert a.shaped_dropped_bits == b.shaped_dropped_bits
-        assert a.congestion_dropped_bits == b.congestion_dropped_bits
-        assert a.rule_stats == b.rule_stats
-        for name in ("forwarded_table", "dropped_table", "shaped_table"):
-            ta, tb = getattr(a, name), getattr(b, name)
-            assert np.array_equal(ta.bytes, tb.bytes), name
-            assert np.array_equal(ta.dst_ip, tb.dst_ip), name
+    @given(
+        rules=rule_sets(),
+        table=flow_tables(),
+        capacity=st.sampled_from([1e4, 1e6, PORT_CAPACITY]),
+    )
+    def test_full_apply_parity_bit_for_bit(self, rules, table, capacity):
+        """Same report and verdict flows as the reference, congested or not."""
+        fabric, port, report, result = deliver(rules, table, capacity)
+        # The reference reads the policy's rules but drains its own shapers.
+        oracle = ReferenceFabric(fabric)
+        assert report.to_dict() == oracle.deliver(table, INTERVAL)
+        if result is not None:
+            forwarded, dropped, shaped = oracle.verdicts[port.asn]
+            assert result.forwarded == forwarded
+            assert result.dropped == dropped
+            assert result.shaped == shaped
 
 
 class TestTableRecordParity:
-    """The third contract: columnar and record paths agree."""
+    """The third contract: columnar and record input agree exactly."""
 
     @given(rules=rule_sets(max_size=8), n=st.integers(0, 25), seed=st.integers(0, 2**31 - 1))
     def test_table_equals_records(self, rules, n, seed):
         table = build_flow_table(seed=seed, n=n)
-        columnar = make_policy("indexed", rules).apply(table, interval=INTERVAL)
-        per_record = make_policy("indexed", rules).apply(
-            table.to_records(), interval=INTERVAL
-        )
-        assert columnar.forwarded_bits == pytest.approx(per_record.forwarded_bits)
-        assert columnar.dropped_bits == pytest.approx(per_record.dropped_bits)
-        assert columnar.shaped_passed_bits == pytest.approx(
-            per_record.shaped_passed_bits
-        )
-        assert columnar.shaped_dropped_bits == pytest.approx(
-            per_record.shaped_dropped_bits
-        )
-        assert set(columnar.rule_stats) == set(per_record.rule_stats)
-        for rule_id, stats in per_record.rule_stats.items():
-            for key, value in stats.items():
-                assert columnar.rule_stats[rule_id][key] == pytest.approx(
-                    value, rel=1e-9, abs=1e-6
-                )
+        from_records = FlowTable.from_records(table.to_records())
+        expected = ReferenceFabric(make_fabric(rules)[0]).deliver(table, INTERVAL)
+        assert deliver(rules, table)[2].to_dict() == expected
+        assert deliver(rules, from_records)[2].to_dict() == expected

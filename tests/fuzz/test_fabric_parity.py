@@ -1,9 +1,9 @@
-"""Property tests: batched == per-member fabric delivery, fabric conservation.
+"""Property tests: fabric delivery against the naive reference, conservation.
 
-The second parity contract — ``delivery_engine="batched"`` must be
-indistinguishable from ``"per-member"`` in
-:meth:`SwitchingFabric.deliver` — checked end-to-end on generated
-multi-PoP topologies via :meth:`FabricIntervalReport.to_dict`, plus the
+The second parity contract — :meth:`SwitchingFabric.deliver` must be
+indistinguishable from the naive reference in ``tests/oracle`` — checked
+end-to-end on generated multi-PoP topologies via
+:meth:`FabricIntervalReport.to_dict` and the port counters, plus the
 platform-level conservation invariants (offered == carried traffic;
 delivered + filtered + congestion-dropped == offered; IPFIX collector
 totals == carried bytes).
@@ -20,6 +20,7 @@ from fuzz.strategies import (
     member_asns_of,
     rule_sets,
 )
+from oracle.reference import ReferenceFabric
 
 INTERVAL = 10.0
 
@@ -65,43 +66,36 @@ def known_bytes(fabric, table):
 class TestDeliveryEngineParity:
     @given(scenario=fabric_scenarios())
     def test_to_dict_parity_across_intervals(self, scenario):
-        """Max-contrast lockstep: batched+indexed vs per-member+per-rule."""
+        """Every interval's report equals the reference's, shapers included."""
         spec, assignments, tables = scenario
-        batched = build_fabric(spec, delivery_engine="batched")
-        fallback = build_fabric(
-            spec, delivery_engine="per-member", classification_engine="per-rule"
-        )
-        install_all(batched, assignments)
-        install_all(fallback, assignments)
+        fabric = build_fabric(spec)
+        install_all(fabric, assignments)
+        oracle = ReferenceFabric(fabric)
         for step, table in enumerate(tables):
-            report_a = batched.deliver(table, INTERVAL, step * INTERVAL)
-            report_b = fallback.deliver(table, INTERVAL, step * INTERVAL)
-            assert report_a.to_dict() == report_b.to_dict(), f"interval {step}"
+            report = fabric.deliver(table, INTERVAL, step * INTERVAL)
+            expected = oracle.deliver(table, INTERVAL, step * INTERVAL)
+            assert report.to_dict() == expected, f"interval {step}"
 
     @given(scenario=fabric_scenarios())
     def test_port_counters_parity(self, scenario):
         spec, assignments, tables = scenario
-        batched = build_fabric(spec, delivery_engine="batched")
-        fallback = build_fabric(spec, delivery_engine="per-member")
-        install_all(batched, assignments)
-        install_all(fallback, assignments)
+        fabric = build_fabric(spec)
+        install_all(fabric, assignments)
+        oracle = ReferenceFabric(fabric)
         for step, table in enumerate(tables):
-            batched.deliver(table, INTERVAL, step * INTERVAL)
-            fallback.deliver(table, INTERVAL, step * INTERVAL)
+            fabric.deliver(table, INTERVAL, step * INTERVAL)
+            oracle.deliver(table, INTERVAL, step * INTERVAL)
         for member_asn in member_asns_of(spec):
-            counters_a = batched.port_for_member(member_asn).counters
-            counters_b = fallback.port_for_member(member_asn).counters
-            assert vars(counters_a) == vars(counters_b), member_asn
+            counters = vars(fabric.port_for_member(member_asn).counters)
+            expected = oracle.counters.get(member_asn, dict.fromkeys(counters, 0.0))
+            assert counters == expected, member_asn
 
 
 class TestFabricConservation:
-    @given(
-        scenario=fabric_scenarios(),
-        engine=st.sampled_from(["batched", "per-member"]),
-    )
-    def test_bits_conserved_and_ipfix_matches(self, scenario, engine):
+    @given(scenario=fabric_scenarios())
+    def test_bits_conserved_and_ipfix_matches(self, scenario):
         spec, assignments, tables = scenario
-        fabric = build_fabric(spec, delivery_engine=engine)
+        fabric = build_fabric(spec)
         install_all(fabric, assignments)
         carried_bytes = 0
         for step, table in enumerate(tables):

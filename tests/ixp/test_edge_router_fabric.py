@@ -18,7 +18,11 @@ from repro.ixp import (
     sdn_switch_profile,
     small_ixp_edge_router_profile,
 )
-from repro.traffic import FiveTuple, FlowRecord, IpProtocol
+from repro.traffic import FiveTuple, FlowRecord, FlowTable, IpProtocol
+
+
+def table(*flows):
+    return FlowTable.from_records(flows)
 
 
 def make_flow(dst_ip="100.10.10.10", egress=64500, bytes_=10_000, src_port=123):
@@ -139,10 +143,12 @@ class TestEdgeRouter:
 
     def test_deliver_applies_port_policy(self):
         router = self._router()
-        router.connect_member(IxpMember(asn=64500, port_capacity_bps=1e9))
+        fabric = SwitchingFabric(name="test-ixp")
+        fabric.add_edge_router(router)
+        fabric.connect_member(IxpMember(asn=64500, port_capacity_bps=1e9))
         router.install_rule(64500, drop_rule())
-        results = router.deliver({64500: [make_flow()]}, interval=10.0)
-        assert results[64500].dropped_bits == 80_000
+        report = fabric.deliver(table(make_flow()), interval=10.0)
+        assert report.results_by_member[64500].dropped_bits == 80_000
 
     def test_cpu_helpers(self):
         router = self._router()
@@ -208,7 +214,7 @@ class TestSwitchingFabric:
         fabric.connect_member(IxpMember(asn=64500, port_capacity_bps=1e9))
         fabric.connect_member(IxpMember(asn=64501, port_capacity_bps=1e9))
         flows = [make_flow(egress=64500), make_flow(egress=64501), make_flow(egress=9999)]
-        report = fabric.deliver(flows, interval=10.0, interval_start=0.0)
+        report = fabric.deliver(table(*flows), interval=10.0, interval_start=0.0)
         assert set(report.results_by_member) == {64500, 64501}
         assert report.offered_bits == 160_000
         assert report.delivered_bits == 160_000
@@ -218,21 +224,21 @@ class TestSwitchingFabric:
         fabric = self._fabric()
         fabric.connect_member(IxpMember(asn=64500, port_capacity_bps=1e9))
         fabric.router_for_member(64500).install_rule(64500, drop_rule())
-        report = fabric.deliver([make_flow()], interval=10.0)
+        report = fabric.deliver(table(make_flow()), interval=10.0)
         assert report.filtered_bits == 80_000
         assert report.delivered_bits == 0
 
     def test_ipfix_collection(self):
         fabric = self._fabric()
         fabric.connect_member(IxpMember(asn=64500))
-        fabric.deliver([make_flow()], interval=10.0)
+        fabric.deliver(table(make_flow()), interval=10.0)
         assert len(fabric.collector) == 1
 
     def test_platform_overload_detection(self):
         fabric = SwitchingFabric(platform_capacity_bps=1000.0)
         fabric.add_edge_router(EdgeRouter("er", profile=small_ixp_edge_router_profile()))
         fabric.connect_member(IxpMember(asn=64500, port_capacity_bps=1e9))
-        report = fabric.deliver([make_flow(bytes_=10_000_000)], interval=10.0)
+        report = fabric.deliver(table(make_flow(bytes_=10_000_000)), interval=10.0)
         assert fabric.platform_overloaded(report)
 
     def test_invalid_platform_capacity(self):
@@ -241,7 +247,11 @@ class TestSwitchingFabric:
 
     def test_deliver_invalid_interval(self):
         with pytest.raises(ValueError):
-            self._fabric().deliver([], interval=0)
+            self._fabric().deliver(FlowTable.empty(), interval=0)
+
+    def test_deliver_takes_a_flow_table_only(self):
+        with pytest.raises(TypeError):
+            self._fabric().deliver([make_flow()], interval=10.0)
 
 
 class TestMultiPopTopology:

@@ -1,16 +1,17 @@
-"""Batched fabric delivery: engine parity, lazy results, IPFIX export.
+"""Batched fabric delivery: reference parity, lazy results, IPFIX export.
 
-The batched engine must be indistinguishable from the per-member loop —
-same multiset of flow verdicts, same bit accounting, same counters — on
-multi-router, multi-PoP topologies with drop/shape/forward rules and
-stateful shapers across intervals.  These tests pin that, plus the
-export regression: flows whose egress member is unknown never entered
-the IXP and must not be exported to the collector on either input path.
+The delivery plan must be indistinguishable from the naive reference in
+``tests/oracle`` — same flow verdicts, same bit accounting, same
+counters — on multi-router, multi-PoP topologies with
+drop/shape/forward rules and stateful shapers across intervals.  These
+tests pin that, plus the export regression: flows whose egress member is
+unknown never entered the IXP and must not be exported to the collector.
 """
 
 import numpy as np
 import pytest
 
+from oracle.reference import ReferenceFabric
 from repro.bgp import Prefix
 from repro.ixp import (
     EdgeRouter,
@@ -36,11 +37,9 @@ VICTIM_IP = "100.10.10.10"
 PEER_ASNS = [65000 + i for i in range(24)]
 
 
-def build_fabric(with_rules: bool = True, engine: str = "batched") -> SwitchingFabric:
-    """Two PoPs x two edge routers, 25 members, rules on three ports."""
-    fabric = SwitchingFabric(
-        name="test-ixp", platform_capacity_bps=1e12, delivery_engine=engine
-    )
+def build_fabric(with_rules: bool = True) -> SwitchingFabric:
+    """Two PoPs x two edge routers, 25 members, rules on two ports."""
+    fabric = SwitchingFabric(name="test-ixp", platform_capacity_bps=1e12)
     for pop in (1, 2):
         for index in (1, 2):
             fabric.add_edge_router(
@@ -138,107 +137,71 @@ def interval_table(seed: int = 3, with_unknown: bool = True) -> FlowTable:
     )
 
 
-def table_multiset(table: FlowTable):
-    """Row multiset of a table (order-insensitive verdict comparison)."""
+def record_multiset(records):
+    """Row multiset of a record list (order-insensitive verdict comparison)."""
     return sorted(
-        zip(
-            table.src_ip.tolist(),
-            table.dst_ip.tolist(),
-            table.src_port.tolist(),
-            table.dst_port.tolist(),
-            table.bytes.tolist(),
-            table.ingress_asn.tolist(),
-            table.egress_asn.tolist(),
-        )
+        (r.key.src_ip, r.key.dst_ip, r.src_port, r.dst_port, r.bytes, r.ingress_member_asn,
+         r.egress_member_asn)
+        for r in records
     )
 
 
-def assert_reports_equal(fabric_a, fabric_b, report_a, report_b):
-    assert list(report_a.results_by_member) == list(report_b.results_by_member)
-    for name in (
-        "offered_bits",
-        "delivered_bits",
-        "filtered_bits",
-        "congestion_dropped_bits",
-    ):
-        assert getattr(report_a, name) == getattr(report_b, name), name
-    for asn, result_a in report_a.results_by_member.items():
-        result_b = report_b.results_by_member[asn]
-        for name in (
-            "forwarded_bits",
-            "dropped_bits",
-            "shaped_passed_bits",
-            "shaped_dropped_bits",
-            "congestion_dropped_bits",
-        ):
-            assert getattr(result_a, name) == getattr(result_b, name), (asn, name)
-        assert result_a.rule_stats == result_b.rule_stats, asn
-        for name in ("forwarded_table", "dropped_table", "shaped_table"):
-            assert table_multiset(getattr(result_a, name)) == table_multiset(
-                getattr(result_b, name)
-            ), (asn, name)
-        counters_a = fabric_a.port_for_member(asn).counters
-        counters_b = fabric_b.port_for_member(asn).counters
-        assert vars(counters_a) == vars(counters_b), asn
+def assert_matches_reference(fabric, oracle, table, interval_start=0.0):
+    """One interval through the fabric equals the reference, flow for flow."""
+    report = fabric.deliver(table, 10.0, interval_start)
+    assert report.to_dict() == oracle.deliver(table, 10.0, interval_start)
+    for asn, result in report.results_by_member.items():
+        for name, expected in zip(("forwarded", "dropped", "shaped"), oracle.verdicts[asn]):
+            assert record_multiset(getattr(result, name)) == record_multiset(expected), (
+                asn, name,
+            )
+        assert vars(fabric.port_for_member(asn).counters) == oracle.counters[asn], asn
 
 
 class TestEngineParity:
     def test_single_interval_parity_multi_router(self):
-        fabric_batched = build_fabric()
-        fabric_fallback = build_fabric()
-        table = interval_table()
-        report_batched = fabric_batched.deliver(table, 10.0, 0.0, engine="batched")
-        report_fallback = fabric_fallback.deliver(
-            table, 10.0, 0.0, engine="per-member"
-        )
-        assert_reports_equal(
-            fabric_batched, fabric_fallback, report_batched, report_fallback
-        )
+        fabric = build_fabric()
+        assert_matches_reference(fabric, ReferenceFabric(fabric), interval_table())
 
     def test_multi_interval_parity_keeps_shaper_state(self):
-        # The shape-dns rule's RateLimiter is stateful; engines must drain
+        # The shape-dns rule's RateLimiter is stateful; the plan must drain
         # the same token stream across consecutive intervals.
-        fabric_batched = build_fabric()
-        fabric_fallback = build_fabric()
+        fabric = build_fabric()
+        oracle = ReferenceFabric(fabric)
         for step, seed in enumerate((3, 4, 5)):
-            table = interval_table(seed=seed)
-            report_batched = fabric_batched.deliver(
-                table, 10.0, step * 10.0, engine="batched"
-            )
-            report_fallback = fabric_fallback.deliver(
-                table, 10.0, step * 10.0, engine="per-member"
-            )
-            assert_reports_equal(
-                fabric_batched, fabric_fallback, report_batched, report_fallback
-            )
+            assert_matches_reference(fabric, oracle, interval_table(seed=seed), step * 10.0)
 
     def test_parity_without_any_rules(self):
-        fabric_batched = build_fabric(with_rules=False)
-        fabric_fallback = build_fabric(with_rules=False)
-        table = interval_table()
-        assert_reports_equal(
-            fabric_batched,
-            fabric_fallback,
-            fabric_batched.deliver(table, 10.0, engine="batched"),
-            fabric_fallback.deliver(table, 10.0, engine="per-member"),
-        )
+        fabric = build_fabric(with_rules=False)
+        assert_matches_reference(fabric, ReferenceFabric(fabric), interval_table())
 
     def test_empty_interval(self):
         fabric = build_fabric()
-        report = fabric.deliver(FlowTable.empty(), 10.0, engine="batched")
+        report = fabric.deliver(FlowTable.empty(), 10.0)
         assert report.offered_bits == 0.0
         assert report.results_by_member == {}
 
-    def test_default_engine_is_batched(self):
+    def test_default_engine_is_batched(self, monkeypatch):
+        """The batched plan is the only engine: every delivery executes it."""
+        executed = []
+        execute = FabricDeliveryPlan.execute
+
+        def spy(plan, *args):
+            executed.append(plan)
+            return execute(plan, *args)
+
+        monkeypatch.setattr(FabricDeliveryPlan, "execute", spy)
         fabric = build_fabric()
-        assert fabric.delivery_engine == "batched"
+        fabric.deliver(interval_table(), 10.0)
+        assert executed == [fabric.current_delivery_plan()]
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown delivery engine"):
-            SwitchingFabric(delivery_engine="quantum")
+        """No engine option is left to select."""
+        with pytest.raises(TypeError):
+            SwitchingFabric(delivery_engine="batched")
         fabric = build_fabric()
-        with pytest.raises(ValueError, match="unknown delivery engine"):
-            fabric.deliver(FlowTable.empty(), 10.0, engine="quantum")
+        with pytest.raises(TypeError):
+            fabric.deliver(FlowTable.empty(), 10.0, engine="batched")
 
 
 class TestDeliveryPlan:
@@ -305,7 +268,7 @@ class TestDeliveryPlan:
     def test_passthrough_results_defer_tables(self):
         fabric = build_fabric()
         table = interval_table()
-        report = fabric.deliver(table, 10.0, engine="batched")
+        report = fabric.deliver(table, 10.0)
         peer_result = report.results_by_member[65002]
         assert peer_result._table_source is not None
         forwarded = peer_result.forwarded_table
@@ -337,7 +300,7 @@ class TestIpfixExportFilter:
             np.isin(table.egress_asn, np.array([VICTIM_ASN, *PEER_ASNS])).sum()
         )
         assert known < len(table)  # the interval really has alien flows
-        fabric.deliver(table, 10.0, engine="batched")
+        fabric.deliver(table, 10.0)
         assert len(fabric.collector) == known
         exported = fabric.collector.tables[0].table
         assert set(np.unique(exported.egress_asn).tolist()) <= {
@@ -345,13 +308,18 @@ class TestIpfixExportFilter:
         }
 
     def test_per_member_table_path_exports_only_known_egress(self):
-        fabric = build_fabric(with_rules=False)
+        """With filtered ports, each member's export equals what it was offered."""
+        fabric = build_fabric()
         table = interval_table(with_unknown=True)
         known = int(
             np.isin(table.egress_asn, np.array([VICTIM_ASN, *PEER_ASNS])).sum()
         )
-        fabric.deliver(table, 10.0, engine="per-member")
+        fabric.deliver(table, 10.0)
         assert len(fabric.collector) == known
+        exported = fabric.collector.tables[0].table
+        for asn in (VICTIM_ASN, *PEER_ASNS):
+            bits = int(exported.bits[exported.egress_asn == asn].sum())
+            assert bits == fabric.port_for_member(asn).counters.offered_bits, asn
 
     def test_record_path_exports_only_known_egress(self):
         fabric = build_fabric(with_rules=False)
@@ -360,7 +328,7 @@ class TestIpfixExportFilter:
             self.make_record(9999),
             self.make_record(PEER_ASNS[0]),
         ]
-        report = fabric.deliver(flows, 10.0)
+        report = fabric.deliver(FlowTable.from_records(flows), 10.0)
         assert set(report.results_by_member) == {VICTIM_ASN, PEER_ASNS[0]}
         assert len(fabric.collector) == 2
         assert all(

@@ -19,6 +19,8 @@ regression test for a bug the fuzzing work fixed:
 
 import pytest
 
+from fuzz.strategies import single_port_fabric
+from oracle.reference import ReferenceFabric
 from repro.bgp import Prefix
 from repro.ixp import (
     EdgeRouter,
@@ -28,15 +30,14 @@ from repro.ixp import (
     PortQosPolicy,
     QosRule,
 )
-from repro.traffic import FiveTuple, FlowRecord, IpProtocol
+from repro.traffic import FiveTuple, FlowRecord, FlowTable, IpProtocol
 
-ENGINES = ("indexed", "per-rule")
+#: How each interval is classified: by the production rule index, or by
+#: the naive per-rule first match of the reference in ``tests/oracle``.
+PATHS = ("indexed", "per-rule")
 
 INTERVAL = 10.0
-
-
-def make_policy(engine):
-    return PortQosPolicy(port_capacity_bps=10e9, classification_engine=engine)
+ASN = 64500
 
 
 def shape_rule(rule_id="", rate=1e6, dst="10.1.0.1/32"):
@@ -62,30 +63,57 @@ def flow(bytes=1250, dst_ip="10.1.0.1"):
         bytes=bytes,
         packets=1,
         ingress_member_asn=65001,
-        egress_member_asn=64500,
+        egress_member_asn=ASN,
     )
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+class Port:
+    """One member port plus the reference reading its rules."""
+
+    def __init__(self, path):
+        self.path = path
+        self.fabric, port = single_port_fabric(port_capacity_bps=10e9, asn=ASN)
+        self.policy = port.qos
+        self.oracle = ReferenceFabric(self.fabric)
+
+    def deliver(self, bytes=10_000_000):
+        """One interval's member accounting, on this port's path."""
+        table = FlowTable.from_records([flow(bytes=bytes)])
+        if self.path == "indexed":
+            report = self.fabric.deliver(table, INTERVAL).to_dict()
+        else:
+            report = self.oracle.deliver(table, INTERVAL)
+        return report["members"][str(ASN)]
+
+
+def assert_all_forwarded(result, bits=10_000_000 * 8):
+    assert result["forwarded_bits"] == bits
+    assert result["rule_stats"] == {}
+
+
+@pytest.mark.parametrize("path", PATHS)
 class TestRemoveAndClear:
-    def test_remove_shaped_rule_mid_interval(self, engine):
+    def test_remove_shaped_rule_mid_interval(self, path):
         """Traffic shaped in interval 1 forwards after the rule's removal."""
-        policy = make_policy(engine)
+        port = Port(path)
+        policy = port.policy
         policy.install(shape_rule(rule_id="shape-1", rate=1e5))
-        first = policy.apply([flow(bytes=10_000_000)], interval=INTERVAL)
-        assert first.shaped_dropped_bits > 0
+        first = port.deliver()
+        assert first["shaped_dropped_bits"] > 0
         version = policy.rules_version
         index = policy.compiled_index()
         assert policy.remove("shape-1") is True
+        port.oracle.forget(ASN, {"shape-1"})
         assert policy.rules_version > version
         assert policy.compiled_index() is not index
         assert policy.shaper_for("shape-1") is None
-        second = policy.apply([flow(bytes=10_000_000)], interval=INTERVAL)
-        assert second.shaped_passed_bits == 0.0
-        assert second.forwarded_bits == pytest.approx(10_000_000 * 8)
+        second = port.deliver()
+        assert second["shaped_passed_bits"] == 0.0
+        assert_all_forwarded(second)
 
-    def test_remove_synthetic_anon_id(self, engine):
-        policy = make_policy(engine)
+    def test_remove_synthetic_anon_id(self, path):
+        port = Port(path)
+        policy = port.policy
         policy.install(shape_rule())  # anonymous -> synthetic id
         anon_id = policy.rules()[0].rule_id
         assert anon_id.startswith("anon-")
@@ -94,52 +122,64 @@ class TestRemoveAndClear:
         assert policy.rules_version > version
         assert len(policy) == 0
         assert policy.shaper_for(anon_id) is None
+        assert_all_forwarded(port.deliver())
 
-    def test_remove_then_reinstall_same_id_resets_shaper(self, engine):
-        policy = make_policy(engine)
+    def test_remove_then_reinstall_same_id_resets_shaper(self, path):
+        port = Port(path)
+        policy = port.policy
         policy.install(shape_rule(rule_id="shape-1"))
         first_shaper = policy.shaper_for("shape-1")
         assert policy.remove("shape-1") is True
-        policy.install(shape_rule(rule_id="shape-1"))
+        policy.install(shape_rule(rule_id="shape-1", rate=2e6))
+        port.oracle.forget(ASN, {"shape-1"})
         second_shaper = policy.shaper_for("shape-1")
         assert second_shaper is not None
         assert second_shaper is not first_shaper
+        # The reinstalled rule shapes at its own (new) rate.
+        assert port.deliver()["shaped_passed_bits"] == 2e6 * INTERVAL
 
-    def test_remove_missing_id_is_silent_no_op(self, engine):
+    def test_remove_missing_id_is_silent_no_op(self, path):
         """Regression: no version bump, caches stay warm."""
-        policy = make_policy(engine)
+        port = Port(path)
+        policy = port.policy
         policy.install(shape_rule(rule_id="shape-1"))
         version = policy.rules_version
         index = policy.compiled_index()
         assert policy.remove("no-such-rule") is False
         assert policy.rules_version == version
         assert policy.compiled_index() is index
+        assert port.deliver()["shaped_passed_bits"] == 1e6 * INTERVAL
 
-    def test_clear_on_empty_policy_is_no_op(self, engine):
+    def test_clear_on_empty_policy_is_no_op(self, path):
         """Regression: clearing nothing must not invalidate anything."""
-        policy = make_policy(engine)
+        port = Port(path)
+        policy = port.policy
         version = policy.rules_version
         index = policy.compiled_index()
         policy.clear()
         assert policy.rules_version == version
         assert policy.compiled_index() is index
+        assert_all_forwarded(port.deliver())
 
-    def test_clear_on_populated_policy_bumps_once(self, engine):
-        policy = make_policy(engine)
+    def test_clear_on_populated_policy_bumps_once(self, path):
+        port = Port(path)
+        policy = port.policy
         policy.install(shape_rule(rule_id="shape-1"))
         policy.install(shape_rule())
         version = policy.rules_version
         policy.clear()
+        port.oracle.forget(ASN)
         assert policy.rules_version == version + 1
         assert len(policy) == 0
         assert policy.shaper_for("shape-1") is None
+        assert_all_forwarded(port.deliver())
 
 
 class TestAnonIdCollision:
     """Regression: synthetic anon ids must skip user-supplied ones."""
 
     def test_install_after_user_anon_id(self):
-        policy = make_policy("indexed")
+        policy = PortQosPolicy(port_capacity_bps=10e9)
         policy.install(shape_rule(rule_id="anon-1", rate=1e6))
         policy.install(shape_rule(rate=2e6))  # anonymous
         ids = sorted(rule.rule_id for rule in policy.rules())
@@ -151,7 +191,7 @@ class TestAnonIdCollision:
         assert shapers[other_id].rate_bps == 2e6
 
     def test_install_many_batch_collision(self):
-        policy = make_policy("indexed")
+        policy = PortQosPolicy(port_capacity_bps=10e9)
         policy.install_many([shape_rule(rule_id="anon-1", rate=1e6), shape_rule(rate=2e6)])
         assert len(policy) == 2
         assert len({rule.rule_id for rule in policy.rules()}) == 2

@@ -1,7 +1,11 @@
 """Tests for the QoS data plane, member ports and the control-plane CPU model."""
 
+import math
+
 import pytest
 
+from fuzz.strategies import single_port_fabric
+from oracle.reference import first_match, precedence
 from repro.bgp import Prefix
 from repro.ixp import (
     ControlPlaneCpuModel,
@@ -11,9 +15,11 @@ from repro.ixp import (
     MemberPort,
     PortQosPolicy,
     QosRule,
+    RateLimiter,
+    SwitchingFabric,
     default_mac,
 )
-from repro.traffic import FiveTuple, FlowRecord, IpProtocol
+from repro.traffic import FiveTuple, FlowRecord, FlowTable, IpProtocol
 
 
 def make_flow(src_port=123, protocol=IpProtocol.UDP, bytes_=10_000, dst_ip="100.10.10.10",
@@ -29,6 +35,15 @@ def make_flow(src_port=123, protocol=IpProtocol.UDP, bytes_=10_000, dst_ip="100.
         src_mac=src_mac,
         is_attack=is_attack,
     )
+
+
+def deliver(flows, rules=(), capacity=1e9, interval_start=0.0):
+    """One 10 s interval through a single port holding ``rules``."""
+    fabric, port = single_port_fabric(port_capacity_bps=capacity)
+    for rule in rules:
+        port.qos.install(rule)
+    report = fabric.deliver(FlowTable.from_records(flows), 10.0, interval_start)
+    return port, report.results_by_member[port.asn]
 
 
 class TestFlowMatch:
@@ -61,6 +76,8 @@ class TestFlowMatch:
         match = FlowMatch(src_mac="02:00:AA:BB:CC:DD")
         assert match.matches(make_flow(src_mac="02:00:aa:bb:cc:dd"))
         assert not match.matches(make_flow(src_mac="02:00:aa:bb:cc:de"))
+        flows = [make_flow(src_mac=mac) for mac in ("02:00:aa:bb:cc:dd", "x", "02:00:AA:BB:CC:DD")]
+        assert match.matches_table(FlowTable.from_records(flows)).tolist() == [True, False, True]
 
     def test_dst_port_and_src_prefix(self):
         match = FlowMatch(src_prefix=Prefix.parse("23.0.0.0/8"), dst_port=40000)
@@ -91,56 +108,46 @@ class TestQosRule:
 
 class TestPortQosPolicy:
     def test_default_forwarding_subject_to_port_capacity(self):
-        policy = PortQosPolicy(port_capacity_bps=1e6)
         flows = [make_flow(bytes_=10_000_000)]  # 80 Mbit in 10 s >> 1 Mbps port
-        result = policy.apply(flows, interval=10.0)
+        _, result = deliver(flows, capacity=1e6)
         assert result.delivered_bits == pytest.approx(1e7)  # capacity * interval
         assert result.congestion_dropped_bits > 0
 
     def test_drop_rule_removes_matching_traffic(self):
-        policy = PortQosPolicy(port_capacity_bps=1e9)
-        policy.install(
-            QosRule(
-                match=FlowMatch(protocol=IpProtocol.UDP, src_port=123),
-                action=FilterAction.DROP,
-                rule_id="r1",
-            )
+        rule = QosRule(
+            match=FlowMatch(protocol=IpProtocol.UDP, src_port=123),
+            action=FilterAction.DROP,
+            rule_id="r1",
         )
-        result = policy.apply([make_flow(), make_flow(src_port=53)], interval=10.0)
+        _, result = deliver([make_flow(), make_flow(src_port=53)], rules=[rule])
         assert len(result.dropped) == 1
         assert len(result.forwarded) == 1
 
     def test_shape_rule_limits_aggregate(self):
-        policy = PortQosPolicy(port_capacity_bps=1e9)
-        policy.install(
-            QosRule(
-                match=FlowMatch(protocol=IpProtocol.UDP, src_port=123),
-                action=FilterAction.SHAPE,
-                shape_rate_bps=1000.0,
-                rule_id="shape",
-            )
+        rule = QosRule(
+            match=FlowMatch(protocol=IpProtocol.UDP, src_port=123),
+            action=FilterAction.SHAPE,
+            shape_rate_bps=1000.0,
+            rule_id="shape",
         )
         flows = [make_flow(bytes_=100_000), make_flow(bytes_=100_000)]
-        result = policy.apply(flows, interval=10.0)
+        _, result = deliver(flows, rules=[rule])
         assert result.shaped_passed_bits == pytest.approx(10_000.0)
         assert result.shaped_dropped_bits == pytest.approx(1_600_000 - 10_000)
 
     def test_most_specific_rule_wins(self):
-        policy = PortQosPolicy(port_capacity_bps=1e9)
-        policy.install(
+        rules = [
             QosRule(
                 match=FlowMatch(protocol=IpProtocol.UDP), action=FilterAction.DROP, rule_id="udp"
-            )
-        )
-        policy.install(
+            ),
             QosRule(
                 match=FlowMatch(protocol=IpProtocol.UDP, src_port=123),
                 action=FilterAction.SHAPE,
                 shape_rate_bps=1e6,
                 rule_id="ntp",
-            )
-        )
-        result = policy.apply([make_flow()], interval=10.0)
+            ),
+        ]
+        _, result = deliver([make_flow()], rules=rules)
         assert len(result.shaped) == 1
         assert len(result.dropped) == 0
 
@@ -160,24 +167,50 @@ class TestPortQosPolicy:
 
     def test_classify_returns_none_without_match(self):
         policy = PortQosPolicy(port_capacity_bps=1e9)
-        assert policy.classify(make_flow()) is None
+        policy.install(QosRule(match=FlowMatch(src_port=1), action=FilterAction.DROP))
+        assert first_match(precedence(policy), make_flow()) == -1
+        table = FlowTable.from_records([make_flow()])
+        assert policy.assign_table(table).tolist() == [-1]
 
     def test_conservation_of_bits(self):
-        policy = PortQosPolicy(port_capacity_bps=1e9)
-        policy.install(
-            QosRule(match=FlowMatch(src_port=123), action=FilterAction.DROP, rule_id="d")
-        )
+        rule = QosRule(match=FlowMatch(src_port=123), action=FilterAction.DROP, rule_id="d")
         flows = [make_flow(), make_flow(src_port=53), make_flow(src_port=80)]
         offered = sum(flow.bits for flow in flows)
-        result = policy.apply(flows, interval=10.0)
+        _, result = deliver(flows, rules=[rule])
         accounted = result.delivered_bits + result.total_dropped_bits
         assert accounted == pytest.approx(offered)
 
     def test_invalid_interval_and_capacity(self):
         with pytest.raises(ValueError):
             PortQosPolicy(port_capacity_bps=0)
+        fabric, _ = single_port_fabric()
         with pytest.raises(ValueError):
-            PortQosPolicy(port_capacity_bps=1).apply([], 0)
+            fabric.deliver(FlowTable.empty(), 0)
+
+
+NAN = math.nan
+SHAPE_ALL = FlowMatch()
+
+
+@pytest.mark.parametrize(
+    "entry_point",
+    [
+        lambda: QosRule(SHAPE_ALL, FilterAction.SHAPE, shape_rate_bps=NAN),
+        lambda: PortQosPolicy(NAN),
+        lambda: SwitchingFabric(platform_capacity_bps=NAN),
+        lambda: RateLimiter(rate_bps=NAN),
+        lambda: single_port_fabric()[0].deliver(FlowTable.empty(), NAN),
+    ],
+    ids=["shape_rate", "port_capacity", "platform_capacity", "rate_limiter", "interval"],
+)
+def test_non_finite_values_are_rejected(entry_point):
+    """NaN used to pass every `<= 0` check (and silently disable congestion)."""
+    with pytest.raises(ValueError):
+        entry_point()
+
+
+def test_zero_rate_limiter_stays_legal():
+    assert RateLimiter(rate_bps=0).shape(100.0, 10.0) == (0.0, 100.0)
 
 
 class TestIxpMember:
@@ -202,8 +235,7 @@ class TestIxpMember:
 
 class TestMemberPort:
     def test_deliver_updates_counters_and_history(self):
-        port = MemberPort(member=IxpMember(asn=64500, port_capacity_bps=1e9), port_id=1)
-        result = port.deliver([make_flow(bytes_=1000)], interval=10.0, interval_start=5.0)
+        port, result = deliver([make_flow(bytes_=1000)], interval_start=5.0)
         assert port.counters.offered_bits == 8000
         assert port.counters.delivered_bits == result.delivered_bits
         assert port.history[0][0] == 5.0
@@ -220,26 +252,20 @@ class TestMemberPort:
         # 80 Mbit of demand against a 10 Mbit interval budget: the port is
         # 8x oversubscribed and utilisation must say so (the old behaviour
         # clamped to 1.0, hiding the overload from the paper-scale views).
-        port = MemberPort(member=IxpMember(asn=64500, port_capacity_bps=1e6), port_id=1)
-        result = port.deliver([make_flow(bytes_=10_000_000)], interval=10.0)
+        port, result = deliver([make_flow(bytes_=10_000_000)], capacity=1e6)
         assert port.utilisation(result, 10.0) == pytest.approx(8.0)
         assert port.display_utilisation(result, 10.0) == pytest.approx(1.0)
 
     def test_utilisation_below_capacity(self):
-        port = MemberPort(member=IxpMember(asn=64500, port_capacity_bps=1e6), port_id=1)
-        result = port.deliver([make_flow(bytes_=625_000)], interval=10.0)
+        port, result = deliver([make_flow(bytes_=625_000)], capacity=1e6)
         assert port.utilisation(result, 10.0) == pytest.approx(0.5)
         assert port.display_utilisation(result, 10.0) == pytest.approx(0.5)
         with pytest.raises(ValueError):
             port.utilisation(result, 0.0)
 
     def test_total_filtered_bits_counter(self):
-        member = IxpMember(asn=64500, port_capacity_bps=1e9)
-        port = MemberPort(member=member, port_id=1)
-        port.install_rule(
-            QosRule(match=FlowMatch(src_port=123), action=FilterAction.DROP, rule_id="d")
-        )
-        port.deliver([make_flow(bytes_=1000)], interval=10.0)
+        rule = QosRule(match=FlowMatch(src_port=123), action=FilterAction.DROP, rule_id="d")
+        port, _ = deliver([make_flow(bytes_=1000)], rules=[rule])
         assert port.counters.total_filtered_bits == 8000
 
 

@@ -1,8 +1,8 @@
 """The compiled rule-match index: signatures, parity, caching, shapers.
 
-The index must be *verdict-for-verdict* equal to the per-rule pass —
-``assign_table`` rank arrays identical — which makes the downstream
-accounting bit-for-bit identical.  These tests pin that across mixed
+The index must be *verdict-for-verdict* equal to the naive per-rule first
+match of ``tests/oracle`` — ``assign_table`` rank arrays identical — and
+the fabric's accounting on top of it bit-for-bit the reference's.  These tests pin that across mixed
 signature groups (exact host rules, broader prefixes shadowing them,
 MAC-match rules forcing the fallback path, precedence ties), plus the
 rule-set version counter that keeps the cached index (and the fabric's
@@ -13,6 +13,8 @@ shaper fix.
 import numpy as np
 import pytest
 
+from fuzz.strategies import single_port_fabric
+from oracle.reference import ReferenceFabric, assign
 from repro.bgp import Prefix
 from repro.ixp import (
     EdgeRouter,
@@ -110,29 +112,21 @@ def mixed_rules():
     ]
 
 
-def make_policy(engine, rules=None):
-    policy = PortQosPolicy(port_capacity_bps=100e9, classification_engine=engine)
+def make_fabric(rules=None, port_capacity_bps=100e9):
+    """A single port (ASN 64500, the tables' egress) holding ``rules``."""
+    fabric, port = single_port_fabric(port_capacity_bps=port_capacity_bps)
     for rule in rules if rules is not None else mixed_rules():
-        policy.install(rule)
-    return policy
+        port.qos.install(rule)
+    return fabric, port
 
 
-def assert_results_identical(a, b):
-    """Bit-for-bit equality of two PortQosResults (tables included)."""
-    assert a.forwarded_bits == b.forwarded_bits
-    assert a.dropped_bits == b.dropped_bits
-    assert a.shaped_passed_bits == b.shaped_passed_bits
-    assert a.shaped_dropped_bits == b.shaped_dropped_bits
-    assert a.congestion_dropped_bits == b.congestion_dropped_bits
-    assert a.rule_stats == b.rule_stats
-    for name in ("forwarded_table", "dropped_table", "shaped_table"):
-        ta, tb = getattr(a, name), getattr(b, name)
-        assert len(ta) == len(tb)
-        for column in ("src_ip", "dst_ip", "src_port", "bytes", "egress_asn"):
-            assert np.array_equal(getattr(ta, column), getattr(tb, column)), (
-                name,
-                column,
-            )
+def make_policy(rules=None):
+    return make_fabric(rules)[1].qos
+
+
+def deliver(fabric, table, interval=10.0):
+    """The single port's result for one interval."""
+    return fabric.deliver(table, interval).results_by_member[64500]
 
 
 class TestMatchSignature:
@@ -171,7 +165,7 @@ class TestMatchSignature:
         assert signature.key_bits > 64 and not signature.is_exact
 
     def test_index_partitions_rules(self):
-        index = RuleMatchIndex(make_policy("indexed").sorted_rules())
+        index = RuleMatchIndex(make_policy().sorted_rules())
         stats = index.describe()
         assert stats["rules"] == len(mixed_rules())
         # The broad-prefix rule, the MAC rule and the catch-all fall back.
@@ -184,9 +178,9 @@ class TestAssignParity:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_mixed_signatures(self, seed):
         table = flow_table(seed=seed)
-        indexed = make_policy("indexed").assign_table(table)
-        per_rule = make_policy("per-rule").assign_table(table)
-        assert np.array_equal(indexed, per_rule)
+        policy = make_policy()
+        indexed = policy.assign_table(table)
+        assert np.array_equal(indexed, assign(policy, table))
         # The catch-all claims everything unclaimed, so every row has a
         # rank; several distinct rules must actually win rows.
         assert (indexed >= 0).all()
@@ -247,55 +241,50 @@ class TestAssignParity:
                         )
                     )
             table = flow_table(seed=100 + round_index)
-            assert np.array_equal(
-                make_policy("indexed", rules).assign_table(table),
-                make_policy("per-rule", rules).assign_table(table),
-            )
+            policy = make_policy(rules)
+            assert np.array_equal(policy.assign_table(table), assign(policy, table))
 
     def test_full_apply_bit_for_bit(self):
         table = flow_table(seed=8)
-        result_indexed = make_policy("indexed").apply(table, interval=10.0)
-        result_per_rule = make_policy("per-rule").apply(table, interval=10.0)
-        assert result_indexed.rule_stats  # rules matched something
-        assert_results_identical(result_indexed, result_per_rule)
+        fabric, _ = make_fabric()
+        oracle = ReferenceFabric(fabric)
+        report = fabric.deliver(table, 10.0)
+        assert report.results_by_member[64500].rule_stats  # rules matched something
+        assert report.to_dict() == oracle.deliver(table, 10.0)
+        result = report.results_by_member[64500]
+        forwarded, dropped, shaped = oracle.verdicts[64500]
+        assert (result.forwarded, result.dropped, result.shaped) == (forwarded, dropped, shaped)
 
     def test_apply_matches_record_path(self):
+        """Record input (via FlowTable.from_records) equals columnar input."""
         table = flow_table(n=400, seed=9)
-        columnar = make_policy("indexed").apply(table, interval=10.0)
-        per_record = make_policy("indexed").apply(table.to_records(), interval=10.0)
-        assert columnar.forwarded_bits == pytest.approx(per_record.forwarded_bits)
-        assert columnar.dropped_bits == pytest.approx(per_record.dropped_bits)
-        assert set(columnar.rule_stats) == set(per_record.rule_stats)
-        for rule_id, stats in per_record.rule_stats.items():
-            for key, value in stats.items():
-                assert columnar.rule_stats[rule_id][key] == pytest.approx(value)
+        from_records = FlowTable.from_records(table.to_records())
+        expected = ReferenceFabric(make_fabric()[0]).deliver(table, 10.0)
+        assert make_fabric()[0].deliver(table, 10.0).to_dict() == expected
+        assert make_fabric()[0].deliver(from_records, 10.0).to_dict() == expected
 
 
 class TestPrecedence:
     def test_host_rule_beats_broader_prefix(self):
         table = flow_table(seed=3)
-        for engine in ("indexed", "per-rule"):
-            policy = make_policy(engine)
-            ranks = policy.assign_table(table)
-            rules = policy.sorted_rules()
-            ntp_host = table.select(
-                (table.dst_ip == ip_to_int("10.1.0.1"))
-                & (table.src_port == 123)
-                & (table.protocol == 17)
-            )
-            if len(ntp_host):
-                host_ranks = policy.assign_table(ntp_host)
-                assert all(rules[r].rule_id == "exact-ntp" for r in host_ranks.tolist())
-            # NTP flows to other 10.1/16 hosts fall through to the prefix
-            # rule (regardless of protocol: the prefix rule matches any).
-            other = table.select(
-                (table.dst_ip == ip_to_int("10.1.0.5")) & (table.src_port == 123)
-            )
-            if len(other):
-                other_ranks = policy.assign_table(other)
-                assert all(
-                    rules[r].rule_id == "prefix-ntp" for r in other_ranks.tolist()
-                )
+        policy = make_policy()
+        rules = policy.sorted_rules()
+        ntp_host = table.select(
+            (table.dst_ip == ip_to_int("10.1.0.1"))
+            & (table.src_port == 123)
+            & (table.protocol == 17)
+        )
+        assert len(ntp_host)
+        for ranks in (policy.assign_table(ntp_host), assign(policy, ntp_host)):
+            assert all(rules[r].rule_id == "exact-ntp" for r in ranks.tolist())
+        # NTP flows to other 10.1/16 hosts fall through to the prefix
+        # rule (regardless of protocol: the prefix rule matches any).
+        other = table.select(
+            (table.dst_ip == ip_to_int("10.1.0.5")) & (table.src_port == 123)
+        )
+        assert len(other)
+        for ranks in (policy.assign_table(other), assign(policy, other)):
+            assert all(rules[r].rule_id == "prefix-ntp" for r in ranks.tolist())
 
     def test_fallback_rule_can_shadow_exact_rule(self):
         # A MAC rule with more criteria than a bare host rule outranks it.
@@ -323,25 +312,21 @@ class TestPrecedence:
         )
         sub = table.select(selector)
         assert len(sub) > 0
-        for engine in ("indexed", "per-rule"):
-            policy = make_policy(engine, rules)
-            ranks = policy.assign_table(sub)
-            sorted_rules = policy.sorted_rules()
-            assert all(
-                sorted_rules[r].rule_id == "mac-udp-host" for r in ranks.tolist()
-            )
+        policy = make_policy(rules)
+        sorted_rules = policy.sorted_rules()
+        for ranks in (policy.assign_table(sub), assign(policy, sub)):
+            assert all(sorted_rules[r].rule_id == "mac-udp-host" for r in ranks.tolist())
 
     def test_specificity_tie_keeps_install_order(self):
         # Two identical matches, different ids: the earliest install wins.
         rule_a = host_drop("10.1.0.1", 123, "first")
         rule_b = host_drop("10.1.0.1", 123, "second")
         table = flow_table(seed=6)
-        for engine in ("indexed", "per-rule"):
-            policy = make_policy(engine, [rule_a, rule_b])
-            ranks = policy.assign_table(table)
-            rules = policy.sorted_rules()
+        policy = make_policy([rule_a, rule_b])
+        rules = policy.sorted_rules()
+        for ranks in (policy.assign_table(table), assign(policy, table)):
             winners = {rules[r].rule_id for r in ranks[ranks >= 0].tolist()}
-            assert "second" not in winners
+            assert winners == {"first"}
 
 
 class TestVersionCounterAndCaching:
@@ -360,30 +345,29 @@ class TestVersionCounterAndCaching:
         assert policy.rules_version > v2 + 1
 
     def test_index_cached_until_version_changes(self):
-        policy = make_policy("indexed")
+        policy = make_policy()
         first = policy.compiled_index()
         assert policy.compiled_index() is first
-        policy.apply(flow_table(n=50), interval=10.0)
+        policy.assign_table(flow_table(n=50))
         assert policy.compiled_index() is first
         policy.install(host_drop("10.1.0.9", 19, "late"))
         assert policy.compiled_index() is not first
 
-    @pytest.mark.parametrize("engine", ["indexed", "per-rule"])
-    def test_mid_run_install_and_remove_are_picked_up(self, engine):
-        policy = PortQosPolicy(port_capacity_bps=100e9, classification_engine=engine)
+    def test_mid_run_install_and_remove_are_picked_up(self):
+        fabric, port = make_fabric([])
         table = flow_table(seed=12)
-        before = policy.apply(table, interval=10.0)
+        before = deliver(fabric, table)
         assert before.dropped_bits == 0.0
-        policy.install(
+        port.qos.install(
             QosRule(
                 match=FlowMatch(src_port=123), action=FilterAction.DROP, rule_id="mid"
             )
         )
-        during = policy.apply(table, interval=10.0)
+        during = deliver(fabric, table)
         assert during.dropped_bits > 0.0
         assert during.rule_stats["mid"]["dropped"] == during.dropped_bits
-        policy.remove("mid")
-        after = policy.apply(table, interval=10.0)
+        port.qos.remove("mid")
+        after = deliver(fabric, table)
         assert after.dropped_bits == 0.0
 
     def test_install_many_equals_sequential_installs(self):
@@ -444,17 +428,6 @@ class TestFabricPlanCache:
         fabric.deliver(table, 10.0, 10.0)
         assert fabric._plan_cache is not plan
 
-    def test_set_classification_engine_validates(self):
-        fabric = self.build_fabric()
-        with pytest.raises(ValueError, match="unknown classification engine"):
-            fabric.set_classification_engine("quantum")
-        fabric.set_classification_engine("per-rule")
-        assert all(
-            port.qos.classification_engine == "per-rule"
-            for router in fabric.edge_routers()
-            for port in router.ports()
-        )
-
 
 class TestAnonymousShapeRules:
     def anon_shape(self, rate, port):
@@ -479,9 +452,9 @@ class TestAnonymousShapeRules:
         # "anon" RateLimiter, so the second rule silently adopted the
         # first rule's token bucket.
         interval = 10.0
-        policy = PortQosPolicy(port_capacity_bps=10e9)
-        policy.install(self.anon_shape(5e5, 123))   # 5 Mbit budget
-        policy.install(self.anon_shape(2e6, 53))    # 20 Mbit budget
+        fabric, port = make_fabric([], port_capacity_bps=10e9)
+        port.qos.install(self.anon_shape(5e5, 123))   # 5 Mbit budget
+        port.qos.install(self.anon_shape(2e6, 53))    # 20 Mbit budget
         table = flow_table(n=4000, seed=30, in_prefix_fraction=0.0)
         offered_123 = float(
             table.bits[(table.src_port == 123) & (table.protocol == 17)].sum()
@@ -490,7 +463,7 @@ class TestAnonymousShapeRules:
             table.bits[(table.src_port == 53) & (table.protocol == 17)].sum()
         )
         assert offered_123 > 5e5 * interval and offered_53 > 2e6 * interval
-        result = policy.apply(table, interval=interval)
+        result = deliver(fabric, table, interval)
         shaped = {
             rule_id: stats["shaped"] for rule_id, stats in result.rule_stats.items()
         }
@@ -501,12 +474,12 @@ class TestAnonymousShapeRules:
         assert result.shaped_passed_bits == pytest.approx(2.5e6 * interval, rel=0.05)
 
     def test_anonymous_drop_rules_unchanged(self):
-        policy = PortQosPolicy(port_capacity_bps=10e9)
-        policy.install(
+        fabric, port = make_fabric([], port_capacity_bps=10e9)
+        port.qos.install(
             QosRule(match=FlowMatch(src_port=123), action=FilterAction.DROP)
         )
-        assert policy.rules()[0].rule_id == ""
-        result = policy.apply(flow_table(n=500, seed=31), interval=10.0)
+        assert port.qos.rules()[0].rule_id == ""
+        result = deliver(fabric, flow_table(n=500, seed=31))
         assert result.dropped_bits > 0
         assert "" in result.rule_stats
 
@@ -539,8 +512,7 @@ class TestBulkInstall:
         assert router.tcam.l3l4_criteria_used == 6
         assert {r.rule_id for r in router.installed_rules()} == {"r0", "r1"}
         # ... and the active rules really classify traffic.
-        table = flow_table(n=500, seed=40)
-        result = port.qos.apply(table, interval=10.0)
+        result = deliver(fabric, flow_table(n=500, seed=40))
         assert set(result.rule_stats) <= {"r0", "r1"}
 
     def test_stale_plan_execute_is_rejected(self):
@@ -709,7 +681,7 @@ class TestJournalledCompile:
         return RuleMatchIndex(policy.sorted_rules()).structure()
 
     def test_single_mutations_patch_the_snapshot(self):
-        policy = make_policy("indexed")
+        policy = make_policy()
         assert policy.compiled_index().structure() == self.scratch(policy)
         policy.install(host_drop("10.1.0.50", 19, "late"))
         assert policy.compiled_index().structure() == self.scratch(policy)
@@ -719,7 +691,7 @@ class TestJournalledCompile:
         assert policy.compiled_index().structure() == self.scratch(policy)
 
     def test_batch_below_limit_journals_deltas(self):
-        policy = make_policy("indexed")
+        policy = make_policy()
         policy.compiled_index()
         batch = [host_drop(f"10.1.1.{i}", 53, f"b{i}") for i in range(5)]
         policy.install_many(batch)
@@ -728,7 +700,7 @@ class TestJournalledCompile:
     def test_large_batch_falls_back_to_full_compile(self):
         from repro.ixp.qos import _BATCH_DELTA_LIMIT
 
-        policy = make_policy("indexed")
+        policy = make_policy()
         policy.compiled_index()
         batch = [
             host_drop(f"10.1.{i // 200}.{i % 200}", 53, f"big{i}")
@@ -740,7 +712,7 @@ class TestJournalledCompile:
     def test_truncated_journal_falls_back_to_full_compile(self):
         from repro.ixp.qos import _JOURNAL_LIMIT
 
-        policy = make_policy("indexed")
+        policy = make_policy()
         policy.compiled_index()
         # More mutations than the journal retains, with no compile in
         # between: the cached snapshot is older than the journal base,
@@ -750,7 +722,7 @@ class TestJournalledCompile:
         assert policy.compiled_index().structure() == self.scratch(policy)
 
     def test_clear_resets_and_recompiles(self):
-        policy = make_policy("indexed")
+        policy = make_policy()
         policy.compiled_index()
         policy.clear()
         index = policy.compiled_index()
@@ -759,9 +731,9 @@ class TestJournalledCompile:
 
     def test_patched_index_classifies_identically(self):
         table = flow_table(seed=17)
-        warm = make_policy("indexed")
+        warm = make_policy()
         warm.compiled_index()  # warm snapshot, mutations below patch it
-        cold = make_policy("indexed")
+        cold = make_policy()
         for policy in (warm, cold):
             policy.install(host_drop("10.1.0.40", 123, "late"))
             policy.remove("exact-dns")
@@ -811,7 +783,7 @@ class TestRadixBinning:
         ]
 
     def test_binned_rule_count(self):
-        policy = make_policy("indexed", self.prefix_rules())
+        policy = make_policy(self.prefix_rules())
         index = policy.compiled_index()
         # dst-12, dst-16, dst-24, src-16 are binned; dst-8, mac-only and
         # catch-all run over the full interval.
@@ -833,15 +805,15 @@ class TestRadixBinning:
     @pytest.mark.parametrize("seed", [51, 52, 53])
     def test_radix_parity_with_per_rule(self, seed):
         table = flow_table(seed=seed, in_prefix_fraction=0.4)
-        indexed = make_policy("indexed", self.prefix_rules()).assign_table(table)
-        per_rule = make_policy("per-rule", self.prefix_rules()).assign_table(table)
-        assert np.array_equal(indexed, per_rule)
+        policy = make_policy(self.prefix_rules())
+        indexed = policy.assign_table(table)
+        assert np.array_equal(indexed, assign(policy, table))
         assert (indexed >= 0).all()  # catch-all claims the rest
 
     def test_bin_boundary_addresses(self):
         # Addresses straddling a radix-bin edge (the /12 boundary at
         # 10.16.0.0 and 10.31.255.255 vs 10.32.0.0) must land exactly as
-        # the per-rule pass decides.
+        # the naive per-rule reference decides.
         edge_ips = [
             "10.15.255.255",
             "10.16.0.0",
@@ -865,9 +837,8 @@ class TestRadixBinning:
             egress_asn=np.full(n, 64500, dtype=np.int64),
             is_attack=np.zeros(n, dtype=bool),
         )
-        indexed = make_policy("indexed", self.prefix_rules()).assign_table(table)
-        per_rule = make_policy("per-rule", self.prefix_rules()).assign_table(table)
-        assert np.array_equal(indexed, per_rule)
+        policy = make_policy(self.prefix_rules())
+        assert np.array_equal(policy.assign_table(table), assign(policy, table))
 
     def test_deltas_recompile_radix_groups(self):
         rules = self.prefix_rules()

@@ -22,3 +22,12 @@ def per_rule_pass(rules, table):
     for rule in rules:
         masks.append(rule.match_mask(table))
     return masks
+
+
+def per_column_pass(table, prefixes):
+    # A literal tuple display iterates its fixed elements (two columns),
+    # not the rows inside them.
+    masks = []
+    for prefix, column in ((prefixes[0], table.dst_ip), (prefixes[1], table.src_ip)):
+        masks.append(column >= prefix)
+    return masks

@@ -1,9 +1,9 @@
 """The real tree must satisfy every static contract (the CI gate, as a test).
 
 This is also the regression lock for the forward fixes this layer drove:
-the RPL006 float-accounting rewrites in ``ixp/qos.py``,
-``ixp/fabric.py`` and ``ixp/delivery.py`` (running ``+=`` replaced by
-collect-terms + one ordered reduction).  Re-introducing any such pattern
+the RPL006 float-accounting rewrites in ``ixp/delivery.py`` (running
+``+=`` replaced by collect-terms + one ordered reduction), the one place
+delivery accounting lives.  Re-introducing any such pattern
 turns up here as a non-baselined finding.
 """
 
@@ -39,10 +39,10 @@ def test_baseline_is_empty_and_may_only_shrink():
 def test_float_accounting_fix_sites_stay_fixed():
     # The exact seams the RPL006 forward fixes rewrote: platform totals
     # and shaper accounting reduce once, after their loops.
-    for rel in ("src/repro/ixp/fabric.py", "src/repro/ixp/delivery.py"):
+    for rel in ("src/repro/ixp/fabric.py", "src/repro/ixp/qos.py", "src/repro/ixp/delivery.py"):
         source = (REPO_ROOT / rel).read_text()
         assert "report.offered_bits +=" not in source, rel
-        assert "float(sum(offered_terms))" in source, rel
-    qos = (REPO_ROOT / "src/repro/ixp/qos.py").read_text()
-    assert "shaped_passed +=" not in qos
-    assert "float(sum(passed_terms))" in qos
+        assert "shaped_passed +=" not in source, rel
+    delivery = (REPO_ROOT / "src/repro/ixp/delivery.py").read_text()
+    assert "float(sum(offered_terms))" in delivery
+    assert "float(sum(passed_terms))" in delivery

@@ -17,7 +17,9 @@ import pytest
 
 from test_flows_and_profiles import make_flow
 
-from repro.ixp import FilterAction, FlowMatch, PortQosPolicy, QosRule
+from fuzz.strategies import single_port_fabric
+from oracle.reference import ReferenceFabric
+from repro.ixp import FilterAction, FlowMatch, QosRule
 from repro.traffic import (
     AMPLIFICATION_PRONE_PORTS,
     AmplificationAttack,
@@ -370,26 +372,35 @@ class TestStatisticalParity:
 
 
 class TestColumnarQosParity:
-    """The vectorized QoS path must agree with the per-record path."""
+    """Delivering a generated table equals the naive record-by-record reference."""
 
-    def _policy(self):
-        policy = PortQosPolicy(port_capacity_bps=10e9)
-        policy.install(
+    def _fabric(self, shape_id="shape-udp"):
+        fabric, port = single_port_fabric(port_capacity_bps=10e9)
+        port.qos.install(
             QosRule(
                 match=FlowMatch(protocol=IpProtocol.UDP, src_port=123),
                 action=FilterAction.DROP,
                 rule_id="drop-ntp",
             )
         )
-        policy.install(
+        port.qos.install(
             QosRule(
                 match=FlowMatch(protocol=IpProtocol.UDP),
                 action=FilterAction.SHAPE,
                 shape_rate_bps=1e6,
-                rule_id="shape-udp",
+                rule_id=shape_id,
             )
         )
-        return policy
+        return fabric
+
+    def _deliver(self, table, shape_id="shape-udp"):
+        """The port's result and the reference's expected member report."""
+        fabric = self._fabric(shape_id)
+        oracle = ReferenceFabric(fabric)
+        report = fabric.deliver(table, 10.0)
+        expected = oracle.deliver(table, 10.0)
+        assert report.to_dict() == expected
+        return report.results_by_member[64500], oracle.verdicts[64500]
 
     def _flows(self):
         attack = AmplificationAttack(
@@ -415,47 +426,28 @@ class TestColumnarQosParity:
         )
 
     def test_bit_accounting_matches(self):
-        table = self._flows()
-        columnar = self._policy().apply(table, interval=10.0)
-        per_record = self._policy().apply(table.to_records(), interval=10.0)
-        assert columnar.forwarded_bits == pytest.approx(per_record.forwarded_bits)
-        assert columnar.dropped_bits == pytest.approx(per_record.dropped_bits)
-        assert columnar.shaped_passed_bits == pytest.approx(per_record.shaped_passed_bits)
-        assert columnar.shaped_dropped_bits == pytest.approx(per_record.shaped_dropped_bits)
-        assert len(columnar.forwarded) == len(per_record.forwarded)
-        assert len(columnar.dropped) == len(per_record.dropped)
-        assert len(columnar.shaped) == len(per_record.shaped)
+        result, (forwarded, dropped, shaped) = self._deliver(self._flows())
+        assert result.dropped_bits > 0 and result.shaped_dropped_bits > 0
+        assert result.forwarded == forwarded
+        assert result.dropped == dropped
+        assert result.shaped == shaped
 
     def test_rule_stats_match(self):
-        table = self._flows()
-        columnar = self._policy().apply(table, interval=10.0)
-        per_record = self._policy().apply(table.to_records(), interval=10.0)
-        assert set(columnar.rule_stats) == set(per_record.rule_stats)
-        for rule_id, stats in per_record.rule_stats.items():
-            for key, value in stats.items():
-                assert columnar.rule_stats[rule_id][key] == pytest.approx(value)
+        result, _ = self._deliver(self._flows())
+        assert set(result.rule_stats) == {"drop-ntp", "shape-udp"}
 
     def test_anonymous_shape_rule_actually_shapes(self):
         table = self._flows()
         assert float(table.total_bits) > 1e6 * 10.0  # the shaper has something to cut
-        for flows in (table, table.to_records()):
-            policy = PortQosPolicy(port_capacity_bps=10e9)
-            policy.install(
-                QosRule(
-                    match=FlowMatch(protocol=IpProtocol.UDP),
-                    action=FilterAction.SHAPE,
-                    shape_rate_bps=1e6,
-                )
-            )
-            result = policy.apply(flows, interval=10.0)
+        for flows in (table, FlowTable.from_records(table.to_records())):
+            result, _ = self._deliver(flows, shape_id="")
             assert result.shaped_passed_bits == pytest.approx(1e6 * 10.0, rel=0.05)
             assert result.shaped_dropped_bits > 0
 
     def test_delivered_summaries_match(self):
-        table = self._flows()
-        columnar = self._policy().apply(table, interval=10.0)
-        per_record = self._policy().apply(table.to_records(), interval=10.0)
-        assert columnar.delivered_peer_asns() == per_record.delivered_peer_asns()
-        assert columnar.delivered_attack_bits() == pytest.approx(
-            per_record.delivered_attack_bits()
-        )
+        result, (forwarded, _, shaped) = self._deliver(self._flows())
+        peers = {r.ingress_member_asn for r in forwarded if r.ingress_member_asn}
+        peers |= {r.ingress_member_asn for r in shaped if r.ingress_member_asn and r.bytes > 0}
+        assert result.delivered_peer_asns() == peers
+        attack_bits = sum(r.bits for r in forwarded + shaped if r.is_attack)
+        assert result.delivered_attack_bits() == attack_bits
