@@ -11,25 +11,37 @@ O(members × flows) in Python per interval).
   asserts it stays within 4× of the same-sized interval at 60 members.
 * ``test_bench_member_count_scaling`` prints the cost curve over the
   member count and asserts 480 members cost at most 4× what 60 do.
+* ``test_bench_shape_scatter_vs_drop`` puts 1,000 rules on one port, all
+  claiming a 60k-flow interval, once as SHAPE and once as DROP rules.
+  Shaping adds one stateful shaper call per claimed rule on top of the
+  drop accounting, so SHAPE must stay within 2.5× of DROP; the absolute
+  seconds go into ``BENCH_fabric.json``.
 
 Functional parity with the naive reference in ``tests/oracle`` is pinned
 in ``tests/ixp/test_fabric_delivery.py``; here only the clock matters.
 """
 
+import json
+import os
 import time
+from pathlib import Path
 
+import numpy as np
 from bench_utils import print_table, write_bench_json
 
 from repro.bgp import Prefix
 from repro.ixp import (
+    EdgeRouter,
     FilterAction,
     FlowMatch,
     IxpMember,
     QosRule,
+    SwitchingFabric,
     build_multi_pop_fabric,
     make_member_population,
 )
-from repro.traffic import BooterAttack, FlowTable, IxpTraceGenerator
+from repro.traffic import BooterAttack, FlowTable, IpProtocol, IxpTraceGenerator
+from repro.traffic.flowtable import ip_to_int
 
 VICTIM_ASN = 64500
 VICTIM_IP = "100.10.10.10"
@@ -197,4 +209,105 @@ def test_bench_member_count_scaling(benchmark):
     assert ratio <= MAX_SCALING, (
         f"batched delivery at {counts[-1]} members took {ratio:.1f}x its time at "
         f"{counts[0]} members (limit {MAX_SCALING}x)"
+    )
+
+
+#: Rules on the single filtered port, and the interval they all claim.
+SCATTER_RULES = 1_000
+SCATTER_FLOWS = 60_000
+
+#: Largest allowed SHAPE/DROP cost ratio (one shaper call per claimed
+#: rule is the only work SHAPE adds).
+MAX_SHAPE_OVER_DROP = 2.5
+
+
+def single_port_fabric(action: FilterAction) -> SwitchingFabric:
+    """The victim port with :data:`SCATTER_RULES` rules of one action."""
+    fabric = SwitchingFabric(name="scatter", platform_capacity_bps=1e12)
+    fabric.add_edge_router(EdgeRouter("edge-1"))
+    fabric.connect_member(IxpMember(asn=VICTIM_ASN, port_capacity_bps=100e9))
+    rate = {"shape_rate_bps": 5e6} if action is FilterAction.SHAPE else {}
+    fabric.router_for_member(VICTIM_ASN).install_rules(
+        VICTIM_ASN,
+        [
+            QosRule(
+                match=FlowMatch(
+                    dst_prefix=Prefix.parse(f"{VICTIM_IP}/32"),
+                    protocol=IpProtocol.UDP,
+                    src_port=1024 + index,
+                ),
+                action=action,
+                rule_id=f"rule-{index}",
+                **rate,
+            )
+            for index in range(SCATTER_RULES)
+        ],
+    )
+    return fabric
+
+
+def scatter_interval() -> FlowTable:
+    """Victim-bound UDP flows spread evenly over every rule's source port."""
+    rng = np.random.default_rng(SEED)
+    n = SCATTER_FLOWS
+    return FlowTable(
+        src_ip=rng.integers(0, 2**32, n, dtype=np.uint32),
+        dst_ip=np.full(n, ip_to_int(VICTIM_IP), dtype=np.uint32),
+        protocol=np.full(n, int(IpProtocol.UDP)),
+        src_port=1024 + np.arange(n) % SCATTER_RULES,
+        dst_port=rng.integers(1024, 60000, n),
+        start=np.zeros(n),
+        duration=np.full(n, INTERVAL),
+        bytes=rng.integers(100, 10_000, n),
+        packets=np.ones(n, dtype=np.int64),
+        ingress_asn=np.full(n, 65001),
+        egress_asn=np.full(n, VICTIM_ASN),
+        is_attack=np.ones(n, dtype=bool),
+    )
+
+
+def best_of(fabric: SwitchingFabric, table: FlowTable, repeats: int = 5) -> float:
+    """Best-of-``repeats`` seconds of one interval (the plan compiled first)."""
+    fabric.deliver(table, INTERVAL, 0.0)
+    best = float("inf")
+    for step in range(1, repeats + 1):
+        start = time.perf_counter()
+        fabric.deliver(table, INTERVAL, step * INTERVAL)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_bench_shape_scatter_vs_drop(benchmark):
+    table = scatter_interval()
+    shape_fabric = single_port_fabric(FilterAction.SHAPE)
+    drop_fabric = single_port_fabric(FilterAction.DROP)
+    report = shape_fabric.deliver(table, INTERVAL, 0.0)
+    assert len(report.results_by_member[VICTIM_ASN].rule_stats) == SCATTER_RULES
+
+    shape_seconds = best_of(shape_fabric, table)
+    drop_seconds = best_of(drop_fabric, table)
+    benchmark.pedantic(lambda: shape_fabric.deliver(table, INTERVAL, 0.0), rounds=1)
+
+    ratio = shape_seconds / drop_seconds
+    print_table(
+        f"Verdict scatter, {SCATTER_RULES} claimed rules, {len(table)} flows",
+        [
+            ("action", "ms", "vs DROP"),
+            ("DROP", f"{drop_seconds * 1e3:.1f}", "1.0x"),
+            ("SHAPE", f"{shape_seconds * 1e3:.1f}", f"{ratio:.1f}x"),
+        ],
+    )
+    # Merge into the member-scaling record rather than clobbering it.
+    path = Path(os.environ.get("BENCH_OUTPUT_DIR", ".")) / "BENCH_fabric.json"
+    payload = json.loads(path.read_text()) if path.exists() else {}
+    payload["shape_scatter"] = {
+        "rule_count": SCATTER_RULES,
+        "flow_count": len(table),
+        "shape_seconds": shape_seconds,
+        "drop_seconds": drop_seconds,
+    }
+    write_bench_json("fabric", payload)
+    assert ratio <= MAX_SHAPE_OVER_DROP, (
+        f"SHAPE scatter took {ratio:.1f}x the DROP scatter over {SCATTER_RULES} "
+        f"claimed rules (limit {MAX_SHAPE_OVER_DROP}x)"
     )

@@ -12,24 +12,34 @@ plan works platform-wide:
    single columnar rule set; each :class:`CompiledRule` is tagged with its
    egress member, and per-port precedence (most-specific-first) is
    preserved inside the global order;
-2. **classify** — one vectorized group-by over the whole interval
-   (``np.unique`` on the egress column), then each filtered member's slice
-   is classified through the port's
+2. **classify** — one vectorized group-by over the whole interval (a
+   stable argsort of the egress column; each member's offered bits are
+   one ``np.add.reduceat``), then each filtered member's slice is
+   classified through the port's
    :meth:`~repro.ixp.qos.PortQosPolicy.assign_table` (its compiled
    :class:`~repro.ixp.ruleindex.RuleMatchIndex`); per-rule matched bits
    fall out of a single ``bincount``;
 3. **scatter** — the verdicts are folded back into per-port
-   :class:`~repro.ixp.qos.PortQosResult`\\ s (with deferred table views),
-   :class:`~repro.ixp.port.PortCounters`, port history and the
-   ``rule_stats`` the telemetry layer ingests.  The scatter iterates only
-   the rules that actually claimed rows, so a port with tens of thousands
-   of installed fine-grained rules costs O(claimed), not O(installed).
+   :class:`~repro.ixp.qos.PortQosResult`\\ s, :class:`~repro.ixp.port.PortCounters`,
+   port history and the ``rule_stats`` the telemetry layer ingests, in
+   grouped array passes.  Only the rules that claimed rows are visited:
+   DROP stats are one gather of the per-rule bits, summed per rule id by
+   one ``bincount``; SHAPE rules sort their rows by rank once, take each
+   rank's offered and scaled bits with ``reduceat`` and call their
+   stateful shaper once per rank.  Congestion caps every member port in
+   one elementwise pass.  Every result defers its verdict tables behind
+   a ``table_source`` — the shaped table is scaled only when read — so a
+   port with tens of thousands of installed fine-grained rules costs
+   O(claimed), not O(installed), and an interval builds no sub-table
+   nobody reads.
 
 Plans are cached across intervals: each plan snapshots every port's
 rule-set version counter (:attr:`~repro.ixp.qos.PortQosPolicy.rules_version`),
 and :meth:`SwitchingFabric.deliver` reuses the plan while
 :meth:`FabricDeliveryPlan.is_current` holds — rule installs/removals bump
-the counter, so only intervals after a configuration change recompile, and
+the counter and every member connect bumps the fabric's
+:attr:`~repro.ixp.fabric.SwitchingFabric.membership_version`, so only
+intervals after a configuration change recompile, and
 the per-port match indexes themselves are cached on the policies so
 untouched ports never recompile at all.
 
@@ -40,8 +50,9 @@ naive first-match reference (``tests/oracle``).
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -52,7 +63,6 @@ from .qos import (
     _DROP_CODE,
     _FORWARD_CODE,
     _SHAPE_CODE,
-    FilterAction,
     PortQosResult,
     QosRule,
 )
@@ -60,25 +70,8 @@ from .qos import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .fabric import FabricIntervalReport, SwitchingFabric
 
-
-def _shape_rows_by_rank(
-    assigned: np.ndarray, row_actions: np.ndarray
-) -> dict[int, np.ndarray]:
-    """Rows claimed by each SHAPE rule rank, ascending within each rank.
-
-    One stable group-by over the shaped rows replaces a per-shape-rule
-    ``np.isin`` scan of the whole interval — with thousands of installed
-    shape rules that scan was itself O(rules × flows).
-    """
-    shape_rows = np.flatnonzero(row_actions == _SHAPE_CODE)
-    if not len(shape_rows):
-        return {}
-    ranks = assigned[shape_rows]
-    order = np.argsort(ranks, kind="stable")
-    sorted_rows = shape_rows[order]
-    sorted_ranks = ranks[order]
-    unique, starts = np.unique(sorted_ranks, return_index=True)
-    return dict(zip(unique.tolist(), np.split(sorted_rows, starts[1:])))
+#: Deferred producer of a result's ``(forwarded, dropped, shaped)`` tables.
+TableSource = Callable[[], tuple[FlowTable, FlowTable, FlowTable]]
 
 
 @dataclass(frozen=True)
@@ -107,6 +100,9 @@ class FabricDeliveryPlan:
         previous: "FabricDeliveryPlan | None" = None,
     ) -> None:
         self.fabric = fabric
+        #: Fabric membership counter at compile time (bumped by every
+        #: ``connect_member``).
+        self._membership = fabric.membership_version
         # Key membership off the fabric's member registry (the same source
         # of truth the IPFIX export filter uses), not off whatever ports
         # the routers happen to carry.
@@ -147,6 +143,9 @@ class FabricDeliveryPlan:
             self._member_start[asn] = len(self._rules)
             self._segments[asn] = segment
             self._rules.extend(segment)
+        #: Flat views of the cache key for :meth:`is_current`.
+        self._policies = [self._ports[asn].qos for asn in self._port_versions]
+        self._versions = list(self._port_versions.values())
 
     # ------------------------------------------------------------------
     # Introspection
@@ -165,17 +164,14 @@ class FabricDeliveryPlan:
     def is_current(self) -> bool:
         """True while the plan still matches the fabric's configuration.
 
-        Checked once per delivery interval: the member set must be
-        unchanged and every port's rule-set version must equal the
-        compile-time snapshot.  O(members) per check, versus an
+        Checked once per delivery interval: no member may have connected
+        since compile and every port's rule-set version must equal the
+        compile-time snapshot.  One flat list comparison, versus an
         O(total rules) recompile.
         """
-        if self.fabric.member_asns != set(self._ports):
-            return False
-        return all(
-            port.qos.rules_version == self._port_versions[asn]
-            for asn, port in self._ports.items()
-        )
+        return self.fabric.membership_version == self._membership and [
+            policy.rules_version for policy in self._policies
+        ] == self._versions
 
     # ------------------------------------------------------------------
     # Execution
@@ -201,49 +197,109 @@ class FabricDeliveryPlan:
         if n == 0:
             return report
 
-        egress = table.egress_asn
         bits = table.bits
 
-        # One platform-wide group-by: member ASNs in ascending order, each
-        # group's rows as ascending original-order indices (the stable
-        # argsort preserves intra-member row order in the scattered tables).
-        unique_asns, inverse = np.unique(egress, return_inverse=True)
-        order = np.argsort(inverse, kind="stable")
-        boundaries = np.cumsum(np.bincount(inverse, minlength=len(unique_asns)))[:-1]
-        rows_per_group = np.split(order, boundaries)
+        # One platform-wide group-by: the stable argsort lists each
+        # member's rows as ascending original-order indices, members in
+        # ascending ASN order; group g is order[starts[g]:ends[g]].
+        order = np.argsort(table.egress_asn, kind="stable")
+        sorted_egress = table.egress_asn[order]
+        starts = np.flatnonzero(
+            np.concatenate(([True], sorted_egress[1:] != sorted_egress[:-1]))
+        )
+        # Exact int64 sums, one per member.
+        group_bits = np.add.reduceat(bits[order], starts)
+        ends = np.append(starts[1:], n)
+        # Unknown egress members never entered the IXP: drop their groups.
+        ports = self._ports
+        known = np.fromiter(
+            (asn in ports for asn in sorted_egress[starts].tolist()),
+            dtype=bool,
+            count=len(starts),
+        )
+        if not known.all():
+            starts, ends, group_bits = starts[known], ends[known], group_bits[known]
+        asns = sorted_egress[starts].tolist()
 
-        assigned, per_rule_bits = self._classify(
-            table, bits, unique_asns, rows_per_group
+        filtered = [
+            (index, asn) for index, asn in enumerate(asns) if asn in self._segments
+        ]
+        assigned, per_rule_bits, claimed = self._classify(
+            table, bits, order, starts, ends, filtered
         )
 
-        # Platform totals are collected per member and reduced once after
-        # the loop with sum(), in ascending-ASN group order (RPL006: no
-        # float `+=` in loops).
-        offered_terms: list[float] = []
-        delivered_terms: list[float] = []
-        filtered_terms: list[float] = []
-        congestion_terms: list[float] = []
-        for group_index, asn in enumerate(unique_asns.tolist()):
-            port = self._ports.get(asn)
-            if port is None:
-                # Unknown egress member: the flow never entered the IXP.
-                continue
-            rows = rows_per_group[group_index]
-            offered = float(bits[rows].sum())
-            if asn not in self._segments:
-                result = self._passthrough_result(table, rows, offered, port, interval)
+        # Per-member accounting as parallel arrays: a port where no rule
+        # claimed a row forwards everything it is offered; the others
+        # overwrite their entries from the verdict scatter.
+        offered = group_bits.astype(np.float64)
+        forwarded = offered.copy()
+        dropped = np.zeros(len(asns))
+        shaped_passed = np.zeros(len(asns))
+        shaped_dropped = np.zeros(len(asns))
+        scattered: dict[int, tuple[dict[str, dict[str, float]], TableSource]] = {}
+        for index, asn in claimed:
+            bit_counts, rule_stats, table_source = self._scatter(
+                table, order[starts[index]:ends[index]], asn, assigned, bits,
+                per_rule_bits, interval,
+            )
+            (
+                forwarded[index],
+                dropped[index],
+                shaped_passed[index],
+                shaped_dropped[index],
+            ) = bit_counts
+            scattered[index] = (rule_stats, table_source)
+
+        # Egress queue: forwarded + shaped traffic shares the port
+        # capacity; anything beyond it is congestion loss at the member
+        # port.  Elementwise, so each member sees the same IEEE operations
+        # as a scalar cap would apply.
+        capacity_bits = (
+            np.fromiter(
+                (ports[asn].qos.port_capacity_bps for asn in asns),
+                dtype=np.float64,
+                count=len(asns),
+            )
+            * interval
+        )
+        delivered = forwarded + shaped_passed
+        congestion = np.zeros(len(asns))
+        over = delivered > capacity_bits
+        if over.any():
+            congestion[over] = delivered[over] - capacity_bits[over]
+            overload = capacity_bits[over] / delivered[over]
+            forwarded[over] *= overload
+            shaped_passed[over] *= overload
+
+        # Platform totals are reduced with sum() over per-member terms in
+        # ascending-ASN order (RPL006: no float `+=` in loops).
+        offered_terms = offered.tolist()
+        delivered_terms = (forwarded + shaped_passed).tolist()
+        filtered_terms = (dropped + shaped_dropped).tolist()
+        congestion_terms = congestion.tolist()
+        # Bit fields in PortQosResult's positional order.
+        bit_fields = zip(
+            forwarded.tolist(),
+            dropped.tolist(),
+            shaped_passed.tolist(),
+            shaped_dropped.tolist(),
+            congestion_terms,
+        )
+        bounds = zip(starts.tolist(), ends.tolist())
+        for index, (asn, offered_bits, fields, (start, end)) in enumerate(
+            zip(asns, offered_terms, bit_fields, bounds)
+        ):
+            if index in scattered:
+                rule_stats, table_source = scattered[index]
             else:
-                result = self._filtered_result(
-                    table, rows, asn, assigned, bits, per_rule_bits, port, interval
-                )
-            port.counters.update(offered, result)
+                rule_stats = {}
+                table_source = partial(_forwarded_only, table, order, start, end)
+            result = PortQosResult(table_source, *fields, rule_stats=rule_stats)
+            port = ports[asn]
+            port.counters.update(offered_bits, result)
             if port.retain_history:
                 port.history.append((interval_start, result))
             report.results_by_member[asn] = result
-            offered_terms.append(offered)
-            delivered_terms.append(result.delivered_bits)
-            filtered_terms.append(result.dropped_bits + result.shaped_dropped_bits)
-            congestion_terms.append(result.congestion_dropped_bits)
         report.offered_bits = float(sum(offered_terms))
         report.delivered_bits = float(sum(delivered_terms))
         report.filtered_bits = float(sum(filtered_terms))
@@ -255,9 +311,11 @@ class FabricDeliveryPlan:
         self,
         table: FlowTable,
         bits: np.ndarray,
-        unique_asns: np.ndarray,
-        rows_per_group: Sequence[np.ndarray],
-    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        order: np.ndarray,
+        starts: np.ndarray,
+        ends: np.ndarray,
+        filtered: Sequence[tuple[int, int]],
+    ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
         """Assign each row its claiming rule (global index, or -1 = forward).
 
         Rules of different members are disjoint by the egress column, so
@@ -267,53 +325,26 @@ class FabricDeliveryPlan:
         rule-match index).  ``assign_table`` is row-wise, so verdicts on
         the slice equal verdicts on the full table; local ranks map to
         global rule indices by the member's contiguous block offset.
+        Also returns the ``(group, asn)`` pairs where some rule claimed a
+        row: only those need a verdict scatter.
         """
-        if not any(
-            asn in self._segments for asn in unique_asns.tolist()
-        ):
-            return None, None
         assigned = np.full(len(table), -1, dtype=np.int64)
-        for group_index, asn in enumerate(unique_asns.tolist()):
-            if asn not in self._segments:
-                continue
-            rows = rows_per_group[group_index]
-            member_table = table.select(rows)
-            ranks = self._ports[asn].qos.assign_table(member_table)
+        claimed: list[tuple[int, int]] = []
+        for index, asn in filtered:
+            rows = order[starts[index]:ends[index]]
+            ranks = self._ports[asn].qos.assign_table(table.select(rows))
             matched = ranks >= 0
             if matched.any():
                 assigned[rows[matched]] = self._member_start[asn] + ranks[matched]
+                claimed.append((index, asn))
         matched = assigned >= 0
         per_rule_bits = np.bincount(
             assigned[matched], weights=bits[matched], minlength=len(self._rules)
         )
-        return assigned, per_rule_bits
+        return assigned, per_rule_bits, claimed
 
     # ------------------------------------------------------------------
-    def _passthrough_result(
-        self,
-        table: FlowTable,
-        rows: np.ndarray,
-        offered: float,
-        port: MemberPort,
-        interval: float,
-    ) -> PortQosResult:
-        """A port with no rules: everything forwards (then congestion).
-
-        The dominant case at platform scale; the columnar views are
-        deferred so an 800-member interval builds zero sub-tables unless a
-        consumer actually reads one.
-        """
-        result = PortQosResult(
-            forwarded_bits=offered,
-            rule_stats={},
-            table_source=lambda: (
-                table.select(rows), FlowTable.empty(), FlowTable.empty(),
-            ),
-        )
-        port.qos.apply_congestion(result, interval)
-        return result
-
-    def _filtered_result(
+    def _scatter(
         self,
         table: FlowTable,
         rows: np.ndarray,
@@ -321,88 +352,105 @@ class FabricDeliveryPlan:
         assigned: np.ndarray,
         bits: np.ndarray,
         per_rule_bits: np.ndarray,
-        port: MemberPort,
         interval: float,
-    ) -> PortQosResult:
-        """Scatter the platform-level verdicts back into one port's result.
+    ) -> tuple[
+        tuple[float, float, float, float], dict[str, dict[str, float]], TableSource
+    ]:
+        """Fold the platform-level verdicts back into one claimed port.
 
-        Only the rules that actually claimed rows are visited.
+        Returns the port's pre-congestion ``(forwarded, dropped,
+        shaped_passed, shaped_dropped)`` bits, its ``rule_stats`` and the
+        deferred source of its verdict tables.  Only the rules that
+        claimed rows are visited, in grouped array passes.
         """
-        qos = port.qos
+        qos = self._ports[asn].qos
         start = self._member_start[asn]
         # Rules come from the plan's own snapshot (rank -> _rules[start +
         # rank]); the is_current guard in execute() keeps it aligned with
-        # the live policy, and this avoids an O(installed) list copy per
-        # filtered member per interval.
-        assigned_rows = assigned[rows]
-        matched = assigned_rows >= 0
-        local = (assigned_rows - start).astype(np.int64)
-        rule_stats: dict[str, dict[str, float]] = {}
-
-        def stats_for(rule: QosRule) -> dict[str, float]:
-            return rule_stats.setdefault(
-                rule.rule_id, {"matched": 0.0, "dropped": 0.0, "shaped": 0.0}
-            )
-
-        claimed = np.unique(local[matched]).tolist() if bool(matched.any()) else []
+        # the live policy.
+        local = assigned[rows] - start
+        matched = local >= 0
         row_actions = np.full(len(rows), _FORWARD_CODE, dtype=np.int8)
-        if claimed:
-            row_actions[matched] = qos.action_codes()[local[matched]]
-        forward_mask = row_actions == _FORWARD_CODE
+        row_actions[matched] = qos.action_codes()[local[matched]]
+        forward_rows = rows[row_actions == _FORWARD_CODE]
         drop_mask = row_actions == _DROP_CODE
-        shape_ranks: list[int] = []
-        for rank in claimed:
-            rule = self._rules[start + rank].rule
-            if rule.action is FilterAction.DROP:
-                matched_bits = float(per_rule_bits[start + rank])
-                stats = stats_for(rule)
-                stats["matched"] += matched_bits
-                stats["dropped"] += matched_bits
-            elif rule.action is FilterAction.SHAPE:
-                shape_ranks.append(rank)
+        drop_rows = rows[drop_mask]
+        # DROP rules: one gather of their matched bits.  Rule ids repeat
+        # (every anonymous DROP/FORWARD rule is ``""``); bincount sums each
+        # id's terms sequentially from 0.0 in ascending rank order, exactly
+        # like a running ``+=``, and the ids keep first-claimed order.
+        drop_ranks = np.unique(local[drop_mask])
+        id_codes, rule_ids = qos.rule_id_codes()
+        codes, first, slots = np.unique(
+            id_codes[drop_ranks], return_index=True, return_inverse=True
+        )
+        drop_sums = np.bincount(
+            slots, weights=per_rule_bits[start + drop_ranks], minlength=len(codes)
+        )
+        appear = np.argsort(first)
+        rule_stats: dict[str, dict[str, float]] = {
+            rule_ids[code]: {"matched": bits_sum, "dropped": bits_sum, "shaped": 0.0}
+            for code, bits_sum in zip(codes[appear].tolist(), drop_sums[appear].tolist())
+        }
 
-        # Every SHAPE rule carries a unique id (anonymous ones a synthetic
-        # ``anon-<n>``), so each claimed shape rank drains its own shaper.
-        rows_by_rank = _shape_rows_by_rank(local, row_actions)
-        shaped_tables: list[FlowTable] = []
+        # SHAPE rules: the shaped rows sorted stably by rank, so each
+        # claimed rank owns one contiguous run of ascending rows.
+        shape_at = np.flatnonzero(row_actions == _SHAPE_CODE)
+        by_rank = shape_at[np.argsort(local[shape_at], kind="stable")]
+        shape_rows = rows[by_rank]
+        shape_ranks, runs, run_lengths = np.unique(
+            local[by_rank], return_index=True, return_counts=True
+        )
+        # Exact int64 sums per rank.
+        rank_bits = np.add.reduceat(bits[shape_rows], runs)
+        # Every SHAPE rule carries an id no other rule of the port has
+        # (anonymous ones a synthetic ``anon-<n>``), so each claimed rank
+        # drains its own shaper, once, and owns its rule_stats entry.
+        shape_ids: list[str] = []
+        scales: list[float] = []
         # Per-shaper terms, reduced once after the loop (RPL006).
         passed_terms: list[float] = []
         dropped_terms: list[float] = []
-        for rank in shape_ranks:
-            rule = self._rules[start + rank].rule
-            group_rows = rows[rows_by_rank[rank]]
-            offered_bits = float(bits[group_rows].sum())
-            shaper = qos.shaper_for(rule.rule_id)
+        for rank, offered_int in zip(shape_ranks.tolist(), rank_bits.tolist()):
+            offered_bits = float(offered_int)
+            rule_id = self._rules[start + rank].rule.rule_id
+            shaper = qos.shaper_for(rule_id)
             if shaper is None:
                 passed_bits, dropped_bits = offered_bits, 0.0
             else:
                 passed_bits, dropped_bits = shaper.shape(offered_bits, interval)
-            scale = passed_bits / offered_bits if offered_bits > 0 else 0.0
-            scaled = table.select(group_rows).scaled(scale)
-            shaped_tables.append(scaled)
-            rule_bits = float(scaled.bits.sum())
-            stats = stats_for(rule)
-            stats["matched"] += rule_bits
-            stats["shaped"] += rule_bits
+            shape_ids.append(rule_id)
+            scales.append(passed_bits / offered_bits if offered_bits > 0 else 0.0)
             passed_terms.append(passed_bits)
             dropped_terms.append(dropped_bits)
-        shaped_passed = float(sum(passed_terms))
-        shaped_dropped = float(sum(dropped_terms))
+        # One factor per shaped row; the same rounding FlowTable.scaled_by
+        # applies when the shaped table is finally built.
+        factors = np.repeat(np.asarray(scales, dtype=np.float64), run_lengths)
+        scaled_bytes = np.rint(table.bytes[shape_rows] * factors).astype(np.int64)
+        scaled_bits = np.add.reduceat(scaled_bytes * 8, runs).astype(np.float64)
 
-        forward_rows = rows[forward_mask]
-        drop_rows = rows[drop_mask]
-        shaped_table = (
-            FlowTable.concat(shaped_tables) if shaped_tables else FlowTable.empty()
+        for rule_id, shaped_bits in zip(shape_ids, scaled_bits.tolist()):
+            rule_stats[rule_id] = {"matched": shaped_bits, "dropped": 0.0, "shaped": shaped_bits}
+
+        def table_source() -> tuple[FlowTable, FlowTable, FlowTable]:
+            shaped = (
+                table.select(shape_rows).scaled_by(factors)
+                if len(shape_rows)
+                else FlowTable.empty()
+            )
+            return table.select(forward_rows), table.select(drop_rows), shaped
+
+        bit_counts = (
+            float(bits[forward_rows].sum()),
+            float(bits[drop_rows].sum()),
+            float(sum(passed_terms)),
+            float(sum(dropped_terms)),
         )
-        result = PortQosResult(
-            forwarded_bits=float(bits[forward_rows].sum()),
-            dropped_bits=float(bits[drop_rows].sum()),
-            shaped_passed_bits=shaped_passed,
-            shaped_dropped_bits=shaped_dropped,
-            rule_stats=rule_stats,
-            table_source=lambda: (
-                table.select(forward_rows), table.select(drop_rows), shaped_table,
-            ),
-        )
-        qos.apply_congestion(result, interval)
-        return result
+        return bit_counts, rule_stats, table_source
+
+
+def _forwarded_only(
+    table: FlowTable, order: np.ndarray, start: int, end: int
+) -> tuple[FlowTable, FlowTable, FlowTable]:
+    """Verdict tables of a port without rules: its rows all forward."""
+    return table.select(order[start:end]), FlowTable.empty(), FlowTable.empty()

@@ -93,6 +93,10 @@ class EdgeRouter:
     def member_asns(self) -> set[int]:
         return set(self._ports_by_asn)
 
+    @property
+    def member_count(self) -> int:
+        return len(self._ports_by_asn)
+
     # ------------------------------------------------------------------
     # Configuration (consumes TCAM + control-plane budget)
     # ------------------------------------------------------------------

@@ -168,6 +168,9 @@ class SwitchingFabric:
         self._edge_routers: dict[str, EdgeRouter] = {}
         self._members: dict[int, IxpMember] = {}
         self._router_for_member: dict[int, str] = {}
+        #: Bumped by every :meth:`connect_member`; delivery plans compare it
+        #: instead of the member set.
+        self._membership_version = 0
         self.collector = IpfixCollector()
         self._exporter = IpfixExporter(
             exporter_id=f"{name}-fabric", sampling_rate=ipfix_sampling_rate
@@ -193,13 +196,14 @@ class SwitchingFabric:
             candidates = [
                 router for router in self._edge_routers.values() if router.pop == member.pop
             ] or list(self._edge_routers.values())
-            router = min(candidates, key=lambda r: len(r.member_asns))
+            router = min(candidates, key=lambda r: r.member_count)
         else:
             router = self._edge_routers[router_name]
         port = router.connect_member(member)
         port.retain_history = self.retain_history
         self._members[member.asn] = member
         self._router_for_member[member.asn] = router.name
+        self._membership_version += 1
         return port
 
     # ------------------------------------------------------------------
@@ -211,6 +215,11 @@ class SwitchingFabric:
     @property
     def member_asns(self) -> set[int]:
         return set(self._members)
+
+    @property
+    def membership_version(self) -> int:
+        """Monotonic counter bumped by every :meth:`connect_member`."""
+        return self._membership_version
 
     def member(self, asn: int) -> IxpMember:
         try:

@@ -343,6 +343,7 @@ class PortQosPolicy:
         self._index: Optional[RuleMatchIndex] = None
         self._index_version = -1
         self._action_codes: Optional[np.ndarray] = None
+        self._rule_id_codes: Optional[tuple[np.ndarray, list[str]]] = None
         self._anon_ids = itertools.count(1)
 
     # ------------------------------------------------------------------
@@ -351,6 +352,7 @@ class PortQosPolicy:
     def _bump(self) -> None:
         self._version += 1
         self._action_codes = None
+        self._rule_id_codes = None
 
     def _record(self, deltas: list[tuple]) -> None:
         """Journal the deltas that produced the current version."""
@@ -613,6 +615,24 @@ class PortQosPolicy:
             )
         return self._action_codes
 
+    def rule_id_codes(self) -> tuple[np.ndarray, list[str]]:
+        """Per-sorted-rule codes into the list of distinct rule ids.
+
+        Ids repeat across rules — every anonymous DROP/FORWARD rule is
+        ``""`` — so the scatter sums ``rule_stats`` per code.
+        """
+        if self._rule_id_codes is None:
+            codes: dict[str, int] = {}
+            self._rule_id_codes = (
+                np.fromiter(
+                    (codes.setdefault(rule.rule_id, len(codes)) for rule in self._sorted_rules),
+                    dtype=np.int64,
+                    count=len(self._sorted_rules),
+                ),
+                list(codes),
+            )
+        return self._rule_id_codes
+
     # ------------------------------------------------------------------
     # Classification
     # ------------------------------------------------------------------
@@ -626,15 +646,3 @@ class PortQosPolicy:
         if not self._sorted_rules or n == 0:
             return np.full(n, -1, dtype=np.int32)
         return self.compiled_index().assign(table)
-
-    def apply_congestion(self, result: PortQosResult, interval: float) -> None:
-        """Cap forwarded + shaped traffic at the port capacity, in place."""
-        # Egress queue: forwarded + shaped traffic shares the port capacity;
-        # anything beyond it is congestion loss at the member port.
-        capacity_bits = self.port_capacity_bps * interval
-        delivered = result.forwarded_bits + result.shaped_passed_bits
-        if delivered > capacity_bits:
-            result.congestion_dropped_bits = delivered - capacity_bits
-            overload = capacity_bits / delivered if delivered > 0 else 0.0
-            result.forwarded_bits *= overload
-            result.shaped_passed_bits *= overload

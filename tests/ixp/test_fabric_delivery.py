@@ -8,9 +8,12 @@ tests pin that, plus the export regression: flows whose egress member is
 unknown never entered the IXP and must not be exported to the collector.
 """
 
+import json
+
 import numpy as np
 import pytest
 
+from fuzz.strategies import single_port_fabric
 from oracle.reference import ReferenceFabric
 from repro.bgp import Prefix
 from repro.ixp import (
@@ -137,6 +140,31 @@ def interval_table(seed: int = 3, with_unknown: bool = True) -> FlowTable:
     )
 
 
+def victim_port_fabric(rules) -> SwitchingFabric:
+    """A one-port fabric: the victim alone, with ``rules`` on its port."""
+    fabric, port = single_port_fabric(asn=VICTIM_ASN)
+    for rule in rules:
+        port.install_rule(rule)
+    return fabric
+
+
+def victim_flows(src_ports_and_bytes) -> FlowTable:
+    """One victim-bound flow per ``(src_port, bytes)``, in the given row order."""
+    return FlowTable.from_records(
+        FlowRecord(
+            key=FiveTuple(f"23.1.1.{row + 1}", VICTIM_IP, IpProtocol.UDP, src_port, 40000),
+            start=0.0,
+            duration=10.0,
+            bytes=bytes_,
+            packets=max(1, bytes_ // 500),
+            ingress_member_asn=PEER_ASNS[0],
+            egress_member_asn=VICTIM_ASN,
+            is_attack=True,
+        )
+        for row, (src_port, bytes_) in enumerate(src_ports_and_bytes)
+    )
+
+
 def record_multiset(records):
     """Row multiset of a record list (order-insensitive verdict comparison)."""
     return sorted(
@@ -149,13 +177,17 @@ def record_multiset(records):
 def assert_matches_reference(fabric, oracle, table, interval_start=0.0):
     """One interval through the fabric equals the reference, flow for flow."""
     report = fabric.deliver(table, 10.0, interval_start)
-    assert report.to_dict() == oracle.deliver(table, 10.0, interval_start)
+    reference = oracle.deliver(table, 10.0, interval_start)
+    assert report.to_dict() == reference
+    # Digests hash the JSON text, where 0 and 0.0 differ.
+    assert json.dumps(report.to_dict(), sort_keys=True) == json.dumps(reference, sort_keys=True)
     for asn, result in report.results_by_member.items():
         for name, expected in zip(("forwarded", "dropped", "shaped"), oracle.verdicts[asn]):
             assert record_multiset(getattr(result, name)) == record_multiset(expected), (
                 asn, name,
             )
         assert vars(fabric.port_for_member(asn).counters) == oracle.counters[asn], asn
+    return report
 
 
 class TestEngineParity:
@@ -275,6 +307,88 @@ class TestDeliveryPlan:
         assert peer_result._table_source is None
         assert len(forwarded) > 0
         assert set(np.unique(forwarded.egress_asn).tolist()) == {65002}
+
+    def test_filtered_results_defer_tables(self, monkeypatch):
+        # Two SHAPE rules whose rows interleave: the shaped table is built
+        # only when read, rank by rank, ascending rows within each rank.
+        fabric = victim_port_fabric(
+            [
+                QosRule(
+                    match=FlowMatch(src_port=123),
+                    action=FilterAction.SHAPE,
+                    shape_rate_bps=2e3,
+                    rule_id="shape-ntp",
+                ),
+                QosRule(
+                    match=FlowMatch(
+                        dst_prefix=Prefix.parse(f"{VICTIM_IP}/32"), src_port=53
+                    ),
+                    action=FilterAction.SHAPE,
+                    shape_rate_bps=1e3,
+                    rule_id="shape-dns",
+                ),
+                QosRule(match=FlowMatch(src_port=19), action=FilterAction.DROP),
+            ]
+        )
+        table = victim_flows(
+            [(123, 1500), (53, 2500), (19, 900), (123, 3300), (80, 700), (53, 4100)]
+        )
+        scaled_calls = []
+        for name in ("scaled", "scaled_by"):
+            original = getattr(FlowTable, name)
+
+            def spy(self, factor, name=name, original=original):
+                scaled_calls.append(name)
+                return original(self, factor)
+
+            monkeypatch.setattr(FlowTable, name, spy)
+        result = fabric.deliver(table, 10.0).results_by_member[VICTIM_ASN]
+        assert result._table_source is not None
+        assert scaled_calls == []
+
+        oracle = ReferenceFabric(fabric)
+        oracle.deliver(table, 10.0)
+        forwarded, dropped, shaped = oracle.verdicts[VICTIM_ASN]
+        assert result.shaped == shaped
+        assert result._table_source is None
+        assert scaled_calls == ["scaled_by"]
+        # Rank order (the more specific DNS rule first), then row order.
+        assert [record.src_port for record in result.shaped] == [53, 53, 123, 123]
+        assert [record.bytes for record in result.shaped] == [
+            record.bytes for record in shaped
+        ]
+        assert result.forwarded == forwarded
+        assert result.dropped == dropped
+
+
+class TestRuleStats:
+    def test_repeated_rule_ids_are_summed(self):
+        # Anonymous DROP and FORWARD rules all carry the id "": each
+        # anonymous DROP rule's bits add into one shared entry.
+        fabric = victim_port_fabric(
+            [
+                QosRule(match=FlowMatch(src_port=123), action=FilterAction.DROP),
+                QosRule(match=FlowMatch(src_port=19), action=FilterAction.DROP),
+                QosRule(match=FlowMatch(src_port=443), action=FilterAction.FORWARD),
+                QosRule(
+                    match=FlowMatch(src_port=53),
+                    action=FilterAction.SHAPE,
+                    shape_rate_bps=1e3,
+                    rule_id="shape-dns",
+                ),
+            ]
+        )
+        table = victim_flows(
+            [
+                (123, 1000), (19, 3000), (443, 5000), (123, 2000),
+                (53, 6000), (19, 4000), (80, 8000), (53, 7000),
+            ]
+        )
+        report = assert_matches_reference(fabric, ReferenceFabric(fabric), table)
+        stats = report.results_by_member[VICTIM_ASN].rule_stats
+        # (1,000 + 2,000 + 3,000 + 4,000) bytes x 8.
+        assert stats[""] == {"matched": 80_000.0, "dropped": 80_000.0, "shaped": 0.0}
+        assert set(stats) == {"", "shape-dns"}
 
 
 class TestIpfixExportFilter:
