@@ -11,6 +11,7 @@ from bench_utils import print_table
 from repro.core import BlackholingRule
 from repro.experiments import build_attack_scenario
 from repro.mitigation import ScrubbingCenter, ScrubbingMitigation, scrubbing_cost_saving
+from repro.traffic import FlowTable
 
 
 def _scrubber():
@@ -22,7 +23,9 @@ def _scrubber():
 def _run():
     scenario = build_attack_scenario(peer_count=30, attack_peak_bps=1e9, seed=19)
     interval = 10.0
-    flows = scenario.attack.flows(300.0, interval) + scenario.benign.flows(300.0, interval)
+    flows = FlowTable.concat(
+        [scenario.attack.flow_table(300.0, interval), scenario.benign.flow_table(300.0, interval)]
+    )
     rules = [
         BlackholingRule.drop_udp_source_port(scenario.victim.asn, f"{scenario.victim_ip}/32", 123)
     ]

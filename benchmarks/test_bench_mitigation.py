@@ -1,17 +1,22 @@
-"""Columnar mitigation data plane vs. the per-record compatibility path.
+"""Scaling of the columnar mitigation data plane.
 
-Two benches quantify the tentpole claim of the columnar port:
+Two benches check that applying all five strategies (RTBH, ACL, Flowspec,
+scrubbing, combined) stays linear in the interval's flow count, each
+against a smaller interval timed the same way on the same machine:
 
-* ``test_bench_columnar_speedup_100k`` applies all five strategies (RTBH,
-  ACL, Flowspec, scrubbing, combined) to a single 100k-flow observation
-  interval through ``apply_table`` and through ``apply_records`` and
-  asserts the columnar plane is at least 5× faster in aggregate.
-* ``test_bench_mitigation_sweep_16pt`` runs a 16-point reflector-count ×
-  attack-rate grid (the shape an operator sweep produces) through both
-  paths and prints the per-point speedup.
+* ``test_bench_columnar_speedup_100k`` times a ~107k-flow interval
+  against a ~10.7k-flow one (10x the flows).
+* ``test_bench_mitigation_sweep_16pt`` runs a 16-point reflector-count x
+  attack-rate grid (the shape an operator sweep produces) and compares
+  the 53k-flow row with the 6.7k-flow row (8x the flows).
 
-Both paths are parity-tested elsewhere (tests/mitigation/test_columnar_parity.py);
-here only the clock differs.
+Both assert that the CPU time per flow grows at most ``PER_FLOW_GROWTH``
+times from the small to the large interval — 12x the time for 10x the
+flows.  Fixed per-call overhead keeps the measured growth under 1
+(0.81-0.93 for the 10x pair on a 2-core Xeon, also with both cores
+busy with other work), so only a super-linear regression trips it.
+Correctness is checked elsewhere, against the naive references in
+``tests/oracle/mitigation.py``.
 """
 
 import time
@@ -74,7 +79,7 @@ def build_interval_table(reflector_count: int, attack_rate_bps: float, seed: int
 
 def strategy_factories(seed: int = 9):
     """``(name, factory)`` pairs; each call builds a fresh, equally-seeded
-    instance so the record and table paths consume identical RNG streams."""
+    instance, so every timed pass does the same work."""
 
     def rtbh():
         service = RtbhService(ixp_asn=64700, compliance_rate=0.3, seed=seed)
@@ -116,61 +121,69 @@ def strategy_factories(seed: int = 9):
     ]
 
 
-def time_both_paths(table, records):
-    """Per-strategy wall clock of ``apply_records`` vs. ``apply_table``."""
+#: Allowed growth of the cost per flow from the small to the large interval.
+PER_FLOW_GROWTH = 1.2
+
+
+def time_strategies(table):
+    """Per-strategy CPU time of ``apply`` on ``table`` (fresh instances).
+
+    Process CPU time, not wall time: on a loaded machine a 25 ms pass is
+    preempted far more often than a 3 ms one, which would skew the ratio.
+    """
     timings = []
     for name, factory in strategy_factories():
-        start = time.perf_counter()
-        factory().apply_records(records, INTERVAL)
-        record_seconds = time.perf_counter() - start
-
-        start = time.perf_counter()
-        factory().apply_table(table, INTERVAL)
-        table_seconds = time.perf_counter() - start
-        timings.append((name, record_seconds, table_seconds))
+        mitigation = factory()
+        start = time.process_time()
+        mitigation.apply(table, INTERVAL)
+        timings.append((name, time.process_time() - start))
     return timings
 
 
-def test_bench_columnar_speedup_100k(benchmark):
-    table = build_interval_table(reflector_count=80_000, attack_rate_bps=40e9)
-    assert len(table) >= 100_000, f"interval has only {len(table)} flows"
-    records = table.to_records()
+def best_totals(tables, rounds=5):
+    """Best-of-``rounds`` total time of all strategies, per table.
 
-    timings = time_both_paths(table, records)
+    The tables are interleaved within each round, so a burst of load on a
+    shared machine hits every table alike.
+    """
+    best = [float("inf")] * len(tables)
+    for _ in range(rounds):
+        for index, table in enumerate(tables):
+            total = sum(seconds for _, seconds in time_strategies(table))
+            best[index] = min(best[index], total)
+    return best
+
+
+def assert_linear(small_flows, small_seconds, large_flows, large_seconds):
+    growth = (large_seconds / large_flows) / (small_seconds / small_flows)
+    assert growth <= PER_FLOW_GROWTH, (
+        f"cost per flow grew {growth:.2f}x from {small_flows} to {large_flows} flows "
+        f"({small_seconds * 1e3:.1f} ms -> {large_seconds * 1e3:.1f} ms); "
+        f"bound {PER_FLOW_GROWTH}x"
+    )
+
+
+def test_bench_columnar_speedup_100k(benchmark):
+    large = build_interval_table(reflector_count=80_000, attack_rate_bps=40e9)
+    small = build_interval_table(reflector_count=8_000, attack_rate_bps=4e9)
+    assert len(large) >= 100_000, f"interval has only {len(large)} flows"
 
     def columnar_pass():
         for _, factory in strategy_factories():
-            factory().apply_table(table, INTERVAL)
+            factory().apply(large, INTERVAL)
 
     benchmark.pedantic(columnar_pass, rounds=1)
 
-    record_total = sum(record for _, record, _ in timings)
-    table_total = sum(tab for _, _, tab in timings)
-    rows = [("strategy", "record [ms]", "table [ms]", "speedup")]
-    for name, record_seconds, table_seconds in timings:
-        rows.append(
-            (
-                name,
-                f"{record_seconds * 1e3:.1f}",
-                f"{table_seconds * 1e3:.1f}",
-                f"{record_seconds / table_seconds:.1f}x",
-            )
-        )
-    rows.append(
-        (
-            "TOTAL",
-            f"{record_total * 1e3:.1f}",
-            f"{table_total * 1e3:.1f}",
-            f"{record_total / table_total:.1f}x",
-        )
-    )
-    print_table(f"Columnar vs. record mitigation, {len(table)} flows", rows)
+    small_seconds, large_seconds = best_totals([small, large])
+    rows = [("strategy", f"{len(small)} flows [ms]", f"{len(large)} flows [ms]")]
+    for (name, small_time), (_, large_time) in zip(
+        time_strategies(small), time_strategies(large)
+    ):
+        rows.append((name, f"{small_time * 1e3:.2f}", f"{large_time * 1e3:.2f}"))
+    rows.append(("TOTAL (best of 5)", f"{small_seconds * 1e3:.2f}", f"{large_seconds * 1e3:.2f}"))
+    print_table("Columnar mitigation, 10x the flows", rows)
 
-    speedup = record_total / table_total
-    assert speedup >= 5.0, (
-        f"expected >= 5x columnar speedup on a {len(table)}-flow interval, "
-        f"got {speedup:.1f}x"
-    )
+    assert_linear(len(small), small_seconds, len(large), large_seconds)
 
 
 def test_bench_mitigation_sweep_16pt(benchmark):
@@ -188,31 +201,24 @@ def test_bench_mitigation_sweep_16pt(benchmark):
     def columnar_sweep():
         for _, _, table in points:
             for _, factory in strategy_factories():
-                factory().apply_table(table, INTERVAL)
+                factory().apply(table, INTERVAL)
 
     benchmark.pedantic(columnar_sweep, rounds=1)
 
-    rows = [("point", "flows", "record [ms]", "table [ms]", "speedup")]
-    record_total = 0.0
-    table_total = 0.0
-    for reflectors, rate, table in points:
-        records = table.to_records()
-        timings = time_both_paths(table, records)
-        record_seconds = sum(record for _, record, _ in timings)
-        table_seconds = sum(tab for _, _, tab in timings)
-        record_total += record_seconds
-        table_total += table_seconds
+    seconds = best_totals([table for _, _, table in points], rounds=3)
+    rows = [("point", "flows", "table [ms]", "per flow [us]")]
+    for (reflectors, rate, table), point_seconds in zip(points, seconds):
         rows.append(
             (
                 f"{reflectors // 1000}k x {rate / 1e9:.0f}G",
                 str(len(table)),
-                f"{record_seconds * 1e3:.1f}",
-                f"{table_seconds * 1e3:.1f}",
-                f"{record_seconds / table_seconds:.1f}x",
+                f"{point_seconds * 1e3:.2f}",
+                f"{point_seconds * 1e6 / len(table):.3f}",
             )
         )
-    speedup = record_total / table_total
-    rows.append(("TOTAL", "", f"{record_total * 1e3:.1f}", f"{table_total * 1e3:.1f}",
-                 f"{speedup:.1f}x"))
-    print_table("16-point mitigation sweep, columnar vs. record", rows)
-    assert speedup >= 3.0, f"expected columnar speedup across the sweep, got {speedup:.1f}x"
+    print_table("16-point mitigation sweep, columnar", rows)
+
+    # The smallest and the largest attack size, each summed over its four rates.
+    small_flows = sum(len(table) for _, _, table in points[:4])
+    large_flows = sum(len(table) for _, _, table in points[-4:])
+    assert_linear(small_flows, sum(seconds[:4]), large_flows, sum(seconds[-4:]))

@@ -10,9 +10,10 @@ Given a traffic trace towards a victim, these helpers compute
   11211") would have removed without touching legitimate traffic — the
   argument §2.3 makes for Advanced Blackholing.
 
-All three analyses run columnar when handed table-backed traces (the
-output of the vectorized generators); record-backed inputs fall back to
-the equivalent per-flow loops.
+The collateral-damage report and the filter potential read
+:class:`~repro.traffic.flowtable.FlowTable` columns.  The port shares run
+columnar on table-backed traces (the output of the vectorized
+generators); record-backed traces fall back to the per-flow loop.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from typing import Optional, Union
 import numpy as np
 
 from ..mitigation.base import MitigationOutcome
-from ..traffic.flow import FlowRecord
 from ..traffic.flowtable import FlowTable, group_sum, iter_window_masks
 from ..traffic.packet import IpProtocol
 from ..traffic.trace import TrafficTrace, service_port
@@ -149,7 +149,7 @@ def collateral_damage(outcome: MitigationOutcome) -> CollateralDamageReport:
 
 
 def fine_grained_filter_potential(
-    flows: Union[Sequence[FlowRecord], FlowTable, TrafficTrace],
+    flows: Union[FlowTable, TrafficTrace],
     protocol: IpProtocol,
     src_port: int,
 ) -> dict[str, float]:
@@ -160,34 +160,14 @@ def fine_grained_filter_potential(
     of the attack traffic could have been removed by more fine-grained
     filters without any collateral damage".
     """
-    table = None
-    if isinstance(flows, TrafficTrace):
-        table = flows.table_or_none()
-        if table is None:
-            flows = flows.flows
-    elif isinstance(flows, FlowTable):
-        table = flows
-    if table is not None:
-        bits = table.bits
-        attack = table.is_attack
-        matched = (table.protocol == int(protocol)) & (table.src_port == src_port)
-        attack_total = int(bits[attack].sum())
-        legit_total = int(bits[~attack].sum())
-        matched_attack = int(bits[matched & attack].sum())
-        matched_legit = int(bits[matched & ~attack].sum())
-    else:
-        attack_total = sum(flow.bits for flow in flows if flow.is_attack)
-        legit_total = sum(flow.bits for flow in flows if not flow.is_attack)
-        matched_attack = sum(
-            flow.bits
-            for flow in flows
-            if flow.is_attack and flow.protocol == protocol and flow.src_port == src_port
-        )
-        matched_legit = sum(
-            flow.bits
-            for flow in flows
-            if not flow.is_attack and flow.protocol == protocol and flow.src_port == src_port
-        )
+    table = flows.table if isinstance(flows, TrafficTrace) else flows
+    bits = table.bits
+    attack = table.is_attack
+    matched = (table.protocol == int(protocol)) & (table.src_port == src_port)
+    attack_total = int(bits[attack].sum())
+    legit_total = int(bits[~attack].sum())
+    matched_attack = int(bits[matched & attack].sum())
+    matched_legit = int(bits[matched & ~attack].sum())
     total = attack_total + legit_total
     return {
         "attack_removed_fraction": matched_attack / attack_total if attack_total else 0.0,

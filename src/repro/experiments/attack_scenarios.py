@@ -23,7 +23,7 @@ different mitigation style:
 
 All of them run entirely on the columnar data plane: per interval one
 :class:`~repro.traffic.flowtable.FlowTable` batch is generated and pushed
-through ``apply_table`` (baselines) or the Stellar fabric.
+through ``MitigationTechnique.apply`` (baselines) or the Stellar fabric.
 """
 
 from __future__ import annotations

@@ -177,10 +177,9 @@ def run_collateral_damage_experiment(
         # window directly, as the flag-polling driver effectively did.
         signal_blackhole(start=config.attack_start)
     attack_window = state["attack_window"]
-    window_table = attack_window.table_or_none()
-    window_flows = window_table if window_table is not None else list(attack_window)
+    window_table = attack_window.table
     outcome: MitigationOutcome = RtbhMitigation(rtbh_service).apply(
-        window_flows, config.interval
+        window_table, config.interval
     )
     rtbh_report = collateral_damage(outcome)
 
@@ -188,7 +187,7 @@ def run_collateral_damage_experiment(
 
     vector = get_vector(config.vector_name)
     potential = fine_grained_filter_potential(
-        window_flows, protocol=IpProtocol.UDP, src_port=vector.source_port
+        window_table, protocol=IpProtocol.UDP, src_port=vector.source_port
     )
     return CollateralDamageResult(
         config=config,

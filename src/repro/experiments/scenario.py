@@ -104,7 +104,7 @@ def make_delivery_step(
     """The shared per-interval data-plane step of the baseline attack drivers.
 
     Generates one columnar batch (attack + benign), applies ``mitigation``
-    through the table path, and records the outcome's delivery accounting.
+    to it, and records the outcome's delivery accounting.
     ``on_attack_table`` lets a driver observe the raw attack batch (e.g.
     carpet bombing's target-spread bookkeeping) before mitigation.
     """

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from ..analysis.collateral import collateral_damage
 from ..bgp.flowspec import drop_rule
 from ..mitigation.acl import AccessControlList, AclMitigation
-from ..mitigation.base import Dimension, MitigationTechnique, Rating, flows_bits
+from ..mitigation.base import Dimension, MitigationTechnique, Rating
 from ..mitigation.comparison import (
     PAPER_TABLE_1,
     ComparisonTable,
@@ -24,7 +24,7 @@ from ..mitigation.comparison import (
 from ..mitigation.flowspec import FlowspecMitigation, FlowspecService
 from ..mitigation.rtbh import RtbhMitigation, RtbhService
 from ..mitigation.scrubbing import ScrubbingMitigation
-from ..traffic.flowtable import FlowTable
+from ..traffic.flowtable import FlowTable, population_bits
 from ..traffic.packet import IpProtocol
 from .results import JsonResultMixin
 from .scenario import build_attack_scenario
@@ -40,7 +40,7 @@ class AdvancedBlackholingRatings(MitigationTechnique):
     name = "Advanced Blackholing"
     ratings = dict(PAPER_TABLE_1["Advanced Blackholing"])
 
-    def apply_table(self, table, interval):  # pragma: no cover - not used
+    def _partition(self, table, interval):  # pragma: no cover - not used
         raise NotImplementedError("use the Stellar facade for quantitative runs")
 
 
@@ -107,8 +107,8 @@ def run_table1_experiment(config: Table1Config | None = None) -> Table1Result:
 def run_quantitative_comparison(seed: int = 19) -> QuantitativeComparisonResult:
     """Apply each baseline to the same attack interval and compare outcomes.
 
-    Every technique is applied through its columnar ``apply_table`` path;
-    the interval's traffic is one :class:`FlowTable` batch.
+    Every technique is applied to the same interval, one
+    :class:`FlowTable` batch.
     """
     scenario = build_attack_scenario(peer_count=30, seed=seed)
     interval = 10.0
@@ -155,10 +155,10 @@ def run_quantitative_comparison(seed: int = 19) -> QuantitativeComparisonResult:
     stellar.process_control_plane(now=t)
     report = stellar.deliver_traffic(flows, interval, interval_start=t)
     result = report.fabric_report.results_by_member[scenario.victim.asn]
-    attack_total = flows_bits(flows, attack=True)
-    legit_total = flows_bits(flows, attack=False)
-    attack_delivered = flows_bits(result.forwarded_table, attack=True)
-    legit_dropped = flows_bits(result.dropped_table, attack=False)
+    attack_total = population_bits(flows, attack=True)
+    legit_total = population_bits(flows, attack=False)
+    attack_delivered = population_bits(result.forwarded_table, attack=True)
+    legit_dropped = population_bits(result.dropped_table, attack=False)
     residual["Advanced Blackholing"] = (
         attack_delivered / attack_total if attack_total else 0.0
     )

@@ -292,8 +292,8 @@ class PortQosResult:
 
     def delivered_attack_bits(self) -> float:
         """Attack bits among forwarded + shaped traffic (pre-congestion)."""
-        return population_bits(self.forwarded_table, None, attack=True) + population_bits(
-            self.shaped_table, None, attack=True
+        return population_bits(self.forwarded_table, attack=True) + population_bits(
+            self.shaped_table, attack=True
         )
 
 

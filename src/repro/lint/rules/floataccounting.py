@@ -12,8 +12,7 @@ single vectorized reduction).  The sanctioned shapes are integer
 accumulation, a NumPy reduction over the whole column, or collecting
 per-iteration terms and reducing once (``sum``/``math.fsum``) after the
 loop — which also makes the summation order explicit and auditable.
-Per-record compatibility shims (functions with ``record`` in the name)
-are the sanctioned slow path and allow-listed.
+There is no exemption.
 """
 
 from __future__ import annotations
@@ -71,8 +70,6 @@ class FloatAccountingRule(LintRule):
                 continue
             if not self._inside_loop(module, node):
                 continue
-            if self._allow_listed(module, node):
-                continue
             yield module.finding(
                 self.rule_id,
                 node,
@@ -89,13 +86,4 @@ class FloatAccountingRule(LintRule):
                 return False
             if isinstance(ancestor, (ast.For, ast.AsyncFor, ast.While)):
                 return True
-        return False
-
-    @staticmethod
-    def _allow_listed(module: ParsedModule, node: ast.AST) -> bool:
-        function = module.enclosing_function(node)
-        while function is not None:
-            if "record" in function.name.lower():
-                return True
-            function = module.enclosing_function(function)
         return False

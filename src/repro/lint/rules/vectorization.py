@@ -11,8 +11,8 @@ per-row data — a FlowTable column attribute, ``.to_records()``, or a
 ``zip`` over columns — inside ``ixp/qos.py``, ``ixp/fabric.py``,
 ``ixp/delivery.py``, ``ixp/ruleindex.py`` and ``mitigation/``.  A literal
 tuple or list display iterates its fixed elements, not rows, so it is
-never flagged.  The per-record compatibility shims (functions with
-``record`` in their name) are the sanctioned slow path and allow-listed.
+never flagged.  There is no exemption: per-record reference loops belong
+in ``tests/oracle``, not in these modules.
 """
 
 from __future__ import annotations
@@ -61,15 +61,6 @@ def _touches_rows(iterable: ast.AST) -> str | None:
     return None
 
 
-def _allow_listed(module: ParsedModule, node: ast.AST) -> bool:
-    function = module.enclosing_function(node)
-    while function is not None:
-        if "record" in function.name.lower():
-            return True
-        function = module.enclosing_function(function)
-    return False
-
-
 class VectorizationRule(LintRule):
     rule_id = "RPL004"
     title = "data-plane modules must not loop over FlowTable rows in Python"
@@ -90,12 +81,11 @@ class VectorizationRule(LintRule):
                 iterables.extend(gen.iter for gen in node.generators)
             for iterable in iterables:
                 reason = _touches_rows(iterable)
-                if reason is None or _allow_listed(module, node):
+                if reason is None:
                     continue
                 yield module.finding(
                     self.rule_id,
                     node,
                     f"per-row Python loop in a data-plane module ({reason}); "
-                    "use vectorized column operations, or move the loop into "
-                    "a *_records shim",
+                    "use vectorized column operations",
                 )

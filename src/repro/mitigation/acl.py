@@ -11,22 +11,19 @@ from IXP-side Advanced Blackholing in the model:
   filters must be configured manually per device, which is what the
   "limited scalability / demand for customization" drawback captures.
 
-The data plane is columnar: ``AclMitigation.apply_table`` evaluates the
-ordered entry list as one vectorized mask per entry (first match wins,
-implicit permit at the end), with the per-flow ``evaluate`` loop kept as
-the ``apply_records`` compatibility shim.
+The data plane is columnar: ``AclMitigation`` evaluates the ordered entry
+list over a :class:`~repro.traffic.flowtable.FlowTable` as one vectorized
+mask per entry (first match wins, implicit permit at the end).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ..bgp.prefix import Prefix, parse_prefix
-from ..traffic.flow import FlowRecord
 from ..traffic.flowtable import FlowTable
 from ..traffic.packet import IpProtocol
 from .base import (
@@ -57,21 +54,8 @@ class AclEntry:
             if port is not None and not 0 <= port <= 65535:
                 raise ValueError(f"{name} must be a valid L4 port, got {port}")
 
-    def matches(self, flow: FlowRecord) -> bool:
-        if self.dst_prefix is not None and not self.dst_prefix.contains_address(flow.dst_ip):
-            return False
-        if self.src_prefix is not None and not self.src_prefix.contains_address(flow.src_ip):
-            return False
-        if self.protocol is not None and flow.protocol != self.protocol:
-            return False
-        if self.src_port is not None and flow.src_port != self.src_port:
-            return False
-        if self.dst_port is not None and flow.dst_port != self.dst_port:
-            return False
-        return True
-
     def matches_table(self, table: FlowTable) -> np.ndarray:
-        """Vectorized :meth:`matches` over a columnar flow batch."""
+        """The rows of a columnar flow batch this entry matches."""
         return match_mask(
             table,
             dst_prefix=self.dst_prefix,
@@ -110,15 +94,8 @@ class AccessControlList:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def evaluate(self, flow: FlowRecord) -> str:
-        """Return "permit" or "deny" for a flow (implicit permit at the end)."""
-        for entry in self._entries:
-            if entry.matches(flow):
-                return entry.action
-        return "permit"
-
     def deny_mask(self, table: FlowTable) -> np.ndarray:
-        """Vectorized :meth:`evaluate`: the rows the ACL denies.
+        """The rows the ACL denies.
 
         First match wins per row; rows no entry matches fall through to the
         implicit permit.
@@ -165,21 +142,10 @@ class AclMitigation(MitigationTechnique):
         self.acl = acl if acl is not None else AccessControlList()
         self.filters_after_port = filters_after_port
 
-    def apply_table(self, table: FlowTable, interval: float) -> MitigationOutcome:
+    def _partition(self, table: FlowTable, interval: float) -> MitigationOutcome:
         """Vectorized ACL evaluation: one ordered mask pass over the table."""
         denied = self.acl.deny_mask(table)
         return MitigationOutcome(
             delivered_table=table.select(~denied),
             discarded_table=table.select(denied),
         )
-
-    def apply_records(
-        self, flows: Sequence[FlowRecord], interval: float
-    ) -> MitigationOutcome:
-        outcome = MitigationOutcome()
-        for flow in flows:
-            if self.acl.evaluate(flow) == "deny":
-                outcome.discarded.append(flow)
-            else:
-                outcome.delivered.append(flow)
-        return outcome

@@ -11,25 +11,23 @@ given the flows destined to a victim during one observation interval, it
 returns which flows are discarded, which are delivered, and which are
 passed on in reduced (shaped) form.
 
-The quantitative data plane is **columnar**: the canonical entry point is
-:meth:`MitigationTechnique.apply_table`, which partitions a
-:class:`~repro.traffic.flowtable.FlowTable` with vectorized prefix /
-protocol / port / member mask matching (the shared helpers below).  The
-classic per-:class:`~repro.traffic.flow.FlowRecord` loops survive as
-:meth:`MitigationTechnique.apply_records`, and :meth:`MitigationTechnique.apply`
-is the compatibility shim that dispatches on the input representation.
-``tests/mitigation/test_columnar_parity.py`` pins the two paths to
-identical outcomes per strategy.
+The data plane is columnar and has one path: :meth:`MitigationTechnique.apply`
+takes a :class:`~repro.traffic.flowtable.FlowTable`, validates the
+interval, and hands the table to the strategy's ``_partition``, which
+splits it with vectorized prefix / protocol / port / member masks (the
+shared helpers below).  The :class:`MitigationOutcome` is three
+``FlowTable`` partitions.  Record lists go through
+``FlowTable.from_records`` first.  The per-record loops the strategies
+are checked against live in ``tests/oracle/mitigation.py``.
 """
 
 from __future__ import annotations
 
 import abc
-from collections.abc import Sequence
+import math
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
 
-from ..traffic.flow import FlowRecord
 from ..traffic.flowtable import (
     FlowTable,
     ingress_peers,
@@ -49,7 +47,7 @@ __all__ = [
     "prefix_mask",
     "member_mask",
     "match_mask",
-    "flows_bits",
+    "check_interval",
     "Rating",
     "Dimension",
     "MitigationOutcome",
@@ -58,18 +56,10 @@ __all__ = [
 ]
 
 
-def flows_bits(
-    flows: "Sequence[FlowRecord] | FlowTable", attack: Optional[bool] = None
-) -> float:
-    """Total bits of a flow population in either representation.
-
-    The shared accounting used by the outcome properties, the combined
-    (pre-filter + scrubbing) pipeline and the cost-saving analysis, so no
-    caller hand-rolls ``sum(flow.bits ...)`` bookkeeping.
-    """
-    if isinstance(flows, FlowTable):
-        return population_bits(flows, None, attack=attack)
-    return population_bits(None, flows, attack=attack)
+def check_interval(interval: float) -> None:
+    """Reject an observation interval that is not a positive finite length."""
+    if not (math.isfinite(interval) and interval > 0):
+        raise ValueError(f"interval must be positive and finite, got {interval!r}")
 
 
 class Rating(Enum):
@@ -99,109 +89,64 @@ class Dimension(Enum):
     COSTS = "Costs"
 
 
+@dataclass(eq=False)
 class MitigationOutcome:
     """Result of applying a mitigation technique to one interval of traffic.
 
-    Outcomes can be built per-record (techniques appending to the
-    ``delivered``/``discarded``/``shaped`` lists) or columnar (vectorized
-    techniques passing :class:`FlowTable` partitions).  The record lists are
-    materialised lazily from the tables, so both representations expose the
-    same API; the bit summaries use the columnar path when available.
+    Three :class:`FlowTable` partitions of the interval: traffic delivered
+    untouched, traffic discarded, and traffic delivered in reduced (shaped)
+    form.  A partition that is not given is empty.
     """
 
-    def __init__(
-        self,
-        delivered: Optional[list[FlowRecord]] = None,
-        discarded: Optional[list[FlowRecord]] = None,
-        shaped: Optional[list[FlowRecord]] = None,
-        delivered_table: Optional[FlowTable] = None,
-        discarded_table: Optional[FlowTable] = None,
-        shaped_table: Optional[FlowTable] = None,
-    ) -> None:
-        self._delivered = delivered
-        self._discarded = discarded
-        self._shaped = shaped
-        self.delivered_table = delivered_table
-        self.discarded_table = discarded_table
-        self.shaped_table = shaped_table
-        if delivered is None and delivered_table is None:
-            self._delivered = []
-        if discarded is None and discarded_table is None:
-            self._discarded = []
-        if shaped is None and shaped_table is None:
-            self._shaped = []
+    delivered_table: FlowTable = field(default_factory=FlowTable.empty)
+    discarded_table: FlowTable = field(default_factory=FlowTable.empty)
+    shaped_table: FlowTable = field(default_factory=FlowTable.empty)
 
-    # ------------------------------------------------------------------
-    # Record views (lazy when columnar tables are present)
-    # ------------------------------------------------------------------
-    @property
-    def delivered(self) -> list[FlowRecord]:
-        if self._delivered is None:
-            self._delivered = self.delivered_table.to_records()
-        return self._delivered
-
-    @property
-    def discarded(self) -> list[FlowRecord]:
-        if self._discarded is None:
-            self._discarded = self.discarded_table.to_records()
-        return self._discarded
-
-    @property
-    def shaped(self) -> list[FlowRecord]:
-        if self._shaped is None:
-            self._shaped = self.shaped_table.to_records()
-        return self._shaped
-
-    # ------------------------------------------------------------------
     @property
     def delivered_bits(self) -> float:
-        return population_bits(self.delivered_table, self._delivered) + population_bits(
-            self.shaped_table, self._shaped
-        )
+        return population_bits(self.delivered_table) + population_bits(self.shaped_table)
 
     @property
     def discarded_bits(self) -> float:
-        return population_bits(self.discarded_table, self._discarded)
+        return population_bits(self.discarded_table)
 
     @property
     def delivered_attack_bits(self) -> float:
         """Attack traffic that still reaches the victim (lower is better)."""
-        return population_bits(
-            self.delivered_table, self._delivered, attack=True
-        ) + population_bits(self.shaped_table, self._shaped, attack=True)
+        return population_bits(self.delivered_table, attack=True) + population_bits(
+            self.shaped_table, attack=True
+        )
 
     @property
     def collateral_damage_bits(self) -> float:
         """Legitimate traffic that was discarded (lower is better)."""
-        return population_bits(self.discarded_table, self._discarded, attack=False)
+        return population_bits(self.discarded_table, attack=False)
 
     @property
     def discarded_attack_bits(self) -> float:
         """Attack traffic that was removed (higher is better)."""
-        return population_bits(self.discarded_table, self._discarded, attack=True)
+        return population_bits(self.discarded_table, attack=True)
 
     @property
     def delivered_legitimate_bits(self) -> float:
         """Legitimate traffic that still reaches the victim (delivered + shaped)."""
-        return population_bits(
-            self.delivered_table, self._delivered, attack=False
-        ) + population_bits(self.shaped_table, self._shaped, attack=False)
+        return population_bits(self.delivered_table, attack=False) + population_bits(
+            self.shaped_table, attack=False
+        )
 
     @property
     def delivered_peers(self) -> set[int]:
         """Distinct ingress members whose traffic still reaches the victim."""
-        return ingress_peers(self.delivered_table, self._delivered) | ingress_peers(
-            self.shaped_table, self._shaped, positive_bytes=True
+        return ingress_peers(self.delivered_table, None) | ingress_peers(
+            self.shaped_table, None, positive_bytes=True
         )
 
 
 class MitigationTechnique(abc.ABC):
     """Base class for all mitigation techniques (baselines and Stellar).
 
-    The columnar :meth:`apply_table` is the canonical data-plane entry
-    point; :meth:`apply_records` is the per-record compatibility loop; and
-    :meth:`apply` is the thin shim that dispatches on the representation,
-    so existing callers keep working unchanged.
+    :meth:`apply` is the one data-plane entry point: it validates the
+    interval and calls the strategy's :meth:`_partition`.
     """
 
     #: Human-readable name used in tables and reports.
@@ -210,27 +155,14 @@ class MitigationTechnique(abc.ABC):
     #: Qualitative ratings for Table 1; subclasses override.
     ratings: dict[Dimension, Rating] = {}
 
+    def apply(self, table: FlowTable, interval: float) -> MitigationOutcome:
+        """Apply the technique to one interval (``interval`` seconds) of victim traffic."""
+        check_interval(interval)
+        return self._partition(table, interval)
+
     @abc.abstractmethod
-    def apply_table(self, table: FlowTable, interval: float) -> MitigationOutcome:
-        """Apply the technique to one columnar interval of victim traffic."""
-
-    def apply_records(
-        self, flows: Sequence[FlowRecord], interval: float
-    ) -> MitigationOutcome:
-        """Per-record path; defaults to round-tripping through the table.
-
-        Strategies that keep their original per-record loop override this;
-        the parity tests then pin it against :meth:`apply_table`.
-        """
-        return self.apply_table(FlowTable.from_records(flows), interval)
-
-    def apply(
-        self, flows: "Sequence[FlowRecord] | FlowTable", interval: float
-    ) -> MitigationOutcome:
-        """Compatibility shim: dispatch on the input representation."""
-        if isinstance(flows, FlowTable):
-            return self.apply_table(flows, interval)
-        return self.apply_records(flows, interval)
+    def _partition(self, table: FlowTable, interval: float) -> MitigationOutcome:
+        """Split a validated interval into delivered / discarded / shaped."""
 
     def rating(self, dimension: Dimension) -> Rating:
         """The technique's rating for a dimension (NEUTRAL if unspecified)."""
@@ -248,10 +180,5 @@ class NoMitigation(MitigationTechnique):
     name = "none"
     ratings: dict[Dimension, Rating] = {}
 
-    def apply_table(self, table: FlowTable, interval: float) -> MitigationOutcome:
+    def _partition(self, table: FlowTable, interval: float) -> MitigationOutcome:
         return MitigationOutcome(delivered_table=table)
-
-    def apply_records(
-        self, flows: Sequence[FlowRecord], interval: float
-    ) -> MitigationOutcome:
-        return MitigationOutcome(delivered=list(flows))

@@ -19,22 +19,20 @@ inspection of unknown attacks.
 The pipeline is columnar end to end: pre-filter rules are resolved as
 vectorized masks (most specific rule wins per row), the bounded shaping of
 a sampled residue is a per-row factor vector, and the remainder is handed
-to the scrubber as one :class:`~repro.traffic.flowtable.FlowTable` — in
-the same row order the per-record path scrubs in, so both paths draw the
-same classification verdicts per seed.
+to the scrubber as one :class:`~repro.traffic.flowtable.FlowTable` (the
+untouched rows first, then the shaped samples).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.rules import BlackholingRule, RuleAction
-from ..traffic.flow import FlowRecord
-from ..traffic.flowtable import FlowTable
-from .base import Dimension, MitigationOutcome, MitigationTechnique, Rating, flows_bits
+from ..traffic.flowtable import FlowTable, population_bits
+from .base import Dimension, MitigationOutcome, MitigationTechnique, Rating, check_interval
 from .scrubbing import ScrubbingMitigation
 
 
@@ -91,27 +89,17 @@ class CombinedMitigation(MitigationTechnique):
             reverse=True,
         )
 
-    def _matching_rule(self, flow: FlowRecord) -> BlackholingRule | None:
-        matching = [
-            rule for rule in self.prefilter_rules if rule.flow_match().matches(flow)
-        ]
-        if not matching:
-            return None
-        return max(matching, key=lambda rule: rule.flow_match().specificity)
-
     # ------------------------------------------------------------------
-    def apply_detailed(
-        self, flows: "Sequence[FlowRecord] | FlowTable", interval: float
-    ) -> CombinedOutcome:
+    def apply_detailed(self, table: FlowTable, interval: float) -> CombinedOutcome:
         """Run the pipeline and report traffic outcome plus scrubbing cost."""
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        if isinstance(flows, FlowTable):
-            return self._apply_detailed_table(flows, interval)
-        return self._apply_detailed_records(flows, interval)
+        check_interval(interval)
+        return self._run(table, interval)
 
-    def _apply_detailed_table(self, table: FlowTable, interval: float) -> CombinedOutcome:
-        """Columnar pipeline: masked pre-filters, then one scrubbing batch."""
+    def _partition(self, table: FlowTable, interval: float) -> MitigationOutcome:
+        return self._run(table, interval).outcome
+
+    def _run(self, table: FlowTable, interval: float) -> CombinedOutcome:
+        """Masked pre-filters, then one scrubbing batch."""
         n = len(table)
         unassigned = np.ones(n, dtype=bool)
         drop_mask = np.zeros(n, dtype=bool)
@@ -119,7 +107,7 @@ class CombinedMitigation(MitigationTechnique):
         scale = np.ones(n, dtype=np.float64)
         bits = table.bits
         # Most specific rule first: each rule claims the rows no earlier
-        # (more specific) rule matched, mirroring the per-record winner pick.
+        # (more specific) rule matched.
         for rule in self._rules_by_specificity():
             if not unassigned.any():
                 break
@@ -144,63 +132,18 @@ class CombinedMitigation(MitigationTechnique):
         shaped = table.select(shape_mask).scaled_by(scale[shape_mask])
         excess_mask = shape_mask & (scale < 1.0)
         excess = table.select(excess_mask).scaled_by(1.0 - scale[excess_mask])
-        remaining = table.select(unassigned)
         prefiltered = FlowTable.concat([table.select(drop_mask), excess])
-        # Scrub in the same row order the record path does: the untouched
-        # remainder first, then the shaped samples.
-        scrub_input = FlowTable.concat([remaining, shaped])
+        # The untouched remainder is scrubbed first, then the shaped samples.
+        scrub_input = FlowTable.concat([table.select(unassigned), shaped])
 
-        scrubbed_outcome = self.scrubbing.apply(scrub_input, interval)
-        discarded_tables = [prefiltered]
-        if scrubbed_outcome.discarded_table is not None:
-            discarded_tables.append(scrubbed_outcome.discarded_table)
-        else:
-            discarded_tables.append(FlowTable.from_records(scrubbed_outcome.discarded))
+        scrubbed = self.scrubbing.apply(scrub_input, interval)
         outcome = MitigationOutcome(
-            delivered_table=scrubbed_outcome.delivered_table,
-            discarded_table=FlowTable.concat(discarded_tables),
-            shaped_table=scrubbed_outcome.shaped_table,
+            delivered_table=scrubbed.delivered_table,
+            discarded_table=FlowTable.concat([prefiltered, scrubbed.discarded_table]),
+            shaped_table=scrubbed.shaped_table,
         )
-        return self._account(outcome, prefiltered, scrub_input)
-
-    def _apply_detailed_records(
-        self, flows: Sequence[FlowRecord], interval: float
-    ) -> CombinedOutcome:
-        """Per-record compatibility pipeline (parity-tested against the table path)."""
-        prefiltered: list[FlowRecord] = []
-        shaped: list[FlowRecord] = []
-        remaining: list[FlowRecord] = []
-        for flow in flows:
-            rule = self._matching_rule(flow)
-            if rule is None:
-                remaining.append(flow)
-            elif rule.action is RuleAction.DROP:
-                prefiltered.append(flow)
-            else:
-                budget_bits = rule.shape_rate_bps * interval
-                scale = min(1.0, budget_bits / flow.bits) if flow.bits else 0.0
-                shaped.append(flow.scaled(scale))
-                if scale < 1.0:
-                    prefiltered.append(flow.scaled(1.0 - scale))
-
-        scrub_input = remaining + shaped
-        scrubbed_outcome = self.scrubbing.apply_records(scrub_input, interval)
-        outcome = MitigationOutcome(
-            delivered=scrubbed_outcome.delivered,
-            discarded=prefiltered + scrubbed_outcome.discarded,
-            shaped=scrubbed_outcome.shaped,
-        )
-        return self._account(outcome, prefiltered, scrub_input)
-
-    def _account(
-        self,
-        outcome: MitigationOutcome,
-        prefiltered: "Sequence[FlowRecord] | FlowTable",
-        scrub_input: "Sequence[FlowRecord] | FlowTable",
-    ) -> CombinedOutcome:
-        """Shared outcome accounting for both pipeline representations."""
-        prefiltered_bits = flows_bits(prefiltered)
-        scrubbed_bits = flows_bits(scrub_input)
+        prefiltered_bits = population_bits(prefiltered)
+        scrubbed_bits = population_bits(scrub_input)
         cost = self.scrubbing.cost_of_interval(scrubbed_bits)
         self.total_scrubbing_cost += cost
         self.total_prefiltered_bits += prefiltered_bits
@@ -211,17 +154,9 @@ class CombinedMitigation(MitigationTechnique):
             scrubbing_cost=cost,
         )
 
-    def apply_table(self, table: FlowTable, interval: float) -> MitigationOutcome:
-        return self.apply_detailed(table, interval).outcome
-
-    def apply_records(
-        self, flows: Sequence[FlowRecord], interval: float
-    ) -> MitigationOutcome:
-        return self.apply_detailed(list(flows), interval).outcome
-
 
 def scrubbing_cost_saving(
-    flows: "Sequence[FlowRecord] | FlowTable",
+    table: FlowTable,
     interval: float,
     prefilter_rules: Sequence[BlackholingRule],
     scrubbing: ScrubbingMitigation,
@@ -233,10 +168,10 @@ def scrubbing_cost_saving(
     pre-filters, plus the relative saving.
     """
     combined = CombinedMitigation(prefilter_rules, scrubbing)
-    combined_result = combined.apply_detailed(flows, interval)
+    combined_result = combined.apply_detailed(table, interval)
 
-    alone_bits = flows_bits(flows)
-    scrubbing_alone.apply(flows, interval)
+    alone_bits = population_bits(table)
+    scrubbing_alone.apply(table, interval)
     alone_cost = scrubbing_alone.cost_of_interval(alone_bits)
 
     saving = 0.0 if alone_cost == 0 else 1.0 - combined_result.scrubbing_cost / alone_cost

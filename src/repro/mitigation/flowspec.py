@@ -9,11 +9,10 @@ that actually install it (a per-peer acceptance draw, like the RTBH
 compliance model) and with a per-peer rule budget, so experiments can
 explore both the cooperation and the resource-sharing axes.
 
-The data plane is columnar: ``apply_table`` resolves every installed rule
-with one vectorized five-tuple + installing-peer mask per rule (first
-matching rule wins per flow, in announcement order) and shapes each
-rate-limited population with a single scaling; ``apply_records`` keeps the
-original per-flow loop as the parity-tested compatibility shim.
+The data plane is columnar: it resolves every installed rule with one
+vectorized five-tuple + installing-peer mask per rule (first matching rule
+wins per flow, in announcement order) and shapes each rate-limited
+population with a single scaling.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import numpy as np
 
 from ..bgp.flowspec import FlowspecRule
 from ..sim.rng import make_rng
-from ..traffic.flow import FlowRecord
 from ..traffic.flowtable import FlowTable
 from .base import (
     Dimension,
@@ -99,7 +97,7 @@ class FlowspecService:
 
 
 class FlowspecMitigation(MitigationTechnique):
-    """Flowspec as a mitigation technique (columnar + record paths).
+    """Flowspec as a mitigation technique.
 
     A flow is discarded when any installed discard rule matches it *and*
     the ingress peer for that flow is among the peers that installed the
@@ -133,7 +131,7 @@ class FlowspecMitigation(MitigationTechnique):
             if action.rate_bytes_per_second >= 0
         )
 
-    def apply_table(self, table: FlowTable, interval: float) -> MitigationOutcome:
+    def _partition(self, table: FlowTable, interval: float) -> MitigationOutcome:
         """Vectorized Flowspec: one mask per installed rule, first match wins."""
         n = len(table)
         unhandled = np.ones(n, dtype=bool)
@@ -144,8 +142,8 @@ class FlowspecMitigation(MitigationTechnique):
                 break
             rule = installed.rule
             if rule.packet_length_max is not None:
-                # Flow records carry no packet length, so a length-bounded
-                # rule never matches them (same as the per-record matcher).
+                # Flows carry no packet length, so a length-bounded rule
+                # never matches them (as in ``FlowspecRule.matches``).
                 continue
             matched = (
                 unhandled
@@ -175,41 +173,3 @@ class FlowspecMitigation(MitigationTechnique):
             discarded_table=table.select(discard),
             shaped_table=FlowTable.concat(shaped_groups),
         )
-
-    def apply_records(
-        self, flows: Sequence[FlowRecord], interval: float
-    ) -> MitigationOutcome:
-        outcome = MitigationOutcome()
-        rate_limited: dict[int, list[FlowRecord]] = {}
-        rate_limits: dict[int, float] = {}
-
-        for flow in flows:
-            handled = False
-            for index, installed in enumerate(self.service.installed_rules()):
-                rule = installed.rule
-                if flow.ingress_member_asn not in installed.installing_peers:
-                    continue
-                if not rule.matches(
-                    dst_ip=flow.dst_ip,
-                    src_ip=flow.src_ip,
-                    protocol=int(flow.protocol),
-                    src_port=flow.src_port,
-                    dst_port=flow.dst_port,
-                ):
-                    continue
-                if rule.is_discard:
-                    outcome.discarded.append(flow)
-                else:
-                    rate_limited.setdefault(index, []).append(flow)
-                    rate_limits[index] = self._rule_rate_limit(rule)
-                handled = True
-                break
-            if not handled:
-                outcome.delivered.append(flow)
-
-        for index, matched in rate_limited.items():
-            budget_bytes = rate_limits[index] * interval
-            offered = sum(flow.bytes for flow in matched)
-            scale = min(1.0, budget_bytes / offered) if offered > 0 else 0.0
-            outcome.shaped.extend(flow.scaled(scale) for flow in matched)
-        return outcome

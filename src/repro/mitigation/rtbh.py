@@ -15,10 +15,9 @@ paper's measurement findings:
 
 The :class:`RtbhService` models the signalling/compliance side; the
 :class:`RtbhMitigation` technique applies the resulting per-ingress-member
-drop behaviour to traffic.  The data plane is columnar: ``apply_table``
-resolves every active blackhole with one destination-prefix mask (most
-specific wins) and one compliance membership mask per event, and the
-per-record loop survives only as the ``apply_records`` compatibility shim.
+drop behaviour to traffic.  The data plane is columnar: it resolves every
+active blackhole with one destination-prefix mask (most specific wins) and
+one compliance membership mask per event.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from ..bgp.messages import RouteAnnouncement, announcement
 from ..bgp.prefix import Prefix, parse_prefix
 from ..bgp.route_server import PolicyControl, RouteServer
 from ..sim.rng import make_rng
-from ..traffic.flow import FlowRecord
 from ..traffic.flowtable import FlowTable
 from .base import (
     Dimension,
@@ -180,7 +178,7 @@ class RtbhService:
 
 
 class RtbhMitigation(MitigationTechnique):
-    """RTBH as a :class:`MitigationTechnique` (columnar + record paths)."""
+    """RTBH as a :class:`MitigationTechnique`."""
 
     name = "RTBH"
     ratings = {
@@ -199,19 +197,7 @@ class RtbhMitigation(MitigationTechnique):
     def __init__(self, service: RtbhService) -> None:
         self.service = service
 
-    def apply_records(
-        self, flows: Sequence[FlowRecord], interval: float
-    ) -> MitigationOutcome:
-        outcome = MitigationOutcome()
-        for flow in flows:
-            event = self.service.event_for(flow.dst_ip)
-            if event is not None and event.drops_traffic_from(flow.ingress_member_asn):
-                outcome.discarded.append(flow)
-            else:
-                outcome.delivered.append(flow)
-        return outcome
-
-    def apply_table(self, table: FlowTable, interval: float) -> MitigationOutcome:
+    def _partition(self, table: FlowTable, interval: float) -> MitigationOutcome:
         """Vectorized RTBH: per-event destination match + compliance mask."""
         discard = np.zeros(len(table), dtype=bool)
         unassigned = np.ones(len(table), dtype=bool)

@@ -12,22 +12,19 @@ turns on:
 * a redirection overhead modelled as an activation delay and a per-bit
   cost, which the cost-comparison ablation uses.
 
-The data plane is columnar: ``apply_table`` draws the whole interval's
-classification verdicts with a single batched RNG call (the same stream,
-in the same order, as the per-flow draws of the ``apply_records``
-compatibility shim, so the two paths classify identically per seed) and
-partitions the table with boolean masks.
+The data plane is columnar: the whole interval's classification verdicts
+come from a single batched RNG call — one uniform draw per flow, in row
+order — and boolean masks partition the table.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..sim.rng import make_rng
-from ..traffic.flow import FlowRecord
 from ..traffic.flowtable import FlowTable
 from .base import Dimension, MitigationOutcome, MitigationTechnique, Rating
 
@@ -47,18 +44,22 @@ class ScrubbingCenter:
     cost_per_scrubbed_gbyte: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.capacity_bps <= 0:
-            raise ValueError("capacity_bps must be positive")
+        # Written as `not <valid>` so NaN fails every check.
+        if not self.capacity_bps > 0:
+            raise ValueError("capacity_bps must be positive (inf for unlimited)")
         for name in ("true_positive_rate", "false_positive_rate"):
             value = getattr(self, name)
             if not 0 <= value <= 1:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.activation_delay_seconds < 0:
+        if not self.activation_delay_seconds >= 0:
             raise ValueError("activation_delay_seconds must be non-negative")
+        cost = self.cost_per_scrubbed_gbyte
+        if not (math.isfinite(cost) and cost >= 0):
+            raise ValueError("cost_per_scrubbed_gbyte must be finite and non-negative")
 
 
 class ScrubbingMitigation(MitigationTechnique):
-    """TSS as a mitigation technique (columnar + record paths)."""
+    """TSS as a mitigation technique."""
 
     name = "TSS"
     ratings = {
@@ -96,7 +97,7 @@ class ScrubbingMitigation(MitigationTechnique):
         gbytes = delivered_bits / 8 / 1e9
         return gbytes * self.center.cost_per_scrubbed_gbyte
 
-    def apply_table(self, table: FlowTable, interval: float) -> MitigationOutcome:
+    def _partition(self, table: FlowTable, interval: float) -> MitigationOutcome:
         """Vectorized scrubbing: batched verdict draws + mask partitioning."""
         interval_start = float(table.start.min()) if len(table) else 0.0
         if not self.is_effective_at(interval_start):
@@ -109,8 +110,7 @@ class ScrubbingMitigation(MitigationTechnique):
         )
         admitted = table if overflow_scale >= 1.0 else table.scaled(overflow_scale)
 
-        # One uniform draw per flow, in row order — the same stream the
-        # per-record path consumes one call at a time.
+        # One uniform draw per flow, in row order.
         draws = self._rng.random(len(table))
         threshold = np.where(
             table.is_attack,
@@ -125,47 +125,11 @@ class ScrubbingMitigation(MitigationTechnique):
                 delivered_table=table.select(~removed),
                 discarded_table=table.select(removed),
             )
-        # The per-record path emits a discarded remainder only when rounding
-        # left the admitted share short of the full flow; mirror that exactly.
+        # A kept flow leaves a discarded remainder unless rounding kept its
+        # whole volume in the admitted share.
         overflow_mask = ~removed & (admitted.bytes < table.bytes)
         overflow_parts = table.select(overflow_mask).scaled(1 - overflow_scale)
         return MitigationOutcome(
             shaped_table=admitted.select(~removed),
             discarded_table=FlowTable.concat([table.select(removed), overflow_parts]),
         )
-
-    def apply_records(
-        self, flows: Sequence[FlowRecord], interval: float
-    ) -> MitigationOutcome:
-        outcome = MitigationOutcome()
-        interval_start = min((flow.start for flow in flows), default=0.0)
-        if not self.is_effective_at(interval_start):
-            outcome.delivered.extend(flows)
-            return outcome
-
-        offered_bits = float(sum(flow.bits for flow in flows))
-        capacity_bits = self.center.capacity_bps * interval
-        # When the attack exceeds the scrubbing capacity, the overflow share
-        # of every flow is dropped before classification.
-        overflow_scale = (
-            min(1.0, capacity_bits / offered_bits) if offered_bits > 0 else 1.0
-        )
-
-        for flow in flows:
-            admitted = flow if overflow_scale >= 1.0 else flow.scaled(overflow_scale)
-            overflow_part = flow.bits - admitted.bits
-            if flow.is_attack:
-                removed = self._rng.random() < self.center.true_positive_rate
-            else:
-                removed = self._rng.random() < self.center.false_positive_rate
-            if removed:
-                outcome.discarded.append(flow)
-            else:
-                if overflow_scale >= 1.0:
-                    outcome.delivered.append(flow)
-                else:
-                    outcome.shaped.append(admitted)
-                    if overflow_part > 0:
-                        outcome.discarded.append(flow.scaled(1 - overflow_scale))
-            self.scrubbed_bits_total += admitted.bits
-        return outcome

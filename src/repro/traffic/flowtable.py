@@ -141,8 +141,7 @@ def match_mask(
 ) -> np.ndarray:
     """Vectorized five-tuple (+ ingress member) match over a flow table.
 
-    ``None`` criteria match everything — the columnar equivalent of the
-    per-record matchers of the ACL / Flowspec / RTBH models.
+    ``None`` criteria match everything (as in ``FlowspecRule.matches``).
     """
     mask = np.ones(len(table), dtype=bool)
     if dst_prefix is not None:
@@ -198,9 +197,9 @@ def ingress_peers(
     """Distinct non-zero ingress member ASNs of a flow population.
 
     ``records is None`` selects the columnar path over ``table``; otherwise
-    the record list is scanned.  ``positive_bytes`` restricts to flows that
-    still carry bytes (the convention for shaped traffic: a fully-shaped
-    flow no longer counts as a delivering peer).
+    the record list is scanned.  ``positive_bytes`` (columnar only)
+    restricts to rows that still carry bytes (the convention for shaped
+    traffic: a fully-shaped flow no longer counts as a delivering peer).
     """
     if records is None and table is not None:
         if not len(table):
@@ -209,35 +208,18 @@ def ingress_peers(
         if positive_bytes:
             alive &= table.bytes > 0
         return set(np.unique(table.ingress_asn[alive]).tolist())
-    flows = records if records is not None else []
-    if positive_bytes:
-        return {
-            flow.ingress_member_asn
-            for flow in flows
-            if flow.ingress_member_asn and flow.bytes > 0
-        }
-    return {flow.ingress_member_asn for flow in flows if flow.ingress_member_asn}
+    return {flow.ingress_member_asn for flow in records or () if flow.ingress_member_asn}
 
 
-def population_bits(
-    table: Optional["FlowTable"],
-    records: Optional[Sequence[FlowRecord]],
-    attack: Optional[bool] = None,
-) -> float:
-    """Total bits of a flow population, optionally restricted by ground truth.
+def population_bits(table: "FlowTable", attack: Optional[bool] = None) -> float:
+    """Total bits of a flow table, optionally restricted by ground truth.
 
-    ``records is None`` selects the columnar path over ``table``; ``attack``
-    of True/False restricts to attack/legitimate flows.
+    ``attack`` of True/False restricts to attack/legitimate rows.
     """
-    if records is None and table is not None:
-        if attack is None:
-            return float(table.total_bits)
-        mask = table.is_attack if attack else ~table.is_attack
-        return float(int(table.bytes[mask].sum()) * 8)
-    flows = records if records is not None else []
     if attack is None:
-        return float(sum(flow.bits for flow in flows))
-    return float(sum(flow.bits for flow in flows if flow.is_attack == attack))
+        return float(table.total_bits)
+    mask = table.is_attack if attack else ~table.is_attack
+    return float(int(table.bytes[mask].sum()) * 8)
 
 
 class FlowTable:

@@ -22,7 +22,7 @@ from repro.analysis import (
 )
 from repro.bgp import PolicyControl
 from repro.mitigation import MitigationOutcome, RtbhService
-from repro.traffic import FiveTuple, FlowRecord, IpProtocol, TrafficTrace
+from repro.traffic import FiveTuple, FlowRecord, FlowTable, IpProtocol, TrafficTrace
 
 
 def make_flow(src_port=11211, bytes_=1000, is_attack=True, start=0.0, protocol=IpProtocol.UDP,
@@ -145,11 +145,13 @@ class TestLinearRegression:
 class TestCollateralAnalysis:
     def test_collateral_damage_report(self):
         outcome = MitigationOutcome(
-            delivered=[make_flow(is_attack=True, bytes_=100)],
-            discarded=[
-                make_flow(is_attack=False, bytes_=50),
-                make_flow(is_attack=True, bytes_=300),
-            ],
+            delivered_table=FlowTable.from_records([make_flow(is_attack=True, bytes_=100)]),
+            discarded_table=FlowTable.from_records(
+                [
+                    make_flow(is_attack=False, bytes_=50),
+                    make_flow(is_attack=True, bytes_=300),
+                ]
+            ),
         )
         report = collateral_damage(outcome)
         assert report.collateral_damage_fraction == 1.0
@@ -166,9 +168,16 @@ class TestCollateralAnalysis:
             make_flow(src_port=11211, is_attack=True, bytes_=900),
             make_flow(src_port=443, is_attack=False, bytes_=100, protocol=IpProtocol.TCP),
         ]
-        potential = fine_grained_filter_potential(flows, IpProtocol.UDP, 11211)
+        potential = fine_grained_filter_potential(
+            FlowTable.from_records(flows), IpProtocol.UDP, 11211
+        )
         assert potential["attack_removed_fraction"] == 1.0
         assert potential["legitimate_removed_fraction"] == 0.0
+        assert potential["total_removed_fraction"] == 0.9
+        # A record-backed trace is read through its table view.
+        assert fine_grained_filter_potential(TrafficTrace(flows), IpProtocol.UDP, 11211) == (
+            potential
+        )
 
     def test_port_share_timeseries(self):
         trace = TrafficTrace(

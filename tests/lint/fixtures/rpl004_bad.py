@@ -17,3 +17,8 @@ def slow_materialise(table):
     for flow in table.to_records():  # materialises every row
         seen.append(flow)
     return seen
+
+
+def apply_records(table):
+    # A `record` name buys no exemption: reference loops live in tests/oracle.
+    return [flow for flow in table.to_records()]

@@ -1,4 +1,4 @@
-"""RPL004 negative fixture: vectorized access and the record-shim slow path."""
+"""RPL004 negative fixture: vectorized access, per-rule and per-column passes."""
 
 import numpy as np
 
@@ -9,11 +9,6 @@ def fast_bits_total(table):
 
 def fast_port_mask(table, port):
     return np.flatnonzero(table.dst_port == port)
-
-
-def apply_records(table):
-    # Functions with `record` in the name are the sanctioned slow path.
-    return [flow for flow in table.to_records()]
 
 
 def per_rule_pass(rules, table):

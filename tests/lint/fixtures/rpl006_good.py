@@ -18,11 +18,3 @@ def integer_packets(results):
     for result in results:
         total_bytes += int(result.delivered_bytes)  # integer accumulation
     return total_bytes
-
-
-def _apply_records(flows):
-    # The per-record shim is the sanctioned slow path.
-    forwarded_bits = 0.0
-    for flow in flows:
-        forwarded_bits += flow.bits
-    return forwarded_bits

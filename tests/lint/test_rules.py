@@ -66,3 +66,12 @@ def test_findings_carry_location_and_snippet(lint_tree, lint_run):
     assert finding.path.endswith("rpl006_bad.py")
     assert finding.line > 0 and finding.col > 0
     assert "+=" in finding.snippet
+
+
+def test_record_named_functions_are_not_exempt(lint_tree, lint_run):
+    # RPL004 and RPL006 once skipped functions with `record` in the name;
+    # the per-record loops now live in tests/oracle, so nothing is exempt.
+    root = lint_tree("rpl004_bad.py", "rpl006_bad.py")
+    snippets = {(f.rule, f.snippet.strip()) for f in lint_run(root).new_findings}
+    assert ("RPL004", "return [flow for flow in table.to_records()]") in snippets
+    assert ("RPL006", "forwarded_bits += flow.bits") in snippets

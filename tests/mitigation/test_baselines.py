@@ -1,12 +1,16 @@
 """Tests for the mitigation baselines (RTBH, ACL, Flowspec, scrubbing) and Table 1."""
 
+import math
+
 import pytest
 
 from repro.bgp import RouteServer, drop_rule, rate_limit_rule
+from repro.core import BlackholingRule
 from repro.mitigation import (
     AccessControlList,
     AclEntry,
     AclMitigation,
+    CombinedMitigation,
     Dimension,
     FlowspecMitigation,
     FlowspecService,
@@ -19,7 +23,7 @@ from repro.mitigation import (
     ScrubbingMitigation,
     build_comparison_table,
 )
-from repro.traffic import FiveTuple, FlowRecord, IpProtocol
+from repro.traffic import FiveTuple, FlowRecord, FlowTable, IpProtocol
 
 
 def make_flow(src_port=123, dst_ip="100.10.10.10", ingress=65001, is_attack=True, bytes_=10_000,
@@ -36,12 +40,18 @@ def make_flow(src_port=123, dst_ip="100.10.10.10", ingress=65001, is_attack=True
     )
 
 
+def table_of(*flows):
+    return FlowTable.from_records(flows)
+
+
 class TestMitigationOutcome:
     def test_accounting_properties(self):
         outcome = MitigationOutcome(
-            delivered=[make_flow(is_attack=True), make_flow(is_attack=False, ingress=65002)],
-            discarded=[make_flow(is_attack=False, ingress=65003)],
-            shaped=[make_flow(is_attack=True, ingress=65004)],
+            delivered_table=table_of(
+                make_flow(is_attack=True), make_flow(is_attack=False, ingress=65002)
+            ),
+            discarded_table=table_of(make_flow(is_attack=False, ingress=65003)),
+            shaped_table=table_of(make_flow(is_attack=True, ingress=65004)),
         )
         assert outcome.delivered_bits == 3 * 80_000
         assert outcome.discarded_bits == 80_000
@@ -50,10 +60,60 @@ class TestMitigationOutcome:
         assert outcome.delivered_peers == {65001, 65002, 65004}
 
     def test_no_mitigation_delivers_everything(self):
-        flows = [make_flow(), make_flow(src_port=53)]
+        flows = table_of(make_flow(), make_flow(src_port=53))
         outcome = NoMitigation().apply(flows, interval=10.0)
-        assert outcome.delivered == flows
-        assert outcome.discarded == []
+        assert outcome.delivered_table is flows
+        assert len(outcome.discarded_table) == 0
+        assert len(outcome.shaped_table) == 0
+
+    def test_empty_table(self):
+        outcome = NoMitigation().apply(FlowTable.empty(), 10.0)
+        assert outcome.delivered_bits == 0.0
+        assert outcome.delivered_peers == set()
+        assert MitigationOutcome().discarded_bits == 0.0
+
+
+def configured_strategies():
+    """One configured instance of every strategy (and the do-nothing one)."""
+    rtbh = RtbhService(ixp_asn=64700, compliance_rate=1.0, seed=1)
+    rtbh.request_blackhole(64500, "100.10.10.10/32", peer_asns=[65001])
+    flowspec = FlowspecService(acceptance_rate=1.0, seed=1)
+    flowspec.announce_rule(
+        rate_limit_rule("100.10.10.10/32", rate_bytes_per_second=100.0), peer_asns=[65001]
+    )
+    active_center = ScrubbingCenter(activation_delay_seconds=0.0)
+    return {
+        "none": NoMitigation(),
+        "rtbh": RtbhMitigation(rtbh),
+        "acl": AclMitigation(),
+        "flowspec": FlowspecMitigation(flowspec),
+        "scrubbing": ScrubbingMitigation(active_center, seed=1),
+        "combined": CombinedMitigation(
+            [BlackholingRule.drop_udp_source_port(64500, "100.10.10.10/32", 123)],
+            ScrubbingMitigation(active_center, seed=1),
+        ),
+    }
+
+
+BAD_INTERVALS = [0.0, -1.0, math.nan, math.inf]
+
+
+class TestIntervalValidation:
+    # Before the shared check a zero interval made the scrubber discard
+    # everything and Flowspec shape to zero, a negative one failed deep in
+    # FlowTable.scaled, and NaN passed everywhere.
+    @pytest.mark.parametrize("interval", BAD_INTERVALS)
+    @pytest.mark.parametrize("strategy", sorted(configured_strategies()))
+    def test_rejects_bad_interval(self, strategy, interval):
+        mitigation = configured_strategies()[strategy]
+        with pytest.raises(ValueError, match="interval"):
+            mitigation.apply(table_of(make_flow(start=10.0)), interval)
+
+    @pytest.mark.parametrize("interval", BAD_INTERVALS)
+    def test_combined_detail_rejects_bad_interval(self, interval):
+        combined = configured_strategies()["combined"]
+        with pytest.raises(ValueError, match="interval"):
+            combined.apply_detailed(table_of(make_flow()), interval)
 
 
 class TestRtbhService:
@@ -110,16 +170,15 @@ class TestRtbhMitigation:
         )
         service.request_blackhole(64500, "100.10.10.10/32", peer_asns=[65001, 65002])
         mitigation = RtbhMitigation(service)
-        flows = [make_flow(ingress=65001), make_flow(ingress=65002)]
+        flows = table_of(make_flow(ingress=65001), make_flow(ingress=65002))
         outcome = mitigation.apply(flows, interval=10.0)
-        assert len(outcome.discarded) == 1
-        assert outcome.discarded[0].ingress_member_asn == 65001
+        assert outcome.discarded_table.ingress_asn.tolist() == [65001]
 
     def test_rtbh_drops_legitimate_traffic_too(self):
         service = RtbhService(ixp_asn=64700, compliance_rate=1.0, seed=1)
         service.request_blackhole(64500, "100.10.10.10/32", peer_asns=[65001])
         outcome = RtbhMitigation(service).apply(
-            [make_flow(ingress=65001, is_attack=False, src_port=443)], interval=10.0
+            table_of(make_flow(ingress=65001, is_attack=False, src_port=443)), interval=10.0
         )
         assert outcome.collateral_damage_bits > 0
 
@@ -127,9 +186,9 @@ class TestRtbhMitigation:
         service = RtbhService(ixp_asn=64700, compliance_rate=1.0, seed=1)
         service.request_blackhole(64500, "100.10.10.10/32", peer_asns=[65001])
         outcome = RtbhMitigation(service).apply(
-            [make_flow(dst_ip="100.10.10.99", ingress=65001)], interval=10.0
+            table_of(make_flow(dst_ip="100.10.10.99", ingress=65001)), interval=10.0
         )
-        assert len(outcome.delivered) == 1
+        assert len(outcome.delivered_table) == 1
 
 
 class TestAcl:
@@ -137,10 +196,13 @@ class TestAcl:
         acl = AccessControlList()
         acl.add(AclEntry(action="permit", src_port=123))
         acl.deny("100.10.10.10/32", src_port=123)
-        assert acl.evaluate(make_flow()) == "permit"
+        flows = table_of(make_flow(), make_flow(src_port=53))
+        assert acl.deny_mask(flows).tolist() == [False, False]
+        acl.deny("100.10.10.10/32")
+        assert acl.deny_mask(flows).tolist() == [False, True]
 
     def test_implicit_permit(self):
-        assert AccessControlList().evaluate(make_flow()) == "permit"
+        assert AccessControlList().deny_mask(table_of(make_flow())).tolist() == [False]
 
     def test_entry_limit(self):
         acl = AccessControlList(max_entries=1)
@@ -160,15 +222,15 @@ class TestAcl:
         acl = AccessControlList()
         acl.deny("100.10.10.10/32", protocol=IpProtocol.UDP, src_port=123)
         outcome = AclMitigation(acl).apply(
-            [make_flow(), make_flow(src_port=443, is_attack=False)], interval=10.0
+            table_of(make_flow(), make_flow(src_port=443, is_attack=False)), interval=10.0
         )
-        assert len(outcome.discarded) == 1
-        assert len(outcome.delivered) == 1
+        assert outcome.discarded_table.src_port.tolist() == [123]
+        assert outcome.delivered_table.src_port.tolist() == [443]
 
     def test_acl_entry_field_matching(self):
         entry = AclEntry(action="deny", protocol=IpProtocol.UDP, dst_port=40000)
-        assert entry.matches(make_flow())
-        assert not entry.matches(make_flow(protocol=IpProtocol.TCP))
+        flows = table_of(make_flow(), make_flow(protocol=IpProtocol.TCP))
+        assert entry.matches_table(flows).tolist() == [True, False]
 
 
 class TestFlowspec:
@@ -191,10 +253,10 @@ class TestFlowspec:
             peer_asns=[65001, 65002],
         )
         outcome = FlowspecMitigation(service).apply(
-            [make_flow(ingress=65001), make_flow(ingress=65002)], interval=10.0
+            table_of(make_flow(ingress=65001), make_flow(ingress=65002)), interval=10.0
         )
-        assert len(outcome.discarded) == 1
-        assert len(outcome.delivered) == 1
+        assert outcome.discarded_table.ingress_asn.tolist() == [65001]
+        assert outcome.delivered_table.ingress_asn.tolist() == [65002]
 
     def test_rate_limit_rule_shapes(self):
         service = FlowspecService(peer_acceptance={65001: True}, seed=1)
@@ -202,9 +264,10 @@ class TestFlowspec:
             rate_limit_rule("100.10.10.10/32", rate_bytes_per_second=100.0, source_port=123),
             peer_asns=[65001],
         )
-        outcome = FlowspecMitigation(service).apply([make_flow(bytes_=10_000)], interval=10.0)
-        assert len(outcome.shaped) == 1
-        assert outcome.shaped[0].bytes == pytest.approx(1000, rel=0.01)
+        outcome = FlowspecMitigation(service).apply(
+            table_of(make_flow(bytes_=10_000)), interval=10.0
+        )
+        assert outcome.shaped_table.bytes.tolist() == [1000]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -218,9 +281,9 @@ class TestScrubbing:
         scrubbing = ScrubbingMitigation(
             ScrubbingCenter(activation_delay_seconds=300.0), active_since=0.0, seed=1
         )
-        outcome = scrubbing.apply([make_flow(start=100.0)], interval=10.0)
-        assert len(outcome.delivered) == 1
-        assert len(outcome.discarded) == 0
+        outcome = scrubbing.apply(table_of(make_flow(start=100.0)), interval=10.0)
+        assert len(outcome.delivered_table) == 1
+        assert len(outcome.discarded_table) == 0
 
     def test_removes_attack_traffic_after_activation(self):
         scrubbing = ScrubbingMitigation(
@@ -231,11 +294,10 @@ class TestScrubbing:
             seed=1,
         )
         outcome = scrubbing.apply(
-            [make_flow(start=10.0), make_flow(start=10.0, is_attack=False, src_port=443)],
+            table_of(make_flow(start=10.0), make_flow(start=10.0, is_attack=False, src_port=443)),
             interval=10.0,
         )
-        assert len(outcome.discarded) == 1
-        assert outcome.discarded[0].is_attack
+        assert outcome.discarded_table.is_attack.tolist() == [True]
 
     def test_capacity_overflow_shapes_delivered_traffic(self):
         center = ScrubbingCenter(
@@ -243,9 +305,9 @@ class TestScrubbing:
             activation_delay_seconds=0.0,
         )
         scrubbing = ScrubbingMitigation(center, active_since=0.0, seed=1)
-        outcome = scrubbing.apply([make_flow(start=10.0, bytes_=100_000)], interval=10.0)
-        assert len(outcome.shaped) == 1
-        assert outcome.shaped[0].bits <= 1000.0 * 10.0 + 1
+        outcome = scrubbing.apply(table_of(make_flow(start=10.0, bytes_=100_000)), interval=10.0)
+        assert len(outcome.shaped_table) == 1
+        assert outcome.shaped_table.bits[0] <= 1000.0 * 10.0 + 1
 
     def test_cost_accounting(self):
         scrubbing = ScrubbingMitigation(seed=1)
@@ -256,6 +318,29 @@ class TestScrubbing:
             ScrubbingCenter(capacity_bps=0)
         with pytest.raises(ValueError):
             ScrubbingCenter(true_positive_rate=1.5)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("capacity_bps", math.nan),
+            ("activation_delay_seconds", math.nan),
+            ("cost_per_scrubbed_gbyte", -0.01),
+            ("cost_per_scrubbed_gbyte", math.nan),
+        ],
+    )
+    def test_center_rejects_nan_and_negative_cost(self, field, value):
+        # A NaN capacity used to read as unlimited (min(1.0, nan) == 1.0),
+        # and a NaN delay made the scrubber never effective.
+        with pytest.raises(ValueError, match=field):
+            ScrubbingCenter(**{field: value})
+
+    def test_unlimited_capacity_stays_legal(self):
+        center = ScrubbingCenter(capacity_bps=math.inf, activation_delay_seconds=0.0)
+        outcome = ScrubbingMitigation(center, seed=1).apply(
+            table_of(make_flow(start=10.0, bytes_=100_000)), interval=10.0
+        )
+        assert len(outcome.shaped_table) == 0
+        assert outcome.delivered_bits + outcome.discarded_bits == 800_000
 
 
 class TestComparisonTable:

@@ -1,15 +1,18 @@
-"""Columnar-vs-record parity of the mitigation data plane.
+"""Production-vs-reference parity of the mitigation data plane.
 
-Every strategy must produce byte-identical outcomes whether it is applied
-through the vectorized ``apply_table`` path or the legacy per-record
-``apply_records`` shim: same flows in each bucket (delivered / discarded /
-shaped, compared as multisets of fully materialised records), same
-aggregate bit accounting, and — for the stochastic scrubber — the same
-seeded classification verdicts.
+Every strategy's ``apply`` must agree with the naive per-record model in
+``tests/oracle/mitigation.py`` on one seeded booter interval: same flows
+in each bucket (delivered / discarded / shaped, compared as multisets of
+fully materialised records), ``==`` bit accounting, and — for the
+stochastic scrubber — the same seeded classification verdicts.
+``tests/fuzz/test_mitigation_parity.py`` checks the same contract on
+generated tables.
 """
 
 import pytest
 
+from oracle import mitigation as reference
+from oracle.mitigation import assert_matches_reference
 from repro.bgp.flowspec import drop_rule, rate_limit_rule
 from repro.bgp.prefix import parse_prefix
 from repro.core.rules import BlackholingRule
@@ -21,7 +24,6 @@ from repro.mitigation import (
     CombinedMitigation,
     FlowspecMitigation,
     FlowspecService,
-    NoMitigation,
     RtbhMitigation,
     RtbhService,
     ScrubbingCenter,
@@ -50,68 +52,20 @@ def peer_asns():
     return [65000 + i for i in range(30)]
 
 
-def record_key(flow):
-    key = flow.key
-    return (
-        key.src_ip,
-        key.dst_ip,
-        int(key.protocol),
-        key.src_port,
-        key.dst_port,
-        flow.start,
-        flow.duration,
-        flow.bytes,
-        flow.packets,
-        flow.ingress_member_asn,
-        flow.egress_member_asn,
-        flow.is_attack,
-    )
-
-
-def assert_outcomes_identical(record_outcome, table_outcome):
-    """Bucket-for-bucket multiset equality plus exact bit accounting."""
-    for bucket in ("delivered", "discarded", "shaped"):
-        record_keys = sorted(record_key(f) for f in getattr(record_outcome, bucket))
-        table_keys = sorted(record_key(f) for f in getattr(table_outcome, bucket))
-        assert record_keys == table_keys, f"{bucket} populations differ"
-    for accessor in (
-        "delivered_bits",
-        "discarded_bits",
-        "delivered_attack_bits",
-        "collateral_damage_bits",
-        "discarded_attack_bits",
-        "delivered_legitimate_bits",
-        "delivered_peers",
-    ):
-        assert getattr(record_outcome, accessor) == getattr(table_outcome, accessor)
-
-
 class TestRtbhParity:
     def test_partial_compliance(self, interval_table, peer_asns):
-        outcomes = []
-        for _ in range(2):
-            service = RtbhService(ixp_asn=64700, compliance_rate=0.3, seed=9)
-            service.request_blackhole(64500, VICTIM_PREFIX, peer_asns)
-            outcomes.append(service)
-        record = RtbhMitigation(outcomes[0]).apply_records(
-            interval_table.to_records(), INTERVAL
-        )
-        table = RtbhMitigation(outcomes[1]).apply_table(interval_table, INTERVAL)
-        assert_outcomes_identical(record, table)
-        assert len(table.discarded) > 0  # the blackhole actually bit
+        service = RtbhService(ixp_asn=64700, compliance_rate=0.3, seed=9)
+        service.request_blackhole(64500, VICTIM_PREFIX, peer_asns)
+        outcome = RtbhMitigation(service).apply(interval_table, INTERVAL)
+        assert_matches_reference(outcome, reference.rtbh(service, interval_table.to_records()))
+        assert len(outcome.discarded_table) > 0  # the blackhole actually bit
 
     def test_most_specific_event_wins(self, interval_table, peer_asns):
-        def build():
-            service = RtbhService(ixp_asn=64700, compliance_rate=1.0, seed=4)
-            service.request_blackhole(64500, "100.10.10.0/24", peer_asns[:10])
-            service.request_blackhole(64500, VICTIM_PREFIX, peer_asns[10:])
-            return service
-
-        record = RtbhMitigation(build()).apply_records(
-            interval_table.to_records(), INTERVAL
-        )
-        table = RtbhMitigation(build()).apply_table(interval_table, INTERVAL)
-        assert_outcomes_identical(record, table)
+        service = RtbhService(ixp_asn=64700, compliance_rate=1.0, seed=4)
+        service.request_blackhole(64500, "100.10.10.0/24", peer_asns[:10])
+        service.request_blackhole(64500, VICTIM_PREFIX, peer_asns[10:])
+        outcome = RtbhMitigation(service).apply(interval_table, INTERVAL)
+        assert_matches_reference(outcome, reference.rtbh(service, interval_table.to_records()))
 
 
 class TestAclParity:
@@ -127,53 +81,42 @@ class TestAclParity:
             )
         )
         acl.deny(VICTIM_PREFIX, protocol=IpProtocol.UDP)
-        mitigation = AclMitigation(acl)
-        record = mitigation.apply_records(interval_table.to_records(), INTERVAL)
-        table = mitigation.apply_table(interval_table, INTERVAL)
-        assert_outcomes_identical(record, table)
-        assert len(table.discarded) > 0
+        outcome = AclMitigation(acl).apply(interval_table, INTERVAL)
+        assert_matches_reference(outcome, reference.acl(acl, interval_table.to_records()))
+        assert len(outcome.discarded_table) > 0
 
 
 class TestFlowspecParity:
     def test_discard_and_rate_limit_rules(self, interval_table, peer_asns):
-        def build():
-            service = FlowspecService(acceptance_rate=0.5, seed=4)
-            service.announce_rule(
-                drop_rule(VICTIM_PREFIX, source_port=123, ip_protocol=int(IpProtocol.UDP)),
-                peer_asns,
-            )
-            service.announce_rule(rate_limit_rule(VICTIM_PREFIX, 1e6), peer_asns)
-            return service
-
-        record = FlowspecMitigation(build()).apply_records(
-            interval_table.to_records(), INTERVAL
+        service = FlowspecService(acceptance_rate=0.5, seed=4)
+        service.announce_rule(
+            drop_rule(VICTIM_PREFIX, source_port=123, ip_protocol=int(IpProtocol.UDP)),
+            peer_asns,
         )
-        table = FlowspecMitigation(build()).apply_table(interval_table, INTERVAL)
-        assert_outcomes_identical(record, table)
-        assert len(table.discarded) > 0
-        assert len(table.shaped) > 0
+        service.announce_rule(rate_limit_rule(VICTIM_PREFIX, 1e6), peer_asns)
+        outcome = FlowspecMitigation(service).apply(interval_table, INTERVAL)
+        expected = reference.flowspec(service, interval_table.to_records(), INTERVAL)
+        assert_matches_reference(outcome, expected)
+        assert len(outcome.discarded_table) > 0
+        assert len(outcome.shaped_table) > 0
 
 
 class TestScrubbingParity:
     @pytest.mark.parametrize("capacity_bps", [500e9, 2e8])
     def test_same_seed_same_verdicts(self, interval_table, capacity_bps):
-        record_side = ScrubbingMitigation(
-            ScrubbingCenter(capacity_bps=capacity_bps), active_since=-1e9, seed=7
-        )
-        table_side = ScrubbingMitigation(
-            ScrubbingCenter(capacity_bps=capacity_bps), active_since=-1e9, seed=7
-        )
-        record = record_side.apply_records(interval_table.to_records(), INTERVAL)
-        table = table_side.apply_table(interval_table, INTERVAL)
-        assert_outcomes_identical(record, table)
-        assert record_side.scrubbed_bits_total == table_side.scrubbed_bits_total
+        center = ScrubbingCenter(capacity_bps=capacity_bps)
+        mitigation = ScrubbingMitigation(center, active_since=-1e9, seed=7)
+        scrubber = reference.ReferenceScrubber(center, active_since=-1e9, seed=7)
+        outcome = mitigation.apply(interval_table, INTERVAL)
+        assert_matches_reference(outcome, scrubber.apply(interval_table.to_records(), INTERVAL))
+        assert mitigation.scrubbed_bits_total == scrubber.scrubbed_bits_total
 
     def test_not_yet_effective_passes_everything(self, interval_table):
         mitigation = ScrubbingMitigation(active_since=1e9, seed=7)
-        record = mitigation.apply_records(interval_table.to_records(), INTERVAL)
-        table = mitigation.apply_table(interval_table, INTERVAL)
-        assert_outcomes_identical(record, table)
-        assert table.delivered_bits == float(interval_table.total_bits)
+        scrubber = reference.ReferenceScrubber(mitigation.center, active_since=1e9, seed=7)
+        outcome = mitigation.apply(interval_table, INTERVAL)
+        assert_matches_reference(outcome, scrubber.apply(interval_table.to_records(), INTERVAL))
+        assert outcome.delivered_bits == float(interval_table.total_bits)
 
 
 class TestCombinedParity:
@@ -182,42 +125,15 @@ class TestCombinedParity:
             BlackholingRule.drop_udp_source_port(64500, VICTIM_PREFIX, 123),
             BlackholingRule.shape_udp_source_port(64500, VICTIM_PREFIX, 53, rate_bps=1e6),
         ]
-        record_side = CombinedMitigation(
-            rules, ScrubbingMitigation(active_since=-1e9, seed=5)
+        mitigation = CombinedMitigation(rules, ScrubbingMitigation(active_since=-1e9, seed=5))
+        scrubber = reference.ReferenceScrubber(
+            mitigation.scrubbing.center, active_since=-1e9, seed=5
         )
-        table_side = CombinedMitigation(
-            rules, ScrubbingMitigation(active_since=-1e9, seed=5)
-        )
-        record = record_side.apply_detailed(interval_table.to_records(), INTERVAL)
-        table = table_side.apply_detailed(interval_table, INTERVAL)
-        assert_outcomes_identical(record.outcome, table.outcome)
-        assert record.prefiltered_bits == table.prefiltered_bits
-        assert record.scrubbed_bits == table.scrubbed_bits
-        assert record.scrubbing_cost == table.scrubbing_cost
-        assert record_side.total_scrubbing_cost == table_side.total_scrubbing_cost
-        assert record.prefiltered_bits > 0
-
-
-class TestDispatchShim:
-    def test_apply_routes_by_representation(self, interval_table):
-        mitigation = NoMitigation()
-        from_table = mitigation.apply(interval_table, INTERVAL)
-        from_records = mitigation.apply(interval_table.to_records(), INTERVAL)
-        assert from_table.delivered_table is interval_table
-        assert from_records.delivered_table is None
-        assert from_table.delivered_bits == from_records.delivered_bits
-
-    def test_default_record_path_round_trips_through_table(self, interval_table):
-        class TableOnly(NoMitigation):
-            def apply_records(self, flows, interval):  # force the default
-                from repro.mitigation.base import MitigationTechnique
-
-                return MitigationTechnique.apply_records(self, flows, interval)
-
-        outcome = TableOnly().apply(interval_table.to_records(), INTERVAL)
-        assert outcome.delivered_bits == float(interval_table.total_bits)
-
-    def test_empty_table(self):
-        outcome = NoMitigation().apply(FlowTable.empty(), INTERVAL)
-        assert outcome.delivered_bits == 0.0
-        assert outcome.delivered_peers == set()
+        result = mitigation.apply_detailed(interval_table, INTERVAL)
+        expected = reference.combined(rules, scrubber, interval_table.to_records(), INTERVAL)
+        assert_matches_reference(result.outcome, expected.outcome)
+        assert result.prefiltered_bits == expected.prefiltered_bits
+        assert result.scrubbed_bits == expected.scrubbed_bits
+        assert result.scrubbing_cost == expected.scrubbing_cost
+        assert mitigation.total_scrubbing_cost == expected.scrubbing_cost
+        assert result.prefiltered_bits > 0
