@@ -46,6 +46,7 @@ from ..ixp.member import IxpMember
 from ..ixp.qos import QosRule
 from ..ixp.shard import ShardPlanner, ShardSpec, merge_interval_columns
 from ..ixp.topology import build_multi_pop_fabric, make_member_population
+from ..sim.clock import check_duration, check_interval
 from ..sim.rng import derive_seed
 from ..traffic.amplification import get_vector
 from ..traffic.attacks import BenignTrafficSource, BooterAttack
@@ -416,10 +417,14 @@ def run_city_scale_experiment(
         )
     if config.workers < 1:
         raise ValueError(f"workers must be >= 1, got {config.workers}")
+    check_interval(config.interval)
+    check_duration(config.duration)
 
     victim, members = _city_members(config)
     plan = plan_city_shards(config)
     events = _mitigation_events(config)
+    step_count = int(config.duration / config.interval + 1e-9)
+    times = [index * config.interval for index in range(step_count)]
     # The generated population crosses to the workers once, as a
     # shared-memory table every shard runtime maps zero-copy; only the
     # victim (one member) still travels by value inside the config.
@@ -433,8 +438,6 @@ def run_city_scale_experiment(
         }
         for spec in plan
     ]
-    step_count = int(config.duration / config.interval + 1e-9)
-    times = [index * config.interval for index in range(step_count)]
 
     series = AttackTimeSeries()
     digest = hashlib.sha256()

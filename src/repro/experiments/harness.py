@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import Any, Optional
 
-from ..sim.clock import SimulationClock
+from ..sim.clock import SimulationClock, check_duration, check_interval
 from ..sim.engine import SimulationEngine
 from ..sim.events import Event, EventLog
 
@@ -47,10 +47,8 @@ class SteppedExperiment:
         start: float = 0.0,
         engine: Optional[SimulationEngine] = None,
     ) -> None:
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
-        if duration < 0:
-            raise ValueError(f"duration must be non-negative, got {duration}")
+        check_interval(interval)
+        check_duration(duration)
         self.duration = float(duration)
         self.interval = float(interval)
         self.start = float(start)

@@ -63,6 +63,7 @@ from ..ixp.service import (
 from ..bgp.prefix import parse_prefix
 from ..ixp.fabric import SwitchingFabric
 from ..ixp.topology import build_multi_pop_fabric, make_member_population
+from ..sim.clock import check_duration, check_interval
 from ..sim.rng import derive_seed, make_rng
 from ..traffic.amplification import get_vector
 from ..traffic.attacks import BenignTrafficSource, BooterAttack
@@ -629,6 +630,8 @@ def run_rule_churn_experiment(
             "member_count must cover the victim plus the attack peers "
             f"(got {config.member_count} members, {config.attack_peer_count} peers)"
         )
+    check_interval(config.interval)
+    check_duration(config.duration)
     fabric, victim, members = _build_platform(config)
     churn_asns = churn_member_asns(config, members)
     stream = generate_churn_requests(config, churn_asns)

@@ -28,6 +28,7 @@ from bisect import bisect_right
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -36,7 +37,7 @@ from ..bgp.prefix import Prefix
 from ..traffic.flow import FlowRecord
 from ..traffic.flowtable import (
     FlowTable,
-    derived_mac,
+    derived_mac_low_bits,
     ingress_peers,
     population_bits,
     prefix_mask,
@@ -132,6 +133,10 @@ class FlowMatch:
             return False
         return True
 
+    @cached_property
+    def _derived_mac_low_bits(self) -> Optional[int]:
+        return None if self.src_mac is None else derived_mac_low_bits(self.src_mac)
+
     def matches_table(self, table: FlowTable) -> np.ndarray:
         """Vectorized :meth:`matches` over a columnar flow batch."""
         n = len(table)
@@ -143,16 +148,17 @@ class FlowMatch:
             if not mask.any():
                 return mask
         if self.src_mac is not None:
-            target = self.src_mac.lower()
             if table.src_mac is None:
                 # Generator-produced tables carry the derived-MAC convention,
-                # so a MAC match reduces to an ingress-ASN membership test.
-                unique = np.unique(table.ingress_asn)
-                matching = [asn for asn in unique.tolist() if derived_mac(asn) == target]
-                mask &= np.isin(table.ingress_asn, matching)
+                # which encodes the low 16 bits of the ingress ASN.
+                low = self._derived_mac_low_bits
+                if low is None:
+                    return np.zeros(n, dtype=bool)
+                mask &= (table.ingress_asn & 0xFFFF) == low
             else:
                 # Compare each distinct MAC once, then scatter the verdict
                 # back to the rows through the inverse index.
+                target = self.src_mac.lower()
                 unique, inverse = np.unique(table.src_mac, return_inverse=True)
                 hits = np.array([mac.lower() == target for mac in unique], dtype=bool)
                 mask &= hits[inverse]

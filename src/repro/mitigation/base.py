@@ -24,10 +24,10 @@ are checked against live in ``tests/oracle/mitigation.py``.
 from __future__ import annotations
 
 import abc
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+from ..sim.clock import check_interval
 from ..traffic.flowtable import (
     FlowTable,
     ingress_peers,
@@ -42,7 +42,8 @@ from ..traffic.flowtable import (
 # defined next to :class:`FlowTable` (so the QoS layer and the compiled
 # rule-match index can reuse them without import cycles) and re-exported
 # here because this module is their historical home and the mitigation
-# strategies are their heaviest users.
+# strategies are their heaviest users.  ``check_interval`` is the timing
+# rule of :mod:`repro.sim.clock`, which every strategy applies.
 __all__ = [
     "prefix_mask",
     "member_mask",
@@ -54,12 +55,6 @@ __all__ = [
     "MitigationTechnique",
     "NoMitigation",
 ]
-
-
-def check_interval(interval: float) -> None:
-    """Reject an observation interval that is not a positive finite length."""
-    if not (math.isfinite(interval) and interval > 0):
-        raise ValueError(f"interval must be positive and finite, got {interval!r}")
 
 
 class Rating(Enum):

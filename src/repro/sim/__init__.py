@@ -1,6 +1,6 @@
 """Simulation substrate: clock, event engine and deterministic randomness."""
 
-from .clock import SimulationClock
+from .clock import SimulationClock, check_duration, check_interval
 from .engine import SimulationEngine
 from .events import Event, EventLog
 from .rng import (
@@ -15,6 +15,8 @@ from .rng import (
 
 __all__ = [
     "SimulationClock",
+    "check_duration",
+    "check_interval",
     "SimulationEngine",
     "Event",
     "EventLog",

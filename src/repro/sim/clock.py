@@ -9,6 +9,20 @@ that data-plane and control-plane timelines stay consistent.
 
 from __future__ import annotations
 
+import math
+
+
+def check_interval(interval: float) -> None:
+    """Reject an observation interval that is not a positive finite length."""
+    if not (math.isfinite(interval) and interval > 0):
+        raise ValueError(f"interval must be positive and finite, got {interval!r}")
+
+
+def check_duration(duration: float) -> None:
+    """Reject a run length that is negative or not finite (zero is legal)."""
+    if not (math.isfinite(duration) and duration >= 0):
+        raise ValueError(f"duration must be non-negative and finite, got {duration!r}")
+
 
 class SimulationClock:
     """Monotonically increasing simulation time in seconds.

@@ -19,6 +19,7 @@ measurement study covers).
 from __future__ import annotations
 
 import ipaddress
+import re
 from collections.abc import Iterable, Iterator, Sequence
 from typing import TYPE_CHECKING, Optional
 
@@ -97,6 +98,21 @@ def ints_to_ips(values: np.ndarray) -> list[str]:
 def derived_mac(asn: int) -> str:
     """The synthetic ingress-router MAC the generators use for a member ASN."""
     return f"02:00:00:00:{(asn >> 8) & 0xFF:02x}:{asn & 0xFF:02x}"
+
+
+_DERIVED_MAC = re.compile(r"02:00:00:00:([0-9a-f]{2}):([0-9a-f]{2})")
+
+
+def derived_mac_low_bits(mac: str) -> Optional[int]:
+    """The ``asn & 0xFFFF`` that :func:`derived_mac` encodes in ``mac``.
+
+    The comparison ignores case.  ``None`` means ``mac`` is not of the
+    derived form, so no ASN maps to it.
+    """
+    match = _DERIVED_MAC.fullmatch(mac.lower())
+    if match is None:
+        return None
+    return int(match.group(1) + match.group(2), 16)
 
 
 # ----------------------------------------------------------------------

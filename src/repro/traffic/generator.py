@@ -24,12 +24,14 @@ Python object churn the original implementation paid.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from ..sim.clock import check_interval
 from ..sim.rng import make_rng
 from .amplification import get_vector
 from .attacks import AmplificationAttack, BenignTrafficSource, _PUBLIC_FIRST_OCTETS
@@ -42,6 +44,13 @@ from .profiles import (
     other_traffic_profile,
 )
 from .trace import TrafficTrace
+
+
+def _check_timing(interval: float, duration: float) -> None:
+    """A generated trace needs a valid interval and at least some duration."""
+    check_interval(interval)
+    if not (math.isfinite(duration) and duration > 0):
+        raise ValueError(f"duration must be positive and finite, got {duration!r}")
 
 
 @dataclass(frozen=True)
@@ -90,8 +99,7 @@ class IxpTraceGenerator:
     def __post_init__(self) -> None:
         if len(self.member_asns) < 2:
             raise ValueError("an IXP trace needs at least two members")
-        if self.interval <= 0 or self.duration <= 0:
-            raise ValueError("interval and duration must be positive")
+        _check_timing(self.interval, self.duration)
         self._rng = make_rng(self.seed)
         self._members_arr = np.asarray(list(self.member_asns), dtype=np.int64)
         if self.egress_member_asns is None:
@@ -294,8 +302,7 @@ class MemberAttackScenarioGenerator:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.interval <= 0 or self.duration <= 0:
-            raise ValueError("interval and duration must be positive")
+        _check_timing(self.interval, self.duration)
         if not self.peer_member_asns:
             raise ValueError("at least one peer member is required")
 

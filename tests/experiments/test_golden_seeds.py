@@ -40,6 +40,12 @@ GOLDEN = {
     ("pulse", 11): "57b9e2a1ac544e0dae2ecb58aba9395e593140d877df54e56d5bb5f7b643666e",
     ("carpet", 3): "9c5bd6b7055290178e0e965ec8ad61dc5ed2fd656bf764c5b7809cbc54b1b03f",
     ("carpet", 11): "35f433b4e3f4995e03681086cf95215900f3a330ca37070ea3e8ecc136698f22",
+    # The only scenarios whose output goes through scipy (Welch's t-test and
+    # confidence intervals; the OLS fit).
+    ("fig3a", 3): "d37d71337ed35d9ac37b0375e7ddbec333ff8589bc3d456c819addf1b231a431",
+    ("fig3a", 11): "41b5d791f45042b96523b4041e688ab3a2bb755e894830e8fcdbfeb5245b7cde",
+    ("fig10a", 3): "fbc13b918cb3b254877a1a281d8219be4e6c4dd04263857b8b06811da202afcc",
+    ("fig10a", 11): "f41fb708262a4d45d632aace512c188a090368b399c09945428342d514f70e05",
 }
 
 

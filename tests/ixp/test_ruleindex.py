@@ -34,7 +34,8 @@ from repro.traffic.flowtable import derived_mac, ip_to_int
 from repro.traffic.packet import IpProtocol
 
 
-def flow_table(n=2000, seed=5, egress=64500, in_prefix_fraction=0.6):
+def flow_table(n=2000, seed=5, egress=64500, in_prefix_fraction=0.6,
+               ingress=(65001, 65002, 65003)):
     """A mixed interval: a share inside 10.1.0.0/16, reflection ports."""
     rng = make_rng(seed)
     inside = rng.random(n) < in_prefix_fraction
@@ -53,7 +54,7 @@ def flow_table(n=2000, seed=5, egress=64500, in_prefix_fraction=0.6):
         duration=np.full(n, 10.0),
         bytes=rng.integers(100, 20000, size=n).astype(np.int64),
         packets=np.ones(n, dtype=np.int64),
-        ingress_asn=rng.choice([65001, 65002, 65003], size=n),
+        ingress_asn=rng.choice(list(ingress), size=n),
         egress_asn=np.full(n, egress, dtype=np.int64),
         is_attack=np.zeros(n, dtype=bool),
     )
@@ -854,3 +855,78 @@ class TestRadixBinning:
         assert grown.radix_binned_rule_count == 5
         shrunk = grown.with_removed("src-16")
         assert shrunk.radix_binned_rule_count == 4
+
+
+class TestDerivedMacMatching:
+    """MAC rules against tables without a ``src_mac`` column.
+
+    Such tables carry the generator convention ``derived_mac(asn)``, which
+    encodes ``asn & 0xFFFF``; ``FlowMatch.matches_table`` must agree with
+    the per-record ``FlowMatch.matches`` on the materialised MACs.
+    """
+
+    #: 1, 65537 and 131073 share their low 16 bits (0x0001).
+    ASNS = (1, 65001, 65537, 131073, 64500)
+
+    def table(self, n=400, seed=21):
+        return flow_table(n=n, seed=seed, ingress=self.ASNS)
+
+    def per_record(self, match, table):
+        return [match.matches(record) for record in table.to_records()]
+
+    def test_four_byte_asns_sharing_low_bits_all_match(self):
+        table = self.table()
+        match = FlowMatch(src_mac=derived_mac(65537))
+        mask = match.matches_table(table)
+        low_one = np.isin(table.ingress_asn, [1, 65537, 131073])
+        assert np.array_equal(mask, low_one)
+        assert set(table.ingress_asn[mask].tolist()) == {1, 65537, 131073}
+        assert mask.tolist() == self.per_record(match, table)
+
+    def test_upper_case_target(self):
+        table = self.table()
+        match = FlowMatch(src_mac=derived_mac(65001).upper())
+        mask = match.matches_table(table)
+        assert np.array_equal(mask, table.ingress_asn == 65001)
+        assert mask.tolist() == self.per_record(match, table)
+
+    @pytest.mark.parametrize(
+        "mac", ["02:00:aa:bb:fd:e9", "02:00:00:00:fd:e", "02:00:00:00:fd:e9:00", "x", ""]
+    )
+    def test_non_derived_mac_matches_no_row(self, mac):
+        table = self.table()
+        match = FlowMatch(src_mac=mac)
+        assert not match.matches_table(table).any()
+        assert not any(self.per_record(match, table))
+
+    def test_empty_table(self):
+        empty = self.table().select(np.zeros(0, dtype=np.int64))
+        mask = FlowMatch(src_mac=derived_mac(65001)).matches_table(empty)
+        assert mask.dtype == bool and mask.shape == (0,)
+
+    @pytest.mark.parametrize("seed", [31, 32])
+    def test_parity_with_reference(self, seed):
+        targets = [
+            derived_mac(1),
+            derived_mac(131073).upper(),
+            derived_mac(65001),
+            "02:00:aa:bb:cc:dd",
+        ]
+        rules = [
+            QosRule(match=FlowMatch(src_mac=mac), action=FilterAction.DROP, rule_id=f"mac-{i}")
+            for i, mac in enumerate(targets)
+        ]
+        rules.append(
+            QosRule(
+                match=FlowMatch(
+                    dst_prefix=Prefix.parse("10.1.0.0/16"), src_mac=derived_mac(64500)
+                ),
+                action=FilterAction.DROP,
+                rule_id="mac-prefix",
+            )
+        )
+        table = self.table(n=2000, seed=seed)
+        policy = make_policy(rules)
+        indexed = policy.assign_table(table)
+        assert np.array_equal(indexed, assign(policy, table))
+        assert len(np.unique(indexed)) >= 4
