@@ -13,6 +13,9 @@ installed rule count.
   1 000-rule policy on a same-sized interval.
 * ``test_bench_rule_count_scaling`` prints the cost curve over the rule
   count and asserts 30 000 rules cost at most 3× what 1 000 do.
+* ``test_bench_incremental_install_latency`` times absorbing one install,
+  and one 16-rule ``install_many`` span, through the change journal
+  against a full compile, and asserts both win ≥10× at 12 000 rules.
 
 Functional parity with the naive reference in ``tests/oracle`` (verdicts,
 rule_stats, precedence) is pinned in ``tests/ixp/test_ruleindex.py``;
@@ -43,6 +46,11 @@ BASELINE_RULES = 1_000
 #: Largest allowed cost ratio against :data:`BASELINE_RULES` (measured
 #: ~1.4× at 30 000 rules).
 MAX_SCALING = 3.0
+
+#: Rules in the install-latency bench's coalesced span: one
+#: ``install_many`` batch kept as journal deltas (under the policy's
+#: ``_BATCH_DELTA_LIMIT``), so ``compiled_index()`` patches it.
+SPAN_RULES = 16
 
 
 def build_policy(rule_count: int) -> PortQosPolicy:
@@ -210,6 +218,12 @@ def test_bench_incremental_install_latency(benchmark):
     full compile grows with the rule count.  Asserts the >= 10x win at
     12 000 rules and records the 1k/12k/30k trajectory in
     ``BENCH_ruleindex.json`` (merged into the classification record).
+
+    The span row does the same for a coalesced batch: a
+    :data:`SPAN_RULES`-rule ``install_many`` at 12 000 rules, absorbed by
+    one ``compiled_index()`` call (one journal span, one
+    ``RuleMatchIndex.with_changes`` pass), must also beat the full
+    compile >= 10x.
     """
     import json
     import os
@@ -217,11 +231,15 @@ def test_bench_incremental_install_latency(benchmark):
 
     from repro.bgp import Prefix
     from repro.ixp import FilterAction, FlowMatch, QosRule, RuleMatchIndex
+    from repro.ixp.qos import _BATCH_DELTA_LIMIT
     from repro.traffic.packet import IpProtocol
+
+    assert SPAN_RULES <= _BATCH_DELTA_LIMIT  # journalled, not re-sorted
 
     counts = (1_000, 12_000, 30_000)
     installs = 16
     points = []
+    span_seconds = float("inf")
     for rule_count in counts:
         policy = build_policy(rule_count)
         policy.compiled_index()  # warm snapshot: installs below patch it
@@ -242,6 +260,25 @@ def test_bench_incremental_install_latency(benchmark):
             policy.install(rule)
             policy.compiled_index()
         incremental_seconds = (time.perf_counter() - start) / installs
+
+        if rule_count == 12_000:
+            for attempt in range(3):
+                batch = [
+                    QosRule(
+                        match=FlowMatch(
+                            dst_prefix=Prefix.parse(f"172.17.{attempt}.{i}/32"),
+                            protocol=IpProtocol.UDP,
+                            src_port=53,
+                        ),
+                        action=FilterAction.DROP,
+                        rule_id=f"span-{attempt}-{i}",
+                    )
+                    for i in range(SPAN_RULES)
+                ]
+                start = time.perf_counter()
+                policy.install_many(batch)
+                policy.compiled_index()
+                span_seconds = min(span_seconds, time.perf_counter() - start)
 
         # What each of those installs used to cost: a from-scratch
         # compile of the now-current rule list.
@@ -300,16 +337,37 @@ def test_bench_incremental_install_latency(benchmark):
                 "speedup": speedup,
             }
         )
+    full_at_12k = next(point[2] for point in points if point[0] == 12_000)
+    span_speedup = full_at_12k / span_seconds
+    rows.append(
+        (
+            f"12000, {SPAN_RULES}-rule span",
+            f"{span_seconds * 1e3:.3f}",
+            f"{full_at_12k * 1e3:.1f}",
+            f"{span_speedup:.0f}x",
+        )
+    )
     print_table("Install latency: incremental snapshot patch vs full compile", rows)
 
     # Merge into the classification record rather than clobbering it.
     path = Path(os.environ.get("BENCH_OUTPUT_DIR", ".")) / "BENCH_ruleindex.json"
     payload = json.loads(path.read_text()) if path.exists() else {}
     payload["install_latency"] = trajectory
+    payload["span_install_latency"] = {
+        "rule_count": 12_000,
+        "span_rules": SPAN_RULES,
+        "span_seconds": span_seconds,
+        "full_compile_seconds": full_at_12k,
+        "speedup": span_speedup,
+    }
     write_bench_json("ruleindex", payload)
 
     at_12k = next(point for point in trajectory if point["rule_count"] == 12_000)
     assert at_12k["speedup"] >= 10.0, (
         f"expected >= 10x incremental install win at 12k rules, "
         f"got {at_12k['speedup']:.1f}x"
+    )
+    assert span_speedup >= 10.0, (
+        f"expected >= 10x win absorbing a {SPAN_RULES}-rule span at 12k rules, "
+        f"got {span_speedup:.1f}x"
     )

@@ -20,7 +20,7 @@ victim delivery series.
 Two execution modes produce bit-for-bit identical results:
 
 * ``execution="service"`` — the asyncio service: one
-  :class:`~repro.ixp.portal_client.PortalClient` coroutine per request,
+  :meth:`~repro.ixp.service.ControlPlaneService.submit` task per request,
   per-router worker tasks, futures;
 * ``execution="scripted"`` — the same admission/queue/coalesce core
   driven synchronously, no event loop.

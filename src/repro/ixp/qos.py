@@ -331,7 +331,10 @@ class PortQosPolicy:
         #: bisect_right lands a new rule exactly where the stable
         #: most-specific-first sort would have placed it.
         self._sorted_specs: list[int] = []
-        self._shapers: dict[str, RateLimiter] = {}
+        #: Installed rule ids, each with its SHAPE rule's token bucket
+        #: (None for any other action).  Installing a fresh id or removing
+        #: an unknown one checks here instead of scanning the rules.
+        self._ids: dict[str, Optional[RateLimiter]] = {}
         #: Monotonic rule-set version; every mutation bumps it, and the
         #: compiled index / fabric delivery plan caches key off it.
         self._version = 0
@@ -400,9 +403,7 @@ class PortQosPolicy:
         silently replaced by a later anonymous install.
         """
         if rule.action is FilterAction.SHAPE and not rule.rule_id:
-            existing = {existing.rule_id for existing in self._rules}
-            if taken:
-                existing |= taken
+            existing = self._ids.keys() | taken if taken else self._ids
             while True:
                 rule_id = f"anon-{next(self._anon_ids)}"
                 if rule_id not in existing:
@@ -411,8 +412,11 @@ class PortQosPolicy:
 
     def _attach(self, rule: QosRule) -> None:
         self._rules.append(rule)
-        if rule.action is FilterAction.SHAPE:
-            self._shapers[rule.rule_id] = RateLimiter(rate_bps=rule.shape_rate_bps)
+        self._ids[rule.rule_id] = (
+            RateLimiter(rate_bps=rule.shape_rate_bps)
+            if rule.action is FilterAction.SHAPE
+            else None
+        )
 
     def install(self, rule: QosRule) -> None:
         """Install a rule (replacing any existing rule with the same id).
@@ -424,16 +428,18 @@ class PortQosPolicy:
         """
         rule = self._normalise(rule)
         deltas: list[tuple] = []
-        if rule.rule_id:
+        if rule.rule_id and rule.rule_id in self._ids:
             self._remove_sorted(rule.rule_id, deltas)
-            self._rules = [
-                existing for existing in self._rules if existing.rule_id != rule.rule_id
-            ]
-            self._shapers.pop(rule.rule_id, None)
+            self._forget(rule.rule_id)
         self._attach(rule)
         deltas.append(("install", rule, self._insert_sorted(rule)))
         self._bump()
         self._record(deltas)
+
+    def _forget(self, rule_id: str) -> None:
+        """Take every rule carrying ``rule_id`` out of the install order."""
+        self._rules = [rule for rule in self._rules if rule.rule_id != rule_id]
+        del self._ids[rule_id]
 
     def _remove_sorted(self, rule_id: str, deltas: list[tuple]) -> None:
         """Splice every rule carrying ``rule_id`` out of the sorted views.
@@ -477,10 +483,11 @@ class PortQosPolicy:
         batch.reverse()
         if not batch:
             return
-        if seen:
+        replaced = [rule_id for rule_id in seen if rule_id in self._ids]
+        if replaced:
             self._rules = [rule for rule in self._rules if rule.rule_id not in seen]
-            for rule_id in seen:
-                self._shapers.pop(rule_id, None)
+            for rule_id in replaced:
+                del self._ids[rule_id]
         if len(batch) > _BATCH_DELTA_LIMIT:
             # Bulk staging: one stable sort beats thousands of splices.
             # _resort resets the journal, so the next compile is scratch.
@@ -489,7 +496,7 @@ class PortQosPolicy:
             self._resort()
             return
         deltas: list[tuple] = []
-        for rule_id in seen:
+        for rule_id in replaced:
             self._remove_sorted(rule_id, deltas)
         for rule in batch:
             self._attach(rule)
@@ -509,13 +516,11 @@ class PortQosPolicy:
         plan stay warm instead of recompiling for a change that never
         happened.
         """
-        remaining = [rule for rule in self._rules if rule.rule_id != rule_id]
-        if len(remaining) == len(self._rules):
+        if rule_id not in self._ids:
             return False
-        self._rules = remaining
-        self._shapers.pop(rule_id, None)
         deltas: list[tuple] = []
         self._remove_sorted(rule_id, deltas)
+        self._forget(rule_id)
         self._bump()
         self._record(deltas)
         return True
@@ -546,7 +551,7 @@ class PortQosPolicy:
         """The stateful shaper behind a SHAPE rule id, drained by the
         fabric delivery plan.  Anonymous shape rules are keyed by their
         synthetic ``anon-<n>`` id assigned at install time."""
-        return self._shapers.get(key)
+        return self._ids.get(key)
 
     def clear(self) -> None:
         """Drop every rule.  Clearing an already-empty policy is a no-op
@@ -554,9 +559,9 @@ class PortQosPolicy:
         if not self._rules:
             return
         self._rules.clear()
+        self._ids.clear()
         self._sorted_rules.clear()
         self._sorted_specs.clear()
-        self._shapers.clear()
         self._bump()
         # Cheaper to compile the empty set than to replay N removals.
         self._journal = []
@@ -583,26 +588,23 @@ class PortQosPolicy:
         """The rule-match index for the current rule set (cached per version).
 
         When the change journal still covers the cached snapshot's
-        version, the deltas recorded since are replayed through
-        :meth:`~repro.ixp.ruleindex.RuleMatchIndex.with_installed` /
-        :meth:`~repro.ixp.ruleindex.RuleMatchIndex.with_removed` — each an
-        O(touched group) splice — instead of recompiling the whole rule
-        set; a re-sort, a :meth:`clear` or journal overflow falls back to
-        the from-scratch compile.  Either way the result is structurally
-        identical (the fuzz suite pins it).
+        version, every delta recorded since — one span, however many
+        versions and coalesced batches it crosses — is applied in one
+        :meth:`~repro.ixp.ruleindex.RuleMatchIndex.with_changes` pass
+        instead of recompiling the whole rule set; a re-sort, a
+        :meth:`clear` or journal overflow falls back to the from-scratch
+        compile.  Either way the result is structurally identical (the
+        fuzz suite pins it), and a span that fails to apply leaves the
+        cached snapshot as it was.
         """
         if self._index is not None and self._index_version != self._version:
             if self._index_version >= self._journal_base:
-                index = self._index
-                for version_after, deltas in self._journal:
-                    if version_after <= self._index_version:
-                        continue
-                    for delta in deltas:
-                        if delta[0] == "install":
-                            index = index.with_installed(delta[1], delta[2])
-                        else:
-                            index = index.with_removed(delta[1], delta[2])
-                self._index = index
+                self._index = self._index.with_changes(
+                    delta
+                    for version_after, deltas in self._journal
+                    if version_after > self._index_version
+                    for delta in deltas
+                )
                 self._index_version = self._version
             else:
                 self._index = None

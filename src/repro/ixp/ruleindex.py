@@ -46,19 +46,24 @@ fuzz suite).
 
 Indexes are immutable snapshots.  :class:`~repro.ixp.qos.PortQosPolicy`
 caches one per rule-set version and, under steady churn, *derives the
-next snapshot from the previous one*: :meth:`RuleMatchIndex.with_installed`
-and :meth:`RuleMatchIndex.with_removed` splice a single rule into / out of
-the one signature group it touches (one ``np.searchsorted`` + slice copy
-for exact groups, a list splice for fallback groups) and rewrite only the
-affected rank range, so a single-rule change costs O(group) array copies
-instead of an O(rules) Python recompile.
+next snapshot from the previous one*: :meth:`RuleMatchIndex.with_changes`
+absorbs one span of the policy's change journal — a whole coalesced batch
+of installs and removals — in a single pass.  The span's deltas resolve
+to one old→new rank map (``np.searchsorted`` over the sorted removed and
+inserted ranks); every group's rank array is gathered through it once,
+removed entries drop out, and the span's new entries merge in at their
+``searchsorted`` positions.  The map is monotone, so no group is
+re-sorted; fallback entries are held per radix bin as a rank array plus
+a rule array, so they remap the same way.  A k-operation span therefore
+costs one vectorized O(rules) pass instead of k of them, and only its
+new rules pay the per-rule Python compile.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections.abc import Sequence
-from dataclasses import dataclass
+from bisect import bisect_left, insort
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -79,6 +84,7 @@ EXACT_FIELD_WIDTHS: tuple[tuple[str, int], ...] = (
     ("src_port", 16),
     ("dst_port", 16),
 )
+_FIELD_WIDTHS = dict(EXACT_FIELD_WIDTHS)
 
 #: Top address bits a broad IPv4-prefix fallback rule is binned by.  A
 #: rule with a prefix of at least this many bits maps to exactly one bin
@@ -99,7 +105,9 @@ class MatchSignature:
     host route (an equality test on the address column) or anything
     broader; the L4 fields and the MAC criterion are plain present/absent
     flags.  Rules sharing a signature are matched by the same compiled
-    strategy.
+    strategy.  The derived fields are computed once per signature (every
+    compiled rule reads them), and :meth:`of` hands out one shared
+    instance per distinct signature.
     """
 
     dst: str = _NONE
@@ -108,29 +116,18 @@ class MatchSignature:
     protocol: bool = False
     src_port: bool = False
     dst_port: bool = False
+    #: The packed key fields, in :data:`EXACT_FIELD_WIDTHS` order.
+    exact_fields: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    #: Total width of the packed key.
+    key_bits: int = field(init=False, repr=False, compare=False)
+    #: True if every set criterion is an equality test fitting the key.
+    #: MAC criteria and non-host (or IPv6) prefixes force the masked
+    #: fallback, as does the empty (catch-all) signature and the rare
+    #: combination whose packed key would overflow 64 bits (e.g. host
+    #: src + host dst + both ports).
+    is_exact: bool = field(init=False, repr=False, compare=False)
 
-    @classmethod
-    def of(cls, match: "FlowMatch") -> "MatchSignature":
-        def prefix_kind(prefix: "Optional[Prefix]") -> str:
-            if prefix is None:
-                return _NONE
-            if prefix.version == 4 and prefix.is_host_route:
-                return _HOST
-            return _PREFIX
-
-        return cls(
-            dst=prefix_kind(match.dst_prefix),
-            src=prefix_kind(match.src_prefix),
-            mac=match.src_mac is not None,
-            protocol=match.protocol is not None,
-            src_port=match.src_port is not None,
-            dst_port=match.dst_port is not None,
-        )
-
-    # ------------------------------------------------------------------
-    @property
-    def exact_fields(self) -> tuple[str, ...]:
-        """The packed key fields, in :data:`EXACT_FIELD_WIDTHS` order."""
+    def __post_init__(self) -> None:
         present = {
             "dst_ip": self.dst == _HOST,
             "src_ip": self.src == _HOST,
@@ -138,31 +135,41 @@ class MatchSignature:
             "src_port": self.src_port,
             "dst_port": self.dst_port,
         }
-        return tuple(name for name, _ in EXACT_FIELD_WIDTHS if present[name])
+        fields = tuple(name for name, _ in EXACT_FIELD_WIDTHS if present[name])
+        key_bits = sum(_FIELD_WIDTHS[name] for name in fields)
+        broad = self.mac or self.dst == _PREFIX or self.src == _PREFIX
+        object.__setattr__(self, "exact_fields", fields)
+        object.__setattr__(self, "key_bits", key_bits)
+        object.__setattr__(self, "is_exact", not broad and bool(fields) and key_bits <= 64)
 
-    @property
-    def key_bits(self) -> int:
-        widths = dict(EXACT_FIELD_WIDTHS)
-        return sum(widths[name] for name in self.exact_fields)
+    @classmethod
+    def of(cls, match: "FlowMatch") -> "MatchSignature":
+        def prefix_kind(prefix: "Optional[Prefix]") -> str:
+            if prefix is None:
+                return _NONE
+            network = prefix.network
+            return _HOST if network.version == 4 and network.prefixlen == 32 else _PREFIX
 
-    @property
-    def is_exact(self) -> bool:
-        """True if every set criterion is an equality test fitting the key.
+        kinds = (
+            prefix_kind(match.dst_prefix),
+            prefix_kind(match.src_prefix),
+            match.src_mac is not None,
+            match.protocol is not None,
+            match.src_port is not None,
+            match.dst_port is not None,
+        )
+        signature = _SIGNATURES.get(kinds)
+        if signature is None:
+            signature = _SIGNATURES[kinds] = cls(*kinds)
+        return signature
 
-        MAC criteria and non-host (or IPv6) prefixes force the masked
-        fallback, as does the empty (catch-all) signature and the rare
-        combination whose packed key would overflow 64 bits (e.g. host
-        src + host dst + both ports).
-        """
-        if self.mac or self.dst == _PREFIX or self.src == _PREFIX:
-            return False
-        fields = self.exact_fields
-        return bool(fields) and self.key_bits <= 64
+
+#: The shared :class:`MatchSignature` per distinct field-kind tuple.
+_SIGNATURES: dict[tuple, MatchSignature] = {}
 
 
 def _rule_key(match: "FlowMatch", fields: tuple[str, ...]) -> int:
     """Pack one rule's exact criteria into the group's integer key."""
-    widths = dict(EXACT_FIELD_WIDTHS)
     key = 0
     for name in fields:
         if name == "dst_ip":
@@ -173,7 +180,7 @@ def _rule_key(match: "FlowMatch", fields: tuple[str, ...]) -> int:
             value = int(match.protocol)
         else:
             value = int(getattr(match, name))
-        key = (key << widths[name]) | value
+        key = (key << _FIELD_WIDTHS[name]) | value
     return key
 
 
@@ -191,71 +198,103 @@ def _radix_bin(match: "FlowMatch") -> Optional[tuple[str, int]]:
     return None
 
 
+#: Where a fallback rule is matched: its radix bin, or ``None`` for the
+#: full-table pass.
+_Bin = Optional[tuple[str, int]]
+
+
+def _file(ranked: "Iterable[tuple[int, QosRule]]") -> tuple[dict, dict]:
+    """Sort ``(rank, rule)`` pairs into exact ``(key, rank)`` entries per
+    field tuple and fallback ``(rank, rule)`` entries per :data:`_Bin`."""
+    exact: dict[tuple[str, ...], list[tuple[int, int]]] = {}
+    fallback: dict[_Bin, list["tuple[int, QosRule]"]] = {}
+    for rank, rule in ranked:
+        signature = MatchSignature.of(rule.match)
+        if signature.is_exact:
+            fields = signature.exact_fields
+            exact.setdefault(fields, []).append((_rule_key(rule.match, fields), rank))
+        else:
+            fallback.setdefault(_radix_bin(rule.match), []).append((rank, rule))
+    return exact, fallback
+
+
+def _bin_entries(entries: "list[tuple[int, QosRule]]") -> tuple[np.ndarray, np.ndarray]:
+    """Rank-ascending ``(rank, rule)`` pairs as a rank + rule array."""
+    count = len(entries)
+    return (
+        np.fromiter((rank for rank, _ in entries), dtype=np.int32, count=count),
+        np.fromiter((rule for _, rule in entries), dtype=object, count=count),
+    )
+
+
+def _remapped(
+    rank_map: np.ndarray, ranks: np.ndarray, other: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``ranks`` (and the parallel ``other``) through a span's rank map.
+
+    Removed entries (mapped to ``-1``) drop out; the map is monotone, so
+    the survivors keep their order.
+    """
+    ranks = rank_map[ranks]
+    kept = ranks >= 0
+    return ranks[kept], other[kept]
+
+
+def _merged(at: np.ndarray, old: tuple, new: tuple) -> list[np.ndarray]:
+    """The parallel ``old`` arrays with entry ``i`` of the ``new`` ones
+    placed before old position ``at[i]`` (``at`` ascending)."""
+    slots = at + np.arange(len(at))
+    kept = np.ones(len(old[0]) + len(at), dtype=bool)
+    kept[slots] = False
+    merged = []
+    for old_column, new_column in zip(old, new):
+        column = np.empty(len(kept), dtype=old_column.dtype)
+        column[slots] = new_column
+        column[kept] = old_column
+        merged.append(column)
+    return merged
+
+
 class ExactGroup:
     """One exact signature group: packed keys sorted by (key, rank)."""
 
-    __slots__ = ("fields", "keys", "ranks", "rule_count")
+    __slots__ = ("fields", "keys", "ranks")
 
-    def __init__(self, fields: tuple[str, ...], entries: list[tuple[int, int]]) -> None:
+    def __init__(self, fields: tuple[str, ...], keys: np.ndarray, ranks: np.ndarray) -> None:
+        """Adopt already-(key, rank)-sorted arrays."""
         self.fields = fields
-        self.rule_count = len(entries)
+        self.keys = keys
+        self.ranks = ranks
+
+    @classmethod
+    def compile(cls, fields: tuple[str, ...], entries: list[tuple[int, int]]) -> "ExactGroup":
+        """Sort ``(key, rank)`` entries into a group."""
         keys = np.fromiter((key for key, _ in entries), dtype=np.uint64, count=len(entries))
         ranks = np.fromiter((rank for _, rank in entries), dtype=np.int32, count=len(entries))
         # Sort by key, then rank.  Duplicate keys keep every entry: the
         # side="left" lookup in best_ranks lands on the lowest rank (the
         # most specific / earliest-installed rule), matching what the
         # sequential first-match loop would claim — and keeping shadowed
-        # duplicates in place is what lets with_removed restore them.
+        # duplicates in place is what lets a removal restore them.
         order = np.lexsort((ranks, keys))
-        self.keys = keys[order]
-        self.ranks = ranks[order]
+        return cls(fields, keys[order], ranks[order])
 
-    @classmethod
-    def _from_arrays(
-        cls, fields: tuple[str, ...], keys: np.ndarray, ranks: np.ndarray
-    ) -> "ExactGroup":
-        """Adopt already-(key, rank)-sorted arrays without re-sorting."""
-        group = object.__new__(cls)
-        group.fields = fields
-        group.keys = keys
-        group.ranks = ranks
-        group.rule_count = len(keys)
-        return group
-
-    # ------------------------------------------------------------------
-    # Incremental splices (callers pass already-shifted rank spaces)
-    # ------------------------------------------------------------------
-    def _position_of(self, key: int, rank: int, ranks: np.ndarray) -> int:
-        """The (key, rank) order position of one entry within the group."""
-        lo = int(np.searchsorted(self.keys, np.uint64(key), side="left"))
-        hi = int(np.searchsorted(self.keys, np.uint64(key), side="right"))
-        return lo + int(np.searchsorted(ranks[lo:hi], np.int32(rank)))
-
-    def with_inserted(self, key: int, rank: int, shifted_ranks: np.ndarray) -> "ExactGroup":
-        """A copy with ``(key, rank)`` spliced in at its sorted position."""
-        pos = self._position_of(key, rank, shifted_ranks)
-        return ExactGroup._from_arrays(
-            self.fields,
-            np.insert(self.keys, pos, np.uint64(key)),
-            np.insert(shifted_ranks, pos, np.int32(rank)),
-        )
-
-    def with_deleted(self, key: int, rank: int) -> Optional["ExactGroup"]:
-        """A copy with the ``(key, rank)`` entry spliced out (None if empty)."""
-        pos = self._position_of(key, rank, self.ranks)
-        if (
-            pos >= len(self.keys)
-            or int(self.keys[pos]) != key
-            or int(self.ranks[pos]) != rank
-        ):
-            raise ValueError(
-                f"exact group {self.fields} has no entry (key={key}, rank={rank})"
-            )
-        if len(self.keys) == 1:
-            return None
-        return ExactGroup._from_arrays(
-            self.fields, np.delete(self.keys, pos), np.delete(self.ranks, pos)
-        )
+    def patched(self, rank_map: np.ndarray, inserts: Optional[list]) -> Optional["ExactGroup"]:
+        """The group after a journal span (None once it is empty): the
+        survivors keep their (key, rank) order through the monotone rank
+        map, and the span's new ``(key, rank)`` entries merge in."""
+        ranks, keys = _remapped(rank_map, self.ranks, self.keys)
+        if inserts:
+            inserts.sort()
+            new_keys = np.array([key for key, _ in inserts], dtype=np.uint64)
+            new_ranks = np.array([rank for _, rank in inserts], dtype=np.int32)
+            at = np.searchsorted(keys, new_keys, side="left")
+            end = np.searchsorted(keys, new_keys, side="right")
+            # A key already present lands among its duplicates by rank.
+            for i in np.flatnonzero(end > at).tolist():
+                at[i] += np.searchsorted(ranks[at[i] : end[i]], new_ranks[i])
+            keys, ranks = _merged(at, (keys, ranks), (new_keys, new_ranks))
+        return ExactGroup(self.fields, keys, ranks) if len(keys) else None
 
     # ------------------------------------------------------------------
     def flow_keys(self, table: FlowTable) -> tuple[np.ndarray, Optional[np.ndarray]]:
@@ -266,13 +305,12 @@ class ExactGroup:
         with an out-of-range value can never equal a validated rule key,
         so it must not alias into another key's lane.
         """
-        widths = dict(EXACT_FIELD_WIDTHS)
         keys = np.zeros(len(table), dtype=np.uint64)
         valid: Optional[np.ndarray] = None
         for name in self.fields:
             column = getattr(table, name)
-            width = np.uint64(widths[name])
-            lane = np.uint64((1 << widths[name]) - 1)
+            width = np.uint64(_FIELD_WIDTHS[name])
+            lane = np.uint64((1 << _FIELD_WIDTHS[name]) - 1)
             if column.dtype.kind == "i":  # the L4 port columns are signed
                 in_range = (column >= 0) & (column <= int(lane))
                 if not bool(in_range.all()):
@@ -295,20 +333,6 @@ class ExactGroup:
         return np.where(hits, self.ranks[positions], np.int32(sentinel))
 
 
-def _shift_up(ranks: np.ndarray, rank: int) -> np.ndarray:
-    """A copy of ``ranks`` with every entry >= ``rank`` moved up one."""
-    shifted = ranks.copy()
-    shifted[shifted >= rank] += np.int32(1)
-    return shifted
-
-
-def _shift_down(ranks: np.ndarray, rank: int) -> np.ndarray:
-    """A copy of ``ranks`` with every entry > ``rank`` moved down one."""
-    shifted = ranks.copy()
-    shifted[shifted > rank] -= np.int32(1)
-    return shifted
-
-
 class RuleMatchIndex:
     """Compiled snapshot of one rule list in most-specific-first order.
 
@@ -320,105 +344,119 @@ class RuleMatchIndex:
     """
 
     def __init__(self, rules: "Sequence[QosRule]") -> None:
-        self._rules = list(rules)
-        exact_entries: dict[tuple[str, ...], list[tuple[int, int]]] = {}
-        fallback: dict[MatchSignature, list["tuple[int, QosRule]"]] = {}
-        for rank, rule in enumerate(self._rules):
-            signature = MatchSignature.of(rule.match)
-            if signature.is_exact:
-                fields = signature.exact_fields
-                exact_entries.setdefault(fields, []).append(
-                    (_rule_key(rule.match, fields), rank)
-                )
-            else:
-                fallback.setdefault(signature, []).append((rank, rule))
+        self._rules = np.fromiter(rules, dtype=object, count=len(rules))
+        exact, fallback = _file(enumerate(self._rules))
         self._exact_groups = [
-            ExactGroup(fields, entries) for fields, entries in exact_entries.items()
+            ExactGroup.compile(fields, entries) for fields, entries in exact.items()
         ]
-        self._fallback_groups = list(fallback.items())
-        self._compile_radix()
+        #: Fallback entries by radix bin (``None``: the full-table pass).
+        self._fallback: dict[_Bin, tuple[np.ndarray, np.ndarray]] = {
+            where: _bin_entries(entries) for where, entries in fallback.items()
+        }
 
-    def _compile_radix(self) -> None:
-        """Partition the fallback entries into radix bins + the full pass.
+    # ------------------------------------------------------------------
+    # Persistent-snapshot deltas
+    # ------------------------------------------------------------------
+    def with_changes(self, deltas: "Iterable[tuple]") -> "RuleMatchIndex":
+        """A new snapshot with one span of the change journal applied.
 
-        Derived from ``_fallback_groups`` (O(fallback rules), no key
-        packing or sorting), so the delta constructors simply re-run it
-        on the spliced groups.
+        ``deltas`` are the journal's ``("install", rule, rank)`` /
+        ``("remove", rule_id, rank)`` tuples in recorded order, each rank
+        against the rule list the earlier deltas left.  Every delta is
+        checked before anything is built — a rank out of range raises
+        :class:`IndexError`, a rule id that differs from the rule's at
+        that rank :class:`KeyError` — and this snapshot is never
+        modified.  The result is structurally identical to
+        ``RuleMatchIndex`` compiled from scratch over the new rule list
+        (the fuzz suite pins it).
         """
-        binned: dict[tuple[str, int], list["tuple[int, QosRule]"]] = {}
-        unbinned: list["tuple[int, QosRule]"] = []
-        for _, entries in self._fallback_groups:
-            for rank, rule in entries:
-                placed = _radix_bin(rule.match)
-                if placed is None:
-                    unbinned.append((rank, rule))
-                else:
-                    binned.setdefault(placed, []).append((rank, rule))
-        self._radix_groups = binned
-        self._unbinned_fallback = unbinned
+        size = len(self._rules)
+        gone: list[int] = []  # ranks of this snapshot removed, ascending
+        added: list[int] = []  # current ranks of the span's live installs
+        added_rules: list["QosRule"] = []
+        for kind, item, rank in deltas:
+            at = bisect_left(added, rank)
+            if kind == "install":
+                if not 0 <= rank <= size:
+                    raise IndexError(f"insert rank {rank} outside 0..{size}")
+                added[at:] = [later + 1 for later in added[at:]]
+                added.insert(at, rank)
+                added_rules.insert(at, item)
+                size += 1
+                continue
+            if not 0 <= rank < size:
+                raise IndexError(f"remove rank {rank} outside 0..{size - 1}")
+            fresh = at < len(added) and added[at] == rank
+            if fresh:
+                rule = added_rules[at]
+            else:
+                # The rule is this snapshot's (rank - at)-th survivor:
+                # step over the removed ranks at or below it.
+                old = rank - at
+                for removed in gone:
+                    if removed > old:
+                        break
+                    old += 1
+                rule = self._rules[old]
+            if rule.rule_id != item:
+                raise KeyError(f"rule at rank {rank} carries id {rule.rule_id!r}, not {item!r}")
+            if fresh:
+                del added[at], added_rules[at]
+            else:
+                insort(gone, old)
+            added[at:] = [later - 1 for later in added[at:]]
+            size -= 1
+        if not gone and not added:
+            return self
 
-    # ------------------------------------------------------------------
-    # Persistent-snapshot delta ops
-    # ------------------------------------------------------------------
+        # One old -> new rank map for the whole span: a survivor's new
+        # rank is its survivor index plus the installs landing before it
+        # (install j sits after added[j] - j survivors).
+        rank_map = np.arange(len(self._rules))
+        if gone:
+            removed = np.array(gone)
+            rank_map = rank_map - np.searchsorted(removed, rank_map)
+        if added:
+            slots = np.array(added) - np.arange(len(added))
+            rank_map = rank_map + np.searchsorted(slots, rank_map, side="right")
+        rank_map = rank_map.astype(np.int32)
+        if gone:
+            rank_map[removed] = -1
+        kept = rank_map >= 0
+        rules = np.empty(size, dtype=object)
+        rules[rank_map[kept]] = self._rules[kept]
+        rules[added] = np.fromiter(added_rules, dtype=object, count=len(added))
+
+        exact_new, fallback_new = _file(zip(added, added_rules))
+        clone = object.__new__(RuleMatchIndex)
+        clone._rules = rules
+        clone._exact_groups = []
+        for group in self._exact_groups:
+            patched = group.patched(rank_map, exact_new.pop(group.fields, None))
+            if patched is not None:
+                clone._exact_groups.append(patched)
+        for fields, entries in exact_new.items():
+            clone._exact_groups.append(ExactGroup.compile(fields, entries))
+        clone._fallback = {}
+        for where, entries in self._fallback.items():
+            bin_ranks, bin_rules = _remapped(rank_map, *entries)
+            inserts = fallback_new.pop(where, None)
+            if inserts:
+                new_ranks, new_rules = _bin_entries(inserts)
+                at = np.searchsorted(bin_ranks, new_ranks)
+                bin_ranks, bin_rules = _merged(at, (bin_ranks, bin_rules), (new_ranks, new_rules))
+            if len(bin_rules):
+                clone._fallback[where] = bin_ranks, bin_rules
+        for where, entries in fallback_new.items():
+            clone._fallback[where] = _bin_entries(entries)
+        return clone
+
     def with_installed(self, rule: "QosRule", rank: Optional[int] = None) -> "RuleMatchIndex":
-        """A new snapshot with ``rule`` spliced in at sorted position ``rank``.
-
-        Structurally identical to ``RuleMatchIndex`` compiled from scratch
-        over the new rule list (the fuzz suite pins it): only the touched
-        signature group gains an entry — one ``searchsorted`` insert and
-        slice copy for an exact group, a list splice for a fallback group
-        — and the rank arrays of the other groups are shifted in one
-        vectorized pass each.
-        """
+        """A new snapshot with ``rule`` spliced in at sorted position ``rank``
+        (default: last) — a one-delta :meth:`with_changes`."""
         if rank is None:
             rank = len(self._rules)
-        if not 0 <= rank <= len(self._rules):
-            raise IndexError(
-                f"insert rank {rank} outside 0..{len(self._rules)}"
-            )
-        signature = MatchSignature.of(rule.match)
-        target_fields = signature.exact_fields if signature.is_exact else None
-        clone = object.__new__(RuleMatchIndex)
-        clone._rules = self._rules[:rank] + [rule] + self._rules[rank:]
-
-        exact_groups: list[ExactGroup] = []
-        inserted = False
-        for group in self._exact_groups:
-            shifted = _shift_up(group.ranks, rank)
-            if target_fields is not None and group.fields == target_fields:
-                exact_groups.append(
-                    group.with_inserted(_rule_key(rule.match, target_fields), rank, shifted)
-                )
-                inserted = True
-            else:
-                exact_groups.append(
-                    ExactGroup._from_arrays(group.fields, group.keys, shifted)
-                )
-        if target_fields is not None and not inserted:
-            exact_groups.append(
-                ExactGroup(target_fields, [(_rule_key(rule.match, target_fields), rank)])
-            )
-        clone._exact_groups = exact_groups
-
-        fallback_groups: list["tuple[MatchSignature, list[tuple[int, QosRule]]]"] = []
-        spliced = False
-        for group_signature, entries in self._fallback_groups:
-            shifted_entries = [
-                (entry_rank + 1 if entry_rank >= rank else entry_rank, entry_rule)
-                for entry_rank, entry_rule in entries
-            ]
-            if target_fields is None and group_signature == signature:
-                position = bisect_left(
-                    [entry_rank for entry_rank, _ in shifted_entries], rank
-                )
-                shifted_entries.insert(position, (rank, rule))
-                spliced = True
-            fallback_groups.append((group_signature, shifted_entries))
-        if target_fields is None and not spliced:
-            fallback_groups.append((signature, [(rank, rule)]))
-        clone._fallback_groups = fallback_groups
-        clone._compile_radix()
-        return clone
+        return self.with_changes((("install", rule, rank),))
 
     def with_removed(self, rule_id: str, rank: Optional[int] = None) -> "RuleMatchIndex":
         """A new snapshot with the rule at sorted position ``rank`` spliced out.
@@ -428,82 +466,41 @@ class RuleMatchIndex:
         journal records both, so replays verify they still agree).
         """
         if rank is None:
-            rank = next(
-                (
-                    position
-                    for position, rule in enumerate(self._rules)
-                    if rule.rule_id == rule_id
-                ),
-                None,
-            )
-            if rank is None:
+            ids = [rule.rule_id for rule in self._rules]
+            if rule_id not in ids:
                 raise KeyError(f"no rule with id {rule_id!r} in the index")
-        if not 0 <= rank < len(self._rules):
-            raise IndexError(f"remove rank {rank} outside 0..{len(self._rules) - 1}")
-        rule = self._rules[rank]
-        if rule.rule_id != rule_id:
-            raise KeyError(
-                f"rule at rank {rank} carries id {rule.rule_id!r}, not {rule_id!r}"
-            )
-        signature = MatchSignature.of(rule.match)
-        target_fields = signature.exact_fields if signature.is_exact else None
-        clone = object.__new__(RuleMatchIndex)
-        clone._rules = self._rules[:rank] + self._rules[rank + 1 :]
-
-        exact_groups: list[ExactGroup] = []
-        for group in self._exact_groups:
-            if target_fields is not None and group.fields == target_fields:
-                remaining = group.with_deleted(_rule_key(rule.match, target_fields), rank)
-                if remaining is None:
-                    continue
-                group = remaining
-            exact_groups.append(
-                ExactGroup._from_arrays(
-                    group.fields, group.keys, _shift_down(group.ranks, rank)
-                )
-            )
-        clone._exact_groups = exact_groups
-
-        fallback_groups: list["tuple[MatchSignature, list[tuple[int, QosRule]]]"] = []
-        for group_signature, entries in self._fallback_groups:
-            if target_fields is None and group_signature == signature:
-                entries = [
-                    (entry_rank, entry_rule)
-                    for entry_rank, entry_rule in entries
-                    if entry_rank != rank
-                ]
-                if not entries:
-                    continue
-            fallback_groups.append(
-                (
-                    group_signature,
-                    [
-                        (
-                            entry_rank - 1 if entry_rank > rank else entry_rank,
-                            entry_rule,
-                        )
-                        for entry_rank, entry_rule in entries
-                    ],
-                )
-            )
-        clone._fallback_groups = fallback_groups
-        clone._compile_radix()
-        return clone
+            rank = ids.index(rule_id)
+        return self.with_changes((("remove", rule_id, rank),))
 
     # ------------------------------------------------------------------
     # Introspection (docs, tests, telemetry)
     # ------------------------------------------------------------------
+    def _fallback_groups(self) -> "dict[MatchSignature, list[tuple[int, QosRule]]]":
+        """Fallback ``(rank, rule)`` entries by signature, rank-ascending."""
+        entries = sorted(
+            (
+                (rank, rule)
+                for ranks, rules in self._fallback.values()
+                for rank, rule in zip(ranks.tolist(), rules)
+            ),
+            key=lambda entry: entry[0],
+        )
+        groups: "dict[MatchSignature, list[tuple[int, QosRule]]]" = {}
+        for rank, rule in entries:
+            groups.setdefault(MatchSignature.of(rule.match), []).append((rank, rule))
+        return groups
+
     @property
     def rule_count(self) -> int:
         return len(self._rules)
 
     @property
     def exact_rule_count(self) -> int:
-        return sum(group.rule_count for group in self._exact_groups)
+        return sum(len(group.keys) for group in self._exact_groups)
 
     @property
     def fallback_rule_count(self) -> int:
-        return sum(len(entries) for _, entries in self._fallback_groups)
+        return sum(len(rules) for _, rules in self._fallback.values())
 
     @property
     def exact_group_count(self) -> int:
@@ -511,12 +508,14 @@ class RuleMatchIndex:
 
     @property
     def fallback_group_count(self) -> int:
-        return len(self._fallback_groups)
+        return len(self._fallback_groups())
 
     @property
     def radix_binned_rule_count(self) -> int:
         """Fallback rules matched through a radix bin (not the full pass)."""
-        return sum(len(entries) for entries in self._radix_groups.values())
+        return sum(
+            len(rules) for where, (_, rules) in self._fallback.items() if where is not None
+        )
 
     def describe(self) -> dict[str, int]:
         """Compact stats of the compiled shape (stable across engines).
@@ -545,15 +544,12 @@ class RuleMatchIndex:
         snapshots and from-scratch compiles.
         """
         return {
-            "rules": list(self._rules),
+            "rules": self._rules.tolist(),
             "exact": {
                 group.fields: (group.keys.tolist(), group.ranks.tolist())
                 for group in self._exact_groups
             },
-            "fallback": {
-                signature: list(entries)
-                for signature, entries in self._fallback_groups
-            },
+            "fallback": self._fallback_groups(),
         }
 
     # ------------------------------------------------------------------
@@ -578,17 +574,18 @@ class RuleMatchIndex:
             ranks = group.best_ranks(table, sentinel)
             if ranks is not None:
                 np.minimum(best, ranks, out=best)
-        if self._radix_groups:
+        binned = [(where, entries) for where, entries in self._fallback.items() if where]
+        if binned:
             shift = np.uint32(32 - RADIX_BITS)
             # One bucketing pass per address column: bin each row, then a
             # stable argsort groups the rows so every bin's candidates are
             # one contiguous slice (ascending original row order).
             bucketed: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-            for column in {column for column, _ in self._radix_groups}:
+            for column in {column for (column, _), _ in binned}:
                 row_bins = getattr(table, column) >> shift
                 order = np.argsort(row_bins, kind="stable")
                 bucketed[column] = (order, row_bins[order])
-            for (column, bin_value), entries in self._radix_groups.items():
+            for (column, bin_value), (ranks, rules) in binned:
                 order, sorted_bins = bucketed[column]
                 lo = int(np.searchsorted(sorted_bins, np.uint32(bin_value), side="left"))
                 hi = int(np.searchsorted(sorted_bins, np.uint32(bin_value), side="right"))
@@ -596,12 +593,13 @@ class RuleMatchIndex:
                     continue
                 rows = order[lo:hi]
                 candidates = table.select(rows)
-                for rank, rule in entries:
+                for rank, rule in zip(ranks.tolist(), rules):
                     mask = rule.match.matches_table(candidates)
                     if bool(mask.any()):
                         hit = rows[mask]
                         best[hit] = np.minimum(best[hit], np.int32(rank))
-        for rank, rule in self._unbinned_fallback:
+        ranks, rules = self._fallback.get(None, ((), ()))
+        for rank, rule in zip(ranks, rules):
             mask = rule.match.matches_table(table)
             if bool(mask.any()):
                 np.minimum(

@@ -12,6 +12,8 @@ shaper fix.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fuzz.strategies import single_port_fabric
 from oracle.reference import ReferenceFabric, assign
@@ -675,6 +677,184 @@ class TestIncrementalDeltas:
             base.with_removed("exact-ntp", 99)
 
 
+def span_pool():
+    """Rules a generated span draws from: every signature kind of
+    :func:`mixed_rules`, a duplicate of one of its exact keys, a rule
+    opening a new exact group, and binned / unbinned fallback rules."""
+    return mixed_rules() + [
+        host_drop("10.1.0.1", 123, "dup-ntp"),  # exact-ntp's packed key
+        QosRule(match=FlowMatch(src_port=1900), action=FilterAction.DROP, rule_id="ssdp"),
+        QosRule(
+            match=FlowMatch(dst_prefix=Prefix.parse("10.1.2.0/24")),
+            action=FilterAction.DROP,
+            rule_id="bin-24",
+        ),
+        QosRule(
+            match=FlowMatch(dst_prefix=Prefix.parse("10.0.0.0/8"), src_port=19),
+            action=FilterAction.DROP,
+            rule_id="wide-8",
+        ),
+        QosRule(
+            match=FlowMatch(src_mac=derived_mac(65003)),
+            action=FilterAction.DROP,
+            rule_id="mac-only",
+        ),
+    ]
+
+
+@st.composite
+def journal_spans(draw):
+    """``(base rules, span deltas, rules after the span)``.
+
+    Deltas carry sequential ranks, as the change journal records them;
+    a ``replace`` step is a removal followed by an install of the same
+    rule id (what ``PortQosPolicy.install`` journals for a known id).
+    """
+    pool = span_pool()
+    base = draw(st.lists(st.sampled_from(pool), max_size=10))
+    current = list(base)
+    deltas = []
+    kinds = st.sampled_from(["install", "remove", "replace"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=12)):
+        if kind == "install" or not current:
+            rule = draw(st.sampled_from(pool))
+            rank = draw(st.integers(0, len(current)))
+            current.insert(rank, rule)
+            deltas.append(("install", rule, rank))
+            continue
+        rank = draw(st.integers(0, len(current) - 1))
+        rule = current.pop(rank)
+        deltas.append(("remove", rule.rule_id, rank))
+        if kind == "replace":
+            rank = draw(st.integers(0, len(current)))
+            current.insert(rank, rule)
+            deltas.append(("install", rule, rank))
+    return base, deltas, current
+
+
+def one_at_a_time(index, deltas):
+    """The span as a chain of one-element calls."""
+    for kind, item, rank in deltas:
+        if kind == "install":
+            index = index.with_installed(item, rank)
+        else:
+            index = index.with_removed(item, rank)
+    return index
+
+
+class TestSpanDeltas:
+    """with_changes: one journal span in one pass.
+
+    Each span must be structurally equal to a from-scratch compile of
+    the resulting rule list and to the chain of one-element calls, and a
+    bad delta anywhere in it must raise the one-element call's error
+    without touching the base snapshot.
+    """
+
+    @given(journal_spans())
+    def test_span_matches_scratch_and_chain(self, case):
+        base_rules, deltas, expected = case
+        base = RuleMatchIndex(base_rules)
+        before = base.structure()
+        patched = base.with_changes(deltas)
+        scratch = RuleMatchIndex(expected)
+        assert patched.structure() == scratch.structure()
+        assert one_at_a_time(base, deltas).structure() == scratch.structure()
+        assert patched.describe() == scratch.describe()
+        assert patched.radix_binned_rule_count == scratch.radix_binned_rule_count
+        assert base.structure() == before
+
+    def test_span_empties_groups(self):
+        rules = mixed_rules()
+        base = RuleMatchIndex(rules)
+        # dstport-only is its exact group's only rule; catch-all and
+        # mac-peer are the only rules of their fallback signatures.
+        doomed = ("dstport-only", "catch-all", "mac-peer")
+        deltas, current = [], list(rules)
+        for rule_id in doomed:
+            rank = [rule.rule_id for rule in current].index(rule_id)
+            current.pop(rank)
+            deltas.append(("remove", rule_id, rank))
+        patched = base.with_changes(deltas)
+        assert patched.structure() == RuleMatchIndex(current).structure()
+        assert patched.exact_group_count == base.exact_group_count - 1
+        assert patched.fallback_group_count == base.fallback_group_count - 2
+
+    def test_span_creates_groups(self):
+        rules = mixed_rules()
+        pool = {rule.rule_id: rule for rule in span_pool()}
+        deltas = [
+            ("install", pool["ssdp"], 2),
+            ("install", pool["bin-24"], 0),
+            ("install", pool["dup-ntp"], 5),
+        ]
+        expected = list(rules)
+        for _, rule, rank in deltas:
+            expected.insert(rank, rule)
+        patched = RuleMatchIndex(rules).with_changes(deltas)
+        assert patched.structure() == RuleMatchIndex(expected).structure()
+        assert patched.exact_group_count == RuleMatchIndex(rules).exact_group_count + 1
+
+    def test_replacement_in_one_span(self):
+        rules = mixed_rules()
+        replacement = host_drop("10.1.0.60", 53, "exact-ntp")
+        deltas = [("remove", "exact-ntp", 0), ("install", replacement, 4)]
+        expected = rules[1:5] + [replacement] + rules[5:]
+        patched = RuleMatchIndex(rules).with_changes(deltas)
+        assert patched.structure() == RuleMatchIndex(expected).structure()
+
+    def test_install_then_remove_within_span(self):
+        rules = mixed_rules()
+        newcomer = host_drop("10.1.0.77", 19, "newcomer")
+        deltas = [("install", newcomer, 3), ("remove", "newcomer", 3)]
+        assert RuleMatchIndex(rules).with_changes(deltas).structure() == (
+            RuleMatchIndex(rules).structure()
+        )
+
+    def test_empty_span_returns_the_snapshot(self):
+        base = RuleMatchIndex(mixed_rules())
+        assert base.with_changes(()) is base
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ("remove", "exact-ntp", 99),  # rank past the end
+            ("install", "x", 42),  # insert rank past the end
+            ("install", "x", -1),
+            ("remove", "exact-ntp", 0),  # rank 0 now holds "first"
+            ("remove", "first", 1),  # rank 1 holds exact-ntp
+        ],
+    )
+    def test_mid_span_error_matches_one_element_call(self, bad):
+        rules = mixed_rules()
+        base = RuleMatchIndex(rules)
+        before = base.structure()
+        head = [("install", host_drop("10.1.0.70", 19, "first"), 0), ("remove", "catch-all", 8)]
+        tail = [("install", host_drop("10.1.0.71", 19, "later"), 0)]
+        if bad[0] == "install":
+            bad = ("install", host_drop("10.1.0.72", 19, "bad"), bad[2])
+        with pytest.raises((IndexError, KeyError)) as expected:
+            one_at_a_time(one_at_a_time(base, head), [bad])
+        with pytest.raises(expected.type) as raised:
+            base.with_changes(head + [bad] + tail)
+        assert str(raised.value) == str(expected.value)
+        assert base.structure() == before
+
+    def test_failed_span_leaves_the_cached_index(self):
+        policy = make_policy()
+        cached = policy.compiled_index()
+        version = policy.rules_version
+        policy.install(host_drop("10.1.0.80", 19, "fine"))
+        # Corrupt the newest journal entry with a delta whose id cannot
+        # match: the patch must fail before the cache is replaced.
+        version_after, deltas = policy._journal[-1]
+        policy._journal[-1] = (version_after, deltas + (("remove", "ghost", 0),))
+        with pytest.raises(KeyError, match="carries id"):
+            policy.compiled_index()
+        assert policy._index is cached
+        assert policy._index_version == version
+
+
 class TestJournalledCompile:
     """PortQosPolicy.compiled_index() patches the cached snapshot."""
 
@@ -721,6 +901,30 @@ class TestJournalledCompile:
         for i in range(_JOURNAL_LIMIT + 8):
             policy.install(host_drop(f"10.1.{i // 200}.{i % 200}", 19, f"churn{i}"))
         assert policy.compiled_index().structure() == self.scratch(policy)
+
+    @pytest.mark.parametrize("extra, scratch_compiles", [(0, 0), (1, 1)])
+    def test_journal_limit_boundary(self, monkeypatch, extra, scratch_compiles):
+        # Exactly _JOURNAL_LIMIT journalled versions since the cached
+        # snapshot still patch it; one more falls off the journal and
+        # the next compile starts from scratch.
+        from repro.ixp.qos import _JOURNAL_LIMIT
+
+        policy = make_policy()
+        policy.compiled_index()
+        for i in range(_JOURNAL_LIMIT + extra):
+            policy.install(host_drop(f"10.1.{i // 200}.{i % 200}", 19, f"edge{i}"))
+        compiles = []
+        original = RuleMatchIndex.__init__
+
+        def counting(index, rules):
+            compiles.append(len(rules))
+            original(index, rules)
+
+        monkeypatch.setattr(RuleMatchIndex, "__init__", counting)
+        index = policy.compiled_index()
+        assert len(compiles) == scratch_compiles
+        monkeypatch.undo()
+        assert index.structure() == self.scratch(policy)
 
     def test_clear_resets_and_recompiles(self):
         policy = make_policy()
