@@ -14,11 +14,17 @@ beat itself, but the parity assertions still hold everywhere.
 """
 
 import os
+import sys
 import time
+from pathlib import Path
 
 from bench_utils import print_table, write_bench_json
 
 from repro.experiments.city_scale import CityScaleConfig, run_city_scale_experiment
+
+# The dict-by-dict merge this bench races lives with the test references;
+# put ``tests`` on the path the way ``tests/conftest.py`` does.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 #: Heavy enough that per-interval compute dominates worker start-up on a
 #: multi-core host, small enough to finish in ~a minute on one core.
@@ -139,15 +145,11 @@ def test_bench_columnar_merge_10k_members(benchmark):
     (merged into the worker-scaling record).
     """
     import json
-    from pathlib import Path
 
     import numpy as np
 
-    from repro.ixp import (
-        columns_to_report_dict,
-        merge_interval_columns,
-        merge_interval_reports,
-    )
+    from oracle.shard import merge_interval_reports
+    from repro.ixp import columns_to_report_dict, merge_interval_columns
     from repro.ixp.fabric import MEMBER_REPORT_FIELDS
 
     member_count, shard_count = 10_000, 8

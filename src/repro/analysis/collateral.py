@@ -10,10 +10,7 @@ Given a traffic trace towards a victim, these helpers compute
   11211") would have removed without touching legitimate traffic — the
   argument §2.3 makes for Advanced Blackholing.
 
-The collateral-damage report and the filter potential read
-:class:`~repro.traffic.flowtable.FlowTable` columns.  The port shares run
-columnar on table-backed traces (the output of the vectorized
-generators); record-backed traces fall back to the per-flow loop.
+Every helper reads :class:`~repro.traffic.flowtable.FlowTable` columns.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ import numpy as np
 from ..mitigation.base import MitigationOutcome
 from ..traffic.flowtable import FlowTable, group_sum, iter_window_masks
 from ..traffic.packet import IpProtocol
-from ..traffic.trace import TrafficTrace, service_port
+from ..traffic.trace import TrafficTrace
 
 
 @dataclass(frozen=True)
@@ -55,27 +52,16 @@ def port_share_timeseries(
     application port over time, showing web ports collapsing when the
     memcached attack (port 11211) starts.
     """
-    if interval <= 0:
-        raise ValueError("interval must be positive")
+    table = trace.table
     trace_start = trace.start if start is None else start
     trace_end = trace.end if end is None else end
-    table = trace.table_or_none()
-    if table is not None:
-        return _port_share_timeseries_columnar(
-            table, interval, top_ports, trace_start, trace_end
-        )
-    snapshots: list[PortShareSnapshot] = []
-    t = trace_start
-    while t < trace_end:
-        window = trace.between(t, t + interval)
-        totals: dict[int, int] = {}
-        for flow in window:
-            port = service_port(flow)
-            key = port if port in top_ports else -1
-            totals[key] = totals.get(key, 0) + flow.bytes
-        snapshots.append(_snapshot(t, totals))
-        t += interval
-    return snapshots
+    ports = table.service_ports()
+    keys = np.where(np.isin(ports, list(top_ports)), ports.astype(np.int64), -1)
+    flow_bytes = table.bytes
+    return [
+        _snapshot(t, group_sum(keys[window], flow_bytes[window]))
+        for t, window in iter_window_masks(table, trace_start, trace_end, interval)
+    ]
 
 
 def _snapshot(interval_start: float, totals: dict[int, int]) -> PortShareSnapshot:
@@ -88,22 +74,6 @@ def _snapshot(interval_start: float, totals: dict[int, int]) -> PortShareSnapsho
     return PortShareSnapshot(
         interval_start=interval_start, shares=shares, total_bytes=grand_total
     )
-
-
-def _port_share_timeseries_columnar(
-    table: FlowTable,
-    interval: float,
-    top_ports: Sequence[int],
-    trace_start: float,
-    trace_end: float,
-) -> list[PortShareSnapshot]:
-    ports = table.service_ports()
-    keys = np.where(np.isin(ports, list(top_ports)), ports, -1)
-    flow_bytes = table.bytes
-    return [
-        _snapshot(t, group_sum(keys[window], flow_bytes[window]))
-        for t, window in iter_window_masks(table, trace_start, trace_end, interval)
-    ]
 
 
 @dataclass(frozen=True)

@@ -86,26 +86,15 @@ def _per_event_port_shares(
     """Per-interval share of bytes on each source port (the test samples)."""
     samples: dict[int, list[float]] = {port: [] for port in ports}
     start, end = trace.start, trace.end
-    table = trace.table_or_none()
-    if table is not None:
-        flow_bytes = table.bytes
-        port_masks = {port: table.src_port == port for port in ports}
-        for _, window in iter_window_masks(table, start, end, interval):
-            grand_total = int(flow_bytes[window].sum())
-            if grand_total > 0:
-                for port in ports:
-                    port_bytes = int(flow_bytes[window & port_masks[port]].sum())
-                    samples[port].append(port_bytes / grand_total)
-        return samples
-    t = start
-    while t < end:
-        window = trace.between(t, t + interval)
-        totals = window.bytes_by_source_port()
-        grand_total = sum(totals.values())
+    table = trace.table
+    flow_bytes = table.bytes
+    port_masks = {port: table.src_port == port for port in ports}
+    for _, window in iter_window_masks(table, start, end, interval):
+        grand_total = int(flow_bytes[window].sum())
         if grand_total > 0:
             for port in ports:
-                samples[port].append(totals.get(port, 0) / grand_total)
-        t += interval
+                port_bytes = int(flow_bytes[window & port_masks[port]].sum())
+                samples[port].append(port_bytes / grand_total)
     return samples
 
 

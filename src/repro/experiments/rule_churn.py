@@ -17,24 +17,20 @@ number of rule operations applied), admission outcomes (budget and
 backpressure rejections with their ``retry_after``), and the usual
 victim delivery series.
 
-Two execution modes produce bit-for-bit identical results:
-
-* ``execution="service"`` — the asyncio service: one
-  :meth:`~repro.ixp.service.ControlPlaneService.submit` task per request,
-  per-router worker tasks, futures;
-* ``execution="scripted"`` — the same admission/queue/coalesce core
-  driven synchronously, no event loop.
-
-The stronger oracle is :func:`replay_rule_churn`: the applied-change log
-of a run, replayed *one rule at a time* through direct router calls on a
-freshly built fabric, must reproduce every interval's
+The run drives the asyncio service: one
+:meth:`~repro.ixp.service.ControlPlaneService.submit` task per request,
+per-router worker tasks, futures.  Two references in ``tests/oracle``
+check it bit for bit: a synchronous driver of the same
+admission/queue/coalesce core (no event loop), and a replay of the run's
+applied-change log *one rule at a time* through direct router calls on a
+freshly built fabric, which must reproduce every interval's
 ``FabricIntervalReport.to_dict()`` byte for byte — proving the service's
 batching is pure amortization, never a semantic change.
 
 The churn stream is open-loop and a pure function of the config: request
 arrivals, members, ops and rule contents never depend on service
 responses, so the same config always offers the identical workload to
-both execution modes and to the replay.
+the service and to both references.
 """
 
 from __future__ import annotations
@@ -58,7 +54,6 @@ from ..ixp.service import (
     ChangeRequest,
     ControlPlaneService,
     ServiceResponse,
-    replay_request_log,
 )
 from ..bgp.prefix import parse_prefix
 from ..ixp.fabric import SwitchingFabric
@@ -72,9 +67,6 @@ from ..traffic.generator import IxpTraceGenerator
 from ..traffic.packet import IpProtocol
 from .results import JsonResultMixin
 from .scenario import DEFAULT_VICTIM_ASN, DEFAULT_VICTIM_IP
-
-#: Execution modes of the rule-churn scenario.
-CHURN_EXECUTION_MODES = ("service", "scripted")
 
 #: Reflection-prone source ports the churn rules filter on.
 _CHURN_SOURCE_PORTS = (19, 53, 123, 389, 11211)
@@ -130,9 +122,6 @@ class RuleChurnConfig:
     #: When the victim *submits* its drop rule (propagation adds latency).
     mitigation_time: float = 180.0
     vector_name: str = "ntp"
-    #: ``"service"`` (asyncio) or ``"scripted"`` (synchronous core —
-    #: the bit-for-bit parity oracle).
-    execution: str = "service"
     seed: int = 23
 
 
@@ -163,13 +152,13 @@ class RuleChurnResult(JsonResultMixin):
     ops_per_data_plane_call: float
     series: AttackTimeSeries
     #: SHA-256 over every interval's ``FabricIntervalReport.to_dict()``
-    #: (canonical JSON, time order) — the parity contract between the
-    #: execution modes and the replay oracle.
+    #: (canonical JSON, time order) — the parity contract with the
+    #: synchronous driver and the replay oracle.
     report_digest: str
     #: SHA-256 over the canonical applied-change log.
     request_log_digest: str
     #: The applied-change log itself, canonical order (in-memory only —
-    #: excluded from ``to_dict()``; fed to :func:`replay_rule_churn`).
+    #: excluded from ``to_dict()``; what the replay oracle re-applies).
     request_log: list[AppliedChange] = field(default_factory=list)
 
     @property
@@ -460,7 +449,7 @@ def request_log_digest(entries: Sequence[AppliedChange]) -> str:
 
 
 class _IntervalAccounting:
-    """Per-interval delivery + accounting shared by both execution modes."""
+    """Per-interval delivery + accounting of one run (or replay)."""
 
     def __init__(
         self, config: RuleChurnConfig, fabric: SwitchingFabric, victim: IxpMember
@@ -512,7 +501,7 @@ class _IntervalAccounting:
 
 
 # ----------------------------------------------------------------------
-# Execution modes
+# The run
 # ----------------------------------------------------------------------
 def _finish(
     config: RuleChurnConfig,
@@ -556,7 +545,7 @@ def _finish(
     )
 
 
-async def _run_service_mode(
+async def _run_service(
     config: RuleChurnConfig,
     fabric: SwitchingFabric,
     victim: IxpMember,
@@ -588,43 +577,11 @@ async def _run_service_mode(
     return service, accounting, responses
 
 
-def _run_scripted_mode(
-    config: RuleChurnConfig,
-    fabric: SwitchingFabric,
-    victim: IxpMember,
-    members: list[IxpMember],
-    stream: list[list[dict]],
-    times: list[float],
-) -> tuple[ControlPlaneService, _IntervalAccounting, list[ServiceResponse]]:
-    attack, benign, background = _traffic_sources(config, victim, members)
-    accounting = _IntervalAccounting(config, fabric, victim)
-    service = _make_service(config, fabric)
-    responses: list[ServiceResponse] = []
-    for index, interval_start in enumerate(times):
-        for descriptor in stream[index]:
-            request = _request_from_descriptor(service, descriptor)
-            immediate = service.enqueue(request)
-            if immediate is not None:
-                responses.append(immediate)
-        responses.extend(
-            response for _, response in service.drain_to(interval_start)
-        )
-        accounting.deliver(interval_start, attack, benign, background)
-    responses.extend(response for _, response in service.drain_to(config.duration))
-    responses.extend(response for _, response in service.close())
-    return service, accounting, responses
-
-
 def run_rule_churn_experiment(
     config: RuleChurnConfig | None = None,
 ) -> RuleChurnResult:
     """Run the concurrent rule-churn scenario."""
     config = config if config is not None else RuleChurnConfig()
-    if config.execution not in CHURN_EXECUTION_MODES:
-        raise ValueError(
-            f"unknown execution mode {config.execution!r}; "
-            f"known: {', '.join(CHURN_EXECUTION_MODES)}"
-        )
     if config.member_count < max(2, config.attack_peer_count + 1):
         raise ValueError(
             "member_count must cover the victim plus the attack peers "
@@ -638,45 +595,7 @@ def run_rule_churn_experiment(
     step_count = int(config.duration / config.interval + 1e-9)
     times = [index * config.interval for index in range(step_count)]
 
-    if config.execution == "service":
-        service, accounting, responses = asyncio.run(
-            _run_service_mode(config, fabric, victim, members, stream, times)
-        )
-    else:
-        service, accounting, responses = _run_scripted_mode(
-            config, fabric, victim, members, stream, times
-        )
+    service, accounting, responses = asyncio.run(
+        _run_service(config, fabric, victim, members, stream, times)
+    )
     return _finish(config, fabric, service, accounting, responses, members, churn_asns)
-
-
-# ----------------------------------------------------------------------
-# The replay oracle
-# ----------------------------------------------------------------------
-def replay_rule_churn(
-    config: RuleChurnConfig, request_log: Sequence[AppliedChange]
-) -> str:
-    """Replay a run's applied-change log through the sequential oracle.
-
-    Rebuilds the identical fabric and traffic sources, applies the log's
-    entries *one rule at a time* via direct router calls — grouped by
-    the drain horizon they were originally applied under, before the
-    matching interval's delivery — and re-delivers the same traffic.
-    Returns the interval-report digest, which must equal the live run's
-    ``report_digest`` bit for bit.
-    """
-    fabric, victim, members = _build_platform(config)
-    attack, benign, background = _traffic_sources(config, victim, members)
-    accounting = _IntervalAccounting(config, fabric, victim)
-    entries = sorted(request_log, key=lambda e: (e.applied_at, e.member_asn))
-    step_count = int(config.duration / config.interval + 1e-9)
-    cursor = 0
-    for index in range(step_count):
-        interval_start = index * config.interval
-        while (
-            cursor < len(entries)
-            and entries[cursor].horizon <= interval_start + 1e-9
-        ):
-            replay_request_log(fabric, [entries[cursor]], sequential=True)
-            cursor += 1
-        accounting.deliver(interval_start, attack, benign, background)
-    return accounting.digest.hexdigest()

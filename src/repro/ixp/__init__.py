@@ -18,7 +18,6 @@ from .hardware_profiles import (
 from .member import IxpMember, default_mac
 from .port import MemberPort, PortCounters
 from .qos import FilterAction, FlowMatch, PortQosPolicy, PortQosResult, QosRule
-from .portal_client import PortalClient, ScriptedPortal
 from .queues import RateLimiter, TokenBucket
 from .service import (
     CHANGE_OPS,
@@ -28,7 +27,6 @@ from .service import (
     ControlPlaneService,
     ServiceResponse,
     ServiceStats,
-    replay_request_log,
 )
 from .ruleindex import MatchSignature, RuleMatchIndex
 from .shard import (
@@ -37,7 +35,6 @@ from .shard import (
     ShardSpec,
     columns_to_report_dict,
     merge_interval_columns,
-    merge_interval_reports,
     shard_for_member,
 )
 from .tcam import TcamExhaustedError, TcamModel, TcamStatus
@@ -75,8 +72,6 @@ __all__ = [
     "QosRule",
     "RateLimiter",
     "TokenBucket",
-    "PortalClient",
-    "ScriptedPortal",
     "CHANGE_OPS",
     "SERVICE_OPS",
     "AppliedChange",
@@ -84,7 +79,6 @@ __all__ = [
     "ControlPlaneService",
     "ServiceResponse",
     "ServiceStats",
-    "replay_request_log",
     "MatchSignature",
     "RuleMatchIndex",
     "ShardPlanner",
@@ -92,7 +86,6 @@ __all__ = [
     "ShardLookup",
     "columns_to_report_dict",
     "merge_interval_columns",
-    "merge_interval_reports",
     "shard_for_member",
     "TcamExhaustedError",
     "TcamModel",

@@ -292,8 +292,8 @@ class PortQosResult:
     # ------------------------------------------------------------------
     def delivered_peer_asns(self) -> set[int]:
         """Distinct ingress members whose traffic still reaches the member."""
-        return ingress_peers(self.forwarded_table, None) | ingress_peers(
-            self.shaped_table, None, positive_bytes=True
+        return ingress_peers(self.forwarded_table) | ingress_peers(
+            self.shaped_table, positive_bytes=True
         )
 
     def delivered_attack_bits(self) -> float:

@@ -36,16 +36,15 @@ members' concurrent ``install`` / ``install_many`` / ``remove`` /
 
 The service has a synchronous core (:meth:`enqueue` + :meth:`drain_to`)
 and an asyncio surface (:meth:`submit` + :meth:`advance`) built on it.
-Scripted-sequential scenario runs drive the core directly; the async
-mode only adds an event loop, per-router worker tasks and futures — by
-construction both produce identical fabric state, identical request
-logs and identical accounting, which the ``rule_churn`` scenario tests
-bit-for-bit.
+The async surface only adds an event loop, per-router worker tasks and
+futures: driving the core directly yields identical fabric state,
+request logs and accounting, which the ``rule_churn`` tests check
+bit-for-bit against a synchronous driver kept in ``tests/oracle``.
 
 Every applied data-plane call is recorded as an :class:`AppliedChange`.
-Replaying that log *one rule at a time* through direct router calls
-(:func:`replay_request_log`) must reproduce the exact same fabric state
-— the parity oracle guarding the coalescing seam.
+Replaying that log *one rule at a time* through direct router calls must
+reproduce the exact same fabric state — the parity oracle guarding the
+coalescing seam, also kept in ``tests/oracle``.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from __future__ import annotations
 import asyncio
 import math
 from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -615,7 +614,7 @@ class ControlPlaneService:
     def sorted_log(self) -> list[AppliedChange]:
         """The request log in canonical replay order.
 
-        Async workers append lane-interleaved, the scripted core
+        Async workers append lane-interleaved, a synchronous drain
         lane-by-lane — but ``(applied_at, member_asn)`` is identical in
         both modes (virtual clocks only depend on per-lane queue order),
         and one member's entries have strictly increasing ``applied_at``,
@@ -718,45 +717,3 @@ class ControlPlaneService:
 
     async def __aexit__(self, *exc_info: object) -> None:
         await self.aclose()
-
-
-# ----------------------------------------------------------------------
-# The replay oracle
-# ----------------------------------------------------------------------
-def replay_request_log(
-    fabric: SwitchingFabric,
-    entries: Iterable[AppliedChange],
-    *,
-    sequential: bool = True,
-) -> int:
-    """Apply a service request log to a fabric through direct router calls.
-
-    With ``sequential=True`` (the scripted-sequential oracle) every
-    coalesced ``install_many`` entry is applied *one rule at a time* via
-    :meth:`EdgeRouter.install_rule` — the fabric state after the replay
-    must be bit-for-bit identical to the live service's, which is the
-    end-to-end guarantee that batching is purely an amortization, never
-    a semantic change.  ``sequential=False`` replays batches as batches.
-    Returns the number of entries applied.
-    """
-    applied = 0
-    for entry in entries:
-        router = fabric.router_for_member(entry.member_asn)
-        if entry.op == "install_many":
-            try:
-                if sequential:
-                    for rule in entry.rules:
-                        router.install_rule(entry.member_asn, rule)
-                else:
-                    router.install_rules(entry.member_asn, entry.rules)
-            except TcamExhaustedError:
-                if not entry.tcam_exhausted:
-                    raise
-        elif entry.op == "remove":
-            router.remove_rule(entry.member_asn, entry.rule_id)
-        elif entry.op == "clear":
-            router.clear_rules(entry.member_asn)
-        else:  # pragma: no cover - log entries only carry the three ops
-            raise ValueError(f"unknown log op {entry.op!r}")
-        applied += 1
-    return applied

@@ -12,8 +12,8 @@ platform that one worker process can simulate independently.
 Because egress delivery is per-member and members are disjoint across
 shards, the per-shard :class:`~repro.ixp.fabric.FabricIntervalReport`\\ s
 reduce losslessly into the platform-level report —
-:func:`merge_interval_reports` performs that reduction on the canonical
-``to_dict()`` payloads, preserving per-member numbers bit-for-bit.
+:func:`merge_interval_columns` performs that reduction on the
+``to_columns()`` payloads, preserving per-member numbers bit-for-bit.
 """
 
 from __future__ import annotations
@@ -196,50 +196,7 @@ def shard_for_member(plan: Sequence[ShardSpec], member_asn: int) -> ShardSpec:
     return ShardLookup(plan)[member_asn]
 
 
-def merge_interval_reports(reports: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
-    """Reduce per-shard ``FabricIntervalReport.to_dict()`` payloads.
-
-    Shards partition the member set, so the per-member sections are
-    disjoint and merge by union — every member's numbers are bit-for-bit
-    what a single-process fabric computes for that member.  The platform
-    totals are float sums accumulated in ascending shard order: a fixed,
-    deterministic order, so the serial oracle (same shards, same merge,
-    no processes) reproduces them exactly at any worker count.
-    """
-    if not reports:
-        raise ValueError("need at least one shard report to merge")
-    first = reports[0]
-    merged: dict[str, Any] = {
-        "interval_start": first["interval_start"],
-        "interval": first["interval"],
-        "offered_bits": 0.0,
-        "delivered_bits": 0.0,
-        "filtered_bits": 0.0,
-        "congestion_dropped_bits": 0.0,
-    }
-    members: dict[str, Mapping[str, Any]] = {}
-    for report in reports:
-        if (
-            report["interval_start"] != merged["interval_start"]
-            or report["interval"] != merged["interval"]
-        ):
-            raise ValueError("shard reports describe different intervals")
-        for key in (
-            "offered_bits",
-            "delivered_bits",
-            "filtered_bits",
-            "congestion_dropped_bits",
-        ):
-            merged[key] += report[key]
-        overlap = members.keys() & report["members"].keys()
-        if overlap:
-            raise ValueError(f"member(s) {sorted(overlap)} appear in multiple shards")
-        members.update(report["members"])
-    merged["members"] = {asn: members[asn] for asn in sorted(members, key=int)}
-    return merged
-
-
-#: Platform-total keys, in the order both merge functions accumulate them.
+#: Platform-total keys, in the order the merge accumulates them.
 _TOTAL_KEYS = (
     "offered_bits",
     "delivered_bits",
@@ -251,14 +208,15 @@ _TOTAL_KEYS = (
 def merge_interval_columns(payloads: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
     """Reduce per-shard ``FabricIntervalReport.to_columns()`` payloads.
 
-    The columnar counterpart of :func:`merge_interval_reports`: per-member
-    accounting arrives as parallel numpy arrays per shard and merges with
-    one concatenation + stable argsort over the ASN column instead of
-    O(members) per-member dict copies.  Numbers are bit-for-bit what the
-    dict merge produces — totals are float sums in ascending shard order
-    (the fixed order that makes the serial oracle reproduce them at any
-    worker count), member rows are disjoint across shards (checked) and
-    merely reordered.
+    Per-member accounting arrives as parallel numpy arrays per shard and
+    merges with one concatenation + stable argsort over the ASN column
+    instead of O(members) per-member dict copies.  Shards partition the
+    member set, so member rows are disjoint (checked) and merely
+    reordered: every member's numbers are bit-for-bit what a
+    single-process fabric computes for that member.  Totals are float sums
+    in ascending shard order, the fixed order that makes the serial oracle
+    reproduce them at any worker count.  The dict-by-dict merge kept in
+    ``tests/oracle`` is the reference it is checked against.
     """
     if not payloads:
         raise ValueError("need at least one shard report to merge")
@@ -308,9 +266,9 @@ def columns_to_report_dict(columns: Mapping[str, Any]) -> dict[str, Any]:
 
     Bit-for-bit: float64 array values round-trip exactly through
     ``tolist``, so converting the columnar merge of shard payloads equals
-    :func:`merge_interval_reports` over the same shards'
-    ``to_dict()`` payloads — the parity bridge the shard tests pin, and
-    what the city-scale experiment digests.
+    the dict-by-dict merge of the same shards' ``to_dict()`` payloads —
+    the parity bridge the shard tests pin, and what the city-scale
+    experiment digests.
     """
     asns = columns["member_asns"].tolist()
     fields = {name: array.tolist() for name, array in columns["member_fields"].items()}

@@ -2,7 +2,7 @@
 
 The reproduction's headline guarantee is bit-for-bit determinism: the
 sharded pipeline is pinned equal to its serial oracle, the service's
-scripted execution replays to the same digest, and golden-seed tests pin
+run equals its synchronous driver and its replay, and golden-seed tests pin
 SHA-256 hashes of whole result payloads.  One ``time.time()`` or
 unseeded ``np.random.default_rng()`` anywhere in the simulation packages
 silently breaks every one of those contracts — and only shows up later,

@@ -9,10 +9,12 @@ thousands of rows per interval) it dominates the interval cost.  This
 rule flags ``for`` loops and comprehensions whose iterable reaches into
 per-row data — a FlowTable column attribute, ``.to_records()``, or a
 ``zip`` over columns — inside ``ixp/qos.py``, ``ixp/fabric.py``,
-``ixp/delivery.py``, ``ixp/ruleindex.py`` and ``mitigation/``.  A literal
-tuple or list display iterates its fixed elements, not rows, so it is
-never flagged.  There is no exemption: per-record reference loops belong
-in ``tests/oracle``, not in these modules.
+``ixp/delivery.py``, ``ixp/ruleindex.py`` and ``mitigation/``, and in the
+table-only trace layer: ``traffic/trace.py``, ``traffic/ipfix.py``,
+``analysis/collateral.py`` and ``experiments/port_distribution.py``.  A
+literal tuple or list display iterates its fixed elements, not rows, so
+it is never flagged.  There is no exemption: per-record reference loops
+belong in ``tests/oracle``, not in these modules.
 """
 
 from __future__ import annotations
@@ -70,6 +72,10 @@ class VectorizationRule(LintRule):
         "src/repro/ixp/delivery.py",
         "src/repro/ixp/ruleindex.py",
         "src/repro/mitigation/*.py",
+        "src/repro/traffic/trace.py",
+        "src/repro/traffic/ipfix.py",
+        "src/repro/analysis/collateral.py",
+        "src/repro/experiments/port_distribution.py",
     )
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:

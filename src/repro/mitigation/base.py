@@ -132,8 +132,8 @@ class MitigationOutcome:
     @property
     def delivered_peers(self) -> set[int]:
         """Distinct ingress members whose traffic still reaches the victim."""
-        return ingress_peers(self.delivered_table, None) | ingress_peers(
-            self.shaped_table, None, positive_bytes=True
+        return ingress_peers(self.delivered_table) | ingress_peers(
+            self.shaped_table, positive_bytes=True
         )
 
 

@@ -19,7 +19,7 @@ from .flow import (
 )
 from .flowtable import FlowTable, derived_mac, ints_to_ips, ip_to_int
 from .generator import IxpTraceGenerator, MemberAttackScenarioGenerator, RtbhEvent
-from .ipfix import ExportedRecord, ExportedTable, IpfixCollector, IpfixExporter
+from .ipfix import ExportedTable, IpfixCollector, IpfixExporter
 from .packet import ETHERNET_MTU, IpProtocol, PacketTemplate, WellKnownPort
 from .sharedtable import SharedFlowTable, SharedMemberTable
 from .profiles import (
@@ -29,7 +29,7 @@ from .profiles import (
     blackholed_traffic_profile,
     other_traffic_profile,
 )
-from .trace import TrafficTrace, service_port
+from .trace import TrafficTrace
 
 __all__ = [
     "AMPLIFICATION_PRONE_PORTS",
@@ -58,7 +58,6 @@ __all__ = [
     "RtbhEvent",
     "SharedFlowTable",
     "SharedMemberTable",
-    "ExportedRecord",
     "ExportedTable",
     "IpfixCollector",
     "IpfixExporter",
@@ -72,5 +71,4 @@ __all__ = [
     "blackholed_traffic_profile",
     "other_traffic_profile",
     "TrafficTrace",
-    "service_port",
 ]

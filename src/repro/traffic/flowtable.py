@@ -25,14 +25,14 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from ..sim.clock import check_interval
 from .flow import FiveTuple, FlowRecord
 from .packet import IpProtocol
 
 if TYPE_CHECKING:
     from ..bgp.prefix import Prefix
 
-#: L4 ports considered "well known" when deciding a flow's service port
-#: (kept in sync with :mod:`repro.traffic.trace`).
+#: L4 ports considered "well known" when deciding a flow's service port.
 _WELL_KNOWN_LIMIT = 49152
 
 #: Column names of a table, in constructor order.
@@ -196,8 +196,7 @@ def iter_window_masks(
     A row belongs to a window when the flow overlaps it (same half-open
     semantics as :meth:`FlowRecord.overlaps` / ``TrafficTrace.between``).
     """
-    if interval <= 0:
-        raise ValueError("interval must be positive")
+    check_interval(interval)
     flow_start, flow_end = table.start, table.end
     t = start
     while t < end:
@@ -205,26 +204,19 @@ def iter_window_masks(
         t += interval
 
 
-def ingress_peers(
-    table: Optional["FlowTable"],
-    records: Optional[Sequence[FlowRecord]],
-    positive_bytes: bool = False,
-) -> set[int]:
-    """Distinct non-zero ingress member ASNs of a flow population.
+def ingress_peers(table: "FlowTable", positive_bytes: bool = False) -> set[int]:
+    """Distinct non-zero ingress member ASNs of a flow table.
 
-    ``records is None`` selects the columnar path over ``table``; otherwise
-    the record list is scanned.  ``positive_bytes`` (columnar only)
-    restricts to rows that still carry bytes (the convention for shaped
-    traffic: a fully-shaped flow no longer counts as a delivering peer).
+    ``positive_bytes`` restricts to rows that still carry bytes (the
+    convention for shaped traffic: a fully-shaped flow no longer counts as
+    a delivering peer).
     """
-    if records is None and table is not None:
-        if not len(table):
-            return set()
-        alive = table.ingress_asn != 0
-        if positive_bytes:
-            alive &= table.bytes > 0
-        return set(np.unique(table.ingress_asn[alive]).tolist())
-    return {flow.ingress_member_asn for flow in records or () if flow.ingress_member_asn}
+    if not len(table):
+        return set()
+    alive = table.ingress_asn != 0
+    if positive_bytes:
+        alive &= table.bytes > 0
+    return set(np.unique(table.ingress_asn[alive]).tolist())
 
 
 def population_bits(table: "FlowTable", attack: Optional[bool] = None) -> float:
@@ -381,7 +373,15 @@ class FlowTable:
         return [derived_mac(asn) for asn in self.ingress_asn.tolist()]
 
     def service_ports(self) -> np.ndarray:
-        """Vectorized equivalent of :func:`repro.traffic.trace.service_port`."""
+        """The port that identifies each flow's application.
+
+        Reflected amplification traffic carries the abused service's port as
+        the *source* port; client-to-server web traffic carries it as the
+        *destination* port.  Following common trace-analysis practice the
+        numerically smaller, registered-range port wins, which matches how
+        the paper labels the shares of Fig. 2(c) and Fig. 3(a).  Port 0
+        flows (fragments) are their own class.
+        """
         src, dst = self.src_port, self.dst_port
         src_known = src < _WELL_KNOWN_LIMIT
         dst_known = dst < _WELL_KNOWN_LIMIT

@@ -2,41 +2,28 @@
 
 The paper's measurement study relies on IPFIX data exported by the IXP's
 edge routers (§2.3).  This module models the export/collection pipeline:
-flow records observed on the data plane are sampled, exported by an
+flows observed on the data plane are sampled, exported by an
 :class:`IpfixExporter` and aggregated by an :class:`IpfixCollector`, which
 the telemetry layer and the analyses then query.  The sampling model is
-simple 1-in-N byte-unbiased sampling: exported records scale their byte and
+simple 1-in-N byte-unbiased sampling: exported flows scale their byte and
 packet counters back up by the sampling rate, which is what production
 collectors do.
 
-Exports come in two shapes: per-record :class:`ExportedRecord` objects for
-flow lists, and whole :class:`ExportedTable` batches when the data plane
-hands the exporter a columnar :class:`~repro.traffic.flowtable.FlowTable`
-— the batch keeps the columnar representation all the way into the
-collector, so high-rate observation points don't materialise per-flow
-objects just to be archived.
+The data plane hands the exporter one columnar
+:class:`~repro.traffic.flowtable.FlowTable` per interval, and each export
+is one :class:`ExportedTable` batch: the columnar representation goes all
+the way into the collector, so high-rate observation points don't
+materialise per-flow objects just to be archived.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from ..sim.rng import make_rng
-from .flow import FlowRecord
 from .flowtable import FlowTable
 from .trace import TrafficTrace
-
-
-@dataclass(frozen=True)
-class ExportedRecord:
-    """An exported (possibly up-scaled) flow record with exporter metadata."""
-
-    flow: FlowRecord
-    exporter_id: str
-    export_time: float
-    sampling_rate: int
 
 
 @dataclass(frozen=True)
@@ -51,22 +38,10 @@ class ExportedTable:
     def __len__(self) -> int:
         return len(self.table)
 
-    def records(self) -> list[ExportedRecord]:
-        """Materialise the per-record view of the batch."""
-        return [
-            ExportedRecord(
-                flow=flow,
-                exporter_id=self.exporter_id,
-                export_time=self.export_time,
-                sampling_rate=self.sampling_rate,
-            )
-            for flow in self.table.to_records()
-        ]
-
 
 @dataclass
 class IpfixExporter:
-    """Samples and exports flow records from one observation point."""
+    """Samples and exports flows from one observation point."""
 
     exporter_id: str
     sampling_rate: int = 1
@@ -79,31 +54,12 @@ class IpfixExporter:
         self.exported_count = 0
         self.observed_count = 0
 
-    def export(
-        self, flows: Union[Iterable[FlowRecord], FlowTable], export_time: float
-    ) -> "list[ExportedRecord] | ExportedTable":
-        """Sample ``flows`` and return the exported records (or batch)."""
-        if isinstance(flows, FlowTable):
-            return self.export_table(flows, export_time)
-        exported = []
-        for flow in flows:
-            self.observed_count += 1
-            if self.sampling_rate > 1 and self._rng.random() >= 1.0 / self.sampling_rate:
-                continue
-            scaled = flow if self.sampling_rate == 1 else flow.scaled(self.sampling_rate)
-            exported.append(
-                ExportedRecord(
-                    flow=scaled,
-                    exporter_id=self.exporter_id,
-                    export_time=export_time,
-                    sampling_rate=self.sampling_rate,
-                )
-            )
-            self.exported_count += 1
-        return exported
+    def export(self, table: FlowTable, export_time: float) -> ExportedTable:
+        """Sample a columnar flow batch and return the exported batch.
 
-    def export_table(self, table: FlowTable, export_time: float) -> ExportedTable:
-        """Sample a columnar flow batch without materialising records."""
+        At ``sampling_rate > 1`` one uniform draw per row decides which
+        flows are kept; kept flows are scaled back up by the rate.
+        """
         self.observed_count += len(table)
         if self.sampling_rate > 1:
             keep = self._rng.random(len(table)) < 1.0 / self.sampling_rate
@@ -119,48 +75,34 @@ class IpfixExporter:
 
 @dataclass
 class IpfixCollector:
-    """Aggregates exported records (and columnar batches) from all exporters."""
+    """Aggregates the exported batches of all exporters."""
 
-    records: list[ExportedRecord] = field(default_factory=list)
     tables: list[ExportedTable] = field(default_factory=list)
 
-    def receive(
-        self, records: Union[Iterable[ExportedRecord], ExportedTable]
-    ) -> None:
-        if isinstance(records, ExportedTable):
-            self.tables.append(records)
-            return
-        self.records.extend(records)
+    def receive(self, batch: ExportedTable) -> None:
+        self.tables.append(batch)
 
     def __len__(self) -> int:
-        return len(self.records) + sum(len(batch) for batch in self.tables)
+        return sum(len(batch) for batch in self.tables)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def trace(self, exporter_id: Optional[str] = None) -> TrafficTrace:
-        """All collected flows as a :class:`TrafficTrace`."""
-        selected_tables = [
-            batch.table
-            for batch in self.tables
-            if exporter_id is None or batch.exporter_id == exporter_id
-        ]
-        flows = [
-            record.flow
-            for record in self.records
-            if exporter_id is None or record.exporter_id == exporter_id
-        ]
-        if selected_tables and not flows:
-            return TrafficTrace(FlowTable.concat(selected_tables))
-        for table in selected_tables:
-            flows.extend(table.to_records())
-        return TrafficTrace(flows)
+        """All collected flows (of one exporter, if given) as a trace."""
+        return TrafficTrace(
+            FlowTable.concat(
+                [
+                    batch.table
+                    for batch in self.tables
+                    if exporter_id is None or batch.exporter_id == exporter_id
+                ]
+            )
+        )
 
     def bytes_by_exporter(self) -> dict[str, int]:
         """Total (up-scaled) bytes per exporter."""
         totals: dict[str, int] = {}
-        for record in self.records:
-            totals[record.exporter_id] = totals.get(record.exporter_id, 0) + record.flow.bytes
         for batch in self.tables:
             totals[batch.exporter_id] = (
                 totals.get(batch.exporter_id, 0) + batch.table.total_bytes
@@ -168,6 +110,4 @@ class IpfixCollector:
         return totals
 
     def exporters(self) -> set[str]:
-        return {record.exporter_id for record in self.records} | {
-            batch.exporter_id for batch in self.tables
-        }
+        return {batch.exporter_id for batch in self.tables}

@@ -1,208 +1,114 @@
 """Traffic traces.
 
-A :class:`TrafficTrace` is an ordered collection of flow records spanning an
+A :class:`TrafficTrace` is an ordered collection of flows spanning an
 observation window, with query helpers used by the analysis layer: binning
 into time series, filtering by destination, grouping by "service port"
 (the well-known port of a flow, which is how the paper's per-port traffic
 shares are computed).
 
-Traces come in two internal representations:
-
-* **record-backed** — a plain list of :class:`FlowRecord` objects, used when
-  a trace is assembled flow by flow (tests, small examples);
-* **table-backed** — a columnar :class:`~repro.traffic.flowtable.FlowTable`,
-  produced by the vectorized generators.  Filters and aggregations on a
-  table-backed trace run as NumPy array operations instead of Python loops,
-  which is what makes production-scale traces tractable.
-
-Both representations expose the identical API; ``trace.flows`` materialises
-the record view on demand.
+A trace wraps one columnar :class:`~repro.traffic.flowtable.FlowTable`, the
+output of the vectorized generators: filters and aggregations run as NumPy
+array operations, which is what makes production-scale traces tractable.
+``trace.flows`` materialises the per-record view on demand; record lists
+enter through :meth:`FlowTable.from_records
+<repro.traffic.flowtable.FlowTable.from_records>`.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from collections.abc import Callable, Iterable, Iterator
-from typing import Optional, Union
+from collections.abc import Iterator
+from typing import Optional
 
 import numpy as np
 
+from ..sim.clock import check_interval
 from .flow import FlowRecord
-from .flowtable import (
-    _WELL_KNOWN_LIMIT,
-    FlowTable,
-    group_sum,
-    ingress_peers,
-    ip_to_int,
-)
+from .flowtable import FlowTable, group_sum, ingress_peers, ip_to_int
 from .packet import IpProtocol
 
 
-def service_port(flow: FlowRecord) -> int:
-    """The port that identifies the flow's application.
-
-    Reflected amplification traffic carries the abused service's port as the
-    *source* port; client-to-server web traffic carries it as the
-    *destination* port.  Following common trace-analysis practice we pick the
-    numerically smaller, registered-range port (ties favour the source
-    port), which matches how the paper labels the shares of Fig. 2(c) and
-    Fig. 3(a).
-    """
-    src, dst = flow.src_port, flow.dst_port
-    if src == 0 or dst == 0:
-        # Port 0 flows (fragments) are their own class.
-        return 0
-    candidates = [port for port in (src, dst) if port < _WELL_KNOWN_LIMIT]
-    if not candidates:
-        return min(src, dst)
-    return min(candidates)
-
-
 class TrafficTrace:
-    """An ordered collection of flow records."""
+    """An ordered collection of flows, stored as one :class:`FlowTable`."""
 
-    def __init__(self, flows: Union[Iterable[FlowRecord], FlowTable, None] = None) -> None:
-        if isinstance(flows, FlowTable):
-            self._table: Optional[FlowTable] = flows
-            self._records: Optional[list[FlowRecord]] = None
-        else:
-            self._table = None
-            self._records = list(flows) if flows is not None else []
+    def __init__(self, table: Optional[FlowTable] = None) -> None:
+        if table is None:
+            table = FlowTable.empty()
+        elif not isinstance(table, FlowTable):
+            raise TypeError(
+                f"TrafficTrace takes a FlowTable, got {type(table).__name__}; "
+                "convert records with FlowTable.from_records"
+            )
+        self._table = table
 
     # ------------------------------------------------------------------
     # Representations
     # ------------------------------------------------------------------
     @property
     def flows(self) -> list[FlowRecord]:
-        """The per-record view (materialised from the table if needed)."""
-        if self._records is None:
-            self._records = self._table.to_records() if self._table is not None else []
-        return self._records
+        """The per-record view, materialised from the table."""
+        return self._table.to_records()
 
     @property
     def table(self) -> FlowTable:
-        """The columnar view (built from the records if needed; IPv4 only)."""
-        if self._table is None:
-            self._table = FlowTable.from_records(self._records or [])
+        """The columnar view."""
         return self._table
-
-    def table_or_none(self) -> Optional[FlowTable]:
-        """The columnar view if this trace is table-backed, else ``None``.
-
-        Analysis code uses this to pick the vectorized path without paying
-        a per-record conversion for traces that were built record-by-record.
-        """
-        return self._table
-
-    # ------------------------------------------------------------------
-    # Mutation
-    # ------------------------------------------------------------------
-    def add(self, flow: FlowRecord) -> None:
-        self.flows.append(flow)
-        self._table = None
-
-    def extend(self, flows: Union[Iterable[FlowRecord], FlowTable]) -> None:
-        if isinstance(flows, FlowTable):
-            self.extend_table(flows)
-            return
-        self.flows.extend(flows)
-        self._table = None
-
-    def extend_table(self, table: FlowTable) -> None:
-        """Append a batch of flows, keeping the columnar backing if possible."""
-        if self._records is None and self._table is not None:
-            self._table = FlowTable.concat([self._table, table])
-            return
-        if self._table is None and not self._records:
-            self._table = table
-            self._records = None
-            return
-        self.flows.extend(table.to_records())
-        self._table = None
 
     # ------------------------------------------------------------------
     # Basic accessors
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        if self._table is not None and self._records is None:
-            return len(self._table)
-        return len(self.flows)
+        return len(self._table)
 
     def __iter__(self) -> Iterator[FlowRecord]:
         return iter(self.flows)
 
     @property
     def total_bytes(self) -> int:
-        if self._table is not None and self._records is None:
-            return self._table.total_bytes
-        return sum(flow.bytes for flow in self.flows)
+        return self._table.total_bytes
 
     @property
     def start(self) -> float:
-        if self._table is not None and self._records is None:
-            return float(self._table.start.min()) if len(self._table) else 0.0
-        return min((flow.start for flow in self.flows), default=0.0)
+        return float(self._table.start.min()) if len(self._table) else 0.0
 
     @property
     def end(self) -> float:
-        if self._table is not None and self._records is None:
-            return float(self._table.end.max()) if len(self._table) else 0.0
-        return max((flow.end for flow in self.flows), default=0.0)
+        return float(self._table.end.max()) if len(self._table) else 0.0
 
     # ------------------------------------------------------------------
     # Filtering
     # ------------------------------------------------------------------
-    def filter(self, predicate: Callable[[FlowRecord], bool]) -> "TrafficTrace":
-        """A new trace with only the flows satisfying ``predicate``."""
-        return TrafficTrace([flow for flow in self.flows if predicate(flow)])
-
     def _select(self, mask: np.ndarray) -> "TrafficTrace":
         return TrafficTrace(self._table.select(mask))
 
     def towards(self, dst_ip: str) -> "TrafficTrace":
         """Flows destined to a specific IP address."""
-        if self._table is not None:
-            try:
-                value = ip_to_int(dst_ip)
-            except ValueError:
-                return TrafficTrace([])
-            return self._select(self._table.dst_ip == value)
-        return self.filter(lambda flow: flow.dst_ip == dst_ip)
+        try:
+            value = ip_to_int(dst_ip)
+        except ValueError:
+            return TrafficTrace()
+        return self._select(self._table.dst_ip == value)
 
     def towards_member(self, member_asn: int) -> "TrafficTrace":
         """Flows leaving the IXP through a specific member."""
-        if self._table is not None:
-            return self._select(self._table.egress_asn == member_asn)
-        return self.filter(lambda flow: flow.egress_member_asn == member_asn)
+        return self._select(self._table.egress_asn == member_asn)
 
     def attack_flows(self) -> "TrafficTrace":
-        if self._table is not None:
-            return self._select(self._table.is_attack)
-        return self.filter(lambda flow: flow.is_attack)
+        return self._select(self._table.is_attack)
 
     def benign_flows(self) -> "TrafficTrace":
-        if self._table is not None:
-            return self._select(~self._table.is_attack)
-        return self.filter(lambda flow: not flow.is_attack)
+        return self._select(~self._table.is_attack)
 
     def between(self, start: float, end: float) -> "TrafficTrace":
         """Flows overlapping the interval [start, end)."""
-        if self._table is not None:
-            table = self._table
-            return self._select((table.start < end) & (table.end > start))
-        return self.filter(lambda flow: flow.overlaps(start, end))
+        table = self._table
+        return self._select((table.start < end) & (table.end > start))
 
     # ------------------------------------------------------------------
     # Aggregation
     # ------------------------------------------------------------------
     def bytes_by_service_port(self) -> dict[int, int]:
         """Total bytes grouped by the flows' service port."""
-        if self._table is not None:
-            return group_sum(self._table.service_ports(), self._table.bytes)
-        totals: dict[int, int] = defaultdict(int)
-        for flow in self.flows:
-            totals[service_port(flow)] += flow.bytes
-        return dict(totals)
+        return group_sum(self._table.service_ports(), self._table.bytes)
 
     def share_by_service_port(self, top: Optional[int] = None) -> dict[int, float]:
         """Byte share per service port; remaining ports folded into ``-1``.
@@ -224,13 +130,8 @@ class TrafficTrace:
 
     def bytes_by_protocol(self) -> dict[IpProtocol, int]:
         """Total bytes grouped by IP protocol."""
-        if self._table is not None:
-            grouped = group_sum(self._table.protocol, self._table.bytes)
-            return {IpProtocol(value): total for value, total in grouped.items()}
-        totals: dict[IpProtocol, int] = defaultdict(int)
-        for flow in self.flows:
-            totals[flow.protocol] += flow.bytes
-        return dict(totals)
+        grouped = group_sum(self._table.protocol, self._table.bytes)
+        return {IpProtocol(value): total for value, total in grouped.items()}
 
     def share_by_protocol(self) -> dict[IpProtocol, float]:
         totals = self.bytes_by_protocol()
@@ -241,15 +142,10 @@ class TrafficTrace:
 
     def bytes_by_source_port(self) -> dict[int, int]:
         """Total bytes grouped by raw source port (used for Fig. 3(a))."""
-        if self._table is not None:
-            return group_sum(self._table.src_port, self._table.bytes)
-        totals: dict[int, int] = defaultdict(int)
-        for flow in self.flows:
-            totals[flow.src_port] += flow.bytes
-        return dict(totals)
+        return group_sum(self._table.src_port, self._table.bytes)
 
     def distinct_ingress_members(self) -> set[int]:
-        return ingress_peers(self._table, self._records if self._table is None else None)
+        return ingress_peers(self._table)
 
     # ------------------------------------------------------------------
     # Time series
@@ -261,10 +157,10 @@ class TrafficTrace:
 
         Returns ``(bin_start_times, rates_bps)``.  A flow's bytes are spread
         uniformly over its duration and attributed to bins proportionally to
-        the overlap.
+        the overlap; a zero-duration flow lands whole in the bin holding its
+        start.
         """
-        if bin_seconds <= 0:
-            raise ValueError("bin_seconds must be positive")
+        check_interval(bin_seconds)
         if len(self) == 0:
             return [], []
         trace_start = self.start if start is None else start
@@ -273,34 +169,21 @@ class TrafficTrace:
             return [], []
         bin_count = int((trace_end - trace_start) / bin_seconds) + 1
         times = [trace_start + i * bin_seconds for i in range(bin_count)]
-        if self._table is not None:
-            table = self._table
-            flow_start, flow_duration = table.start, table.duration
-            flow_end = flow_start + flow_duration
-            zero = flow_duration == 0
-            effective_duration = np.where(zero, bin_seconds, flow_duration)
-            rates = table.bytes / effective_duration
-            volumes = []
-            for bin_start in times:
-                bin_end = bin_start + bin_seconds
-                overlap = np.minimum(flow_end, bin_end) - np.maximum(flow_start, bin_start)
-                overlap = np.where(
-                    zero,
-                    np.where((bin_start <= flow_start) & (flow_start < bin_end), bin_seconds, 0.0),
-                    overlap,
-                )
-                volumes.append(float((rates * np.clip(overlap, 0.0, None)).sum()))
-        else:
-            volumes = [0.0] * bin_count
-            for flow in self.flows:
-                duration = flow.duration if flow.duration > 0 else bin_seconds
-                rate = flow.bytes / duration
-                for i, bin_start in enumerate(times):
-                    bin_end = bin_start + bin_seconds
-                    overlap = min(flow.end, bin_end) - max(flow.start, bin_start)
-                    if flow.duration == 0:
-                        overlap = bin_seconds if bin_start <= flow.start < bin_end else 0
-                    if overlap > 0:
-                        volumes[i] += rate * overlap
+        table = self._table
+        flow_start, flow_duration = table.start, table.duration
+        flow_end = flow_start + flow_duration
+        zero = flow_duration == 0
+        effective_duration = np.where(zero, bin_seconds, flow_duration)
+        rates = table.bytes / effective_duration
+        volumes = []
+        for bin_start in times:
+            bin_end = bin_start + bin_seconds
+            overlap = np.minimum(flow_end, bin_end) - np.maximum(flow_start, bin_start)
+            overlap = np.where(
+                zero,
+                np.where((bin_start <= flow_start) & (flow_start < bin_end), bin_seconds, 0.0),
+                overlap,
+            )
+            volumes.append(float((rates * np.clip(overlap, 0.0, None)).sum()))
         rates_bps = [volume * 8 / bin_seconds for volume in volumes]
         return times, rates_bps

@@ -20,6 +20,7 @@ from repro.analysis import (
     port_share_timeseries,
     welch_t_test,
 )
+from oracle import trace as reference
 from repro.bgp import PolicyControl
 from repro.mitigation import MitigationOutcome, RtbhService
 from repro.traffic import FiveTuple, FlowRecord, FlowTable, IpProtocol, TrafficTrace
@@ -174,25 +175,30 @@ class TestCollateralAnalysis:
         assert potential["attack_removed_fraction"] == 1.0
         assert potential["legitimate_removed_fraction"] == 0.0
         assert potential["total_removed_fraction"] == 0.9
-        # A record-backed trace is read through its table view.
-        assert fine_grained_filter_potential(TrafficTrace(flows), IpProtocol.UDP, 11211) == (
-            potential
-        )
+        # A trace is read through its table.
+        trace = TrafficTrace(FlowTable.from_records(flows))
+        assert fine_grained_filter_potential(trace, IpProtocol.UDP, 11211) == potential
 
     def test_port_share_timeseries(self):
-        trace = TrafficTrace(
-            [
-                make_flow(src_port=443, protocol=IpProtocol.TCP, is_attack=False, start=0.0),
-                make_flow(src_port=11211, start=60.0, bytes_=9000),
-            ]
-        )
+        flows = [
+            make_flow(src_port=443, protocol=IpProtocol.TCP, is_attack=False, start=0.0),
+            make_flow(src_port=11211, start=60.0, bytes_=9000),
+            make_flow(src_port=123, start=90.0, bytes_=1000),
+        ]
+        trace = TrafficTrace(FlowTable.from_records(flows))
         snapshots = port_share_timeseries(trace, interval=60.0, top_ports=(443, 11211))
-        assert snapshots[0].share_of(443) == pytest.approx(1.0)
-        assert snapshots[1].share_of(11211) == pytest.approx(1.0)
+        assert snapshots == reference.port_share_timeseries(flows, 60.0, (443, 11211))
+        assert snapshots[0].share_of(443) == 1.0
+        assert snapshots[1].shares == {11211: 0.9, -1: 0.1}
+        # The 11211 flow ends at 120 s, so the last window sees only port 123,
+        # folded into "others" under -1 (not under a wrapped uint16 port).
+        assert snapshots[2].shares == {-1: 1.0}
 
-    def test_port_share_timeseries_invalid_interval(self):
+    @pytest.mark.parametrize("interval", [0.0, -1.0, float("nan"), float("inf")])
+    def test_port_share_timeseries_invalid_interval(self, interval):
+        trace = TrafficTrace(FlowTable.from_records([make_flow()]))
         with pytest.raises(ValueError):
-            port_share_timeseries(TrafficTrace(), 0.0, ())
+            port_share_timeseries(trace, interval, ())
 
 
 class TestComplianceAnalysis:

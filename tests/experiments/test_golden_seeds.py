@@ -27,13 +27,13 @@ GOLDEN = {
     ("fine_grained", 11): "01c22e0b38b233eeb6ca3b57a44831670f7d8c504b993767436e9f6becd13c46",
     ("paper_scale", 3): "b0629411f0faf0dd437255817b06f89713068677a649e6efb485ba6b4266b43f",
     ("paper_scale", 11): "7659c90cbc4faeeefc07baa45b5af201401d4189f1873ca282c5b06d51c0dd1f",
-    ("rule_churn", 3): "c77116be69c903587f44cbbd352a64f3cb90431001b8a2d582717ae69ce76353",
-    ("rule_churn", 11): "f8a5558be271028af2f34bc71e69e27656ac36ef6ba21b3b228086c17a099a3b",
+    ("rule_churn", 3): "e0d758891bc987766a2e0d175ed950714013d0fc70a02d447070c4f915d9757d",
+    ("rule_churn", 11): "0944f8dc5aa496a1663db174604fbd1cdbcc06ed7eb1a7ca5da8ff76412fff7f",
     # The scenarios that drive the mitigation layer (baselines + fabric).
     ("table1", 3): "588f203380c5276ac1c77d22432286dec89fcda8f000f08368c43170551b16ad",
     ("table1", 11): "c39b121eededad6770f046ee247145137c7b9e63ad028e5316e267d96fec7093",
-    ("fig2c", 3): "4d77d5d57c23821101e6423f4f5e8053d41bde2c20c012b4fe37fcd4f98d75ba",
-    ("fig2c", 11): "6b90eb5fd04b765543aea3095b7a7c845d072d849e14beb1ffe3086ddbb16ac4",
+    ("fig2c", 3): "becea380f77b8fe0bea5b3e053bd57a652b235c592e91549ee6966d6c9ea51d9",
+    ("fig2c", 11): "33373c626021d464634c9c662baad77397bb5186e86ad02804a9f37dda1bf7ac",
     ("fig3c", 3): "b4e2b31484077a760fbd6fb4e69db84c245e0b612f1cb891c9d4600c0b66ea55",
     ("fig3c", 11): "c656c9231d3f08114217a790189773c07edbccd91468779344495a5e4b72d273",
     ("pulse", 3): "1d7536aa492edf5fc3d34e9d9527a39aecf20a48e8802ff7926778e0b1c7f5cb",

@@ -1,25 +1,25 @@
 """End-to-end behaviour and parity of the ``rule_churn`` scenario.
 
 The headline guarantee mirrors the city-scale suite: the async
-control-plane service (``execution="service"``) and the scripted
-sequential core (``execution="scripted"``) produce bit-for-bit identical
-results — same per-interval report digest, same request-log digest, same
-everything except the execution knob itself.  On top of that the applied
-request log replayed through :func:`replay_rule_churn` (direct router
-calls, one rule at a time) must reproduce the live run's report digest.
+control-plane service and the synchronous driver of its core in
+``tests/oracle/churn.py`` produce bit-for-bit identical results — same
+per-interval report digest, same request-log digest, same ``to_dict()``.
+On top of that the applied request log replayed through
+:func:`oracle.churn.replay_rule_churn` (direct router calls, one rule at
+a time) must reproduce the live run's report digest.
 """
 
 import dataclasses
 
 import pytest
 
+from oracle.churn import replay_rule_churn, run_scripted_rule_churn
 from repro.experiments.registry import get_experiment
 from repro.experiments.rule_churn import (
     MITIGATION_RULE_ID,
     RuleChurnConfig,
     churn_member_asns,
     generate_churn_requests,
-    replay_rule_churn,
     run_rule_churn_experiment,
 )
 
@@ -29,10 +29,6 @@ def quick_config(**overrides):
 
 
 class TestValidation:
-    def test_unknown_execution_mode(self):
-        with pytest.raises(ValueError, match="execution"):
-            run_rule_churn_experiment(quick_config(execution="threads"))
-
     def test_member_count_must_cover_attack_peers(self):
         with pytest.raises(ValueError, match="member_count"):
             run_rule_churn_experiment(quick_config(member_count=5))
@@ -147,22 +143,15 @@ class TestServiceRun:
         )
 
 
-def comparable(result):
-    """to_dict() with the execution knob removed from the config."""
-    payload = result.to_dict()
-    config = dict(payload["config"])
-    config.pop("execution")
-    payload["config"] = config
-    return payload
-
-
 class TestExecutionParity:
     def test_scripted_matches_service_bit_for_bit(self):
-        service = run_rule_churn_experiment(quick_config(execution="service"))
-        scripted = run_rule_churn_experiment(quick_config(execution="scripted"))
+        config = quick_config()
+        service = run_rule_churn_experiment(config)
+        scripted = run_scripted_rule_churn(config)
         assert scripted.report_digest == service.report_digest
         assert scripted.request_log_digest == service.request_log_digest
-        assert comparable(scripted) == comparable(service)
+        assert scripted.request_log == service.request_log
+        assert scripted.to_dict() == service.to_dict()
 
     def test_coalescing_changes_amortization_not_semantics(self):
         on = run_rule_churn_experiment(quick_config(coalesce=True))

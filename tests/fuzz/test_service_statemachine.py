@@ -3,9 +3,9 @@
 One Hypothesis state machine drives the *async* :class:`ControlPlaneService`
 (coalescing on, tight queue depth, small per-member budget) on fabric A
 while mirroring every change it actually applied onto fabric B through the
-synchronous :class:`ScriptedPortal`, one rule at a time.  After every burst
-the machine fully drains the service, replays the new request-log entries
-on B in canonical order, and asserts:
+synchronous :class:`oracle.service.ScriptedPortal`, one rule at a time.
+After every burst the machine fully drains the service, replays the new
+request-log entries on B in canonical order, and asserts:
 
 * both fabrics hold **identical rule state** per member (same rules, same
   order, same ids) — batching is an amortization, never a semantic change;
@@ -26,7 +26,8 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from oracle.reference import ReferenceFabric
-from repro.ixp import ControlPlaneService, ScriptedPortal, TcamExhaustedError
+from oracle.service import ScriptedPortal
+from repro.ixp import ControlPlaneService, TcamExhaustedError
 
 from .strategies import (
     UNKNOWN_EGRESS_ASN,

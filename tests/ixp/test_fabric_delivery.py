@@ -445,10 +445,12 @@ class TestIpfixExportFilter:
         report = fabric.deliver(FlowTable.from_records(flows), 10.0)
         assert set(report.results_by_member) == {VICTIM_ASN, PEER_ASNS[0]}
         assert len(fabric.collector) == 2
-        assert all(
-            record.flow.egress_member_asn != 9999
-            for record in fabric.collector.records
-        )
+        exported = [
+            asn
+            for batch in fabric.collector.tables
+            for asn in batch.table.egress_asn.tolist()
+        ]
+        assert sorted(exported) == sorted([VICTIM_ASN, PEER_ASNS[0]])
 
     def test_collector_totals_match_carried_traffic(self):
         # The overcount the bug produced: exported bytes > carried bytes.

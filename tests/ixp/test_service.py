@@ -13,6 +13,7 @@ import asyncio
 
 import pytest
 
+from oracle.service import ScriptedPortal, replay_request_log
 from repro.bgp import Prefix
 from repro.ixp import (
     ControlPlaneCpuModel,
@@ -20,10 +21,8 @@ from repro.ixp import (
     FilterAction,
     FlowMatch,
     QosRule,
-    ScriptedPortal,
     build_multi_pop_fabric,
     make_member_population,
-    replay_request_log,
 )
 from repro.traffic import FiveTuple, FlowRecord, FlowTable, IpProtocol
 

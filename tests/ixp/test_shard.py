@@ -10,6 +10,7 @@ losslessly into the platform report (merge).
 import numpy as np
 import pytest
 
+from oracle.shard import merge_interval_reports
 from repro.ixp import (
     ShardLookup,
     ShardPlanner,
@@ -17,7 +18,6 @@ from repro.ixp import (
     columns_to_report_dict,
     make_member_population,
     merge_interval_columns,
-    merge_interval_reports,
     shard_for_member,
 )
 from repro.ixp.fabric import MEMBER_REPORT_FIELDS
@@ -251,7 +251,7 @@ class TestMergeIntervalColumns:
 
     def test_bridge_parity_with_dict_merge(self):
         # The columnar reduce followed by the dict bridge must equal the
-        # legacy dict-by-dict merge of the same shard payloads.
+        # reference dict-by-dict merge of the same shard payloads.
         payloads = [
             columns(
                 members=[65004, 65002],

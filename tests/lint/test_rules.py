@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _rules_hit(report):
@@ -75,3 +79,24 @@ def test_record_named_functions_are_not_exempt(lint_tree, lint_run):
     snippets = {(f.rule, f.snippet.strip()) for f in lint_run(root).new_findings}
     assert ("RPL004", "return [flow for flow in table.to_records()]") in snippets
     assert ("RPL006", "forwarded_bits += flow.bits") in snippets
+
+
+@pytest.mark.parametrize(
+    "dest",
+    [
+        "src/repro/traffic/trace.py",
+        "src/repro/traffic/ipfix.py",
+        "src/repro/analysis/collateral.py",
+        "src/repro/experiments/port_distribution.py",
+    ],
+)
+def test_rpl004_covers_the_table_only_trace_layer(tmp_path, lint_run, dest):
+    # Traces, IPFIX export and the port-share analyses take a FlowTable
+    # only; a `.to_records()` loop in them is a per-row regression.
+    (tmp_path / "pyproject.toml").write_text("")
+    target = tmp_path / dest
+    target.parent.mkdir(parents=True)
+    target.write_text((FIXTURES / "rpl004_bad.py").read_text())
+    findings = [f for f in lint_run(tmp_path).new_findings if f.rule == "RPL004"]
+    assert len(findings) >= 3, findings
+    assert all(f.path.endswith(dest) for f in findings), findings

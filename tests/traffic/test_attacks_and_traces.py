@@ -6,6 +6,7 @@ import pytest
 # test packages), so the relative form would fail at collection time.
 from test_flows_and_profiles import make_flow
 
+from oracle import trace as reference
 from repro.traffic import (
     AMPLIFICATION_PRONE_PORTS,
     AmplificationAttack,
@@ -190,46 +191,58 @@ class TestBenignTrafficSource:
             client_count=200,
             seed=2,
         )
-        trace = TrafficTrace(source.flows(0.0, 60.0))
+        trace = TrafficTrace(FlowTable.from_records(source.flows(0.0, 60.0)))
         shares = trace.share_by_service_port()
         web_share = shares.get(443, 0) + shares.get(80, 0) + shares.get(8080, 0)
         assert web_share > 0.6
 
 
 class TestTrafficTrace:
+    """Hand-computed answers, each also checked against the reference."""
+
+    def _flows(self):
+        return [
+            make_flow(src_port=11211, bytes_=8000, is_attack=True, start=0),
+            make_flow(
+                src_port=50000, dst_port=443, protocol=IpProtocol.TCP, bytes_=2000, start=0
+            ),
+            make_flow(
+                src_port=50001, dst_port=80, protocol=IpProtocol.TCP, bytes_=1000, start=30
+            ),
+        ]
+
     def _trace(self):
-        return TrafficTrace(
-            [
-                make_flow(src_port=11211, bytes_=8000, is_attack=True, start=0),
-                make_flow(
-                    src_port=50000, dst_port=443, protocol=IpProtocol.TCP, bytes_=2000, start=0
-                ),
-                make_flow(
-                    src_port=50001, dst_port=80, protocol=IpProtocol.TCP, bytes_=1000, start=30
-                ),
-            ]
-        )
+        return TrafficTrace(FlowTable.from_records(self._flows()))
 
     def test_totals_and_bounds(self):
-        trace = self._trace()
+        trace, flows = self._trace(), self._flows()
         assert trace.total_bytes == 11000
-        assert trace.start == 0.0
-        assert trace.end == 40.0
+        assert trace.start == 0.0 == reference.trace_start(flows)
+        assert trace.end == 40.0 == reference.trace_end(flows)
         assert len(trace) == 3
 
     def test_filters(self):
-        trace = self._trace()
-        assert len(trace.attack_flows()) == 1
-        assert len(trace.benign_flows()) == 2
-        assert len(trace.towards("100.10.10.10")) == 3
-        assert len(trace.towards("8.8.8.8")) == 0
-        assert len(trace.towards_member(64500)) == 3
-        assert len(trace.between(25, 50)) == 1
+        trace, flows = self._trace(), self._flows()
+        assert trace.attack_flows().flows == reference.attack_flows(flows)
+        assert trace.benign_flows().flows == reference.benign_flows(flows)
+        assert trace.towards("100.10.10.10").flows == flows
+        assert trace.towards("8.8.8.8").flows == reference.towards(flows, "8.8.8.8") == []
+        assert trace.towards("not-an-ip").flows == []
+        assert trace.towards_member(64500).flows == flows
+        assert trace.between(25, 50).flows == reference.between(flows, 25, 50) == [flows[2]]
+
+    def test_byte_groupings(self):
+        trace, flows = self._trace(), self._flows()
+        assert trace.bytes_by_service_port() == {11211: 8000, 443: 2000, 80: 1000}
+        assert trace.bytes_by_service_port() == reference.bytes_by_service_port(flows)
+        assert trace.bytes_by_protocol() == reference.bytes_by_protocol(flows)
+        assert trace.bytes_by_source_port() == reference.bytes_by_source_port(flows)
+        assert trace.distinct_ingress_members() == reference.ingress_members(flows)
 
     def test_share_by_service_port(self):
         shares = self._trace().share_by_service_port()
-        assert shares[11211] == pytest.approx(8000 / 11000)
-        assert shares[443] == pytest.approx(2000 / 11000)
+        assert shares[11211] == 8000 / 11000
+        assert shares[443] == 2000 / 11000
 
     def test_share_by_service_port_top_folding(self):
         shares = self._trace().share_by_service_port(top=1)
@@ -238,25 +251,30 @@ class TestTrafficTrace:
 
     def test_share_by_protocol(self):
         shares = self._trace().share_by_protocol()
-        assert shares[IpProtocol.UDP] == pytest.approx(8000 / 11000)
+        assert shares[IpProtocol.UDP] == 8000 / 11000
 
     def test_empty_trace_shares(self):
         assert TrafficTrace().share_by_service_port() == {}
         assert TrafficTrace().share_by_protocol() == {}
 
+    def test_record_lists_are_rejected(self):
+        with pytest.raises(TypeError, match="from_records"):
+            TrafficTrace(self._flows())
+
     def test_rate_timeseries(self):
         trace = self._trace()
         times, rates = trace.rate_timeseries(bin_seconds=10.0)
-        assert len(times) == len(rates)
+        assert (times, rates) == reference.rate_timeseries(self._flows(), 10.0)
         total_from_series = sum(rate * 10.0 for rate in rates)
         assert total_from_series == pytest.approx(trace.total_bytes * 8, rel=0.01)
 
     def test_rate_timeseries_empty(self):
         assert TrafficTrace().rate_timeseries(10.0) == ([], [])
 
-    def test_rate_timeseries_invalid_bin(self):
+    @pytest.mark.parametrize("bin_seconds", [0, -1, float("nan"), float("inf")])
+    def test_rate_timeseries_invalid_bin(self, bin_seconds):
         with pytest.raises(ValueError):
-            self._trace().rate_timeseries(0)
+            self._trace().rate_timeseries(bin_seconds)
 
 
 class TestGenerators:
@@ -312,30 +330,37 @@ class TestGenerators:
         assert all(0 <= event.start < 1000.0 for event in events)
 
 
+def exported_records(batch):
+    return batch.table.to_records()
+
+
 class TestIpfix:
     def test_exporter_without_sampling_exports_everything(self):
         exporter = IpfixExporter(exporter_id="edge-1")
-        records = exporter.export([make_flow() for _ in range(10)], export_time=1.0)
-        assert len(records) == 10
-        assert exporter.exported_count == 10
+        flows = [make_flow() for _ in range(10)]
+        batch = exporter.export(FlowTable.from_records(flows), export_time=1.0)
+        assert exported_records(batch) == flows
+        assert exporter.observed_count == exporter.exported_count == 10
 
     def test_sampling_scales_bytes_back_up(self):
         exporter = IpfixExporter(exporter_id="edge-1", sampling_rate=10, seed=1)
         flows = [make_flow(bytes_=1000) for _ in range(5000)]
-        records = exporter.export(flows, export_time=0.0)
-        assert 0 < len(records) < 5000
-        total_estimate = sum(record.flow.bytes for record in records)
-        assert total_estimate == pytest.approx(5_000_000, rel=0.15)
+        batch = exporter.export(FlowTable.from_records(flows), export_time=0.0)
+        assert 0 < len(batch) < 5000
+        assert batch.table.total_bytes == pytest.approx(5_000_000, rel=0.15)
 
     def test_collector_aggregates_by_exporter(self):
         collector = IpfixCollector()
         for name in ("edge-1", "edge-2"):
             exporter = IpfixExporter(exporter_id=name)
-            collector.receive(exporter.export([make_flow(bytes_=500)], export_time=0.0))
+            table = FlowTable.from_records([make_flow(bytes_=500)])
+            collector.receive(exporter.export(table, export_time=0.0))
         assert collector.exporters() == {"edge-1", "edge-2"}
-        assert collector.bytes_by_exporter()["edge-1"] == 500
+        assert collector.bytes_by_exporter() == {"edge-1": 500, "edge-2": 500}
+        assert len(collector) == 2
         assert len(collector.trace()) == 2
         assert len(collector.trace("edge-1")) == 1
+        assert len(collector.trace("edge-9")) == 0
 
     def test_invalid_sampling_rate(self):
         with pytest.raises(ValueError):
@@ -343,59 +368,39 @@ class TestIpfix:
 
 
 class TestIpfixSamplingParity:
-    """Table-path vs. record-path sampling at ``sampling_rate > 1``.
+    """The exporter's one ``rng.random(n)`` draw against per-flow draws.
 
-    Both paths draw from the same uniform stream (the columnar path's one
-    ``rng.random(n)`` call consumes the generator exactly like n scalar
-    draws), so equal seeds must keep the same flows; and both estimators
-    must stay byte-unbiased.
+    The columnar draw consumes the generator exactly like n scalar draws,
+    so equal seeds must keep the same flows as the scalar reference
+    sampler, scaled by the same rate; and the estimator stays byte-unbiased.
     """
 
     def _flows(self, count=4000, bytes_=1500):
-        return [make_flow(bytes_=bytes_) for _ in range(count)]
+        return [make_flow(bytes_=bytes_, src_port=1000 + i % 3000) for i in range(count)]
 
-    def test_same_seed_keeps_identical_flow_sets(self):
+    @pytest.mark.parametrize("sampling_rate", [1, 2, 8])
+    def test_same_seed_keeps_the_reference_flows(self, sampling_rate):
         flows = self._flows()
-        table = FlowTable.from_records(flows)
-        record_exporter = IpfixExporter(exporter_id="rec", sampling_rate=8, seed=11)
-        table_exporter = IpfixExporter(exporter_id="tab", sampling_rate=8, seed=11)
-        exported_records = record_exporter.export(flows, export_time=0.0)
-        exported_batch = table_exporter.export_table(table, export_time=0.0)
-        assert len(exported_records) == len(exported_batch)
-        assert record_exporter.exported_count == table_exporter.exported_count
-        record_bytes = [record.flow.bytes for record in exported_records]
-        table_bytes = exported_batch.table.bytes.tolist()
-        assert record_bytes == table_bytes
+        exporter = IpfixExporter(exporter_id="tab", sampling_rate=sampling_rate, seed=11)
+        batch = exporter.export(FlowTable.from_records(flows), export_time=0.0)
+        assert exported_records(batch) == reference.ipfix_sample(flows, sampling_rate, 11)
+        assert exporter.exported_count == len(batch)
 
-    def test_both_paths_are_byte_unbiased(self):
+    def test_sampling_is_byte_unbiased(self):
         true_total = 4000 * 1500
-        estimates = {"record": [], "table": []}
-        for seed in range(8):
-            flows = self._flows()
-            table = FlowTable.from_records(flows)
-            record_exporter = IpfixExporter(exporter_id="rec", sampling_rate=10, seed=seed)
-            table_exporter = IpfixExporter(
-                exporter_id="tab", sampling_rate=10, seed=100 + seed
-            )
-            estimates["record"].append(
-                sum(r.flow.bytes for r in record_exporter.export(flows, export_time=0.0))
-            )
-            estimates["table"].append(
-                table_exporter.export_table(table, export_time=0.0).table.total_bytes
-            )
-        for path, values in estimates.items():
-            mean = sum(values) / len(values)
-            assert mean == pytest.approx(true_total, rel=0.1), path
-        # The two estimators agree with each other statistically as well.
-        record_mean = sum(estimates["record"]) / len(estimates["record"])
-        table_mean = sum(estimates["table"]) / len(estimates["table"])
-        assert record_mean == pytest.approx(table_mean, rel=0.15)
+        table = FlowTable.from_records(self._flows())
+        estimates = [
+            IpfixExporter(exporter_id="tab", sampling_rate=10, seed=seed)
+            .export(table, export_time=0.0)
+            .table.total_bytes
+            for seed in range(8)
+        ]
+        assert sum(estimates) / len(estimates) == pytest.approx(true_total, rel=0.1)
 
     def test_sampled_batch_scales_counters_by_rate(self):
         flows = self._flows(count=1000, bytes_=1000)
-        table = FlowTable.from_records(flows)
         exporter = IpfixExporter(exporter_id="tab", sampling_rate=4, seed=5)
-        batch = exporter.export_table(table, export_time=0.0)
+        batch = exporter.export(FlowTable.from_records(flows), export_time=0.0)
         assert exporter.observed_count == 1000
         assert batch.sampling_rate == 4
         if len(batch):

@@ -3,10 +3,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from oracle import trace as reference
 from repro.sim import make_rng
 from repro.traffic import (
     FiveTuple,
     FlowRecord,
+    FlowTable,
     IpProtocol,
     PacketTemplate,
     TrafficProfile,
@@ -16,7 +18,6 @@ from repro.traffic import (
     blackholed_traffic_profile,
     distinct_ingress_members,
     other_traffic_profile,
-    service_port,
     total_bytes,
     total_rate_bps,
 )
@@ -135,19 +136,25 @@ class TestFlowRecord:
         assert flow.scaled(factor).bytes <= flow.bytes
 
 
+def service_ports(flow):
+    """The flow's service port from the table column and from the reference."""
+    column = FlowTable.from_records([flow]).service_ports()
+    return int(column[0]), reference.service_port(flow)
+
+
 class TestServicePort:
     def test_attack_flow_uses_source_port(self):
-        assert service_port(make_flow(src_port=11211, dst_port=43210)) == 11211
+        assert service_ports(make_flow(src_port=11211, dst_port=43210)) == (11211, 11211)
 
     def test_web_flow_uses_destination_port(self):
         flow = make_flow(src_port=51000, dst_port=443, protocol=IpProtocol.TCP)
-        assert service_port(flow) == 443
+        assert service_ports(flow) == (443, 443)
 
     def test_port_zero_is_its_own_class(self):
-        assert service_port(make_flow(src_port=0, dst_port=4000)) == 0
+        assert service_ports(make_flow(src_port=0, dst_port=4000)) == (0, 0)
 
     def test_two_ephemeral_ports_take_minimum(self):
-        assert service_port(make_flow(src_port=50001, dst_port=60001)) == 50001
+        assert service_ports(make_flow(src_port=50001, dst_port=60001)) == (50001, 50001)
 
 
 class TestProfiles:

@@ -18,6 +18,7 @@ import pytest
 from test_flows_and_profiles import make_flow
 
 from fuzz.strategies import single_port_fabric
+from oracle import trace as reference
 from oracle.reference import ReferenceFabric
 from repro.ixp import FilterAction, FlowMatch, QosRule
 from repro.traffic import (
@@ -33,7 +34,6 @@ from repro.traffic import (
     get_vector,
     ip_to_int,
     ints_to_ips,
-    service_port,
 )
 
 
@@ -107,7 +107,7 @@ class TestRoundTrip:
             make_flow(src_port=50001, dst_port=60001),
         ]
         table = FlowTable.from_records(records)
-        expected = [service_port(flow) for flow in records]
+        expected = [reference.service_port(flow) for flow in records]
         assert table.service_ports().tolist() == expected
 
     def test_scaled_matches_record_scaling(self):
@@ -121,10 +121,10 @@ class TestRoundTrip:
         assert zeroed.packets.tolist() == [0, 0]
 
 
-class TestTraceBackends:
-    """Table-backed and record-backed traces must agree on every aggregation."""
+class TestTraceAgainstReference:
+    """A generator trace answers every query like the per-record reference."""
 
-    def _both(self):
+    def _trace(self):
         generator = IxpTraceGenerator(
             member_asns=[65000 + i for i in range(10)],
             duration=600.0,
@@ -143,37 +143,27 @@ class TestTraceBackends:
                 rate_bps=5e8,
             )
         ]
-        columnar = generator.generate()
-        assert columnar.table_or_none() is not None
-        record_backed = TrafficTrace(list(columnar.flows))
-        assert record_backed.table_or_none() is None
-        return columnar, record_backed
+        trace = generator.generate()
+        return trace, trace.flows
 
     def test_aggregations_agree(self):
-        columnar, record_backed = self._both()
-        assert columnar.total_bytes == record_backed.total_bytes
-        assert columnar.bytes_by_service_port() == record_backed.bytes_by_service_port()
-        assert columnar.bytes_by_source_port() == record_backed.bytes_by_source_port()
-        assert columnar.bytes_by_protocol() == record_backed.bytes_by_protocol()
-        assert (
-            columnar.distinct_ingress_members() == record_backed.distinct_ingress_members()
-        )
+        trace, flows = self._trace()
+        assert trace.total_bytes == sum(flow.bytes for flow in flows)
+        assert trace.bytes_by_service_port() == reference.bytes_by_service_port(flows)
+        assert trace.bytes_by_source_port() == reference.bytes_by_source_port(flows)
+        assert trace.bytes_by_protocol() == reference.bytes_by_protocol(flows)
+        assert trace.distinct_ingress_members() == reference.ingress_members(flows)
 
     def test_filters_agree(self):
-        columnar, record_backed = self._both()
-        assert len(columnar.attack_flows()) == len(record_backed.attack_flows())
-        assert len(columnar.towards("104.20.1.1")) == len(record_backed.towards("104.20.1.1"))
-        assert len(columnar.towards_member(65001)) == len(
-            record_backed.towards_member(65001)
-        )
-        assert len(columnar.between(60, 180)) == len(record_backed.between(60, 180))
+        trace, flows = self._trace()
+        assert trace.attack_flows().flows == reference.attack_flows(flows)
+        assert trace.towards("104.20.1.1").flows == reference.towards(flows, "104.20.1.1")
+        assert trace.towards_member(65001).flows == reference.towards_member(flows, 65001)
+        assert trace.between(60, 180).flows == reference.between(flows, 60, 180)
 
     def test_rate_timeseries_agree(self):
-        columnar, record_backed = self._both()
-        times_a, rates_a = columnar.rate_timeseries(30.0)
-        times_b, rates_b = record_backed.rate_timeseries(30.0)
-        assert times_a == times_b
-        assert rates_a == pytest.approx(rates_b)
+        trace, flows = self._trace()
+        assert trace.rate_timeseries(30.0) == reference.rate_timeseries(flows, 30.0)
 
 
 class TestPackedDtypes:
