@@ -14,8 +14,9 @@ The package is organised bottom-up:
   traffic scrubbing, and the qualitative comparison of Table 1.
 * :mod:`repro.core` — the paper's contribution: Advanced Blackholing rules,
   extended-community signalling, the blackholing controller, the
-  token-bucket change queue, network managers (QoS and SDN), telemetry and
-  the :class:`~repro.core.stellar.Stellar` facade.
+  token-bucket change queue, the network manager that deploys rules as
+  egress QoS policies, telemetry and the
+  :class:`~repro.core.stellar.Stellar` facade.
 * :mod:`repro.analysis` — statistics used by the evaluation (Welch's t-test,
   CDFs, collateral-damage and compliance analyses).
 * :mod:`repro.experiments` — one driver per table/figure of the paper.

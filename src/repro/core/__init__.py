@@ -1,34 +1,20 @@
 """Stellar core: Advanced Blackholing rules, signaling, management, filtering."""
 
-from .change_queue import (
-    ChangeQueue,
-    ChangeType,
-    ConfigChange,
-    DequeuedChange,
-    replay_change_arrivals,
-)
+from .change_queue import ChangeQueue, ChangeType, ConfigChange
 from .community_codec import (
     CommunityDecodeError,
     DecodedSignal,
     StellarCommunityCodec,
 )
 from .controller import BlackholingController, ControllerStats
-from .hardware_info import (
-    AdmissionDecision,
-    DeviceCapabilities,
-    HardwareInformationBase,
-)
 from .manager import (
+    MAX_RULES_PER_PORT,
     DeploymentRecord,
     DeploymentStatus,
     NetworkManager,
-    QosNetworkManager,
-    SdnNetworkManager,
 )
 from .portal import CustomerPortal, RuleTemplate, ixp_shared_templates
-from .qos_compiler import CompiledQosChange, QosConfigurationCompiler, Vendor
 from .rules import BlackholingRule, RuleAction
-from .sdn_compiler import FlowMod, OpenFlowSwitchSim, SdnConfigurationCompiler
 from .signaling import SignalingLayer, SignalRejectedError, SignalResult
 from .stellar import Stellar, StellarIntervalReport
 from .telemetry import MemberTelemetryReport, RuleTelemetry, TelemetryCollector
@@ -37,32 +23,20 @@ __all__ = [
     "ChangeQueue",
     "ChangeType",
     "ConfigChange",
-    "DequeuedChange",
-    "replay_change_arrivals",
     "CommunityDecodeError",
     "DecodedSignal",
     "StellarCommunityCodec",
     "BlackholingController",
     "ControllerStats",
-    "AdmissionDecision",
-    "DeviceCapabilities",
-    "HardwareInformationBase",
+    "MAX_RULES_PER_PORT",
     "DeploymentRecord",
     "DeploymentStatus",
     "NetworkManager",
-    "QosNetworkManager",
-    "SdnNetworkManager",
     "CustomerPortal",
     "RuleTemplate",
     "ixp_shared_templates",
-    "CompiledQosChange",
-    "QosConfigurationCompiler",
-    "Vendor",
     "BlackholingRule",
     "RuleAction",
-    "FlowMod",
-    "OpenFlowSwitchSim",
-    "SdnConfigurationCompiler",
     "SignalingLayer",
     "SignalRejectedError",
     "SignalResult",

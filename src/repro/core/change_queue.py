@@ -5,22 +5,21 @@ network manager through a software queue governed by a token bucket (paper
 §4.4): the Maximum Burst Size (MBS) and a long-term change rate bound how
 fast the edge routers' control planes are asked to apply changes — the
 measured sustainable median is 4.33 rule updates per second (Fig. 10(a)).
-Fig. 10(b) reports the resulting queueing delays when replaying the
-production RTBH signal trace at dequeue rates of 4/s and 5/s.
 
 :class:`ChangeQueue` reproduces this component: changes are enqueued with a
-timestamp, dequeued no faster than the token bucket allows, and the
-per-change waiting time is recorded so the delay CDF can be computed.
+timestamp and drained no faster than the token bucket allows; every change
+drained at ``now`` is deployed at ``now``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
 
+from ..ixp.control_plane import PAPER_MEDIAN_UPDATE_RATE
 from ..ixp.queues import TokenBucket
 from .rules import BlackholingRule
 
@@ -47,128 +46,30 @@ class ConfigChange:
     change_id: int = field(default_factory=lambda: next(_change_ids))
 
 
-@dataclass(frozen=True)
-class DequeuedChange:
-    """A change together with its queueing delay."""
-
-    change: ConfigChange
-    dequeue_time: float
-
-    @property
-    def waiting_time(self) -> float:
-        return self.dequeue_time - self.change.enqueue_time
-
-
 class ChangeQueue:
     """FIFO change queue drained at a token-bucket limited rate."""
 
     def __init__(
         self,
-        rate_per_second: float = 4.33,
+        rate_per_second: float = PAPER_MEDIAN_UPDATE_RATE,
         max_burst_size: int = 10,
-        max_queue_length: Optional[int] = None,
     ) -> None:
-        if rate_per_second <= 0:
-            raise ValueError("rate_per_second must be positive")
+        if not (math.isfinite(rate_per_second) and rate_per_second > 0):
+            raise ValueError("rate_per_second must be positive and finite")
         if max_burst_size < 1:
             raise ValueError("max_burst_size must be >= 1")
-        self.rate_per_second = rate_per_second
-        self.max_burst_size = max_burst_size
-        self.max_queue_length = max_queue_length
         self._bucket = TokenBucket(rate=rate_per_second, burst=float(max_burst_size))
         self._queue: deque[ConfigChange] = deque()
-        self._dequeued: list[DequeuedChange] = []
-        self.dropped_changes = 0
 
-    # ------------------------------------------------------------------
-    # Producer side
-    # ------------------------------------------------------------------
-    def enqueue(self, change: ConfigChange) -> bool:
-        """Add a change; returns False if the queue overflowed (admission control)."""
-        if (
-            self.max_queue_length is not None
-            and len(self._queue) >= self.max_queue_length
-        ):
-            self.dropped_changes += 1
-            return False
+    def enqueue(self, change: ConfigChange) -> None:
         self._queue.append(change)
-        return True
 
     def __len__(self) -> int:
         return len(self._queue)
 
-    @property
-    def pending(self) -> int:
-        return len(self._queue)
-
-    # ------------------------------------------------------------------
-    # Consumer side
-    # ------------------------------------------------------------------
-    def dequeue(self, now: float) -> Optional[DequeuedChange]:
-        """Dequeue one change if a token is available at ``now``."""
-        if not self._queue:
-            return None
-        if not self._bucket.try_consume(1.0, now):
-            return None
-        change = self._queue.popleft()
-        dequeued = DequeuedChange(change=change, dequeue_time=now)
-        self._dequeued.append(dequeued)
-        return dequeued
-
-    def drain(self, now: float, max_changes: Optional[int] = None) -> list[DequeuedChange]:
-        """Dequeue as many changes as the bucket allows at ``now``."""
-        drained: list[DequeuedChange] = []
-        while self._queue:
-            if max_changes is not None and len(drained) >= max_changes:
-                break
-            item = self.dequeue(now)
-            if item is None:
-                break
-            drained.append(item)
+    def drain(self, now: float) -> list[ConfigChange]:
+        """Dequeue, in FIFO order, as many changes as the bucket allows at ``now``."""
+        drained: list[ConfigChange] = []
+        while self._queue and self._bucket.try_consume(1.0, now):
+            drained.append(self._queue.popleft())
         return drained
-
-    def next_dequeue_time(self, now: float) -> Optional[float]:
-        """Earliest time at which the next pending change can be dequeued."""
-        if not self._queue:
-            return None
-        return now + self._bucket.time_until_available(1.0, now)
-
-    # ------------------------------------------------------------------
-    # Telemetry (Fig. 10(b))
-    # ------------------------------------------------------------------
-    def dequeued(self) -> list[DequeuedChange]:
-        return list(self._dequeued)
-
-    def waiting_times(self) -> list[float]:
-        """Waiting times of every change dequeued so far."""
-        return [item.waiting_time for item in self._dequeued]
-
-
-def replay_change_arrivals(
-    arrival_times: list[float], dequeue_rate: float, max_burst_size: int = 10
-) -> list[float]:
-    """Replay a change-arrival trace through a queue drained at ``dequeue_rate``.
-
-    This is the Fig. 10(b) experiment in function form: arrivals are placed
-    in the queue at their timestamps; a consumer drains the queue greedily
-    (one change whenever a token is available).  Returns the per-change
-    waiting times in arrival order.
-    """
-    if dequeue_rate <= 0:
-        raise ValueError("dequeue_rate must be positive")
-    arrivals = sorted(arrival_times)
-    waiting: list[float] = []
-    # The consumer applies one change every 1/rate seconds; a change arriving
-    # at an idle consumer (and within the burst allowance) is applied
-    # immediately, otherwise it waits for the consumer to become free.
-    service_interval = 1.0 / dequeue_rate
-    bucket = TokenBucket(rate=dequeue_rate, burst=float(max_burst_size))
-    next_free = 0.0
-    for arrival in arrivals:
-        if next_free <= arrival and bucket.try_consume(1.0, arrival):
-            service_time = arrival
-        else:
-            service_time = max(arrival, next_free)
-        next_free = service_time + service_interval
-        waiting.append(service_time - arrival)
-    return waiting

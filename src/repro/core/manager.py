@@ -1,26 +1,29 @@
 """The network manager.
 
 The network manager dequeues abstract configuration changes from the
-token-bucket change queue, compiles them into hardware-specific
-configurations (QoS policies or SDN flow mods), performs admission control
-against the hardware information base, and deploys the result on the IXP's
-edge routers (paper §4.4).  Failures never impact forwarding: a change that
-cannot be deployed is recorded and the traffic simply keeps flowing
-unfiltered (the resilience constraint of §4.1.2).
+token-bucket change queue, performs admission control against the hardware
+limits of the victim's edge router, and deploys each change as a QoS rule on
+the victim member's *egress* port (paper §4.4, §4.5).  Filtering on egress
+means a rule change touches exactly one port configuration — the victim's —
+instead of the other (n − 1) member ports.  Failures never impact
+forwarding: a change that cannot be deployed is reported and the traffic
+simply keeps flowing unfiltered (the resilience constraint of §4.1.2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
+from ..ixp.edge_router import EdgeRouter
 from ..ixp.fabric import SwitchingFabric
-from ..ixp.tcam import TcamExhaustedError
-from .change_queue import ChangeQueue, ChangeType, ConfigChange, DequeuedChange
-from .hardware_info import HardwareInformationBase
-from .qos_compiler import QosConfigurationCompiler
-from .sdn_compiler import OpenFlowSwitchSim, SdnConfigurationCompiler
+from ..ixp.qos import QosRule
+from ..ixp.tcam import TcamExhaustedError, TcamStatus
+from .change_queue import ChangeQueue, ChangeType, ConfigChange
+
+#: QoS rules one member port may hold; a new rule beyond it is rejected
+#: before it reaches the device.
+MAX_RULES_PER_PORT = 256
 
 
 class DeploymentStatus(Enum):
@@ -34,7 +37,7 @@ class DeploymentStatus(Enum):
 
 @dataclass
 class DeploymentRecord:
-    """Audit-log entry for one attempted deployment."""
+    """Outcome of one attempted deployment."""
 
     change: ConfigChange
     status: DeploymentStatus
@@ -46,145 +49,55 @@ class DeploymentRecord:
         return self.deploy_time - self.change.enqueue_time
 
 
-class NetworkManager:
-    """Base class of the two network-manager realizations."""
-
-    def __init__(
-        self,
-        change_queue: ChangeQueue,
-        hardware_info: Optional[HardwareInformationBase] = None,
-    ) -> None:
-        self.change_queue = change_queue
-        self.hardware_info = (
-            hardware_info if hardware_info is not None else HardwareInformationBase()
+def admission_rejection(router: EdgeRouter, member_asn: int, rule: QosRule) -> str:
+    """Why installing a new ``rule`` on the member's port is infeasible, or ``""``."""
+    rules_on_port = len(router.port_for(member_asn).rules())
+    if rules_on_port >= MAX_RULES_PER_PORT:
+        return (
+            f"port of AS{member_asn} already holds {rules_on_port} rules "
+            f"(limit {MAX_RULES_PER_PORT})"
         )
-        self.deployment_log: list[DeploymentRecord] = []
-
-    # ------------------------------------------------------------------
-    def process_pending(
-        self, now: float, max_changes: Optional[int] = None
-    ) -> list[DeploymentRecord]:
-        """Dequeue and deploy as many changes as the token bucket allows."""
-        records = []
-        for dequeued in self.change_queue.drain(now, max_changes=max_changes):
-            records.append(self.deploy(dequeued))
-        return records
-
-    def deploy(self, dequeued: DequeuedChange) -> DeploymentRecord:
-        """Deploy one dequeued change (implemented by subclasses)."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    def records_with_status(self, status: DeploymentStatus) -> list[DeploymentRecord]:
-        return [record for record in self.deployment_log if record.status is status]
-
-    @property
-    def applied_count(self) -> int:
-        return len(self.records_with_status(DeploymentStatus.APPLIED))
-
-    @property
-    def failed_count(self) -> int:
-        return len(self.deployment_log) - self.applied_count
+    status = router.check_capacity(rule)
+    if status is not TcamStatus.OK:
+        return f"TCAM limit {status.value} on {router.name}"
+    return ""
 
 
-class QosNetworkManager(NetworkManager):
-    """Network-manager option 1: vendor QoS/ACL filters on the edge routers."""
+class NetworkManager:
+    """Deploys queued changes as egress QoS rules on the fabric's edge routers."""
 
-    def __init__(
-        self,
-        fabric: SwitchingFabric,
-        change_queue: ChangeQueue,
-        hardware_info: Optional[HardwareInformationBase] = None,
-        compiler: Optional[QosConfigurationCompiler] = None,
-    ) -> None:
-        super().__init__(change_queue=change_queue, hardware_info=hardware_info)
+    def __init__(self, fabric: SwitchingFabric, change_queue: ChangeQueue) -> None:
         self.fabric = fabric
-        self.compiler = compiler if compiler is not None else QosConfigurationCompiler()
-        if hardware_info is None:
-            for router in fabric.edge_routers():
-                self.hardware_info.register_router(router)
+        self.change_queue = change_queue
 
-    def deploy(self, dequeued: DequeuedChange) -> DeploymentRecord:
-        change = dequeued.change
+    def process_pending(self, now: float) -> list[DeploymentRecord]:
+        """Dequeue and deploy as many changes as the token bucket allows."""
+        return [self.deploy(change, now) for change in self.change_queue.drain(now)]
+
+    def deploy(self, change: ConfigChange, now: float) -> DeploymentRecord:
+        """Deploy one change at ``now``."""
+        status, detail = self._apply(change)
+        return DeploymentRecord(change=change, status=status, deploy_time=now, detail=detail)
+
+    def _apply(self, change: ConfigChange) -> tuple[DeploymentStatus, str]:
         member_asn = change.target_member_asn
         try:
             router = self.fabric.router_for_member(member_asn)
-            port = router.port_for(member_asn)
         except KeyError:
-            record = DeploymentRecord(
-                change=change,
-                status=DeploymentStatus.FAILED_NO_PORT,
-                deploy_time=dequeued.dequeue_time,
-                detail=f"AS{member_asn} has no port on the fabric",
-            )
-            self.deployment_log.append(record)
-            return record
+            return DeploymentStatus.FAILED_NO_PORT, f"AS{member_asn} has no port on the fabric"
 
-        if change.change_type in (ChangeType.ADD_RULE, ChangeType.UPDATE_RULE):
-            decision = self.hardware_info.check_admission(change.rule, member_asn)
-            if not decision.admitted and change.change_type is ChangeType.ADD_RULE:
-                record = DeploymentRecord(
-                    change=change,
-                    status=DeploymentStatus.REJECTED_ADMISSION,
-                    deploy_time=dequeued.dequeue_time,
-                    detail=decision.reason,
-                )
-                self.deployment_log.append(record)
-                return record
-
-        status = DeploymentStatus.APPLIED
-        detail = ""
+        qos_rule = change.rule.to_qos_rule()
+        if change.change_type is ChangeType.REMOVE_RULE:
+            router.remove_rule(member_asn, qos_rule.rule_id)
+            return DeploymentStatus.APPLIED, ""
+        # An UPDATE replaces a rule the port already holds, so only an ADD
+        # is checked against the limits; a failed UPDATE surfaces below.
+        if change.change_type is ChangeType.ADD_RULE:
+            reason = admission_rejection(router, member_asn, qos_rule)
+            if reason:
+                return DeploymentStatus.REJECTED_ADMISSION, reason
         try:
-            for compiled in self.compiler.compile(change):
-                if compiled.operation == "install":
-                    router.install_rule(member_asn, compiled.qos_rule)
-                    self.hardware_info.note_rule_installed(router.name, port.port_id)
-                else:
-                    router.remove_rule(member_asn, compiled.qos_rule.rule_id)
-                    self.hardware_info.note_rule_removed(router.name, port.port_id)
+            router.install_rule(member_asn, qos_rule)
         except TcamExhaustedError as exc:
-            status = DeploymentStatus.FAILED_HARDWARE
-            detail = str(exc)
-
-        record = DeploymentRecord(
-            change=change,
-            status=status,
-            deploy_time=dequeued.dequeue_time,
-            detail=detail,
-        )
-        self.deployment_log.append(record)
-        return record
-
-
-class SdnNetworkManager(NetworkManager):
-    """Network-manager option 2: an OpenFlow/SDX data plane."""
-
-    def __init__(
-        self,
-        change_queue: ChangeQueue,
-        switch: Optional[OpenFlowSwitchSim] = None,
-        compiler: Optional[SdnConfigurationCompiler] = None,
-        hardware_info: Optional[HardwareInformationBase] = None,
-    ) -> None:
-        super().__init__(change_queue=change_queue, hardware_info=hardware_info)
-        self.switch = switch if switch is not None else OpenFlowSwitchSim()
-        self.compiler = compiler if compiler is not None else SdnConfigurationCompiler()
-
-    def deploy(self, dequeued: DequeuedChange) -> DeploymentRecord:
-        change = dequeued.change
-        status = DeploymentStatus.APPLIED
-        detail = ""
-        try:
-            for flow_mod in self.compiler.compile(change):
-                self.switch.apply_flow_mod(flow_mod)
-        except RuntimeError as exc:
-            status = DeploymentStatus.FAILED_HARDWARE
-            detail = str(exc)
-        record = DeploymentRecord(
-            change=change,
-            status=status,
-            deploy_time=dequeued.dequeue_time,
-            detail=detail,
-        )
-        self.deployment_log.append(record)
-        return record
+            return DeploymentStatus.FAILED_HARDWARE, str(exc)
+        return DeploymentStatus.APPLIED, ""

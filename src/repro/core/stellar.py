@@ -6,9 +6,10 @@ IXP fabric:
 * **signaling** — route server + :class:`~repro.core.signaling.SignalingLayer`
   + customer portal,
 * **management** — :class:`~repro.core.controller.BlackholingController`,
-  token-bucket :class:`~repro.core.change_queue.ChangeQueue`,
-  :class:`~repro.core.manager.QosNetworkManager` with its hardware
-  information base,
+  the token-bucket :class:`~repro.core.change_queue.ChangeQueue` (the
+  paper's 4.33 changes/s, MBS 10) and the
+  :class:`~repro.core.manager.NetworkManager`, which admits each change
+  against the victim's edge router and installs it as an egress QoS rule,
 * **filtering** — the per-port QoS policies of the
   :class:`~repro.ixp.fabric.SwitchingFabric`.
 
@@ -33,8 +34,7 @@ from ..traffic.flowtable import FlowTable
 from .change_queue import ChangeQueue
 from .community_codec import StellarCommunityCodec
 from .controller import BlackholingController
-from .hardware_info import HardwareInformationBase
-from .manager import DeploymentRecord, QosNetworkManager
+from .manager import DeploymentRecord, NetworkManager
 from .portal import CustomerPortal
 from .rules import BlackholingRule
 from .signaling import SignalingLayer, SignalResult
@@ -65,8 +65,6 @@ class Stellar:
         ixp_asn: int,
         fabric: Optional[SwitchingFabric] = None,
         policy: Optional[ImportPolicy] = None,
-        change_rate_per_second: float = 4.33,
-        max_burst_size: int = 10,
         translate_rtbh: bool = True,
     ) -> None:
         self.ixp_asn = ixp_asn
@@ -76,9 +74,7 @@ class Stellar:
         )
         self.portal = CustomerPortal()
         self.codec = StellarCommunityCodec(ixp_asn)
-        self.change_queue = ChangeQueue(
-            rate_per_second=change_rate_per_second, max_burst_size=max_burst_size
-        )
+        self.change_queue = ChangeQueue()
         self._now = 0.0
         self.controller = BlackholingController(
             ixp_asn=ixp_asn,
@@ -88,14 +84,7 @@ class Stellar:
             translate_rtbh=translate_rtbh,
             clock=lambda: self._now,
         )
-        self.hardware_info = HardwareInformationBase()
-        for router in self.fabric.edge_routers():
-            self.hardware_info.register_router(router)
-        self.manager = QosNetworkManager(
-            fabric=self.fabric,
-            change_queue=self.change_queue,
-            hardware_info=self.hardware_info,
-        )
+        self.manager = NetworkManager(fabric=self.fabric, change_queue=self.change_queue)
         self.signaling = SignalingLayer(
             route_server=self.route_server,
             controller=self.controller,
@@ -114,11 +103,6 @@ class Stellar:
             self.route_server.connect_member(member.asn)
         if register_prefixes and self.route_server.policy.require_irr:
             self.route_server.policy.irr.register_many(member.prefixes, member.asn)
-        # Newly added routers (if the fabric grew) must be known to the HIB.
-        known = {router.name for router in self.hardware_info.routers()}
-        for router in self.fabric.edge_routers():
-            if router.name not in known:
-                self.hardware_info.register_router(router)
 
     def add_members(self, members: Iterable[IxpMember]) -> None:
         for member in members:

@@ -45,6 +45,7 @@ from .change_queueing import (
     ChangeQueueingConfig,
     ChangeQueueingResult,
     generate_change_arrivals,
+    replay_change_arrivals,
     run_change_queueing_experiment,
 )
 from .collateral_damage import (
@@ -134,6 +135,7 @@ __all__ = [
     "ChangeQueueingConfig",
     "ChangeQueueingResult",
     "generate_change_arrivals",
+    "replay_change_arrivals",
     "run_change_queueing_experiment",
     "CollateralDamageConfig",
     "CollateralDamageResult",

@@ -12,7 +12,6 @@ from .hardware_profiles import (
     PARALLEL_RTBH_95TH_PERCENTILE,
     HardwareProfile,
     l_ixp_edge_router_profile,
-    sdn_switch_profile,
     small_ixp_edge_router_profile,
 )
 from .member import IxpMember, default_mac
@@ -59,7 +58,6 @@ __all__ = [
     "PARALLEL_RTBH_95TH_PERCENTILE",
     "HardwareProfile",
     "l_ixp_edge_router_profile",
-    "sdn_switch_profile",
     "small_ixp_edge_router_profile",
     "IxpMember",
     "default_mac",

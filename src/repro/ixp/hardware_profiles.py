@@ -2,8 +2,9 @@
 
 A :class:`HardwareProfile` bundles the resource limits of one router model:
 how many member ports it serves, the TCAM pool sizes, and the control-plane
-CPU coefficients.  Stellar's hardware information base
-(:mod:`repro.core.hardware_info`) is built from these profiles.
+CPU coefficients.  Stellar's network manager
+(:mod:`repro.core.manager`) admits a rule only while the router's TCAM,
+sized from its profile, has room for it.
 
 Calibration of the default L-IXP profile
 ----------------------------------------
@@ -101,15 +102,3 @@ def small_ixp_edge_router_profile(port_count: int = 48) -> HardwareProfile:
         port_capacity_bps=10e9,
     )
 
-
-def sdn_switch_profile(port_count: int = 48) -> HardwareProfile:
-    """An OpenFlow switch profile (flow-table entries instead of QoS TCAM)."""
-    return HardwareProfile(
-        name="sdn-switch",
-        port_count=port_count,
-        mac_filter_capacity=8192,
-        l3l4_criteria_capacity=8192,
-        port_capacity_bps=10e9,
-        cpu_base_percent=1.0,
-        cpu_percent_per_update=1.2,
-    )

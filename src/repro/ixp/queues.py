@@ -3,9 +3,8 @@
 Two kinds of "queues" appear in the reproduction:
 
 * :class:`TokenBucket` — the classic token-bucket rate limiter.  Stellar's
-  blackholing manager uses one to limit the rate of configuration changes
-  pushed to the hardware (paper §4.4, Fig. 10(b)); the QoS shaping queues
-  use one per shaping rule.
+  change queue uses one to limit the rate of configuration changes pushed
+  to the hardware (paper §4.4).
 * :class:`RateLimiter` — a flow-level abstraction over the token bucket:
   given the aggregate volume offered during an observation interval it
   reports how much passes and how much is dropped, which is what the
@@ -32,10 +31,11 @@ class TokenBucket:
     _last_update: float = field(init=False, default=0.0)
 
     def __post_init__(self) -> None:
-        if self.rate < 0:
-            raise ValueError("rate must be non-negative")
-        if self.burst <= 0:
-            raise ValueError("burst must be positive")
+        # A NaN rate would refill the bucket to ``burst`` on every call.
+        if not (math.isfinite(self.rate) and self.rate >= 0):
+            raise ValueError("rate must be non-negative and finite")
+        if not (math.isfinite(self.burst) and self.burst > 0):
+            raise ValueError("burst must be positive and finite")
         self._tokens = self.burst
 
     @property

@@ -1,7 +1,8 @@
-"""Tests for the change queue, blackholing controller, HIB, compilers and managers."""
+"""Tests for the change queue, the blackholing controller and the network manager."""
+
+import math
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.bgp import (
     PathAttributes,
@@ -17,27 +18,24 @@ from repro.core import (
     ChangeQueue,
     ChangeType,
     ConfigChange,
+    MAX_RULES_PER_PORT,
     DeploymentStatus,
-    HardwareInformationBase,
-    OpenFlowSwitchSim,
-    QosConfigurationCompiler,
-    QosNetworkManager,
+    NetworkManager,
     RuleAction,
-    SdnConfigurationCompiler,
-    SdnNetworkManager,
     StellarCommunityCodec,
-    Vendor,
-    replay_change_arrivals,
 )
+from repro.core.manager import admission_rejection
 from repro.ixp import (
     EdgeRouter,
-    FilterAction,
     HardwareProfile,
     IxpMember,
+    PortNotFoundError,
     SwitchingFabric,
     small_ixp_edge_router_profile,
 )
-from repro.traffic import FiveTuple, FlowRecord, IpProtocol
+from repro.traffic import IpProtocol
+
+BAD_RATES = [0.0, -1.0, math.nan, math.inf]
 
 IXP_ASN = 64700
 
@@ -86,61 +84,26 @@ class TestChangeQueue:
         assert len(queue.drain(now=0.0)) == 2
         assert len(queue.drain(now=0.0)) == 0
         assert len(queue.drain(now=1.0)) == 1
-        assert queue.pending == 1
+        assert len(queue) == 1
 
-    def test_waiting_times_recorded(self):
-        queue = ChangeQueue(rate_per_second=1.0, max_burst_size=1)
-        queue.enqueue(make_change(enqueue_time=0.0))
-        queue.enqueue(make_change(enqueue_time=0.0))
-        queue.drain(now=0.0)
-        queue.drain(now=5.0)
-        waits = queue.waiting_times()
-        assert waits[0] == 0.0
-        assert waits[1] == 5.0
+    def test_drain_is_fifo(self):
+        queue = ChangeQueue()
+        changes = [make_change(make_rule(port=port)) for port in (1, 2, 3)]
+        for change in changes:
+            queue.enqueue(change)
+        assert queue.drain(now=0.0) == changes
 
-    def test_queue_overflow_counts_drops(self):
-        queue = ChangeQueue(rate_per_second=1.0, max_queue_length=1)
-        assert queue.enqueue(make_change())
-        assert not queue.enqueue(make_change())
-        assert queue.dropped_changes == 1
+    def test_drain_empty_returns_nothing(self):
+        assert ChangeQueue().drain(0.0) == []
 
-    def test_next_dequeue_time(self):
-        queue = ChangeQueue(rate_per_second=2.0, max_burst_size=1)
-        assert queue.next_dequeue_time(0.0) is None
-        queue.enqueue(make_change())
-        queue.enqueue(make_change())
-        queue.drain(now=0.0)
-        assert queue.next_dequeue_time(0.0) == pytest.approx(0.5)
-
-    def test_dequeue_empty_returns_none(self):
-        assert ChangeQueue().dequeue(0.0) is None
-
-    def test_validation(self):
+    @pytest.mark.parametrize("rate", BAD_RATES)
+    def test_validation(self, rate):
+        # A NaN or infinite rate used to refill the bucket on every call,
+        # which switched the pacing off.
         with pytest.raises(ValueError):
-            ChangeQueue(rate_per_second=0)
+            ChangeQueue(rate_per_second=rate, max_burst_size=1)
         with pytest.raises(ValueError):
             ChangeQueue(max_burst_size=0)
-
-    def test_replay_waiting_times_non_negative_and_bounded(self):
-        arrivals = [0.0, 0.1, 0.2, 0.3, 10.0]
-        waits = replay_change_arrivals(arrivals, dequeue_rate=4.0, max_burst_size=1)
-        assert len(waits) == 5
-        assert all(wait >= 0 for wait in waits)
-        assert waits[-1] == 0.0  # the queue drained long before t=10
-
-    def test_replay_backlog_grows_when_arrivals_exceed_rate(self):
-        arrivals = [i * 0.1 for i in range(100)]  # 10/s for 10 s
-        waits = replay_change_arrivals(arrivals, dequeue_rate=4.0)
-        assert max(waits) > 10.0
-
-    @given(st.lists(st.floats(min_value=0, max_value=1000), min_size=1, max_size=200))
-    def test_property_replay_waits_non_negative(self, arrivals):
-        waits = replay_change_arrivals(arrivals, dequeue_rate=4.0)
-        assert all(wait >= -1e-9 for wait in waits)
-
-    def test_replay_rejects_bad_rate(self):
-        with pytest.raises(ValueError):
-            replay_change_arrivals([0.0], dequeue_rate=0.0)
 
 
 class TestBlackholingController:
@@ -155,7 +118,7 @@ class TestBlackholingController:
         assert changes[0].change_type is ChangeType.ADD_RULE
         assert changes[0].rule.src_port == 123
         assert controller.active_rule_count() == 1
-        assert controller.change_queue.pending == 1
+        assert len(controller.change_queue) == 1
 
     def test_same_signal_twice_is_idempotent(self):
         controller = self._controller()
@@ -277,139 +240,48 @@ class TestBlackholingController:
         assert controller.session.local_asn == controller.session.peer_asn
 
 
-class TestHardwareInformationBase:
-    def _setup(self):
+def fill_port(router, member_asn, count=MAX_RULES_PER_PORT):
+    """Install ``count`` distinct rules on the member's port; return the first."""
+    rules = [make_rule(port=port).to_qos_rule() for port in range(1, count + 1)]
+    router.install_rules(member_asn, rules)
+    return rules[0]
+
+
+class TestAdmission:
+    def _router(self):
         router = EdgeRouter("er-1", profile=small_ixp_edge_router_profile())
         router.connect_member(IxpMember(asn=64500))
-        hib = HardwareInformationBase(max_rules_per_port=2)
-        hib.register_router(router)
-        return hib, router
+        return router
 
     def test_admission_ok(self):
-        hib, _ = self._setup()
-        decision = hib.check_admission(make_rule(), 64500)
-        assert decision.admitted
+        assert admission_rejection(self._router(), 64500, make_rule().to_qos_rule()) == ""
 
     def test_admission_rejects_unknown_member(self):
-        hib, _ = self._setup()
-        decision = hib.check_admission(make_rule(), 9999)
-        assert not decision.admitted
+        with pytest.raises(PortNotFoundError):
+            admission_rejection(self._router(), 9999, make_rule().to_qos_rule())
 
     def test_admission_rejects_port_rule_limit(self):
-        hib, router = self._setup()
-        router.install_rule(64500, make_rule(port=1).to_qos_rule())
-        router.install_rule(64500, make_rule(port=2).to_qos_rule())
-        decision = hib.check_admission(make_rule(port=3), 64500)
-        assert not decision.admitted
-        assert "rules" in decision.reason
+        router = self._router()
+        fill_port(router, 64500, MAX_RULES_PER_PORT - 1)
+        last = make_rule(port=MAX_RULES_PER_PORT).to_qos_rule()
+        assert admission_rejection(router, 64500, last) == ""
+        router.install_rule(64500, last)
+        rule = make_rule(port=MAX_RULES_PER_PORT + 1).to_qos_rule()
+        reason = admission_rejection(router, 64500, rule)
+        assert "rules" in reason and str(MAX_RULES_PER_PORT) in reason
 
-    def test_capabilities_and_bookkeeping(self):
-        hib, router = self._setup()
-        capabilities = hib.capabilities("er-1")
-        assert capabilities.port_count == router.profile.port_count
-        hib.note_rule_installed("er-1", 1)
-        assert hib.rules_on_port("er-1", 1) == 1
-        hib.note_rule_removed("er-1", 1)
-        assert hib.rules_on_port("er-1", 1) == 0
-
-    def test_unknown_device_capabilities(self):
-        hib, _ = self._setup()
-        with pytest.raises(KeyError):
-            hib.capabilities("missing")
-
-
-class TestCompilers:
-    def test_qos_compile_add_and_remove(self):
-        compiler = QosConfigurationCompiler()
-        add = compiler.compile(make_change())[0]
-        assert add.operation == "install"
-        assert add.statement_count >= 2
-        remove = compiler.compile(make_change(change_type=ChangeType.REMOVE_RULE))[0]
-        assert remove.operation == "remove"
-
-    def test_vendor_rendering(self):
-        change = make_change()
-        for vendor in Vendor:
-            compiler = QosConfigurationCompiler(vendor=vendor)
-            text = compiler.render(compiler.compile(change)[0])
-            assert "123" in text or "ntp" in text.lower()
-
-    def test_nokia_shape_rendering_includes_rate(self):
-        compiler = QosConfigurationCompiler(vendor=Vendor.NOKIA)
-        change = make_change(make_rule(action=RuleAction.SHAPE, rate=2e8))
-        text = compiler.render(compiler.compile(change)[0])
-        assert "rate 200" in text
-
-    def test_sdn_compile_drop(self):
-        flow_mods = SdnConfigurationCompiler().compile(make_change())
-        assert len(flow_mods) == 1
-        mod = flow_mods[0]
-        assert mod.command == "add"
-        assert mod.match["udp_src"] == 123
-        assert mod.instructions["action"] == "drop"
-
-    def test_sdn_compile_shape_uses_meter(self):
-        change = make_change(make_rule(action=RuleAction.SHAPE, rate=2e8))
-        mod = SdnConfigurationCompiler().compile(change)[0]
-        assert mod.instructions["action"] == "meter"
-        assert mod.instructions["meter_rate_kbps"] == 200_000
-
-    def test_sdn_compile_delete(self):
-        change = make_change(change_type=ChangeType.REMOVE_RULE)
-        assert SdnConfigurationCompiler().compile(change)[0].command == "delete"
-
-
-class TestOpenFlowSwitchSim:
-    def _flow(self, src_port=123, dst_ip="100.10.10.10"):
-        return FlowRecord(
-            key=FiveTuple("23.1.1.1", dst_ip, IpProtocol.UDP, src_port, 40000),
-            start=0.0,
-            duration=10.0,
-            bytes=10_000,
-            packets=10,
-            ingress_member_asn=65001,
-            egress_member_asn=64500,
+    def test_admission_rejects_tcam_limit(self):
+        tiny = HardwareProfile(
+            name="tiny", port_count=4, mac_filter_capacity=2, l3l4_criteria_capacity=3
         )
-
-    def test_drop_entry_filters_matching_flow(self):
-        switch = OpenFlowSwitchSim()
-        for mod in SdnConfigurationCompiler().compile(make_change()):
-            switch.apply_flow_mod(mod)
-        result = switch.forward([self._flow(), self._flow(src_port=53)], interval=10.0)
-        assert len(result["drop"]) == 1
-        assert len(result["forward"]) == 1
-
-    def test_meter_entry_shapes(self):
-        switch = OpenFlowSwitchSim()
-        change = make_change(make_rule(action=RuleAction.SHAPE, rate=1e3))
-        for mod in SdnConfigurationCompiler().compile(change):
-            switch.apply_flow_mod(mod)
-        result = switch.forward([self._flow()], interval=10.0)
-        assert len(result["meter"]) == 1
-        assert result["meter"][0].bits <= 1e3 * 10 + 8
-
-    def test_delete_removes_entry(self):
-        switch = OpenFlowSwitchSim()
-        rule = make_rule()
-        for mod in SdnConfigurationCompiler().compile(make_change(rule)):
-            switch.apply_flow_mod(mod)
-        assert switch.table_size() == 1
-        for mod in SdnConfigurationCompiler().compile(
-            make_change(rule, change_type=ChangeType.REMOVE_RULE)
-        ):
-            switch.apply_flow_mod(mod)
-        assert switch.table_size() == 0
-
-    def test_table_capacity(self):
-        switch = OpenFlowSwitchSim(flow_table_capacity=1)
-        switch.apply_flow_mod(SdnConfigurationCompiler().compile(make_change(make_rule(port=1)))[0])
-        with pytest.raises(RuntimeError):
-            switch.apply_flow_mod(
-                SdnConfigurationCompiler().compile(make_change(make_rule(port=2)))[0]
-            )
+        router = EdgeRouter("er-1", profile=tiny)
+        router.connect_member(IxpMember(asn=64500))
+        fill_port(router, 64500, 1)
+        reason = admission_rejection(router, 64500, make_rule(port=2).to_qos_rule())
+        assert reason.startswith("TCAM limit")
 
 
-class TestNetworkManagers:
+class TestNetworkManager:
     def _fabric(self):
         fabric = SwitchingFabric()
         fabric.add_edge_router(EdgeRouter("er-1", profile=small_ixp_edge_router_profile()))
@@ -419,18 +291,17 @@ class TestNetworkManagers:
     def test_qos_manager_applies_add_change(self):
         fabric = self._fabric()
         queue = ChangeQueue()
-        manager = QosNetworkManager(fabric=fabric, change_queue=queue)
+        manager = NetworkManager(fabric=fabric, change_queue=queue)
         queue.enqueue(make_change())
         records = manager.process_pending(now=1.0)
         assert len(records) == 1
         assert records[0].status is DeploymentStatus.APPLIED
         assert len(fabric.router_for_member(64500).installed_rules()) == 1
-        assert manager.applied_count == 1
 
     def test_qos_manager_remove_change(self):
         fabric = self._fabric()
         queue = ChangeQueue()
-        manager = QosNetworkManager(fabric=fabric, change_queue=queue)
+        manager = NetworkManager(fabric=fabric, change_queue=queue)
         rule = make_rule()
         queue.enqueue(make_change(rule))
         manager.process_pending(now=1.0)
@@ -441,27 +312,48 @@ class TestNetworkManagers:
     def test_qos_manager_unknown_member(self):
         fabric = self._fabric()
         queue = ChangeQueue()
-        manager = QosNetworkManager(fabric=fabric, change_queue=queue)
+        manager = NetworkManager(fabric=fabric, change_queue=queue)
         rule = BlackholingRule.drop_all(60000, "9.9.9.9/32")
         queue.enqueue(
             ConfigChange(change_type=ChangeType.ADD_RULE, rule=rule, target_member_asn=60000)
         )
         records = manager.process_pending(now=1.0)
+        assert len(records) == 1
         assert records[0].status is DeploymentStatus.FAILED_NO_PORT
-        assert manager.failed_count == 1
 
     def test_qos_manager_admission_rejection(self):
         fabric = self._fabric()
         queue = ChangeQueue()
-        hib = HardwareInformationBase(max_rules_per_port=1)
-        for router in fabric.edge_routers():
-            hib.register_router(router)
-        manager = QosNetworkManager(fabric=fabric, change_queue=queue, hardware_info=hib)
-        # Fill the single allowed slot on the victim's port, then request another.
-        fabric.router_for_member(64500).install_rule(64500, make_rule(port=1).to_qos_rule())
-        queue.enqueue(make_change(make_rule(port=2)))
+        manager = NetworkManager(fabric=fabric, change_queue=queue)
+        # Fill the victim's port to the rule limit, then request another.
+        fill_port(fabric.router_for_member(64500), 64500)
+        queue.enqueue(make_change(make_rule(port=MAX_RULES_PER_PORT + 1)))
         records = manager.process_pending(now=1.0)
         assert records[0].status is DeploymentStatus.REJECTED_ADMISSION
+        assert len(fabric.port_for_member(64500).rules()) == MAX_RULES_PER_PORT
+
+    def test_update_at_rule_limit_applies(self):
+        fabric = self._fabric()
+        queue = ChangeQueue()
+        manager = NetworkManager(fabric=fabric, change_queue=queue)
+        installed = fill_port(fabric.router_for_member(64500), 64500)
+        update = BlackholingRule(
+            owner_asn=64500,
+            dst_prefix=Prefix.parse("100.10.10.10/32"),
+            action=RuleAction.SHAPE,
+            protocol=IpProtocol.UDP,
+            src_port=1,
+            shape_rate_bps=2e8,
+            rule_id=installed.rule_id,
+        )
+        queue.enqueue(make_change(update, change_type=ChangeType.UPDATE_RULE))
+        queue.enqueue(make_change(make_rule(port=MAX_RULES_PER_PORT + 1)))
+        update_record, add_record = manager.process_pending(now=1.0)
+        assert update_record.status is DeploymentStatus.APPLIED
+        assert add_record.status is DeploymentStatus.REJECTED_ADMISSION
+        rules = {rule.rule_id: rule for rule in fabric.port_for_member(64500).rules()}
+        assert len(rules) == MAX_RULES_PER_PORT
+        assert rules[installed.rule_id].shape_rate_bps == 2e8
 
     def test_qos_manager_hardware_failure(self):
         fabric = SwitchingFabric()
@@ -471,7 +363,7 @@ class TestNetworkManagers:
         fabric.add_edge_router(EdgeRouter("er-1", profile=tiny))
         fabric.connect_member(IxpMember(asn=64500))
         queue = ChangeQueue()
-        manager = QosNetworkManager(fabric=fabric, change_queue=queue)
+        manager = NetworkManager(fabric=fabric, change_queue=queue)
         # Fill the TCAM with one rule, then push an UPDATE for a different
         # rule (updates bypass admission rejection) so the install itself hits
         # the hardware limit.
@@ -483,26 +375,7 @@ class TestNetworkManagers:
     def test_deployment_waiting_time(self):
         fabric = self._fabric()
         queue = ChangeQueue()
-        manager = QosNetworkManager(fabric=fabric, change_queue=queue)
+        manager = NetworkManager(fabric=fabric, change_queue=queue)
         queue.enqueue(make_change(enqueue_time=0.0))
         records = manager.process_pending(now=3.0)
         assert records[0].waiting_time == 3.0
-
-    def test_sdn_manager_applies_flow_mods(self):
-        queue = ChangeQueue()
-        manager = SdnNetworkManager(change_queue=queue)
-        queue.enqueue(make_change())
-        records = manager.process_pending(now=1.0)
-        assert records[0].status is DeploymentStatus.APPLIED
-        assert manager.switch.table_size() == 1
-
-    def test_sdn_manager_table_full(self):
-        queue = ChangeQueue()
-        manager = SdnNetworkManager(
-            change_queue=queue, switch=OpenFlowSwitchSim(flow_table_capacity=1)
-        )
-        queue.enqueue(make_change(make_rule(port=1)))
-        queue.enqueue(make_change(make_rule(port=2)))
-        records = manager.process_pending(now=1.0)
-        statuses = {record.status for record in records}
-        assert DeploymentStatus.FAILED_HARDWARE in statuses

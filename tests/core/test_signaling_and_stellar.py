@@ -173,23 +173,20 @@ class TestStellarDataPlane:
         assert result.shaped_passed_bits == pytest.approx(1e8 * 10.0, rel=0.05)
 
     def test_rule_change_queue_throttles_deployment(self):
-        stellar_kwargs = dict()
+        # The paper's change queue: a burst of 10, then 4.33 changes/s.
         fabric = SwitchingFabric()
         fabric.add_edge_router(EdgeRouter("er-1", profile=small_ixp_edge_router_profile()))
-        stellar = Stellar(
-            ixp_asn=IXP_ASN, fabric=fabric, change_rate_per_second=1.0, max_burst_size=1
-        )
+        stellar = Stellar(ixp_asn=IXP_ASN, fabric=fabric)
         stellar.add_member(IxpMember(asn=VICTIM_ASN, prefixes=["100.10.10.0/24"]))
-        for port in (123, 53, 11211):
+        for port in range(1, 13):
             stellar.request_mitigation(
                 BlackholingRule.drop_udp_source_port(VICTIM_ASN, f"{VICTIM_IP}/32", port), via="api"
             )
-        stellar.process_control_plane(now=0.0)
-        assert stellar.installed_rule_count() == 1
-        stellar.process_control_plane(now=1.0)
-        assert stellar.installed_rule_count() == 2
-        stellar.process_control_plane(now=10.0)
-        assert stellar.installed_rule_count() == 3
+        installed = []
+        for now in (0.0, 0.2, 0.25, 0.5):
+            stellar.process_control_plane(now=now)
+            installed.append(stellar.installed_rule_count())
+        assert installed == [10, 10, 11, 12]
 
     def test_telemetry_reports_matched_traffic(self):
         stellar, victim, peers = build_stellar(victim_capacity=10e9)

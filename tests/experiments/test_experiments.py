@@ -5,7 +5,10 @@ assert the qualitative findings of the paper (who wins, by roughly what
 factor, where the crossovers are) rather than exact numbers.
 """
 
+import math
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.experiments import (
     ChangeQueueingConfig,
@@ -19,6 +22,7 @@ from repro.experiments import (
     StellarAttackConfig,
     build_attack_scenario,
     build_table1,
+    replay_change_arrivals,
     run_change_queueing_experiment,
     run_collateral_damage_experiment,
     run_cpu_update_rate_experiment,
@@ -260,6 +264,32 @@ class TestFig10bQueueing:
 
     def test_waiting_times_non_negative(self, result):
         assert all(wait >= 0 for wait in result.waiting_times[4.0])
+
+    def test_replay_waiting_times_non_negative_and_bounded(self):
+        arrivals = [0.0, 0.1, 0.2, 0.3, 10.0]
+        waits = replay_change_arrivals(arrivals, dequeue_rate=4.0)
+        assert len(waits) == 5
+        assert all(wait >= 0 for wait in waits)
+        assert waits[-1] == 0.0  # the queue drained long before t=10
+
+    def test_replay_backlog_grows_when_arrivals_exceed_rate(self):
+        arrivals = [i * 0.1 for i in range(100)]  # 10/s for 10 s
+        waits = replay_change_arrivals(arrivals, dequeue_rate=4.0)
+        assert max(waits) > 10.0
+
+    @given(st.lists(st.floats(min_value=0, max_value=1000), min_size=1, max_size=200))
+    def test_property_replay_waits_non_negative(self, arrivals):
+        waits = replay_change_arrivals(arrivals, dequeue_rate=4.0)
+        assert all(wait >= -1e-9 for wait in waits)
+
+    def test_replay_serves_one_change_per_interval(self):
+        waits = replay_change_arrivals([0.2, 0.0, 0.1], dequeue_rate=4.0)
+        assert waits == pytest.approx([0.0, 0.15, 0.3])
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
+    def test_replay_rejects_bad_rate(self, rate):
+        with pytest.raises(ValueError):
+            replay_change_arrivals([0.0, 0.1, 0.2], dequeue_rate=rate)
 
 
 class TestFunctionalityValidation:

@@ -46,6 +46,17 @@ GOLDEN = {
     ("fig3a", 11): "41b5d791f45042b96523b4041e688ab3a2bb755e894830e8fcdbfeb5245b7cde",
     ("fig10a", 3): "fbc13b918cb3b254877a1a281d8219be4e6c4dd04263857b8b06811da202afcc",
     ("fig10a", 11): "f41fb708262a4d45d632aace512c188a090368b399c09945428342d514f70e05",
+    # The scenarios that drive Stellar's management layer: the controller's
+    # token-bucket change queue and the network manager's admission check.
+    ("fig10c", 3): "04b389935f7aad69d576734c9ee4da0b01cb7cf18db497c3b4147f9fd2d32828",
+    ("fig10c", 11): "fc9dd2d25fa0f19cdd96958ab0e8620156f7718a23a05971e6673ec626dd8b3e",
+    ("multivector", 3): "876a778e79534706e88b79cbd910d912cf2b35985725bdb63f21c11710ae426f",
+    ("multivector", 11): "8f55c72dc9c0d20af899f90a342c4bebe4d957c6e203b3189ed9ed8f3b95d748",
+    ("functionality", 3): "992fd11c3ef9afbae4298c90ea4de179e067170eb1cef434ca9af1c225687a66",
+    ("functionality", 11): "809c4079d1390a798e04a5deb440b4cf9deaa5e777ff1e3dcfac9ad27b71d9d7",
+    # The Fig. 10(b) FIFO replay of the change-arrival trace.
+    ("fig10b", 3): "07330524afe8afc6f82790722e305db68f8834f6a34699c85072b7d27696d352",
+    ("fig10b", 11): "d4cebd3c16327a6b07b3c378cfd86c19f3ed5a0b27cde8833a28db002878d6a5",
 }
 
 

@@ -15,7 +15,6 @@ from repro.ixp import (
     TcamExhaustedError,
     TcamStatus,
     l_ixp_edge_router_profile,
-    sdn_switch_profile,
     small_ixp_edge_router_profile,
 )
 from repro.traffic import FiveTuple, FlowRecord, FlowTable, IpProtocol
@@ -63,10 +62,6 @@ class TestHardwareProfiles:
         assert tcam.mac_filter_capacity == profile.mac_filter_capacity
         cpu = profile.make_cpu_model(seed=1)
         assert cpu.cpu_limit_percent == profile.cpu_limit_percent
-
-    def test_sdn_profile_has_symmetric_tables(self):
-        profile = sdn_switch_profile()
-        assert profile.mac_filter_capacity == profile.l3l4_criteria_capacity
 
     def test_invalid_profile(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Tests for token buckets, rate limiters and the TCAM model."""
 
+import math
+
 import pytest
 from hypothesis import given
 
@@ -65,6 +67,20 @@ class TestTokenBucket:
             TokenBucket(rate=1.0, burst=0.0)
         with pytest.raises(ValueError):
             TokenBucket(rate=1.0, burst=1.0).try_consume(-1.0, now=0.0)
+
+    @pytest.mark.parametrize(
+        "rate,burst",
+        [
+            (math.nan, 1.0),
+            (math.inf, 1.0),
+            (1.0, math.nan),
+            (1.0, math.inf),
+        ],
+    )
+    def test_rejects_non_finite_rate_and_burst(self, rate, burst):
+        # A NaN rate refilled the bucket to its burst on every call.
+        with pytest.raises(ValueError):
+            TokenBucket(rate=rate, burst=burst)
 
     @given(token_amount_sequences, token_rates, token_bursts)
     def test_property_consumption_never_exceeds_refill_plus_burst(self, amounts, rate, burst):
