@@ -565,15 +565,13 @@ def run_paper_scale_experiment(
         tracker["platform_peak_bps"] = max(
             tracker["platform_peak_bps"], fabric_report.platform_load_bps
         )
-        # Port-level oversubscription scan: pure bit accounting, so the
-        # batched engine's deferred tables stay unmaterialised here.
-        for member_asn, result in fabric_report.results_by_member.items():
-            utilisation = fabric.port_for_member(member_asn).utilisation(
-                result, interval
-            )
-            tracker["peak_utilisation"] = max(tracker["peak_utilisation"], utilisation)
-            if utilisation > 1.0:
-                tracker["oversubscribed"] += 1
+        # Port-level oversubscription scan: one pass over the report's
+        # per-member columns, so no verdict table is materialised here.
+        utilisation = fabric_report.port_utilisation()
+        tracker["peak_utilisation"] = max(
+            tracker["peak_utilisation"], float(np.max(utilisation, initial=0.0))
+        )
+        tracker["oversubscribed"] += int(np.count_nonzero(utilisation > 1.0))
         victim_result = fabric_report.results_by_member.get(victim_asn)
         if victim_result is None:
             series.record(time=t, delivered_mbps=0.0, peer_count=0)

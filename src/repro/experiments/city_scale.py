@@ -39,6 +39,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from ..analysis.timeseries import AttackTimeSeries, record_delivery
 from ..core.rules import BlackholingRule
 from ..ixp.hardware_profiles import HardwareProfile, l_ixp_edge_router_profile
@@ -234,7 +236,7 @@ class _ShardRuntime:
             pop_count=config.pop_count,
             routers_per_pop=config.routers_per_pop,
             profile=_router_profile(config),
-                seed=config.seed,
+            seed=config.seed,
             pop_indices=spec.pop_indices,
             collect_ipfix=False,
             retain_reports=False,
@@ -332,19 +334,11 @@ class _ShardRuntime:
         table = FlowTable.concat(tables)
         report = self.fabric.deliver(table, interval, interval_start=interval_start)
 
-        peak_utilisation = 0.0
-        oversubscribed = 0
-        for member_asn, result in report.results_by_member.items():
-            utilisation = self.fabric.port_for_member(member_asn).utilisation(
-                result, interval
-            )
-            peak_utilisation = max(peak_utilisation, utilisation)
-            if utilisation > 1.0:
-                oversubscribed += 1
+        utilisation = report.port_utilisation()
         payload: dict = {
             "report": report.to_columns(),
-            "peak_utilisation": peak_utilisation,
-            "oversubscribed": oversubscribed,
+            "peak_utilisation": float(np.max(utilisation, initial=0.0)),
+            "oversubscribed": int(np.count_nonzero(utilisation > 1.0)),
             "victim": None,
         }
         if self.has_victim:

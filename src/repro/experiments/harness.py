@@ -23,6 +23,7 @@ from typing import Any, Optional
 from ..sim.clock import SimulationClock, check_duration, check_interval
 from ..sim.engine import SimulationEngine
 from ..sim.events import Event, EventLog
+from .heap import frozen_heap
 
 #: A data-plane step callback: ``step(interval_start, interval_seconds)``.
 StepFn = Callable[[float, float], None]
@@ -125,10 +126,12 @@ class SteppedExperiment:
         event scheduled at or before ``t`` (advancing the clock to each
         event's own time), then ``step(t, interval)`` observes the interval.
         Events scheduled beyond the final interval start never fire, exactly
-        as a polled trigger past the end of the loop never tripped.
+        as a polled trigger past the end of the loop never tripped.  Set-up
+        is over by now, so the loop runs on a frozen heap.
         """
-        for t in self.step_times():
-            self.engine.run(until=t)
-            if step is not None:
-                step(t, self.interval)
+        with frozen_heap():
+            for t in self.step_times():
+                self.engine.run(until=t)
+                if step is not None:
+                    step(t, self.interval)
         return self

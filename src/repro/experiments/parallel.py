@@ -48,6 +48,7 @@ from typing import Any
 
 from ..traffic.flowtable import FlowTable
 from ..traffic.sharedtable import SharedFlowTable
+from .heap import frozen_heap
 
 #: Chunks in flight per shard: the current chunk being consumed plus this
 #: many queued/computing behind it.  Bounds shared-memory usage at
@@ -123,8 +124,10 @@ def _run_shard_chunk(
 
     The first chunk of a run instantiates the runtime via ``factory``
     (a module-level callable, so it pickles by reference under spawn);
-    later chunks reuse it.  Flow tables in the payloads are swapped for
-    shared-memory handles with ownership transferred to the parent.
+    later chunks reuse it.  The chunk's intervals run on a frozen heap
+    (its runtimes are built by then).  Flow tables in the payloads are
+    swapped for shared-memory handles with ownership transferred to the
+    parent.
     """
     key = (run_token, shard_index)
     runtime = _RUNTIMES.get(key)
@@ -134,12 +137,13 @@ def _run_shard_chunk(
         runtime = factory(**dict(factory_kwargs))
         _RUNTIMES[key] = runtime
     payloads = []
-    for interval_start in times:
-        payload = runtime.run_interval(interval_start, interval)
-        table = payload.get("table")
-        if isinstance(table, FlowTable):
-            payload["table"] = SharedFlowTable.from_table(table, transfer=True)
-        payloads.append(payload)
+    with frozen_heap():
+        for interval_start in times:
+            payload = runtime.run_interval(interval_start, interval)
+            table = payload.get("table")
+            if isinstance(table, FlowTable):
+                payload["table"] = SharedFlowTable.from_table(table, transfer=True)
+            payloads.append(payload)
     return payloads
 
 
@@ -185,10 +189,13 @@ def iter_shard_intervals(
 
     if execution == "serial":
         runtimes = [factory(**dict(kwargs)) for kwargs in shard_kwargs]
-        for interval_start in times:
-            yield interval_start, [
-                runtime.run_interval(interval_start, interval) for runtime in runtimes
-            ]
+        # Released when the generator finishes or is closed.
+        with frozen_heap():
+            for interval_start in times:
+                yield interval_start, [
+                    runtime.run_interval(interval_start, interval)
+                    for runtime in runtimes
+                ]
         return
 
     chunks = [

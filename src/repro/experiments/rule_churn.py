@@ -65,6 +65,7 @@ from ..traffic.attacks import BenignTrafficSource, BooterAttack
 from ..traffic.flowtable import FlowTable
 from ..traffic.generator import IxpTraceGenerator
 from ..traffic.packet import IpProtocol
+from .heap import frozen_heap
 from .results import JsonResultMixin
 from .scenario import DEFAULT_VICTIM_ASN, DEFAULT_VICTIM_IP
 
@@ -595,7 +596,8 @@ def run_rule_churn_experiment(
     step_count = int(config.duration / config.interval + 1e-9)
     times = [index * config.interval for index in range(step_count)]
 
-    service, accounting, responses = asyncio.run(
-        _run_service(config, fabric, victim, members, stream, times)
-    )
+    with frozen_heap():
+        service, accounting, responses = asyncio.run(
+            _run_service(config, fabric, victim, members, stream, times)
+        )
     return _finish(config, fabric, service, accounting, responses, members, churn_asns)

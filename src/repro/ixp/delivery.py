@@ -31,7 +31,10 @@ plan works platform-wide:
    a ``table_source`` — the shaped table is scaled only when read — so a
    port with tens of thousands of installed fine-grained rules costs
    O(claimed), not O(installed), and an interval builds no sub-table
-   nobody reads.
+   nobody reads.  The per-member arrays themselves stay on the
+   :class:`~repro.ixp.fabric.FabricIntervalReport` as its columns, so
+   whole-platform readers (the shard merge, the utilisation scans) never
+   walk the per-port results.
 
 Plans are cached across intervals: each plan snapshots every port's
 rule-set version counter (:attr:`~repro.ixp.qos.PortQosPolicy.rules_version`),
@@ -192,10 +195,9 @@ class FabricDeliveryPlan:
                 "delivery plan is stale (rules or membership changed since "
                 "compile); rebuild via SwitchingFabric.current_delivery_plan()"
             )
-        report = FabricIntervalReport(interval_start=interval_start, interval=interval)
         n = len(table)
         if n == 0:
-            return report
+            return FabricIntervalReport(interval_start=interval_start, interval=interval)
 
         bits = table.bits
 
@@ -286,6 +288,7 @@ class FabricDeliveryPlan:
             congestion_terms,
         )
         bounds = zip(starts.tolist(), ends.tolist())
+        results_by_member: dict[int, PortQosResult] = {}
         for index, (asn, offered_bits, fields, (start, end)) in enumerate(
             zip(asns, offered_terms, bit_fields, bounds)
         ):
@@ -299,12 +302,27 @@ class FabricDeliveryPlan:
             port.counters.update(offered_bits, result)
             if port.retain_history:
                 port.history.append((interval_start, result))
-            report.results_by_member[asn] = result
-        report.offered_bits = float(sum(offered_terms))
-        report.delivered_bits = float(sum(delivered_terms))
-        report.filtered_bits = float(sum(filtered_terms))
-        report.congestion_dropped_bits = float(sum(congestion_terms))
-        return report
+            results_by_member[asn] = result
+        return FabricIntervalReport(
+            interval_start=interval_start,
+            interval=interval,
+            offered_bits=float(sum(offered_terms)),
+            delivered_bits=float(sum(delivered_terms)),
+            filtered_bits=float(sum(filtered_terms)),
+            congestion_dropped_bits=float(sum(congestion_terms)),
+            results_by_member=results_by_member,
+            # The arrays the results above were built from, kept for
+            # whole-platform scans (no per-member round trip).
+            member_asns=sorted_egress[starts].astype(np.int64),
+            member_fields={
+                "forwarded_bits": forwarded,
+                "dropped_bits": dropped,
+                "shaped_passed_bits": shaped_passed,
+                "shaped_dropped_bits": shaped_dropped,
+                "congestion_dropped_bits": congestion,
+            },
+            capacity_bits=capacity_bits,
+        )
 
     # ------------------------------------------------------------------
     def _classify(

@@ -24,103 +24,7 @@ from .edge_router import EdgeRouter, PortNotFoundError
 from .member import IxpMember
 from .port import MemberPort
 from .qos import PortQosResult
-
-
-@dataclass
-class FabricIntervalReport:
-    """Platform-level outcome of one delivery interval."""
-
-    interval_start: float
-    interval: float
-    offered_bits: float = 0.0
-    delivered_bits: float = 0.0
-    filtered_bits: float = 0.0
-    congestion_dropped_bits: float = 0.0
-    results_by_member: dict[int, PortQosResult] = field(default_factory=dict)
-
-    @property
-    def platform_load_bps(self) -> float:
-        """Traffic carried across the platform during the interval (bps)."""
-        if self.interval <= 0:
-            return 0.0
-        return self.offered_bits / self.interval
-
-    def to_dict(self) -> dict:
-        """Canonical JSON-serializable view of the interval outcome.
-
-        Every number delivery *computes* is included — platform totals
-        plus each member's bit accounting and per-rule stats — so equality
-        of two reports' ``to_dict()`` is the parity contract between the
-        fabric and the naive reference in ``tests/oracle`` (the fuzz suite
-        asserts it for arbitrary generated topologies and rule sets).
-        """
-        return {
-            "interval_start": self.interval_start,
-            "interval": self.interval,
-            "offered_bits": self.offered_bits,
-            "delivered_bits": self.delivered_bits,
-            "filtered_bits": self.filtered_bits,
-            "congestion_dropped_bits": self.congestion_dropped_bits,
-            "members": {
-                str(asn): {
-                    "forwarded_bits": result.forwarded_bits,
-                    "dropped_bits": result.dropped_bits,
-                    "shaped_passed_bits": result.shaped_passed_bits,
-                    "shaped_dropped_bits": result.shaped_dropped_bits,
-                    "congestion_dropped_bits": result.congestion_dropped_bits,
-                    "rule_stats": {
-                        rule_id: dict(stats)
-                        for rule_id, stats in sorted(result.rule_stats.items())
-                    },
-                }
-                for asn, result in sorted(self.results_by_member.items())
-            },
-        }
-
-    def to_columns(self) -> dict:
-        """Columnar view of the interval outcome, for the shard merge.
-
-        Same numbers as :meth:`to_dict`, but per-member accounting is laid
-        out as parallel numpy arrays in ascending-ASN order, so
-        :func:`~repro.ixp.shard.merge_interval_columns` reduces shards with
-        array concatenation + one argsort instead of per-member dict
-        copies.  Sparse ``rule_stats`` stay a nested dict (only members
-        with claimed rules carry entries).
-        :func:`~repro.ixp.shard.columns_to_report_dict` converts back to
-        the :meth:`to_dict` shape bit-for-bit (float64 round-trips
-        exactly).
-        """
-        ordered = sorted(self.results_by_member.items())
-        return {
-            "interval_start": self.interval_start,
-            "interval": self.interval,
-            "totals": {
-                "offered_bits": self.offered_bits,
-                "delivered_bits": self.delivered_bits,
-                "filtered_bits": self.filtered_bits,
-                "congestion_dropped_bits": self.congestion_dropped_bits,
-            },
-            "member_asns": np.fromiter(
-                (asn for asn, _ in ordered), dtype=np.int64, count=len(ordered)
-            ),
-            "member_fields": {
-                name: np.fromiter(
-                    (getattr(result, name) for _, result in ordered),
-                    dtype=np.float64,
-                    count=len(ordered),
-                )
-                for name in MEMBER_REPORT_FIELDS
-            },
-            "rule_stats": {
-                str(asn): {
-                    rule_id: dict(stats)
-                    for rule_id, stats in sorted(result.rule_stats.items())
-                }
-                for asn, result in ordered
-                if result.rule_stats
-            },
-        }
-
+from .shard import columns_to_report_dict
 
 #: Per-member bit-accounting fields carried by the columnar report view,
 #: in the order :meth:`FabricIntervalReport.to_dict` lists them.
@@ -131,6 +35,109 @@ MEMBER_REPORT_FIELDS = (
     "shaped_dropped_bits",
     "congestion_dropped_bits",
 )
+
+
+def _no_member_fields() -> dict[str, np.ndarray]:
+    return {name: np.zeros(0) for name in MEMBER_REPORT_FIELDS}
+
+
+@dataclass
+class FabricIntervalReport:
+    """Platform-level outcome of one delivery interval.
+
+    Per-member accounting is held twice, in two shapes for two kinds of
+    reader: :attr:`results_by_member` maps each member to its
+    :class:`~repro.ixp.qos.PortQosResult` (verdict tables, per-rule stats)
+    for lookups of one port, and the columns — :attr:`member_asns`,
+    :attr:`member_fields`, :attr:`capacity_bits`, parallel arrays in
+    ascending-ASN order — are the arrays the delivery pass computed, for
+    scans over every port.  Both carry the same numbers.
+    """
+
+    interval_start: float
+    interval: float
+    offered_bits: float = 0.0
+    delivered_bits: float = 0.0
+    filtered_bits: float = 0.0
+    congestion_dropped_bits: float = 0.0
+    results_by_member: dict[int, PortQosResult] = field(default_factory=dict)
+    #: Member ASNs (int64), ascending.
+    member_asns: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=np.int64), repr=False, compare=False
+    )
+    #: Each of :data:`MEMBER_REPORT_FIELDS` as a float64 array aligned
+    #: with :attr:`member_asns` (after the egress congestion cap).
+    member_fields: dict[str, np.ndarray] = field(
+        default_factory=_no_member_fields, repr=False, compare=False
+    )
+    #: Each member port's capacity over the interval, in bits (float64).
+    capacity_bits: np.ndarray = field(
+        default_factory=lambda: np.zeros(0), repr=False, compare=False
+    )
+
+    @property
+    def platform_load_bps(self) -> float:
+        """Traffic carried across the platform during the interval (bps)."""
+        if self.interval <= 0:
+            return 0.0
+        return self.offered_bits / self.interval
+
+    def port_utilisation(self) -> np.ndarray:
+        """Every member port's egress demand over its capacity, as an array.
+
+        Aligned with :attr:`member_asns`; the same IEEE operations as
+        :meth:`MemberPort.utilisation <repro.ixp.port.MemberPort.utilisation>`
+        applies to one port (delivered plus congestion-dropped bits over
+        capacity times interval), so each entry equals that scalar.
+        """
+        fields = self.member_fields
+        delivered = fields["forwarded_bits"] + fields["shaped_passed_bits"]
+        return (delivered + fields["congestion_dropped_bits"]) / self.capacity_bits
+
+    def to_dict(self) -> dict:
+        """Canonical JSON-serializable view of the interval outcome.
+
+        Every number delivery *computes* is included — platform totals
+        plus each member's bit accounting and per-rule stats — so equality
+        of two reports' ``to_dict()`` is the parity contract between the
+        fabric and the naive reference in ``tests/oracle`` (the fuzz suite
+        asserts it for arbitrary generated topologies and rule sets).
+        """
+        return columns_to_report_dict(self.to_columns())
+
+    def to_columns(self) -> dict:
+        """Columnar view of the interval outcome, for the shard merge.
+
+        Same numbers as :meth:`to_dict`, with per-member accounting as the
+        report's parallel numpy arrays in ascending-ASN order, so
+        :func:`~repro.ixp.shard.merge_interval_columns` reduces shards with
+        array concatenation + one argsort instead of per-member dict
+        copies.  Sparse ``rule_stats`` stay a nested dict (only members
+        with claimed rules carry entries).
+        :func:`~repro.ixp.shard.columns_to_report_dict` converts back to
+        the :meth:`to_dict` shape bit-for-bit (float64 round-trips
+        exactly).
+        """
+        return {
+            "interval_start": self.interval_start,
+            "interval": self.interval,
+            "totals": {
+                "offered_bits": self.offered_bits,
+                "delivered_bits": self.delivered_bits,
+                "filtered_bits": self.filtered_bits,
+                "congestion_dropped_bits": self.congestion_dropped_bits,
+            },
+            "member_asns": self.member_asns,
+            "member_fields": dict(self.member_fields),
+            "rule_stats": {
+                str(asn): {
+                    rule_id: dict(stats)
+                    for rule_id, stats in sorted(result.rule_stats.items())
+                }
+                for asn, result in self.results_by_member.items()
+                if result.rule_stats
+            },
+        }
 
 
 class SwitchingFabric:

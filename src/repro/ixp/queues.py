@@ -62,20 +62,6 @@ class TokenBucket:
             return True
         return False
 
-    def time_until_available(self, amount: float, now: float) -> float:
-        """Seconds from ``now`` until ``amount`` tokens will be available."""
-        if amount > self.burst:
-            raise ValueError(
-                f"requested amount {amount} exceeds burst capacity {self.burst}"
-            )
-        self._refill(now)
-        deficit = amount - self._tokens
-        if deficit <= 0:
-            return 0.0
-        if self.rate == 0:
-            return float("inf")
-        return deficit / self.rate
-
 
 @dataclass
 class RateLimiter:

@@ -57,6 +57,11 @@ GOLDEN = {
     # The Fig. 10(b) FIFO replay of the change-arrival trace.
     ("fig10b", 3): "07330524afe8afc6f82790722e305db68f8834f6a34699c85072b7d27696d352",
     ("fig10b", 11): "d4cebd3c16327a6b07b3c378cfd86c19f3ed5a0b27cde8833a28db002878d6a5",
+    # The sharded city: covers the per-port utilisation scan
+    # (peak_port_utilisation, oversubscribed_port_intervals), which the
+    # city report digest does not hash.
+    ("city_scale", 3): "ff8bd08d2d332c6f6a62b390a9e4e8d96e3749c9a3f0d6b8db7e77115ec1f885",
+    ("city_scale", 11): "542fe0a9612d3fa461c014b1e9c6a392ef3748cf01c06f16f3b6bd4e58a078c2",
 }
 
 

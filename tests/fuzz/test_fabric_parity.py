@@ -6,11 +6,13 @@ end-to-end on generated multi-PoP topologies via
 :meth:`FabricIntervalReport.to_dict` and the port counters, plus the
 platform-level conservation invariants (offered == carried traffic;
 delivered + filtered + congestion-dropped == offered; IPFIX collector
-totals == carried bytes).
+totals == carried bytes), and the agreement of the report's per-member
+columns with its per-member results.
 """
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import event, given, strategies as st
 
 from fuzz.strategies import (
     UNKNOWN_EGRESS_ASN,
@@ -21,6 +23,7 @@ from fuzz.strategies import (
     rule_sets,
 )
 from oracle.reference import ReferenceFabric
+from repro.ixp.fabric import MEMBER_REPORT_FIELDS
 
 INTERVAL = 10.0
 
@@ -49,6 +52,18 @@ def fabric_scenarios(draw):
         for _ in range(draw(st.integers(1, 3)))
     ]
     return spec, assignments, tables
+
+
+@st.composite
+def column_scenarios(draw):
+    """:func:`fabric_scenarios` at either the default or a tiny interval.
+
+    A 10 µs interval leaves every port a capacity budget of a few
+    hundred kilobits at most, below what a generated table offers it, so
+    the congestion cap runs and utilisation exceeds 1.
+    """
+    spec, assignments, tables = draw(fabric_scenarios())
+    return spec, assignments, tables, draw(st.sampled_from((INTERVAL, 1e-5)))
 
 
 def install_all(fabric, assignments):
@@ -89,6 +104,42 @@ class TestDeliveryEngineParity:
             counters = vars(fabric.port_for_member(member_asn).counters)
             expected = oracle.counters.get(member_asn, dict.fromkeys(counters, 0.0))
             assert counters == expected, member_asn
+
+
+class TestReportColumns:
+    @given(scenario=column_scenarios())
+    def test_columns_and_utilisation_match_per_member_results(self, scenario):
+        """The report's arrays carry exactly the numbers of its results.
+
+        ``to_columns()`` lists ``results_by_member`` in ascending-ASN
+        order, and ``port_utilisation()`` equals each port's scalar
+        :meth:`MemberPort.utilisation`, element by element.
+        """
+        spec, assignments, tables, interval = scenario
+        fabric = build_fabric(spec)
+        install_all(fabric, assignments)
+        for step, table in enumerate(tables):
+            report = fabric.deliver(table, interval, step * interval)
+            ordered = sorted(report.results_by_member.items())
+            columns = report.to_columns()
+            assert columns["member_asns"].dtype == np.int64
+            assert columns["member_asns"].tolist() == [asn for asn, _ in ordered]
+            assert list(columns["member_fields"]) == list(MEMBER_REPORT_FIELDS)
+            for name, values in columns["member_fields"].items():
+                assert values.dtype == np.float64, name
+                assert values.tolist() == [
+                    getattr(result, name) for _, result in ordered
+                ], name
+            utilisation = report.port_utilisation()
+            assert utilisation.dtype == np.float64
+            assert utilisation.tolist() == [
+                fabric.port_for_member(asn).utilisation(result, interval)
+                for asn, result in ordered
+            ]
+            if not ordered:
+                event("no member offered traffic")
+            elif (utilisation > 1.0).any():
+                event("oversubscribed port")
 
 
 class TestFabricConservation:

@@ -39,20 +39,11 @@ class TestTokenBucket:
         bucket.try_consume(0.0, now=100.0)
         assert bucket.tokens == 3.0
 
-    def test_time_until_available(self):
-        bucket = TokenBucket(rate=2.0, burst=4.0)
-        bucket.try_consume(4.0, now=0.0)
-        assert bucket.time_until_available(2.0, now=0.0) == pytest.approx(1.0)
-        assert bucket.time_until_available(0.0, now=0.0) == 0.0
-
-    def test_time_until_available_rejects_over_burst(self):
-        with pytest.raises(ValueError):
-            TokenBucket(rate=1.0, burst=2.0).time_until_available(3.0, now=0.0)
-
     def test_zero_rate_never_refills(self):
         bucket = TokenBucket(rate=0.0, burst=1.0)
-        bucket.try_consume(1.0, now=0.0)
-        assert bucket.time_until_available(1.0, now=10.0) == float("inf")
+        assert bucket.try_consume(1.0, now=0.0)
+        assert not bucket.try_consume(1.0, now=10.0)
+        assert bucket.tokens == 0.0
 
     def test_time_cannot_move_backwards(self):
         bucket = TokenBucket(rate=1.0, burst=1.0)
