@@ -25,7 +25,7 @@ in-process and produces a bit-for-bit identical result — the parity
 oracle the tests compare against — while ``"sharded"`` only adds
 processes and shared-memory transport.  Memory stays bounded at any
 duration: generators stream interval-by-interval, fabrics run with
-report/history/IPFIX retention off, and flow tables cross processes as
+report and IPFIX retention off, and flow tables cross processes as
 :class:`~repro.traffic.sharedtable.SharedFlowTable` views.
 """
 
@@ -240,7 +240,6 @@ class _ShardRuntime:
             pop_indices=spec.pop_indices,
             collect_ipfix=False,
             retain_reports=False,
-            retain_history=False,
         )
         if member_table is not None:
             # Zero-copy path: the parent packed the generated population

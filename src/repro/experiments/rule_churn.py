@@ -223,7 +223,6 @@ def _build_platform(
         seed=config.seed,
         collect_ipfix=False,
         retain_reports=False,
-        retain_history=False,
     )
     for member in (victim, *members):
         fabric.connect_member(member)

@@ -19,31 +19,34 @@ plan works platform-wide:
    :meth:`~repro.ixp.qos.PortQosPolicy.assign_table` (its compiled
    :class:`~repro.ixp.ruleindex.RuleMatchIndex`); per-rule matched bits
    fall out of a single ``bincount``;
-3. **scatter** — the verdicts are folded back into per-port
-   :class:`~repro.ixp.qos.PortQosResult`\\ s, :class:`~repro.ixp.port.PortCounters`,
-   port history and the ``rule_stats`` the telemetry layer ingests, in
-   grouped array passes.  Only the rules that claimed rows are visited:
-   DROP stats are one gather of the per-rule bits, summed per rule id by
-   one ``bincount``; SHAPE rules sort their rows by rank once, take each
-   rank's offered and scaled bits with ``reduceat`` and call their
-   stateful shaper once per rank.  Congestion caps every member port in
-   one elementwise pass.  Every result defers its verdict tables behind
-   a ``table_source`` — the shaped table is scaled only when read — so a
-   port with tens of thousands of installed fine-grained rules costs
-   O(claimed), not O(installed), and an interval builds no sub-table
-   nobody reads.  The per-member arrays themselves stay on the
-   :class:`~repro.ixp.fabric.FabricIntervalReport` as its columns, so
-   whole-platform readers (the shard merge, the utilisation scans) never
-   walk the per-port results.
+3. **scatter** — the verdicts are folded into per-member arrays and the
+   ``rule_stats`` the telemetry layer ingests, in grouped array passes.
+   Only the rules that claimed rows are visited: DROP stats are one
+   gather of the per-rule bits, summed per rule id by one ``bincount``;
+   SHAPE rules sort their rows by rank once, take each rank's offered
+   and scaled bits with ``reduceat`` and call their stateful shaper once
+   per rank.  Congestion caps every member port in one elementwise pass,
+   and one fancy-indexed add folds the interval into the fabric's
+   :class:`~repro.ixp.port.PortCounterStore`.  No step loops over the
+   members in Python: the arrays stay on the
+   :class:`~repro.ixp.fabric.FabricIntervalReport` as its columns, and
+   its :class:`PortResults` builds a port's
+   :class:`~repro.ixp.qos.PortQosResult` only when that port is looked
+   up.  A result defers its verdict tables behind a ``table_source`` —
+   the shaped table is scaled only when read — so a port with tens of
+   thousands of installed fine-grained rules costs O(claimed), not
+   O(installed), and an interval builds no sub-table nobody reads.
 
-Plans are cached across intervals: each plan snapshots every port's
-rule-set version counter (:attr:`~repro.ixp.qos.PortQosPolicy.rules_version`),
-and :meth:`SwitchingFabric.deliver` reuses the plan while
-:meth:`FabricDeliveryPlan.is_current` holds — rule installs/removals bump
-the counter and every member connect bumps the fabric's
-:attr:`~repro.ixp.fabric.SwitchingFabric.membership_version`, so only
-intervals after a configuration change recompile, and
-the per-port match indexes themselves are cached on the policies so
+Plans are cached across intervals.  Every member connect bumps the
+fabric's :attr:`~repro.ixp.fabric.SwitchingFabric.membership_version`
+and every rule-set mutation of a connected port bumps its
+:attr:`~repro.ixp.fabric.SwitchingFabric.rule_epoch`, so
+:meth:`FabricDeliveryPlan.is_current` is two integer compares and only
+intervals after a configuration change recompile.  A recompile patches
+the previous plan: each plan snapshots every port's rule-set version
+(:attr:`~repro.ixp.qos.PortQosPolicy.rules_version`) and reuses the
+compiled segment of each port whose version is unchanged, and the
+per-port match indexes themselves are cached on the policies, so
 untouched ports never recompile at all.
 
 The test suite checks every report bit for bit against a deliberately
@@ -53,7 +56,7 @@ naive first-match reference (``tests/oracle``).
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING
@@ -88,11 +91,80 @@ class CompiledRule:
     port_rule_index: int
 
 
+class PortResults(Mapping[int, PortQosResult]):
+    """Each member port's :class:`~repro.ixp.qos.PortQosResult` for one
+    interval, built when the port is looked up.
+
+    A read-only mapping over an interval report's columns, in ascending-ASN
+    order.  The first lookup of a port builds its result from the column
+    entries — a port where a rule claimed rows gets its scattered
+    ``rule_stats`` and verdict-table source, any other port forwards all
+    of its rows — and caches it, so a second lookup returns the same
+    object.  An interval accounts for every port of the platform, but its
+    readers look up a few (the victim's); the other results are never
+    built.
+    """
+
+    def __init__(
+        self,
+        member_asns: np.ndarray,
+        member_fields: dict[str, np.ndarray],
+        rule_stats: dict[int, dict[str, dict[str, float]]],
+        table_sources: dict[int, TableSource],
+        passthrough: Callable[[int], TableSource],
+    ) -> None:
+        self._asns = member_asns
+        self._fields = member_fields
+        self._rule_stats = rule_stats
+        self._table_sources = table_sources
+        #: The table source of the member at a column index when no rule
+        #: claimed its rows.
+        self._passthrough = passthrough
+        #: Results built so far, keyed by column index.
+        self._built: dict[int, PortQosResult] = {}
+
+    def _index(self, asn: object) -> int:
+        """Column index of ``asn``, or -1 if it carried no traffic."""
+        asns = self._asns
+        if not isinstance(asn, (int, np.integer)) or not len(asns):
+            return -1
+        index = int(np.searchsorted(asns, asn))
+        return index if index < len(asns) and asns[index] == asn else -1
+
+    def __getitem__(self, asn: int) -> PortQosResult:
+        index = self._index(asn)
+        if index < 0:
+            raise KeyError(asn)
+        result = self._built.get(index)
+        if result is None:
+            asn = int(self._asns[index])
+            source = self._table_sources.get(asn)
+            result = PortQosResult(
+                self._passthrough(index) if source is None else source,
+                **{name: column[index].item() for name, column in self._fields.items()},
+                rule_stats=self._rule_stats.get(asn),
+            )
+            self._built[index] = result
+        return result
+
+    def __contains__(self, asn: object) -> bool:
+        return self._index(asn) >= 0
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._asns.tolist())
+
+    def __len__(self) -> int:
+        return len(self._asns)
+
+    def __repr__(self) -> str:
+        return f"PortResults({len(self)} ports, {len(self._built)} built)"
+
+
 class FabricDeliveryPlan:
     """Compiled snapshot of a fabric's ports and QoS rules.
 
     A plan is cheap to build (one walk over the connected ports), and it
-    records every port's rule-set version, so the fabric keeps reusing it
+    records the fabric's rule epoch, so the fabric keeps reusing it
     across delivery intervals until :meth:`is_current` reports that the
     membership or some port's rules changed.
     """
@@ -106,13 +178,27 @@ class FabricDeliveryPlan:
         #: Fabric membership counter at compile time (bumped by every
         #: ``connect_member``).
         self._membership = fabric.membership_version
-        # Key membership off the fabric's member registry (the same source
-        # of truth the IPFIX export filter uses), not off whatever ports
-        # the routers happen to carry.
+        #: Fabric rule epoch at compile time (bumped by every rule-set
+        #: mutation of a connected port).
+        self._epoch = fabric.rule_epoch
+        # Key membership off the fabric's member registry (the same
+        # source of truth the IPFIX export filter uses), not off whatever
+        # ports the routers happen to carry.
         self._ports: dict[int, MemberPort] = {
-            member.asn: fabric.port_for_member(member.asn)
-            for member in fabric.members()
+            asn: fabric.port_for_member(asn)
+            for asn in sorted(member.asn for member in fabric.members())
         }
+        count = len(self._ports)
+        ports = self._ports.values()
+        #: Member ASNs (int64, ascending) and, aligned with them, each
+        #: port's capacity (bps) and its row in the fabric's counter store.
+        self._asns = np.fromiter(self._ports, dtype=np.int64, count=count)
+        self._capacities = np.fromiter(
+            (port.qos.port_capacity_bps for port in ports), dtype=np.float64, count=count
+        )
+        self._slots = np.fromiter(
+            (port.counter_slot for port in ports), dtype=np.intp, count=count
+        )
         #: The platform-level rule set, grouped per member in per-port
         #: precedence order (members in ascending ASN order, matching the
         #: sorted group-by the execution pass produces).
@@ -125,10 +211,11 @@ class FabricDeliveryPlan:
         #: First global index of each filtered member's contiguous rule
         #: block (global index = start + port-local rank).
         self._member_start: dict[int, int] = {}
-        #: Rule-set version of every port at compile time (the cache key).
+        #: Rule-set version of every port at compile time: which segments
+        #: the next patch may reuse.
         self._port_versions: dict[int, int] = {}
-        for asn in sorted(self._ports):
-            qos = self._ports[asn].qos
+        for asn, port in self._ports.items():
+            qos = port.qos
             version = qos.rules_version
             self._port_versions[asn] = version
             if previous is not None and previous._port_versions.get(asn) == version:
@@ -146,9 +233,10 @@ class FabricDeliveryPlan:
             self._member_start[asn] = len(self._rules)
             self._segments[asn] = segment
             self._rules.extend(segment)
-        #: Flat views of the cache key for :meth:`is_current`.
-        self._policies = [self._ports[asn].qos for asn in self._port_versions]
-        self._versions = list(self._port_versions.values())
+        #: The filtered members' ASNs (int64, ascending).
+        self._filtered_asns = np.fromiter(
+            self._segments, dtype=np.int64, count=len(self._segments)
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -168,13 +256,14 @@ class FabricDeliveryPlan:
         """True while the plan still matches the fabric's configuration.
 
         Checked once per delivery interval: no member may have connected
-        since compile and every port's rule-set version must equal the
-        compile-time snapshot.  One flat list comparison, versus an
-        O(total rules) recompile.
+        and no connected port's rule set may have changed since compile.
+        Two integer compares, however many ports the fabric has.
         """
-        return self.fabric.membership_version == self._membership and [
-            policy.rules_version for policy in self._policies
-        ] == self._versions
+        fabric = self.fabric
+        return (
+            fabric.membership_version == self._membership
+            and fabric.rule_epoch == self._epoch
+        )
 
     # ------------------------------------------------------------------
     # Execution
@@ -212,20 +301,19 @@ class FabricDeliveryPlan:
         # Exact int64 sums, one per member.
         group_bits = np.add.reduceat(bits[order], starts)
         ends = np.append(starts[1:], n)
-        # Unknown egress members never entered the IXP: drop their groups.
-        ports = self._ports
-        known = np.fromiter(
-            (asn in ports for asn in sorted_egress[starts].tolist()),
-            dtype=bool,
-            count=len(starts),
-        )
+        # Each group's position in the plan's member arrays.  Unknown
+        # egress members never entered the IXP: drop their groups.
+        group_asns = sorted_egress[starts]
+        members = np.searchsorted(self._asns, group_asns)
+        known = members < len(self._asns)
+        known[known] = self._asns[members[known]] == group_asns[known]
         if not known.all():
-            starts, ends, group_bits = starts[known], ends[known], group_bits[known]
-        asns = sorted_egress[starts].tolist()
+            starts, ends = starts[known], ends[known]
+            group_bits, members = group_bits[known], members[known]
+        member_asns = self._asns[members]
 
-        filtered = [
-            (index, asn) for index, asn in enumerate(asns) if asn in self._segments
-        ]
+        filtered_at = np.flatnonzero(np.isin(member_asns, self._filtered_asns))
+        filtered = list(zip(filtered_at.tolist(), member_asns[filtered_at].tolist()))
         assigned, per_rule_bits, claimed = self._classify(
             table, bits, order, starts, ends, filtered
         )
@@ -233,12 +321,14 @@ class FabricDeliveryPlan:
         # Per-member accounting as parallel arrays: a port where no rule
         # claimed a row forwards everything it is offered; the others
         # overwrite their entries from the verdict scatter.
+        count = len(member_asns)
         offered = group_bits.astype(np.float64)
         forwarded = offered.copy()
-        dropped = np.zeros(len(asns))
-        shaped_passed = np.zeros(len(asns))
-        shaped_dropped = np.zeros(len(asns))
-        scattered: dict[int, tuple[dict[str, dict[str, float]], TableSource]] = {}
+        dropped = np.zeros(count)
+        shaped_passed = np.zeros(count)
+        shaped_dropped = np.zeros(count)
+        rule_stats_by_member: dict[int, dict[str, dict[str, float]]] = {}
+        table_sources: dict[int, TableSource] = {}
         for index, asn in claimed:
             bit_counts, rule_stats, table_source = self._scatter(
                 table, order[starts[index]:ends[index]], asn, assigned, bits,
@@ -250,59 +340,46 @@ class FabricDeliveryPlan:
                 shaped_passed[index],
                 shaped_dropped[index],
             ) = bit_counts
-            scattered[index] = (rule_stats, table_source)
+            table_sources[asn] = table_source
+            if rule_stats:
+                rule_stats_by_member[asn] = rule_stats
 
         # Egress queue: forwarded + shaped traffic shares the port
         # capacity; anything beyond it is congestion loss at the member
         # port.  Elementwise, so each member sees the same IEEE operations
         # as a scalar cap would apply.
-        capacity_bits = (
-            np.fromiter(
-                (ports[asn].qos.port_capacity_bps for asn in asns),
-                dtype=np.float64,
-                count=len(asns),
-            )
-            * interval
-        )
+        capacity_bits = self._capacities[members] * interval
         delivered = forwarded + shaped_passed
-        congestion = np.zeros(len(asns))
+        congestion = np.zeros(count)
         over = delivered > capacity_bits
         if over.any():
             congestion[over] = delivered[over] - capacity_bits[over]
             overload = capacity_bits[over] / delivered[over]
             forwarded[over] *= overload
             shaped_passed[over] *= overload
+            delivered = forwarded + shaped_passed
+
+        # The port counters, in PortCounters field order.
+        self.fabric.port_counters.add(
+            self._slots[members],
+            np.column_stack(
+                (offered, delivered, dropped, shaped_passed, shaped_dropped, congestion)
+            ),
+        )
 
         # Platform totals are reduced with sum() over per-member terms in
         # ascending-ASN order (RPL006: no float `+=` in loops).
         offered_terms = offered.tolist()
-        delivered_terms = (forwarded + shaped_passed).tolist()
+        delivered_terms = delivered.tolist()
         filtered_terms = (dropped + shaped_dropped).tolist()
         congestion_terms = congestion.tolist()
-        # Bit fields in PortQosResult's positional order.
-        bit_fields = zip(
-            forwarded.tolist(),
-            dropped.tolist(),
-            shaped_passed.tolist(),
-            shaped_dropped.tolist(),
-            congestion_terms,
-        )
-        bounds = zip(starts.tolist(), ends.tolist())
-        results_by_member: dict[int, PortQosResult] = {}
-        for index, (asn, offered_bits, fields, (start, end)) in enumerate(
-            zip(asns, offered_terms, bit_fields, bounds)
-        ):
-            if index in scattered:
-                rule_stats, table_source = scattered[index]
-            else:
-                rule_stats = {}
-                table_source = partial(_forwarded_only, table, order, start, end)
-            result = PortQosResult(table_source, *fields, rule_stats=rule_stats)
-            port = ports[asn]
-            port.counters.update(offered_bits, result)
-            if port.retain_history:
-                port.history.append((interval_start, result))
-            results_by_member[asn] = result
+        member_fields = {
+            "forwarded_bits": forwarded,
+            "dropped_bits": dropped,
+            "shaped_passed_bits": shaped_passed,
+            "shaped_dropped_bits": shaped_dropped,
+            "congestion_dropped_bits": congestion,
+        }
         return FabricIntervalReport(
             interval_start=interval_start,
             interval=interval,
@@ -310,17 +387,16 @@ class FabricDeliveryPlan:
             delivered_bits=float(sum(delivered_terms)),
             filtered_bits=float(sum(filtered_terms)),
             congestion_dropped_bits=float(sum(congestion_terms)),
-            results_by_member=results_by_member,
-            # The arrays the results above were built from, kept for
-            # whole-platform scans (no per-member round trip).
-            member_asns=sorted_egress[starts].astype(np.int64),
-            member_fields={
-                "forwarded_bits": forwarded,
-                "dropped_bits": dropped,
-                "shaped_passed_bits": shaped_passed,
-                "shaped_dropped_bits": shaped_dropped,
-                "congestion_dropped_bits": congestion,
-            },
+            results_by_member=PortResults(
+                member_asns,
+                member_fields,
+                rule_stats_by_member,
+                table_sources,
+                partial(_forwarded_only, table, order, starts, ends),
+            ),
+            rule_stats_by_member=rule_stats_by_member,
+            member_asns=member_asns,
+            member_fields=member_fields,
             capacity_bits=capacity_bits,
         )
 
@@ -468,7 +544,12 @@ class FabricDeliveryPlan:
 
 
 def _forwarded_only(
-    table: FlowTable, order: np.ndarray, start: int, end: int
-) -> tuple[FlowTable, FlowTable, FlowTable]:
-    """Verdict tables of a port without rules: its rows all forward."""
-    return table.select(order[start:end]), FlowTable.empty(), FlowTable.empty()
+    table: FlowTable,
+    order: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    index: int,
+) -> TableSource:
+    """Table source of a port where no rule claimed a row: all rows forward."""
+    rows = order[starts[index]:ends[index]]
+    return lambda: (table.select(rows), FlowTable.empty(), FlowTable.empty())

@@ -12,6 +12,7 @@ spare capacity to carry attack traffic to the egress port (§4.5).
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -22,8 +23,8 @@ from ..traffic.ipfix import IpfixCollector, IpfixExporter
 from .delivery import FabricDeliveryPlan
 from .edge_router import EdgeRouter, PortNotFoundError
 from .member import IxpMember
-from .port import MemberPort
-from .qos import PortQosResult
+from .port import MemberPort, PortCounterStore
+from .qos import PortQosResult, RuleEpoch
 from .shard import columns_to_report_dict
 
 #: Per-member bit-accounting fields carried by the columnar report view,
@@ -45,13 +46,14 @@ def _no_member_fields() -> dict[str, np.ndarray]:
 class FabricIntervalReport:
     """Platform-level outcome of one delivery interval.
 
-    Per-member accounting is held twice, in two shapes for two kinds of
-    reader: :attr:`results_by_member` maps each member to its
+    Per-member accounting is held once, as the arrays the delivery pass
+    computed: :attr:`member_asns`, :attr:`member_fields` and
+    :attr:`capacity_bits` are parallel arrays in ascending-ASN order, for
+    scans over every port, and :attr:`rule_stats_by_member` holds the
+    sparse per-rule stats.  :attr:`results_by_member` is a read-only
+    mapping over those columns that builds one port's
     :class:`~repro.ixp.qos.PortQosResult` (verdict tables, per-rule stats)
-    for lookups of one port, and the columns — :attr:`member_asns`,
-    :attr:`member_fields`, :attr:`capacity_bits`, parallel arrays in
-    ascending-ASN order — are the arrays the delivery pass computed, for
-    scans over every port.  Both carry the same numbers.
+    when that port is looked up.
     """
 
     interval_start: float
@@ -60,7 +62,14 @@ class FabricIntervalReport:
     delivered_bits: float = 0.0
     filtered_bits: float = 0.0
     congestion_dropped_bits: float = 0.0
-    results_by_member: dict[int, PortQosResult] = field(default_factory=dict)
+    #: A :class:`~repro.ixp.delivery.PortResults` view (an empty interval
+    #: keeps the empty default).
+    results_by_member: Mapping[int, PortQosResult] = field(default_factory=dict)
+    #: ``rule_stats`` of every member where a rule claimed bits, in
+    #: ascending-ASN order (each the same dict its result carries).
+    rule_stats_by_member: dict[int, dict[str, dict[str, float]]] = field(
+        default_factory=dict
+    )
     #: Member ASNs (int64), ascending.
     member_asns: np.ndarray = field(
         default_factory=lambda: np.zeros(0, dtype=np.int64), repr=False, compare=False
@@ -85,10 +94,10 @@ class FabricIntervalReport:
     def port_utilisation(self) -> np.ndarray:
         """Every member port's egress demand over its capacity, as an array.
 
-        Aligned with :attr:`member_asns`; the same IEEE operations as
-        :meth:`MemberPort.utilisation <repro.ixp.port.MemberPort.utilisation>`
-        applies to one port (delivered plus congestion-dropped bits over
-        capacity times interval), so each entry equals that scalar.
+        Aligned with :attr:`member_asns`: delivered plus congestion-dropped
+        bits over capacity times interval, so an oversubscribed port
+        reports its true ratio (e.g. 8.0 for an 80 Mbit demand on a
+        10 Mbit interval budget) instead of clamping to 1.0.
         """
         fields = self.member_fields
         delivered = fields["forwarded_bits"] + fields["shaped_passed_bits"]
@@ -131,11 +140,9 @@ class FabricIntervalReport:
             "member_fields": dict(self.member_fields),
             "rule_stats": {
                 str(asn): {
-                    rule_id: dict(stats)
-                    for rule_id, stats in sorted(result.rule_stats.items())
+                    rule_id: dict(stats) for rule_id, stats in sorted(rule_stats.items())
                 }
-                for asn, result in self.results_by_member.items()
-                if result.rule_stats
+                for asn, rule_stats in self.rule_stats_by_member.items()
             },
         }
 
@@ -155,7 +162,6 @@ class SwitchingFabric:
         ipfix_sampling_rate: int = 1,
         collect_ipfix: bool = True,
         retain_reports: bool = True,
-        retain_history: bool = True,
     ) -> None:
         if not (math.isfinite(platform_capacity_bps) and platform_capacity_bps > 0):
             raise ValueError("platform capacity must be positive and finite")
@@ -165,19 +171,22 @@ class SwitchingFabric:
         self.platform_capacity_bps = platform_capacity_bps
         #: Streaming knobs: an hour-long city-scale run delivers thousands
         #: of intervals through one fabric, so accumulating every IPFIX
-        #: export, interval report and per-port result history would hold
-        #: the whole trace in memory.  Disabling retention changes no
-        #: delivered/filtered accounting — reports are still returned to
-        #: the caller, just not stored on the fabric.
+        #: export and interval report would hold the whole trace in
+        #: memory.  Disabling retention changes no delivered/filtered
+        #: accounting — reports are still returned to the caller, just not
+        #: stored on the fabric.
         self.collect_ipfix = collect_ipfix
         self.retain_reports = retain_reports
-        self.retain_history = retain_history
         self._edge_routers: dict[str, EdgeRouter] = {}
         self._members: dict[int, IxpMember] = {}
         self._router_for_member: dict[int, str] = {}
         #: Bumped by every :meth:`connect_member`; delivery plans compare it
         #: instead of the member set.
         self._membership_version = 0
+        #: Shared with every connected port's policy; see :attr:`rule_epoch`.
+        self._rule_epoch = RuleEpoch()
+        #: Cumulative counters of every connected port, one row each.
+        self.port_counters = PortCounterStore()
         self.collector = IpfixCollector()
         self._exporter = IpfixExporter(
             exporter_id=f"{name}-fabric", sampling_rate=ipfix_sampling_rate
@@ -207,7 +216,8 @@ class SwitchingFabric:
         else:
             router = self._edge_routers[router_name]
         port = router.connect_member(member)
-        port.retain_history = self.retain_history
+        port.bind_counters(self.port_counters)
+        port.qos.epoch = self._rule_epoch
         self._members[member.asn] = member
         self._router_for_member[member.asn] = router.name
         self._membership_version += 1
@@ -227,6 +237,13 @@ class SwitchingFabric:
     def membership_version(self) -> int:
         """Monotonic counter bumped by every :meth:`connect_member`."""
         return self._membership_version
+
+    @property
+    def rule_epoch(self) -> int:
+        """Monotonic counter bumped by every rule-set mutation of a
+        connected port (each ``rules_version`` bump), so one compare tells
+        whether any port's rules changed."""
+        return self._rule_epoch.value
 
     def member(self, asn: int) -> IxpMember:
         try:
@@ -272,9 +289,9 @@ class SwitchingFabric:
     def current_delivery_plan(self) -> FabricDeliveryPlan:
         """The cached delivery plan, recompiled only when stale.
 
-        Plans snapshot every port's rule-set version
-        (:attr:`~repro.ixp.qos.PortQosPolicy.rules_version`); installs,
-        removals and membership changes invalidate the cache, so a
+        Plans snapshot the fabric's :attr:`membership_version` and
+        :attr:`rule_epoch`; membership changes bump the first, installs
+        and removals the second, and either invalidates the cache, so a
         mid-run configuration change is picked up on the next interval
         while steady-state intervals skip the recompile entirely — and
         the per-port compiled match indexes are cached on the policies

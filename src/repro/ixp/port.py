@@ -2,16 +2,22 @@
 
 A :class:`MemberPort` binds an IXP member to a physical port on an edge
 router.  The port owns its QoS policy (Stellar configures egress ports,
-§4.5), accumulates traffic counters, and exposes the telemetry the
-blackholing users receive (forwarded vs. dropped vs. shaped volumes).
+§4.5) and exposes the telemetry the blackholing users receive (forwarded
+vs. dropped vs. shaped volumes) as cumulative :class:`PortCounters`.  The
+counters of every port on a fabric live in one :class:`PortCounterStore`,
+so the delivery pass accounts for hundreds of ports per interval in one
+array operation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Optional
+
+import numpy as np
 
 from .member import IxpMember
-from .qos import PortQosPolicy, PortQosResult, QosRule
+from .qos import PortQosPolicy, QosRule
 
 
 @dataclass
@@ -25,18 +31,49 @@ class PortCounters:
     shaped_dropped_bits: float = 0.0
     congestion_dropped_bits: float = 0.0
 
-    def update(self, offered_bits: float, result: PortQosResult) -> None:
-        self.offered_bits += offered_bits
-        self.delivered_bits += result.delivered_bits
-        self.dropped_bits += result.dropped_bits
-        self.shaped_passed_bits += result.shaped_passed_bits
-        self.shaped_dropped_bits += result.shaped_dropped_bits
-        self.congestion_dropped_bits += result.congestion_dropped_bits
-
     @property
     def total_filtered_bits(self) -> float:
         """Bits removed by blackholing rules (drop + shaped excess)."""
         return self.dropped_bits + self.shaped_dropped_bits
+
+
+#: The :class:`PortCounters` fields, in declaration order: the columns of
+#: a :class:`PortCounterStore` row.
+COUNTER_FIELDS = tuple(field.name for field in fields(PortCounters))
+
+
+class PortCounterStore:
+    """Every connected port's :class:`PortCounters`, one float64 row each.
+
+    :meth:`add` folds a whole interval into the rows of the ports that
+    carried traffic with one fancy-indexed add; each row sees the same
+    IEEE float64 adds, in the same interval order, as a ``+=`` per field
+    on that port's counters.
+    """
+
+    def __init__(self) -> None:
+        self._rows = np.zeros((0, len(COUNTER_FIELDS)))
+        self._size = 0
+
+    def add_slot(self) -> int:
+        """Reserve a zeroed row for one more port; returns its slot."""
+        if self._size == len(self._rows):
+            grown = np.zeros((2 * self._size + 1, len(COUNTER_FIELDS)))
+            grown[: self._size] = self._rows
+            self._rows = grown
+        self._size += 1
+        return self._size - 1
+
+    def add(self, slots: np.ndarray, deltas: np.ndarray) -> None:
+        """Add ``deltas`` (one row of :data:`COUNTER_FIELDS` per slot).
+
+        ``slots`` must not repeat: a repeated slot would receive only one
+        of its rows.
+        """
+        self._rows[slots] += deltas
+
+    def snapshot(self, slot: int) -> PortCounters:
+        return PortCounters(*self._rows[slot].tolist())
 
 
 class MemberPort:
@@ -46,14 +83,10 @@ class MemberPort:
         self.member = member
         self.port_id = port_id
         self.qos = PortQosPolicy(port_capacity_bps=member.port_capacity_bps)
-        self.counters = PortCounters()
-        #: Per-interval history of (interval_start, PortQosResult).
-        self.history: list[tuple[float, PortQosResult]] = []
-        #: Whether :attr:`history` accumulates.  Hour-long streaming runs
-        #: disable it — each retained result closes over its interval's
-        #: flow tables, which would hold the whole trace in RAM.  The
-        #: cumulative :attr:`counters` always update.
-        self.retain_history: bool = True
+        #: The fabric's counter store and this port's row in it, bound by
+        #: :meth:`~repro.ixp.fabric.SwitchingFabric.connect_member`.
+        self._counter_store: Optional[PortCounterStore] = None
+        self.counter_slot = -1
 
     # ------------------------------------------------------------------
     @property
@@ -79,24 +112,18 @@ class MemberPort:
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------
-    def utilisation(self, result: PortQosResult, interval: float) -> float:
-        """Egress demand on the port relative to its capacity (can exceed 1).
+    def bind_counters(self, store: PortCounterStore) -> None:
+        """Give the port a row in ``store`` (once per store)."""
+        if self._counter_store is not store:
+            self._counter_store = store
+            self.counter_slot = store.add_slot()
 
-        The demand is what the QoS policy tried to deliver — the bits that
-        made it plus the bits congestion-dropped at the egress queue — so
-        an oversubscribed port reports its true ratio (e.g. 8.0 for an 80
-        Mbit demand on a 10 Mbit interval budget) instead of silently
-        clamping to 1.0.  Presentation layers that want a bounded gauge
-        should use :meth:`display_utilisation`.
-        """
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        demand_bits = result.delivered_bits + result.congestion_dropped_bits
-        return demand_bits / (self.capacity_bps * interval)
-
-    def display_utilisation(self, result: PortQosResult, interval: float) -> float:
-        """:meth:`utilisation` clamped to [0, 1] for bounded gauges."""
-        return min(1.0, self.utilisation(result, interval))
+    @property
+    def counters(self) -> PortCounters:
+        """A snapshot of the port's cumulative counters (zero until connected)."""
+        if self._counter_store is None:
+            return PortCounters()
+        return self._counter_store.snapshot(self.counter_slot)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MemberPort(port_id={self.port_id}, member=AS{self.member.asn})"

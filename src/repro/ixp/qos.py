@@ -16,8 +16,8 @@ and classifies a columnar :class:`~repro.traffic.flowtable.FlowTable`
 through its compiled :class:`~repro.ixp.ruleindex.RuleMatchIndex`
 (:meth:`PortQosPolicy.assign_table`).  The verdict scatter, shaping and
 congestion accounting run platform-wide in
-:class:`~repro.ixp.delivery.FabricDeliveryPlan`, which builds the
-per-port :class:`PortQosResult`\\ s.
+:class:`~repro.ixp.delivery.FabricDeliveryPlan`; its interval report
+builds a port's :class:`PortQosResult` when that port is looked up.
 """
 
 from __future__ import annotations
@@ -312,6 +312,24 @@ _ACTION_CODES = {
 }
 
 
+class RuleEpoch:
+    """A counter shared by every port policy connected to one fabric.
+
+    Every rule-set mutation of a policy holding it bumps it once, so the
+    fabric's cached delivery plan checks its rules' currency with one
+    integer compare instead of reading each port's
+    :attr:`PortQosPolicy.rules_version`.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0
+
+    def bump(self) -> None:
+        self.value += 1
+
+
 class PortQosPolicy:
     """The QoS policy configured on one member (egress) port.
 
@@ -354,12 +372,18 @@ class PortQosPolicy:
         self._action_codes: Optional[np.ndarray] = None
         self._rule_id_codes: Optional[tuple[np.ndarray, list[str]]] = None
         self._anon_ids = itertools.count(1)
+        #: The epoch of the fabric the port is connected to (set by
+        #: :meth:`~repro.ixp.fabric.SwitchingFabric.connect_member`);
+        #: every version bump bumps it too.
+        self.epoch: Optional[RuleEpoch] = None
 
     # ------------------------------------------------------------------
     # Rule management
     # ------------------------------------------------------------------
     def _bump(self) -> None:
         self._version += 1
+        if self.epoch is not None:
+            self.epoch.bump()
         self._action_codes = None
         self._rule_id_codes = None
 

@@ -81,7 +81,6 @@ def build_multi_pop_fabric(
     pop_indices: Optional[Sequence[int]] = None,
     collect_ipfix: bool = True,
     retain_reports: bool = True,
-    retain_history: bool = True,
 ) -> SwitchingFabric:
     """A fabric with ``pop_count`` PoPs of ``routers_per_pop`` edge routers.
 
@@ -114,7 +113,6 @@ def build_multi_pop_fabric(
         platform_capacity_bps=platform_capacity_bps,
         collect_ipfix=collect_ipfix,
         retain_reports=retain_reports,
-        retain_history=retain_history,
     )
     profile = profile if profile is not None else l_ixp_edge_router_profile()
     for pop_index in pop_indices:

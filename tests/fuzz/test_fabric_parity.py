@@ -7,7 +7,9 @@ end-to-end on generated multi-PoP topologies via
 platform-level conservation invariants (offered == carried traffic;
 delivered + filtered + congestion-dropped == offered; IPFIX collector
 totals == carried bytes), and the agreement of the report's per-member
-columns with its per-member results.
+columns with the per-port results it builds on lookup.  The port
+counters are checked across intervals, also while members connect and
+rules install mid-run.
 """
 
 import numpy as np
@@ -15,14 +17,17 @@ import pytest
 from hypothesis import event, given, strategies as st
 
 from fuzz.strategies import (
+    MEMBER_BASE_ASN,
     UNKNOWN_EGRESS_ASN,
     build_fabric,
     build_flow_table,
     fabric_specs,
     member_asns_of,
+    qos_rules,
     rule_sets,
 )
-from oracle.reference import ReferenceFabric
+from oracle.reference import ReferenceFabric, utilisation as port_utilisation
+from repro.ixp import IxpMember
 from repro.ixp.fabric import MEMBER_REPORT_FIELDS
 
 INTERVAL = 10.0
@@ -66,6 +71,31 @@ def column_scenarios(draw):
     return spec, assignments, tables, draw(st.sampled_from((INTERVAL, 1e-5)))
 
 
+@st.composite
+def growing_scenarios(draw):
+    """:func:`fabric_scenarios` with one member connecting and one rule
+    installing mid-run, each before a drawn interval.
+
+    Every table also sends traffic to the late member, which the platform
+    ignores until it connects.
+    """
+    spec, assignments, _ = draw(fabric_scenarios())
+    members = member_asns_of(spec)
+    late_asn = MEMBER_BASE_ASN + len(members)
+    tables = [
+        build_flow_table(
+            seed=draw(st.integers(0, 2**31 - 1)),
+            n=draw(st.integers(0, 60)),
+            egress_pool=(*members, late_asn, UNKNOWN_EGRESS_ASN),
+        )
+        for _ in range(draw(st.integers(2, 4)))
+    ]
+    connect_at = draw(st.integers(0, len(tables) - 1))
+    install_at = draw(st.integers(0, len(tables) - 1))
+    late_rule = (draw(st.sampled_from(members)), draw(qos_rules()))
+    return spec, assignments, tables, late_asn, connect_at, install_at, late_rule
+
+
 def install_all(fabric, assignments):
     for member_asn, rule in assignments:
         fabric.router_for_member(member_asn).install_rule(member_asn, rule)
@@ -106,6 +136,30 @@ class TestDeliveryEngineParity:
             assert counters == expected, member_asn
 
 
+    @given(scenario=growing_scenarios())
+    def test_port_counters_parity_with_mid_run_changes(self, scenario):
+        """Counters stay exact while the counter store grows and rules change."""
+        spec, assignments, tables, late_asn, connect_at, install_at, late_rule = scenario
+        fabric = build_fabric(spec)
+        install_all(fabric, assignments)
+        oracle = ReferenceFabric(fabric)
+        members = member_asns_of(spec)
+        for step, table in enumerate(tables):
+            if step == connect_at:
+                fabric.connect_member(IxpMember(asn=late_asn, pop="pop-1"))
+                members.append(late_asn)
+            if step == install_at:
+                asn, rule = late_rule
+                fabric.router_for_member(asn).install_rule(asn, rule)
+                oracle.forget(asn, {rule.rule_id})
+            report = fabric.deliver(table, INTERVAL, step * INTERVAL)
+            assert report.to_dict() == oracle.deliver(table, INTERVAL, step * INTERVAL)
+            for member_asn in members:
+                counters = vars(fabric.port_for_member(member_asn).counters)
+                expected = oracle.counters.get(member_asn, dict.fromkeys(counters, 0.0))
+                assert counters == expected, (step, member_asn)
+
+
 class TestReportColumns:
     @given(scenario=column_scenarios())
     def test_columns_and_utilisation_match_per_member_results(self, scenario):
@@ -113,7 +167,7 @@ class TestReportColumns:
 
         ``to_columns()`` lists ``results_by_member`` in ascending-ASN
         order, and ``port_utilisation()`` equals each port's scalar
-        :meth:`MemberPort.utilisation`, element by element.
+        utilisation in ``tests/oracle``, element by element.
         """
         spec, assignments, tables, interval = scenario
         fabric = build_fabric(spec)
@@ -133,13 +187,61 @@ class TestReportColumns:
             utilisation = report.port_utilisation()
             assert utilisation.dtype == np.float64
             assert utilisation.tolist() == [
-                fabric.port_for_member(asn).utilisation(result, interval)
+                port_utilisation(fabric.port_for_member(asn), result, interval)
                 for asn, result in ordered
             ]
             if not ordered:
                 event("no member offered traffic")
             elif (utilisation > 1.0).any():
                 event("oversubscribed port")
+
+
+class TestPortResults:
+    @given(scenario=column_scenarios())
+    def test_results_built_on_lookup_match_columns(self, scenario):
+        """``results_by_member`` is a read-only view of the report's columns.
+
+        A lookup builds the port's result from its column entries and
+        caches it; ``rule_stats_by_member`` holds exactly the non-empty
+        ``rule_stats`` of the results; an ASN that carried no traffic is
+        not a key.
+        """
+        spec, assignments, tables, interval = scenario
+        fabric = build_fabric(spec)
+        install_all(fabric, assignments)
+        for step, table in enumerate(tables):
+            report = fabric.deliver(table, interval, step * interval)
+            results = report.results_by_member
+            asns = report.member_asns.tolist()
+            assert list(results) == asns
+            assert len(results) == len(asns)
+            for index, asn in enumerate(asns):
+                assert asn in results
+                result = results[asn]
+                for name in MEMBER_REPORT_FIELDS:
+                    value = getattr(result, name)
+                    assert type(value) is float, (asn, name)
+                    assert value == report.member_fields[name][index], (asn, name)
+                assert results[asn] is result
+                assert results[np.int64(asn)] is result
+                assert results.get(asn) is result
+            assert report.rule_stats_by_member == {
+                asn: result.rule_stats
+                for asn, result in results.items()
+                if result.rule_stats
+            }
+            # A float twin of an ASN looked up above hashes like it, but is
+            # no key either: the answer must not depend on earlier lookups.
+            absent = [UNKNOWN_EGRESS_ASN, "64500", None]
+            absent += [float(asn) for asn in asns[:1]]
+            absent += [asn for asn in member_asns_of(spec) if asn not in asns]
+            for key in absent:
+                assert key not in results
+                assert results.get(key) is None
+                with pytest.raises(KeyError):
+                    results[key]
+            if report.rule_stats_by_member:
+                event("a rule claimed bits")
 
 
 class TestFabricConservation:

@@ -22,8 +22,11 @@ from repro.ixp import (
     FilterAction,
     FlowMatch,
     IxpMember,
+    PortQosPolicy,
     QosRule,
     SwitchingFabric,
+    build_multi_pop_fabric,
+    make_member_population,
     small_ixp_edge_router_profile,
 )
 from repro.traffic import (
@@ -359,6 +362,99 @@ class TestDeliveryPlan:
         ]
         assert result.forwarded == forwarded
         assert result.dropped == dropped
+
+
+def wide_fabric(member_count: int = 120) -> SwitchingFabric:
+    """Two PoPs of two routers, ``member_count`` members, no rules."""
+    fabric = build_multi_pop_fabric(pop_count=2, routers_per_pop=2, seed=5)
+    for member in make_member_population(member_count, pop_count=2, seed=5):
+        fabric.connect_member(member)
+    return fabric
+
+
+def build_wide_table(fabric: SwitchingFabric, n: int = 2000) -> FlowTable:
+    """Cross traffic to every member of ``fabric``."""
+    rng = np.random.default_rng(11)
+    asns = sorted(fabric.member_asns)
+    return FlowTable(
+        src_ip=rng.integers(0, 2**32, n, dtype=np.uint32),
+        dst_ip=rng.integers(0, 2**32, n, dtype=np.uint32),
+        protocol=np.full(n, int(IpProtocol.UDP)),
+        src_port=rng.choice([19, 53, 123, 443], n),
+        dst_port=rng.integers(1024, 60000, n),
+        start=np.zeros(n),
+        duration=np.full(n, 10.0),
+        bytes=rng.integers(100, 10_000, n),
+        packets=np.ones(n, dtype=np.int64),
+        ingress_asn=rng.choice(asns, n),
+        egress_asn=rng.choice(asns, n),
+        is_attack=np.zeros(n, dtype=bool),
+    )
+
+
+def _late_rule(rule_id: str) -> QosRule:
+    return QosRule(match=FlowMatch(src_port=19), action=FilterAction.DROP, rule_id=rule_id)
+
+
+#: Every rule-set mutation of a port policy, each one version bump.
+POLICY_MUTATIONS = {
+    "install": lambda qos: qos.install(_late_rule("late")),
+    "install_many": lambda qos: qos.install_many([_late_rule("a"), _late_rule("b")]),
+    "remove": lambda qos: qos.remove("seed"),
+    "clear": lambda qos: qos.clear(),
+}
+
+
+class TestPlanCurrency:
+    """The cached plan is current exactly until some port's rules or the
+    membership change, on any of a hundred-plus ports."""
+
+    @pytest.mark.parametrize("position", [0, 61, -1])
+    @pytest.mark.parametrize("mutation", sorted(POLICY_MUTATIONS))
+    def test_rule_change_on_any_port_makes_plan_stale(self, mutation, position):
+        fabric = wide_fabric()
+        asn = sorted(fabric.member_asns)[position]
+        qos = fabric.port_for_member(asn).qos
+        qos.install(_late_rule("seed"))
+        plan = fabric.current_delivery_plan()
+        assert plan.is_current()
+        version = qos.rules_version
+        POLICY_MUTATIONS[mutation](qos)
+        assert qos.rules_version == version + 1
+        assert not plan.is_current()
+        assert fabric.current_delivery_plan() is not plan
+
+    def test_connect_member_makes_plan_stale(self):
+        fabric = wide_fabric()
+        plan = fabric.current_delivery_plan()
+        port = fabric.connect_member(IxpMember(asn=4_200_000_000, pop="pop-2"))
+        assert not plan.is_current()
+        plan = fabric.current_delivery_plan()
+        assert plan.port_count == len(fabric.member_asns)
+        # The new port's rule changes reach the fabric's epoch too.
+        port.qos.install(_late_rule("late"))
+        assert not plan.is_current()
+
+    def test_interval_without_change_keeps_cached_plan(self):
+        fabric = wide_fabric()
+        table = build_wide_table(fabric)
+        fabric.deliver(table, 10.0)
+        plan = fabric.current_delivery_plan()
+        fabric.deliver(table, 10.0, 10.0)
+        # A no-op removal bumps nothing either.
+        assert not fabric.port_for_member(min(fabric.member_asns)).qos.remove("absent")
+        fabric.deliver(table, 10.0, 20.0)
+        assert fabric.current_delivery_plan() is plan
+
+    def test_currency_check_reads_no_port_policy(self, monkeypatch):
+        fabric = wide_fabric()
+        plan = fabric.current_delivery_plan()
+
+        def unread(policy):
+            raise AssertionError("is_current read a port's rules_version")
+
+        monkeypatch.setattr(PortQosPolicy, "rules_version", property(unread))
+        assert plan.is_current()
 
 
 class TestRuleStats:

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from fuzz.strategies import single_port_fabric
-from oracle.reference import first_match, precedence
+from oracle.reference import display_utilisation, first_match, precedence, utilisation
 from repro.bgp import Prefix
 from repro.ixp import (
     ControlPlaneCpuModel,
@@ -37,12 +37,16 @@ def make_flow(src_port=123, protocol=IpProtocol.UDP, bytes_=10_000, dst_ip="100.
     )
 
 
-def deliver(flows, rules=(), capacity=1e9, interval_start=0.0):
+def deliver_report(flows, rules=(), capacity=1e9, interval_start=0.0):
     """One 10 s interval through a single port holding ``rules``."""
     fabric, port = single_port_fabric(port_capacity_bps=capacity)
     for rule in rules:
         port.qos.install(rule)
-    report = fabric.deliver(FlowTable.from_records(flows), 10.0, interval_start)
+    return port, fabric.deliver(FlowTable.from_records(flows), 10.0, interval_start)
+
+
+def deliver(flows, rules=(), capacity=1e9, interval_start=0.0):
+    port, report = deliver_report(flows, rules, capacity, interval_start)
     return port, report.results_by_member[port.asn]
 
 
@@ -234,11 +238,10 @@ class TestIxpMember:
 
 
 class TestMemberPort:
-    def test_deliver_updates_counters_and_history(self):
+    def test_deliver_updates_counters(self):
         port, result = deliver([make_flow(bytes_=1000)], interval_start=5.0)
         assert port.counters.offered_bits == 8000
         assert port.counters.delivered_bits == result.delivered_bits
-        assert port.history[0][0] == 5.0
 
     def test_rule_management_delegation(self):
         port = MemberPort(member=IxpMember(asn=64500), port_id=1)
@@ -252,16 +255,20 @@ class TestMemberPort:
         # 80 Mbit of demand against a 10 Mbit interval budget: the port is
         # 8x oversubscribed and utilisation must say so (the old behaviour
         # clamped to 1.0, hiding the overload from the paper-scale views).
-        port, result = deliver([make_flow(bytes_=10_000_000)], capacity=1e6)
-        assert port.utilisation(result, 10.0) == pytest.approx(8.0)
-        assert port.display_utilisation(result, 10.0) == pytest.approx(1.0)
+        port, report = deliver_report([make_flow(bytes_=10_000_000)], capacity=1e6)
+        result = report.results_by_member[port.asn]
+        assert report.port_utilisation().tolist() == [pytest.approx(8.0)]
+        assert utilisation(port, result, 10.0) == pytest.approx(8.0)
+        assert display_utilisation(port, result, 10.0) == pytest.approx(1.0)
 
     def test_utilisation_below_capacity(self):
-        port, result = deliver([make_flow(bytes_=625_000)], capacity=1e6)
-        assert port.utilisation(result, 10.0) == pytest.approx(0.5)
-        assert port.display_utilisation(result, 10.0) == pytest.approx(0.5)
+        port, report = deliver_report([make_flow(bytes_=625_000)], capacity=1e6)
+        result = report.results_by_member[port.asn]
+        assert report.port_utilisation().tolist() == [pytest.approx(0.5)]
+        assert utilisation(port, result, 10.0) == pytest.approx(0.5)
+        assert display_utilisation(port, result, 10.0) == pytest.approx(0.5)
         with pytest.raises(ValueError):
-            port.utilisation(result, 0.0)
+            utilisation(port, result, 0.0)
 
     def test_total_filtered_bits_counter(self):
         rule = QosRule(match=FlowMatch(src_port=123), action=FilterAction.DROP, rule_id="d")

@@ -14,6 +14,10 @@ interval report the production data path must produce, bit for bit:
   per-rule drop bits, ``ndarray.sum()`` over ascending rows for member and
   shape-rule bits, builtin ``sum()`` over ascending-ASN terms for the
   platform totals — so reports compare with ``==``, never a tolerance.
+
+:func:`utilisation` is the scalar twin of
+``FabricIntervalReport.port_utilisation()``: one port's demand over its
+capacity, from one result.
 """
 
 import numpy as np
@@ -48,6 +52,25 @@ def assign(qos, table):
     """Per-row claiming rank in :func:`precedence` order."""
     rules = precedence(qos)
     return np.array([first_match(rules, record) for record in table.to_records()], dtype=np.int64)
+
+
+def utilisation(port, result, interval):
+    """One port's egress demand over its capacity (can exceed 1).
+
+    The demand is what the QoS policy tried to deliver — the bits that
+    made it plus the bits congestion-dropped at the egress queue — so an
+    oversubscribed port reports its true ratio.  The scalar twin of
+    ``FabricIntervalReport.port_utilisation()``.
+    """
+    if interval <= 0:
+        raise ValueError("interval must be positive")
+    demand_bits = result.delivered_bits + result.congestion_dropped_bits
+    return demand_bits / (port.capacity_bps * interval)
+
+
+def display_utilisation(port, result, interval):
+    """:func:`utilisation` clamped to [0, 1] for bounded gauges."""
+    return min(1.0, utilisation(port, result, interval))
 
 
 class ReferenceFabric:
