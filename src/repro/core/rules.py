@@ -204,18 +204,24 @@ class BlackholingRule:
                 f"count {count} exceeds the {len(hosts)} x {len(source_ports)} "
                 "distinct (host, port) pairs"
             )
+        # One parse per host: the host's rules share its frozen Prefix (and
+        # its cached int_bounds).
+        prefixes = [
+            parse_prefix(host)
+            for host in hosts[: -(-count // len(source_ports))]
+        ]
         rules: list[BlackholingRule] = []
         for index in range(count):
-            host = hosts[index // len(source_ports)]
+            prefix = prefixes[index // len(source_ports)]
             port = source_ports[index % len(source_ports)]
             if shape_every > 0 and (index + 1) % shape_every == 0:
                 rules.append(
-                    cls.shape_udp_source_port(owner_asn, host, port, shape_rate_bps)
+                    cls.shape_udp_source_port(owner_asn, prefix, port, shape_rate_bps)
                 )
             else:
                 rules.append(cls(
                     owner_asn=owner_asn,
-                    dst_prefix=parse_prefix(host),
+                    dst_prefix=prefix,
                     action=RuleAction.DROP,
                     protocol=protocol,
                     src_port=port,

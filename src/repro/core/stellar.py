@@ -28,7 +28,7 @@ from ..bgp.policy import ImportPolicy, permissive_policy
 from ..bgp.prefix import Prefix, parse_prefix
 from ..bgp.route_server import RouteServer
 from ..ixp.fabric import FabricIntervalReport, SwitchingFabric
-from ..ixp.member import IxpMember
+from ..ixp.member import IxpMember, MemberPopulation
 from ..traffic.flow import FlowRecord
 from ..traffic.flowtable import FlowTable
 from .change_queue import ChangeQueue
@@ -99,14 +99,28 @@ class Stellar:
     def add_member(self, member: IxpMember, register_prefixes: bool = True) -> None:
         """Connect a member to the fabric and the route server."""
         self.fabric.connect_member(member)
+        self._peer(member, register_prefixes)
+
+    def add_members(self, members: Iterable[IxpMember]) -> None:
+        """Connect new members to the fabric in one call, then peer each.
+
+        ``members`` may be a :class:`~repro.ixp.member.MemberPopulation`;
+        an ASN already connected raises ``ValueError``.
+        """
+        population = (
+            members
+            if isinstance(members, MemberPopulation)
+            else MemberPopulation.from_members(members)
+        )
+        self.fabric.connect_population(population)
+        for member in population:
+            self._peer(member, register_prefixes=True)
+
+    def _peer(self, member: IxpMember, register_prefixes: bool) -> None:
         if member.uses_route_server:
             self.route_server.connect_member(member.asn)
         if register_prefixes and self.route_server.policy.require_irr:
             self.route_server.policy.irr.register_many(member.prefixes, member.asn)
-
-    def add_members(self, members: Iterable[IxpMember]) -> None:
-        for member in members:
-            self.add_member(member)
 
     # ------------------------------------------------------------------
     # Time

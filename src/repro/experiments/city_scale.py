@@ -27,6 +27,14 @@ processes and shared-memory transport.  Memory stays bounded at any
 duration: generators stream interval-by-interval, fabrics run with
 report and IPFIX retention off, and flow tables cross processes as
 :class:`~repro.traffic.sharedtable.SharedFlowTable` views.
+
+Set-up works on columns.  The parent draws the population once, as a
+:class:`~repro.ixp.member.MemberPopulation`, plans the shards from its
+PoP column and packs it into one
+:class:`~repro.traffic.sharedtable.SharedMemberTable`; each shard runtime
+reads its rows back as a population and connects them in one
+:func:`~repro.ixp.topology.build_multi_pop_fabric` call.  Only the ports
+that get a rule or a lookup (the victim's) are ever built as objects.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ import numpy as np
 from ..analysis.timeseries import AttackTimeSeries, record_delivery
 from ..core.rules import BlackholingRule
 from ..ixp.hardware_profiles import HardwareProfile, l_ixp_edge_router_profile
-from ..ixp.member import IxpMember
+from ..ixp.member import IxpMember, MemberPopulation
 from ..ixp.qos import QosRule
 from ..ixp.shard import ShardPlanner, ShardSpec, merge_interval_columns
 from ..ixp.topology import build_multi_pop_fabric, make_member_population
@@ -181,14 +189,13 @@ def _city_victim(config: CityScaleConfig) -> IxpMember:
     )
 
 
-def _city_members(config: CityScaleConfig) -> tuple[IxpMember, list[IxpMember]]:
-    """The victim plus the seeded member population (pure in ``config``)."""
-    members = make_member_population(
+def _city_population(config: CityScaleConfig) -> MemberPopulation:
+    """The seeded member population besides the victim (pure in ``config``)."""
+    return make_member_population(
         config.member_count - 1,
         pop_count=config.pop_count,
         seed=config.seed,
     )
-    return _city_victim(config), members
 
 
 def _mitigation_events(
@@ -225,13 +232,30 @@ class _ShardRuntime:
         config: CityScaleConfig,
         spec: ShardSpec,
         events: tuple[tuple[float, int, QosRule], ...],
-        member_table: Optional[SharedMemberTable] = None,
+        member_table: SharedMemberTable,
     ) -> None:
         self.config = config
         self.spec = spec
         victim = _city_victim(config)
         self.victim_asn = victim.asn
         self.has_victim = victim.asn in spec.member_asns
+        # The parent packed the generated population once; this runtime
+        # reads its own shard's rows (plus the ingress/peer ASNs) straight
+        # off the mapping.
+        population_asns = member_table.asn_array()
+        shard_members = member_table.members_for(
+            [asn for asn in spec.member_asns if asn != victim.asn]
+        )
+        all_asns = [victim.asn, *population_asns.tolist()]
+        peer_asns = population_asns[: config.attack_peer_count].tolist()
+        if self.has_victim:
+            shard_members = MemberPopulation.concat(
+                [MemberPopulation.from_members([victim]), shard_members]
+            )
+        # Ascending-ASN connect order — the same relative order the full
+        # platform would use, so within-PoP load balancing places every
+        # member on the same router either way.
+        shard_members = shard_members.take(np.argsort(shard_members.asns, kind="stable"))
         self.fabric = build_multi_pop_fabric(
             pop_count=config.pop_count,
             routers_per_pop=config.routers_per_pop,
@@ -240,30 +264,8 @@ class _ShardRuntime:
             pop_indices=spec.pop_indices,
             collect_ipfix=False,
             retain_reports=False,
+            members=shard_members,
         )
-        if member_table is not None:
-            # Zero-copy path: the parent packed the generated population
-            # once; this runtime materialises only its own shard's
-            # members (plus ingress/peer ASNs straight off the mapping)
-            # instead of re-deriving all 10k IxpMembers per worker.
-            population_asns = member_table.asn_array()
-            shard_members = member_table.members_for(
-                [asn for asn in spec.member_asns if asn != victim.asn]
-            )
-            by_asn = {member.asn: member for member in shard_members}
-            by_asn[victim.asn] = victim
-            all_asns = [victim.asn, *population_asns.tolist()]
-            peer_asns = population_asns[: config.attack_peer_count].tolist()
-        else:
-            _, members = _city_members(config)
-            by_asn = {member.asn: member for member in (victim, *members)}
-            all_asns = [victim.asn, *(member.asn for member in members)]
-            peer_asns = [member.asn for member in members[: config.attack_peer_count]]
-        # Ascending-ASN connect order — the same relative order the full
-        # platform would use, so within-PoP load balancing places every
-        # member on the same router either way.
-        for asn in spec.member_asns:
-            self.fabric.connect_member(by_asn[asn])
         self.attack: Optional[BooterAttack] = None
         self.benign: Optional[BenignTrafficSource] = None
         if self.has_victim:
@@ -357,7 +359,7 @@ def _build_shard_runtime(
     config: CityScaleConfig,
     spec: ShardSpec,
     events: tuple[tuple[float, int, QosRule], ...],
-    member_table: Optional[SharedMemberTable] = None,
+    member_table: SharedMemberTable,
 ) -> _ShardRuntime:
     """Module-level runtime factory (pickled by reference under spawn)."""
     return _ShardRuntime(config, spec, events, member_table)
@@ -386,10 +388,18 @@ def _digest_payload(merged: dict) -> dict:
     }
 
 
-def plan_city_shards(config: CityScaleConfig) -> list[ShardSpec]:
-    """The scenario's shard plan (a pure function of the config)."""
-    victim, members = _city_members(config)
-    planner = ShardPlanner.for_members([victim, *members], config.pop_count)
+def plan_city_shards(
+    config: CityScaleConfig, population: MemberPopulation
+) -> list[ShardSpec]:
+    """The scenario's shard plan, from ``population``: the config's drawn
+    population (:func:`_city_population`), so a pure function of the config.
+    """
+    planner = ShardPlanner.for_members(
+        MemberPopulation.concat(
+            [MemberPopulation.from_members([_city_victim(config)]), population]
+        ),
+        config.pop_count,
+    )
     return planner.plan(config.shard_count if config.shard_count > 0 else None)
 
 
@@ -413,25 +423,12 @@ def run_city_scale_experiment(
     check_interval(config.interval)
     check_duration(config.duration)
 
-    victim, members = _city_members(config)
-    plan = plan_city_shards(config)
+    victim = _city_victim(config)
+    population = _city_population(config)
+    plan = plan_city_shards(config, population)
     events = _mitigation_events(config)
     step_count = int(config.duration / config.interval + 1e-9)
     times = [index * config.interval for index in range(step_count)]
-    # The generated population crosses to the workers once, as a
-    # shared-memory table every shard runtime maps zero-copy; only the
-    # victim (one member) still travels by value inside the config.
-    member_table = SharedMemberTable.from_members(members)
-    shard_kwargs = [
-        {
-            "config": config,
-            "spec": spec,
-            "events": events,
-            "member_table": member_table,
-        }
-        for spec in plan
-    ]
-
     series = AttackTimeSeries()
     digest = hashlib.sha256()
     service_bytes: dict[int, int] = {}
@@ -440,7 +437,21 @@ def run_city_scale_experiment(
     oversubscribed = 0
     intervals = 0
 
+    # The generated population crosses to the workers once, as a
+    # shared-memory table every shard runtime maps zero-copy; only the
+    # victim (one member) still travels by value inside the config.  The
+    # block is released on every way out of the run.
+    member_table = SharedMemberTable.from_members(population)
     try:
+        shard_kwargs = [
+            {
+                "config": config,
+                "spec": spec,
+                "events": events,
+                "member_table": member_table,
+            }
+            for spec in plan
+        ]
         for interval_start, payloads in iter_shard_intervals(
             _build_shard_runtime,
             shard_kwargs,
@@ -503,7 +514,7 @@ def run_city_scale_experiment(
         platform_peak_bps=platform_peak_bps,
         platform_capacity_bps=25e12,
         connected_capacity_bps=float(
-            sum(member.port_capacity_bps for member in (victim, *members))
+            sum([victim.port_capacity_bps, *population.port_capacity_bps.tolist()])
         ),
         oversubscribed_port_intervals=oversubscribed,
         peak_port_utilisation=peak_utilisation,

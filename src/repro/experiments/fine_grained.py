@@ -112,9 +112,7 @@ class FineGrainedTrafficSource:
         self._pair_port = np.fromiter((p[1] for p in pairs), np.int32, len(pairs))
         self._pair_egress = np.fromiter((p[2] for p in pairs), np.int64, len(pairs))
         self._late_dst, self._late_port, self._late_egress = scenario.late_pair
-        self._member_asns = np.fromiter(
-            (member.asn for member in scenario.members), np.int64, len(scenario.members)
-        )
+        self._member_asns = scenario.members.asns
         self._late_count = int(flows_per_interval * late_fraction)
         self._targeted_count = int(flows_per_interval * targeted_fraction)
         self._background_count = (
@@ -282,8 +280,8 @@ def run_fine_grained_experiment(
     harness.run(step)
 
     index_stats: dict[str, int] = {}
-    for member in scenario.protected:
-        stats = fabric.port_for_member(member.asn).qos.compiled_index().describe()
+    for member_asn in scenario.protected.asns.tolist():
+        stats = fabric.port_for_member(member_asn).qos.compiled_index().describe()
         for key, value in stats.items():
             index_stats[key] = index_stats.get(key, 0) + value
 

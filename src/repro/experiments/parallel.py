@@ -32,8 +32,8 @@ specially — it travels through shared memory instead of pickle.  Bulky
 read-only inputs can ride shared memory in the other direction too: the
 city-scale runner hands every worker one
 :class:`~repro.traffic.sharedtable.SharedMemberTable` handle, and each
-shard runtime materialises its members from the mapped block instead of
-unpickling the population per shard.
+shard runtime reads its members' columns from the mapped block instead
+of unpickling the population per shard.
 """
 
 from __future__ import annotations

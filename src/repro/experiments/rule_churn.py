@@ -47,7 +47,7 @@ from typing import Optional
 from ..analysis.timeseries import AttackTimeSeries, record_delivery
 from ..core.rules import BlackholingRule
 from ..ixp.hardware_profiles import HardwareProfile, l_ixp_edge_router_profile
-from ..ixp.member import IxpMember
+from ..ixp.member import IxpMember, MemberPopulation
 from ..ixp.qos import FilterAction, FlowMatch, QosRule
 from ..ixp.service import (
     AppliedChange,
@@ -201,8 +201,12 @@ def _router_profile(config: RuleChurnConfig) -> HardwareProfile:
 
 def _build_platform(
     config: RuleChurnConfig,
-) -> tuple[SwitchingFabric, IxpMember, list[IxpMember]]:
-    """Fabric + membership, identical for live runs and replays."""
+) -> tuple[SwitchingFabric, IxpMember, MemberPopulation]:
+    """Fabric + membership, identical for live runs and replays.
+
+    The victim and the drawn population connect in one call, victim
+    first; no port is built until the service configures it.
+    """
     victim = IxpMember(
         asn=DEFAULT_VICTIM_ASN,
         name="experimental-as",
@@ -223,16 +227,15 @@ def _build_platform(
         seed=config.seed,
         collect_ipfix=False,
         retain_reports=False,
+        members=MemberPopulation.concat([MemberPopulation.from_members([victim]), members]),
     )
-    for member in (victim, *members):
-        fabric.connect_member(member)
     return fabric, victim, members
 
 
 def _traffic_sources(
-    config: RuleChurnConfig, victim: IxpMember, members: list[IxpMember]
+    config: RuleChurnConfig, victim: IxpMember, members: MemberPopulation
 ) -> tuple[BooterAttack, BenignTrafficSource, IxpTraceGenerator]:
-    peer_asns = [member.asn for member in members[: config.attack_peer_count]]
+    peer_asns = members.asns[: config.attack_peer_count].tolist()
     attack = BooterAttack(
         victim_ip=DEFAULT_VICTIM_IP,
         victim_member_asn=victim.asn,
@@ -251,7 +254,7 @@ def _traffic_sources(
         seed=config.seed + 1,
     )
     background = IxpTraceGenerator(
-        member_asns=[victim.asn, *(member.asn for member in members)],
+        member_asns=[victim.asn, *members.asns.tolist()],
         duration=config.duration,
         interval=config.interval,
         regular_rate_bps=config.background_rate_bps,
@@ -261,10 +264,10 @@ def _traffic_sources(
     return attack, benign, background
 
 
-def churn_member_asns(config: RuleChurnConfig, members: list[IxpMember]) -> list[int]:
-    """The deterministic churn population (a prefix of the member list)."""
-    count = max(1, int(round(config.churn_member_fraction * len(members))))
-    return [member.asn for member in members[:count]]
+def churn_member_asns(config: RuleChurnConfig, member_asns: Sequence[int]) -> list[int]:
+    """The deterministic churn population (a prefix of the member ASNs)."""
+    count = max(1, int(round(config.churn_member_fraction * len(member_asns))))
+    return [int(asn) for asn in member_asns[:count]]
 
 
 def _member_host(member_asn: int, host_index: int) -> str:
@@ -509,7 +512,7 @@ def _finish(
     service: ControlPlaneService,
     accounting: _IntervalAccounting,
     responses: list[ServiceResponse],
-    members: list[IxpMember],
+    members: MemberPopulation,
     churn_asns: list[int],
 ) -> RuleChurnResult:
     mitigation_latency: Optional[float] = None
@@ -535,7 +538,7 @@ def _finish(
         mitigation_latency=mitigation_latency,
         rules_version_bumps=fabric.rules_version_total(),
         installed_rules_final=sum(
-            len(port.qos) for router in fabric.edge_routers() for port in router.ports()
+            len(port.qos) for port in fabric.built_ports().values()
         ),
         ops_per_data_plane_call=(stats["applied_ops"] / calls) if calls else 0.0,
         series=accounting.series,
@@ -549,7 +552,7 @@ async def _run_service(
     config: RuleChurnConfig,
     fabric: SwitchingFabric,
     victim: IxpMember,
-    members: list[IxpMember],
+    members: MemberPopulation,
     stream: list[list[dict]],
     times: list[float],
 ) -> tuple[ControlPlaneService, _IntervalAccounting, list[ServiceResponse]]:
@@ -590,7 +593,7 @@ def run_rule_churn_experiment(
     check_interval(config.interval)
     check_duration(config.duration)
     fabric, victim, members = _build_platform(config)
-    churn_asns = churn_member_asns(config, members)
+    churn_asns = churn_member_asns(config, members.asns)
     stream = generate_churn_requests(config, churn_asns)
     step_count = int(config.duration / config.interval + 1e-9)
     times = [index * config.interval for index in range(step_count)]

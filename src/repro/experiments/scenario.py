@@ -25,7 +25,7 @@ from ..core.stellar import Stellar
 from ..ixp.edge_router import EdgeRouter
 from ..ixp.fabric import SwitchingFabric
 from ..ixp.hardware_profiles import l_ixp_edge_router_profile
-from ..ixp.member import IxpMember
+from ..ixp.member import IxpMember, MemberPopulation
 from ..ixp.topology import (
     PortSpeedMix,
     build_multi_pop_fabric,
@@ -220,7 +220,7 @@ def build_paper_scale_scenario(
     stellar.add_members(members)
 
     attack_peers = members[:attack_peer_count]
-    peer_asns = [peer.asn for peer in attack_peers]
+    peer_asns = attack_peers.asns.tolist()
     attack = BooterAttack(
         victim_ip=victim_ip,
         victim_member_asn=victim_asn,
@@ -239,7 +239,7 @@ def build_paper_scale_scenario(
         seed=seed + 1,
     )
     background = IxpTraceGenerator(
-        member_asns=[victim.asn, *(member.asn for member in members)],
+        member_asns=[victim.asn, *members.asns.tolist()],
         duration=interval,
         interval=interval,
         regular_rate_bps=background_rate_bps,
@@ -273,9 +273,9 @@ class FineGrainedScenario:
     """
 
     fabric: SwitchingFabric
-    members: list[IxpMember]
+    members: MemberPopulation
     #: The members holding fine-grained rule sets, in install order.
-    protected: list[IxpMember]
+    protected: MemberPopulation
     #: Every installed blackholing rule, per protected member ASN.
     rules_by_member: "dict[int, list]"
     #: All (dst_ip int, src_port, egress ASN) triples covered by a rule.
@@ -349,28 +349,27 @@ def build_fine_grained_scenario(
         mac_filter_capacity=max(base.mac_filter_capacity, total_rules + 1024),
         l3l4_criteria_capacity=max(base.l3l4_criteria_capacity, 3 * total_rules + 1024),
     )
+    members = make_member_population(member_count, pop_count=pop_count, seed=seed)
     fabric = build_multi_pop_fabric(
         pop_count=pop_count,
         routers_per_pop=routers_per_pop,
         platform_capacity_bps=platform_capacity_bps,
         profile=profile,
         seed=seed,
+        members=members,
     )
-    members = make_member_population(member_count, pop_count=pop_count, seed=seed)
-    for member in members:
-        fabric.connect_member(member)
 
     protected = members[:protected_member_count]
-    peer_asns = [member.asn for member in members[protected_member_count:]]
+    peer_asns = members.asns[protected_member_count:].tolist()
     rules_by_member: dict[int, list] = {}
     covered: list[tuple] = []
-    for index, member in enumerate(protected):
+    for index, member_asn in enumerate(protected.asns.tolist()):
         hosts = [
             f"10.{index + 1}.{host >> 8}.{host & 255}"
             for host in range(hosts_per_member)
         ]
         rules = BlackholingRule.fine_grained_set(
-            owner_asn=member.asn,
+            owner_asn=member_asn,
             hosts=hosts,
             source_ports=REFLECTION_PORTS,
             count=rules_per_member,
@@ -385,23 +384,23 @@ def build_fine_grained_scenario(
             peer_asn = peer_asns[(index + mac_index) % len(peer_asns)]
             rules.append(
                 BlackholingRule(
-                    owner_asn=member.asn,
+                    owner_asn=member_asn,
                     dst_prefix=parse_prefix(f"10.{index + 1}.0.0/16"),
                     src_mac=derived_mac(peer_asn),
                 )
             )
-        router = fabric.router_for_member(member.asn)
-        router.install_rules(member.asn, [rule.to_qos_rule() for rule in rules])
-        rules_by_member[member.asn] = rules
+        router = fabric.router_for_member(member_asn)
+        router.install_rules(member_asn, [rule.to_qos_rule() for rule in rules])
+        rules_by_member[member_asn] = rules
         for rule in rules[:rules_per_member]:
             covered.append(
-                (rule.dst_prefix.int_bounds[0], rule.src_port, member.asn)
+                (rule.dst_prefix.int_bounds[0], rule.src_port, member_asn)
             )
 
     # The late-install rule's (host, port) pair: a port outside the
     # reflection pool towards the first protected member, so its traffic
     # forwards until the mid-run install proves cache invalidation.
-    late_pair = (ip_to_int("10.1.0.0"), 6666, protected[0].asn)
+    late_pair = (ip_to_int("10.1.0.0"), 6666, int(protected.asns[0]))
     return FineGrainedScenario(
         fabric=fabric,
         members=members,

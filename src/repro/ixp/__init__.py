@@ -14,7 +14,7 @@ from .hardware_profiles import (
     l_ixp_edge_router_profile,
     small_ixp_edge_router_profile,
 )
-from .member import IxpMember, default_mac
+from .member import IxpMember, MemberPopulation, default_mac
 from .port import MemberPort, PortCounters
 from .qos import FilterAction, FlowMatch, PortQosPolicy, PortQosResult, QosRule
 from .queues import RateLimiter, TokenBucket
@@ -60,6 +60,7 @@ __all__ = [
     "l_ixp_edge_router_profile",
     "small_ixp_edge_router_profile",
     "IxpMember",
+    "MemberPopulation",
     "default_mac",
     "MemberPort",
     "PortCounters",

@@ -37,7 +37,7 @@ plan works platform-wide:
    thousands of installed fine-grained rules costs O(claimed), not
    O(installed), and an interval builds no sub-table nobody reads.
 
-Plans are cached across intervals.  Every member connect bumps the
+Plans are cached across intervals.  Every connect bumps the
 fabric's :attr:`~repro.ixp.fabric.SwitchingFabric.membership_version`
 and every rule-set mutation of a connected port bumps its
 :attr:`~repro.ixp.fabric.SwitchingFabric.rule_epoch`, so
@@ -163,10 +163,11 @@ class PortResults(Mapping[int, PortQosResult]):
 class FabricDeliveryPlan:
     """Compiled snapshot of a fabric's ports and QoS rules.
 
-    A plan is cheap to build (one walk over the connected ports), and it
-    records the fabric's rule epoch, so the fabric keeps reusing it
-    across delivery intervals until :meth:`is_current` reports that the
-    membership or some port's rules changed.
+    A plan is cheap to build (the fabric's member columns plus one walk
+    over the ports built so far), and it records the fabric's rule epoch,
+    so the fabric keeps reusing it across delivery intervals until
+    :meth:`is_current` reports that the membership or some port's rules
+    changed.
     """
 
     def __init__(
@@ -176,29 +177,18 @@ class FabricDeliveryPlan:
     ) -> None:
         self.fabric = fabric
         #: Fabric membership counter at compile time (bumped by every
-        #: ``connect_member``).
+        #: connect that adds members).
         self._membership = fabric.membership_version
         #: Fabric rule epoch at compile time (bumped by every rule-set
         #: mutation of a connected port).
         self._epoch = fabric.rule_epoch
-        # Key membership off the fabric's member registry (the same
-        # source of truth the IPFIX export filter uses), not off whatever
-        # ports the routers happen to carry.
-        self._ports: dict[int, MemberPort] = {
-            asn: fabric.port_for_member(asn)
-            for asn in sorted(member.asn for member in fabric.members())
-        }
-        count = len(self._ports)
-        ports = self._ports.values()
         #: Member ASNs (int64, ascending) and, aligned with them, each
-        #: port's capacity (bps) and its row in the fabric's counter store.
-        self._asns = np.fromiter(self._ports, dtype=np.int64, count=count)
-        self._capacities = np.fromiter(
-            (port.qos.port_capacity_bps for port in ports), dtype=np.float64, count=count
-        )
-        self._slots = np.fromiter(
-            (port.counter_slot for port in ports), dtype=np.intp, count=count
-        )
+        #: port's capacity (bps) and its row in the fabric's counter store,
+        #: read off the fabric's member columns.
+        self._asns, self._capacities, self._slots = fabric.member_columns()
+        #: The ports built so far, ascending by ASN: a port nothing has
+        #: looked up holds no rules, so only these can own a segment.
+        self._ports: dict[int, MemberPort] = dict(sorted(fabric.built_ports().items()))
         #: The platform-level rule set, grouped per member in per-port
         #: precedence order (members in ascending ASN order, matching the
         #: sorted group-by the execution pass produces).
@@ -243,7 +233,7 @@ class FabricDeliveryPlan:
     # ------------------------------------------------------------------
     @property
     def port_count(self) -> int:
-        return len(self._ports)
+        return len(self._asns)
 
     @property
     def rule_count(self) -> int:

@@ -4,17 +4,21 @@ An edge router serves a set of member ports, owns the TCAM that backs its
 QoS policies, and exposes a control plane whose CPU budget limits the
 configuration update rate (paper §5.1).  Rule installation goes through the
 router so TCAM accounting and update-rate accounting stay consistent.
+
+A router numbers its ports when members attach, but builds a
+:class:`~repro.ixp.port.MemberPort` (and its QoS policy) only when the
+port is first looked up: on a city-scale platform only the few ports
+that ever get a rule or a lookup exist as objects.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Optional
 
 from .control_plane import ControlPlaneCpuModel
 from .hardware_profiles import HardwareProfile, l_ixp_edge_router_profile
-from .member import IxpMember
 from .port import MemberPort
 from .qos import QosRule
 from .tcam import TcamExhaustedError, TcamModel, TcamStatus
@@ -49,7 +53,12 @@ class EdgeRouter:
         self.profile = profile if profile is not None else l_ixp_edge_router_profile()
         self.tcam: TcamModel = self.profile.make_tcam()
         self.cpu: ControlPlaneCpuModel = self.profile.make_cpu_model(seed=seed)
-        self._ports_by_asn: dict[int, MemberPort] = {}
+        #: Port id of every attached member, in attach order.
+        self._port_ids: dict[int, int] = {}
+        #: The ports built so far (see :meth:`port_for`).
+        self._ports: dict[int, MemberPort] = {}
+        #: Builds the port of a member attached by :meth:`attach_members`.
+        self._build_port: Optional[Callable[[int, int], MemberPort]] = None
         # Keyed by (port_id, rule_id): rule ids are scoped to one member
         # port's policy, so the same id on two ports of this router is two
         # independent installations, not a replacement.
@@ -61,41 +70,59 @@ class EdgeRouter:
     # ------------------------------------------------------------------
     # Port management
     # ------------------------------------------------------------------
-    def connect_member(self, member: IxpMember) -> MemberPort:
-        """Attach a member to the next free port."""
-        if member.asn in self._ports_by_asn:
-            return self._ports_by_asn[member.asn]
-        if len(self._ports_by_asn) >= self.profile.port_count:
+    def attach_members(
+        self, asns: Sequence[int], build_port: Callable[[int, int], MemberPort]
+    ) -> None:
+        """Give each of ``asns`` the next free port, in order, building none.
+
+        ``build_port(asn, port_id)`` builds a member's port on its first
+        :meth:`port_for`.  Every ASN must be new to the router.  Members
+        attach through ``SwitchingFabric.connect_population``, the one way
+        a port comes to exist.
+        """
+        if len(self._port_ids) + len(asns) > self.profile.port_count:
             raise RuntimeError(
                 f"edge router {self.name} has no free ports "
                 f"(capacity {self.profile.port_count})"
             )
-        port = MemberPort(member=member, port_id=self._next_port_id)
-        self._next_port_id += 1
-        self._ports_by_asn[member.asn] = port
-        return port
+        if not self._port_ids.keys().isdisjoint(asns):
+            raise ValueError(f"a member is already attached to edge router {self.name}")
+        first = self._next_port_id
+        self._port_ids.update(zip(asns, range(first, first + len(asns))))
+        self._next_port_id = first + len(asns)
+        self._build_port = build_port
 
     def port_for(self, member_asn: int) -> MemberPort:
-        try:
-            return self._ports_by_asn[member_asn]
-        except KeyError as exc:
+        """The member's port, built on its first lookup."""
+        port = self._ports.get(member_asn)
+        if port is not None:
+            return port
+        port_id = self._port_ids.get(member_asn)
+        if port_id is None or self._build_port is None:
             raise PortNotFoundError(
                 f"no port for AS{member_asn} on edge router {self.name}"
-            ) from exc
+            )
+        port = self._ports[member_asn] = self._build_port(member_asn, port_id)
+        return port
 
     def has_member(self, member_asn: int) -> bool:
-        return member_asn in self._ports_by_asn
+        return member_asn in self._port_ids
 
     def ports(self) -> list[MemberPort]:
-        return list(self._ports_by_asn.values())
+        """Every attached member's port (building the ones not built yet)."""
+        return [self.port_for(asn) for asn in self._port_ids]
+
+    def built_ports(self) -> list[MemberPort]:
+        """The ports built so far; a port never looked up holds no rules."""
+        return list(self._ports.values())
 
     @property
     def member_asns(self) -> set[int]:
-        return set(self._ports_by_asn)
+        return set(self._port_ids)
 
     @property
     def member_count(self) -> int:
-        return len(self._ports_by_asn)
+        return len(self._port_ids)
 
     # ------------------------------------------------------------------
     # Configuration (consumes TCAM + control-plane budget)
@@ -238,5 +265,5 @@ class EdgeRouter:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"EdgeRouter({self.name}, pop={self.pop}, "
-            f"ports={len(self._ports_by_asn)}/{self.profile.port_count})"
+            f"ports={len(self._port_ids)}/{self.profile.port_count})"
         )

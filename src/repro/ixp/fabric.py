@@ -7,11 +7,17 @@ egress port, where the QoS policy (and thus any Stellar blackholing rule)
 is applied.  The fabric also tracks platform-level utilisation, because
 the paper's egress-filtering choice is only viable while the platform has
 spare capacity to carry attack traffic to the egress port (§4.5).
+
+Membership is held as columns: :meth:`SwitchingFabric.connect_population`
+places a whole :class:`~repro.ixp.member.MemberPopulation` on the routers
+with array operations, and a member's :class:`~repro.ixp.member.IxpMember`
+and :class:`~repro.ixp.port.MemberPort` are built only when looked up.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Optional
@@ -22,7 +28,7 @@ from ..traffic.flowtable import FlowTable
 from ..traffic.ipfix import IpfixCollector, IpfixExporter
 from .delivery import FabricDeliveryPlan
 from .edge_router import EdgeRouter, PortNotFoundError
-from .member import IxpMember
+from .member import IxpMember, MemberPopulation
 from .port import MemberPort, PortCounterStore
 from .qos import PortQosResult, RuleEpoch
 from .shard import columns_to_report_dict
@@ -36,6 +42,27 @@ MEMBER_REPORT_FIELDS = (
     "shaped_dropped_bits",
     "congestion_dropped_bits",
 )
+
+
+def _fill(loads: np.ndarray, count: int) -> np.ndarray:
+    """Positions picked by ``count`` successive least-loaded picks.
+
+    Each pick takes the lowest ``loads`` entry (ties to the lowest
+    position) and raises it by one.  Position ``p`` offers a free slot at
+    every level from ``loads[p]`` up, and the picks take the slots in
+    ascending ``(level, position)`` order; no pick reaches the level
+    where filling every position up to it would already give ``count``
+    slots, nor ``min(loads) + count``.
+    """
+    top = min(
+        int(loads.min()) + count,
+        -(-(int(loads.sum()) + count) // len(loads)),
+    )
+    free = np.maximum(top - loads, 0)
+    positions = np.repeat(np.arange(len(loads)), free)
+    levels = np.arange(len(positions)) - np.repeat(np.cumsum(free) - free, free)
+    levels += np.repeat(loads, free)
+    return positions[np.lexsort((positions, levels))[:count]]
 
 
 def _no_member_fields() -> dict[str, np.ndarray]:
@@ -178,10 +205,26 @@ class SwitchingFabric:
         self.collect_ipfix = collect_ipfix
         self.retain_reports = retain_reports
         self._edge_routers: dict[str, EdgeRouter] = {}
-        self._members: dict[int, IxpMember] = {}
-        self._router_for_member: dict[int, str] = {}
-        #: Bumped by every :meth:`connect_member`; delivery plans compare it
-        #: instead of the member set.
+        #: The routers in the order they were added (a member's router
+        #: column indexes it).
+        self._routers: list[EdgeRouter] = []
+        #: Connected members as columns, one row each in connect order:
+        #: ASN, port capacity (bps) and router (index into the router
+        #: list).  A member's row is also its counter slot.
+        self._asns = np.zeros(0, dtype=np.int64)
+        self._capacities = np.zeros(0)
+        self._router_index = np.zeros(0, dtype=np.intp)
+        #: Each member's row.
+        self._row_of: dict[int, int] = {}
+        #: ``(first row, population)`` of every connected block, in row
+        #: order: where a member's object is built from.
+        self._blocks: list[tuple[int, MemberPopulation]] = []
+        #: Member objects built (or given) so far, by ASN.
+        self._member_objects: dict[int, IxpMember] = {}
+        #: The member columns in ascending-ASN order (see :meth:`member_columns`).
+        self._sorted_columns: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        #: Bumped by every connect that adds members; delivery plans
+        #: compare it instead of the member set.
         self._membership_version = 0
         #: Shared with every connected port's policy; see :attr:`rule_epoch`.
         self._rule_epoch = RuleEpoch()
@@ -201,41 +244,142 @@ class SwitchingFabric:
         if router.name in self._edge_routers:
             raise ValueError(f"edge router {router.name!r} already exists")
         self._edge_routers[router.name] = router
+        self._routers.append(router)
         return router
 
-    def connect_member(self, member: IxpMember, router_name: Optional[str] = None) -> MemberPort:
-        """Connect a member to an edge router (the first one by default)."""
+    def connect_member(self, member: IxpMember) -> MemberPort:
+        """Connect one member and return its port.
+
+        The one-row case of :meth:`connect_population`.  A member already
+        connected keeps its port: it is returned as is, and nothing is
+        bumped.
+        """
+        if member.asn not in self._row_of:
+            self.connect_population(MemberPopulation.from_members([member]))
+        return self.port_for_member(member.asn)
+
+    def connect_population(self, population: MemberPopulation) -> None:
+        """Connect every member of ``population``, in row order.
+
+        Each member goes to the least-loaded router of its PoP (ties to
+        the router added first), or of the whole fabric when its PoP has
+        no router — exactly where connecting the rows one at a time would
+        put it.
+        Counter slots are reserved as one block, the membership version
+        is bumped once, and no port is built.  Raises ``ValueError`` when
+        an ASN repeats or is already connected, and ``RuntimeError`` when
+        a router runs out of ports (nothing is connected then).
+        """
         if not self._edge_routers:
             raise RuntimeError("add an edge router before connecting members")
-        if router_name is None:
-            # Prefer the router in the member's PoP, else the least loaded one.
-            candidates = [
-                router for router in self._edge_routers.values() if router.pop == member.pop
-            ] or list(self._edge_routers.values())
-            router = min(candidates, key=lambda r: r.member_count)
-        else:
-            router = self._edge_routers[router_name]
-        port = router.connect_member(member)
-        port.bind_counters(self.port_counters)
-        port.qos.epoch = self._rule_epoch
-        self._members[member.asn] = member
-        self._router_for_member[member.asn] = router.name
+        count = len(population)
+        if count == 0:
+            return
+        asns = population.asns
+        asn_list = asns.tolist()
+        if len(set(asn_list)) != count:
+            raise ValueError("population repeats a member ASN")
+        if not self._row_of.keys().isdisjoint(asn_list):
+            connected = next(asn for asn in asn_list if asn in self._row_of)
+            raise ValueError(f"AS{connected} is already connected to {self.name}")
+        routers = self._routers
+        placement = self._place(population, routers)
+        added = np.bincount(placement, minlength=len(routers))
+        for router, extra in zip(routers, added.tolist()):
+            if router.member_count + extra > router.profile.port_count:
+                raise RuntimeError(
+                    f"edge router {router.name} has no free ports "
+                    f"(capacity {router.profile.port_count})"
+                )
+        # The counter store grows with the rows: row == slot.
+        first_row = self.port_counters.add_slots(count)
+        by_router = np.argsort(placement, kind="stable")
+        bounds = np.concatenate(([0], np.cumsum(added)))
+        for position in np.flatnonzero(added).tolist():
+            rows = by_router[bounds[position]:bounds[position + 1]]
+            routers[position].attach_members(asns[rows].tolist(), self._build_port)
+        self._asns = np.concatenate((self._asns, asns))
+        self._capacities = np.concatenate((self._capacities, population.port_capacity_bps))
+        self._router_index = np.concatenate((self._router_index, placement))
+        self._row_of.update(zip(asn_list, range(first_row, first_row + count)))
+        self._blocks.append((first_row, population))
+        self._member_objects.update(population.objects)
+        self._sorted_columns = None
         self._membership_version += 1
+
+    @staticmethod
+    def _place(population: MemberPopulation, routers: list[EdgeRouter]) -> np.ndarray:
+        """Each member's router (index into ``routers``), in row order.
+
+        Picking the least-loaded candidate one member at a time hands a
+        PoP's members to its routers in ascending ``(load, router order)``
+        order of the free slots, so a PoP's whole run of members is placed
+        with one sort.  A member whose PoP has no router competes for every
+        router; the rows between two such members are placed per PoP.
+        """
+        loads = np.array([router.member_count for router in routers], dtype=np.int64)
+        by_pop: dict[str, list[int]] = {}
+        for position, router in enumerate(routers):
+            by_pop.setdefault(router.pop, []).append(position)
+        pops, codes = np.unique(population.pops, return_inverse=True)
+        candidates = [
+            np.asarray(by_pop.get(f"pop-{pop}", []), dtype=np.intp) for pop in pops.tolist()
+        ]
+        homeless = np.flatnonzero(
+            np.isin(codes, [code for code, found in enumerate(candidates) if not len(found)])
+        )
+        placement = np.empty(len(population), dtype=np.intp)
+        start = 0
+        for stop in [*homeless.tolist(), len(population)]:
+            segment = codes[start:stop]
+            for code in np.unique(segment).tolist():
+                rows = start + np.flatnonzero(segment == code)
+                chosen = candidates[code][_fill(loads[candidates[code]], len(rows))]
+                placement[rows] = chosen
+                np.add.at(loads, chosen, 1)
+            if stop < len(population):
+                placement[stop] = int(np.argmin(loads))
+                loads[placement[stop]] += 1
+            start = stop + 1
+        return placement
+
+    def _build_port(self, asn: int, port_id: int) -> MemberPort:
+        """The port of a connected member, on its first lookup."""
+        port = MemberPort(self.member(asn), port_id)
+        port.bind_counters(self.port_counters, self._row_of[asn])
+        port.qos.epoch = self._rule_epoch
         return port
 
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def members(self) -> list[IxpMember]:
-        return list(self._members.values())
-
     @property
     def member_asns(self) -> set[int]:
-        return set(self._members)
+        return set(self._row_of)
+
+    def member_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(asns, capacities, counter slots)`` of every member, ascending by ASN.
+
+        Computed once per membership version; the arrays are shared, so
+        callers must not write to them.
+        """
+        if self._sorted_columns is None:
+            order = np.argsort(self._asns, kind="stable")
+            self._sorted_columns = (self._asns[order], self._capacities[order], order)
+        return self._sorted_columns
+
+    def built_ports(self) -> dict[int, MemberPort]:
+        """The connected members' ports built so far, by ASN."""
+        return {
+            port.asn: port
+            for router in self._routers
+            for port in router.built_ports()
+            if port.asn in self._row_of
+        }
 
     @property
     def membership_version(self) -> int:
-        """Monotonic counter bumped by every :meth:`connect_member`."""
+        """Monotonic counter bumped by every connect that adds members."""
         return self._membership_version
 
     @property
@@ -246,27 +390,38 @@ class SwitchingFabric:
         return self._rule_epoch.value
 
     def member(self, asn: int) -> IxpMember:
-        try:
-            return self._members[asn]
-        except KeyError as exc:
-            raise KeyError(f"AS{asn} is not a member of {self.name}") from exc
+        """The connected member ``asn`` (built on its first lookup)."""
+        member = self._member_objects.get(asn)
+        if member is not None:
+            return member
+        row = self._row_of.get(asn)
+        if row is None:
+            raise KeyError(f"AS{asn} is not a member of {self.name}")
+        first, population = self._blocks[
+            bisect_right(self._blocks, row, key=lambda block: block[0]) - 1
+        ]
+        member = self._member_objects[asn] = population.member(row - first)
+        return member
 
     def edge_routers(self) -> list[EdgeRouter]:
-        return list(self._edge_routers.values())
+        return list(self._routers)
 
     def router_for_member(self, member_asn: int) -> EdgeRouter:
-        try:
-            return self._edge_routers[self._router_for_member[member_asn]]
-        except KeyError as exc:
-            raise PortNotFoundError(f"AS{member_asn} is not connected") from exc
+        row = self._row_of.get(member_asn)
+        if row is None:
+            raise PortNotFoundError(f"AS{member_asn} is not connected")
+        return self._routers[self._router_index[row]]
 
     def port_for_member(self, member_asn: int) -> MemberPort:
         return self.router_for_member(member_asn).port_for(member_asn)
 
     @property
     def connected_capacity_bps(self) -> float:
-        """Sum of member port capacities (the "connected capacity")."""
-        return sum(member.port_capacity_bps for member in self._members.values())
+        """Sum of member port capacities (the "connected capacity").
+
+        Summed in connect order, one float add per member.
+        """
+        return float(sum(self._capacities.tolist()))
 
     def rules_version_total(self) -> int:
         """Sum of every connected port's ``rules_version``.
@@ -277,11 +432,7 @@ class SwitchingFabric:
         this total low under churn; the ``rule_churn`` scenario and the
         service bench report it as the recompile-amortization metric.
         """
-        return sum(
-            port.qos.rules_version
-            for router in self._edge_routers.values()
-            for port in router.ports()
-        )
+        return sum(port.qos.rules_version for port in self.built_ports().values())
 
     # ------------------------------------------------------------------
     # Data plane
@@ -341,12 +492,7 @@ class SwitchingFabric:
         """The rows whose egress member is connected (= traffic the IXP saw)."""
         if not len(flows):
             return flows
-        if not self._members:
-            return flows.select(np.zeros(len(flows), dtype=bool))
-        member_asns = np.fromiter(
-            self._members, dtype=np.int64, count=len(self._members)
-        )
-        known = np.isin(flows.egress_asn, member_asns)
+        known = np.isin(flows.egress_asn, self.member_columns()[0])
         return flows if bool(known.all()) else flows.select(known)
 
     def platform_overloaded(self, report: FabricIntervalReport) -> bool:

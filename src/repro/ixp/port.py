@@ -55,14 +55,18 @@ class PortCounterStore:
         self._rows = np.zeros((0, len(COUNTER_FIELDS)))
         self._size = 0
 
-    def add_slot(self) -> int:
-        """Reserve a zeroed row for one more port; returns its slot."""
-        if self._size == len(self._rows):
-            grown = np.zeros((2 * self._size + 1, len(COUNTER_FIELDS)))
-            grown[: self._size] = self._rows
+    def add_slots(self, count: int) -> int:
+        """Reserve zeroed rows for ``count`` more ports; returns the first slot.
+
+        The new slots are consecutive.
+        """
+        first = self._size
+        if first + count > len(self._rows):
+            grown = np.zeros((max(2 * first + 1, first + count), len(COUNTER_FIELDS)))
+            grown[:first] = self._rows[:first]
             self._rows = grown
-        self._size += 1
-        return self._size - 1
+        self._size += count
+        return first
 
     def add(self, slots: np.ndarray, deltas: np.ndarray) -> None:
         """Add ``deltas`` (one row of :data:`COUNTER_FIELDS` per slot).
@@ -83,8 +87,8 @@ class MemberPort:
         self.member = member
         self.port_id = port_id
         self.qos = PortQosPolicy(port_capacity_bps=member.port_capacity_bps)
-        #: The fabric's counter store and this port's row in it, bound by
-        #: :meth:`~repro.ixp.fabric.SwitchingFabric.connect_member`.
+        #: The fabric's counter store and this port's row in it, bound
+        #: when the fabric builds the port.
         self._counter_store: Optional[PortCounterStore] = None
         self.counter_slot = -1
 
@@ -112,11 +116,10 @@ class MemberPort:
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------
-    def bind_counters(self, store: PortCounterStore) -> None:
-        """Give the port a row in ``store`` (once per store)."""
-        if self._counter_store is not store:
-            self._counter_store = store
-            self.counter_slot = store.add_slot()
+    def bind_counters(self, store: PortCounterStore, slot: int) -> None:
+        """Read the port's counters from row ``slot`` of ``store``."""
+        self._counter_store = store
+        self.counter_slot = slot
 
     @property
     def counters(self) -> PortCounters:

@@ -372,9 +372,8 @@ class PortQosPolicy:
         self._action_codes: Optional[np.ndarray] = None
         self._rule_id_codes: Optional[tuple[np.ndarray, list[str]]] = None
         self._anon_ids = itertools.count(1)
-        #: The epoch of the fabric the port is connected to (set by
-        #: :meth:`~repro.ixp.fabric.SwitchingFabric.connect_member`);
-        #: every version bump bumps it too.
+        #: The epoch of the fabric the port is connected to (set by the
+        #: fabric when it builds the port); every version bump bumps it too.
         self.epoch: Optional[RuleEpoch] = None
 
     # ------------------------------------------------------------------

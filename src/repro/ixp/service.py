@@ -455,30 +455,35 @@ class ControlPlaneService:
         self, lane: _RouterLane, horizon: Optional[float]
     ) -> list[tuple[ChangeRequest, ServiceResponse]]:
         resolved: list[tuple[ChangeRequest, ServiceResponse]] = []
-        # member_asn -> install requests awaiting one coalesced flush.
+        # member_asn -> install requests awaiting one coalesced flush, and
+        # their running total of config operations.
         buffers: dict[int, list[_Pending]] = {}
+        buffered_cost: dict[int, int] = {}
 
         def flush(member_asn: int) -> None:
             batch = buffers.pop(member_asn, None)
+            buffered_cost.pop(member_asn, None)
             if batch:
                 self._apply_install_batch(lane, member_asn, batch, horizon, resolved)
 
         while lane.queue:
             pending = lane.queue[0]
             request = pending.request
+            cost = request.cost
             start = max(lane.clock, request.arrival_time)
-            done = start + request.cost * self.op_seconds
+            done = start + cost * self.op_seconds
             if horizon is not None and done > horizon + _EPS:
                 break
             lane.queue.popleft()
-            lane.pending_ops -= request.cost
+            lane.pending_ops -= cost
             lane.clock = done
             pending.done_at = done
             if request.op in ("install", "install_many"):
                 if self.coalesce:
-                    batch = buffers.setdefault(request.member_asn, [])
-                    batch.append(pending)
-                    if sum(p.request.cost for p in batch) >= self.max_coalesce:
+                    buffers.setdefault(request.member_asn, []).append(pending)
+                    total = buffered_cost.get(request.member_asn, 0) + cost
+                    buffered_cost[request.member_asn] = total
+                    if total >= self.max_coalesce:
                         flush(request.member_asn)
                 else:
                     self._apply_install_batch(

@@ -4,8 +4,10 @@ The natural sharding boundary of a DE-CIX-class platform is the PoP: a
 member's port lives in one PoP, egress classification touches only that
 port's rules, and :func:`~repro.ixp.topology.build_multi_pop_fabric` can
 rebuild any subset of PoPs router-for-router identical to the full
-platform (``pop_indices``).  A :class:`ShardPlanner` groups the connected
-members by PoP and packs whole PoPs into a requested number of shards;
+platform (``pop_indices``).  A :class:`ShardPlanner` groups the members
+by PoP (a fabric's router placement, or a
+:class:`~repro.ixp.member.MemberPopulation`'s PoP column) and packs
+whole PoPs into a requested number of shards;
 each :class:`ShardSpec` then describes a self-contained slice of the
 platform that one worker process can simulate independently.
 
@@ -19,23 +21,16 @@ reduce losslessly into the platform-level report —
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from .member import MemberPopulation, pop_index
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .fabric import SwitchingFabric
-    from .member import IxpMember
-
-
-def pop_index(pop_name: str) -> int:
-    """The numeric index of a ``pop-<n>`` label."""
-    prefix, _, suffix = pop_name.partition("-")
-    if prefix != "pop" or not suffix.isdigit():
-        raise ValueError(f"not a pop-<n> label: {pop_name!r}")
-    return int(suffix)
 
 
 @dataclass(frozen=True)
@@ -78,33 +73,32 @@ class ShardPlanner:
     @classmethod
     def for_fabric(cls, fabric: "SwitchingFabric") -> "ShardPlanner":
         """Plan from a live fabric's actual router placement."""
-        units: dict[str, list[int]] = {
-            router.pop: [] for router in fabric.edge_routers()
-        }
-        for member in fabric.members():
-            units[fabric.router_for_member(member.asn).pop].append(member.asn)
+        units: dict[str, list[int]] = {}
+        for router in fabric.edge_routers():
+            units.setdefault(router.pop, []).extend(router.member_asns)
         return cls(units)
 
     @classmethod
-    def for_members(cls, members: Iterable["IxpMember"], pop_count: int) -> "ShardPlanner":
-        """Plan from member PoP assignments, without building a fabric.
+    def for_members(cls, members: MemberPopulation, pop_count: int) -> "ShardPlanner":
+        """Plan from a population's PoP column, without building a fabric.
 
         Valid whenever every PoP has at least one router (the
-        ``build_multi_pop_fabric`` invariant), in which case
-        ``connect_member`` always places a member in its declared PoP and
-        this plan equals :meth:`for_fabric` of the built platform.
+        ``build_multi_pop_fabric`` invariant), in which case the fabric
+        always places a member in its declared PoP and this plan equals
+        :meth:`for_fabric` of the built platform.  A PoP index outside
+        ``1..pop_count`` raises ``ValueError``.
         """
-        units: dict[str, list[int]] = {
-            f"pop-{index}": [] for index in range(1, pop_count + 1)
-        }
-        for member in members:
-            if member.pop not in units:
-                raise ValueError(
-                    f"member AS{member.asn} declares {member.pop!r}, outside "
-                    f"1..{pop_count}"
-                )
-            units[member.pop].append(member.asn)
-        return cls(units)
+        members.check_pops(pop_count)
+        pops = members.pops
+        order = np.argsort(pops, kind="stable")
+        bounds = np.searchsorted(pops[order], np.arange(1, pop_count + 2))
+        asns = members.asns[order]
+        return cls(
+            {
+                f"pop-{index}": asns[bounds[index - 1]:bounds[index]].tolist()
+                for index in range(1, pop_count + 1)
+            }
+        )
 
     # ------------------------------------------------------------------
     # Planning

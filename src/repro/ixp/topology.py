@@ -6,14 +6,18 @@ members' ports spread across them (§2.1; footnote 1 puts the 2017
 platform at ~25 Tbps of connected capacity across hundreds of member
 ports).  This module builds such topologies for the paper-scale
 experiments: a :class:`PortSpeedMix` describes a realistic distribution
-of member port capacities, :func:`build_multi_pop_fabric` lays out the
-PoPs and edge routers, and :func:`make_member_population` draws a seeded
-member population over both.
+of member port capacities, :func:`make_member_population` draws a seeded
+member population as a columnar
+:class:`~repro.ixp.member.MemberPopulation`, and
+:func:`build_multi_pop_fabric` lays out the PoPs and edge routers and
+connects a population to them.
 
-Members connect through :meth:`~repro.ixp.fabric.SwitchingFabric.
-connect_member`, which prefers a router in the member's PoP and
-balances load inside the PoP, so the resulting port placement is
-deterministic per seed.
+Set-up works on columns: the population is drawn as arrays, and the
+fabric connects it in one
+:meth:`~repro.ixp.fabric.SwitchingFabric.connect_population` call, which
+places every member on the least-loaded router of its PoP (ties in
+router order), so the placement is deterministic per seed.  No member
+object, port or QoS policy is built until something looks it up.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from ..sim.rng import make_rng
 from .edge_router import EdgeRouter
 from .fabric import SwitchingFabric
 from .hardware_profiles import HardwareProfile, l_ixp_edge_router_profile
-from .member import IxpMember
+from .member import MemberPopulation
 
 
 @dataclass(frozen=True)
@@ -81,12 +85,13 @@ def build_multi_pop_fabric(
     pop_indices: Optional[Sequence[int]] = None,
     collect_ipfix: bool = True,
     retain_reports: bool = True,
+    members: Optional[MemberPopulation] = None,
 ) -> SwitchingFabric:
     """A fabric with ``pop_count`` PoPs of ``routers_per_pop`` edge routers.
 
     Routers are named ``edge-<pop>-<index>`` and assigned to PoPs
     ``pop-1`` … ``pop-<pop_count>`` (the PoP naming
-    :meth:`~repro.ixp.fabric.SwitchingFabric.connect_member` keys
+    :meth:`~repro.ixp.fabric.SwitchingFabric.connect_population` keys
     placement on).
 
     ``pop_indices`` restricts construction to a subset of the PoPs while
@@ -95,9 +100,16 @@ def build_multi_pop_fabric(
     a ten-PoP platform is indistinguishable, router for router, from
     those PoPs inside the full fabric.  The streaming knobs pass through
     to :class:`~repro.ixp.fabric.SwitchingFabric`.
+
+    ``members``, when given, is connected in row order by one
+    :meth:`~repro.ixp.fabric.SwitchingFabric.connect_population` call;
+    a member whose PoP index falls outside ``1..pop_count`` raises
+    ``ValueError``.
     """
     if pop_count < 1 or routers_per_pop < 1:
         raise ValueError("pop_count and routers_per_pop must be positive")
+    if members is not None:
+        members.check_pops(pop_count)
     if pop_indices is None:
         pop_indices = range(1, pop_count + 1)
     else:
@@ -125,6 +137,8 @@ def build_multi_pop_fabric(
                     seed=None if seed is None else seed + pop_index * 100 + router_index,
                 )
             )
+    if members is not None:
+        fabric.connect_population(members)
     return fabric
 
 
@@ -135,13 +149,14 @@ def make_member_population(
     port_mix: Optional[PortSpeedMix] = None,
     honors_rtbh_fraction: float = 0.30,
     seed: Optional[int] = None,
-) -> list[IxpMember]:
+) -> MemberPopulation:
     """Draw a seeded member population spread over the PoPs.
 
-    Port capacities come from ``port_mix`` (DE-CIX-class by default), PoP
-    assignment is uniform, and ``honors_rtbh_fraction`` of the members
-    honour RTBH signals (the paper's §2.4 compliance finding: ~70 % do
-    not).
+    Members are ASes ``base_asn``, ``base_asn + 1``, …; port capacities
+    come from ``port_mix`` (DE-CIX-class by default), PoP assignment is
+    uniform, and ``honors_rtbh_fraction`` of the members honour RTBH
+    signals (the paper's §2.4 compliance finding: ~70 % do not).  The
+    result is four columns; no member object is built.
     """
     if member_count < 1:
         raise ValueError("member_count must be positive")
@@ -152,13 +167,10 @@ def make_member_population(
     capacities = mix.sample(rng, member_count)
     pops = rng.integers(1, pop_count + 1, size=member_count)
     honors = rng.random(member_count) < honors_rtbh_fraction
-    return [
-        IxpMember(
-            asn=base_asn + index,
-            name=f"member-{index}",
-            port_capacity_bps=float(capacities[index]),
-            pop=f"pop-{int(pops[index])}",
-            honors_rtbh=bool(honors[index]),
-        )
-        for index in range(member_count)
-    ]
+    return MemberPopulation(
+        asns=np.arange(base_asn, base_asn + member_count, dtype=np.int64),
+        port_capacity_bps=capacities,
+        pops=pops,
+        honors_rtbh=honors,
+        base_asn=base_asn,
+    )

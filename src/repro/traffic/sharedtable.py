@@ -28,11 +28,14 @@ generators never set ``src_mac``; record-ingested tables do.)
 from __future__ import annotations
 
 from multiprocessing import resource_tracker, shared_memory
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .flowtable import COLUMNS, FlowTable
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..ixp.member import MemberPopulation
 
 #: Byte alignment of each column within the block.  Eight bytes keeps the
 #: float64/int64 columns naturally aligned regardless of the packed
@@ -203,15 +206,14 @@ class SharedMemberTable:
     """A picklable handle to a member population stored in shared memory.
 
     The sharded city-scale pipeline hands every worker the same member
-    population; re-deriving it per shard runtime costs tens of thousands
-    of ``IxpMember`` constructions per worker start.  This handle packs
-    the population's variable attributes (ASN, port capacity, PoP index,
-    RTBH compliance) into one shared block the parent creates once and
-    every worker maps zero-copy; the derivable attributes (name, MAC,
-    route-server flag, prefixes) follow the
-    :func:`~repro.ixp.topology.make_member_population` conventions, which
-    :meth:`from_members` validates at pack time so reconstruction is
-    attribute-for-attribute exact.
+    population.  This handle packs the columns of a generated
+    :class:`~repro.ixp.member.MemberPopulation` (ASN, port capacity, PoP
+    index, RTBH compliance) into one shared block the parent creates once
+    and every worker maps zero-copy; a worker reads back its own shard's
+    rows as a population (:meth:`members_for`) and builds no member
+    object.  The derivable attributes (name, MAC, route-server flag,
+    prefixes) follow the population's conventions, so only a population
+    without object rows can cross.
 
     Lifecycle mirrors :class:`SharedFlowTable`, with the parent as both
     producer and eventual destroyer: workers only attach (CPython's
@@ -235,53 +237,39 @@ class SharedMemberTable:
     # ------------------------------------------------------------------
     @classmethod
     def from_members(
-        cls, members, base_asn: int = 65000, *, transfer: bool = False
+        cls, members: "MemberPopulation", *, transfer: bool = False
     ) -> "SharedMemberTable":
-        """Pack a generated member population into a shared block.
+        """Copy a population's four columns into a shared block.
 
-        ``members`` must follow the ``make_member_population`` shape —
-        ascending ASNs from ``base_asn``, ``member-<index>`` names,
-        derived MACs, route-server peering, no declared prefixes — since
-        only the variable columns cross the process boundary; anything
-        else is rejected rather than silently reconstructed wrong.
+        ``members`` must have ascending ASNs (rows are found by binary
+        search) and no object rows, since only the columns cross the
+        process boundary; anything else is rejected rather than silently
+        reconstructed wrong.
         """
-        from ..ixp.member import default_mac  # local: traffic package imports first
-        from ..ixp.shard import pop_index
-
-        members = list(members)
-        for row, member in enumerate(members):
-            expected_asn = base_asn + row
-            if (
-                member.asn != expected_asn
-                or member.name != f"member-{row}"
-                or member.mac != default_mac(member.asn)
-                or not member.uses_route_server
-                or member.prefixes
-            ):
-                raise ValueError(
-                    f"member at row {row} does not follow the generated-"
-                    f"population conventions (expected AS{expected_asn} "
-                    f"'member-{row}' with derived attributes)"
-                )
+        asns = members.asns
+        if members.objects or bool(np.any(asns[1:] <= asns[:-1])):
+            raise ValueError(
+                "the population does not follow the generated-population "
+                "conventions (ascending ASNs, no members given as objects)"
+            )
         rows = len(members)
         layout = cls._layout(rows)
         nbytes = 0 if rows == 0 else max(start + rows * np.dtype(dtype).itemsize
                                          for _, dtype, start in layout)
-        handle = cls(None, rows, base_asn, nbytes)
+        handle = cls(None, rows, members.base_asn, nbytes)
         if rows == 0:
             return handle
         shm = shared_memory.SharedMemory(create=True, size=nbytes)
         try:
-            columns = {
-                name: np.ndarray(rows, dtype=np.dtype(dtype), buffer=shm.buf, offset=start)
-                for name, dtype, start in layout
+            sources = {
+                "asn": asns,
+                "port_capacity_bps": members.port_capacity_bps,
+                "pop": members.pops,
+                "honors_rtbh": members.honors_rtbh,
             }
-            columns["asn"][:] = [member.asn for member in members]
-            columns["port_capacity_bps"][:] = [
-                member.port_capacity_bps for member in members
-            ]
-            columns["pop"][:] = [pop_index(member.pop) for member in members]
-            columns["honors_rtbh"][:] = [member.honors_rtbh for member in members]
+            for name, dtype, start in layout:
+                view = np.ndarray(rows, dtype=np.dtype(dtype), buffer=shm.buf, offset=start)
+                view[:] = sources[name]
             if transfer:
                 _untrack(shm)
         except BaseException:
@@ -328,19 +316,17 @@ class SharedMemberTable:
         """The population's ASNs, ascending (a view into the mapping)."""
         return self._mapped()["asn"]
 
-    def members(self) -> list:
-        """Materialise the full population as :class:`~repro.ixp.member.IxpMember`."""
-        return self._build(range(self.rows))
+    def population(self) -> "MemberPopulation":
+        """The whole population (its columns copied out of the mapping)."""
+        return self._take(np.arange(self.rows))
 
-    def members_for(self, asns) -> list:
-        """Materialise only the members owning ``asns`` (any order kept).
+    def members_for(self, asns) -> "MemberPopulation":
+        """The population of the members owning ``asns`` (request order kept).
 
         One ``searchsorted`` over the ascending ASN column resolves the
         rows; unknown ASNs raise ``KeyError``.
         """
         wanted = np.asarray(list(asns), dtype=np.int64)
-        if len(wanted) == 0:
-            return []
         known = self._mapped()["asn"]
         rows = np.searchsorted(known, wanted)
         rows = np.minimum(rows, max(self.rows - 1, 0))
@@ -349,26 +335,20 @@ class SharedMemberTable:
             raise KeyError(
                 f"AS{int(wanted[missing][0])} is not in the shared member table"
             )
-        return self._build(rows.tolist())
+        return self._take(rows)
 
-    def _build(self, rows) -> list:
-        from ..ixp.member import IxpMember  # local: avoid a package import cycle
+    def _take(self, rows: np.ndarray) -> "MemberPopulation":
+        from ..ixp.member import MemberPopulation  # local: avoid a package import cycle
 
         columns = self._mapped()
-        capacities = columns["port_capacity_bps"]
-        pops = columns["pop"]
-        honors = columns["honors_rtbh"]
-        asns = columns["asn"]
-        return [
-            IxpMember(
-                asn=int(asns[row]),
-                name=f"member-{int(asns[row]) - self.base_asn}",
-                port_capacity_bps=float(capacities[row]),
-                pop=f"pop-{int(pops[row])}",
-                honors_rtbh=bool(honors[row]),
-            )
-            for row in rows
-        ]
+        # Fancy indexing copies: the population outlives the mapping.
+        return MemberPopulation(
+            asns=columns["asn"][rows],
+            port_capacity_bps=columns["port_capacity_bps"][rows],
+            pops=columns["pop"][rows],
+            honors_rtbh=columns["honors_rtbh"][rows],
+            base_asn=self.base_asn,
+        )
 
     def close(self) -> None:
         """Drop this process's mapping (array views become invalid)."""

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from fuzz.strategies import router_fabric
 from repro.bgp import (
     PathAttributes,
     Prefix,
@@ -250,7 +251,7 @@ def fill_port(router, member_asn, count=MAX_RULES_PER_PORT):
 class TestAdmission:
     def _router(self):
         router = EdgeRouter("er-1", profile=small_ixp_edge_router_profile())
-        router.connect_member(IxpMember(asn=64500))
+        router_fabric(router, IxpMember(asn=64500))
         return router
 
     def test_admission_ok(self):
@@ -275,7 +276,7 @@ class TestAdmission:
             name="tiny", port_count=4, mac_filter_capacity=2, l3l4_criteria_capacity=3
         )
         router = EdgeRouter("er-1", profile=tiny)
-        router.connect_member(IxpMember(asn=64500))
+        router_fabric(router, IxpMember(asn=64500))
         fill_port(router, 64500, 1)
         reason = admission_rejection(router, 64500, make_rule(port=2).to_qos_rule())
         assert reason.startswith("TCAM limit")

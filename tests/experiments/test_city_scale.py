@@ -13,6 +13,7 @@ import pytest
 
 from repro.experiments.city_scale import (
     CityScaleConfig,
+    _city_population,
     plan_city_shards,
     run_city_scale_experiment,
 )
@@ -27,14 +28,15 @@ def quick_config(**overrides):
 class TestPlan:
     def test_quick_plan_covers_all_members(self):
         config = quick_config()
-        plan = plan_city_shards(config)
+        plan = plan_city_shards(config, _city_population(config))
         assert len(plan) == config.pop_count
         assert sum(len(spec) for spec in plan) == config.member_count
         # The victim (pop-1) is always in the first shard's PoP set.
         assert "pop-1" in plan[0].pops
 
     def test_plan_respects_shard_count(self):
-        plan = plan_city_shards(quick_config(shard_count=3))
+        config = quick_config(shard_count=3)
+        plan = plan_city_shards(config, _city_population(config))
         assert len(plan) == 3
 
 

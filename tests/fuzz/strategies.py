@@ -358,18 +358,25 @@ def member_asns_of(spec: dict) -> list[int]:
 
 def build_fabric(spec: dict) -> SwitchingFabric:
     """Materialise one spec as a live fabric (deterministic per spec)."""
-    fabric = build_multi_pop_fabric(
-        pop_count=spec["pop_count"],
-        routers_per_pop=spec["routers_per_pop"],
-        name="fuzz-ixp",
-        seed=spec["seed"],
-    )
     members = make_member_population(
         spec["member_count"],
         pop_count=spec["pop_count"],
         base_asn=MEMBER_BASE_ASN,
         seed=spec["seed"],
     )
+    return build_multi_pop_fabric(
+        pop_count=spec["pop_count"],
+        routers_per_pop=spec["routers_per_pop"],
+        name="fuzz-ixp",
+        seed=spec["seed"],
+        members=members,
+    )
+
+
+def router_fabric(router: EdgeRouter, *members: IxpMember) -> SwitchingFabric:
+    """``router`` alone on a fabric, with ``members`` connected to it."""
+    fabric = SwitchingFabric(name=f"{router.name}-ixp")
+    fabric.add_edge_router(router)
     for member in members:
         fabric.connect_member(member)
     return fabric

@@ -2,6 +2,7 @@
 
 import pytest
 
+from fuzz.strategies import router_fabric
 from repro.bgp import Prefix
 from repro.ixp import (
     EdgeRouter,
@@ -77,21 +78,34 @@ class TestEdgeRouter:
 
     def test_connect_member_assigns_port(self):
         router = self._router()
-        port = router.connect_member(IxpMember(asn=64500))
+        port = router_fabric(router).connect_member(IxpMember(asn=64500))
         assert router.has_member(64500)
         assert router.port_for(64500) is port
         assert port.port_id == 1
 
     def test_connect_member_is_idempotent(self):
-        router = self._router()
+        fabric = router_fabric(self._router())
         member = IxpMember(asn=64500)
-        assert router.connect_member(member) is router.connect_member(member)
+        assert fabric.connect_member(member) is fabric.connect_member(member)
+
+    def test_fabric_reconnect_keeps_the_port(self):
+        # On a 2-router PoP a second connect used to place a second port on
+        # the other router, leaving an orphan port and counter row behind.
+        fabric = SwitchingFabric()
+        for name in ("er-1", "er-2"):
+            fabric.add_edge_router(EdgeRouter(name, profile=small_ixp_edge_router_profile()))
+        member = IxpMember(asn=64500)
+        port = fabric.connect_member(member)
+        assert fabric.connect_member(member) is port
+        assert fabric.membership_version == 1
+        assert [router.member_count for router in fabric.edge_routers()] == [1, 0]
+        # One counter row was reserved: the next free slot is 1.
+        assert fabric.port_counters.add_slots(0) == 1
 
     def test_port_limit(self):
-        router = self._router(ports=1)
-        router.connect_member(IxpMember(asn=1))
+        fabric = router_fabric(self._router(ports=1), IxpMember(asn=1))
         with pytest.raises(RuntimeError):
-            router.connect_member(IxpMember(asn=2))
+            fabric.connect_member(IxpMember(asn=2))
 
     def test_unknown_member_port_lookup(self):
         with pytest.raises(PortNotFoundError):
@@ -99,7 +113,7 @@ class TestEdgeRouter:
 
     def test_install_rule_consumes_tcam(self):
         router = self._router()
-        router.connect_member(IxpMember(asn=64500))
+        router_fabric(router, IxpMember(asn=64500))
         router.install_rule(64500, drop_rule())
         assert router.tcam.l3l4_criteria_used == 3
         assert router.config_operations == 1
@@ -107,7 +121,7 @@ class TestEdgeRouter:
 
     def test_remove_rule_releases_tcam(self):
         router = self._router()
-        router.connect_member(IxpMember(asn=64500))
+        router_fabric(router, IxpMember(asn=64500))
         router.install_rule(64500, drop_rule())
         assert router.remove_rule(64500, "r1")
         assert router.tcam.l3l4_criteria_used == 0
@@ -115,7 +129,7 @@ class TestEdgeRouter:
 
     def test_reinstall_same_rule_id_does_not_leak_tcam(self):
         router = self._router()
-        router.connect_member(IxpMember(asn=64500))
+        router_fabric(router, IxpMember(asn=64500))
         router.install_rule(64500, drop_rule())
         router.install_rule(64500, drop_rule(src_port=53))
         assert router.tcam.l3l4_criteria_used == 3
@@ -126,14 +140,14 @@ class TestEdgeRouter:
             name="tiny", port_count=4, mac_filter_capacity=1, l3l4_criteria_capacity=3
         )
         router = EdgeRouter("tiny", profile=profile)
-        router.connect_member(IxpMember(asn=64500))
+        router_fabric(router, IxpMember(asn=64500))
         router.install_rule(64500, drop_rule("a"))
         with pytest.raises(TcamExhaustedError):
             router.install_rule(64500, drop_rule("b"))
 
     def test_check_capacity(self):
         router = self._router()
-        router.connect_member(IxpMember(asn=64500))
+        router_fabric(router, IxpMember(asn=64500))
         assert router.check_capacity(drop_rule()) is TcamStatus.OK
 
     def test_deliver_applies_port_policy(self):

@@ -19,7 +19,7 @@ regression test for a bug the fuzzing work fixed:
 
 import pytest
 
-from fuzz.strategies import single_port_fabric
+from fuzz.strategies import router_fabric, single_port_fabric
 from oracle.reference import ReferenceFabric
 from repro.bgp import Prefix
 from repro.ixp import (
@@ -204,8 +204,7 @@ class TestRouterInstallationScoping:
         router = EdgeRouter("edge-1")
         a = IxpMember(asn=64500, name="member-a", port_capacity_bps=10e9)
         b = IxpMember(asn=64501, name="member-b", port_capacity_bps=10e9)
-        router.connect_member(a)
-        router.connect_member(b)
+        router_fabric(router, a, b)
         return router
 
     def test_same_rule_id_on_two_ports_keeps_both_footprints(self):

@@ -33,16 +33,15 @@ INTERVAL = 10.0
 
 
 def make_fabric(pop_count=1, routers_per_pop=1, member_count=3, seed=5):
+    members = make_member_population(member_count, pop_count=pop_count, seed=seed)
     fabric = build_multi_pop_fabric(
         pop_count=pop_count,
         routers_per_pop=routers_per_pop,
         name="svc-ixp",
         seed=seed,
+        members=members,
     )
-    members = make_member_population(member_count, pop_count=pop_count, seed=seed)
-    for member in members:
-        fabric.connect_member(member)
-    return fabric, [member.asn for member in members]
+    return fabric, members.asns.tolist()
 
 
 def drop_rule(rule_id, dst="10.1.0.1/32", src_port=123):

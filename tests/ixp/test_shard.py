@@ -27,10 +27,8 @@ from repro.traffic import FlowTable
 
 
 def make_platform(member_count=60, pop_count=4, seed=11):
-    fabric = build_multi_pop_fabric(pop_count=pop_count, seed=seed)
     members = make_member_population(member_count, pop_count=pop_count, seed=seed)
-    for member in members:
-        fabric.connect_member(member)
+    fabric = build_multi_pop_fabric(pop_count=pop_count, seed=seed, members=members)
     return fabric, members
 
 

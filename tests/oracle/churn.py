@@ -31,7 +31,7 @@ def _interval_starts(config):
 def run_scripted_rule_churn(config):
     """The ``rule_churn`` run with the service core driven synchronously."""
     fabric, victim, members = _build_platform(config)
-    churn_asns = churn_member_asns(config, members)
+    churn_asns = churn_member_asns(config, members.asns)
     stream = generate_churn_requests(config, churn_asns)
     attack, benign, background = _traffic_sources(config, victim, members)
     accounting = _IntervalAccounting(config, fabric, victim)

@@ -92,7 +92,7 @@ class ReferenceFabric:
         """The expected ``FabricIntervalReport.to_dict()`` of one interval."""
         records = table.to_records()
         bits = np.array([record.bits for record in records], dtype=np.int64)
-        connected = {member.asn for member in self.fabric.members()}
+        connected = self.fabric.member_asns
         rows_by_member = {}
         for row, record in enumerate(records):
             if record.egress_member_asn in connected:

@@ -137,9 +137,10 @@ class TestSharedMemberTable:
         members = self.make_members()
         handle = SharedMemberTable.from_members(members)
         try:
-            restored = handle.members()
-            assert restored == members
-            assert handle.asn_array().tolist() == [m.asn for m in members]
+            restored = handle.population()
+            assert list(restored) == list(members)
+            assert restored.base_asn == members.base_asn
+            assert handle.asn_array().tolist() == members.asns.tolist()
             assert not handle.asn_array().flags.owndata  # view into the block
         finally:
             handle.release()
@@ -152,9 +153,9 @@ class TestSharedMemberTable:
         try:
             wanted = [members[7].asn, members[2].asn, members[19].asn]
             subset = handle.members_for(wanted)
-            assert [m.asn for m in subset] == wanted
-            assert subset == [members[7], members[2], members[19]]
-            assert handle.members_for([]) == []
+            assert subset.asns.tolist() == wanted
+            assert list(subset) == [members[7], members[2], members[19]]
+            assert len(handle.members_for([])) == 0
         finally:
             handle.release()
 
@@ -176,14 +177,14 @@ class TestSharedMemberTable:
         try:
             remote = pickle.loads(pickle.dumps(handle))
             assert len(pickle.dumps(handle)) < 512  # metadata only
-            assert remote.members() == members
+            assert list(remote.population()) == list(members)
             remote.close()  # consumer drops its mapping, block survives
-            assert handle.members() == members
+            assert list(handle.population()) == list(members)
         finally:
             handle.release()
 
     def test_rejects_non_generated_population(self):
-        from repro.ixp import IxpMember
+        from repro.ixp import IxpMember, MemberPopulation
         from repro.traffic import SharedMemberTable
 
         custom = IxpMember(
@@ -193,14 +194,18 @@ class TestSharedMemberTable:
             prefixes=["100.10.10.0/24"],
         )
         with pytest.raises(ValueError, match="population conventions"):
-            SharedMemberTable.from_members([custom])
+            SharedMemberTable.from_members(MemberPopulation.from_members([custom]))
+        descending = self.make_members(count=5)[::-1]
+        with pytest.raises(ValueError, match="population conventions"):
+            SharedMemberTable.from_members(descending)
 
     def test_empty_population_needs_no_block(self):
+        from repro.ixp import MemberPopulation
         from repro.traffic import SharedMemberTable
 
-        handle = SharedMemberTable.from_members([])
+        handle = SharedMemberTable.from_members(MemberPopulation.from_members([]))
         assert handle.shm_name is None
-        assert handle.members() == []
+        assert len(handle.population()) == 0
         handle.release()
 
     def test_release_destroys_the_block(self):
