@@ -34,8 +34,16 @@ Quick start::
     stellar.request_mitigation(rule)
 """
 
-from .core import BlackholingRule, RuleAction, Stellar
+from ._lazy import lazy_exports
 
 __version__ = "1.1.0"
 
-__all__ = ["BlackholingRule", "RuleAction", "Stellar", "__version__"]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "BlackholingRule": "core.rules",
+    "RuleAction": "core.rules",
+    "Stellar": "core.stellar",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,54 +1,32 @@
 """Analysis helpers: statistics, collateral damage, compliance, time series."""
 
-from .collateral import (
-    CollateralDamageReport,
-    PortShareSnapshot,
-    collateral_damage,
-    fine_grained_filter_potential,
-    port_share_timeseries,
-)
-from .compliance import (
-    ComplianceSummary,
-    PolicyControlDistribution,
-    compliance_from_event,
-    compliance_from_service,
-    peer_reduction_fraction,
-    policy_control_distribution,
-)
-from .stats import (
-    ConfidenceInterval,
-    LinearRegressionResult,
-    WelchTestResult,
-    cdf_quantile,
-    empirical_cdf,
-    fraction_below,
-    linear_regression,
-    mean_confidence_interval,
-    welch_t_test,
-)
-from .timeseries import AttackTimeSeries, record_delivery
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CollateralDamageReport",
-    "PortShareSnapshot",
-    "collateral_damage",
-    "fine_grained_filter_potential",
-    "port_share_timeseries",
-    "ComplianceSummary",
-    "PolicyControlDistribution",
-    "compliance_from_event",
-    "compliance_from_service",
-    "peer_reduction_fraction",
-    "policy_control_distribution",
-    "ConfidenceInterval",
-    "LinearRegressionResult",
-    "WelchTestResult",
-    "cdf_quantile",
-    "empirical_cdf",
-    "fraction_below",
-    "linear_regression",
-    "mean_confidence_interval",
-    "welch_t_test",
-    "AttackTimeSeries",
-    "record_delivery",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "CollateralDamageReport": "collateral",
+    "PortShareSnapshot": "collateral",
+    "collateral_damage": "collateral",
+    "fine_grained_filter_potential": "collateral",
+    "port_share_timeseries": "collateral",
+    "ComplianceSummary": "compliance",
+    "PolicyControlDistribution": "compliance",
+    "compliance_from_event": "compliance",
+    "compliance_from_service": "compliance",
+    "peer_reduction_fraction": "compliance",
+    "policy_control_distribution": "compliance",
+    "ConfidenceInterval": "stats",
+    "LinearRegressionResult": "stats",
+    "WelchTestResult": "stats",
+    "cdf_quantile": "stats",
+    "empirical_cdf": "stats",
+    "fraction_below": "stats",
+    "linear_regression": "stats",
+    "mean_confidence_interval": "stats",
+    "welch_t_test": "stats",
+    "AttackTimeSeries": "timeseries",
+    "record_delivery": "timeseries",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

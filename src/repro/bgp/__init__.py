@@ -1,90 +1,55 @@
 """BGP substrate: prefixes, communities, messages, RIBs, sessions and the
 IXP route server with its import policy (IRR / RPKI / bogons)."""
 
-from .attributes import Origin, PathAttributes
-from .bogons import BogonFilter
-from .communities import (
-    ExtendedCommunity,
-    LargeCommunity,
-    StandardCommunity,
-    blackhole_community,
-    rtbh_community,
-)
-from .flowspec import (
-    FlowspecAction,
-    FlowspecActionType,
-    FlowspecComponentType,
-    FlowspecRule,
-    drop_rule,
-    rate_limit_rule,
-)
-from .irr import IrrDatabase, RouteObject
-from .messages import (
-    KeepaliveMessage,
-    MessageType,
-    NotificationMessage,
-    OpenMessage,
-    RouteAnnouncement,
-    RouteWithdrawal,
-    UpdateMessage,
-    announcement,
-)
-from .policy import (
-    ImportPolicy,
-    PolicyAction,
-    PolicyResult,
-    RejectReason,
-    permissive_policy,
-)
-from .prefix import Prefix, parse_prefix
-from .rib import RibDiff, RoutingInformationBase, best_path
-from .route_server import PolicyControl, RejectedAnnouncement, RouteServer
-from .rpki import Roa, RpkiValidator, RpkiValidity
-from .session import BgpSession, SessionError, SessionState, SessionType
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Origin",
-    "PathAttributes",
-    "BogonFilter",
-    "ExtendedCommunity",
-    "LargeCommunity",
-    "StandardCommunity",
-    "blackhole_community",
-    "rtbh_community",
-    "FlowspecAction",
-    "FlowspecActionType",
-    "FlowspecComponentType",
-    "FlowspecRule",
-    "drop_rule",
-    "rate_limit_rule",
-    "IrrDatabase",
-    "RouteObject",
-    "KeepaliveMessage",
-    "MessageType",
-    "NotificationMessage",
-    "OpenMessage",
-    "RouteAnnouncement",
-    "RouteWithdrawal",
-    "UpdateMessage",
-    "announcement",
-    "ImportPolicy",
-    "PolicyAction",
-    "PolicyResult",
-    "RejectReason",
-    "permissive_policy",
-    "Prefix",
-    "parse_prefix",
-    "RibDiff",
-    "RoutingInformationBase",
-    "best_path",
-    "PolicyControl",
-    "RejectedAnnouncement",
-    "RouteServer",
-    "Roa",
-    "RpkiValidator",
-    "RpkiValidity",
-    "BgpSession",
-    "SessionError",
-    "SessionState",
-    "SessionType",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "Origin": "attributes",
+    "PathAttributes": "attributes",
+    "BogonFilter": "bogons",
+    "ExtendedCommunity": "communities",
+    "LargeCommunity": "communities",
+    "StandardCommunity": "communities",
+    "blackhole_community": "communities",
+    "rtbh_community": "communities",
+    "FlowspecAction": "flowspec",
+    "FlowspecActionType": "flowspec",
+    "FlowspecComponentType": "flowspec",
+    "FlowspecRule": "flowspec",
+    "drop_rule": "flowspec",
+    "rate_limit_rule": "flowspec",
+    "IrrDatabase": "irr",
+    "RouteObject": "irr",
+    "KeepaliveMessage": "messages",
+    "MessageType": "messages",
+    "NotificationMessage": "messages",
+    "OpenMessage": "messages",
+    "RouteAnnouncement": "messages",
+    "RouteWithdrawal": "messages",
+    "UpdateMessage": "messages",
+    "announcement": "messages",
+    "ImportPolicy": "policy",
+    "PolicyAction": "policy",
+    "PolicyResult": "policy",
+    "RejectReason": "policy",
+    "permissive_policy": "policy",
+    "Prefix": "prefix",
+    "parse_prefix": "prefix",
+    "RibDiff": "rib",
+    "RoutingInformationBase": "rib",
+    "best_path": "rib",
+    "PolicyControl": "route_server",
+    "RejectedAnnouncement": "route_server",
+    "RouteServer": "route_server",
+    "Roa": "rpki",
+    "RpkiValidator": "rpki",
+    "RpkiValidity": "rpki",
+    "BgpSession": "session",
+    "SessionError": "session",
+    "SessionState": "session",
+    "SessionType": "session",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,48 +1,42 @@
 """Stellar core: Advanced Blackholing rules, signaling, management, filtering."""
 
-from .change_queue import ChangeQueue, ChangeType, ConfigChange
-from .community_codec import (
-    CommunityDecodeError,
-    DecodedSignal,
-    StellarCommunityCodec,
-)
-from .controller import BlackholingController, ControllerStats
-from .manager import (
-    MAX_RULES_PER_PORT,
-    DeploymentRecord,
-    DeploymentStatus,
-    NetworkManager,
-)
-from .portal import CustomerPortal, RuleTemplate, ixp_shared_templates
-from .rules import BlackholingRule, RuleAction
-from .signaling import SignalingLayer, SignalRejectedError, SignalResult
-from .stellar import Stellar, StellarIntervalReport
-from .telemetry import MemberTelemetryReport, RuleTelemetry, TelemetryCollector
+from collections.abc import Callable
+from typing import Any
 
-__all__ = [
-    "ChangeQueue",
-    "ChangeType",
-    "ConfigChange",
-    "CommunityDecodeError",
-    "DecodedSignal",
-    "StellarCommunityCodec",
-    "BlackholingController",
-    "ControllerStats",
-    "MAX_RULES_PER_PORT",
-    "DeploymentRecord",
-    "DeploymentStatus",
-    "NetworkManager",
-    "CustomerPortal",
-    "RuleTemplate",
-    "ixp_shared_templates",
-    "BlackholingRule",
-    "RuleAction",
-    "SignalingLayer",
-    "SignalRejectedError",
-    "SignalResult",
-    "Stellar",
-    "StellarIntervalReport",
-    "MemberTelemetryReport",
-    "RuleTelemetry",
-    "TelemetryCollector",
-]
+from .._lazy import lazy_exports
+
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "ChangeQueue": "change_queue",
+    "ChangeType": "change_queue",
+    "ConfigChange": "change_queue",
+    "CommunityDecodeError": "community_codec",
+    "DecodedSignal": "community_codec",
+    "StellarCommunityCodec": "community_codec",
+    "BlackholingController": "controller",
+    "ControllerStats": "controller",
+    "MAX_RULES_PER_PORT": "manager",
+    "DeploymentRecord": "manager",
+    "DeploymentStatus": "manager",
+    "NetworkManager": "manager",
+    "CustomerPortal": "portal",
+    "RuleTemplate": "portal",
+    "ixp_shared_templates": "portal",
+    "BlackholingRule": "rules",
+    "RuleAction": "rules",
+    "SignalingLayer": "signaling",
+    "SignalRejectedError": "signaling",
+    "SignalResult": "signaling",
+    "Stellar": "stellar",
+    "StellarIntervalReport": "stellar",
+    "MemberTelemetryReport": "telemetry",
+    "RuleTelemetry": "telemetry",
+    "TelemetryCollector": "telemetry",
+}
+
+__all__ = list(_EXPORTS)
+# Declared so mypy --strict, which checks this package, types the
+# re-exports at import sites.
+__getattr__: Callable[[str], Any]
+__dir__: Callable[[], list[str]]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -27,168 +27,82 @@ serialization plus the artifact store in :mod:`repro.experiments.results`.
 The ``python -m repro`` CLI is the user-facing entry point to all of it.
 """
 
-from .attack_scenarios import (
-    CarpetBombingConfig,
-    CarpetBombingResult,
-    MultiVectorConfig,
-    MultiVectorResult,
-    PaperScaleConfig,
-    PaperScaleResult,
-    PulseAttackConfig,
-    PulseAttackResult,
-    run_carpet_bombing_experiment,
-    run_multi_vector_experiment,
-    run_paper_scale_experiment,
-    run_pulse_attack_experiment,
-)
-from .change_queueing import (
-    ChangeQueueingConfig,
-    ChangeQueueingResult,
-    generate_change_arrivals,
-    replay_change_arrivals,
-    run_change_queueing_experiment,
-)
-from .collateral_damage import (
-    CollateralDamageConfig,
-    CollateralDamageResult,
-    run_collateral_damage_experiment,
-)
-from .cpu_update_rate import (
-    CpuUpdateRateConfig,
-    CpuUpdateRateResult,
-    run_cpu_update_rate_experiment,
-)
-from .fine_grained import (
-    FineGrainedConfig,
-    FineGrainedResult,
-    FineGrainedTrafficSource,
-    run_fine_grained_experiment,
-)
-from .functionality import (
-    FunctionalityConfig,
-    FunctionalityResult,
-    run_functionality_experiment,
-)
-from .policy_control import (
-    PAPER_FIG3B_SHARES,
-    PolicyControlConfig,
-    PolicyControlResult,
-    run_policy_control_experiment,
-)
-from .port_distribution import (
-    PortDistributionConfig,
-    PortDistributionResult,
-    run_port_distribution_experiment,
-)
-from .rtbh_attack import RtbhAttackConfig, RtbhAttackResult, run_rtbh_attack_experiment
-from .scaling import (
-    PAPER_FIG9,
-    ScalingConfig,
-    ScalingMatrix,
-    ScalingResult,
-    run_scaling_experiment,
-)
-from .harness import SteppedExperiment
-from .registry import (
-    ExperimentSpec,
-    all_experiments,
-    experiment_names,
-    get_experiment,
-)
-from .results import JsonResultMixin, ResultStore, to_jsonable
-from .scenario import (
-    AttackScenario,
-    FineGrainedScenario,
-    PaperScaleScenario,
-    build_attack_scenario,
-    build_fine_grained_scenario,
-    build_paper_scale_scenario,
-)
-from .stellar_attack import (
-    StellarAttackConfig,
-    StellarAttackResult,
-    run_stellar_attack_experiment,
-)
-from .sweep import Sweep, SweepResult, run_sweep
-from .table1 import (
-    QuantitativeComparisonResult,
-    Table1Config,
-    Table1Result,
-    build_table1,
-    run_quantitative_comparison,
-    run_table1_experiment,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CarpetBombingConfig",
-    "CarpetBombingResult",
-    "MultiVectorConfig",
-    "MultiVectorResult",
-    "PaperScaleConfig",
-    "PaperScaleResult",
-    "PulseAttackConfig",
-    "PulseAttackResult",
-    "run_carpet_bombing_experiment",
-    "run_multi_vector_experiment",
-    "run_paper_scale_experiment",
-    "run_pulse_attack_experiment",
-    "ChangeQueueingConfig",
-    "ChangeQueueingResult",
-    "generate_change_arrivals",
-    "replay_change_arrivals",
-    "run_change_queueing_experiment",
-    "CollateralDamageConfig",
-    "CollateralDamageResult",
-    "run_collateral_damage_experiment",
-    "CpuUpdateRateConfig",
-    "CpuUpdateRateResult",
-    "run_cpu_update_rate_experiment",
-    "FineGrainedConfig",
-    "FineGrainedResult",
-    "FineGrainedTrafficSource",
-    "run_fine_grained_experiment",
-    "FunctionalityConfig",
-    "FunctionalityResult",
-    "run_functionality_experiment",
-    "PAPER_FIG3B_SHARES",
-    "PolicyControlConfig",
-    "PolicyControlResult",
-    "run_policy_control_experiment",
-    "PortDistributionConfig",
-    "PortDistributionResult",
-    "run_port_distribution_experiment",
-    "RtbhAttackConfig",
-    "RtbhAttackResult",
-    "run_rtbh_attack_experiment",
-    "PAPER_FIG9",
-    "ScalingConfig",
-    "ScalingMatrix",
-    "ScalingResult",
-    "run_scaling_experiment",
-    "AttackScenario",
-    "FineGrainedScenario",
-    "PaperScaleScenario",
-    "build_attack_scenario",
-    "build_fine_grained_scenario",
-    "build_paper_scale_scenario",
-    "StellarAttackConfig",
-    "StellarAttackResult",
-    "run_stellar_attack_experiment",
-    "QuantitativeComparisonResult",
-    "Table1Config",
-    "Table1Result",
-    "build_table1",
-    "run_quantitative_comparison",
-    "run_table1_experiment",
-    "SteppedExperiment",
-    "ExperimentSpec",
-    "all_experiments",
-    "experiment_names",
-    "get_experiment",
-    "JsonResultMixin",
-    "ResultStore",
-    "to_jsonable",
-    "Sweep",
-    "SweepResult",
-    "run_sweep",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "CarpetBombingConfig": "attack_scenarios",
+    "CarpetBombingResult": "attack_scenarios",
+    "MultiVectorConfig": "attack_scenarios",
+    "MultiVectorResult": "attack_scenarios",
+    "PaperScaleConfig": "attack_scenarios",
+    "PaperScaleResult": "attack_scenarios",
+    "PulseAttackConfig": "attack_scenarios",
+    "PulseAttackResult": "attack_scenarios",
+    "run_carpet_bombing_experiment": "attack_scenarios",
+    "run_multi_vector_experiment": "attack_scenarios",
+    "run_paper_scale_experiment": "attack_scenarios",
+    "run_pulse_attack_experiment": "attack_scenarios",
+    "ChangeQueueingConfig": "change_queueing",
+    "ChangeQueueingResult": "change_queueing",
+    "generate_change_arrivals": "change_queueing",
+    "replay_change_arrivals": "change_queueing",
+    "run_change_queueing_experiment": "change_queueing",
+    "CollateralDamageConfig": "collateral_damage",
+    "CollateralDamageResult": "collateral_damage",
+    "run_collateral_damage_experiment": "collateral_damage",
+    "CpuUpdateRateConfig": "cpu_update_rate",
+    "CpuUpdateRateResult": "cpu_update_rate",
+    "run_cpu_update_rate_experiment": "cpu_update_rate",
+    "FineGrainedConfig": "fine_grained",
+    "FineGrainedResult": "fine_grained",
+    "FineGrainedTrafficSource": "fine_grained",
+    "run_fine_grained_experiment": "fine_grained",
+    "FunctionalityConfig": "functionality",
+    "FunctionalityResult": "functionality",
+    "run_functionality_experiment": "functionality",
+    "PAPER_FIG3B_SHARES": "policy_control",
+    "PolicyControlConfig": "policy_control",
+    "PolicyControlResult": "policy_control",
+    "run_policy_control_experiment": "policy_control",
+    "PortDistributionConfig": "port_distribution",
+    "PortDistributionResult": "port_distribution",
+    "run_port_distribution_experiment": "port_distribution",
+    "RtbhAttackConfig": "rtbh_attack",
+    "RtbhAttackResult": "rtbh_attack",
+    "run_rtbh_attack_experiment": "rtbh_attack",
+    "PAPER_FIG9": "scaling",
+    "ScalingConfig": "scaling",
+    "ScalingMatrix": "scaling",
+    "ScalingResult": "scaling",
+    "run_scaling_experiment": "scaling",
+    "AttackScenario": "scenario",
+    "FineGrainedScenario": "scenario",
+    "PaperScaleScenario": "scenario",
+    "build_attack_scenario": "scenario",
+    "build_fine_grained_scenario": "scenario",
+    "build_paper_scale_scenario": "scenario",
+    "StellarAttackConfig": "stellar_attack",
+    "StellarAttackResult": "stellar_attack",
+    "run_stellar_attack_experiment": "stellar_attack",
+    "QuantitativeComparisonResult": "table1",
+    "Table1Config": "table1",
+    "Table1Result": "table1",
+    "build_table1": "table1",
+    "run_quantitative_comparison": "table1",
+    "run_table1_experiment": "table1",
+    "SteppedExperiment": "harness",
+    "ExperimentSpec": "registry",
+    "all_experiments": "registry",
+    "experiment_names": "registry",
+    "get_experiment": "registry",
+    "JsonResultMixin": "results",
+    "ResultStore": "results",
+    "to_jsonable": "results",
+    "Sweep": "sweep",
+    "SweepResult": "sweep",
+    "run_sweep": "sweep",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

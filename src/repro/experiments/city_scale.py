@@ -65,7 +65,7 @@ from ..traffic.generator import IxpTraceGenerator
 from ..traffic.sharedtable import SharedMemberTable
 from .parallel import EXECUTION_MODES, iter_shard_intervals
 from .results import JsonResultMixin
-from .scenario import DEFAULT_VICTIM_ASN, DEFAULT_VICTIM_IP
+from .victim import DEFAULT_VICTIM_ASN, DEFAULT_VICTIM_IP
 
 
 @dataclass

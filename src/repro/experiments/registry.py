@@ -2,42 +2,25 @@
 
 Each table/figure of the paper's evaluation — plus the scenario-diversity
 experiments added on top — is described by an :class:`ExperimentSpec`: its
-config dataclass, runner, paper reference and the overrides that make a
-quick smoke run cheap.  The CLI, the sweep layer and the tests enumerate,
-configure and run every experiment uniformly instead of importing ad-hoc
-driver functions.
+driver module, config dataclass, runner, paper reference and the overrides
+that make a quick smoke run cheap.  The CLI, the sweep layer and the tests
+enumerate, configure and run every experiment uniformly instead of
+importing ad-hoc driver functions.
+
+A spec names its driver module and imports it on the first
+:attr:`~ExperimentSpec.config_cls` or :attr:`~ExperimentSpec.runner`
+lookup, so looking an experiment up imports that one driver and listing
+the registry imports none.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import importlib
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
+from types import ModuleType
 from typing import Any
-
-from .attack_scenarios import (
-    CarpetBombingConfig,
-    MultiVectorConfig,
-    PaperScaleConfig,
-    PulseAttackConfig,
-    run_carpet_bombing_experiment,
-    run_multi_vector_experiment,
-    run_paper_scale_experiment,
-    run_pulse_attack_experiment,
-)
-from .change_queueing import ChangeQueueingConfig, run_change_queueing_experiment
-from .city_scale import CityScaleConfig, run_city_scale_experiment
-from .collateral_damage import CollateralDamageConfig, run_collateral_damage_experiment
-from .cpu_update_rate import CpuUpdateRateConfig, run_cpu_update_rate_experiment
-from .fine_grained import FineGrainedConfig, run_fine_grained_experiment
-from .functionality import FunctionalityConfig, run_functionality_experiment
-from .policy_control import PolicyControlConfig, run_policy_control_experiment
-from .port_distribution import PortDistributionConfig, run_port_distribution_experiment
-from .rtbh_attack import RtbhAttackConfig, run_rtbh_attack_experiment
-from .rule_churn import RuleChurnConfig, run_rule_churn_experiment
-from .scaling import ScalingConfig, run_scaling_experiment
-from .stellar_attack import StellarAttackConfig, run_stellar_attack_experiment
-from .table1 import Table1Config, run_table1_experiment
 
 
 @dataclass(frozen=True)
@@ -50,16 +33,32 @@ class ExperimentSpec:
     figure: str
     #: One-line description shown by ``python -m repro list``.
     title: str
-    #: The config dataclass; every field is a sweepable/CLI-settable knob.
-    config_cls: type
-    #: ``runner(config) -> result``; results expose ``to_dict()``/``summary()``.
-    runner: Callable[[Any], Any]
+    #: The driver module, relative to :mod:`repro.experiments`.
+    driver: str
+    #: Name of the driver's config dataclass (:attr:`config_cls`).
+    config_name: str
+    #: Name of the driver's run function (:attr:`runner`).
+    runner_name: str
     #: Alternative lookup names (module-style names, paper shorthands).
     aliases: tuple[str, ...] = ()
     #: Config overrides applied by ``--quick`` / smoke runs.
     quick_overrides: Mapping[str, Any] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
+    def driver_module(self) -> ModuleType:
+        """The driver module, imported on first use."""
+        return importlib.import_module(f"{__package__}.{self.driver}")
+
+    @property
+    def config_cls(self) -> type:
+        """The config dataclass; every field is a sweepable/CLI-settable knob."""
+        return getattr(self.driver_module(), self.config_name)
+
+    @property
+    def runner(self) -> Callable[[Any], Any]:
+        """``runner(config) -> result``; results expose ``to_dict()``/``summary()``."""
+        return getattr(self.driver_module(), self.runner_name)
+
     def config_fields(self) -> list[dataclasses.Field]:
         return list(dataclasses.fields(self.config_cls))
 
@@ -132,8 +131,9 @@ register(
         name="table1",
         figure="Table 1",
         title="Qualitative + quantitative comparison of DDoS mitigation techniques",
-        config_cls=Table1Config,
-        runner=run_table1_experiment,
+        driver="table1",
+        config_name="Table1Config",
+        runner_name="run_table1_experiment",
         aliases=("comparison",),
         quick_overrides={"seed": 3},
     )
@@ -143,8 +143,9 @@ register(
         name="fig2c",
         figure="Fig. 2(c)",
         title="Collateral damage of RTBH during a memcached amplification attack",
-        config_cls=CollateralDamageConfig,
-        runner=run_collateral_damage_experiment,
+        driver="collateral_damage",
+        config_name="CollateralDamageConfig",
+        runner_name="run_collateral_damage_experiment",
         aliases=("collateral-damage", "collateral_damage"),
         quick_overrides={"duration": 1200.0, "attack_start": 480.0, "peer_count": 8},
     )
@@ -154,8 +155,9 @@ register(
         name="fig3a",
         figure="Fig. 3(a)",
         title="UDP source ports of blackholed vs. regular traffic",
-        config_cls=PortDistributionConfig,
-        runner=run_port_distribution_experiment,
+        driver="port_distribution",
+        config_name="PortDistributionConfig",
+        runner_name="run_port_distribution_experiment",
         aliases=("port-distribution", "port_distribution"),
         quick_overrides={
             "member_count": 20,
@@ -169,8 +171,9 @@ register(
         name="fig3b",
         figure="Fig. 3(b)",
         title="Usage of policy control for RTBH announcements",
-        config_cls=PolicyControlConfig,
-        runner=run_policy_control_experiment,
+        driver="policy_control",
+        config_name="PolicyControlConfig",
+        runner_name="run_policy_control_experiment",
         aliases=("policy-control", "policy_control"),
         quick_overrides={"announcement_count": 2000, "member_count": 80},
     )
@@ -180,8 +183,9 @@ register(
         name="fig3c",
         figure="Fig. 3(c)",
         title="Active DDoS attack exposing RTBH ineffectiveness",
-        config_cls=RtbhAttackConfig,
-        runner=run_rtbh_attack_experiment,
+        driver="rtbh_attack",
+        config_name="RtbhAttackConfig",
+        runner_name="run_rtbh_attack_experiment",
         aliases=("rtbh-attack", "rtbh_attack", "rtbh"),
         quick_overrides={"duration": 500.0, "peer_count": 15},
     )
@@ -191,8 +195,9 @@ register(
         name="fig9",
         figure="Fig. 9",
         title="Stellar scaling limits by IXP member adoption rate",
-        config_cls=ScalingConfig,
-        runner=run_scaling_experiment,
+        driver="scaling",
+        config_name="ScalingConfig",
+        runner_name="run_scaling_experiment",
         aliases=("scaling",),
     )
 )
@@ -201,8 +206,9 @@ register(
         name="fig10a",
         figure="Fig. 10(a)",
         title="Control-plane CPU usage vs. rule-update rate",
-        config_cls=CpuUpdateRateConfig,
-        runner=run_cpu_update_rate_experiment,
+        driver="cpu_update_rate",
+        config_name="CpuUpdateRateConfig",
+        runner_name="run_cpu_update_rate_experiment",
         aliases=("cpu-update-rate", "cpu_update_rate"),
         quick_overrides={"samples_per_rate": 10},
     )
@@ -212,8 +218,9 @@ register(
         name="fig10b",
         figure="Fig. 10(b)",
         title="Queueing delay of configuration changes",
-        config_cls=ChangeQueueingConfig,
-        runner=run_change_queueing_experiment,
+        driver="change_queueing",
+        config_name="ChangeQueueingConfig",
+        runner_name="run_change_queueing_experiment",
         aliases=("change-queueing", "change_queueing"),
         quick_overrides={"duration_seconds": 4 * 3600.0, "burst_count": 4},
     )
@@ -223,8 +230,9 @@ register(
         name="fig10c",
         figure="Fig. 10(c)",
         title="Active DDoS attack mitigated with Stellar (shape, then drop)",
-        config_cls=StellarAttackConfig,
-        runner=run_stellar_attack_experiment,
+        driver="stellar_attack",
+        config_name="StellarAttackConfig",
+        runner_name="run_stellar_attack_experiment",
         aliases=("stellar-attack", "stellar_attack", "stellar"),
         quick_overrides={"duration": 560.0, "peer_count": 20},
     )
@@ -234,8 +242,9 @@ register(
         name="functionality",
         figure="§5.2 lab",
         title="Drop/shape/forward queue behaviour of the filtering layer",
-        config_cls=FunctionalityConfig,
-        runner=run_functionality_experiment,
+        driver="functionality",
+        config_name="FunctionalityConfig",
+        runner_name="run_functionality_experiment",
         aliases=("lab", "sec5.2"),
         quick_overrides={"target_ip_count": 2, "peer_count": 3},
     )
@@ -250,8 +259,9 @@ register(
         name="pulse",
         figure="scenario",
         title="Pulse-wave (on/off burst) attack against classic RTBH",
-        config_cls=PulseAttackConfig,
-        runner=run_pulse_attack_experiment,
+        driver="attack_scenarios",
+        config_name="PulseAttackConfig",
+        runner_name="run_pulse_attack_experiment",
         aliases=("pulse-attack", "pulse_attack"),
         quick_overrides={"duration": 500.0, "peer_count": 12},
     )
@@ -261,8 +271,9 @@ register(
         name="carpet",
         figure="scenario",
         title="Carpet-bombing attack spread over a prefix vs. /32 blackholing",
-        config_cls=CarpetBombingConfig,
-        runner=run_carpet_bombing_experiment,
+        driver="attack_scenarios",
+        config_name="CarpetBombingConfig",
+        runner_name="run_carpet_bombing_experiment",
         aliases=("carpet-bombing", "carpet_bombing"),
         quick_overrides={"duration": 500.0, "peer_count": 12},
     )
@@ -272,8 +283,9 @@ register(
         name="multivector",
         figure="scenario",
         title="Multi-vector amplification attack, one Stellar rule per vector",
-        config_cls=MultiVectorConfig,
-        runner=run_multi_vector_experiment,
+        driver="attack_scenarios",
+        config_name="MultiVectorConfig",
+        runner_name="run_multi_vector_experiment",
         aliases=("multi-vector", "multi_vector"),
         quick_overrides={"duration": 700.0, "peer_count": 12},
     )
@@ -283,8 +295,9 @@ register(
         name="fine_grained",
         figure="scenario",
         title="Tens of thousands of fine-grained rules on the compiled match index",
-        config_cls=FineGrainedConfig,
-        runner=run_fine_grained_experiment,
+        driver="fine_grained",
+        config_name="FineGrainedConfig",
+        runner_name="run_fine_grained_experiment",
         aliases=("fine-grained", "rule-scale"),
         quick_overrides={
             "duration": 60.0,
@@ -302,8 +315,9 @@ register(
         name="city_scale",
         figure="scenario",
         title="City-scale platform (10k+ members) on the sharded interval pipeline",
-        config_cls=CityScaleConfig,
-        runner=run_city_scale_experiment,
+        driver="city_scale",
+        config_name="CityScaleConfig",
+        runner_name="run_city_scale_experiment",
         aliases=("city-scale", "sharded"),
         quick_overrides={
             "duration": 240.0,
@@ -327,8 +341,9 @@ register(
         name="paper_scale",
         figure="scenario",
         title="Paper-scale multi-PoP platform (~800 members) vs. Stellar",
-        config_cls=PaperScaleConfig,
-        runner=run_paper_scale_experiment,
+        driver="attack_scenarios",
+        config_name="PaperScaleConfig",
+        runner_name="run_paper_scale_experiment",
         aliases=("paper-scale", "platform-scale"),
         quick_overrides={
             "duration": 300.0,
@@ -346,8 +361,9 @@ register(
         name="rule_churn",
         figure="scenario",
         title="Concurrent member rule churn through the control-plane service",
-        config_cls=RuleChurnConfig,
-        runner=run_rule_churn_experiment,
+        driver="rule_churn",
+        config_name="RuleChurnConfig",
+        runner_name="run_rule_churn_experiment",
         aliases=("rule-churn", "churn", "control-plane-service"),
         quick_overrides={
             "duration": 80.0,

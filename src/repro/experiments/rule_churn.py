@@ -67,7 +67,7 @@ from ..traffic.generator import IxpTraceGenerator
 from ..traffic.packet import IpProtocol
 from .heap import frozen_heap
 from .results import JsonResultMixin
-from .scenario import DEFAULT_VICTIM_ASN, DEFAULT_VICTIM_IP
+from .victim import DEFAULT_VICTIM_ASN, DEFAULT_VICTIM_IP
 
 #: Reflection-prone source ports the churn rules filter on.
 _CHURN_SOURCE_PORTS = (19, 53, 123, 389, 11211)

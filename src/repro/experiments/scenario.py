@@ -41,16 +41,11 @@ from ..traffic.attack_variants import (
 from ..traffic.attacks import BenignTrafficSource, BooterAttack
 from ..traffic.flowtable import FlowTable
 from ..traffic.generator import IxpTraceGenerator
+from .victim import DEFAULT_VICTIM_ASN, DEFAULT_VICTIM_IP
 
 #: ASN used for the IXP's route server / management AS (a 16-bit private ASN
 #: so the extended-community encoding applies).
 DEFAULT_IXP_ASN = 64700
-
-#: ASN of the experimental AS under attack.
-DEFAULT_VICTIM_ASN = 64500
-
-#: IP address attacked in the controlled experiments.
-DEFAULT_VICTIM_IP = "100.10.10.10"
 
 
 #: Any of the attack generators a scenario can carry; all expose the same

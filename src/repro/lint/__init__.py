@@ -24,7 +24,8 @@ from .engine import (
     run_lint,
     write_baseline,
 )
-from .rules import LintRule, default_rules
+from .rules import default_rules
+from .rules.base import LintRule
 
 __all__ = [
     "BASELINE_NAME",

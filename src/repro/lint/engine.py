@@ -4,8 +4,8 @@ An extensible AST-based checker in the spirit of xDECAF's pluggable
 detector registry: each :class:`LintRule` encodes one *correctness
 contract* of the reproduction — determinism, cache-version discipline,
 shared-memory lifecycle, vectorization discipline, spawn safety, float
-accounting — that the dynamic oracles (parity tests, the Hypothesis fuzz
-suite) police only after the fact.  The engine walks Python files,
+accounting, import layering — that the dynamic oracles (parity tests,
+the Hypothesis fuzz suite) police only after the fact.  The engine walks Python files,
 parses each exactly once into a :class:`ParsedModule`, dispatches the
 rules whose path scope matches, honours ``# repro-lint:`` suppression
 pragmas, filters findings through a checked-in baseline (so pre-existing

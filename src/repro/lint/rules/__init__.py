@@ -9,6 +9,7 @@ from __future__ import annotations
 from .base import ImportMap, LintRule, dotted_name
 from .determinism import DeterminismRule
 from .floataccounting import FloatAccountingRule
+from .imports import SubmoduleImportRule
 from .sharedmem import SharedMemoryLifecycleRule
 from .spawnsafety import SpawnSafetyRule
 from .vectorization import VectorizationRule
@@ -24,6 +25,7 @@ def default_rules() -> list[LintRule]:
         VectorizationRule(),
         SpawnSafetyRule(),
         FloatAccountingRule(),
+        SubmoduleImportRule(),
     ]
 
 
@@ -34,6 +36,7 @@ __all__ = [
     "LintRule",
     "SharedMemoryLifecycleRule",
     "SpawnSafetyRule",
+    "SubmoduleImportRule",
     "VectorizationRule",
     "VersionBumpRule",
     "default_rules",

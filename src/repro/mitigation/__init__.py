@@ -1,46 +1,33 @@
 """Mitigation baselines: RTBH, ACL filters, Flowspec, scrubbing, comparison."""
 
-from .acl import AccessControlList, AclEntry, AclMitigation
-from .base import (
-    Dimension,
-    MitigationOutcome,
-    MitigationTechnique,
-    NoMitigation,
-    Rating,
-)
-from .combined import CombinedMitigation, CombinedOutcome, scrubbing_cost_saving
-from .comparison import (
-    PAPER_TABLE_1,
-    TECHNIQUE_ORDER,
-    ComparisonTable,
-    build_comparison_table,
-)
-from .flowspec import FlowspecMitigation, FlowspecService, InstalledFlowspecRule
-from .rtbh import BlackholeEvent, RtbhMitigation, RtbhService
-from .scrubbing import ScrubbingCenter, ScrubbingMitigation
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CombinedMitigation",
-    "CombinedOutcome",
-    "scrubbing_cost_saving",
-    "AccessControlList",
-    "AclEntry",
-    "AclMitigation",
-    "Dimension",
-    "MitigationOutcome",
-    "MitigationTechnique",
-    "NoMitigation",
-    "Rating",
-    "PAPER_TABLE_1",
-    "TECHNIQUE_ORDER",
-    "ComparisonTable",
-    "build_comparison_table",
-    "FlowspecMitigation",
-    "FlowspecService",
-    "InstalledFlowspecRule",
-    "BlackholeEvent",
-    "RtbhMitigation",
-    "RtbhService",
-    "ScrubbingCenter",
-    "ScrubbingMitigation",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "CombinedMitigation": "combined",
+    "CombinedOutcome": "combined",
+    "scrubbing_cost_saving": "combined",
+    "AccessControlList": "acl",
+    "AclEntry": "acl",
+    "AclMitigation": "acl",
+    "Dimension": "base",
+    "MitigationOutcome": "base",
+    "MitigationTechnique": "base",
+    "NoMitigation": "base",
+    "Rating": "base",
+    "PAPER_TABLE_1": "comparison",
+    "TECHNIQUE_ORDER": "comparison",
+    "ComparisonTable": "comparison",
+    "build_comparison_table": "comparison",
+    "FlowspecMitigation": "flowspec",
+    "FlowspecService": "flowspec",
+    "InstalledFlowspecRule": "flowspec",
+    "BlackholeEvent": "rtbh",
+    "RtbhMitigation": "rtbh",
+    "RtbhService": "rtbh",
+    "ScrubbingCenter": "scrubbing",
+    "ScrubbingMitigation": "scrubbing",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,30 +1,23 @@
 """Simulation substrate: clock, event engine and deterministic randomness."""
 
-from .clock import SimulationClock, check_duration, check_interval
-from .engine import SimulationEngine
-from .events import Event, EventLog
-from .rng import (
-    DEFAULT_SEED,
-    derive_seed,
-    exponential_interarrivals,
-    make_rng,
-    pareto_bytes,
-    spawn,
-    weighted_choice,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SimulationClock",
-    "check_duration",
-    "check_interval",
-    "SimulationEngine",
-    "Event",
-    "EventLog",
-    "DEFAULT_SEED",
-    "derive_seed",
-    "make_rng",
-    "spawn",
-    "weighted_choice",
-    "pareto_bytes",
-    "exponential_interarrivals",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "SimulationClock": "clock",
+    "check_duration": "clock",
+    "check_interval": "clock",
+    "SimulationEngine": "engine",
+    "Event": "events",
+    "EventLog": "events",
+    "DEFAULT_SEED": "rng",
+    "derive_seed": "rng",
+    "make_rng": "rng",
+    "spawn": "rng",
+    "weighted_choice": "rng",
+    "pareto_bytes": "rng",
+    "exponential_interarrivals": "rng",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

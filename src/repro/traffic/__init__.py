@@ -1,74 +1,49 @@
 """Traffic substrate: flow records, amplification attacks, synthetic traces."""
 
-from .amplification import (
-    AMPLIFICATION_PRONE_PORTS,
-    VECTORS,
-    AmplificationVector,
-    get_vector,
-    vector_for_port,
-)
-from .attack_variants import CarpetBombingAttack, MultiVectorAttack, PulseAttack
-from .attacks import AmplificationAttack, BenignTrafficSource, BooterAttack
-from .flow import (
-    FiveTuple,
-    FlowRecord,
-    distinct_ingress_members,
-    distinct_sources,
-    total_bytes,
-    total_rate_bps,
-)
-from .flowtable import FlowTable, derived_mac, ints_to_ips, ip_to_int
-from .generator import IxpTraceGenerator, MemberAttackScenarioGenerator, RtbhEvent
-from .ipfix import ExportedTable, IpfixCollector, IpfixExporter
-from .packet import ETHERNET_MTU, IpProtocol, PacketTemplate, WellKnownPort
-from .sharedtable import SharedFlowTable, SharedMemberTable
-from .profiles import (
-    TrafficProfile,
-    attack_profile,
-    benign_web_profile,
-    blackholed_traffic_profile,
-    other_traffic_profile,
-)
-from .trace import TrafficTrace
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AMPLIFICATION_PRONE_PORTS",
-    "VECTORS",
-    "AmplificationVector",
-    "get_vector",
-    "vector_for_port",
-    "AmplificationAttack",
-    "BenignTrafficSource",
-    "BooterAttack",
-    "CarpetBombingAttack",
-    "MultiVectorAttack",
-    "PulseAttack",
-    "FiveTuple",
-    "FlowRecord",
-    "distinct_ingress_members",
-    "distinct_sources",
-    "total_bytes",
-    "total_rate_bps",
-    "FlowTable",
-    "derived_mac",
-    "ints_to_ips",
-    "ip_to_int",
-    "IxpTraceGenerator",
-    "MemberAttackScenarioGenerator",
-    "RtbhEvent",
-    "SharedFlowTable",
-    "SharedMemberTable",
-    "ExportedTable",
-    "IpfixCollector",
-    "IpfixExporter",
-    "ETHERNET_MTU",
-    "IpProtocol",
-    "PacketTemplate",
-    "WellKnownPort",
-    "TrafficProfile",
-    "attack_profile",
-    "benign_web_profile",
-    "blackholed_traffic_profile",
-    "other_traffic_profile",
-    "TrafficTrace",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "AMPLIFICATION_PRONE_PORTS": "amplification",
+    "VECTORS": "amplification",
+    "AmplificationVector": "amplification",
+    "get_vector": "amplification",
+    "vector_for_port": "amplification",
+    "AmplificationAttack": "attacks",
+    "BenignTrafficSource": "attacks",
+    "BooterAttack": "attacks",
+    "CarpetBombingAttack": "attack_variants",
+    "MultiVectorAttack": "attack_variants",
+    "PulseAttack": "attack_variants",
+    "FiveTuple": "flow",
+    "FlowRecord": "flow",
+    "distinct_ingress_members": "flow",
+    "distinct_sources": "flow",
+    "total_bytes": "flow",
+    "total_rate_bps": "flow",
+    "FlowTable": "flowtable",
+    "derived_mac": "flowtable",
+    "ints_to_ips": "flowtable",
+    "ip_to_int": "flowtable",
+    "IxpTraceGenerator": "generator",
+    "MemberAttackScenarioGenerator": "generator",
+    "RtbhEvent": "generator",
+    "SharedFlowTable": "sharedtable",
+    "SharedMemberTable": "sharedtable",
+    "ExportedTable": "ipfix",
+    "IpfixCollector": "ipfix",
+    "IpfixExporter": "ipfix",
+    "ETHERNET_MTU": "packet",
+    "IpProtocol": "packet",
+    "PacketTemplate": "packet",
+    "WellKnownPort": "packet",
+    "TrafficProfile": "profiles",
+    "attack_profile": "profiles",
+    "benign_web_profile": "profiles",
+    "blackholed_traffic_profile": "profiles",
+    "other_traffic_profile": "profiles",
+    "TrafficTrace": "trace",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -35,13 +35,17 @@ from .packet import IpProtocol
 _PUBLIC_FIRST_OCTETS = np.array([23, 45, 62, 80, 93, 104, 130, 151, 178, 203])
 
 
-def _reflector_ip(rng: np.random.Generator) -> str:
-    """Draw a pseudo-random public-looking reflector IP address."""
+def _draw_source_ips(rng: np.random.Generator, count: int) -> np.ndarray:
+    """Draw ``count`` pseudo-random public-looking source IPs (uint32)."""
     # Avoid the 10/8, 127/8, 192.168/16 etc. ranges by sticking to a few
-    # documentation-free public /8s.
-    first_octet = int(rng.choice(_PUBLIC_FIRST_OCTETS))
-    rest = rng.integers(1, 254, size=3)
-    return f"{first_octet}.{rest[0]}.{rest[1]}.{rest[2]}"
+    # documentation-free public /8s.  One address at a time: batching the
+    # draws would change the RNG stream and every digest built on it.
+    addresses = []
+    for _ in range(count):
+        first_octet = int(rng.choice(_PUBLIC_FIRST_OCTETS))
+        b, c, d = rng.integers(1, 254, size=3).tolist()
+        addresses.append((first_octet << 24) | (b << 16) | (c << 8) | d)
+    return np.array(addresses, dtype=np.uint32)
 
 
 def _ramp_factor(elapsed: float, ramp_seconds: float) -> float:
@@ -70,7 +74,7 @@ class AmplificationAttack:
     ramp_seconds: float = 20.0
     seed: int | None = None
     _rng: np.random.Generator = field(init=False, repr=False)
-    _reflectors: list[tuple[str, int]] = field(init=False, repr=False)
+    _reflector_ips: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.peak_rate_bps <= 0:
@@ -82,17 +86,10 @@ class AmplificationAttack:
         if self.reflector_count < 1:
             raise ValueError("reflector_count must be >= 1")
         self._rng = make_rng(self.seed)
-        members = list(self.ingress_member_asns)
-        self._reflectors = [
-            (_reflector_ip(self._rng), members[i % len(members)])
-            for i in range(self.reflector_count)
-        ]
-        # Columnar copies of the reflector population for the vectorized path.
-        self._reflector_ips = np.array(
-            [ip_to_int(ip) for ip, _ in self._reflectors], dtype=np.uint32
-        )
-        self._reflector_ingress = np.array(
-            [asn for _, asn in self._reflectors], dtype=np.int64
+        # Reflector i enters through ingress member i mod the member count.
+        self._reflector_ips = _draw_source_ips(self._rng, self.reflector_count)
+        self._reflector_ingress = np.resize(
+            np.array(self.ingress_member_asns, dtype=np.int64), self.reflector_count
         )
         self._victim_ip_int = ip_to_int(self.victim_ip)
 
@@ -137,7 +134,7 @@ class AmplificationAttack:
         if total_bytes < 1:
             return FlowTable.empty()
 
-        count = len(self._reflectors)
+        count = len(self._reflector_ips)
         weights = self._rng.pareto(1.2, size=count) + 1.0
         weights = weights / weights.sum()
         response_size = max(64, self.vector.response_bytes)
@@ -248,15 +245,11 @@ class BenignTrafficSource:
         if not self.ingress_member_asns:
             raise ValueError("at least one ingress member is required")
         self._rng = make_rng(self.seed)
-        members = list(self.ingress_member_asns)
-        self._clients = [
-            (_reflector_ip(self._rng), members[i % len(members)])
-            for i in range(self.client_count)
-        ]
-        self._client_ips = np.array(
-            [ip_to_int(ip) for ip, _ in self._clients], dtype=np.uint32
+        # Client i enters through ingress member i mod the member count.
+        self._client_ips = _draw_source_ips(self._rng, self.client_count)
+        self._client_ingress = np.resize(
+            np.array(self.ingress_member_asns, dtype=np.int64), self.client_count
         )
-        self._client_ingress = np.array([asn for _, asn in self._clients], dtype=np.int64)
         self._dst_ip_int = ip_to_int(self.dst_ip)
 
     def flow_table(self, interval_start: float, interval: float) -> FlowTable:
@@ -269,7 +262,7 @@ class BenignTrafficSource:
             return FlowTable.empty()
         profile = benign_web_profile()
         total_bytes = self.rate_bps * interval / 8
-        count = len(self._clients)
+        count = len(self._client_ips)
         weights = self._rng.dirichlet(np.ones(count) * 2.0)
         flow_bytes = (total_bytes * weights).astype(np.int64)
         protocols, service_ports = profile.sample_classes(self._rng, count)

@@ -74,17 +74,12 @@ _COLUMN_DTYPES = {
 
 
 def ip_to_int(address: str) -> int:
-    """Parse a dotted-quad IPv4 address into its 32-bit integer value."""
-    try:
-        a, b, c, d = (int(octet) for octet in address.split("."))
-        if 0 <= a <= 255 and 0 <= b <= 255 and 0 <= c <= 255 and 0 <= d <= 255:
-            return (a << 24) | (b << 16) | (c << 8) | d
-    except ValueError:
-        pass
-    parsed = ipaddress.ip_address(address)  # raises ValueError on garbage
-    if parsed.version != 4:
-        raise ValueError(f"FlowTable stores IPv4 addresses only, got {address!r}")
-    return int(parsed)
+    """Parse a dotted-quad IPv4 address into its 32-bit integer value.
+
+    Accepts exactly the text :class:`ipaddress.IPv4Address` accepts and
+    raises ``ValueError`` on everything else.
+    """
+    return int(ipaddress.IPv4Address(address))
 
 
 def ints_to_ips(values: np.ndarray) -> list[str]:

@@ -74,6 +74,11 @@ class TestRegistry:
         for spec in all_experiments():
             assert dataclasses.is_dataclass(spec.config_cls)
             assert callable(spec.runner)
+            # Both resolve from the driver module the spec names.
+            driver = f"repro.experiments.{spec.driver}"
+            assert spec.driver_module().__name__ == driver
+            assert spec.config_cls.__module__ == driver, spec.name
+            assert spec.runner.__module__ == driver, spec.name
             unknown_quick = set(spec.quick_overrides) - set(spec.config_field_names())
             assert not unknown_quick, (spec.name, unknown_quick)
 

@@ -30,6 +30,12 @@ DESTINATIONS = {
     "rpl005_good.py": "src/repro/experiments/rpl005_good.py",
     "rpl006_bad.py": "src/repro/ixp/rpl006_bad.py",
     "rpl006_good.py": "src/repro/ixp/rpl006_good.py",
+    "rpl008_bad.py": "src/repro/experiments/rpl008_bad.py",
+    "rpl008_good.py": "src/repro/experiments/rpl008_good.py",
+    # RPL008 reads the package __init__s an import goes through.
+    "rpl008_root_init.py": "src/repro/__init__.py",
+    "rpl008_ixp_init.py": "src/repro/ixp/__init__.py",
+    "rpl008_ixp_fabric.py": "src/repro/ixp/fabric.py",
     # Both RPL001 (ixp/) and RPL004 (ixp/delivery.py) apply here, so the
     # pragma fixture can prove suppression of two different rules.
     "pragmas.py": "src/repro/ixp/delivery.py",

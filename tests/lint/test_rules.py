@@ -63,6 +63,27 @@ def test_rpl005_flags_each_callable_shape(lint_tree, lint_run):
     assert any("bound method `self.step`" in m for m in messages)
 
 
+def test_rpl008_flags_imports_through_package_inits(lint_tree, lint_run):
+    root = lint_tree(
+        "rpl008_bad.py",
+        "rpl008_good.py",
+        "rpl008_root_init.py",
+        "rpl008_ixp_init.py",
+        "rpl008_ixp_fabric.py",
+    )
+    findings = [f for f in lint_run(root).new_findings if f.rule == "RPL008"]
+    assert {(f.path, f.line) for f in findings} == {
+        ("src/repro/experiments/rpl008_bad.py", 3),
+        ("src/repro/experiments/rpl008_bad.py", 4),
+        ("src/repro/experiments/rpl008_bad.py", 6),
+    }
+    messages = " ".join(f.message for f in findings)
+    # The defining submodule is named, from a lazy table and an eager import.
+    assert "import it from `repro.ixp.fabric`" in messages
+    assert "through the package `repro.ixp`" in messages
+    assert "`*` is imported through the package `repro.ixp`" in messages
+
+
 def test_findings_carry_location_and_snippet(lint_tree, lint_run):
     root = lint_tree("rpl006_bad.py")
     report = lint_run(root)
