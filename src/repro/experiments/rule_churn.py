@@ -17,25 +17,25 @@ number of rule operations applied), admission outcomes (budget and
 backpressure rejections with their ``retry_after``), and the usual
 victim delivery series.
 
-The run drives the asyncio service: one
-:meth:`~repro.ixp.service.ControlPlaneService.submit` task per request,
-per-router worker tasks, futures.  Two references in ``tests/oracle``
-check it bit for bit: a synchronous driver of the same
-admission/queue/coalesce core (no event loop), and a replay of the run's
+Each interval the run enqueues the interval's requests in arrival order
+(:meth:`~repro.ixp.service.ControlPlaneService.enqueue`), advances the
+service's virtual clock to the interval start
+(:meth:`~repro.ixp.service.ControlPlaneService.advance`), so the interval
+sees exactly the rules in force at its first instant, and delivers the
+interval's traffic.  The reference in ``tests/oracle`` replays the run's
 applied-change log *one rule at a time* through direct router calls on a
-freshly built fabric, which must reproduce every interval's
+freshly built fabric; it must reproduce every interval's
 ``FabricIntervalReport.to_dict()`` byte for byte — proving the service's
 batching is pure amortization, never a semantic change.
 
 The churn stream is open-loop and a pure function of the config: request
 arrivals, members, ops and rule contents never depend on service
 responses, so the same config always offers the identical workload to
-the service and to both references.
+the service and to the replay.
 """
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import hashlib
 import json
@@ -154,7 +154,7 @@ class RuleChurnResult(JsonResultMixin):
     series: AttackTimeSeries
     #: SHA-256 over every interval's ``FabricIntervalReport.to_dict()``
     #: (canonical JSON, time order) — the parity contract with the
-    #: synchronous driver and the replay oracle.
+    #: replay oracle.
     report_digest: str
     #: SHA-256 over the canonical applied-change log.
     request_log_digest: str
@@ -404,11 +404,11 @@ def generate_churn_requests(
 
 
 def _make_service(config: RuleChurnConfig, fabric: SwitchingFabric) -> ControlPlaneService:
+    # Without coalescing every install request is its own batch.
     return ControlPlaneService(
         fabric,
-        coalesce=config.coalesce,
         max_queue_depth=config.max_queue_depth,
-        max_coalesce=config.max_coalesce,
+        max_coalesce=config.max_coalesce if config.coalesce else 1,
         budget_window=config.budget_window,
         member_update_rate=(
             None if config.member_update_rate <= 0 else config.member_update_rate
@@ -548,38 +548,6 @@ def _finish(
     )
 
 
-async def _run_service(
-    config: RuleChurnConfig,
-    fabric: SwitchingFabric,
-    victim: IxpMember,
-    members: MemberPopulation,
-    stream: list[list[dict]],
-    times: list[float],
-) -> tuple[ControlPlaneService, _IntervalAccounting, list[ServiceResponse]]:
-    attack, benign, background = _traffic_sources(config, victim, members)
-    accounting = _IntervalAccounting(config, fabric, victim)
-    service = _make_service(config, fabric)
-    tasks: list[asyncio.Task] = []
-    async with service:
-        for index, interval_start in enumerate(times):
-            for descriptor in stream[index]:
-                request = _request_from_descriptor(service, descriptor)
-                tasks.append(asyncio.create_task(service.submit(request)))
-            if stream[index]:
-                # One scheduling slot: every submit coroutine runs to its
-                # enqueue (and first await) in task-creation order.
-                await asyncio.sleep(0)
-            # Apply every change completing by the interval's start, so
-            # the interval observes exactly the rules in force at its
-            # first instant.
-            await service.advance(interval_start)
-            accounting.deliver(interval_start, attack, benign, background)
-        # Changes completing within the final interval still count.
-        await service.advance(config.duration)
-    responses = [await task for task in tasks]
-    return service, accounting, responses
-
-
 def run_rule_churn_experiment(
     config: RuleChurnConfig | None = None,
 ) -> RuleChurnResult:
@@ -598,8 +566,22 @@ def run_rule_churn_experiment(
     step_count = int(config.duration / config.interval + 1e-9)
     times = [index * config.interval for index in range(step_count)]
 
+    attack, benign, background = _traffic_sources(config, victim, members)
+    accounting = _IntervalAccounting(config, fabric, victim)
+    service = _make_service(config, fabric)
+    responses: list[ServiceResponse] = []
     with frozen_heap():
-        service, accounting, responses = asyncio.run(
-            _run_service(config, fabric, victim, members, stream, times)
-        )
+        for index, interval_start in enumerate(times):
+            for descriptor in stream[index]:
+                immediate = service.enqueue(_request_from_descriptor(service, descriptor))
+                if immediate is not None:
+                    responses.append(immediate)
+            # Apply every change completing by the interval's start, so
+            # the interval observes exactly the rules in force at its
+            # first instant.
+            responses.extend(response for _, response in service.advance(interval_start))
+            accounting.deliver(interval_start, attack, benign, background)
+        # Changes completing within the final interval still count.
+        responses.extend(response for _, response in service.advance(config.duration))
+        service.close()
     return _finish(config, fabric, service, accounting, responses, members, churn_asns)

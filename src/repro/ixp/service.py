@@ -34,26 +34,26 @@ members' concurrent ``install`` / ``install_many`` / ``remove`` /
   beyond the cap are rejected with a ``retry_after`` estimated from the
   backlog.
 
-The service has a synchronous core (:meth:`enqueue` + :meth:`drain_to`)
-and an asyncio surface (:meth:`submit` + :meth:`advance`) built on it.
-The async surface only adds an event loop, per-router worker tasks and
-futures: driving the core directly yields identical fabric state,
-request logs and accounting, which the ``rule_churn`` tests check
-bit-for-bit against a synchronous driver kept in ``tests/oracle``.
+The service runs in *virtual* time and has one synchronous driver: a
+caller admits requests with :meth:`enqueue` (telemetry and rejections
+answer at once) and moves the control-plane clock with
+:meth:`advance`, which applies every queued change completing by the
+horizon and returns its ``(request, response)`` resolutions.
+:meth:`close` shuts the service down: it rejects whatever is still
+queued, and every later change request, with ``reason="shutdown"``.
 
 Every applied data-plane call is recorded as an :class:`AppliedChange`.
 Replaying that log *one rule at a time* through direct router calls must
 reproduce the exact same fabric state — the parity oracle guarding the
-coalescing seam, also kept in ``tests/oracle``.
+coalescing seam, kept in ``tests/oracle``.
 """
 
 from __future__ import annotations
 
-import asyncio
 import math
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -208,10 +208,9 @@ class ServiceStats:
 
 @dataclass
 class _Pending:
-    """A queued request plus its (async-mode) response future."""
+    """A queued request and, once drained, its completion time."""
 
     request: ChangeRequest
-    future: Optional[asyncio.Future] = None
     #: Virtual completion time, set when the drain services the request.
     done_at: float = 0.0
 
@@ -226,10 +225,6 @@ class _RouterLane:
         self.pending_ops = 0
         #: Virtual time the router's config CPU becomes free.
         self.clock = 0.0
-        # Async plumbing, populated by ControlPlaneService.start().
-        self.wake: Optional[asyncio.Event] = None
-        self.done: Optional[asyncio.Event] = None
-        self.task: Optional[asyncio.Task] = None
 
 
 class ControlPlaneService:
@@ -239,37 +234,33 @@ class ControlPlaneService:
     ----------
     fabric:
         The running switching fabric whose routers the service drives.
-    coalesce:
-        Merge consecutive queued installs per port into one
-        ``install_many`` batch (default).  ``False`` applies every
-        request as its own router call — the comparison arm the service
-        bench measures recompile amortization against.
     max_queue_depth:
         Per-router cap on queued configuration *operations*; requests
         that would exceed it are rejected with ``reason="backpressure"``.
     max_coalesce:
-        Upper bound on operations merged into one install batch.
+        Upper bound on operations merged into one install batch; ``1``
+        applies every install request as its own router call (the
+        comparison arm the service bench measures amortization against).
     budget_window:
         Length (seconds) of the fixed per-member budget window.
     member_update_rate:
         Sustained config-operations/second each member may spend.  The
         default derives it from the *deterministic* CPU model —
         ``max_update_rate(15 %) ≈ 4.33/s``, the paper's median.
-    cpu_model:
-        Override the CPU model; must be noise-free (``noise_std == 0``)
-        so admission decisions are reproducible.
+
+    The router CPU is always the noise-free
+    :meth:`ControlPlaneCpuModel.deterministic`, so admission decisions
+    and virtual completion times are reproducible.
     """
 
     def __init__(
         self,
         fabric: SwitchingFabric,
         *,
-        coalesce: bool = True,
         max_queue_depth: int = 512,
         max_coalesce: int = 256,
         budget_window: float = 10.0,
         member_update_rate: Optional[float] = None,
-        cpu_model: Optional[ControlPlaneCpuModel] = None,
     ) -> None:
         if max_queue_depth < 1:
             raise ValueError("max_queue_depth must be positive")
@@ -278,21 +269,10 @@ class ControlPlaneService:
         if budget_window <= 0:
             raise ValueError("budget_window must be positive")
         self.fabric = fabric
-        self.coalesce = coalesce
         self.max_queue_depth = max_queue_depth
         self.max_coalesce = max_coalesce
         self.budget_window = budget_window
-        self.cpu = (
-            cpu_model if cpu_model is not None else ControlPlaneCpuModel.deterministic()
-        )
-        if self.cpu.noise_std != 0.0:
-            raise ValueError(
-                "budget enforcement needs a deterministic CPU model "
-                "(noise_std=0); use ControlPlaneCpuModel.deterministic()"
-            )
-        self.update_rate = self.cpu.max_update_rate()
-        if self.update_rate <= 0:
-            raise ValueError("CPU model admits no updates within its budget")
+        self.update_rate = ControlPlaneCpuModel.deterministic().max_update_rate()
         #: Virtual seconds one configuration operation occupies the CPU.
         self.op_seconds = 1.0 / self.update_rate
         self.member_update_rate = (
@@ -311,9 +291,7 @@ class ControlPlaneService:
         #: Propagation latency of every applied request (virtual seconds).
         self.latencies: list[float] = []
         self.stats = ServiceStats()
-        self._started = False
         self._closed = False
-        self._horizon: Optional[float] = None
 
     # ------------------------------------------------------------------
     # Request construction
@@ -340,22 +318,23 @@ class ControlPlaneService:
         return request
 
     # ------------------------------------------------------------------
-    # Synchronous core: admission
+    # Admission
     # ------------------------------------------------------------------
-    def enqueue(
-        self, request: ChangeRequest, future: Optional[asyncio.Future] = None
-    ) -> Optional[ServiceResponse]:
+    def enqueue(self, request: ChangeRequest) -> Optional[ServiceResponse]:
         """Admit one request.
 
         Returns the immediate response for telemetry and rejections, or
         ``None`` when the request was queued on its router's lane (its
-        response comes out of a later :meth:`drain_to`, or resolves the
-        given ``future`` in async mode).
+        response comes out of a later :meth:`advance`).  After
+        :meth:`close` every change request is rejected as ``"shutdown"``.
         """
         if request.request_id == 0:
             request = replace(request, request_id=self._next_request_id)
             self._next_request_id += 1
         self.stats.submitted += 1
+        if self._closed and request.op in CHANGE_OPS:
+            self.stats.rejected_shutdown += 1
+            return self._reject(request, "shutdown", retry_after=None)
         try:
             router = self.fabric.router_for_member(request.member_asn)
         except PortNotFoundError:
@@ -389,7 +368,7 @@ class ControlPlaneService:
             )
 
         self._budget_used[key] = used + request.cost
-        lane.queue.append(_Pending(request, future))
+        lane.queue.append(_Pending(request))
         lane.pending_ops += request.cost
         self.stats.max_queue_depth_seen = max(
             self.stats.max_queue_depth_seen, lane.pending_ops
@@ -432,10 +411,10 @@ class ControlPlaneService:
         )
 
     # ------------------------------------------------------------------
-    # Synchronous core: draining
+    # Draining
     # ------------------------------------------------------------------
-    def drain_to(
-        self, horizon: Optional[float]
+    def advance(
+        self, horizon: Optional[float] = None
     ) -> list[tuple[ChangeRequest, ServiceResponse]]:
         """Service every lane's queue up to ``horizon`` (``None`` = all).
 
@@ -479,16 +458,11 @@ class ControlPlaneService:
             lane.clock = done
             pending.done_at = done
             if request.op in ("install", "install_many"):
-                if self.coalesce:
-                    buffers.setdefault(request.member_asn, []).append(pending)
-                    total = buffered_cost.get(request.member_asn, 0) + cost
-                    buffered_cost[request.member_asn] = total
-                    if total >= self.max_coalesce:
-                        flush(request.member_asn)
-                else:
-                    self._apply_install_batch(
-                        lane, request.member_asn, [pending], horizon, resolved
-                    )
+                buffers.setdefault(request.member_asn, []).append(pending)
+                total = buffered_cost.get(request.member_asn, 0) + cost
+                buffered_cost[request.member_asn] = total
+                if total >= self.max_coalesce:
+                    flush(request.member_asn)
             elif request.op == "remove":
                 # Ordering: a queued remove must see every install queued
                 # before it, so the member's buffered batch flushes first.
@@ -590,14 +564,12 @@ class ControlPlaneService:
                 self.stats.applied_ops += request.cost
                 self.latencies.append(latency)
             resolved.append((request, response))
-            if pending.future is not None and not pending.future.done():
-                pending.future.set_result(response)
 
     def close(self) -> list[tuple[ChangeRequest, ServiceResponse]]:
-        """Reject everything still queued (service shutdown).
+        """Shut the service down: reject everything still queued.
 
-        Returns the shutdown rejections in lane order; async mode also
-        resolves their futures.
+        Returns the shutdown rejections in lane order.  Change requests
+        enqueued afterwards are rejected the same way.
         """
         resolved: list[tuple[ChangeRequest, ServiceResponse]] = []
         for name in sorted(self._lanes):
@@ -608,8 +580,6 @@ class ControlPlaneService:
                 self.stats.rejected_shutdown += 1
                 response = self._reject(pending.request, "shutdown", retry_after=None)
                 resolved.append((pending.request, response))
-                if pending.future is not None and not pending.future.done():
-                    pending.future.set_result(response)
         self._closed = True
         return resolved
 
@@ -619,11 +589,9 @@ class ControlPlaneService:
     def sorted_log(self) -> list[AppliedChange]:
         """The request log in canonical replay order.
 
-        Async workers append lane-interleaved, a synchronous drain
-        lane-by-lane — but ``(applied_at, member_asn)`` is identical in
-        both modes (virtual clocks only depend on per-lane queue order),
-        and one member's entries have strictly increasing ``applied_at``,
-        so this sort is a total, execution-independent order.
+        A drain appends lane by lane; ``(applied_at, member_asn)`` orders
+        the entries across lanes, and one member's entries have strictly
+        increasing ``applied_at``, so this sort is a total order.
         """
         return sorted(
             self.request_log, key=lambda entry: (entry.applied_at, entry.member_asn)
@@ -645,80 +613,3 @@ class ControlPlaneService:
         }
         out["max"] = float(values.max())
         return out
-
-    # ------------------------------------------------------------------
-    # Async surface
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Spawn one worker task per router lane (needs a running loop)."""
-        if self._started:
-            return
-        loop = asyncio.get_running_loop()
-        for name in sorted(self._lanes):
-            lane = self._lanes[name]
-            lane.wake = asyncio.Event()
-            lane.done = asyncio.Event()
-            lane.done.set()
-            lane.task = loop.create_task(self._worker(lane), name=f"lane-{name}")
-        self._started = True
-
-    async def _worker(self, lane: _RouterLane) -> None:
-        while True:
-            await lane.wake.wait()
-            lane.wake.clear()
-            if self._closed:
-                break
-            self._drain_lane(lane, self._horizon)
-            lane.done.set()
-
-    async def submit(self, request: ChangeRequest) -> ServiceResponse:
-        """Submit one request; resolves when it is rejected or applied.
-
-        Accepted change requests only complete during a later
-        :meth:`advance` (the service is paced by virtual time, not the
-        wall clock), so callers run under ``asyncio.gather`` alongside
-        the scenario loop driving :meth:`advance`.
-        """
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        immediate = self.enqueue(request, future)
-        if immediate is not None:
-            return immediate
-        return await future
-
-    async def advance(self, horizon: Optional[float] = None) -> None:
-        """Drain every lane up to ``horizon`` and wait for the workers."""
-        if not self._started:
-            self.start()
-        # One scheduling slot before draining: submit() tasks created
-        # right before this call run to their first await and reach
-        # their queues, so `create_task(submit(...)); advance(t)` admits
-        # the request into this drain instead of racing the workers.
-        await asyncio.sleep(0)
-        self._horizon = horizon
-        for lane in self._lanes.values():
-            lane.done.clear()
-            lane.wake.set()
-        for name in sorted(self._lanes):
-            await self._lanes[name].done.wait()
-        # One extra scheduling slot so submitters whose futures just
-        # resolved observe their responses before the caller proceeds.
-        await asyncio.sleep(0)
-
-    async def aclose(self) -> None:
-        """Stop the workers and shutdown-reject everything still queued."""
-        self.close()
-        for lane in self._lanes.values():
-            if lane.wake is not None:
-                lane.wake.set()
-        tasks = [lane.task for lane in self._lanes.values() if lane.task is not None]
-        if tasks:
-            await asyncio.gather(*tasks)
-        self._started = False
-
-    async def __aenter__(self) -> "ControlPlaneService":
-        self.start()
-        return self
-
-    async def __aexit__(self, *exc_info: object) -> None:
-        await self.aclose()

@@ -1,19 +1,16 @@
 """End-to-end behaviour and parity of the ``rule_churn`` scenario.
 
-The headline guarantee mirrors the city-scale suite: the async
-control-plane service and the synchronous driver of its core in
-``tests/oracle/churn.py`` produce bit-for-bit identical results — same
-per-interval report digest, same request-log digest, same ``to_dict()``.
-On top of that the applied request log replayed through
+The headline guarantee: the applied request log replayed through
 :func:`oracle.churn.replay_rule_churn` (direct router calls, one rule at
-a time) must reproduce the live run's report digest.
+a time) must reproduce the live run's report digest, and switching
+coalescing off changes the amortization, never a delivery verdict.
 """
 
 import dataclasses
 
 import pytest
 
-from oracle.churn import replay_rule_churn, run_scripted_rule_churn
+from oracle.churn import replay_rule_churn
 from repro.experiments.registry import get_experiment
 from repro.experiments.rule_churn import (
     MITIGATION_RULE_ID,
@@ -144,15 +141,6 @@ class TestServiceRun:
 
 
 class TestExecutionParity:
-    def test_scripted_matches_service_bit_for_bit(self):
-        config = quick_config()
-        service = run_rule_churn_experiment(config)
-        scripted = run_scripted_rule_churn(config)
-        assert scripted.report_digest == service.report_digest
-        assert scripted.request_log_digest == service.request_log_digest
-        assert scripted.request_log == service.request_log
-        assert scripted.to_dict() == service.to_dict()
-
     def test_coalescing_changes_amortization_not_semantics(self):
         on = run_rule_churn_experiment(quick_config(coalesce=True))
         off = run_rule_churn_experiment(quick_config(coalesce=False))

@@ -1,9 +1,10 @@
 """Stateful lockstep fuzz of the control-plane service vs the portal.
 
-One Hypothesis state machine drives the *async* :class:`ControlPlaneService`
-(coalescing on, tight queue depth, small per-member budget) on fabric A
-while mirroring every change it actually applied onto fabric B through the
-synchronous :class:`oracle.service.ScriptedPortal`, one rule at a time.
+One Hypothesis state machine drives :class:`ControlPlaneService` through
+``enqueue`` + ``advance`` (coalescing on, tight queue depth, small
+per-member budget) on fabric A while mirroring every change it actually
+applied onto fabric B through the direct-call
+:class:`oracle.service.ScriptedPortal`, one rule at a time.
 After every burst the machine fully drains the service, replays the new
 request-log entries on B in canonical order, and asserts:
 
@@ -19,8 +20,6 @@ The tight knobs (``max_queue_depth=16``, one op/second member budget) make
 generated bursts actually hit the backpressure and budget paths instead of
 only the happy path.
 """
-
-import asyncio
 
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -51,13 +50,11 @@ _EPS = 1e-9
 class ServiceStateMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.loop = asyncio.new_event_loop()
         self.fabric_a = build_fabric(SPEC)
         self.fabric_b = build_fabric(SPEC)
         self.oracle = ReferenceFabric(self.fabric_a)
         self.service = ControlPlaneService(
             self.fabric_a,
-            coalesce=True,
             max_queue_depth=MAX_QUEUE_DEPTH,
             budget_window=BUDGET_WINDOW,
             member_update_rate=MEMBER_RATE,
@@ -73,38 +70,28 @@ class ServiceStateMachine(RuleBasedStateMachine):
         self.ledger = {}
         self.step = 0
 
-    def teardown(self):
-        try:
-            self.loop.run_until_complete(self.service.aclose())
-        finally:
-            self.loop.close()
-
     # ------------------------------------------------------------------
     # Driving the service
     # ------------------------------------------------------------------
     def _submit_burst(self, descriptors):
-        """Submit a burst concurrently, drain fully, return responses."""
-
-        async def go():
-            requests, tasks = [], []
-            for descriptor in descriptors:
-                self.clock += descriptor["arrival_gap"]
-                request = self.service.make_request(
-                    MEMBERS[descriptor["member_index"] % len(MEMBERS)],
-                    descriptor["op"],
-                    rules=descriptor.get("rules", ()),
-                    rule_id=descriptor.get("rule_id", ""),
-                    at=self.clock,
-                )
-                requests.append(request)
-                tasks.append(asyncio.create_task(self.service.submit(request)))
-            # Let every submit coroutine run to its first await so the
-            # enqueue order matches the stream order.
-            await asyncio.sleep(0)
-            await self.service.advance(None)
-            return list(zip(requests, [await task for task in tasks]))
-
-        return self.loop.run_until_complete(go())
+        """Enqueue a burst in stream order, drain fully, return responses."""
+        requests, responses = [], {}
+        for descriptor in descriptors:
+            self.clock += descriptor["arrival_gap"]
+            request = self.service.make_request(
+                MEMBERS[descriptor["member_index"] % len(MEMBERS)],
+                descriptor["op"],
+                rules=descriptor.get("rules", ()),
+                rule_id=descriptor.get("rule_id", ""),
+                at=self.clock,
+            )
+            requests.append(request)
+            immediate = self.service.enqueue(request)
+            if immediate is not None:
+                responses[request.request_id] = immediate
+        for request, response in self.service.advance(None):
+            responses[request.request_id] = response
+        return [(request, responses[request.request_id]) for request in requests]
 
     def _check_responses(self, outcomes):
         for request, response in outcomes:

@@ -2,14 +2,13 @@
 
 Deterministic companions to ``tests/fuzz/test_service_statemachine.py``:
 admission (budget, backpressure, unknown members, telemetry), virtual-time
-draining (head-of-line blocking, horizon carry-over), coalescing as a pure
+draining (head-of-line blocking, horizon carry-over, independent router
+lanes, stepped horizons ≡ one drain), coalescing as a pure
 amortization (one ``rules_version`` bump per drained batch, identical
-verdicts and ``rule_stats`` to one-at-a-time installs), async/sync
-execution parity, the request-log replay oracle, and the deterministic
-``ControlPlaneCpuModel`` path budget enforcement relies on.
+verdicts and ``rule_stats`` to one-at-a-time installs), shutdown, the
+request-log replay oracle, and the deterministic ``ControlPlaneCpuModel``
+path budget enforcement relies on.
 """
-
-import asyncio
 
 import pytest
 
@@ -108,11 +107,6 @@ class TestCpuModelDeterministic:
         assert model.noise_std == 0.0
         assert model.max_update_rate() == (20.0 - 1.5) / 3.117
 
-    def test_service_rejects_noisy_models(self):
-        fabric, _ = make_fabric()
-        with pytest.raises(ValueError, match="deterministic"):
-            ControlPlaneService(fabric, cpu_model=ControlPlaneCpuModel(seed=1))
-
 
 class TestAdmission:
     def test_unknown_member_is_rejected(self):
@@ -193,14 +187,14 @@ class TestAdmission:
 class TestDraining:
     def test_coalescing_bumps_rules_version_once_per_drain(self):
         fabric, members = make_fabric()
-        service = ControlPlaneService(fabric, coalesce=True)
+        service = ControlPlaneService(fabric)
         asn = members[0]
         policy = fabric.port_for_member(asn).qos
         for i in range(4):
             service.enqueue(
                 service.make_request(asn, "install", rules=(drop_rule(f"r{i}"),))
             )
-        resolved = service.drain_to(None)
+        resolved = service.advance(None)
         assert policy.rules_version == 1
         assert service.stats.data_plane_calls == 1
         assert service.stats.coalesced_batches == 1
@@ -210,20 +204,20 @@ class TestDraining:
 
     def test_without_coalescing_every_install_bumps(self):
         fabric, members = make_fabric()
-        service = ControlPlaneService(fabric, coalesce=False)
+        service = ControlPlaneService(fabric, max_coalesce=1)
         asn = members[0]
         for i in range(4):
             service.enqueue(
                 service.make_request(asn, "install", rules=(drop_rule(f"r{i}"),))
             )
-        service.drain_to(None)
+        service.advance(None)
         assert fabric.port_for_member(asn).qos.rules_version == 4
         assert service.stats.data_plane_calls == 4
         assert service.stats.coalesced_batches == 0
 
     def test_remove_flushes_the_members_pending_batch_first(self):
         fabric, members = make_fabric()
-        service = ControlPlaneService(fabric, coalesce=True)
+        service = ControlPlaneService(fabric)
         asn = members[0]
         for op, kwargs in [
             ("install", {"rules": (drop_rule("r0"),)}),
@@ -232,7 +226,7 @@ class TestDraining:
             ("install", {"rules": (drop_rule("r2"),)}),
         ]:
             service.enqueue(service.make_request(asn, op, **kwargs))
-        service.drain_to(None)
+        service.advance(None)
         assert [entry.op for entry in service.sorted_log()] == [
             "install_many",
             "remove",
@@ -242,13 +236,13 @@ class TestDraining:
 
     def test_max_coalesce_caps_batch_size(self):
         fabric, members = make_fabric()
-        service = ControlPlaneService(fabric, coalesce=True, max_coalesce=2)
+        service = ControlPlaneService(fabric, max_coalesce=2)
         asn = members[0]
         for i in range(5):
             service.enqueue(
                 service.make_request(asn, "install", rules=(drop_rule(f"r{i}"),))
             )
-        service.drain_to(None)
+        service.advance(None)
         assert [len(e.rules) for e in service.sorted_log()] == [2, 2, 1]
 
     def test_horizon_blocks_unfinished_requests(self):
@@ -263,9 +257,9 @@ class TestDraining:
         service.enqueue(small)
         # The 5-op head-of-line batch completes at 5·OP ≈ 1.15 s: nothing
         # fits inside a 0.5 s horizon, including the 1-op request behind it.
-        assert service.drain_to(0.5) == []
+        assert service.advance(0.5) == []
         assert service.queue_depth() == 6
-        resolved = service.drain_to(2.0)
+        resolved = service.advance(2.0)
         assert service.queue_depth() == 0
         by_id = {req.request_id: resp for req, resp in resolved}
         assert by_id[big.request_id].applied_at == pytest.approx(5 * OP)
@@ -295,6 +289,30 @@ class TestDraining:
         assert service.stats.rejected_shutdown == 3
         assert service.queue_depth() == 0
 
+    def test_closed_service_rejects_new_changes(self):
+        fabric, members = make_fabric()
+        service = ControlPlaneService(fabric)
+        service.close()
+        asn = members[0]
+        for op, kwargs in [
+            ("install", {"rules": (drop_rule("r"),)}),
+            ("install_many", {"rules": (drop_rule("a"), drop_rule("b"))}),
+            ("remove", {"rule_id": "r"}),
+            ("clear", {}),
+        ]:
+            response = service.enqueue(service.make_request(asn, op, **kwargs))
+            assert response.status == "rejected"
+            assert response.reason == "shutdown"
+            assert response.retry_after is None
+        assert service.stats.rejected_shutdown == 4
+        assert service.queue_depth() == 0
+        assert service.advance(None) == []
+        assert fabric.port_for_member(asn).qos.rule_ids() == []
+        assert service.request_log == []
+        # Reads still answer: telemetry costs nothing and changes nothing.
+        telemetry = service.enqueue(service.make_request(asn, "telemetry"))
+        assert telemetry.status == "telemetry"
+
 
 class TestCoalescingParity:
     """The regression satellite: batched ≡ one-at-a-time, bit for bit."""
@@ -323,14 +341,14 @@ class TestCoalescingParity:
     def test_coalesced_batches_match_sequential_installs(self):
         fabric_a, members = make_fabric()
         fabric_b, _ = make_fabric()
-        service = ControlPlaneService(fabric_a, coalesce=True)
+        service = ControlPlaneService(fabric_a)
         portal = ScriptedPortal(fabric_b)
         for index, op, kwargs in self.STREAM:
             response = service.enqueue(
                 service.make_request(members[index], op, **kwargs)
             )
             assert response is None
-        service.drain_to(None)
+        service.advance(None)
         assert service.stats.coalesced_batches >= 1
         for entry in service.sorted_log():
             if entry.op == "install_many":
@@ -352,7 +370,14 @@ class TestCoalescingParity:
         assert report_a.to_dict() == report_b.to_dict()
 
 
-class TestAsyncSyncParity:
+class TestSteppedDriving:
+    """``advance`` in steps (as ``rule_churn`` drives it) ≡ one drain.
+
+    A horizon only decides *when* a queued change is applied, and so how
+    installs coalesce; it never moves a completion time, a response or
+    the final rule state.
+    """
+
     STREAM = [
         (0, "install", {"rules": (drop_rule("r0"),)}, 0.0),
         (1, "install", {"rules": (drop_rule("r1", dst="10.1.0.2/32"),)}, 0.1),
@@ -369,92 +394,93 @@ class TestAsyncSyncParity:
     ]
 
     @staticmethod
-    def _log_digest(service):
+    def _two_lane_fabric():
+        return make_fabric(pop_count=2, routers_per_pop=1, member_count=4)
+
+    def _enqueue_stream(self, service, members):
         return [
-            (
-                e.member_asn,
-                e.op,
-                tuple(repr(r) for r in e.rules),
-                e.rule_id,
-                e.applied_at,
-                e.request_ids,
-                e.tcam_exhausted,
-            )
-            for e in service.sorted_log()
-        ]
-
-    def test_async_execution_matches_scripted_sequential_core(self):
-        fabric_a, members = make_fabric(pop_count=2, routers_per_pop=1, member_count=4)
-        fabric_b, _ = make_fabric(pop_count=2, routers_per_pop=1, member_count=4)
-        async_service = ControlPlaneService(fabric_a)
-        sync_service = ControlPlaneService(fabric_b)
-
-        async def run_async():
-            async with async_service as service:
-                tasks = [
-                    asyncio.create_task(
-                        service.submit(
-                            service.make_request(members[i], op, at=at, **kwargs)
-                        )
-                    )
-                    for i, op, kwargs, at in self.STREAM
-                ]
-                await asyncio.sleep(0)
-                await service.advance(None)
-                return [await task for task in tasks]
-
-        async_responses = asyncio.run(run_async())
-        sync_responses = [
-            sync_service.enqueue(
-                sync_service.make_request(members[i], op, at=at, **kwargs)
-            )
+            service.enqueue(service.make_request(members[i], op, at=at, **kwargs))
             for i, op, kwargs, at in self.STREAM
         ]
-        resolved = dict(
-            (req.request_id, resp) for req, resp in sync_service.drain_to(None)
+
+    def test_stepped_horizons_match_one_drain(self):
+        fabric_a, members = self._two_lane_fabric()
+        fabric_b, _ = self._two_lane_fabric()
+        stepped = ControlPlaneService(fabric_a)
+        one_shot = ControlPlaneService(fabric_b)
+        immediate_a = self._enqueue_stream(stepped, members)
+        immediate_b = self._enqueue_stream(one_shot, members)
+        assert immediate_a == immediate_b
+        resolved_a = []
+        for step in range(1, 13):
+            resolved_a.extend(stepped.advance(0.25 * step))
+        resolved_a.extend(stepped.advance(None))
+        resolved_b = one_shot.advance(None)
+        assert stepped.queue_depth() == one_shot.queue_depth() == 0
+        assert dict((req.request_id, resp) for req, resp in resolved_a) == dict(
+            (req.request_id, resp) for req, resp in resolved_b
         )
-        assert self._log_digest(async_service) == self._log_digest(sync_service)
-        assert async_service.stats.to_dict() == sync_service.stats.to_dict()
-        for index, response in enumerate(async_responses):
-            counterpart = resolved.get(response.request_id)
-            if counterpart is None:  # telemetry resolved at enqueue time
-                counterpart = sync_responses[index]
-            assert response == counterpart
+        assert len(resolved_a) == len(resolved_b) == 6
+        # Every stepped entry was applied inside the horizon it drained under.
+        assert all(e.applied_at <= e.horizon + 1e-9 for e in stepped.request_log)
+        for service in (stepped, one_shot):
+            assert service.stats.applied_requests == 6
+            assert service.stats.applied_ops == 7
+        assert sorted(stepped.latencies) == sorted(one_shot.latencies)
+        # The horizons did split a batch the single drain coalesced.
+        assert stepped.stats.data_plane_calls > one_shot.stats.data_plane_calls
+        # Each member's changes reach its port in request order either way.
         for asn in members:
-            assert (
-                fabric_a.port_for_member(asn).qos.rule_ids()
-                == fabric_b.port_for_member(asn).qos.rule_ids()
-            )
+            assert [
+                rid for e in stepped.sorted_log() if e.member_asn == asn
+                for rid in e.request_ids
+            ] == [
+                rid for e in one_shot.sorted_log() if e.member_asn == asn
+                for rid in e.request_ids
+            ]
+            assert [repr(r) for r in fabric_a.port_for_member(asn).qos.rules()] == [
+                repr(r) for r in fabric_b.port_for_member(asn).qos.rules()
+            ]
 
-    def test_aclose_shutdown_rejects_pending_submissions(self):
-        fabric, members = make_fabric()
+    def test_lanes_keep_independent_virtual_clocks(self):
+        fabric, members = self._two_lane_fabric()
+        by_router = {}
+        for asn in members:
+            by_router.setdefault(fabric.router_for_member(asn).name, []).append(asn)
+        assert len(by_router) == 2
+        first, second = sorted(by_router)
+        asn_first, asn_second = by_router[first][0], by_router[second][0]
         service = ControlPlaneService(fabric)
-
-        async def run():
-            async with service:
-                task = asyncio.create_task(
-                    service.submit(
-                        service.make_request(
-                            members[0], "install", rules=(drop_rule("r"),)
-                        )
-                    )
-                )
-                await asyncio.sleep(0)
-            return await task
-
-        response = asyncio.run(run())
-        assert response.status == "rejected"
-        assert response.reason == "shutdown"
-        assert service.stats.rejected_shutdown == 1
+        requests = [
+            service.make_request(asn_second, "install", rules=(drop_rule("a"),)),
+            service.make_request(asn_first, "install", rules=(drop_rule("b"),)),
+            service.make_request(
+                asn_second, "install", rules=(drop_rule("c", dst="10.1.0.2/32"),)
+            ),
+        ]
+        for request in requests:
+            assert service.enqueue(request) is None
+        resolved = service.advance(None)
+        # Lane order (router name), FIFO within a lane.
+        assert [req.request_id for req, _ in resolved] == [
+            requests[1].request_id,
+            requests[0].request_id,
+            requests[2].request_id,
+        ]
+        applied_at = {req.request_id: resp.applied_at for req, resp in resolved}
+        # One router's backlog does not delay the other's CPU.
+        assert applied_at[requests[1].request_id] == pytest.approx(OP)
+        assert applied_at[requests[0].request_id] == pytest.approx(OP)
+        assert applied_at[requests[2].request_id] == pytest.approx(2 * OP)
 
 
 class TestReplayOracle:
     def test_replay_reproduces_rule_state(self):
         fabric_a, members = make_fabric()
-        service = ControlPlaneService(fabric_a, coalesce=True)
+        service = ControlPlaneService(fabric_a)
         for index, op, kwargs in TestCoalescingParity.STREAM:
             service.enqueue(service.make_request(members[index], op, **kwargs))
-        service.drain_to(None)
+        service.advance(None)
         for sequential in (True, False):
             fabric_b, _ = make_fabric()
             applied = replay_request_log(

@@ -68,6 +68,15 @@ def test_city_driver_loads_only_what_the_city_run_uses():
     assert len(ours) <= 45, sorted(ours)
 
 
+def test_churn_driver_loads_no_event_loop():
+    loaded = _loaded_after(
+        "from repro.experiments import get_experiment\n"
+        "get_experiment('rule_churn').runner"
+    )
+    assert "repro.experiments.rule_churn" in loaded
+    assert "asyncio" not in loaded
+
+
 def test_cli_list_imports_no_driver():
     completed = _python("-X", "importtime", "-m", "repro", "list")
     assert "city_scale" in completed.stdout
