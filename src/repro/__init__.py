@@ -3,7 +3,7 @@ Advanced Blackholing" (Dietzel et al., CoNEXT 2018).
 
 The package is organised bottom-up:
 
-* :mod:`repro.sim` — simulation clock, event engine, deterministic RNG.
+* :mod:`repro.sim` — deterministic RNG and time-span validation.
 * :mod:`repro.bgp` — BGP substrate (prefixes, communities, RIBs, route
   server with IRR/RPKI/bogon policy, Flowspec).
 * :mod:`repro.traffic` — flow records, amplification-attack catalogue,

@@ -33,8 +33,6 @@ from collections.abc import Sequence
 from typing import Any, Optional
 
 from .experiments.registry import ExperimentSpec, all_experiments, get_experiment
-from .experiments.results import ResultStore, to_jsonable
-from .experiments.sweep import Sweep, run_sweep
 
 #: Config fields whose defaults are not scalars (hardware profiles,
 #: category-share dicts) are not settable from the command line.
@@ -124,6 +122,8 @@ def _parse_overrides(spec: ExperimentSpec, tokens: Sequence[str]) -> dict[str, A
 
 
 def _write_json(payload: Any, destination: Optional[str]) -> None:
+    from .experiments.results import to_jsonable
+
     text = json.dumps(to_jsonable(payload), indent=2, sort_keys=False)
     if destination is None or destination == "-":
         print(text)
@@ -174,6 +174,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace, extra: list[str]) -> int:
+    from .experiments.results import to_jsonable
+
     spec = get_experiment(args.experiment)
     overrides = _parse_overrides(spec, extra)
     config = spec.make_config(quick=args.quick, **overrides)
@@ -217,6 +219,9 @@ def _parse_grid(spec: ExperimentSpec, grid_args: list[str]) -> dict[str, tuple[A
 
 
 def _cmd_sweep(args: argparse.Namespace, extra: list[str]) -> int:
+    from .experiments.results import ResultStore
+    from .experiments.sweep import Sweep, run_sweep
+
     spec = get_experiment(args.experiment)
     grid = _parse_grid(spec, args.grid or [])
     base = _parse_overrides(spec, extra)

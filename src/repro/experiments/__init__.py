@@ -21,7 +21,7 @@ adds the scenario-diversity experiments (``pulse``, ``carpet``,
 :mod:`repro.traffic.attack_variants`.
 
 All drivers are registered in :mod:`repro.experiments.registry`; the
-shared event-driven runner lives in :mod:`repro.experiments.harness`, the
+shared interval-stepped runner lives in :mod:`repro.experiments.harness`, the
 sweep/parallel layer in :mod:`repro.experiments.sweep`, and uniform result
 serialization plus the artifact store in :mod:`repro.experiments.results`.
 The ``python -m repro`` CLI is the user-facing entry point to all of it.

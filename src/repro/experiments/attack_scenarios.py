@@ -29,6 +29,7 @@ through ``MitigationTechnique.apply`` (baselines) or the Stellar fabric.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -389,8 +390,7 @@ def run_multi_vector_experiment(
     for index, port in enumerate(vector_ports):
         harness.at(
             config.first_rule_time + index * config.rule_stagger_seconds,
-            signal_drop,
-            port,
+            partial(signal_drop, port),
             name=f"stellar-drop-port-{port}",
         )
 

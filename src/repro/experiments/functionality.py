@@ -144,11 +144,10 @@ def _run_phase(
 ):
     """Run one lab phase on a fresh system, driven through the harness.
 
-    The generator is always on; the phase timeline is event driven: with
-    rules to install, the install fires one interval in (followed by a
-    control-plane pass, matching the lab's reconfiguration pause) and the
-    measurement interval starts one interval later.  The baseline phase
-    measures immediately.
+    The generator is always on.  With rules to install, the install fires
+    one interval in (followed by a control-plane pass, matching the lab's
+    reconfiguration pause) and the measurement interval starts one interval
+    later.  The baseline phase measures immediately.
     """
     stellar, victim, peers = _build_system(config)
     harness = SteppedExperiment(duration=3 * config.interval, interval=config.interval)

@@ -63,7 +63,7 @@ class DeterminismRule(LintRule):
                     self.rule_id,
                     node,
                     f"{_BANNED_CALLS[name]} `{name}()` is non-deterministic; "
-                    "derive times from the simulation clock / interval grid",
+                    "derive times from the interval grid",
                 )
                 continue
             if name.startswith("random."):

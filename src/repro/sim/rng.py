@@ -3,13 +3,11 @@
 Every stochastic component of the reproduction (traffic generation, attack
 source selection, RTBH compliance draws) takes an explicit seed or an
 explicit ``numpy`` generator, so experiments are reproducible run-to-run.
-This module centralises construction of generators and a couple of
-distributions used throughout the traffic substrate.
+This module centralises construction of generators and the derivation of
+per-point seeds for sweeps.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -34,57 +32,3 @@ def derive_seed(base_seed: int, *keys: int) -> int:
     """
     sequence = np.random.SeedSequence([int(base_seed), *(int(key) for key in keys)])
     return int(sequence.generate_state(1, np.uint64)[0] % (2**63 - 1))
-
-
-def spawn(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
-    """Derive ``count`` independent child generators from ``rng``.
-
-    Child generators let concurrent components (e.g. per-peer attack
-    sources) draw without interfering with each other's streams.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    seeds = rng.integers(0, 2**63 - 1, size=count, dtype=np.int64)
-    return [np.random.default_rng(int(seed)) for seed in seeds]
-
-
-def weighted_choice(
-    rng: np.random.Generator, items: Sequence, weights: Iterable[float]
-):
-    """Pick one element of ``items`` with probability proportional to weight."""
-    weights = np.asarray(list(weights), dtype=float)
-    if len(weights) != len(items):
-        raise ValueError("items and weights must have the same length")
-    if np.any(weights < 0):
-        raise ValueError("weights must be non-negative")
-    total = weights.sum()
-    if total <= 0:
-        raise ValueError("at least one weight must be positive")
-    index = rng.choice(len(items), p=weights / total)
-    return items[index]
-
-
-def pareto_bytes(
-    rng: np.random.Generator, mean_bytes: float, shape: float = 1.5, size: int = 1
-) -> np.ndarray:
-    """Draw heavy-tailed flow sizes (bytes) with the requested mean.
-
-    Internet flow sizes are famously heavy tailed; a Pareto with shape
-    ``1.5`` is a common modelling choice.  The scale is derived so that the
-    distribution's mean equals ``mean_bytes``.
-    """
-    if mean_bytes <= 0:
-        raise ValueError(f"mean_bytes must be positive, got {mean_bytes}")
-    if shape <= 1:
-        raise ValueError("shape must exceed 1 for a finite mean")
-    scale = mean_bytes * (shape - 1) / shape
-    return scale * (1 + rng.pareto(shape, size=size))
-
-
-def exponential_interarrivals(
-    rng: np.random.Generator, rate_per_second: float, size: int
-) -> np.ndarray:
-    """Draw ``size`` Poisson-process inter-arrival times (seconds)."""
-    if rate_per_second <= 0:
-        raise ValueError(f"rate must be positive, got {rate_per_second}")
-    return rng.exponential(1.0 / rate_per_second, size=size)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -13,7 +14,6 @@ from repro.experiments import (
     get_experiment,
 )
 from repro.experiments.results import JsonResultMixin, ResultStore, to_jsonable
-from repro.sim import SimulationEngine
 
 
 class TestRegistry:
@@ -88,14 +88,14 @@ class TestSteppedExperiment:
         harness = SteppedExperiment(duration=50.0, interval=10.0)
         timeline = []
         harness.at(25.0, lambda: timeline.append(("phase", harness.now)), name="mid")
-        harness.run(lambda t, dt: timeline.append(("step", t)))
+        harness.run(lambda t, dt: timeline.append(("step", t, harness.now)))
         assert timeline == [
-            ("step", 0.0),
-            ("step", 10.0),
-            ("step", 20.0),
+            ("step", 0.0, 0.0),  # now stands at the step's interval start ...
+            ("step", 10.0, 10.0),
+            ("step", 20.0, 20.0),
             ("phase", 25.0),  # fires before the step of its interval ...
-            ("step", 30.0),  # ... with the clock at the event's own time
-            ("step", 40.0),
+            ("step", 30.0, 30.0),  # ... with now at the action's own time
+            ("step", 40.0, 40.0),
         ]
 
     def test_phase_actions_fire_once_and_are_logged(self):
@@ -105,7 +105,7 @@ class TestSteppedExperiment:
         harness.run(lambda t, dt: None)
         assert fired == [10.0]
         assert harness.phase_times("attack-start") == [10.0]
-        assert [kind for _, kind, _ in harness.events()] == ["attack-start"]
+        assert harness.events() == [(10.0, "attack-start", {})]
 
     def test_event_past_last_step_never_fires(self):
         harness = SteppedExperiment(duration=30.0, interval=10.0)
@@ -115,23 +115,107 @@ class TestSteppedExperiment:
         assert fired == []  # steps are 0/10/20; a 25 s trigger was never polled
 
     def test_same_time_events_fire_in_scheduling_order(self):
+        harness = SteppedExperiment(duration=30.0, interval=10.0)
+        fired = []
+        harness.at(15.0, lambda: fired.append("later"))  # time orders first ...
+        harness.at(10.0, lambda: fired.append("first"))
+        harness.at(10.0, lambda: fired.append("second"))  # ... then registration
+        harness.run()
+        assert fired == ["first", "second", "later"]
+
+    @pytest.mark.parametrize(
+        "time", [math.nan, math.inf, -math.inf, 4.0], ids=["nan", "inf", "-inf", "past"]
+    )
+    def test_non_finite_or_past_action_time_rejected(self, time):
+        # Unchecked, a NaN time would fire at the first step and put a NaN
+        # into the result's events, and +inf would silently never fire.
+        harness = SteppedExperiment(duration=30.0, interval=10.0, start=5.0)
+        with pytest.raises(ValueError, match="action time"):
+            harness.at(time, lambda: None, name="phase")
+        harness.run()
+        assert harness.events() == []
+
+    @pytest.mark.parametrize(
+        "timing",
+        [
+            {"interval": 0.0},
+            {"start": -1.0},
+            {"start": math.nan},
+            {"start": math.inf},
+        ],
+        ids=["interval-zero", "start-negative", "start-nan", "start-inf"],
+    )
+    def test_invalid_timing_rejected(self, timing):
+        with pytest.raises(ValueError):
+            SteppedExperiment(**{"duration": 10.0, "interval": 5.0, **timing})
+
+    def test_action_at_now_is_accepted_and_fires_before_first_step(self):
+        # The past check is strict: an action at exactly ``now`` is due.
+        harness = SteppedExperiment(duration=20.0, interval=10.0, start=5.0)
+        timeline = []
+        harness.at(5.0, lambda: timeline.append(("phase", harness.now)), name="open")
+        harness.run(lambda t, dt: timeline.append(("step", t, dt)))
+        assert timeline == [("phase", 5.0), ("step", 5.0, 10.0), ("step", 15.0, 10.0)]
+        assert harness.events() == [(5.0, "open", {})]
+
+    def test_start_offsets_every_step(self):
+        harness = SteppedExperiment(duration=30.0, interval=10.0, start=100.0)
+        assert harness.now == 100.0
+        assert harness.step_times() == [100.0, 110.0, 120.0]
+
+    def test_unnamed_actions_fire_but_are_not_logged(self):
         harness = SteppedExperiment(duration=20.0, interval=10.0)
         fired = []
-        harness.at(10.0, lambda: fired.append("first"))
-        harness.at(10.0, lambda: fired.append("second"))
+        harness.at(0.0, lambda: fired.append("silent"))
+        harness.at(10.0, lambda: fired.append("named"), name="drop")
         harness.run()
-        assert fired == ["first", "second"]
+        assert fired == ["silent", "named"]
+        assert harness.events() == [(10.0, "drop", {})]
 
-    def test_external_engine_is_used(self):
-        engine = SimulationEngine()
-        harness = SteppedExperiment(duration=10.0, interval=5.0, engine=engine)
-        assert harness.engine is engine
+    def test_phase_times_filter_by_name(self):
+        harness = SteppedExperiment(duration=40.0, interval=10.0)
+        for time, name in [(0.0, "shape"), (10.0, "drop"), (30.0, "shape")]:
+            harness.at(time, lambda: None, name=name)
         harness.run()
-        assert engine.clock.now == 5.0
+        assert harness.phase_times("shape") == [0.0, 30.0]
+        assert harness.phase_times("drop") == [10.0]
+        assert harness.phase_times("withdraw") == []
 
-    def test_invalid_interval_rejected(self):
-        with pytest.raises(ValueError):
-            SteppedExperiment(duration=10.0, interval=0.0)
+    def test_events_returns_a_copy(self):
+        harness = SteppedExperiment(duration=10.0, interval=10.0)
+        harness.at(0.0, lambda: None, name="start")
+        harness.run()
+        harness.events().clear()
+        assert harness.events() == [(0.0, "start", {})]
+
+    def test_named_action_is_logged_even_if_it_raises(self):
+        harness = SteppedExperiment(duration=30.0, interval=10.0)
+
+        def fail():
+            raise RuntimeError("boom")
+
+        harness.at(10.0, fail, name="escalate")
+        with pytest.raises(RuntimeError, match="boom"):
+            harness.run()
+        assert harness.events() == [(10.0, "escalate", {})]
+        assert harness.now == 10.0
+
+    def test_zero_duration_steps_nothing_and_fires_nothing(self):
+        harness = SteppedExperiment(duration=0.0, interval=10.0)
+        fired = []
+        harness.at(0.0, lambda: fired.append("never"), name="start")
+        harness.run(lambda t, dt: fired.append("step"))
+        assert harness.step_times() == []
+        assert fired == []
+        assert harness.events() == []
+
+    def test_now_ends_at_last_step_and_registration_continues_from_there(self):
+        harness = SteppedExperiment(duration=30.0, interval=10.0)
+        harness.run()
+        assert harness.now == 20.0
+        with pytest.raises(ValueError, match="action time"):
+            harness.at(15.0, lambda: None)
+        harness.at(20.0, lambda: None)  # at ``now`` is still accepted
 
     def test_partial_trailing_interval_is_not_stepped(self):
         # Matches the replaced drivers' int(duration/interval) floor: a

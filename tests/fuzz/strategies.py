@@ -11,8 +11,7 @@ Three layers:
 
 * **Scalar strategies** (``l4_ports``, ``shaping_rates``,
   ``tcam_allocation_sequences`` …) — shared with the unit-test suites that
-  previously defined them inline (``tests/sim/test_rng.py``,
-  ``tests/ixp/test_queues_and_tcam.py``,
+  previously defined them inline (``tests/ixp/test_queues_and_tcam.py``,
   ``tests/core/test_rules_and_codec.py``).
 * **Rule / table strategies** — ``flow_matches`` spans every signature
   group of :mod:`repro.ixp.ruleindex` (exact host /32 shapes, broad
@@ -61,9 +60,6 @@ l4_ports = st.integers(min_value=0, max_value=65535)
 
 #: The L4 protocols the Stellar codec encodes port selectors for.
 l4_protocols = st.sampled_from([IpProtocol.UDP, IpProtocol.TCP])
-
-#: Batch sizes for vectorized RNG draws.
-draw_sizes = st.integers(min_value=1, max_value=500)
 
 #: Token-bucket consumption sequences (one consume attempt per element).
 token_amount_sequences = st.lists(

@@ -87,6 +87,9 @@ def test_cli_list_imports_no_driver():
     }
     assert "repro.experiments.registry" in imported
     assert not imported & DRIVERS, sorted(imported & DRIVERS)
+    # Listing needs neither the sweep/result machinery nor numpy.
+    unused = {"numpy", "repro.experiments.sweep", "repro.experiments.results"}
+    assert not imported & unused, sorted(imported & unused)
 
 
 REEXPORT_SCRIPT = """
