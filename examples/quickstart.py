@@ -13,7 +13,7 @@ Run with::
 
 from repro.core import BlackholingRule, Stellar
 from repro.ixp import EdgeRouter, IxpMember, SwitchingFabric
-from repro.traffic import AmplificationAttack, BenignTrafficSource, get_vector
+from repro.traffic import AmplificationAttack, BenignTrafficSource, FlowTable, get_vector
 
 IXP_ASN = 64700
 VICTIM_ASN = 64500
@@ -63,16 +63,17 @@ def traffic_sources(peers: list[IxpMember]):
 
 def deliver(stellar: Stellar, attack, benign, t: float, interval: float = 10.0):
     """Push one observation interval through the IXP and summarise it."""
-    flows = attack.flows(t, interval) + benign.flows(t, interval)
+    flows = FlowTable.concat([attack.flow_table(t, interval), benign.flow_table(t, interval)])
     report = stellar.deliver_traffic(flows, interval, interval_start=t)
     result = report.fabric_report.results_by_member[VICTIM_ASN]
     # Traffic that passed the QoS policy, before the egress queue; the egress
     # queue (port capacity) then trims it proportionally, so scale the split.
-    passed = result.forwarded + result.shaped
-    passed_bits = sum(f.bits for f in passed) or 1
+    passed = FlowTable.concat([result.forwarded_table, result.shaped_table])
+    passed_bits = passed.total_bits or 1
     scale = result.delivered_bits / passed_bits
-    attack_mbps = sum(f.bits for f in passed if f.is_attack) * scale / interval / 1e6
-    benign_mbps = sum(f.bits for f in passed if not f.is_attack) * scale / interval / 1e6
+    attack_bits = int(passed.bytes[passed.is_attack].sum()) * 8
+    attack_mbps = attack_bits * scale / interval / 1e6
+    benign_mbps = (passed.total_bits - attack_bits) * scale / interval / 1e6
     congestion_mbps = result.congestion_dropped_bits / interval / 1e6
     return attack_mbps, benign_mbps, congestion_mbps
 

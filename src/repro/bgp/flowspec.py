@@ -100,33 +100,6 @@ class FlowspecRule:
             present.append(FlowspecComponentType.PACKET_LENGTH)
         return present
 
-    def matches(
-        self,
-        dst_ip: str,
-        src_ip: str = "",
-        protocol: Optional[int] = None,
-        src_port: Optional[int] = None,
-        dst_port: Optional[int] = None,
-        packet_length: Optional[int] = None,
-    ) -> bool:
-        """Match a flow/packet description against the specification."""
-        if self.dest_prefix is not None and not self.dest_prefix.contains_address(dst_ip):
-            return False
-        if self.source_prefix is not None:
-            if not src_ip or not self.source_prefix.contains_address(src_ip):
-                return False
-        if self.ip_protocol is not None and protocol != self.ip_protocol:
-            return False
-        if self.source_port is not None and src_port != self.source_port:
-            return False
-        if self.dest_port is not None and dst_port != self.dest_port:
-            return False
-        if self.packet_length_max is not None and (
-            packet_length is None or packet_length > self.packet_length_max
-        ):
-            return False
-        return True
-
     @property
     def is_discard(self) -> bool:
         return any(action.is_discard for action in self.actions)

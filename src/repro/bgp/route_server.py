@@ -91,7 +91,6 @@ class RouteServer:
         #: Southbound consumers (e.g. the Stellar blackholing controller).
         self._consumers: list[Callable[[UpdateMessage], None]] = []
         self._rejections: list[RejectedAnnouncement] = []
-        self._policy_controls: list[tuple[RouteAnnouncement, PolicyControl]] = []
         self._path_ids = itertools.count(1)
 
     # ------------------------------------------------------------------
@@ -180,7 +179,6 @@ class RouteServer:
             )
             self.rib.add(stored)
             accepted.append(stored)
-            self._policy_controls.append((stored, control))
 
         for withdrawal in update.withdrawals:
             for route in self.rib.routes_for(withdrawal.prefix):
@@ -270,7 +268,3 @@ class RouteServer:
     # ------------------------------------------------------------------
     def rejections(self) -> list[RejectedAnnouncement]:
         return list(self._rejections)
-
-    def policy_control_log(self) -> list[tuple[RouteAnnouncement, PolicyControl]]:
-        """Accepted announcements with their export policy control."""
-        return list(self._policy_controls)

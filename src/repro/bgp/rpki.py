@@ -75,9 +75,6 @@ class RpkiValidator:
         self._roas.append(roa)
         return roa
 
-    def roas(self) -> list[Roa]:
-        return list(self._roas)
-
     def validate(self, prefix: "str | Prefix", origin_asn: int) -> RpkiValidity:
         """Classify an announcement per RFC 6811."""
         prefix = parse_prefix(prefix)

@@ -92,9 +92,6 @@ class CustomerPortal:
     # ------------------------------------------------------------------
     # Catalogue management
     # ------------------------------------------------------------------
-    def shared_templates(self) -> dict[int, RuleTemplate]:
-        return dict(self._shared)
-
     def define_custom_rule(self, member_asn: int, template: RuleTemplate) -> int:
         """Register a member-defined template; returns its numeric identifier."""
         if member_asn <= 0:

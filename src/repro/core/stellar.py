@@ -20,7 +20,7 @@ control plane, push data-plane traffic through the IXP, and query telemetry.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -29,7 +29,6 @@ from ..bgp.prefix import Prefix, parse_prefix
 from ..bgp.route_server import RouteServer
 from ..ixp.fabric import FabricIntervalReport, SwitchingFabric
 from ..ixp.member import IxpMember, MemberPopulation
-from ..traffic.flow import FlowRecord
 from ..traffic.flowtable import FlowTable
 from .change_queue import ChangeQueue
 from .community_codec import StellarCommunityCodec
@@ -177,19 +176,13 @@ class Stellar:
 
     def deliver_traffic(
         self,
-        flows: "Sequence[FlowRecord] | FlowTable",
+        flows: FlowTable,
         interval: float,
         interval_start: Optional[float] = None,
     ) -> StellarIntervalReport:
-        """Process one observation interval: control plane first, then traffic.
-
-        The data plane is columnar: record sequences are ingested into a
-        :class:`FlowTable` up front, so the fabric and per-port QoS
-        classification always take the vectorized path regardless of the
-        caller's representation.
-        """
+        """Process one observation interval: control plane first, then traffic."""
         if not isinstance(flows, FlowTable):
-            flows = FlowTable.from_records(flows)
+            raise TypeError(f"deliver_traffic takes a FlowTable, got {type(flows).__name__}")
         start = self._now if interval_start is None else interval_start
         if interval_start is not None:
             self.advance_to(interval_start)

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..ixp.qos import FilterAction, PortQosResult
-
 
 @dataclass
 class RuleTelemetry:
@@ -82,52 +80,6 @@ class TelemetryCollector:
 
     def __init__(self) -> None:
         self._by_rule: dict[str, RuleTelemetry] = {}
-
-    # ------------------------------------------------------------------
-    def record_interval(
-        self,
-        member_asn: int,
-        result: PortQosResult,
-        interval: float,
-        time: float,
-    ) -> None:
-        """Fold one interval's :class:`PortQosResult` into the counters."""
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        matched_bits_by_rule: dict[str, float] = {}
-        dropped_bits_by_rule: dict[str, float] = {}
-        shaped_bits_by_rule: dict[str, float] = {}
-
-        for flow in result.dropped:
-            rule_id = self._rule_id_for(result, flow, FilterAction.DROP)
-            matched_bits_by_rule[rule_id] = matched_bits_by_rule.get(rule_id, 0.0) + flow.bits
-            dropped_bits_by_rule[rule_id] = dropped_bits_by_rule.get(rule_id, 0.0) + flow.bits
-        for flow in result.shaped:
-            rule_id = self._rule_id_for(result, flow, FilterAction.SHAPE)
-            matched_bits_by_rule[rule_id] = matched_bits_by_rule.get(rule_id, 0.0) + flow.bits
-            shaped_bits_by_rule[rule_id] = shaped_bits_by_rule.get(rule_id, 0.0) + flow.bits
-
-        rule_ids = set(matched_bits_by_rule) | set(dropped_bits_by_rule) | set(shaped_bits_by_rule)
-        for rule_id in rule_ids:
-            telemetry = self._by_rule.setdefault(
-                rule_id, RuleTelemetry(rule_id=rule_id, member_asn=member_asn)
-            )
-            matched = matched_bits_by_rule.get(rule_id, 0.0)
-            telemetry.matched_bits += matched
-            telemetry.dropped_bits += dropped_bits_by_rule.get(rule_id, 0.0)
-            telemetry.shaped_passed_bits += shaped_bits_by_rule.get(rule_id, 0.0)
-            telemetry.shaped_dropped_bits += max(
-                0.0, result.shaped_dropped_bits if rule_id in shaped_bits_by_rule else 0.0
-            )
-            telemetry.last_update = time
-            telemetry.samples.append((time, matched))
-
-    @staticmethod
-    def _rule_id_for(result: PortQosResult, flow: object, action: FilterAction) -> str:
-        # The PortQosResult does not retain the per-flow rule attribution, so
-        # telemetry groups drops and shapes under synthetic per-action ids
-        # unless the caller records per-rule results explicitly.
-        return f"{action.value}"
 
     # ------------------------------------------------------------------
     def record_rule_interval(

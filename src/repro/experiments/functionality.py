@@ -25,6 +25,7 @@ from ..ixp.fabric import SwitchingFabric
 from ..ixp.member import IxpMember
 from ..traffic.amplification import get_vector
 from ..traffic.attacks import AmplificationAttack, BenignTrafficSource
+from ..traffic.flowtable import FlowTable, ip_to_int
 from ..traffic.packet import WellKnownPort
 from .harness import SteppedExperiment
 from .results import JsonResultMixin
@@ -39,9 +40,18 @@ class FunctionalityConfig:
     benign_rate_bps: float = 400e6
     shape_rate_bps: float = 100e6
     interval: float = 10.0
+    #: Target IPs 100.10.10.10 onwards, inside the victim's /24.
     target_ip_count: int = 3
     peer_count: int = 4
     seed: int = 3
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.target_ip_count <= 245:
+            raise ValueError(
+                f"target_ip_count must be within [1, 245], got {self.target_ip_count}"
+            )
+        if self.peer_count < 1:
+            raise ValueError(f"peer_count must be >= 1, got {self.peer_count}")
 
 
 @dataclass
@@ -88,9 +98,9 @@ def _build_system(config: FunctionalityConfig):
 
 def _traffic_for(
     config: FunctionalityConfig, targets: list[str], peers: list[IxpMember], t: float
-):
+) -> FlowTable:
     """10 Gbps of NTP + DNS attack traffic plus benign web traffic."""
-    flows = []
+    tables = []
     per_target_attack = config.generator_rate_bps / (2 * len(targets))
     for index, ip in enumerate(targets):
         for vector_index, vector_name in enumerate(("ntp", "dns")):
@@ -106,7 +116,7 @@ def _traffic_for(
                 ramp_seconds=0.0,
                 seed=config.seed + index * 10 + vector_index,
             )
-            flows.extend(attack.flows(t, config.interval))
+            tables.append(attack.flow_table(t, config.interval))
         benign = BenignTrafficSource(
             dst_ip=ip,
             egress_member_asn=64500,
@@ -114,25 +124,24 @@ def _traffic_for(
             rate_bps=config.benign_rate_bps / len(targets),
             seed=config.seed + 100 + index,
         )
-        flows.extend(benign.flows(t, config.interval))
-    return flows
+        tables.append(benign.flow_table(t, config.interval))
+    return FlowTable.concat(tables)
 
 
 def _per_target_rates(
     result, targets: list[str], interval: float
 ) -> tuple[dict[str, float], dict[str, float]]:
-    """Delivered and attack-only rates (bps) per target IP for one phase."""
-    delivered_flows = result.forwarded + result.shaped
+    """Delivered and attack-only rates (bps) per target IP for one phase.
+
+    The byte sums are integers, so the rates do not depend on row order.
+    """
+    passed = FlowTable.concat([result.forwarded_table, result.shaped_table])
     delivered: dict[str, float] = {}
     attack: dict[str, float] = {}
     for ip in targets:
-        delivered[ip] = (
-            sum(flow.bits for flow in delivered_flows if flow.dst_ip == ip) / interval
-        )
-        attack[ip] = (
-            sum(flow.bits for flow in delivered_flows if flow.dst_ip == ip and flow.is_attack)
-            / interval
-        )
+        towards = passed.dst_ip == ip_to_int(ip)
+        delivered[ip] = int(passed.bytes[towards].sum()) * 8 / interval
+        attack[ip] = int(passed.bytes[towards & passed.is_attack].sum()) * 8 / interval
     return delivered, attack
 
 
@@ -165,9 +174,9 @@ def _run_phase(
         measure_time = 2 * config.interval
 
     def measure() -> None:
-        flows = _traffic_for(config, targets, peers, t=harness.now)
+        table = _traffic_for(config, targets, peers, t=harness.now)
         report = stellar.deliver_traffic(
-            flows, config.interval, interval_start=harness.now
+            table, config.interval, interval_start=harness.now
         )
         measured["result"] = report.fabric_report.results_by_member[victim.asn]
 

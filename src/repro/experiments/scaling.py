@@ -62,9 +62,6 @@ class ScalingMatrix:
         ok = sum(1 for status in self.cells.values() if status is TcamStatus.OK)
         return ok / len(self.cells)
 
-    def feasible_region(self) -> list[tuple[int, int]]:
-        return [key for key, status in self.cells.items() if status is TcamStatus.OK]
-
     def render(self, mac_multiples: Sequence[int], l3l4_multiples: Sequence[int]) -> str:
         """Text rendering mirroring the figure layout (MAC rows, L3-L4 columns)."""
         lines = [f"adoption rate {self.adoption_rate:.0%} ({self.active_ports} active ports)"]

@@ -470,15 +470,10 @@ class SwitchingFabric:
         per-member results plus a platform-level summary are returned.
         Flows whose egress member is unknown are ignored (they never
         entered the IXP) — including by the IPFIX export, which only sees
-        traffic the platform actually carried.  Record lists go through
-        :meth:`FlowTable.from_records
-        <repro.traffic.flowtable.FlowTable.from_records>` first.
+        traffic the platform actually carried.
         """
         if not isinstance(flows, FlowTable):
-            raise TypeError(
-                f"deliver takes a FlowTable, got {type(flows).__name__}; "
-                "convert records with FlowTable.from_records"
-            )
+            raise TypeError(f"deliver takes a FlowTable, got {type(flows).__name__}")
         report = self.current_delivery_plan().execute(flows, interval, interval_start)
         if self.collect_ipfix:
             self.collector.receive(

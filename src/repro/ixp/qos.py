@@ -34,7 +34,6 @@ from typing import Optional
 import numpy as np
 
 from ..bgp.prefix import Prefix
-from ..traffic.flow import FlowRecord
 from ..traffic.flowtable import (
     FlowTable,
     derived_mac_low_bits,
@@ -117,28 +116,17 @@ class FlowMatch:
         return self.mac_filter_entries == 0 and self.l3l4_criteria == 0
 
     # ------------------------------------------------------------------
-    def matches(self, flow: FlowRecord) -> bool:
-        """Check a flow record against the criteria."""
-        if self.dst_prefix is not None and not self.dst_prefix.contains_address(flow.dst_ip):
-            return False
-        if self.src_prefix is not None and not self.src_prefix.contains_address(flow.src_ip):
-            return False
-        if self.src_mac is not None and flow.src_mac.lower() != self.src_mac.lower():
-            return False
-        if self.protocol is not None and flow.protocol != self.protocol:
-            return False
-        if self.src_port is not None and flow.src_port != self.src_port:
-            return False
-        if self.dst_port is not None and flow.dst_port != self.dst_port:
-            return False
-        return True
-
     @cached_property
     def _derived_mac_low_bits(self) -> Optional[int]:
         return None if self.src_mac is None else derived_mac_low_bits(self.src_mac)
 
     def matches_table(self, table: FlowTable) -> np.ndarray:
-        """Vectorized :meth:`matches` over a columnar flow batch."""
+        """Rows of a columnar flow batch that meet every criterion.
+
+        A row's source MAC is the derived MAC of its ingress member, which
+        encodes the low 16 bits of the ingress ASN; a MAC not of the
+        derived form matches no row.
+        """
         n = len(table)
         mask = np.ones(n, dtype=bool)
         for prefix, column in ((self.dst_prefix, table.dst_ip), (self.src_prefix, table.src_ip)):
@@ -148,20 +136,10 @@ class FlowMatch:
             if not mask.any():
                 return mask
         if self.src_mac is not None:
-            if table.src_mac is None:
-                # Generator-produced tables carry the derived-MAC convention,
-                # which encodes the low 16 bits of the ingress ASN.
-                low = self._derived_mac_low_bits
-                if low is None:
-                    return np.zeros(n, dtype=bool)
-                mask &= (table.ingress_asn & 0xFFFF) == low
-            else:
-                # Compare each distinct MAC once, then scatter the verdict
-                # back to the rows through the inverse index.
-                target = self.src_mac.lower()
-                unique, inverse = np.unique(table.src_mac, return_inverse=True)
-                hits = np.array([mac.lower() == target for mac in unique], dtype=bool)
-                mask &= hits[inverse]
+            low = self._derived_mac_low_bits
+            if low is None:
+                return np.zeros(n, dtype=bool)
+            mask &= (table.ingress_asn & 0xFFFF) == low
         if self.protocol is not None:
             mask &= table.protocol == int(self.protocol)
         if self.src_port is not None:
@@ -209,9 +187,9 @@ class PortQosResult:
     them, which is what the telemetry layer reports.  The per-action flow
     populations are deferred: ``table_source`` produces the
     ``(forwarded, dropped, shaped)`` tables, and only runs if a consumer
-    asks for a columnar view (``forwarded_table`` etc.) or a record view
-    (``forwarded`` etc.) — the fabric accounts for hundreds of ports per
-    interval and most results are never inspected flow by flow.
+    asks for one (``forwarded_table`` etc.) — the fabric accounts for
+    hundreds of ports per interval and most results are never inspected
+    flow by flow.
     """
 
     def __init__(
@@ -228,7 +206,6 @@ class PortQosResult:
             Callable[[], tuple[FlowTable, FlowTable, FlowTable]]
         ] = table_source
         self._tables: tuple[FlowTable, FlowTable, FlowTable] | None = None
-        self._records: dict[int, list[FlowRecord]] = {}
         self.forwarded_bits = forwarded_bits
         self.dropped_bits = dropped_bits
         self.shaped_passed_bits = shaped_passed_bits
@@ -239,7 +216,7 @@ class PortQosResult:
         )
 
     # ------------------------------------------------------------------
-    # Columnar and record views (built on first access)
+    # Per-action tables (built on first access)
     # ------------------------------------------------------------------
     def _table(self, which: int) -> FlowTable:
         if self._tables is None:
@@ -247,11 +224,6 @@ class PortQosResult:
             source, self._table_source = self._table_source, None
             self._tables = source()
         return self._tables[which]
-
-    def _record_view(self, which: int) -> list[FlowRecord]:
-        if which not in self._records:
-            self._records[which] = self._table(which).to_records()
-        return self._records[which]
 
     @property
     def forwarded_table(self) -> FlowTable:
@@ -264,18 +236,6 @@ class PortQosResult:
     @property
     def shaped_table(self) -> FlowTable:
         return self._table(2)
-
-    @property
-    def forwarded(self) -> list[FlowRecord]:
-        return self._record_view(0)
-
-    @property
-    def dropped(self) -> list[FlowRecord]:
-        return self._record_view(1)
-
-    @property
-    def shaped(self) -> list[FlowRecord]:
-        return self._record_view(2)
 
     # ------------------------------------------------------------------
     @property

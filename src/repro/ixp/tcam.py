@@ -70,10 +70,6 @@ class TcamModel:
     def mac_filters_free(self) -> int:
         return self.mac_filter_capacity - self.mac_filters_used
 
-    @property
-    def l3l4_criteria_free(self) -> int:
-        return self.l3l4_criteria_capacity - self.l3l4_criteria_used
-
     def usage_for_port(self, port_id: int) -> tuple[int, int]:
         """``(mac_filters, l3l4_criteria)`` consumed by one port."""
         return self._mac_used.get(port_id, 0), self._l3l4_used.get(port_id, 0)

@@ -9,9 +9,10 @@ thousands of rows per interval) it dominates the interval cost.  This
 rule flags ``for`` loops and comprehensions whose iterable reaches into
 per-row data — a FlowTable column attribute, ``.to_records()``, or a
 ``zip`` over columns — inside ``ixp/qos.py``, ``ixp/fabric.py``,
-``ixp/delivery.py``, ``ixp/ruleindex.py`` and ``mitigation/``, and in the
+``ixp/delivery.py``, ``ixp/ruleindex.py`` and ``mitigation/``, in the
 table-only trace layer: ``traffic/trace.py``, ``traffic/ipfix.py``,
-``analysis/collateral.py`` and ``experiments/port_distribution.py``.  A
+``analysis/collateral.py`` and ``experiments/port_distribution.py``, and
+in ``experiments/functionality.py`` and ``core/telemetry.py``.  A
 literal tuple or list display iterates its fixed elements, not rows, so
 it is never flagged.  There is no exemption: per-record reference loops
 belong in ``tests/oracle``, not in these modules.
@@ -40,7 +41,6 @@ _COLUMN_ATTRS = {
     "egress_asn",
     "is_attack",
     "bits",
-    "src_mac",
 }
 
 
@@ -76,6 +76,8 @@ class VectorizationRule(LintRule):
         "src/repro/traffic/ipfix.py",
         "src/repro/analysis/collateral.py",
         "src/repro/experiments/port_distribution.py",
+        "src/repro/experiments/functionality.py",
+        "src/repro/core/telemetry.py",
     )
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:

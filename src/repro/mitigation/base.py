@@ -16,9 +16,8 @@ takes a :class:`~repro.traffic.flowtable.FlowTable`, validates the
 interval, and hands the table to the strategy's ``_partition``, which
 splits it with vectorized prefix / protocol / port / member masks (the
 shared helpers below).  The :class:`MitigationOutcome` is three
-``FlowTable`` partitions.  Record lists go through
-``FlowTable.from_records`` first.  The per-record loops the strategies
-are checked against live in ``tests/oracle/mitigation.py``.
+``FlowTable`` partitions.  The per-record loops the strategies are
+checked against live in ``tests/oracle/mitigation.py``.
 """
 
 from __future__ import annotations

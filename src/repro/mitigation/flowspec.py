@@ -143,7 +143,7 @@ class FlowspecMitigation(MitigationTechnique):
             rule = installed.rule
             if rule.packet_length_max is not None:
                 # Flows carry no packet length, so a length-bounded rule
-                # never matches them (as in ``FlowspecRule.matches``).
+                # never matches them.
                 continue
             matched = (
                 unhandled

@@ -99,9 +99,6 @@ class RtbhService:
     def set_compliance(self, member_asn: int, honors: bool) -> None:
         self._member_compliance[member_asn] = honors
 
-    def compliance_map(self) -> dict[int, bool]:
-        return dict(self._member_compliance)
-
     # ------------------------------------------------------------------
     # Signalling
     # ------------------------------------------------------------------

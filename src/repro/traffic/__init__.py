@@ -1,4 +1,4 @@
-"""Traffic substrate: flow records, amplification attacks, synthetic traces."""
+"""Traffic substrate: flow tables, amplification attacks, synthetic traces."""
 
 from .._lazy import lazy_exports
 
@@ -15,12 +15,6 @@ _EXPORTS = {
     "CarpetBombingAttack": "attack_variants",
     "MultiVectorAttack": "attack_variants",
     "PulseAttack": "attack_variants",
-    "FiveTuple": "flow",
-    "FlowRecord": "flow",
-    "distinct_ingress_members": "flow",
-    "distinct_sources": "flow",
-    "total_bytes": "flow",
-    "total_rate_bps": "flow",
     "FlowTable": "flowtable",
     "derived_mac": "flowtable",
     "ints_to_ips": "flowtable",

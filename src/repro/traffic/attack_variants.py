@@ -23,8 +23,7 @@ DDoS campaigns exercise mitigation systems along axes those two don't:
 All three compose the vectorized :class:`~repro.traffic.attacks.AmplificationAttack`
 batch generator, so they emit :class:`~repro.traffic.flowtable.FlowTable`
 columns directly and are deterministic per seed.  Each offers the same
-interface as the existing sources: ``flow_table(interval_start, interval)``
-(the fast path) and ``flows(...)`` (the record-compatibility view).
+interface as the existing sources: ``flow_table(interval_start, interval)``.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from ..bgp.prefix import Prefix, parse_prefix
 from ..sim.rng import derive_seed, make_rng
 from .amplification import get_vector
 from .attacks import AmplificationAttack
-from .flow import FlowRecord
 from .flowtable import FlowTable
 
 
@@ -142,10 +140,6 @@ class PulseAttack:
         scaled = table.scaled(envelope)
         return scaled.select(scaled.bytes > 0)
 
-    def flows(self, interval_start: float, interval: float) -> list[FlowRecord]:
-        """Flow records for one observation interval (compatibility view)."""
-        return self.flow_table(interval_start, interval).to_records()
-
 
 @dataclass
 class CarpetBombingAttack:
@@ -211,10 +205,6 @@ class CarpetBombingAttack:
         offsets = self._dst_rng.integers(0, self._dst_size, size=len(table))
         table.dst_ip = (np.uint32(self._dst_low) + offsets).astype(np.uint32)
         return table
-
-    def flows(self, interval_start: float, interval: float) -> list[FlowRecord]:
-        """Flow records for one observation interval (compatibility view)."""
-        return self.flow_table(interval_start, interval).to_records()
 
 
 @dataclass
@@ -299,7 +289,3 @@ class MultiVectorAttack:
         return FlowTable.concat(
             [attack.flow_table(interval_start, interval) for attack in self._attacks]
         )
-
-    def flows(self, interval_start: float, interval: float) -> list[FlowRecord]:
-        """Flow records for one observation interval (compatibility view)."""
-        return self.flow_table(interval_start, interval).to_records()

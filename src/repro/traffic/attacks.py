@@ -4,22 +4,21 @@ Two attack abstractions feed the experiments:
 
 * :class:`AmplificationAttack` — a volumetric reflection attack towards a
   single victim IP, characterised by the abused vector (NTP, memcached, …),
-  a peak rate, a start time and a duration.  It produces flow records per
+  a peak rate, a start time and a duration.  It produces a flow table per
   observation interval with the reflected traffic spread across many
   reflector sources entering the IXP through many member ports.
 * :class:`BooterAttack` — the controlled booter-service experiment of
   §2.4 / §5.3: a short attack of roughly 1 Gbps arriving from a few dozen
   peers, used for Fig. 3(c) and Fig. 10(c).
 
-Both are deterministic given a seed.  Each source offers two equivalent
-interfaces per observation interval: :meth:`flow_table` returns a columnar
-:class:`~repro.traffic.flowtable.FlowTable` built with vectorized RNG draws
-(the fast path the experiment drivers use), and :meth:`flows` returns the
-classic list of :class:`FlowRecord` objects for compatibility.
+Both are deterministic given a seed.  Each source's :meth:`flow_table`
+returns one observation interval as a columnar
+:class:`~repro.traffic.flowtable.FlowTable` built with vectorized RNG draws.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -27,7 +26,6 @@ import numpy as np
 
 from ..sim.rng import make_rng
 from .amplification import AmplificationVector, get_vector
-from .flow import FlowRecord
 from .flowtable import FlowTable, ip_to_int
 from .packet import IpProtocol
 
@@ -77,10 +75,10 @@ class AmplificationAttack:
     _reflector_ips: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.peak_rate_bps <= 0:
-            raise ValueError("peak_rate_bps must be positive")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        if not (math.isfinite(self.peak_rate_bps) and self.peak_rate_bps > 0):
+            raise ValueError("peak_rate_bps must be positive and finite")
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValueError("duration must be positive and finite")
         if not self.ingress_member_asns:
             raise ValueError("at least one ingress member is required")
         if self.reflector_count < 1:
@@ -159,10 +157,6 @@ class AmplificationAttack:
             is_attack=np.ones(n, dtype=bool),
         )
 
-    def flows(self, interval_start: float, interval: float) -> list[FlowRecord]:
-        """Flow records for one observation interval (compatibility view)."""
-        return self.flow_table(interval_start, interval).to_records()
-
 
 @dataclass
 class BooterAttack:
@@ -219,9 +213,6 @@ class BooterAttack:
     def flow_table(self, interval_start: float, interval: float) -> FlowTable:
         return self._attack.flow_table(interval_start, interval)
 
-    def flows(self, interval_start: float, interval: float) -> list[FlowRecord]:
-        return self._attack.flows(interval_start, interval)
-
 
 @dataclass
 class BenignTrafficSource:
@@ -240,8 +231,8 @@ class BenignTrafficSource:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.rate_bps < 0:
-            raise ValueError("rate_bps must be non-negative")
+        if not (math.isfinite(self.rate_bps) and self.rate_bps >= 0):
+            raise ValueError("rate_bps must be non-negative and finite")
         if not self.ingress_member_asns:
             raise ValueError("at least one ingress member is required")
         self._rng = make_rng(self.seed)
@@ -287,7 +278,3 @@ class BenignTrafficSource:
             egress_asn=np.full(n, self.egress_member_asn, dtype=np.int64),
             is_attack=np.zeros(n, dtype=bool),
         )
-
-    def flows(self, interval_start: float, interval: float) -> list[FlowRecord]:
-        """Flow records for one observation interval (compatibility view)."""
-        return self.flow_table(interval_start, interval).to_records()

@@ -1,19 +1,17 @@
 """Columnar flow storage.
 
-The per-flow :class:`~repro.traffic.flow.FlowRecord` objects are convenient
-to reason about but far too slow to generate and analyse at trace scale:
-every record costs two dataclass constructions plus per-flow RNG draws, and
-every aggregation is a Python loop.  A :class:`FlowTable` stores the same
-information as parallel NumPy column arrays, which lets the trace
-generators draw whole intervals with single vectorized RNG calls and lets
-the analysis layer compute group-bys (service port, protocol, ingress
-member) as array reductions.
+A :class:`FlowTable` describes one batch of flows (a 5-tuple plus
+byte/packet counters, timestamps and the IXP members the traffic enters
+and leaves through, like the IPFIX records the paper analyses in §2.3) as
+parallel NumPy column arrays.  That lets the trace generators draw whole
+intervals with single vectorized RNG calls and lets the analysis layer
+compute group-bys (service port, protocol, ingress member) as array
+reductions.  It is the one flow representation of the data plane.
 
-``FlowTable`` is the canonical data-plane representation; ``FlowRecord``
-remains the compatibility view: :meth:`FlowTable.to_records` materialises
-records on demand and :meth:`FlowTable.from_records` ingests them, so the
-two interconvert losslessly (for IPv4 traffic, which is all the paper's
-measurement study covers).
+A flow's source MAC is the MAC of its ingress member's router (the MAC
+filters of RTBH policy control, Fig. 9), so it is not stored: it is the
+convention ``02:00:00:00:<hh>:<ll>`` of :func:`derived_mac` over the
+ingress member ASN.
 """
 
 from __future__ import annotations
@@ -26,8 +24,6 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from ..sim.clock import check_interval
-from .flow import FiveTuple, FlowRecord
-from .packet import IpProtocol
 
 if TYPE_CHECKING:
     from ..bgp.prefix import Prefix
@@ -91,7 +87,7 @@ def ints_to_ips(values: np.ndarray) -> list[str]:
 
 
 def derived_mac(asn: int) -> str:
-    """The synthetic ingress-router MAC the generators use for a member ASN."""
+    """The MAC of member ``asn``'s router, the source MAC of its ingress flows."""
     return f"02:00:00:00:{(asn >> 8) & 0xFF:02x}:{asn & 0xFF:02x}"
 
 
@@ -152,7 +148,7 @@ def match_mask(
 ) -> np.ndarray:
     """Vectorized five-tuple (+ ingress member) match over a flow table.
 
-    ``None`` criteria match everything (as in ``FlowspecRule.matches``).
+    ``None`` criteria match everything.
     """
     mask = np.ones(len(table), dtype=bool)
     if dst_prefix is not None:
@@ -189,7 +185,7 @@ def iter_window_masks(
     """Yield ``(window_start, row_mask)`` per observation interval in [start, end).
 
     A row belongs to a window when the flow overlaps it (same half-open
-    semantics as :meth:`FlowRecord.overlaps` / ``TrafficTrace.between``).
+    semantics as ``TrafficTrace.between``).
     """
     check_interval(interval)
     flow_start, flow_end = table.start, table.end
@@ -226,17 +222,14 @@ def population_bits(table: "FlowTable", attack: Optional[bool] = None) -> float:
 
 
 class FlowTable:
-    """Parallel column arrays describing one batch of flow records.
+    """Parallel column arrays describing one batch of flows.
 
-    All columns have equal length; rows correspond 1:1 to
-    :class:`~repro.traffic.flow.FlowRecord` instances.  The optional
-    ``src_mac`` column (an object array of strings) is only stored when the
-    table was built from records that carry explicit MACs; when it is
-    ``None`` the MAC of each row is the generator convention
-    ``02:00:00:00:<hh>:<ll>`` derived from the ingress member ASN.
+    All columns have equal length; one row is one flow over one
+    observation interval.  A row's source MAC is :func:`derived_mac` of
+    its ingress member ASN.
     """
 
-    __slots__ = tuple(COLUMNS) + ("src_mac",)
+    __slots__ = COLUMNS
 
     def __init__(
         self,
@@ -252,7 +245,6 @@ class FlowTable:
         ingress_asn: np.ndarray,
         egress_asn: np.ndarray,
         is_attack: np.ndarray,
-        src_mac: Optional[np.ndarray] = None,
     ) -> None:
         self.src_ip = np.asarray(src_ip, dtype=np.uint32)
         self.dst_ip = np.asarray(dst_ip, dtype=np.uint32)
@@ -266,13 +258,10 @@ class FlowTable:
         self.ingress_asn = np.asarray(ingress_asn, dtype=np.int32)
         self.egress_asn = np.asarray(egress_asn, dtype=np.int32)
         self.is_attack = np.asarray(is_attack, dtype=np.bool_)
-        self.src_mac = None if src_mac is None else np.asarray(src_mac, dtype=object)
         length = len(self.src_ip)
         for name in COLUMNS:
             if len(getattr(self, name)) != length:
                 raise ValueError(f"column {name!r} has mismatched length")
-        if self.src_mac is not None and len(self.src_mac) != length:
-            raise ValueError("column 'src_mac' has mismatched length")
 
     # ------------------------------------------------------------------
     # Construction
@@ -280,30 +269,6 @@ class FlowTable:
     @classmethod
     def empty(cls) -> "FlowTable":
         return cls(**{name: np.empty(0, dtype=_COLUMN_DTYPES[name]) for name in COLUMNS})
-
-    @classmethod
-    def from_records(cls, records: Iterable[FlowRecord]) -> "FlowTable":
-        """Build a table from flow records (IPv4 only)."""
-        records = list(records)
-        n = len(records)
-        columns = {name: np.empty(n, dtype=_COLUMN_DTYPES[name]) for name in COLUMNS}
-        macs = np.empty(n, dtype=object)
-        for i, flow in enumerate(records):
-            key = flow.key
-            columns["src_ip"][i] = ip_to_int(key.src_ip)
-            columns["dst_ip"][i] = ip_to_int(key.dst_ip)
-            columns["protocol"][i] = int(key.protocol)
-            columns["src_port"][i] = key.src_port
-            columns["dst_port"][i] = key.dst_port
-            columns["start"][i] = flow.start
-            columns["duration"][i] = flow.duration
-            columns["bytes"][i] = flow.bytes
-            columns["packets"][i] = flow.packets
-            columns["ingress_asn"][i] = flow.ingress_member_asn
-            columns["egress_asn"][i] = flow.egress_member_asn
-            columns["is_attack"][i] = flow.is_attack
-            macs[i] = flow.src_mac
-        return cls(src_mac=macs, **columns)
 
     @classmethod
     def concat(cls, tables: Sequence["FlowTable"]) -> "FlowTable":
@@ -317,17 +282,7 @@ class FlowTable:
             name: np.concatenate([getattr(table, name) for table in tables])
             for name in COLUMNS
         }
-        macs = None
-        if any(table.src_mac is not None for table in tables):
-            macs = np.concatenate(
-                [
-                    table.src_mac
-                    if table.src_mac is not None
-                    else np.array(table.derived_macs(), dtype=object)
-                    for table in tables
-                ]
-            )
-        return cls(src_mac=macs, **columns)
+        return cls(**columns)
 
     # ------------------------------------------------------------------
     # Basics
@@ -335,14 +290,9 @@ class FlowTable:
     def __len__(self) -> int:
         return len(self.src_ip)
 
-    def __iter__(self) -> Iterator[FlowRecord]:
-        return iter(self.to_records())
-
     def select(self, mask: np.ndarray) -> "FlowTable":
         """Row subset by boolean mask (or integer index array)."""
-        columns = {name: getattr(self, name)[mask] for name in COLUMNS}
-        macs = None if self.src_mac is None else self.src_mac[mask]
-        return FlowTable(src_mac=macs, **columns)
+        return FlowTable(**{name: getattr(self, name)[mask] for name in COLUMNS})
 
     # ------------------------------------------------------------------
     # Derived columns
@@ -362,10 +312,6 @@ class FlowTable:
     @property
     def total_bits(self) -> int:
         return self.total_bytes * 8
-
-    def derived_macs(self) -> list[str]:
-        """Per-row source MACs under the generator convention."""
-        return [derived_mac(asn) for asn in self.ingress_asn.tolist()]
 
     def service_ports(self) -> np.ndarray:
         """The port that identifies each flow's application.
@@ -387,7 +333,11 @@ class FlowTable:
         return np.where((src == 0) | (dst == 0), 0, out)
 
     def scaled(self, factor: float) -> "FlowTable":
-        """Row-wise equivalent of :meth:`FlowRecord.scaled` (traffic shaping)."""
+        """Bytes and packets scaled by ``factor`` (traffic shaping).
+
+        Bytes round to the nearest integer; a positive factor keeps at
+        least one packet per row.
+        """
         if factor < 0:
             raise ValueError("factor must be non-negative")
         scaled_bytes = np.rint(self.bytes * factor).astype(np.int64)
@@ -398,15 +348,14 @@ class FlowTable:
         columns = {name: getattr(self, name) for name in COLUMNS}
         columns["bytes"] = scaled_bytes
         columns["packets"] = scaled_packets
-        return FlowTable(src_mac=self.src_mac, **columns)
+        return FlowTable(**columns)
 
     def scaled_by(self, factors: np.ndarray) -> "FlowTable":
         """Row-wise shaping with an individual factor per row.
 
-        The vector equivalent of mapping :meth:`FlowRecord.scaled` over the
-        rows (same rounding, same minimum-one-packet convention for
-        positive factors), used when a shaping budget yields a different
-        scale per flow.
+        :meth:`scaled` with a different factor per row (same rounding, same
+        minimum-one-packet convention for positive factors), used when a
+        shaping budget yields a different scale per flow.
         """
         factors = np.asarray(factors, dtype=np.float64)
         if factors.shape != (len(self),):
@@ -424,56 +373,4 @@ class FlowTable:
         columns = {name: getattr(self, name) for name in COLUMNS}
         columns["bytes"] = scaled_bytes
         columns["packets"] = scaled_packets
-        return FlowTable(src_mac=self.src_mac, **columns)
-
-    # ------------------------------------------------------------------
-    # Record view
-    # ------------------------------------------------------------------
-    def to_records(self) -> list[FlowRecord]:
-        """Materialise the compatibility :class:`FlowRecord` view."""
-        src_ips = ints_to_ips(self.src_ip)
-        dst_ips = ints_to_ips(self.dst_ip)
-        protocols = [IpProtocol(value) for value in self.protocol.tolist()]
-        macs = self.src_mac.tolist() if self.src_mac is not None else self.derived_macs()
-        return [
-            FlowRecord(
-                key=FiveTuple(
-                    src_ip=src_ips[i],
-                    dst_ip=dst_ips[i],
-                    protocol=protocols[i],
-                    src_port=src_port,
-                    dst_port=dst_port,
-                ),
-                start=start,
-                duration=duration,
-                bytes=bytes_,
-                packets=packets,
-                ingress_member_asn=ingress,
-                egress_member_asn=egress,
-                src_mac=macs[i],
-                is_attack=is_attack,
-            )
-            for i, (
-                src_port,
-                dst_port,
-                start,
-                duration,
-                bytes_,
-                packets,
-                ingress,
-                egress,
-                is_attack,
-            ) in enumerate(
-                zip(
-                    self.src_port.tolist(),
-                    self.dst_port.tolist(),
-                    self.start.tolist(),
-                    self.duration.tolist(),
-                    self.bytes.tolist(),
-                    self.packets.tolist(),
-                    self.ingress_asn.tolist(),
-                    self.egress_asn.tolist(),
-                    self.is_attack.tolist(),
-                )
-            )
-        ]
+        return FlowTable(**columns)

@@ -35,7 +35,6 @@ from ..sim.clock import check_interval
 from ..sim.rng import make_rng
 from .amplification import get_vector
 from .attacks import AmplificationAttack, BenignTrafficSource, _PUBLIC_FIRST_OCTETS
-from .flow import FlowRecord
 from .flowtable import FlowTable, ip_to_int
 from .packet import IpProtocol
 from .profiles import (
@@ -75,7 +74,7 @@ class IxpTraceGenerator:
     * *blackholed* traffic — traffic towards prefixes under RTBH, dominated
       by UDP amplification-prone source ports.
 
-    Flow records towards RTBH victims are marked ``is_attack=True``, which
+    Flows towards RTBH victims are marked ``is_attack=True``, which
     is the ground truth the Fig. 3(a) analysis groups by.
     """
 
@@ -198,21 +197,6 @@ class IxpTraceGenerator:
             egress_asn=egress[keep],
             is_attack=np.full(n, is_attack, dtype=bool),
         )
-
-    def _profile_flows(
-        self,
-        profile: TrafficProfile,
-        total_bytes: float,
-        count: int,
-        interval_start: float,
-        is_attack: bool,
-        dst_ip: Optional[str] = None,
-        egress_member: Optional[int] = None,
-    ) -> list[FlowRecord]:
-        """Record-view wrapper around :meth:`_profile_table`."""
-        return self._profile_table(
-            profile, total_bytes, count, interval_start, is_attack, dst_ip, egress_member
-        ).to_records()
 
     def interval_table(self, interval_start: float) -> FlowTable:
         """One observation interval of regular cross-member traffic.

@@ -1,6 +1,6 @@
 """Packet-level constants and helpers.
 
-The reproduction is primarily flow-level (see :mod:`repro.traffic.flow`),
+The reproduction is primarily flow-level (see :mod:`repro.traffic.flowtable`),
 but the amplification-attack models reason about packet sizes (request
 vs. response) and IP protocol numbers, which live here.
 """

@@ -19,10 +19,6 @@ Lifecycle contract (single-producer, single-consumer):
 - the consumer calls :meth:`table`, uses the view, then calls
   :meth:`close` + :meth:`unlink` when done.  After ``unlink`` the block
   name is gone and the handle is dead.
-
-Tables carrying an explicit ``src_mac`` column are rejected: object
-arrays hold Python references and cannot live in shared memory.  (The
-generators never set ``src_mac``; record-ingested tables do.)
 """
 
 from __future__ import annotations
@@ -84,11 +80,6 @@ class SharedFlowTable:
         producer's resource tracker forgets the block, so only the
         consumer's eventual :meth:`unlink` destroys it.
         """
-        if table.src_mac is not None:
-            raise ValueError(
-                "tables with an explicit src_mac column cannot be shared "
-                "(object arrays hold process-local references)"
-            )
         rows = len(table)
         layout: list[tuple[str, str, int]] = []
         offset = 0

@@ -9,20 +9,15 @@ shares are computed).
 A trace wraps one columnar :class:`~repro.traffic.flowtable.FlowTable`, the
 output of the vectorized generators: filters and aggregations run as NumPy
 array operations, which is what makes production-scale traces tractable.
-``trace.flows`` materialises the per-record view on demand; record lists
-enter through :meth:`FlowTable.from_records
-<repro.traffic.flowtable.FlowTable.from_records>`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from typing import Optional
 
 import numpy as np
 
 from ..sim.clock import check_interval
-from .flow import FlowRecord
 from .flowtable import FlowTable, group_sum, ingress_peers, ip_to_int
 from .packet import IpProtocol
 
@@ -34,20 +29,12 @@ class TrafficTrace:
         if table is None:
             table = FlowTable.empty()
         elif not isinstance(table, FlowTable):
-            raise TypeError(
-                f"TrafficTrace takes a FlowTable, got {type(table).__name__}; "
-                "convert records with FlowTable.from_records"
-            )
+            raise TypeError(f"TrafficTrace takes a FlowTable, got {type(table).__name__}")
         self._table = table
 
     # ------------------------------------------------------------------
     # Representations
     # ------------------------------------------------------------------
-    @property
-    def flows(self) -> list[FlowRecord]:
-        """The per-record view, materialised from the table."""
-        return self._table.to_records()
-
     @property
     def table(self) -> FlowTable:
         """The columnar view."""
@@ -58,9 +45,6 @@ class TrafficTrace:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._table)
-
-    def __iter__(self) -> Iterator[FlowRecord]:
-        return iter(self.flows)
 
     @property
     def total_bytes(self) -> int:

@@ -21,9 +21,10 @@ from repro.analysis import (
     welch_t_test,
 )
 from oracle import trace as reference
+from oracle.records import FiveTuple, FlowRecord, from_records
 from repro.bgp import PolicyControl
 from repro.mitigation import MitigationOutcome, RtbhService
-from repro.traffic import FiveTuple, FlowRecord, FlowTable, IpProtocol, TrafficTrace
+from repro.traffic import IpProtocol, TrafficTrace
 
 
 def make_flow(src_port=11211, bytes_=1000, is_attack=True, start=0.0, protocol=IpProtocol.UDP,
@@ -146,8 +147,8 @@ class TestLinearRegression:
 class TestCollateralAnalysis:
     def test_collateral_damage_report(self):
         outcome = MitigationOutcome(
-            delivered_table=FlowTable.from_records([make_flow(is_attack=True, bytes_=100)]),
-            discarded_table=FlowTable.from_records(
+            delivered_table=from_records([make_flow(is_attack=True, bytes_=100)]),
+            discarded_table=from_records(
                 [
                     make_flow(is_attack=False, bytes_=50),
                     make_flow(is_attack=True, bytes_=300),
@@ -170,13 +171,13 @@ class TestCollateralAnalysis:
             make_flow(src_port=443, is_attack=False, bytes_=100, protocol=IpProtocol.TCP),
         ]
         potential = fine_grained_filter_potential(
-            FlowTable.from_records(flows), IpProtocol.UDP, 11211
+            from_records(flows), IpProtocol.UDP, 11211
         )
         assert potential["attack_removed_fraction"] == 1.0
         assert potential["legitimate_removed_fraction"] == 0.0
         assert potential["total_removed_fraction"] == 0.9
         # A trace is read through its table.
-        trace = TrafficTrace(FlowTable.from_records(flows))
+        trace = TrafficTrace(from_records(flows))
         assert fine_grained_filter_potential(trace, IpProtocol.UDP, 11211) == potential
 
     def test_port_share_timeseries(self):
@@ -185,7 +186,7 @@ class TestCollateralAnalysis:
             make_flow(src_port=11211, start=60.0, bytes_=9000),
             make_flow(src_port=123, start=90.0, bytes_=1000),
         ]
-        trace = TrafficTrace(FlowTable.from_records(flows))
+        trace = TrafficTrace(from_records(flows))
         snapshots = port_share_timeseries(trace, interval=60.0, top_ports=(443, 11211))
         assert snapshots == reference.port_share_timeseries(flows, 60.0, (443, 11211))
         assert snapshots[0].share_of(443) == 1.0
@@ -196,7 +197,7 @@ class TestCollateralAnalysis:
 
     @pytest.mark.parametrize("interval", [0.0, -1.0, float("nan"), float("inf")])
     def test_port_share_timeseries_invalid_interval(self, interval):
-        trace = TrafficTrace(FlowTable.from_records([make_flow()]))
+        trace = TrafficTrace(from_records([make_flow()]))
         with pytest.raises(ValueError):
             port_share_timeseries(trace, interval, ())
 

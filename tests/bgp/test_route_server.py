@@ -2,6 +2,8 @@
 
 import pytest
 
+from oracle.mitigation import flowspec_matches
+from oracle.records import FiveTuple, FlowRecord
 from repro.bgp import (
     BgpSession,
     FlowspecActionType,
@@ -21,6 +23,18 @@ from repro.bgp import (
     rate_limit_rule,
     rtbh_community,
 )
+from repro.traffic import IpProtocol
+
+
+def flow(dst_ip, src_port=0):
+    """A UDP flow towards ``dst_ip`` for the scalar Flowspec matcher."""
+    return FlowRecord(
+        key=FiveTuple("23.1.1.1", dst_ip, IpProtocol.UDP, src_port, 40000),
+        start=0.0,
+        duration=10.0,
+        bytes=1000,
+        packets=1,
+    )
 
 
 class TestBgpSession:
@@ -204,9 +218,9 @@ class TestFlowspec:
     def test_drop_rule_matches_and_discards(self):
         rule = drop_rule("100.10.10.10/32", source_port=123, ip_protocol=17)
         assert rule.is_discard
-        assert rule.matches(dst_ip="100.10.10.10", protocol=17, src_port=123)
-        assert not rule.matches(dst_ip="100.10.10.10", protocol=17, src_port=53)
-        assert not rule.matches(dst_ip="100.10.10.11", protocol=17, src_port=123)
+        assert flowspec_matches(rule, flow("100.10.10.10", src_port=123))
+        assert not flowspec_matches(rule, flow("100.10.10.10", src_port=53))
+        assert not flowspec_matches(rule, flow("100.10.10.11", src_port=123))
 
     def test_rate_limit_rule(self):
         rule = rate_limit_rule("100.10.10.0/24", rate_bytes_per_second=1000.0)
@@ -228,9 +242,9 @@ class TestFlowspec:
         from repro.bgp import FlowspecRule
 
         rule = FlowspecRule(packet_length_max=500)
-        assert rule.matches(dst_ip="1.2.3.4", packet_length=400)
-        assert not rule.matches(dst_ip="1.2.3.4", packet_length=900)
-        assert not rule.matches(dst_ip="1.2.3.4")
+        assert flowspec_matches(rule, flow("1.2.3.4"), packet_length=400)
+        assert not flowspec_matches(rule, flow("1.2.3.4"), packet_length=900)
+        assert not flowspec_matches(rule, flow("1.2.3.4"))
 
     def test_invalid_port_rejected(self):
         from repro.bgp import FlowspecRule

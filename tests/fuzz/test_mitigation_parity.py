@@ -23,6 +23,7 @@ from fuzz.strategies import (
 )
 from oracle import mitigation as reference
 from oracle.mitigation import assert_matches_reference
+from oracle.records import to_records
 from repro.bgp import Prefix
 from repro.bgp.flowspec import FlowspecAction, FlowspecActionType, FlowspecRule
 from repro.core.rules import BlackholingRule, RuleAction
@@ -151,19 +152,19 @@ def prefilter_rules(draw):
 @given(flow_tables(), rtbh_services(), intervals)
 def test_rtbh_matches_reference(table, service, interval):
     outcome = RtbhMitigation(service).apply(table, interval)
-    assert_matches_reference(outcome, reference.rtbh(service, table.to_records()))
+    assert_matches_reference(outcome, reference.rtbh(service, to_records(table)))
 
 
 @given(flow_tables(), access_lists(), intervals)
 def test_acl_matches_reference(table, acl, interval):
     outcome = AclMitigation(acl).apply(table, interval)
-    assert_matches_reference(outcome, reference.acl(acl, table.to_records()))
+    assert_matches_reference(outcome, reference.acl(acl, to_records(table)))
 
 
 @given(flow_tables(), flowspec_services(), intervals)
 def test_flowspec_matches_reference(table, service, interval):
     outcome = FlowspecMitigation(service).apply(table, interval)
-    assert_matches_reference(outcome, reference.flowspec(service, table.to_records(), interval))
+    assert_matches_reference(outcome, reference.flowspec(service, to_records(table), interval))
 
 
 @given(st.lists(flow_tables(), min_size=1, max_size=3), scrubbing_setups(), intervals)
@@ -176,7 +177,7 @@ def test_scrubbing_matches_reference(tables, setup, interval):
     scrubber = reference.ReferenceScrubber(center, active_since, seed)
     for table in tables:
         outcome = mitigation.apply(table, interval)
-        assert_matches_reference(outcome, scrubber.apply(table.to_records(), interval))
+        assert_matches_reference(outcome, scrubber.apply(to_records(table), interval))
         assert mitigation.scrubbed_bits_total == scrubber.scrubbed_bits_total
 
 
@@ -194,7 +195,7 @@ def test_combined_matches_reference(table, rules, setup, interval):
     )
     scrubber = reference.ReferenceScrubber(center, active_since, seed)
     result = mitigation.apply_detailed(table, interval)
-    expected = reference.combined(rules, scrubber, table.to_records(), interval)
+    expected = reference.combined(rules, scrubber, to_records(table), interval)
     assert_matches_reference(result.outcome, expected.outcome)
     assert result.prefiltered_bits == expected.prefiltered_bits
     assert result.scrubbed_bits == expected.scrubbed_bits

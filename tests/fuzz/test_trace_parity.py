@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from fuzz.strategies import HOSTS, PORT_POOL, flow_tables
 from oracle import trace as reference
+from oracle.records import to_records
 from repro.analysis import port_share_timeseries
 from repro.traffic import FlowTable, TrafficTrace
 from repro.traffic.flowtable import COLUMNS
@@ -44,7 +45,7 @@ def test_trace_queries_match_reference(
     table, timing_seed, bin_seconds, window, top_ports, host, member
 ):
     trace = TrafficTrace(retimed(table, timing_seed))
-    flows = trace.flows
+    flows = to_records(trace.table)
     low, high = sorted(window)
 
     assert len(trace) == len(flows)
@@ -62,11 +63,11 @@ def test_trace_queries_match_reference(
         {port: volume / total for port, volume in by_port.items()} if total else {}
     )
 
-    assert trace.towards(host).flows == reference.towards(flows, host)
-    assert trace.towards_member(member).flows == reference.towards_member(flows, member)
-    assert trace.attack_flows().flows == reference.attack_flows(flows)
-    assert trace.benign_flows().flows == reference.benign_flows(flows)
-    assert trace.between(low, high).flows == reference.between(flows, low, high)
+    assert to_records(trace.towards(host).table) == reference.towards(flows, host)
+    assert to_records(trace.towards_member(member).table) == reference.towards_member(flows, member)
+    assert to_records(trace.attack_flows().table) == reference.attack_flows(flows)
+    assert to_records(trace.benign_flows().table) == reference.benign_flows(flows)
+    assert to_records(trace.between(low, high).table) == reference.between(flows, low, high)
 
     assert trace.rate_timeseries(bin_seconds) == reference.rate_timeseries(
         flows, bin_seconds

@@ -3,6 +3,7 @@
 import pytest
 
 from fuzz.strategies import router_fabric
+from oracle.records import FiveTuple, FlowRecord, from_records
 from repro.bgp import Prefix
 from repro.ixp import (
     EdgeRouter,
@@ -18,11 +19,11 @@ from repro.ixp import (
     l_ixp_edge_router_profile,
     small_ixp_edge_router_profile,
 )
-from repro.traffic import FiveTuple, FlowRecord, FlowTable, IpProtocol
+from repro.traffic import FlowTable, IpProtocol
 
 
 def table(*flows):
-    return FlowTable.from_records(flows)
+    return from_records(flows)
 
 
 def make_flow(dst_ip="100.10.10.10", egress=64500, bytes_=10_000, src_port=123):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from fuzz.strategies import single_port_fabric
+from oracle.records import FiveTuple, FlowRecord, from_records, to_records
 from oracle.reference import ReferenceFabric
 from repro.bgp import Prefix
 from repro.ixp import (
@@ -32,8 +33,6 @@ from repro.ixp import (
 from repro.traffic import (
     BenignTrafficSource,
     BooterAttack,
-    FiveTuple,
-    FlowRecord,
     FlowTable,
     IpProtocol,
 )
@@ -153,7 +152,7 @@ def victim_port_fabric(rules) -> SwitchingFabric:
 
 def victim_flows(src_ports_and_bytes) -> FlowTable:
     """One victim-bound flow per ``(src_port, bytes)``, in the given row order."""
-    return FlowTable.from_records(
+    return from_records(
         FlowRecord(
             key=FiveTuple(f"23.1.1.{row + 1}", VICTIM_IP, IpProtocol.UDP, src_port, 40000),
             start=0.0,
@@ -186,7 +185,8 @@ def assert_matches_reference(fabric, oracle, table, interval_start=0.0):
     assert json.dumps(report.to_dict(), sort_keys=True) == json.dumps(reference, sort_keys=True)
     for asn, result in report.results_by_member.items():
         for name, expected in zip(("forwarded", "dropped", "shaped"), oracle.verdicts[asn]):
-            assert record_multiset(getattr(result, name)) == record_multiset(expected), (
+            produced = to_records(getattr(result, f"{name}_table"))
+            assert record_multiset(produced) == record_multiset(expected), (
                 asn, name,
             )
         assert vars(fabric.port_for_member(asn).counters) == oracle.counters[asn], asn
@@ -352,16 +352,16 @@ class TestDeliveryPlan:
         oracle = ReferenceFabric(fabric)
         oracle.deliver(table, 10.0)
         forwarded, dropped, shaped = oracle.verdicts[VICTIM_ASN]
-        assert result.shaped == shaped
+        assert to_records(result.shaped_table) == shaped
         assert result._table_source is None
         assert scaled_calls == ["scaled_by"]
         # Rank order (the more specific DNS rule first), then row order.
-        assert [record.src_port for record in result.shaped] == [53, 53, 123, 123]
-        assert [record.bytes for record in result.shaped] == [
+        assert [record.src_port for record in to_records(result.shaped_table)] == [53, 53, 123, 123]
+        assert [record.bytes for record in to_records(result.shaped_table)] == [
             record.bytes for record in shaped
         ]
-        assert result.forwarded == forwarded
-        assert result.dropped == dropped
+        assert to_records(result.forwarded_table) == forwarded
+        assert to_records(result.dropped_table) == dropped
 
 
 def wide_fabric(member_count: int = 120) -> SwitchingFabric:
@@ -538,7 +538,7 @@ class TestIpfixExportFilter:
             self.make_record(9999),
             self.make_record(PEER_ASNS[0]),
         ]
-        report = fabric.deliver(FlowTable.from_records(flows), 10.0)
+        report = fabric.deliver(from_records(flows), 10.0)
         assert set(report.results_by_member) == {VICTIM_ASN, PEER_ASNS[0]}
         assert len(fabric.collector) == 2
         exported = [

@@ -20,6 +20,7 @@ regression test for a bug the fuzzing work fixed:
 import pytest
 
 from fuzz.strategies import router_fabric, single_port_fabric
+from oracle.records import FiveTuple, FlowRecord, from_records
 from oracle.reference import ReferenceFabric
 from repro.bgp import Prefix
 from repro.ixp import (
@@ -30,7 +31,7 @@ from repro.ixp import (
     PortQosPolicy,
     QosRule,
 )
-from repro.traffic import FiveTuple, FlowRecord, FlowTable, IpProtocol
+from repro.traffic import IpProtocol
 
 #: How each interval is classified: by the production rule index, or by
 #: the naive per-rule first match of the reference in ``tests/oracle``.
@@ -78,7 +79,7 @@ class Port:
 
     def deliver(self, bytes=10_000_000):
         """One interval's member accounting, on this port's path."""
-        table = FlowTable.from_records([flow(bytes=bytes)])
+        table = from_records([flow(bytes=bytes)])
         if self.path == "indexed":
             report = self.fabric.deliver(table, INTERVAL).to_dict()
         else:

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from fuzz.strategies import single_port_fabric
+from oracle.records import FiveTuple, FlowRecord, from_records, record_matches
 from oracle.reference import display_utilisation, first_match, precedence, utilisation
 from repro.bgp import Prefix
 from repro.ixp import (
@@ -19,20 +20,20 @@ from repro.ixp import (
     SwitchingFabric,
     default_mac,
 )
-from repro.traffic import FiveTuple, FlowRecord, FlowTable, IpProtocol
+from repro.traffic import FlowTable, IpProtocol
+from repro.traffic.flowtable import derived_mac
 
 
 def make_flow(src_port=123, protocol=IpProtocol.UDP, bytes_=10_000, dst_ip="100.10.10.10",
-              src_mac="", is_attack=True, dst_port=40000):
+              ingress=65001, is_attack=True, dst_port=40000):
     return FlowRecord(
         key=FiveTuple("23.1.1.1", dst_ip, protocol, src_port, dst_port),
         start=0.0,
         duration=10.0,
         bytes=bytes_,
         packets=10,
-        ingress_member_asn=65001,
+        ingress_member_asn=ingress,
         egress_member_asn=64500,
-        src_mac=src_mac,
         is_attack=is_attack,
     )
 
@@ -42,12 +43,19 @@ def deliver_report(flows, rules=(), capacity=1e9, interval_start=0.0):
     fabric, port = single_port_fabric(port_capacity_bps=capacity)
     for rule in rules:
         port.qos.install(rule)
-    return port, fabric.deliver(FlowTable.from_records(flows), 10.0, interval_start)
+    return port, fabric.deliver(from_records(flows), 10.0, interval_start)
 
 
 def deliver(flows, rules=(), capacity=1e9, interval_start=0.0):
     port, report = deliver_report(flows, rules, capacity, interval_start)
     return port, report.results_by_member[port.asn]
+
+
+def matches(match, flow):
+    """The columnar verdict for one flow, checked against the scalar one."""
+    verdict = bool(match.matches_table(from_records([flow]))[0])
+    assert verdict == record_matches(match, flow)
+    return verdict
 
 
 class TestFlowMatch:
@@ -71,22 +79,22 @@ class TestFlowMatch:
         match = FlowMatch(
             dst_prefix=Prefix.parse("100.10.10.0/24"), protocol=IpProtocol.UDP, src_port=123
         )
-        assert match.matches(make_flow())
-        assert not match.matches(make_flow(src_port=53))
-        assert not match.matches(make_flow(protocol=IpProtocol.TCP))
-        assert not match.matches(make_flow(dst_ip="9.9.9.9"))
+        assert matches(match, make_flow())
+        assert not matches(match, make_flow(src_port=53))
+        assert not matches(match, make_flow(protocol=IpProtocol.TCP))
+        assert not matches(match, make_flow(dst_ip="9.9.9.9"))
 
     def test_mac_matching_case_insensitive(self):
-        match = FlowMatch(src_mac="02:00:AA:BB:CC:DD")
-        assert match.matches(make_flow(src_mac="02:00:aa:bb:cc:dd"))
-        assert not match.matches(make_flow(src_mac="02:00:aa:bb:cc:de"))
-        flows = [make_flow(src_mac=mac) for mac in ("02:00:aa:bb:cc:dd", "x", "02:00:AA:BB:CC:DD")]
-        assert match.matches_table(FlowTable.from_records(flows)).tolist() == [True, False, True]
+        match = FlowMatch(src_mac=derived_mac(65001).upper())
+        assert matches(match, make_flow(ingress=65001))
+        assert not matches(match, make_flow(ingress=65002))
+        flows = [make_flow(ingress=asn) for asn in (65001, 65002, 65001)]
+        assert match.matches_table(from_records(flows)).tolist() == [True, False, True]
 
     def test_dst_port_and_src_prefix(self):
         match = FlowMatch(src_prefix=Prefix.parse("23.0.0.0/8"), dst_port=40000)
-        assert match.matches(make_flow())
-        assert not match.matches(make_flow(dst_port=53))
+        assert matches(match, make_flow())
+        assert not matches(match, make_flow(dst_port=53))
 
     def test_specificity_ordering(self):
         broad = FlowMatch(dst_prefix=Prefix.parse("100.10.10.0/24"))
@@ -124,8 +132,8 @@ class TestPortQosPolicy:
             rule_id="r1",
         )
         _, result = deliver([make_flow(), make_flow(src_port=53)], rules=[rule])
-        assert len(result.dropped) == 1
-        assert len(result.forwarded) == 1
+        assert len(result.dropped_table) == 1
+        assert len(result.forwarded_table) == 1
 
     def test_shape_rule_limits_aggregate(self):
         rule = QosRule(
@@ -152,8 +160,8 @@ class TestPortQosPolicy:
             ),
         ]
         _, result = deliver([make_flow()], rules=rules)
-        assert len(result.shaped) == 1
-        assert len(result.dropped) == 0
+        assert len(result.shaped_table) == 1
+        assert len(result.dropped_table) == 0
 
     def test_install_replaces_rule_with_same_id(self):
         policy = PortQosPolicy(port_capacity_bps=1e9)
@@ -173,7 +181,7 @@ class TestPortQosPolicy:
         policy = PortQosPolicy(port_capacity_bps=1e9)
         policy.install(QosRule(match=FlowMatch(src_port=1), action=FilterAction.DROP))
         assert first_match(precedence(policy), make_flow()) == -1
-        table = FlowTable.from_records([make_flow()])
+        table = from_records([make_flow()])
         assert policy.assign_table(table).tolist() == [-1]
 
     def test_conservation_of_bits(self):

@@ -16,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fuzz.strategies import single_port_fabric
+from oracle.records import record_matches, to_records
 from oracle.reference import ReferenceFabric, assign
 from repro.bgp import Prefix
 from repro.ixp import (
@@ -256,15 +257,9 @@ class TestAssignParity:
         assert report.to_dict() == oracle.deliver(table, 10.0)
         result = report.results_by_member[64500]
         forwarded, dropped, shaped = oracle.verdicts[64500]
-        assert (result.forwarded, result.dropped, result.shaped) == (forwarded, dropped, shaped)
-
-    def test_apply_matches_record_path(self):
-        """Record input (via FlowTable.from_records) equals columnar input."""
-        table = flow_table(n=400, seed=9)
-        from_records = FlowTable.from_records(table.to_records())
-        expected = ReferenceFabric(make_fabric()[0]).deliver(table, 10.0)
-        assert make_fabric()[0].deliver(table, 10.0).to_dict() == expected
-        assert make_fabric()[0].deliver(from_records, 10.0).to_dict() == expected
+        assert to_records(result.forwarded_table) == forwarded
+        assert to_records(result.dropped_table) == dropped
+        assert to_records(result.shaped_table) == shaped
 
 
 class TestPrecedence:
@@ -1062,11 +1057,12 @@ class TestRadixBinning:
 
 
 class TestDerivedMacMatching:
-    """MAC rules against tables without a ``src_mac`` column.
+    """MAC rules against the ingress-derived MAC of each row.
 
-    Such tables carry the generator convention ``derived_mac(asn)``, which
+    A row's MAC is ``derived_mac(asn)`` of its ingress member, which
     encodes ``asn & 0xFFFF``; ``FlowMatch.matches_table`` must agree with
-    the per-record ``FlowMatch.matches`` on the materialised MACs.
+    the oracle's scalar ``record_matches``, which formats and compares the
+    MAC string itself.
     """
 
     #: 1, 65537 and 131073 share their low 16 bits (0x0001).
@@ -1076,7 +1072,7 @@ class TestDerivedMacMatching:
         return flow_table(n=n, seed=seed, ingress=self.ASNS)
 
     def per_record(self, match, table):
-        return [match.matches(record) for record in table.to_records()]
+        return [record_matches(match, record) for record in to_records(table)]
 
     def test_four_byte_asns_sharing_low_bits_all_match(self):
         table = self.table()

@@ -12,6 +12,7 @@ path budget enforcement relies on.
 
 import pytest
 
+from oracle.records import FiveTuple, FlowRecord, from_records
 from oracle.service import ScriptedPortal, replay_request_log
 from repro.bgp import Prefix
 from repro.ixp import (
@@ -23,7 +24,7 @@ from repro.ixp import (
     build_multi_pop_fabric,
     make_member_population,
 )
-from repro.traffic import FiveTuple, FlowRecord, FlowTable, IpProtocol
+from repro.traffic import IpProtocol
 
 #: The paper's §5.2 deterministic budget: (15 − 1.5) / 3.117 updates/s.
 RATE = (15.0 - 1.5) / 3.117
@@ -336,7 +337,7 @@ class TestCoalescingParity:
             flow("10.1.0.2", members[1], src_port=19),
             flow("10.9.9.9", members[2]),
         ]
-        return FlowTable.from_records(records)
+        return from_records(records)
 
     def test_coalesced_batches_match_sequential_installs(self):
         fabric_a, members = make_fabric()

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from oracle.records import FiveTuple, FlowRecord, from_records
 from repro.bgp import RouteServer, drop_rule, rate_limit_rule
 from repro.core import BlackholingRule
 from repro.mitigation import (
@@ -23,7 +24,7 @@ from repro.mitigation import (
     ScrubbingMitigation,
     build_comparison_table,
 )
-from repro.traffic import FiveTuple, FlowRecord, FlowTable, IpProtocol
+from repro.traffic import FlowTable, IpProtocol
 
 
 def make_flow(src_port=123, dst_ip="100.10.10.10", ingress=65001, is_attack=True, bytes_=10_000,
@@ -41,7 +42,7 @@ def make_flow(src_port=123, dst_ip="100.10.10.10", ingress=65001, is_attack=True
 
 
 def table_of(*flows):
-    return FlowTable.from_records(flows)
+    return from_records(flows)
 
 
 class TestMitigationOutcome:

@@ -13,6 +13,7 @@ import pytest
 
 from oracle import mitigation as reference
 from oracle.mitigation import assert_matches_reference
+from oracle.records import to_records
 from repro.bgp.flowspec import drop_rule, rate_limit_rule
 from repro.bgp.prefix import parse_prefix
 from repro.core.rules import BlackholingRule
@@ -57,7 +58,7 @@ class TestRtbhParity:
         service = RtbhService(ixp_asn=64700, compliance_rate=0.3, seed=9)
         service.request_blackhole(64500, VICTIM_PREFIX, peer_asns)
         outcome = RtbhMitigation(service).apply(interval_table, INTERVAL)
-        assert_matches_reference(outcome, reference.rtbh(service, interval_table.to_records()))
+        assert_matches_reference(outcome, reference.rtbh(service, to_records(interval_table)))
         assert len(outcome.discarded_table) > 0  # the blackhole actually bit
 
     def test_most_specific_event_wins(self, interval_table, peer_asns):
@@ -65,7 +66,7 @@ class TestRtbhParity:
         service.request_blackhole(64500, "100.10.10.0/24", peer_asns[:10])
         service.request_blackhole(64500, VICTIM_PREFIX, peer_asns[10:])
         outcome = RtbhMitigation(service).apply(interval_table, INTERVAL)
-        assert_matches_reference(outcome, reference.rtbh(service, interval_table.to_records()))
+        assert_matches_reference(outcome, reference.rtbh(service, to_records(interval_table)))
 
 
 class TestAclParity:
@@ -82,7 +83,7 @@ class TestAclParity:
         )
         acl.deny(VICTIM_PREFIX, protocol=IpProtocol.UDP)
         outcome = AclMitigation(acl).apply(interval_table, INTERVAL)
-        assert_matches_reference(outcome, reference.acl(acl, interval_table.to_records()))
+        assert_matches_reference(outcome, reference.acl(acl, to_records(interval_table)))
         assert len(outcome.discarded_table) > 0
 
 
@@ -95,7 +96,7 @@ class TestFlowspecParity:
         )
         service.announce_rule(rate_limit_rule(VICTIM_PREFIX, 1e6), peer_asns)
         outcome = FlowspecMitigation(service).apply(interval_table, INTERVAL)
-        expected = reference.flowspec(service, interval_table.to_records(), INTERVAL)
+        expected = reference.flowspec(service, to_records(interval_table), INTERVAL)
         assert_matches_reference(outcome, expected)
         assert len(outcome.discarded_table) > 0
         assert len(outcome.shaped_table) > 0
@@ -108,14 +109,14 @@ class TestScrubbingParity:
         mitigation = ScrubbingMitigation(center, active_since=-1e9, seed=7)
         scrubber = reference.ReferenceScrubber(center, active_since=-1e9, seed=7)
         outcome = mitigation.apply(interval_table, INTERVAL)
-        assert_matches_reference(outcome, scrubber.apply(interval_table.to_records(), INTERVAL))
+        assert_matches_reference(outcome, scrubber.apply(to_records(interval_table), INTERVAL))
         assert mitigation.scrubbed_bits_total == scrubber.scrubbed_bits_total
 
     def test_not_yet_effective_passes_everything(self, interval_table):
         mitigation = ScrubbingMitigation(active_since=1e9, seed=7)
         scrubber = reference.ReferenceScrubber(mitigation.center, active_since=1e9, seed=7)
         outcome = mitigation.apply(interval_table, INTERVAL)
-        assert_matches_reference(outcome, scrubber.apply(interval_table.to_records(), INTERVAL))
+        assert_matches_reference(outcome, scrubber.apply(to_records(interval_table), INTERVAL))
         assert outcome.delivered_bits == float(interval_table.total_bits)
 
 
@@ -130,7 +131,7 @@ class TestCombinedParity:
             mitigation.scrubbing.center, active_since=-1e9, seed=5
         )
         result = mitigation.apply_detailed(interval_table, INTERVAL)
-        expected = reference.combined(rules, scrubber, interval_table.to_records(), INTERVAL)
+        expected = reference.combined(rules, scrubber, to_records(interval_table), INTERVAL)
         assert_matches_reference(result.outcome, expected.outcome)
         assert result.prefiltered_bits == expected.prefiltered_bits
         assert result.scrubbed_bits == expected.scrubbed_bits

@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracle.records import FiveTuple, FlowRecord, from_records, to_records
 from repro.core import BlackholingRule
 from repro.mitigation import (
     CombinedMitigation,
@@ -9,7 +10,7 @@ from repro.mitigation import (
     ScrubbingMitigation,
     scrubbing_cost_saving,
 )
-from repro.traffic import FiveTuple, FlowRecord, FlowTable, IpProtocol
+from repro.traffic import FlowTable, IpProtocol
 
 
 def make_flow(src_port=123, is_attack=True, bytes_=1_000_000, protocol=IpProtocol.UDP):
@@ -26,7 +27,7 @@ def make_flow(src_port=123, is_attack=True, bytes_=1_000_000, protocol=IpProtoco
 
 
 def table_of(*flows):
-    return FlowTable.from_records(flows)
+    return from_records(flows)
 
 
 def perfect_scrubber():
@@ -59,13 +60,13 @@ class TestCombinedMitigation:
         assert result.prefiltered_bits == 0
         assert result.scrubbed_bits == unknown.bits
         assert result.scrubbing_cost > 0
-        assert unknown in result.outcome.discarded_table.to_records()
+        assert unknown in to_records(result.outcome.discarded_table)
 
     def test_legitimate_traffic_is_delivered(self):
         combined = CombinedMitigation([NTP_RULE], perfect_scrubber())
         benign = make_flow(src_port=51000, is_attack=False, protocol=IpProtocol.TCP)
         outcome = combined.apply(table_of(make_flow(), benign), interval=10.0)
-        assert benign in outcome.delivered_table.to_records()
+        assert benign in to_records(outcome.delivered_table)
         assert outcome.collateral_damage_bits == 0
 
     def test_shape_prefilter_forwards_bounded_sample_to_scrubber(self):

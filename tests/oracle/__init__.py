@@ -1,7 +1,12 @@
 """The naive references every parity test checks against.
 
+``records.py`` holds the per-flow form they reason in: ``FlowRecord``
+(whose MAC is derived from its ingress member), ``to_records`` /
+``from_records`` to and from a ``FlowTable``, and the scalar
+``record_matches``.  Production keeps none of it.
+
 ``reference.py`` models one interval crossing the fabric the slow,
-obvious way: row by row over ``FlowTable.to_records()``, first match in
+obvious way: row by row over ``to_records(table)``, first match in
 most-specific-first order.  It shares no code with the rule index or the
 delivery plan, so a bug there cannot hide in both sides at once.
 ``mitigation.py`` does the same for the five mitigation strategies: flow

@@ -3,10 +3,10 @@
 Each reference reads a production strategy's configuration (blackhole
 events, ACL entries, installed Flowspec rules, pre-filter rules, the
 scrubbing centre) and partitions one interval the slow, obvious way:
-flow by flow over a list of :class:`FlowRecord`, with the scalar
-matchers (``RtbhService.event_for``, ``FlowspecRule.matches``,
-``FlowMatch.matches``) and none of the vectorized masks of
-:mod:`repro.mitigation`.  A :class:`ReferenceOutcome` carries the same
+flow by flow over a list of :class:`~oracle.records.FlowRecord`, with
+the scalar matchers (``RtbhService.event_for``, :func:`acl_entry_matches`,
+:func:`flowspec_matches`, ``record_matches``) and none of the vectorized
+masks of :mod:`repro.mitigation`.  A :class:`ReferenceOutcome` carries the same
 accounting properties as ``MitigationOutcome``, summed over records, so
 parity tests compare them with ``==``.
 
@@ -16,6 +16,7 @@ from the same seed and draws once per flow, in row order.
 
 from dataclasses import dataclass, field
 
+from oracle.records import record_matches, to_records
 from repro.core.rules import RuleAction
 from repro.sim.rng import make_rng
 
@@ -86,7 +87,7 @@ def record_key(flow):
 def assert_matches_reference(outcome, reference):
     """Same flows in every bucket (as multisets) and ``==`` accounting."""
     for bucket in BUCKETS:
-        produced = sorted(map(record_key, getattr(outcome, f"{bucket}_table").to_records()))
+        produced = sorted(map(record_key, to_records(getattr(outcome, f"{bucket}_table"))))
         expected = sorted(map(record_key, getattr(reference, bucket)))
         assert produced == expected, f"{bucket} populations differ"
     for name in ACCOUNTING:
@@ -116,6 +117,25 @@ def acl_entry_matches(entry, flow):
     )
 
 
+def flowspec_matches(rule, flow, packet_length=None):
+    """Whether ``flow`` meets every component of a ``FlowspecRule``.
+
+    Flows carry no packet length; a rule with a length bound matches only
+    when a ``packet_length`` within it is given.
+    """
+    return (
+        (rule.dest_prefix is None or rule.dest_prefix.contains_address(flow.dst_ip))
+        and (rule.source_prefix is None or rule.source_prefix.contains_address(flow.src_ip))
+        and (rule.ip_protocol is None or int(flow.protocol) == rule.ip_protocol)
+        and (rule.source_port is None or flow.src_port == rule.source_port)
+        and (rule.dest_port is None or flow.dst_port == rule.dest_port)
+        and (
+            rule.packet_length_max is None
+            or (packet_length is not None and packet_length <= rule.packet_length_max)
+        )
+    )
+
+
 def acl(access_list, flows):
     """First matching entry decides; no match means permit."""
     outcome = ReferenceOutcome()
@@ -136,12 +156,8 @@ def flowspec(service, flows, interval):
     rate_limited = {}
     for flow in flows:
         for index, installed in enumerate(rules):
-            if flow.ingress_member_asn in installed.installing_peers and installed.rule.matches(
-                dst_ip=flow.dst_ip,
-                src_ip=flow.src_ip,
-                protocol=int(flow.protocol),
-                src_port=flow.src_port,
-                dst_port=flow.dst_port,
+            if flow.ingress_member_asn in installed.installing_peers and flowspec_matches(
+                installed.rule, flow
             ):
                 if installed.rule.is_discard:
                     outcome.discarded.append(flow)
@@ -217,7 +233,7 @@ def combined(rules, scrubber, flows, interval):
     to a sample the scrubber sees; unmatched flows go to the scrubber."""
     prefiltered, shaped, remaining = [], [], []
     for flow in flows:
-        matching = [rule for rule in rules if rule.flow_match().matches(flow)]
+        matching = [rule for rule in rules if record_matches(rule.flow_match(), flow)]
         if not matching:
             remaining.append(flow)
             continue

@@ -6,7 +6,7 @@ interval report the production data path must produce, bit for bit:
 
 * precedence is its own stable sort by ``match.specificity`` (ties keep
   install order), so a splice bug in the policy's sorted view shows up;
-* every row is classified with the scalar ``FlowMatch.matches``;
+* every row is classified with the scalar ``record_matches``;
 * shaping runs through its own ``RateLimiter`` per (member, rule id); the
   caller calls :meth:`ReferenceFabric.forget` whenever it (re)installs,
   removes or clears rules, as the policy resets its shapers then;
@@ -22,6 +22,7 @@ capacity, from one result.
 
 import numpy as np
 
+from oracle.records import record_matches, to_records
 from repro.ixp.qos import FilterAction
 from repro.ixp.queues import RateLimiter
 
@@ -43,7 +44,7 @@ def precedence(qos):
 def first_match(rules, record):
     """Rank of the first rule matching ``record``, or -1 (forward)."""
     for rank, rule in enumerate(rules):
-        if rule.match.matches(record):
+        if record_matches(rule.match, record):
             return rank
     return -1
 
@@ -51,7 +52,7 @@ def first_match(rules, record):
 def assign(qos, table):
     """Per-row claiming rank in :func:`precedence` order."""
     rules = precedence(qos)
-    return np.array([first_match(rules, record) for record in table.to_records()], dtype=np.int64)
+    return np.array([first_match(rules, record) for record in to_records(table)], dtype=np.int64)
 
 
 def utilisation(port, result, interval):
@@ -90,7 +91,7 @@ class ReferenceFabric:
 
     def deliver(self, table, interval, interval_start=0.0):
         """The expected ``FabricIntervalReport.to_dict()`` of one interval."""
-        records = table.to_records()
+        records = to_records(table)
         bits = np.array([record.bits for record in records], dtype=np.int64)
         connected = self.fabric.member_asns
         rows_by_member = {}

@@ -6,6 +6,7 @@ cannot pass silently.
 """
 
 from oracle import mitigation as reference
+from oracle.records import FiveTuple, FlowRecord
 from repro.bgp.flowspec import rate_limit_rule
 from repro.core.rules import BlackholingRule
 from repro.mitigation import (
@@ -15,7 +16,7 @@ from repro.mitigation import (
     RtbhService,
     ScrubbingCenter,
 )
-from repro.traffic import FiveTuple, FlowRecord, IpProtocol
+from repro.traffic import IpProtocol
 
 INTERVAL = 10.0
 VICTIM = "100.10.10.10"

@@ -8,10 +8,11 @@ production fabric) so a bug in the reference cannot pass silently.
 import pytest
 
 from fuzz.strategies import single_port_fabric
+from oracle.records import FiveTuple, FlowRecord, from_records
 from oracle.reference import ReferenceFabric, assign
 from repro.ixp import FilterAction, FlowMatch, QosRule
-from repro.traffic import FiveTuple, FlowRecord, FlowTable, IpProtocol
-from repro.traffic.flowtable import COLUMNS, derived_mac
+from repro.traffic import IpProtocol
+from repro.traffic.flowtable import derived_mac
 
 INTERVAL = 10.0
 ASN = 64500
@@ -71,7 +72,7 @@ def test_equal_specificity_tie_goes_to_the_first_installed(first):
     second = "dport-shape" if first == "ntp-drop" else "ntp-drop"
     port.qos.install(rules[first])
     port.qos.install(rules[second])
-    table = FlowTable.from_records([flow(bytes_=1000)])
+    table = from_records([flow(bytes_=1000)])
     assert assign(port.qos, table).tolist() == [0]
     if first == "ntp-drop":
         stats = {"ntp-drop": {"matched": 8000.0, "dropped": 8000.0, "shaped": 0.0}}
@@ -86,22 +87,19 @@ def test_anonymous_shape_rule_is_keyed_by_its_synthetic_id():
     """1e5 bps x 10 s passes 1e6 of 8e7 bits; the flow scales by 1/80."""
     fabric, port = single_port_fabric()
     port.qos.install(QosRule(FlowMatch(src_port=123), FilterAction.SHAPE, shape_rate_bps=1e5))
-    table = FlowTable.from_records([flow(bytes_=10_000_000)])
+    table = from_records([flow(bytes_=10_000_000)])
     stats = {"anon-1": {"matched": 1e6, "dropped": 0.0, "shaped": 1e6}}
     expected = member_report(passed=1e6, shaped_away=7.9e7, rule_stats=stats)
     check(fabric, table, expected, offered=8e7)
 
 
 def test_derived_mac_rule_matches_the_ingress_member():
-    """A table without a MAC column carries the derived-MAC convention."""
+    """A row's MAC is the derived MAC of its ingress member."""
     fabric, port = single_port_fabric()
     port.qos.install(
         QosRule(FlowMatch(src_mac=derived_mac(65002)), FilterAction.DROP, rule_id="peer")
     )
-    records = [flow(bytes_=100, ingress=65001), flow(bytes_=200, ingress=65002)]
-    with_macs = FlowTable.from_records(records)
-    table = FlowTable(**{name: getattr(with_macs, name) for name in COLUMNS})
-    assert table.src_mac is None
+    table = from_records([flow(bytes_=100, ingress=65001), flow(bytes_=200, ingress=65002)])
     assert assign(port.qos, table).tolist() == [-1, 0]
     stats = {"peer": {"matched": 1600.0, "dropped": 1600.0, "shaped": 0.0}}
     check(fabric, table, member_report(800.0, dropped=1600.0, rule_stats=stats), offered=2400.0)
@@ -110,7 +108,7 @@ def test_derived_mac_rule_matches_the_ingress_member():
 def test_congestion_scales_forwarded_traffic_to_the_port_capacity():
     """8e7 bits offered to a 1 Mbps port over 10 s: 1e7 fit, 7e7 are lost."""
     fabric, _ = single_port_fabric(port_capacity_bps=1e6)
-    table = FlowTable.from_records([flow(bytes_=10_000_000)])
+    table = from_records([flow(bytes_=10_000_000)])
     check(fabric, table, member_report(forwarded=1e7, congestion=7e7), offered=8e7)
 
 
@@ -126,7 +124,7 @@ def test_shaping_rounds_per_flow_and_congestion_scales_what_passed():
     stats = {"s": {"matched": 48.0, "dropped": 0.0, "shaped": 48.0}}
     expected = member_report(forwarded=800.0 * overload, passed=40.0 * overload,
                              shaped_away=80.0, congestion=740.0, rule_stats=stats)
-    check(fabric, FlowTable.from_records(flows), expected, offered=920.0)
+    check(fabric, from_records(flows), expected, offered=920.0)
 
 
 def test_verdict_records_and_shaper_reset():
@@ -135,7 +133,7 @@ def test_verdict_records_and_shaper_reset():
                    rule_id="s")
     port.qos.install(rule)
     oracle = ReferenceFabric(fabric)
-    table = FlowTable.from_records([flow(bytes_=10_000_000), flow(src_port=53)])
+    table = from_records([flow(bytes_=10_000_000), flow(src_port=53)])
     oracle.deliver(table, INTERVAL)
     forwarded, dropped, shaped = oracle.verdicts[ASN]
     assert [record.key.src_port for record in forwarded] == [53]

@@ -1,7 +1,7 @@
 """Naive per-record models of the ``TrafficTrace`` queries and IPFIX sampling.
 
-Every function takes a plain list of :class:`FlowRecord` (``trace.flows``
-or ``table.to_records()``) and answers the query flow by flow with the
+Every function takes a plain list of :class:`~oracle.records.FlowRecord`
+(``to_records(trace.table)``) and answers the query flow by flow with the
 scalar record helpers (``FlowRecord.overlaps``, ``.end``, ``.scaled``),
 none of the column masks or group-bys of :mod:`repro.traffic`.  Byte
 totals are Python ints, so they compare with ``==``.

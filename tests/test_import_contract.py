@@ -9,6 +9,7 @@ suite imported) and counts modules; none times anything.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
@@ -17,8 +18,18 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 import repro
 from repro.experiments.registry import all_experiments
+from repro.traffic import (
+    AmplificationAttack,
+    BenignTrafficSource,
+    FlowTable,
+    SharedFlowTable,
+    get_vector,
+)
+from repro.traffic.flowtable import COLUMNS
 
 PACKAGES = (
     "repro",
@@ -64,8 +75,8 @@ def test_city_driver_loads_only_what_the_city_run_uses():
     assert "repro.experiments.scenario" not in ours
     assert ours & DRIVERS == {"repro.experiments.city_scale"}
     assert "asyncio" not in loaded
-    # The city driver loads 43 repro modules; 45 leaves room for two more.
-    assert len(ours) <= 45, sorted(ours)
+    # The city driver loads 42 repro modules; 44 leaves room for two more.
+    assert len(ours) <= 44, sorted(ours)
 
 
 def test_churn_driver_loads_no_event_loop():
@@ -127,3 +138,39 @@ print("ok")
 def test_package_reexports_resolve_to_their_defining_submodule(package):
     completed = _python("-c", REEXPORT_SCRIPT.format(package=package))
     assert completed.stdout.strip() == "ok"
+
+
+def test_flow_table_is_the_only_flow_representation():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.traffic.flow")
+    # A row's MAC derives from its ingress member: no MAC column.
+    assert tuple(FlowTable.__slots__) == COLUMNS
+
+
+def test_shared_table_accepts_a_concat_of_generator_tables():
+    attack = AmplificationAttack(
+        victim_ip="100.10.10.10",
+        vector=get_vector("ntp"),
+        peak_rate_bps=1e9,
+        start=0.0,
+        duration=60.0,
+        ingress_member_asns=[65001, 65002],
+        victim_member_asn=64500,
+        reflector_count=20,
+        seed=1,
+    )
+    benign = BenignTrafficSource(
+        dst_ip="100.10.10.10",
+        egress_member_asn=64500,
+        ingress_member_asns=[65003],
+        rate_bps=1e8,
+        seed=2,
+    )
+    table = FlowTable.concat([attack.flow_table(30.0, 10.0), benign.flow_table(30.0, 10.0)])
+    handle = SharedFlowTable.from_table(table)
+    try:
+        shared = handle.table()
+        for name in COLUMNS:
+            assert np.array_equal(getattr(shared, name), getattr(table, name)), name
+    finally:
+        handle.release()

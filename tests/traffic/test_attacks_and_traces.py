@@ -7,12 +7,12 @@ import pytest
 from test_flows_and_profiles import make_flow
 
 from oracle import trace as reference
+from oracle.records import from_records, to_records
 from repro.traffic import (
     AMPLIFICATION_PRONE_PORTS,
     AmplificationAttack,
     BenignTrafficSource,
     BooterAttack,
-    FlowTable,
     IpProtocol,
     IpfixCollector,
     IpfixExporter,
@@ -21,6 +21,7 @@ from repro.traffic import (
     RtbhEvent,
     TrafficTrace,
     get_vector,
+    ip_to_int,
     vector_for_port,
 )
 
@@ -87,30 +88,27 @@ class TestAmplificationAttack:
 
     def test_flows_total_volume_matches_rate(self):
         attack = self._attack(ramp_seconds=0.0)
-        flows = attack.flows(200.0, 10.0)
-        total_bits = sum(flow.bits for flow in flows)
-        assert total_bits == pytest.approx(1e9 * 10.0, rel=0.05)
+        table = attack.flow_table(200.0, 10.0)
+        assert table.total_bits == pytest.approx(1e9 * 10.0, rel=0.05)
 
     def test_flows_use_vector_source_port(self):
-        attack = self._attack()
-        for flow in attack.flows(200.0, 10.0):
-            assert flow.src_port == 123
-            assert flow.protocol is IpProtocol.UDP
-            assert flow.is_attack
-            assert flow.egress_member_asn == 64500
+        table = self._attack().flow_table(200.0, 10.0)
+        assert set(table.src_port.tolist()) == {123}
+        assert set(table.protocol.tolist()) == {int(IpProtocol.UDP)}
+        assert table.is_attack.all()
+        assert set(table.egress_asn.tolist()) == {64500}
 
     def test_flows_outside_window_empty(self):
-        assert self._attack().flows(0.0, 10.0) == []
-        assert self._attack().flows(800.0, 10.0) == []
+        assert len(self._attack().flow_table(0.0, 10.0)) == 0
+        assert len(self._attack().flow_table(800.0, 10.0)) == 0
 
     def test_flows_are_deterministic_per_seed(self):
-        a = self._attack(seed=5).flows(200.0, 10.0)
-        b = self._attack(seed=5).flows(200.0, 10.0)
-        assert [f.bytes for f in a] == [f.bytes for f in b]
+        a = self._attack(seed=5).flow_table(200.0, 10.0)
+        b = self._attack(seed=5).flow_table(200.0, 10.0)
+        assert a.bytes.tolist() == b.bytes.tolist()
 
     def test_ingress_members_subset(self):
-        attack = self._attack()
-        peers = {flow.ingress_member_asn for flow in attack.flows(200.0, 10.0)}
+        peers = set(self._attack().flow_table(200.0, 10.0).ingress_asn.tolist())
         assert peers <= {65001, 65002, 65003}
 
     def test_validation_errors(self):
@@ -122,6 +120,12 @@ class TestAmplificationAttack:
             self._attack(ingress_member_asns=[])
         with pytest.raises(ValueError):
             self._attack(reflector_count=0)
+
+    @pytest.mark.parametrize("field", ["peak_rate_bps", "duration"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rate_and_duration_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            self._attack(**{field: value})
 
     def test_from_vector_name(self):
         attack = AmplificationAttack.from_vector_name(
@@ -146,8 +150,7 @@ class TestBooterAttack:
             duration=600,
             seed=3,
         )
-        flows = booter.flows(300.0, 10.0)
-        peers = {flow.ingress_member_asn for flow in flows}
+        peers = set(booter.flow_table(300.0, 10.0).ingress_asn.tolist())
         assert len(peers) >= 35
 
     def test_requires_peers(self):
@@ -172,15 +175,22 @@ class TestBenignTrafficSource:
             rate_bps=1e8,
             seed=1,
         )
-        flows = source.flows(0.0, 10.0)
-        assert sum(flow.bits for flow in flows) == pytest.approx(1e9, rel=0.05)
-        assert all(not flow.is_attack for flow in flows)
+        table = source.flow_table(0.0, 10.0)
+        assert table.total_bits == pytest.approx(1e9, rel=0.05)
+        assert not table.is_attack.any()
 
     def test_zero_rate_produces_no_flows(self):
         source = BenignTrafficSource(
             dst_ip="1.2.3.4", egress_member_asn=1, ingress_member_asns=[2], rate_bps=0.0
         )
-        assert source.flows(0.0, 10.0) == []
+        assert len(source.flow_table(0.0, 10.0)) == 0
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1.0])
+    def test_negative_or_non_finite_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="rate_bps"):
+            BenignTrafficSource(
+                dst_ip="1.2.3.4", egress_member_asn=1, ingress_member_asns=[2], rate_bps=rate
+            )
 
     def test_web_ports_dominate(self):
         source = BenignTrafficSource(
@@ -191,7 +201,7 @@ class TestBenignTrafficSource:
             client_count=200,
             seed=2,
         )
-        trace = TrafficTrace(FlowTable.from_records(source.flows(0.0, 60.0)))
+        trace = TrafficTrace(source.flow_table(0.0, 60.0))
         shares = trace.share_by_service_port()
         web_share = shares.get(443, 0) + shares.get(80, 0) + shares.get(8080, 0)
         assert web_share > 0.6
@@ -212,7 +222,7 @@ class TestTrafficTrace:
         ]
 
     def _trace(self):
-        return TrafficTrace(FlowTable.from_records(self._flows()))
+        return TrafficTrace(from_records(self._flows()))
 
     def test_totals_and_bounds(self):
         trace, flows = self._trace(), self._flows()
@@ -223,13 +233,15 @@ class TestTrafficTrace:
 
     def test_filters(self):
         trace, flows = self._trace(), self._flows()
-        assert trace.attack_flows().flows == reference.attack_flows(flows)
-        assert trace.benign_flows().flows == reference.benign_flows(flows)
-        assert trace.towards("100.10.10.10").flows == flows
-        assert trace.towards("8.8.8.8").flows == reference.towards(flows, "8.8.8.8") == []
-        assert trace.towards("not-an-ip").flows == []
-        assert trace.towards_member(64500).flows == flows
-        assert trace.between(25, 50).flows == reference.between(flows, 25, 50) == [flows[2]]
+        assert to_records(trace.attack_flows().table) == reference.attack_flows(flows)
+        assert to_records(trace.benign_flows().table) == reference.benign_flows(flows)
+        assert to_records(trace.towards("100.10.10.10").table) == flows
+        towards_other = to_records(trace.towards("8.8.8.8").table)
+        assert towards_other == reference.towards(flows, "8.8.8.8") == []
+        assert to_records(trace.towards("not-an-ip").table) == []
+        assert to_records(trace.towards_member(64500).table) == flows
+        between = to_records(trace.between(25, 50).table)
+        assert between == reference.between(flows, 25, 50) == [flows[2]]
 
     def test_byte_groupings(self):
         trace, flows = self._trace(), self._flows()
@@ -258,7 +270,7 @@ class TestTrafficTrace:
         assert TrafficTrace().share_by_protocol() == {}
 
     def test_record_lists_are_rejected(self):
-        with pytest.raises(TypeError, match="from_records"):
+        with pytest.raises(TypeError, match="FlowTable"):
             TrafficTrace(self._flows())
 
     def test_rate_timeseries(self):
@@ -315,7 +327,7 @@ class TestGenerators:
         attack = trace.attack_flows()
         assert len(attack) > 0
         assert attack.share_by_protocol()[IpProtocol.UDP] > 0.95
-        assert all(flow.dst_ip == "104.20.1.1" for flow in attack)
+        assert (attack.table.dst_ip == ip_to_int("104.20.1.1")).all()
 
     def test_ixp_trace_generator_validation(self):
         with pytest.raises(ValueError):
@@ -331,21 +343,21 @@ class TestGenerators:
 
 
 def exported_records(batch):
-    return batch.table.to_records()
+    return to_records(batch.table)
 
 
 class TestIpfix:
     def test_exporter_without_sampling_exports_everything(self):
         exporter = IpfixExporter(exporter_id="edge-1")
         flows = [make_flow() for _ in range(10)]
-        batch = exporter.export(FlowTable.from_records(flows), export_time=1.0)
+        batch = exporter.export(from_records(flows), export_time=1.0)
         assert exported_records(batch) == flows
         assert exporter.observed_count == exporter.exported_count == 10
 
     def test_sampling_scales_bytes_back_up(self):
         exporter = IpfixExporter(exporter_id="edge-1", sampling_rate=10, seed=1)
         flows = [make_flow(bytes_=1000) for _ in range(5000)]
-        batch = exporter.export(FlowTable.from_records(flows), export_time=0.0)
+        batch = exporter.export(from_records(flows), export_time=0.0)
         assert 0 < len(batch) < 5000
         assert batch.table.total_bytes == pytest.approx(5_000_000, rel=0.15)
 
@@ -353,7 +365,7 @@ class TestIpfix:
         collector = IpfixCollector()
         for name in ("edge-1", "edge-2"):
             exporter = IpfixExporter(exporter_id=name)
-            table = FlowTable.from_records([make_flow(bytes_=500)])
+            table = from_records([make_flow(bytes_=500)])
             collector.receive(exporter.export(table, export_time=0.0))
         assert collector.exporters() == {"edge-1", "edge-2"}
         assert collector.bytes_by_exporter() == {"edge-1": 500, "edge-2": 500}
@@ -382,13 +394,13 @@ class TestIpfixSamplingParity:
     def test_same_seed_keeps_the_reference_flows(self, sampling_rate):
         flows = self._flows()
         exporter = IpfixExporter(exporter_id="tab", sampling_rate=sampling_rate, seed=11)
-        batch = exporter.export(FlowTable.from_records(flows), export_time=0.0)
+        batch = exporter.export(from_records(flows), export_time=0.0)
         assert exported_records(batch) == reference.ipfix_sample(flows, sampling_rate, 11)
         assert exporter.exported_count == len(batch)
 
     def test_sampling_is_byte_unbiased(self):
         true_total = 4000 * 1500
-        table = FlowTable.from_records(self._flows())
+        table = from_records(self._flows())
         estimates = [
             IpfixExporter(exporter_id="tab", sampling_rate=10, seed=seed)
             .export(table, export_time=0.0)
@@ -400,7 +412,7 @@ class TestIpfixSamplingParity:
     def test_sampled_batch_scales_counters_by_rate(self):
         flows = self._flows(count=1000, bytes_=1000)
         exporter = IpfixExporter(exporter_id="tab", sampling_rate=4, seed=5)
-        batch = exporter.export(FlowTable.from_records(flows), export_time=0.0)
+        batch = exporter.export(from_records(flows), export_time=0.0)
         assert exporter.observed_count == 1000
         assert batch.sampling_rate == 4
         if len(batch):

@@ -1,14 +1,11 @@
-"""Tests for flow records, packet helpers and traffic profiles."""
+"""Tests for packet helpers, service ports and traffic profiles."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from oracle import trace as reference
+from oracle.records import FiveTuple, FlowRecord, from_records
 from repro.sim import make_rng
 from repro.traffic import (
-    FiveTuple,
-    FlowRecord,
-    FlowTable,
     IpProtocol,
     PacketTemplate,
     TrafficProfile,
@@ -16,10 +13,7 @@ from repro.traffic import (
     attack_profile,
     benign_web_profile,
     blackholed_traffic_profile,
-    distinct_ingress_members,
     other_traffic_profile,
-    total_bytes,
-    total_rate_bps,
 )
 
 
@@ -75,70 +69,9 @@ class TestPacketTemplate:
             PacketTemplate(IpProtocol.UDP, 70000, 0, 100)
 
 
-class TestFlowRecord:
-    def test_accessors(self):
-        flow = make_flow()
-        assert flow.src_ip == "23.1.2.3"
-        assert flow.dst_ip == "100.10.10.10"
-        assert flow.src_port == 123
-        assert flow.protocol is IpProtocol.UDP
-        assert flow.end == 10.0
-        assert flow.bits == 8000
-        assert flow.rate_bps() == 800.0
-
-    def test_negative_values_rejected(self):
-        with pytest.raises(ValueError):
-            make_flow(bytes_=-1)
-        with pytest.raises(ValueError):
-            FlowRecord(key=make_flow().key, start=0, duration=-1, bytes=1, packets=1)
-
-    def test_five_tuple_reversed(self):
-        key = make_flow().key
-        reverse = key.reversed()
-        assert reverse.src_ip == key.dst_ip
-        assert reverse.src_port == key.dst_port
-
-    def test_scaled_halves_bytes(self):
-        flow = make_flow(bytes_=1000)
-        scaled = flow.scaled(0.5)
-        assert scaled.bytes == 500
-        assert scaled.packets >= 1
-
-    def test_scaled_zero(self):
-        scaled = make_flow(bytes_=1000).scaled(0.0)
-        assert scaled.bytes == 0
-        assert scaled.packets == 0
-
-    def test_scaled_rejects_negative(self):
-        with pytest.raises(ValueError):
-            make_flow().scaled(-0.5)
-
-    def test_overlaps(self):
-        flow = make_flow(start=10, duration=10)
-        assert flow.overlaps(15, 25)
-        assert flow.overlaps(0, 11)
-        assert not flow.overlaps(20, 30)
-        assert not flow.overlaps(0, 10)
-
-    def test_aggregate_helpers(self):
-        flows = [make_flow(bytes_=100, ingress=1), make_flow(bytes_=200, ingress=2)]
-        assert total_bytes(flows) == 300
-        assert total_rate_bps(flows, interval=10) == 240.0
-        assert distinct_ingress_members(flows) == {1, 2}
-
-    def test_total_rate_rejects_bad_interval(self):
-        with pytest.raises(ValueError):
-            total_rate_bps([], 0)
-
-    @given(st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=1, max_value=10**9))
-    def test_property_scaling_never_exceeds_original(self, factor, size):
-        flow = make_flow(bytes_=size)
-        assert flow.scaled(factor).bytes <= flow.bytes
-
-
 def service_ports(flow):
     """The flow's service port from the table column and from the reference."""
-    column = FlowTable.from_records([flow]).service_ports()
+    column = from_records([flow]).service_ports()
     return int(column[0]), reference.service_port(flow)
 
 

@@ -90,15 +90,6 @@ class TestZeroCopy:
 
 
 class TestLifecycle:
-    def test_src_mac_tables_are_rejected(self):
-        table = make_table(rows=4)
-        macs = np.array(["02:00:00:00:00:01"] * len(table), dtype=object)
-        with_macs = FlowTable(
-            src_mac=macs, **{name: getattr(table, name) for name in COLUMNS}
-        )
-        with pytest.raises(ValueError):
-            SharedFlowTable.from_table(with_macs)
-
     def test_unlink_destroys_the_block(self):
         handle = SharedFlowTable.from_table(make_table(rows=50))
         name = handle.shm_name
