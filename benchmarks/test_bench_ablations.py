@@ -13,7 +13,7 @@
 from bench_utils import print_table
 
 from repro.core import BlackholingRule, Stellar
-from repro.experiments import RtbhAttackConfig, build_attack_scenario, run_rtbh_attack_experiment
+from repro.experiments import RtbhAttackConfig, run_rtbh_attack_experiment
 from repro.ixp import EdgeRouter, IxpMember, SwitchingFabric, small_ixp_edge_router_profile
 
 
@@ -70,7 +70,7 @@ def _signalling_latency(via: str) -> float:
     # Walk the control plane forward in 0.1 s steps until the rule is live.
     t = 0.0
     while stellar.installed_rule_count() == 0 and t < 60.0:
-        stellar.process_control_plane(now=t)
+        stellar.advance(now=t)
         t += 0.1
     return t
 

@@ -92,7 +92,7 @@ def main() -> None:
     rule = BlackholingRule.drop_udp_source_port(VICTIM_ASN, f"{VICTIM_IP}/32", 123)
     result = stellar.request_mitigation(rule, via="bgp")
     print(f"  signal accepted: {result.accepted} (extended community, single announcement)")
-    stellar.process_control_plane(now=15.0)
+    stellar.advance(now=15.0)
     print(f"  rules installed on the victim's egress port: {stellar.installed_rule_count()}")
 
     attack_mbps, benign_mbps, congestion = deliver(stellar, attack, benign, t=20.0)

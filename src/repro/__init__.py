@@ -9,13 +9,14 @@ The package is organised bottom-up:
 * :mod:`repro.traffic` — flow records, amplification-attack catalogue,
   synthetic IXP trace generation, IPFIX collection.
 * :mod:`repro.ixp` — IXP members, ports, TCAM, QoS data plane, edge
-  routers, switching fabric.
+  routers, switching fabric, and the control-plane service every rule
+  change goes through.
 * :mod:`repro.mitigation` — baselines: RTBH, ACL filters, Flowspec,
   traffic scrubbing, and the qualitative comparison of Table 1.
 * :mod:`repro.core` — the paper's contribution: Advanced Blackholing rules,
-  extended-community signalling, the blackholing controller, the
-  token-bucket change queue, the network manager that deploys rules as
-  egress QoS policies, telemetry and the
+  extended-community signalling, the blackholing controller (which
+  enqueues its rule changes on the control-plane service, paced by the
+  paper's token bucket), telemetry and the
   :class:`~repro.core.stellar.Stellar` facade.
 * :mod:`repro.analysis` — statistics used by the evaluation (Welch's t-test,
   CDFs, collateral-damage and compliance analyses).

@@ -17,7 +17,7 @@ for the route server's client RIBs.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .messages import RouteAnnouncement, RouteWithdrawal

@@ -7,18 +7,11 @@ from .._lazy import lazy_exports
 
 #: Public name -> the submodule that defines it.
 _EXPORTS = {
-    "ChangeQueue": "change_queue",
-    "ChangeType": "change_queue",
-    "ConfigChange": "change_queue",
     "CommunityDecodeError": "community_codec",
     "DecodedSignal": "community_codec",
     "StellarCommunityCodec": "community_codec",
     "BlackholingController": "controller",
     "ControllerStats": "controller",
-    "MAX_RULES_PER_PORT": "manager",
-    "DeploymentRecord": "manager",
-    "DeploymentStatus": "manager",
-    "NetworkManager": "manager",
     "CustomerPortal": "portal",
     "RuleTemplate": "portal",
     "ixp_shared_templates": "portal",

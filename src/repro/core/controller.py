@@ -10,9 +10,17 @@ The controller is the heart of Stellar's management layer (paper §4.4):
   the members (by decoding the Stellar extended communities, resolving
   predefined-rule references through the customer portal, and translating
   plain RTBH announcements into drop-all rules),
-* the difference against the previously active rule set yields abstract
-  configuration changes, which are pushed into the token-bucket change
-  queue towards the network manager.
+* the difference against the previously active rule set yields change
+  requests for the victim's egress port, which the controller enqueues on
+  the fabric's :class:`~repro.ixp.service.ControlPlaneService`: an added
+  or updated rule becomes an ``install`` (a router replaces a rule id the
+  port already holds), a withdrawn one a ``remove`` by rule id.  The
+  service paces them per edge router with the paper's token bucket and
+  deploys each as an egress QoS rule (§4.4, §4.5).  A change the
+  service rejects with a ``retry_after`` (the member's change budget or
+  a full lane) is not taken into the active rule set, so the diff sends
+  it again once that time has passed (:meth:`retry_due`); a change
+  refused for good (an unknown member) is reported once.
 
 The controller is *passive*: it never announces routes itself.
 """
@@ -20,14 +28,13 @@ The controller is *passive*: it never announces routes itself.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..bgp.messages import RouteAnnouncement, UpdateMessage
-from ..bgp.prefix import Prefix
 from ..bgp.rib import RoutingInformationBase
 from ..bgp.session import BgpSession, SessionType
-from .change_queue import ChangeQueue, ChangeType, ConfigChange
+from ..ixp.service import ChangeRequest, ControlPlaneService, ServiceResponse
 from .community_codec import CommunityDecodeError, StellarCommunityCodec
 from .portal import CustomerPortal
 from .rules import BlackholingRule, RuleAction
@@ -36,6 +43,9 @@ from .rules import BlackholingRule, RuleAction
 #: victim prefix and the match fields.  Two signals with the same key but a
 #: different action are an *update* of the same rule.
 RuleKey = tuple[int, str, Optional[int], Optional[int], Optional[int], Optional[str], Optional[str]]
+
+#: Comparison slack for retry times.
+_EPS = 1e-9
 
 
 def _rule_key(rule: BlackholingRule) -> RuleKey:
@@ -65,12 +75,12 @@ class ControllerStats:
 
 
 class BlackholingController:
-    """Tracks blackholing rules signalled by members and emits config changes."""
+    """Tracks blackholing rules signalled by members and enqueues their changes."""
 
     def __init__(
         self,
         ixp_asn: int,
-        change_queue: Optional[ChangeQueue] = None,
+        service: ControlPlaneService,
         portal: Optional[CustomerPortal] = None,
         codec: Optional[StellarCommunityCodec] = None,
         translate_rtbh: bool = True,
@@ -79,7 +89,7 @@ class BlackholingController:
         self.ixp_asn = ixp_asn
         self.codec = codec if codec is not None else StellarCommunityCodec(ixp_asn)
         self.portal = portal if portal is not None else CustomerPortal()
-        self.change_queue = change_queue if change_queue is not None else ChangeQueue()
+        self.service = service
         #: Whether classic RTBH announcements (standard ``:666`` community)
         #: are also translated into drop-all rules on the victim's port.
         self.translate_rtbh = translate_rtbh
@@ -94,16 +104,20 @@ class BlackholingController:
         )
         self.session.open()
         self.stats = ControllerStats()
-        #: Currently active rules, by identity key.
+        #: Currently active rules, by identity key; an update keeps the
+        #: active rule's id, so the router replaces it in place.
         self._active_rules: dict[RuleKey, BlackholingRule] = {}
-        #: Stable rule ids per identity key (so updates replace in place).
-        self._rule_ids: dict[RuleKey, str] = {}
+        #: Requests the service rejected at enqueue, until taken.
+        self._rejections: list[tuple[ChangeRequest, ServiceResponse]] = []
+        #: Keys whose change the service rejected with a ``retry_after``,
+        #: mapped to the time the change may be sent again.
+        self._retry_at: dict[RuleKey, float] = {}
 
     # ------------------------------------------------------------------
     # BGP parser / processor
     # ------------------------------------------------------------------
-    def process_update(self, update: UpdateMessage) -> list[ConfigChange]:
-        """Consume one UPDATE from the route server and emit config changes."""
+    def process_update(self, update: UpdateMessage) -> list[ChangeRequest]:
+        """Consume one UPDATE from the route server and enqueue its changes."""
         self.stats.updates_processed += 1
         for announcement in update.announcements:
             self.stats.announcements_seen += 1
@@ -112,8 +126,6 @@ class BlackholingController:
             self.stats.withdrawals_seen += 1
             # ADD-PATH: withdrawals carry the path id of the withdrawn path.
             for route in self.rib.routes_for(withdrawal.prefix):
-                if withdrawal.path_id and route.path_id != withdrawal.path_id:
-                    continue
                 if not withdrawal.path_id or route.path_id == withdrawal.path_id:
                     self.rib.remove_route(route)
         return self._reconcile()
@@ -174,76 +186,79 @@ class BlackholingController:
                 continue
             key = _rule_key(rule)
             # Preserve a stable rule id across updates of the same rule.
-            existing_id = self._rule_ids.get(key)
-            if existing_id is not None and rule.rule_id != existing_id:
-                rule = BlackholingRule(
-                    owner_asn=rule.owner_asn,
-                    dst_prefix=rule.dst_prefix,
-                    action=rule.action,
-                    protocol=rule.protocol,
-                    src_port=rule.src_port,
-                    dst_port=rule.dst_port,
-                    src_mac=rule.src_mac,
-                    src_prefix=rule.src_prefix,
-                    shape_rate_bps=rule.shape_rate_bps,
-                    rule_id=existing_id,
-                )
+            active = self._active_rules.get(key)
+            if active is not None and rule.rule_id != active.rule_id:
+                rule = replace(rule, rule_id=active.rule_id)
             desired[key] = rule
         return desired
 
     # ------------------------------------------------------------------
-    # Reconciliation (RIB diff → config changes)
+    # Reconciliation (RIB diff → change requests)
     # ------------------------------------------------------------------
-    def _reconcile(self) -> list[ConfigChange]:
+    def _reconcile(self) -> list[ChangeRequest]:
         now = self._clock()
         desired = self.desired_rules()
-        changes: list[ConfigChange] = []
-
+        # (key, rule to commit or None for a removal, request) per change.
+        changes: list[tuple[RuleKey, Optional[BlackholingRule], ChangeRequest]] = []
         for key, rule in desired.items():
-            if key not in self._active_rules:
-                self._rule_ids.setdefault(key, rule.rule_id)
-                changes.append(
-                    ConfigChange(
-                        change_type=ChangeType.ADD_RULE,
-                        rule=rule,
-                        target_member_asn=rule.owner_asn,
-                        enqueue_time=now,
-                    )
-                )
-                self.stats.rules_added += 1
-            else:
-                active = self._active_rules[key]
-                if (
-                    active.action != rule.action
-                    or active.shape_rate_bps != rule.shape_rate_bps
-                ):
-                    changes.append(
-                        ConfigChange(
-                            change_type=ChangeType.UPDATE_RULE,
-                            rule=rule,
-                            target_member_asn=rule.owner_asn,
-                            enqueue_time=now,
-                        )
-                    )
-                    self.stats.rules_updated += 1
-
-        for key, rule in list(self._active_rules.items()):
+            # desired_rules gave the rule the active one's id, so equality
+            # means an unchanged action and rate.
+            if self._active_rules.get(key) == rule:
+                continue
+            request = self.service.make_request(
+                rule.owner_asn, "install", rules=(rule.to_qos_rule(),), at=now
+            )
+            changes.append((key, rule, request))
+        for key, rule in self._active_rules.items():
             if key not in desired:
-                changes.append(
-                    ConfigChange(
-                        change_type=ChangeType.REMOVE_RULE,
-                        rule=rule,
-                        target_member_asn=rule.owner_asn,
-                        enqueue_time=now,
-                    )
+                request = self.service.make_request(
+                    rule.owner_asn, "remove", rule_id=rule.rule_id, at=now
                 )
-                self.stats.rules_removed += 1
-                self._rule_ids.pop(key, None)
+                changes.append((key, None, request))
 
-        self._active_rules = desired
-        for change in changes:
-            self.change_queue.enqueue(change)
-        return changes
+        retry_at: dict[RuleKey, float] = {}
+        requests: list[ChangeRequest] = []
+        for key, rule, request in changes:
+            held_until = self._retry_at.get(key)
+            if held_until is not None and now < held_until - _EPS:
+                retry_at[key] = held_until
+                continue
+            requests.append(request)
+            rejection = self.service.enqueue(request)
+            if rejection is not None:
+                self._rejections.append((request, rejection))
+                if rejection.retry_after is not None:
+                    # Keep the key where it was, so the diff sends the
+                    # change again once the service allows it.
+                    retry_at[key] = now + rejection.retry_after
+                    continue
+            self._commit(key, rule)
+        self._retry_at = retry_at
+        return requests
+
+    def _commit(self, key: RuleKey, rule: Optional[BlackholingRule]) -> None:
+        """Record a change the service took (or refused for good)."""
+        if rule is None:
+            del self._active_rules[key]
+            self.stats.rules_removed += 1
+        else:
+            if key in self._active_rules:
+                self.stats.rules_updated += 1
+            else:
+                self.stats.rules_added += 1
+            self._active_rules[key] = rule
+
+    def retry_due(self) -> list[ChangeRequest]:
+        """Send again the changes whose ``retry_after`` has passed."""
+        now = self._clock()
+        if any(now >= at - _EPS for at in self._retry_at.values()):
+            return self._reconcile()
+        return []
+
+    def take_rejections(self) -> list[tuple[ChangeRequest, ServiceResponse]]:
+        """The requests the service rejected at enqueue since the last call."""
+        rejections, self._rejections = self._rejections, []
+        return rejections
 
     # ------------------------------------------------------------------
     # Introspection

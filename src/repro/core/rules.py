@@ -6,7 +6,8 @@ fields (source MAC / peer, IP protocol, source or destination transport
 port) plus an action (drop, or shape to a rate for telemetry).  Rules are
 signalled by the member (via BGP extended communities or the customer
 portal), tracked by the blackholing controller, and compiled into
-hardware-specific QoS or SDN configurations by the network manager.
+hardware-specific QoS rules (:meth:`BlackholingRule.to_qos_rule`) that
+the control-plane service installs on the victim's egress port.
 """
 
 from __future__ import annotations

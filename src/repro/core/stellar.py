@@ -6,10 +6,10 @@ IXP fabric:
 * **signaling** — route server + :class:`~repro.core.signaling.SignalingLayer`
   + customer portal,
 * **management** — :class:`~repro.core.controller.BlackholingController`,
-  the token-bucket :class:`~repro.core.change_queue.ChangeQueue` (the
-  paper's 4.33 changes/s, MBS 10) and the
-  :class:`~repro.core.manager.NetworkManager`, which admits each change
-  against the victim's edge router and installs it as an egress QoS rule,
+  which enqueues the RIB diff of member signals on the fabric's
+  :class:`~repro.ixp.service.ControlPlaneService`; each edge router's lane
+  paces the changes with the paper's token bucket (a burst of 10, then
+  4.33 changes/s) and installs them as egress QoS rules,
 * **filtering** — the per-port QoS policies of the
   :class:`~repro.ixp.fabric.SwitchingFabric`.
 
@@ -25,15 +25,19 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..bgp.policy import ImportPolicy, permissive_policy
-from ..bgp.prefix import Prefix, parse_prefix
+from ..bgp.prefix import Prefix
 from ..bgp.route_server import RouteServer
 from ..ixp.fabric import FabricIntervalReport, SwitchingFabric
 from ..ixp.member import IxpMember, MemberPopulation
+from ..ixp.service import (
+    ChangeRequest,
+    ControlPlaneService,
+    ServiceResponse,
+    TokenBucketPacing,
+)
 from ..traffic.flowtable import FlowTable
-from .change_queue import ChangeQueue
 from .community_codec import StellarCommunityCodec
 from .controller import BlackholingController
-from .manager import DeploymentRecord, NetworkManager
 from .portal import CustomerPortal
 from .rules import BlackholingRule
 from .signaling import SignalingLayer, SignalResult
@@ -45,7 +49,11 @@ class StellarIntervalReport:
     """Combined control-plane + data-plane outcome of one simulation interval."""
 
     fabric_report: FabricIntervalReport
-    deployments: list[DeploymentRecord] = field(default_factory=list)
+    #: The control plane's ``(request, response)`` resolutions before the
+    #: interval: enqueue rejections, then the changes applied by its start.
+    deployments: list[tuple[ChangeRequest, ServiceResponse]] = field(
+        default_factory=list
+    )
 
     @property
     def delivered_bits(self) -> float:
@@ -73,17 +81,16 @@ class Stellar:
         )
         self.portal = CustomerPortal()
         self.codec = StellarCommunityCodec(ixp_asn)
-        self.change_queue = ChangeQueue()
+        self.service = ControlPlaneService(self.fabric, pacing=TokenBucketPacing())
         self._now = 0.0
         self.controller = BlackholingController(
             ixp_asn=ixp_asn,
-            change_queue=self.change_queue,
+            service=self.service,
             portal=self.portal,
             codec=self.codec,
             translate_rtbh=translate_rtbh,
             clock=lambda: self._now,
         )
-        self.manager = NetworkManager(fabric=self.fabric, change_queue=self.change_queue)
         self.signaling = SignalingLayer(
             route_server=self.route_server,
             controller=self.controller,
@@ -168,11 +175,20 @@ class Stellar:
     # ------------------------------------------------------------------
     # Control plane / data plane stepping
     # ------------------------------------------------------------------
-    def process_control_plane(self, now: Optional[float] = None) -> list[DeploymentRecord]:
-        """Deploy pending configuration changes allowed by the token bucket."""
+    def advance(
+        self, now: Optional[float] = None
+    ) -> list[tuple[ChangeRequest, ServiceResponse]]:
+        """Apply the queued changes whose tokens are available by ``now``.
+
+        First sends again the rejected changes whose ``retry_after`` has
+        passed.  Returns the enqueue rejections since the last call, then
+        the service's resolutions up to ``now`` (the current time if
+        omitted).
+        """
         if now is not None:
             self.advance_to(now)
-        return self.manager.process_pending(self._now)
+        self.controller.retry_due()
+        return self.controller.take_rejections() + self.service.advance(self._now)
 
     def deliver_traffic(
         self,
@@ -183,10 +199,8 @@ class Stellar:
         """Process one observation interval: control plane first, then traffic."""
         if not isinstance(flows, FlowTable):
             raise TypeError(f"deliver_traffic takes a FlowTable, got {type(flows).__name__}")
-        start = self._now if interval_start is None else interval_start
-        if interval_start is not None:
-            self.advance_to(interval_start)
-        deployments = self.process_control_plane()
+        deployments = self.advance(interval_start)
+        start = self._now
         fabric_report = self.fabric.deliver(flows, interval, start)
         self._record_telemetry(fabric_report, interval, start)
         self._now = start + interval
@@ -202,6 +216,7 @@ class Stellar:
         # while classifying, so telemetry folds those stats in directly
         # instead of re-classifying every dropped/shaped flow.
         for member_asn, rule_stats in report.rule_stats_by_member.items():
+            shaper_drops = report.shaped_dropped_by_member.get(member_asn, {})
             for rule_id, stats in rule_stats.items():
                 self.telemetry.record_rule_interval(
                     rule_id=rule_id,
@@ -211,6 +226,7 @@ class Stellar:
                     shaped_passed_bits=stats["shaped"],
                     interval=interval,
                     time=time,
+                    shaped_dropped_bits=shaper_drops.get(rule_id, 0.0),
                 )
 
     def telemetry_report(self, member_asn: int) -> MemberTelemetryReport:

@@ -91,8 +91,13 @@ class TelemetryCollector:
         shaped_passed_bits: float,
         interval: float,
         time: float,
+        *,
+        shaped_dropped_bits: float,
     ) -> RuleTelemetry:
-        """Explicit per-rule recording (used by the Stellar facade)."""
+        """Explicit per-rule recording (used by the Stellar facade).
+
+        ``shaped_dropped_bits`` are the bits the rule's shaper discarded.
+        """
         if interval <= 0:
             raise ValueError("interval must be positive")
         telemetry = self._by_rule.setdefault(
@@ -101,6 +106,7 @@ class TelemetryCollector:
         telemetry.matched_bits += matched_bits
         telemetry.dropped_bits += dropped_bits
         telemetry.shaped_passed_bits += shaped_passed_bits
+        telemetry.shaped_dropped_bits += shaped_dropped_bits
         telemetry.last_update = time
         telemetry.samples.append((time, matched_bits))
         return telemetry

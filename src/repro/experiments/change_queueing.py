@@ -24,9 +24,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from ..analysis.stats import cdf_quantile, empirical_cdf, fraction_below
 from ..sim.rng import make_rng

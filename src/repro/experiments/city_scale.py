@@ -43,7 +43,6 @@ import dataclasses
 import hashlib
 import json
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 

@@ -14,7 +14,6 @@ damage of RTBH vs. the fine-grained filter.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 

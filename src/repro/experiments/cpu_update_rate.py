@@ -11,7 +11,7 @@ regression and derives the sustainable update rate.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..analysis.stats import LinearRegressionResult, linear_regression
 from ..ixp.control_plane import (

@@ -163,10 +163,13 @@ def _run_phase(
     measured: dict[str, object] = {}
 
     def install_rules() -> None:
+        # Stamp the signals with the install time, so the control plane
+        # sees them arrive now rather than at the system's last interval.
+        stellar.advance_to(harness.now)
         for ip in targets:
             for port in (int(WellKnownPort.NTP), int(WellKnownPort.DNS)):
                 stellar.request_mitigation(rule_for(victim.asn, ip, port), via="api")
-        stellar.process_control_plane(now=harness.now)
+        stellar.advance()
 
     measure_time = 0.0
     if rule_for is not None:

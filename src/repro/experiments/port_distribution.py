@@ -16,7 +16,7 @@ work with), and runs the same tests.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..analysis.stats import (
     ConfidenceInterval,

@@ -17,7 +17,7 @@ every mitigation driver can run against every attack shape.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from ..analysis.timeseries import AttackTimeSeries, record_delivery

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from ..analysis.collateral import collateral_damage
 from ..bgp.flowspec import drop_rule
 from ..mitigation.acl import AccessControlList, AclMitigation
-from ..mitigation.base import Dimension, MitigationTechnique, Rating
+from ..mitigation.base import MitigationTechnique
 from ..mitigation.comparison import (
     PAPER_TABLE_1,
     ComparisonTable,
@@ -151,8 +151,9 @@ def run_quantitative_comparison(seed: int = 19) -> QuantitativeComparisonResult:
 
     stellar = scenario.stellar
     rule = BlackholingRule.drop_udp_source_port(scenario.victim.asn, victim_prefix, 123)
+    stellar.advance_to(t)
     stellar.request_mitigation(rule)
-    stellar.process_control_plane(now=t)
+    stellar.advance()
     report = stellar.deliver_traffic(flows, interval, interval_start=t)
     result = report.fabric_report.results_by_member[scenario.victim.asn]
     attack_total = population_bits(flows, attack=True)

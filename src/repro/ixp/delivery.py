@@ -318,9 +318,10 @@ class FabricDeliveryPlan:
         shaped_passed = np.zeros(count)
         shaped_dropped = np.zeros(count)
         rule_stats_by_member: dict[int, dict[str, dict[str, float]]] = {}
+        shaped_dropped_by_member: dict[int, dict[str, float]] = {}
         table_sources: dict[int, TableSource] = {}
         for index, asn in claimed:
-            bit_counts, rule_stats, table_source = self._scatter(
+            bit_counts, rule_stats, shaper_drops, table_source = self._scatter(
                 table, order[starts[index]:ends[index]], asn, assigned, bits,
                 per_rule_bits, interval,
             )
@@ -333,6 +334,8 @@ class FabricDeliveryPlan:
             table_sources[asn] = table_source
             if rule_stats:
                 rule_stats_by_member[asn] = rule_stats
+            if shaper_drops:
+                shaped_dropped_by_member[asn] = shaper_drops
 
         # Egress queue: forwarded + shaped traffic shares the port
         # capacity; anything beyond it is congestion loss at the member
@@ -385,6 +388,7 @@ class FabricDeliveryPlan:
                 partial(_forwarded_only, table, order, starts, ends),
             ),
             rule_stats_by_member=rule_stats_by_member,
+            shaped_dropped_by_member=shaped_dropped_by_member,
             member_asns=member_asns,
             member_fields=member_fields,
             capacity_bits=capacity_bits,
@@ -438,13 +442,17 @@ class FabricDeliveryPlan:
         per_rule_bits: np.ndarray,
         interval: float,
     ) -> tuple[
-        tuple[float, float, float, float], dict[str, dict[str, float]], TableSource
+        tuple[float, float, float, float],
+        dict[str, dict[str, float]],
+        dict[str, float],
+        TableSource,
     ]:
         """Fold the platform-level verdicts back into one claimed port.
 
         Returns the port's pre-congestion ``(forwarded, dropped,
-        shaped_passed, shaped_dropped)`` bits, its ``rule_stats`` and the
-        deferred source of its verdict tables.  Only the rules that
+        shaped_passed, shaped_dropped)`` bits, its ``rule_stats``, the
+        bits each claimed SHAPE rule's shaper discarded, and the deferred
+        source of its verdict tables.  Only the rules that
         claimed rows are visited, in grouped array passes.
         """
         qos = self._ports[asn].qos
@@ -530,7 +538,7 @@ class FabricDeliveryPlan:
             float(sum(passed_terms)),
             float(sum(dropped_terms)),
         )
-        return bit_counts, rule_stats, table_source
+        return bit_counts, rule_stats, dict(zip(shape_ids, dropped_terms)), table_source
 
 
 def _forwarded_only(

@@ -198,6 +198,9 @@ class EdgeRouter:
                         mac_filters=mac_filters,
                         l3l4_criteria=l3l4,
                     )
+        except TcamExhaustedError as exc:
+            exc.installed = allocated
+            raise
         finally:
             # On TCAM exhaustion mid-batch, the rules allocated so far must
             # still reach the data plane — exactly where sequential
@@ -244,23 +247,8 @@ class EdgeRouter:
         self.config_operations += removed
         return removed
 
-    def check_capacity(self, rule: QosRule) -> TcamStatus:
-        """Feasibility check without installing (used by admission control)."""
-        return self.tcam.check(rule.match.mac_filter_entries, rule.match.l3l4_criteria)
-
     def installed_rules(self) -> list[QosRule]:
         return [installation.rule for installation in self._installations.values()]
-
-    # ------------------------------------------------------------------
-    # Control plane
-    # ------------------------------------------------------------------
-    def cpu_usage_for_rate(self, updates_per_second: float) -> float:
-        """Noisy CPU-usage measurement for a configuration update rate."""
-        return self.cpu.measure_usage(updates_per_second)
-
-    def max_sustainable_update_rate(self) -> float:
-        """Update rate that saturates the configuration CPU budget."""
-        return self.cpu.max_update_rate()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -97,6 +97,12 @@ class FabricIntervalReport:
     rule_stats_by_member: dict[int, dict[str, dict[str, float]]] = field(
         default_factory=dict
     )
+    #: Bits each SHAPE rule's shaper discarded, per member with a claimed
+    #: SHAPE rule (``member -> rule id -> bits``).  Telemetry reads it;
+    #: it is not part of :meth:`to_dict` or :meth:`to_columns`.
+    shaped_dropped_by_member: dict[int, dict[str, float]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
     #: Member ASNs (int64), ascending.
     member_asns: np.ndarray = field(
         default_factory=lambda: np.zeros(0, dtype=np.int64), repr=False, compare=False

@@ -2,9 +2,9 @@
 
 A :class:`HardwareProfile` bundles the resource limits of one router model:
 how many member ports it serves, the TCAM pool sizes, and the control-plane
-CPU coefficients.  Stellar's network manager
-(:mod:`repro.core.manager`) admits a rule only while the router's TCAM,
-sized from its profile, has room for it.
+CPU coefficients.  The router's TCAM, sized from its profile, is the one
+per-port limit on installed rules: an install it cannot hold fails with
+:class:`~repro.ixp.tcam.TcamExhaustedError`.
 
 Calibration of the default L-IXP profile
 ----------------------------------------
@@ -29,7 +29,7 @@ chassis router.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .control_plane import ControlPlaneCpuModel
 from .tcam import TcamModel

@@ -3,8 +3,8 @@
 Two kinds of "queues" appear in the reproduction:
 
 * :class:`TokenBucket` — the classic token-bucket rate limiter.  Stellar's
-  change queue uses one to limit the rate of configuration changes pushed
-  to the hardware (paper §4.4).
+  control-plane lanes use one per edge router to limit the rate of
+  configuration changes pushed to the hardware (paper §4.4).
 * :class:`RateLimiter` — a flow-level abstraction over the token bucket:
   given the aggregate volume offered during an observation interval it
   reports how much passes and how much is dropped, which is what the
@@ -43,24 +43,31 @@ class TokenBucket:
         """Tokens currently available (as of the last update)."""
         return self._tokens
 
-    def _refill(self, now: float) -> None:
+    def _available(self, now: float) -> float:
         if now < self._last_update:
-            raise ValueError(
-                f"time moved backwards: {now} < {self._last_update}"
-            )
-        elapsed = now - self._last_update
-        self._tokens = min(self.burst, self._tokens + elapsed * self.rate)
-        self._last_update = now
+            raise ValueError(f"time moved backwards: {now} < {self._last_update}")
+        return min(self.burst, self._tokens + (now - self._last_update) * self.rate)
 
-    def try_consume(self, amount: float, now: float) -> bool:
-        """Consume ``amount`` tokens at time ``now`` if available."""
+    def ready_at(self, amount: float, now: float) -> float:
+        """Earliest time, not before ``now``, by which ``amount`` tokens arrive.
+
+        Tokens are spent as they arrive, so ``amount`` may exceed the
+        burst; with a zero rate a shortfall is never made up (``inf``).
+        The bucket is only read.
+        """
         if amount < 0:
             raise ValueError("amount must be non-negative")
-        self._refill(now)
-        if self._tokens >= amount:
-            self._tokens -= amount
-            return True
-        return False
+        available = self._available(now)
+        if available >= amount:
+            return now
+        if self.rate == 0:
+            return math.inf
+        return now + (amount - available) / self.rate
+
+    def spend(self, amount: float, now: float) -> None:
+        """Spend ``amount`` tokens at ``now``, a time :meth:`ready_at` returned."""
+        self._tokens = max(0.0, self._available(now) - amount)
+        self._last_update = now
 
 
 @dataclass

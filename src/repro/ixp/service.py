@@ -1,22 +1,26 @@
-"""Long-lived control-plane service for concurrent rule churn.
+"""The control plane: every rule change on the fabric goes through here.
 
-Every scenario before this module installed rules by calling router
-methods from a script.  The paper's central scaling bottleneck, though,
-is the *control* plane: the edge router's configuration CPU sustains a
-median of only ~4.33 rule updates per second within its 15 % budget
-(§5.1, Fig. 10(a)), so a platform where thousands of members churn
-fine-grained rules concurrently needs admission control, queueing and
-batching in front of the routers.
+The paper's central scaling bottleneck is the *control* plane: the edge
+router's configuration CPU sustains a median of only ~4.33 rule updates
+per second within its 15 % budget (§5.1, Fig. 10(a)), so rule changes
+need admission control, queueing and batching in front of the routers.
 
-:class:`ControlPlaneService` is that front end.  It multiplexes many
-members' concurrent ``install`` / ``install_many`` / ``remove`` /
-``clear`` / ``telemetry`` requests against one running
-:class:`~repro.ixp.fabric.SwitchingFabric`:
+:class:`ControlPlaneService` is that front end, for both of its callers:
+Stellar's management layer (the blackholing controller enqueues the RIB
+diff of member signals, §4.4) and the ``rule_churn`` scenario (thousands
+of members churning fine-grained rules).  It multiplexes many members'
+``install`` / ``install_many`` / ``remove`` / ``clear`` / ``telemetry``
+requests against one running :class:`~repro.ixp.fabric.SwitchingFabric`:
 
-* **per-router FIFO lanes** — each edge router services its queue at the
-  deterministic :meth:`ControlPlaneCpuModel.max_update_rate` on a
+* **per-router FIFO lanes** — each edge router services its queue on a
   *virtual* control-plane clock, so rule-propagation latency is a
-  modeled quantity, independent of host wall-clock;
+  modeled quantity, independent of host wall-clock.  The lane's pacing
+  is the service's one model parameter: by default each operation
+  occupies the router's config CPU for ``1 / max_update_rate`` seconds
+  (the deterministic :class:`ControlPlaneCpuModel`); with
+  :class:`TokenBucketPacing` each router has the paper's token-bucket
+  change queue (a burst of 10, then 4.33 changes/s), and a change
+  completes as soon as its tokens are available;
 * **coalescing** — consecutive queued installs for the same port are
   drained into a single :meth:`EdgeRouter.install_rules` batch: one
   ``rules_version`` bump per drained batch instead of one per rule (the
@@ -33,6 +37,12 @@ members' concurrent ``install`` / ``install_many`` / ``remove`` /
 * **backpressure** — each lane caps its queued operations; requests
   beyond the cap are rejected with a ``retry_after`` estimated from the
   backlog.
+
+The router's TCAM is the one per-port platform limit: an install the
+TCAM cannot hold resolves as an ``"error"`` with
+``reason="tcam-exhausted"`` and leaves the data plane where sequential
+installs would have stopped; the requests of a coalesced batch placed
+before the failure resolve as ``"applied"``.
 
 The service runs in *virtual* time and has one synchronous driver: a
 caller admits requests with :meth:`enqueue` (telemetry and rejections
@@ -53,15 +63,16 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .control_plane import ControlPlaneCpuModel
+from .control_plane import PAPER_MEDIAN_UPDATE_RATE, ControlPlaneCpuModel
 from .edge_router import EdgeRouter, PortNotFoundError
 from .fabric import SwitchingFabric
 from .qos import QosRule
+from .queues import TokenBucket
 from .tcam import TcamExhaustedError
 
 #: Operations that mutate a port's rule set (and consume budget/CPU).
@@ -72,6 +83,25 @@ SERVICE_OPS = CHANGE_OPS + ("telemetry",)
 
 #: Comparison slack for virtual-time horizon checks.
 _EPS = 1e-9
+
+
+@dataclass(frozen=True)
+class TokenBucketPacing:
+    """Lane pacing by the paper's token-bucket change queue (§4.4).
+
+    Each edge router gets its own bucket: ``burst`` changes (the Maximum
+    Burst Size) at once, then ``rate`` changes per second.  A change
+    completes as soon as its tokens are available.
+    """
+
+    rate: float = PAPER_MEDIAN_UPDATE_RATE
+    burst: float = 10.0
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.rate) and self.rate > 0):
+            raise ValueError("rate must be positive and finite")
+        if not (math.isfinite(self.burst) and self.burst >= 1):
+            raise ValueError("burst must be finite and at least 1")
 
 
 @dataclass(frozen=True)
@@ -186,24 +216,7 @@ class ServiceStats:
     max_queue_depth_seen: int = 0
 
     def to_dict(self) -> dict[str, int]:
-        return {
-            name: getattr(self, name)
-            for name in (
-                "submitted",
-                "applied_requests",
-                "applied_ops",
-                "data_plane_calls",
-                "coalesced_batches",
-                "coalesced_ops",
-                "rejected_budget",
-                "rejected_backpressure",
-                "rejected_unknown_member",
-                "rejected_shutdown",
-                "tcam_errors",
-                "telemetry_served",
-                "max_queue_depth_seen",
-            )
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -218,13 +231,17 @@ class _Pending:
 class _RouterLane:
     """One edge router's FIFO change queue + virtual control-plane clock."""
 
-    def __init__(self, router: EdgeRouter) -> None:
+    def __init__(self, router: EdgeRouter, pacing: Optional[TokenBucketPacing]) -> None:
         self.router = router
         self.queue: deque[_Pending] = deque()
         #: Configuration operations currently queued (backpressure unit).
         self.pending_ops = 0
-        #: Virtual time the router's config CPU becomes free.
+        #: Virtual completion time of the lane's last applied change.
         self.clock = 0.0
+        #: The router's change bucket; ``None`` paces by CPU occupancy.
+        self.bucket = (
+            None if pacing is None else TokenBucket(rate=pacing.rate, burst=pacing.burst)
+        )
 
 
 class ControlPlaneService:
@@ -234,6 +251,11 @@ class ControlPlaneService:
     ----------
     fabric:
         The running switching fabric whose routers the service drives.
+    pacing:
+        How a lane paces its changes: ``None`` (the default) occupies the
+        router's config CPU for :attr:`op_seconds` per operation; a
+        :class:`TokenBucketPacing` gives every router its own token
+        bucket (Stellar's management layer).
     max_queue_depth:
         Per-router cap on queued configuration *operations*; requests
         that would exceed it are rejected with ``reason="backpressure"``.
@@ -257,6 +279,7 @@ class ControlPlaneService:
         self,
         fabric: SwitchingFabric,
         *,
+        pacing: Optional[TokenBucketPacing] = None,
         max_queue_depth: int = 512,
         max_coalesce: int = 256,
         budget_window: float = 10.0,
@@ -282,7 +305,7 @@ class ControlPlaneService:
             raise ValueError("member_update_rate must be positive")
         self.window_allowance = self.member_update_rate * budget_window
         self._lanes: dict[str, _RouterLane] = {
-            router.name: _RouterLane(router) for router in fabric.edge_routers()
+            router.name: _RouterLane(router, pacing) for router in fabric.edge_routers()
         }
         #: ``(member_asn, window_index) -> operations spent``.
         self._budget_used: dict[tuple[int, int], int] = {}
@@ -358,9 +381,11 @@ class ControlPlaneService:
 
         if lane.pending_ops + request.cost > self.max_queue_depth:
             self.stats.rejected_backpressure += 1
-            backlog_done = max(lane.clock, request.arrival_time) + (
-                lane.pending_ops * self.op_seconds
-            )
+            start = max(lane.clock, request.arrival_time)
+            if lane.bucket is None:
+                backlog_done = start + lane.pending_ops * self.op_seconds
+            else:
+                backlog_done = lane.bucket.ready_at(lane.pending_ops, start)
             return self._reject(
                 request,
                 "backpressure",
@@ -418,12 +443,13 @@ class ControlPlaneService:
     ) -> list[tuple[ChangeRequest, ServiceResponse]]:
         """Service every lane's queue up to ``horizon`` (``None`` = all).
 
-        Each configuration operation occupies its router's virtual CPU
-        for :attr:`op_seconds`; a request completes when its last
-        operation does, and stays queued if that completion would pass
-        the horizon (strict FIFO — a large head-of-line batch delays
-        everything behind it).  Returns the ``(request, response)``
-        resolutions in lane order.
+        Under CPU pacing each configuration operation occupies its
+        router's virtual CPU for :attr:`op_seconds`; under token-bucket
+        pacing a request completes once its tokens are available.  A
+        request stays queued if its completion would pass the horizon
+        (strict FIFO — a large head-of-line batch delays everything
+        behind it).  Returns the ``(request, response)`` resolutions in
+        lane order.
         """
         resolved: list[tuple[ChangeRequest, ServiceResponse]] = []
         for name in sorted(self._lanes):
@@ -450,9 +476,15 @@ class ControlPlaneService:
             request = pending.request
             cost = request.cost
             start = max(lane.clock, request.arrival_time)
-            done = start + cost * self.op_seconds
+            bucket = lane.bucket
+            if bucket is None:
+                done = start + cost * self.op_seconds
+            else:
+                done = bucket.ready_at(cost, start)
             if horizon is not None and done > horizon + _EPS:
                 break
+            if bucket is not None:
+                bucket.spend(cost, done)
             lane.queue.popleft()
             lane.pending_ops -= cost
             lane.clock = done
@@ -490,15 +522,21 @@ class ControlPlaneService:
         rules = tuple(
             rule for pending in batch for rule in pending.request.rules
         )
-        exhausted = False
+        failed_from: Optional[int] = None
         try:
             lane.router.install_rules(member_asn, rules)
-        except TcamExhaustedError:
+        except TcamExhaustedError as exc:
             # install_rules leaves the data plane exactly where sequential
-            # installs would have stopped; record the error so the replay
-            # oracle attempts (and swallows) the same failure.
-            exhausted = True
-            self.stats.tcam_errors += len(batch)
+            # installs would have stopped: the requests placed whole before
+            # the failing rule are applied, the rest resolve as errors.  The
+            # log records the failure so the replay oracle attempts (and
+            # swallows) the same one.
+            placed = exc.installed
+            failed_from = 0
+            while placed >= batch[failed_from].request.cost:
+                placed -= batch[failed_from].request.cost
+                failed_from += 1
+            self.stats.tcam_errors += len(batch) - failed_from
         if len(batch) > 1:
             self.stats.coalesced_batches += 1
             self.stats.coalesced_ops += len(rules)
@@ -509,7 +547,7 @@ class ControlPlaneService:
             horizon,
             resolved,
             rules=rules,
-            tcam_exhausted=exhausted,
+            failed_from=failed_from,
         )
 
     def _log_and_resolve(
@@ -522,8 +560,13 @@ class ControlPlaneService:
         *,
         rules: tuple[QosRule, ...] = (),
         rule_id: str = "",
-        tcam_exhausted: bool = False,
+        failed_from: Optional[int] = None,
     ) -> None:
+        """Log one data-plane call and resolve its requests.
+
+        ``failed_from`` is the index of the first request the TCAM could
+        not hold; it and every later request resolve as errors.
+        """
         applied_at = batch[-1].done_at
         self.request_log.append(
             AppliedChange(
@@ -534,32 +577,24 @@ class ControlPlaneService:
                 applied_at=applied_at,
                 horizon=math.inf if horizon is None else horizon,
                 request_ids=tuple(p.request.request_id for p in batch),
-                tcam_exhausted=tcam_exhausted,
+                tcam_exhausted=failed_from is not None,
             )
         )
         self.stats.data_plane_calls += 1
-        for pending in batch:
+        for index, pending in enumerate(batch):
             request = pending.request
             latency = pending.done_at - request.arrival_time
-            if tcam_exhausted:
-                response = ServiceResponse(
-                    status="error",
-                    request_id=request.request_id,
-                    member_asn=request.member_asn,
-                    op=request.op,
-                    applied_at=pending.done_at,
-                    latency=latency,
-                    reason="tcam-exhausted",
-                )
-            else:
-                response = ServiceResponse(
-                    status="applied",
-                    request_id=request.request_id,
-                    member_asn=request.member_asn,
-                    op=request.op,
-                    applied_at=pending.done_at,
-                    latency=latency,
-                )
+            failed = failed_from is not None and index >= failed_from
+            response = ServiceResponse(
+                status="error" if failed else "applied",
+                request_id=request.request_id,
+                member_asn=request.member_asn,
+                op=request.op,
+                applied_at=pending.done_at,
+                latency=latency,
+                reason="tcam-exhausted" if failed else "",
+            )
+            if not failed:
                 self.stats.applied_requests += 1
                 self.stats.applied_ops += request.cost
                 self.latencies.append(latency)
@@ -590,8 +625,10 @@ class ControlPlaneService:
         """The request log in canonical replay order.
 
         A drain appends lane by lane; ``(applied_at, member_asn)`` orders
-        the entries across lanes, and one member's entries have strictly
-        increasing ``applied_at``, so this sort is a total order.
+        the entries across lanes.  One member's entries may share an
+        ``applied_at`` (a token-bucket burst completes several changes at
+        once), so their order is the append order, which the stable sort
+        keeps.
         """
         return sorted(
             self.request_log, key=lambda entry: (entry.applied_at, entry.member_asn)

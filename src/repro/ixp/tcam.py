@@ -33,6 +33,9 @@ class TcamExhaustedError(RuntimeError):
     def __init__(self, status: TcamStatus, message: str) -> None:
         super().__init__(message)
         self.status = status
+        #: Rules of a failing batch install placed before the failure
+        #: (set by :meth:`~repro.ixp.edge_router.EdgeRouter.install_rules`).
+        self.installed = 0
 
 
 @dataclass

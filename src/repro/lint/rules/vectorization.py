@@ -7,8 +7,8 @@ the data-plane modules never iterating rows in Python: one stray
 loop the benchmarks exist to keep out, and at city scale (hundreds of
 thousands of rows per interval) it dominates the interval cost.  This
 rule flags ``for`` loops and comprehensions whose iterable reaches into
-per-row data — a FlowTable column attribute, ``.to_records()``, or a
-``zip`` over columns — inside ``ixp/qos.py``, ``ixp/fabric.py``,
+per-row data — a FlowTable column attribute, alone or in a ``zip`` over
+columns — inside ``ixp/qos.py``, ``ixp/fabric.py``,
 ``ixp/delivery.py``, ``ixp/ruleindex.py`` and ``mitigation/``, in the
 table-only trace layer: ``traffic/trace.py``, ``traffic/ipfix.py``,
 ``analysis/collateral.py`` and ``experiments/port_distribution.py``, and
@@ -53,10 +53,6 @@ def _touches_rows(iterable: ast.AST) -> str | None:
         # not their rows.
         return None
     for node in ast.walk(iterable):
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Attribute) and func.attr == "to_records":
-                return "iterates `.to_records()` materialised rows"
         if isinstance(node, ast.Attribute) and node.attr in _COLUMN_ATTRS:
             # `table.bits` as (part of) the iterable: a per-row walk.
             return f"iterates the `{node.attr}` column row by row"

@@ -27,7 +27,6 @@ import numpy as np
 from ..sim.rng import make_rng
 from .amplification import AmplificationVector, get_vector
 from .flowtable import FlowTable, ip_to_int
-from .packet import IpProtocol
 
 #: Documentation-free public /8 first octets used for synthetic sources.
 _PUBLIC_FIRST_OCTETS = np.array([23, 45, 62, 80, 93, 104, 130, 151, 178, 203])

@@ -5,7 +5,6 @@ import pytest
 from repro.bgp import ImportPolicy
 from repro.core import (
     BlackholingRule,
-    RuleAction,
     RuleTelemetry,
     SignalRejectedError,
     Stellar,
@@ -64,7 +63,7 @@ class TestSignaling:
         result = stellar.request_mitigation(rule, via="bgp")
         assert result.accepted and result.via == "bgp"
         assert len(stellar.active_rules()) == 1
-        stellar.process_control_plane(now=1.0)
+        stellar.advance(now=1.0)
         assert stellar.installed_rule_count() == 1
 
     def test_api_signal_path(self):
@@ -72,7 +71,7 @@ class TestSignaling:
         rule = BlackholingRule.drop_udp_source_port(VICTIM_ASN, f"{VICTIM_IP}/32", 123)
         result = stellar.request_mitigation(rule, via="api")
         assert result.accepted and result.via == "api"
-        stellar.process_control_plane(now=1.0)
+        stellar.advance(now=1.0)
         assert stellar.installed_rule_count() == 1
 
     def test_unknown_signalling_path_rejected(self):
@@ -115,10 +114,10 @@ class TestSignaling:
         stellar, victim, peers = build_stellar()
         rule = BlackholingRule.drop_udp_source_port(VICTIM_ASN, f"{VICTIM_IP}/32", 123)
         stellar.request_mitigation(rule)
-        stellar.process_control_plane(now=1.0)
+        stellar.advance(now=1.0)
         assert stellar.installed_rule_count() == 1
         stellar.withdraw_mitigation(VICTIM_ASN, f"{VICTIM_IP}/32")
-        stellar.process_control_plane(now=2.0)
+        stellar.advance(now=2.0)
         assert stellar.installed_rule_count() == 0
         assert stellar.active_rules() == []
 
@@ -142,7 +141,7 @@ class TestStellarDataPlane:
         stellar, victim, peers = build_stellar(victim_capacity=10e9)
         rule = BlackholingRule.drop_udp_source_port(VICTIM_ASN, f"{VICTIM_IP}/32", 123)
         stellar.request_mitigation(rule)
-        stellar.process_control_plane(now=0.0)
+        stellar.advance(now=0.0)
         flows = FlowTable.concat([attack_flows(peers), benign_flows(peers)])
         report = stellar.deliver_traffic(flows, interval=10.0, interval_start=0.0)
         forwarded = report.fabric_report.results_by_member[VICTIM_ASN].forwarded_table
@@ -166,11 +165,94 @@ class TestStellarDataPlane:
             VICTIM_ASN, f"{VICTIM_IP}/32", 123, rate_bps=1e8
         )
         stellar.request_mitigation(rule)
-        stellar.process_control_plane(now=0.0)
+        stellar.advance(now=0.0)
         flows = attack_flows(peers, rate=1e9)
         report = stellar.deliver_traffic(flows, interval=10.0, interval_start=0.0)
         result = report.fabric_report.results_by_member[VICTIM_ASN]
         assert result.shaped_passed_bits == pytest.approx(1e8 * 10.0, rel=0.05)
+
+    def test_interval_report_carries_the_deployments(self):
+        stellar, victim, peers = build_stellar()
+        stellar.advance_to(5.0)
+        rule = BlackholingRule.drop_udp_source_port(VICTIM_ASN, f"{VICTIM_IP}/32", 123)
+        stellar.request_mitigation(rule, via="api")
+        report = stellar.deliver_traffic(
+            benign_flows(peers, t=10.0), interval=10.0, interval_start=10.0
+        )
+        ((request, response),) = report.deployments
+        assert (request.op, request.member_asn) == ("install", VICTIM_ASN)
+        assert request.rules[0].rule_id == stellar.active_rules()[0].rule_id
+        assert response.status == "applied"
+        # Signalled at 5 s with tokens to spare: applied on arrival.
+        assert (response.applied_at, response.latency) == (5.0, 0.0)
+
+    def test_enqueue_rejections_join_the_deployments(self):
+        # The service's per-member budget admits 4.33 changes/s over a
+        # 10 s window; the rest are rejected at enqueue and reported.
+        stellar, victim, peers = build_stellar()
+        for port in range(1, 51):
+            stellar.request_mitigation(
+                BlackholingRule.drop_udp_source_port(VICTIM_ASN, f"{VICTIM_IP}/32", port),
+                via="api",
+            )
+        deployments = stellar.advance(now=5.0)
+        assert [response.status for _, response in deployments[:7]] == ["rejected"] * 7
+        assert {response.reason for _, response in deployments[:7]} == {"budget"}
+        assert {response.retry_after for _, response in deployments[:7]} == {10.0}
+        assert stellar.installed_rule_count() == 10 + int(5.0 * 4.33)
+        # Rejected changes stay out of the active set until they are sent.
+        assert len(stellar.active_rules()) == 43
+        # Once the window turns, the diff sends the seven changes again.
+        retried = stellar.advance(now=20.0)
+        assert all(response.status == "applied" for _, response in retried)
+        assert sorted(request.rules[0].match.src_port for request, _ in retried[-7:]) == list(
+            range(44, 51)
+        )
+        assert stellar.installed_rule_count() == 50
+        assert len(stellar.active_rules()) == 50
+        assert stellar.advance(now=30.0) == []
+
+    def test_a_withdrawal_rejected_by_the_budget_is_applied_later(self):
+        stellar, victim, peers = build_stellar()
+        for port in range(1, 44):
+            stellar.request_mitigation(
+                BlackholingRule.drop_udp_source_port(VICTIM_ASN, f"{VICTIM_IP}/32", port),
+                via="api",
+            )
+        result = stellar.withdraw_mitigation(VICTIM_ASN, f"{VICTIM_IP}/32", via="api")
+        assert result.accepted
+        deployments = stellar.advance(now=9.0)
+        rejected = [req.op for req, resp in deployments if resp.status == "rejected"]
+        assert rejected == ["remove"] * 43
+        # The rules keep filtering until the removals are sent again.
+        assert stellar.installed_rule_count() == 43
+        assert len(stellar.active_rules()) == 43
+        # Sent again at 20 s: a burst of 10, then 4.33 removals/s.
+        stellar.advance(now=20.0)
+        assert stellar.installed_rule_count() == 33
+        stellar.advance(now=30.0)
+        assert stellar.installed_rule_count() == 0
+        assert stellar.active_rules() == []
+
+    def test_a_rejected_install_is_applied_in_a_later_window(self):
+        stellar, victim, peers = build_stellar()
+        for port in range(1, 45):
+            stellar.request_mitigation(
+                BlackholingRule.drop_udp_source_port(VICTIM_ASN, f"{VICTIM_IP}/32", port),
+                via="api",
+            )
+        ((request, response),) = stellar.advance(now=0.0)[:1]
+        assert (request.op, response.reason) == ("install", "budget")
+        # Re-signalling inside the window does not send it again early.
+        stellar.request_mitigation(
+            BlackholingRule.drop_udp_source_port(VICTIM_ASN, f"{VICTIM_IP}/32", 44), via="api"
+        )
+        assert all(resp.status == "applied" for _, resp in stellar.advance(now=9.0))
+        assert stellar.installed_rule_count() == 43
+        ((request, response),) = stellar.advance(now=10.0)
+        assert request.rules[0].match.src_port == 44
+        assert response.status == "applied"
+        assert stellar.installed_rule_count() == 44
 
     def test_rule_change_queue_throttles_deployment(self):
         # The paper's change queue: a burst of 10, then 4.33 changes/s.
@@ -184,7 +266,7 @@ class TestStellarDataPlane:
             )
         installed = []
         for now in (0.0, 0.2, 0.25, 0.5):
-            stellar.process_control_plane(now=now)
+            stellar.advance(now=now)
             installed.append(stellar.installed_rule_count())
         assert installed == [10, 10, 11, 12]
 
@@ -192,7 +274,7 @@ class TestStellarDataPlane:
         stellar, victim, peers = build_stellar(victim_capacity=10e9)
         rule = BlackholingRule.drop_udp_source_port(VICTIM_ASN, f"{VICTIM_IP}/32", 123)
         stellar.request_mitigation(rule)
-        stellar.process_control_plane(now=0.0)
+        stellar.advance(now=0.0)
         flows = attack_flows(peers)
         stellar.deliver_traffic(flows, interval=10.0, interval_start=0.0)
         report = stellar.telemetry_report(VICTIM_ASN)
@@ -202,11 +284,31 @@ class TestStellarDataPlane:
         assert rule_telemetry.matched_bits > 0
         assert not rule_telemetry.attack_appears_over
 
+    def test_shaper_discards_reach_telemetry(self):
+        # A SHAPE rule over its rate: the bits its shaper discards count
+        # as filtered for the member, just like a DROP rule's.
+        stellar, victim, peers = build_stellar(victim_capacity=10e9)
+        rule = BlackholingRule.shape_udp_source_port(
+            VICTIM_ASN, f"{VICTIM_IP}/32", 123, rate_bps=1e8
+        )
+        stellar.request_mitigation(rule)
+        report = stellar.deliver_traffic(
+            attack_flows(peers, rate=1e9), interval=10.0, interval_start=0.0
+        )
+        result = report.fabric_report.results_by_member[VICTIM_ASN]
+        assert result.dropped_bits == 0
+        assert result.shaped_dropped_bits > 0
+        telemetry = stellar.telemetry_report(VICTIM_ASN)
+        (rule_telemetry,) = telemetry.rules
+        assert rule_telemetry.shaped_dropped_bits == result.shaped_dropped_bits
+        assert telemetry.total_filtered_bits == result.shaped_dropped_bits
+        assert telemetry.total_filtered_bits == report.filtered_bits
+
     def test_telemetry_detects_attack_end(self):
         stellar, victim, peers = build_stellar(victim_capacity=10e9)
         rule = BlackholingRule.drop_udp_source_port(VICTIM_ASN, f"{VICTIM_IP}/32", 123)
         stellar.request_mitigation(rule)
-        stellar.process_control_plane(now=0.0)
+        stellar.advance(now=0.0)
         stellar.deliver_traffic(attack_flows(peers), interval=10.0, interval_start=0.0)
         # Next interval: only benign traffic — the rule matches nothing.
         stellar.deliver_traffic(benign_flows(peers, t=10.0), interval=10.0, interval_start=10.0)
@@ -236,8 +338,12 @@ class TestStellarDataPlane:
 class TestTelemetryCollector:
     def test_record_rule_interval_accumulates(self):
         collector = TelemetryCollector()
-        collector.record_rule_interval("r1", 64500, 1000.0, 1000.0, 0.0, interval=10.0, time=0.0)
-        collector.record_rule_interval("r1", 64500, 500.0, 500.0, 0.0, interval=10.0, time=10.0)
+        collector.record_rule_interval(
+            "r1", 64500, 1000.0, 1000.0, 0.0, interval=10.0, time=0.0, shaped_dropped_bits=0.0
+        )
+        collector.record_rule_interval(
+            "r1", 64500, 500.0, 500.0, 0.0, interval=10.0, time=10.0, shaped_dropped_bits=0.0
+        )
         telemetry = collector.telemetry_for_rule("r1")
         assert telemetry.matched_bits == 1500.0
         assert telemetry.dropped_bits == 1500.0
@@ -250,7 +356,7 @@ class TestTelemetryCollector:
         # observation interval the caller reported over.
         collector = TelemetryCollector()
         collector.record_rule_interval(
-            "r1", 64500, 1200.0, 1200.0, 0.0, interval=10.0, time=0.0
+            "r1", 64500, 1200.0, 1200.0, 0.0, interval=10.0, time=0.0, shaped_dropped_bits=0.0
         )
         telemetry = collector.telemetry_for_rule("r1")
         assert telemetry.samples[-1] == (0.0, 1200.0)  # raw matched bits
@@ -266,12 +372,18 @@ class TestTelemetryCollector:
 
     def test_report_for_member_filters_by_asn(self):
         collector = TelemetryCollector()
-        collector.record_rule_interval("a", 64500, 1.0, 1.0, 0.0, 10.0, 0.0)
-        collector.record_rule_interval("b", 64999, 1.0, 1.0, 0.0, 10.0, 0.0)
+        collector.record_rule_interval(
+            "a", 64500, 1.0, 1.0, 0.0, 10.0, 0.0, shaped_dropped_bits=0.0
+        )
+        collector.record_rule_interval(
+            "b", 64999, 1.0, 1.0, 0.0, 10.0, 0.0, shaped_dropped_bits=0.0
+        )
         report = collector.report_for_member(64500)
         assert report.active_rule_count == 1
         assert len(collector.all_rules()) == 2
 
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
-            TelemetryCollector().record_rule_interval("r", 1, 0, 0, 0, interval=0, time=0)
+            TelemetryCollector().record_rule_interval(
+                "r", 1, 0, 0, 0, interval=0, time=0, shaped_dropped_bits=0.0
+            )

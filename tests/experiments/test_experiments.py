@@ -34,7 +34,6 @@ from repro.experiments import (
     run_scaling_experiment,
     run_stellar_attack_experiment,
 )
-from repro.ixp import TcamStatus
 
 
 class TestScenarioBuilder:

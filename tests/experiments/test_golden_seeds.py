@@ -46,8 +46,8 @@ GOLDEN = {
     ("fig3a", 11): "41b5d791f45042b96523b4041e688ab3a2bb755e894830e8fcdbfeb5245b7cde",
     ("fig10a", 3): "fbc13b918cb3b254877a1a281d8219be4e6c4dd04263857b8b06811da202afcc",
     ("fig10a", 11): "f41fb708262a4d45d632aace512c188a090368b399c09945428342d514f70e05",
-    # The scenarios that drive Stellar's management layer: the controller's
-    # token-bucket change queue and the network manager's admission check.
+    # The scenarios that drive Stellar's management layer: the controller
+    # enqueues on the control-plane service, token-bucket paced.
     ("fig10c", 3): "04b389935f7aad69d576734c9ee4da0b01cb7cf18db497c3b4147f9fd2d32828",
     ("fig10c", 11): "fc9dd2d25fa0f19cdd96958ab0e8620156f7718a23a05971e6673ec626dd8b3e",
     ("multivector", 3): "876a778e79534706e88b79cbd910d912cf2b35985725bdb63f21c11710ae426f",

@@ -8,7 +8,6 @@ import pytest
 
 from repro.experiments import (
     RtbhAttackConfig,
-    StellarAttackConfig,
     SteppedExperiment,
     all_experiments,
     get_experiment,

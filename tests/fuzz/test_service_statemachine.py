@@ -18,7 +18,9 @@ request-log entries on B in canonical order, and asserts:
 
 The tight knobs (``max_queue_depth=16``, one op/second member budget) make
 generated bursts actually hit the backpressure and budget paths instead of
-only the happy path.
+only the happy path.  The machine runs twice: with the default CPU
+pacing, and with a tight token bucket per router (a burst of 3, then
+2 changes/s), the pacing Stellar's management layer uses.
 """
 
 from hypothesis import strategies as st
@@ -26,7 +28,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from oracle.reference import ReferenceFabric
 from oracle.service import ScriptedPortal
-from repro.ixp import ControlPlaneService, TcamExhaustedError
+from repro.ixp import ControlPlaneService, TcamExhaustedError, TokenBucketPacing
 
 from .strategies import (
     UNKNOWN_EGRESS_ASN,
@@ -48,6 +50,9 @@ _EPS = 1e-9
 
 
 class ServiceStateMachine(RuleBasedStateMachine):
+    #: The service's lane pacing (``None``: CPU occupancy).
+    PACING = None
+
     def __init__(self):
         super().__init__()
         self.fabric_a = build_fabric(SPEC)
@@ -55,6 +60,7 @@ class ServiceStateMachine(RuleBasedStateMachine):
         self.oracle = ReferenceFabric(self.fabric_a)
         self.service = ControlPlaneService(
             self.fabric_a,
+            pacing=self.PACING,
             max_queue_depth=MAX_QUEUE_DEPTH,
             budget_window=BUDGET_WINDOW,
             member_update_rate=MEMBER_RATE,
@@ -219,3 +225,10 @@ class ServiceStateMachine(RuleBasedStateMachine):
 
 
 TestServiceStateMachine = ServiceStateMachine.TestCase
+
+
+class TokenBucketServiceStateMachine(ServiceStateMachine):
+    PACING = TokenBucketPacing(rate=2.0, burst=3.0)
+
+
+TestTokenBucketServiceStateMachine = TokenBucketServiceStateMachine.TestCase

@@ -15,7 +15,6 @@ from repro.ixp import (
     QosRule,
     SwitchingFabric,
     TcamExhaustedError,
-    TcamStatus,
     l_ixp_edge_router_profile,
     small_ixp_edge_router_profile,
 )
@@ -146,11 +145,6 @@ class TestEdgeRouter:
         with pytest.raises(TcamExhaustedError):
             router.install_rule(64500, drop_rule("b"))
 
-    def test_check_capacity(self):
-        router = self._router()
-        router_fabric(router, IxpMember(asn=64500))
-        assert router.check_capacity(drop_rule()) is TcamStatus.OK
-
     def test_deliver_applies_port_policy(self):
         router = self._router()
         fabric = SwitchingFabric(name="test-ixp")
@@ -162,8 +156,8 @@ class TestEdgeRouter:
 
     def test_cpu_helpers(self):
         router = self._router()
-        assert 0 <= router.cpu_usage_for_rate(2.0) <= 100
-        assert router.max_sustainable_update_rate() > 0
+        assert 0 <= router.cpu.measure_usage(2.0) <= 100
+        assert router.cpu.max_update_rate() > 0
 
 
 class TestSwitchingFabric:

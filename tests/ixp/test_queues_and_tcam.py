@@ -24,32 +24,47 @@ class TestTokenBucket:
 
     def test_consume_within_burst(self):
         bucket = TokenBucket(rate=1.0, burst=5.0)
-        assert bucket.try_consume(5.0, now=0.0)
-        assert not bucket.try_consume(1.0, now=0.0)
+        assert bucket.ready_at(5.0, now=0.0) == 0.0
+        bucket.spend(5.0, now=0.0)
+        assert bucket.ready_at(1.0, now=0.0) == 1.0
 
     def test_refill_over_time(self):
         bucket = TokenBucket(rate=2.0, burst=4.0)
-        assert bucket.try_consume(4.0, now=0.0)
-        assert not bucket.try_consume(1.0, now=0.1)
-        assert bucket.try_consume(2.0, now=1.0)
+        bucket.spend(4.0, now=0.0)
+        assert bucket.ready_at(1.0, now=0.1) == pytest.approx(0.5)
+        assert bucket.ready_at(2.0, now=1.0) == 1.0
 
     def test_refill_caps_at_burst(self):
         bucket = TokenBucket(rate=10.0, burst=3.0)
-        bucket.try_consume(1.0, now=0.0)
-        bucket.try_consume(0.0, now=100.0)
+        bucket.spend(1.0, now=0.0)
+        bucket.spend(0.0, now=100.0)
         assert bucket.tokens == 3.0
+
+    def test_an_amount_over_the_burst_is_spent_as_it_arrives(self):
+        bucket = TokenBucket(rate=2.0, burst=3.0)
+        assert bucket.ready_at(7.0, now=0.0) == 2.0
+        bucket.spend(7.0, now=2.0)
+        assert bucket.tokens == 0.0
+
+    def test_reading_does_not_spend(self):
+        bucket = TokenBucket(rate=1.0, burst=2.0)
+        for _ in range(3):
+            assert bucket.ready_at(2.0, now=0.0) == 0.0
+        assert bucket.tokens == 2.0
 
     def test_zero_rate_never_refills(self):
         bucket = TokenBucket(rate=0.0, burst=1.0)
-        assert bucket.try_consume(1.0, now=0.0)
-        assert not bucket.try_consume(1.0, now=10.0)
+        bucket.spend(1.0, now=0.0)
+        assert bucket.ready_at(1.0, now=10.0) == math.inf
         assert bucket.tokens == 0.0
 
     def test_time_cannot_move_backwards(self):
         bucket = TokenBucket(rate=1.0, burst=1.0)
-        bucket.try_consume(1.0, now=5.0)
+        bucket.spend(1.0, now=5.0)
         with pytest.raises(ValueError):
-            bucket.try_consume(0.0, now=1.0)
+            bucket.ready_at(0.0, now=1.0)
+        with pytest.raises(ValueError):
+            bucket.spend(0.0, now=1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -57,7 +72,7 @@ class TestTokenBucket:
         with pytest.raises(ValueError):
             TokenBucket(rate=1.0, burst=0.0)
         with pytest.raises(ValueError):
-            TokenBucket(rate=1.0, burst=1.0).try_consume(-1.0, now=0.0)
+            TokenBucket(rate=1.0, burst=1.0).ready_at(-1.0, now=0.0)
 
     @pytest.mark.parametrize(
         "rate,burst",
@@ -80,7 +95,9 @@ class TestTokenBucket:
         now = 0.0
         for amount in amounts:
             now += 1.0
-            if bucket.try_consume(amount, now=now):
+            # Spend whatever is ready by now; wait for nothing.
+            if bucket.ready_at(amount, now=now) == now:
+                bucket.spend(amount, now=now)
                 consumed += amount
         assert consumed <= burst + rate * now + 1e-6
 

@@ -6,9 +6,13 @@ draining (head-of-line blocking, horizon carry-over, independent router
 lanes, stepped horizons ≡ one drain), coalescing as a pure
 amortization (one ``rules_version`` bump per drained batch, identical
 verdicts and ``rule_stats`` to one-at-a-time installs), shutdown, the
-request-log replay oracle, and the deterministic ``ControlPlaneCpuModel``
-path budget enforcement relies on.
+request-log replay oracle, the deterministic ``ControlPlaneCpuModel``
+path budget enforcement relies on, and token-bucket pacing (Stellar's
+management layer: burst then rate, FIFO order, TCAM failures, updates in
+place).
 """
+
+import math
 
 import pytest
 
@@ -18,9 +22,14 @@ from repro.bgp import Prefix
 from repro.ixp import (
     ControlPlaneCpuModel,
     ControlPlaneService,
+    EdgeRouter,
     FilterAction,
     FlowMatch,
+    HardwareProfile,
+    IxpMember,
     QosRule,
+    SwitchingFabric,
+    TokenBucketPacing,
     build_multi_pop_fabric,
     make_member_population,
 )
@@ -313,6 +322,165 @@ class TestDraining:
         # Reads still answer: telemetry costs nothing and changes nothing.
         telemetry = service.enqueue(service.make_request(asn, "telemetry"))
         assert telemetry.status == "telemetry"
+
+
+def single_router_fabric(profile=None):
+    fabric = SwitchingFabric()
+    fabric.add_edge_router(EdgeRouter("er-1", profile=profile))
+    fabric.connect_member(IxpMember(asn=64500, port_capacity_bps=1e9))
+    return fabric
+
+
+class TestTokenBucketPacing:
+    """Lanes paced by a per-router token bucket (Stellar's change queue)."""
+
+    def _service(self, fabric=None, rate=1.0, burst=2.0):
+        fabric = fabric if fabric is not None else single_router_fabric()
+        return fabric, ControlPlaneService(
+            fabric, pacing=TokenBucketPacing(rate=rate, burst=burst)
+        )
+
+    def _install(self, service, rule_id, at=0.0, **kwargs):
+        request = service.make_request(
+            64500, "install", rules=(drop_rule(rule_id, **kwargs),), at=at
+        )
+        assert service.enqueue(request) is None
+        return request
+
+    def test_defaults_are_the_papers_queue(self):
+        pacing = TokenBucketPacing()
+        assert (pacing.rate, pacing.burst) == (4.33, 10.0)
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
+    def test_validation(self, rate):
+        # A NaN or infinite rate would refill the bucket on every change,
+        # which switches the pacing off.
+        with pytest.raises(ValueError):
+            TokenBucketPacing(rate=rate)
+        with pytest.raises(ValueError):
+            TokenBucketPacing(burst=0.0)
+
+    def test_burst_then_rate(self):
+        fabric, service = self._service()
+        for i in range(4):
+            self._install(service, f"r{i}", src_port=i + 1)
+        assert len(service.advance(0.0)) == 2
+        assert service.advance(0.0) == []
+        assert len(service.advance(1.0)) == 1
+        assert service.queue_depth() == 1
+        assert len(fabric.port_for_member(64500).rules()) == 3
+
+    def test_a_change_completes_when_its_tokens_arrive(self):
+        _, service = self._service()
+        requests = [self._install(service, f"r{i}", src_port=i + 1) for i in range(4)]
+        resolved = service.advance(None)
+        # FIFO: resolutions come out in enqueue order.
+        assert [req.request_id for req, _ in resolved] == [
+            req.request_id for req in requests
+        ]
+        assert [resp.applied_at for _, resp in resolved] == [0.0, 0.0, 1.0, 2.0]
+
+    def test_latency_is_the_wait_for_tokens(self):
+        _, service = self._service(burst=1.0)
+        self._install(service, "a", at=0.0, src_port=1)
+        self._install(service, "b", at=0.25, src_port=2)
+        # An idle lane applies a change at its arrival, while it has tokens.
+        self._install(service, "c", at=5.0, src_port=3)
+        latencies = [resp.latency for _, resp in service.advance(None)]
+        assert latencies == [0.0, 0.75, 0.0]
+
+    def test_a_multi_rule_request_waits_for_all_its_tokens(self):
+        fabric, service = self._service()
+        rules = tuple(drop_rule(f"r{i}", src_port=i + 1) for i in range(5))
+        service.enqueue(service.make_request(64500, "install_many", rules=rules))
+        assert service.advance(2.9) == []
+        ((_, response),) = service.advance(3.0)
+        assert response.applied_at == 3.0
+        assert len(fabric.port_for_member(64500).rules()) == 5
+
+    def test_every_router_has_its_own_bucket(self):
+        fabric, members = make_fabric(pop_count=2, routers_per_pop=1, member_count=4)
+        by_router = {}
+        for asn in members:
+            by_router.setdefault(fabric.router_for_member(asn).name, asn)
+        assert len(by_router) == 2
+        service = ControlPlaneService(fabric, pacing=TokenBucketPacing(rate=1.0, burst=1.0))
+        for asn in by_router.values():
+            service.enqueue(service.make_request(asn, "install", rules=(drop_rule("r"),)))
+        assert [resp.applied_at for _, resp in service.advance(None)] == [0.0, 0.0]
+
+    def test_unknown_member_is_rejected_at_enqueue(self):
+        _, service = self._service()
+        response = service.enqueue(
+            service.make_request(60000, "install", rules=(drop_rule("r"),))
+        )
+        assert response.reason == "unknown-member"
+        assert service.queue_depth() == 0
+
+    def test_tcam_exhaustion_resolves_as_an_error(self):
+        tiny = HardwareProfile(
+            name="tiny", port_count=4, mac_filter_capacity=2, l3l4_criteria_capacity=3
+        )
+        fabric, service = self._service(single_router_fabric(tiny))
+        self._install(service, "first", src_port=1)
+        ((_, first),) = service.advance(0.0)
+        self._install(service, "second", at=1.0, src_port=2)
+        ((_, second),) = service.advance(1.0)
+        assert first.status == "applied"
+        assert (second.status, second.reason) == ("error", "tcam-exhausted")
+        assert service.stats.tcam_errors == 1
+        assert fabric.port_for_member(64500).qos.rule_ids() == ["first"]
+
+    def test_a_coalesced_batch_resolves_up_to_the_tcam_failure(self):
+        # Two installs drain into one install_many; the TCAM holds only the
+        # first, which stays on the port and is reported as applied.
+        tiny = HardwareProfile(
+            name="tiny", port_count=4, mac_filter_capacity=2, l3l4_criteria_capacity=3
+        )
+        fabric, service = self._service(single_router_fabric(tiny))
+        self._install(service, "first", src_port=1)
+        self._install(service, "second", src_port=2)
+        resolved = service.advance(0.0)
+        assert [resp.status for _, resp in resolved] == ["applied", "error"]
+        assert resolved[1][1].reason == "tcam-exhausted"
+        assert service.stats.tcam_errors == 1
+        assert service.stats.applied_requests == 1
+        (entry,) = service.request_log
+        assert entry.tcam_exhausted
+        assert fabric.port_for_member(64500).qos.rule_ids() == ["first"]
+
+    def test_backpressure_retry_after_waits_for_the_backlog_tokens(self):
+        fabric, _ = self._service()
+        service = ControlPlaneService(
+            fabric, pacing=TokenBucketPacing(rate=1.0, burst=2.0), max_queue_depth=4
+        )
+        for i in range(4):
+            self._install(service, f"r{i}", src_port=i + 1)
+        response = service.enqueue(
+            service.make_request(64500, "install", rules=(drop_rule("r4", src_port=5),))
+        )
+        assert response.reason == "backpressure"
+        # Two queued changes take the burst, the other two the next 2 s.
+        assert response.retry_after == 2.0
+
+    def test_an_install_of_a_held_rule_id_updates_it_in_place(self):
+        fabric, service = self._service()
+        self._install(service, "keep", src_port=1)
+        self._install(service, "other", src_port=2)
+        service.advance(None)
+        shape = QosRule(
+            match=FlowMatch(dst_prefix=Prefix.parse("10.1.0.1/32"), src_port=1),
+            action=FilterAction.SHAPE,
+            shape_rate_bps=2e8,
+            rule_id="keep",
+        )
+        service.enqueue(service.make_request(64500, "install", rules=(shape,), at=5.0))
+        ((_, response),) = service.advance(5.0)
+        assert response.status == "applied"
+        rules = {rule.rule_id: rule for rule in fabric.port_for_member(64500).rules()}
+        assert sorted(rules) == ["keep", "other"]
+        assert rules["keep"].action is FilterAction.SHAPE
+        assert rules["keep"].shape_rate_bps == 2e8
 
 
 class TestCoalescingParity:

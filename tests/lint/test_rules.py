@@ -98,7 +98,7 @@ def test_record_named_functions_are_not_exempt(lint_tree, lint_run):
     # the per-record loops now live in tests/oracle, so nothing is exempt.
     root = lint_tree("rpl004_bad.py", "rpl006_bad.py")
     snippets = {(f.rule, f.snippet.strip()) for f in lint_run(root).new_findings}
-    assert ("RPL004", "return [flow for flow in table.to_records()]") in snippets
+    assert ("RPL004", "return [flow for flow in enumerate(table.bytes)]") in snippets
     assert ("RPL006", "forwarded_bits += flow.bits") in snippets
 
 
@@ -113,7 +113,7 @@ def test_record_named_functions_are_not_exempt(lint_tree, lint_run):
 )
 def test_rpl004_covers_the_table_only_trace_layer(tmp_path, lint_run, dest):
     # Traces, IPFIX export and the port-share analyses take a FlowTable
-    # only; a `.to_records()` loop in them is a per-row regression.
+    # only; a loop over its rows in them is a per-row regression.
     (tmp_path / "pyproject.toml").write_text("")
     target = tmp_path / dest
     target.parent.mkdir(parents=True)

@@ -30,7 +30,6 @@ from repro.traffic import (
     IxpTraceGenerator,
     MemberAttackScenarioGenerator,
     RtbhEvent,
-    TrafficTrace,
     get_vector,
     ip_to_int,
     ints_to_ips,
