@@ -1,4 +1,4 @@
-"""Analysis helpers: statistics, collateral damage, compliance, time series."""
+"""Analysis helpers: statistics, collateral damage, policy control, time series."""
 
 from .._lazy import lazy_exports
 
@@ -9,17 +9,12 @@ _EXPORTS = {
     "collateral_damage": "collateral",
     "fine_grained_filter_potential": "collateral",
     "port_share_timeseries": "collateral",
-    "ComplianceSummary": "compliance",
     "PolicyControlDistribution": "compliance",
-    "compliance_from_event": "compliance",
-    "compliance_from_service": "compliance",
-    "peer_reduction_fraction": "compliance",
     "policy_control_distribution": "compliance",
     "ConfidenceInterval": "stats",
     "LinearRegressionResult": "stats",
     "WelchTestResult": "stats",
     "cdf_quantile": "stats",
-    "empirical_cdf": "stats",
     "fraction_below": "stats",
     "linear_regression": "stats",
     "mean_confidence_interval": "stats",

@@ -99,10 +99,6 @@ class CollateralDamageReport:
             return 0.0
         return self.attack_bits_discarded / self.attack_bits_total
 
-    @property
-    def residual_attack_bits(self) -> float:
-        return self.attack_bits_total - self.attack_bits_discarded
-
 
 def collateral_damage(outcome: MitigationOutcome) -> CollateralDamageReport:
     """Quantify collateral damage / residual attack of a mitigation outcome."""

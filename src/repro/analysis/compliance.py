@@ -1,26 +1,22 @@
-"""RTBH policy-control and compliance analysis (Fig. 3(b) and §2.4).
+"""RTBH policy-control analysis (Fig. 3(b)).
 
-Two questions from the measurement study:
-
-* *How do prefix owners scope their RTBH announcements?*  For more than
-  93 % of blackholing events the owner asks **all** route-server peers to
-  blackhole; a small tail restricts the announcement ("All-1", "All-4", …)
-  or targets an explicit peer list ("20", "21" peers).  Fig. 3(b) plots the
-  share of announcements per category.
-* *Do the peers comply?*  Almost 70 % of members do not honour the
-  blackholing community.  The compliance summary quantifies this from a
-  :class:`~repro.mitigation.rtbh.RtbhService`'s state or from observed
-  traffic behaviour.
+*How do prefix owners scope their RTBH announcements?*  For more than
+93 % of blackholing events the owner asks **all** route-server peers to
+blackhole; a small tail restricts the announcement ("All-1", "All-4", …)
+or targets an explicit peer list ("20", "21" peers).  Fig. 3(b) plots the
+share of announcements per category.  Whether peers *comply* (almost 70 %
+do not honour the blackholing community, §2.4) is modelled by
+:class:`~repro.mitigation.rtbh.RtbhService` and measured by the Fig. 3(c)
+experiment.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from ..bgp.route_server import PolicyControl
-from ..mitigation.rtbh import BlackholeEvent, RtbhService
 
 
 @dataclass(frozen=True)
@@ -60,49 +56,3 @@ def policy_control_distribution(
     """Aggregate announcement policy controls into the Fig. 3(b) categories."""
     counter = Counter(control.category for control in controls)
     return PolicyControlDistribution(counts=dict(counter))
-
-
-@dataclass(frozen=True)
-class ComplianceSummary:
-    """How many peers honour RTBH announcements."""
-
-    total_peers: int
-    honoring_peers: int
-
-    @property
-    def compliance_rate(self) -> float:
-        if self.total_peers == 0:
-            return 0.0
-        return self.honoring_peers / self.total_peers
-
-    @property
-    def non_compliance_rate(self) -> float:
-        return 1.0 - self.compliance_rate if self.total_peers else 0.0
-
-
-def compliance_from_service(
-    service: RtbhService, peer_asns: Sequence[int]
-) -> ComplianceSummary:
-    """Compliance summary over an explicit peer population."""
-    honoring = sum(1 for asn in peer_asns if service.member_honors(asn))
-    return ComplianceSummary(total_peers=len(peer_asns), honoring_peers=honoring)
-
-
-def compliance_from_event(
-    event: BlackholeEvent, peer_asns: Sequence[int]
-) -> ComplianceSummary:
-    """Compliance summary for one blackhole event."""
-    peers = set(peer_asns) - {event.victim_asn}
-    honoring = len(event.honoring_members & peers)
-    return ComplianceSummary(total_peers=len(peers), honoring_peers=honoring)
-
-
-def peer_reduction_fraction(peers_before: int, peers_after: int) -> float:
-    """Relative reduction in the number of peers sending traffic.
-
-    The paper observes that after the RTBH signal the number of peers from
-    which attack traffic is received decreases by only ~25 % (Fig. 3(c)).
-    """
-    if peers_before <= 0:
-        return 0.0
-    return max(0.0, (peers_before - peers_after) / peers_before)

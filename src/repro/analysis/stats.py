@@ -110,15 +110,6 @@ def mean_confidence_interval(
     )
 
 
-def empirical_cdf(sample: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``(sorted_values, P(X <= x))`` for an empirical CDF plot."""
-    values = np.sort(np.asarray(list(sample), dtype=float))
-    if values.size == 0:
-        raise ValueError("sample must not be empty")
-    probabilities = np.arange(1, values.size + 1) / values.size
-    return values, probabilities
-
-
 def cdf_quantile(sample: Sequence[float], quantile: float) -> float:
     """The empirical ``quantile`` (e.g. 0.95) of a sample."""
     if not 0 <= quantile <= 1:

@@ -67,9 +67,6 @@ class AttackTimeSeries:
             return values[0]
         return values[index]
 
-    def peers_at(self, time: float) -> int:
-        return int(self.value_at(time, self.peer_counts))
-
     def window(self, start: float, end: float) -> "AttackTimeSeries":
         """Observations with ``start <= time < end``."""
         selected = AttackTimeSeries()
@@ -99,9 +96,6 @@ class AttackTimeSeries:
         if not window.times:
             return 0.0
         return sum(window.peer_counts) / len(window.peer_counts)
-
-    def max_peers(self) -> int:
-        return max(self.peer_counts, default=0)
 
 
 def record_delivery(

@@ -9,21 +9,14 @@ _EXPORTS = {
     "PathAttributes": "attributes",
     "BogonFilter": "bogons",
     "ExtendedCommunity": "communities",
-    "LargeCommunity": "communities",
     "StandardCommunity": "communities",
-    "blackhole_community": "communities",
     "rtbh_community": "communities",
     "FlowspecAction": "flowspec",
     "FlowspecActionType": "flowspec",
-    "FlowspecComponentType": "flowspec",
     "FlowspecRule": "flowspec",
     "drop_rule": "flowspec",
     "rate_limit_rule": "flowspec",
     "IrrDatabase": "irr",
-    "RouteObject": "irr",
-    "KeepaliveMessage": "messages",
-    "MessageType": "messages",
-    "NotificationMessage": "messages",
     "OpenMessage": "messages",
     "RouteAnnouncement": "messages",
     "RouteWithdrawal": "messages",
@@ -36,11 +29,8 @@ _EXPORTS = {
     "permissive_policy": "policy",
     "Prefix": "prefix",
     "parse_prefix": "prefix",
-    "RibDiff": "rib",
     "RoutingInformationBase": "rib",
-    "best_path": "rib",
     "PolicyControl": "route_server",
-    "RejectedAnnouncement": "route_server",
     "RouteServer": "route_server",
     "Roa": "rpki",
     "RpkiValidator": "rpki",

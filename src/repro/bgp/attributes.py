@@ -2,8 +2,7 @@
 
 The attribute set carried by :class:`~repro.bgp.messages.RouteAnnouncement`
 objects.  Only the attributes the reproduction needs are modelled (origin,
-AS path, next hop, MED, local preference and the three community flavours),
-but the container keeps unknown attributes so policies can be extended.
+AS path, next hop, MED, local preference and the two community flavours).
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .communities import ExtendedCommunity, LargeCommunity, StandardCommunity
+from .communities import ExtendedCommunity, StandardCommunity
 
 
 class Origin(Enum):
@@ -33,7 +32,6 @@ class PathAttributes:
     local_pref: int = 100
     communities: frozenset[StandardCommunity] = field(default_factory=frozenset)
     extended_communities: frozenset[ExtendedCommunity] = field(default_factory=frozenset)
-    large_communities: frozenset[LargeCommunity] = field(default_factory=frozenset)
 
     # ------------------------------------------------------------------
     # AS-path helpers
@@ -52,12 +50,6 @@ class PathAttributes:
     def as_path_length(self) -> int:
         return len(self.as_path)
 
-    def prepend(self, asn: int, times: int = 1) -> "PathAttributes":
-        """Return a copy with ``asn`` prepended ``times`` times to the path."""
-        if times < 1:
-            raise ValueError(f"times must be >= 1, got {times}")
-        return replace(self, as_path=(asn,) * times + self.as_path)
-
     # ------------------------------------------------------------------
     # Community helpers
     # ------------------------------------------------------------------
@@ -74,18 +66,9 @@ class PathAttributes:
             extended_communities=self.extended_communities | frozenset(communities),
         )
 
-    def with_large_communities(self, *communities: LargeCommunity) -> "PathAttributes":
-        """Return a copy with additional large communities."""
-        return replace(
-            self, large_communities=self.large_communities | frozenset(communities)
-        )
-
     def with_next_hop(self, next_hop: str) -> "PathAttributes":
         """Return a copy with the NEXT_HOP rewritten (e.g. to a blackhole IP)."""
         return replace(self, next_hop=next_hop)
-
-    def has_community(self, community: StandardCommunity) -> bool:
-        return community in self.communities
 
     @property
     def has_blackhole_community(self) -> bool:

@@ -53,13 +53,6 @@ class BogonFilter:
         )
         self._bogons: list[Prefix] = [parse_prefix(prefix) for prefix in source]
 
-    def add(self, prefix: "str | Prefix") -> None:
-        """Add an extra bogon prefix (e.g. unallocated space)."""
-        self._bogons.append(parse_prefix(prefix))
-
-    def bogons(self) -> list[Prefix]:
-        return list(self._bogons)
-
     def is_bogon(self, prefix: "str | Prefix") -> bool:
         """True if the prefix overlaps bogon space in either direction.
 
@@ -70,9 +63,3 @@ class BogonFilter:
         return any(
             bogon.contains(prefix) or prefix.contains(bogon) for bogon in self._bogons
         )
-
-    def __len__(self) -> int:
-        return len(self._bogons)
-
-    def __contains__(self, prefix: "str | Prefix") -> bool:
-        return self.is_bogon(prefix)

@@ -1,6 +1,6 @@
 """BGP community attributes.
 
-Three community flavours are modelled:
+Two community flavours are modelled:
 
 * **Standard communities** (RFC 1997) — 32-bit ``ASN:value`` tags.  The
   well-known ``BLACKHOLE`` community (RFC 7999, ``65535:666``) and the IXP
@@ -8,8 +8,6 @@ Three community flavours are modelled:
 * **Extended communities** (RFC 4360) — 64-bit typed values.  Stellar uses a
   dedicated extended-community namespace to encode fine-grained blackholing
   rules (see :mod:`repro.core.community_codec`).
-* **Large communities** (RFC 8092) — 96-bit ``ASN:fn:value`` triples, kept
-  for completeness of the substrate.
 
 Communities are frozen dataclasses so they can live in sets attached to
 routes and be compared structurally.
@@ -24,12 +22,6 @@ WELL_KNOWN_BLACKHOLE = (65535, 666)
 
 #: Conventional value used by IXPs for RTBH (``IXP_ASN:666``).
 RTBH_COMMUNITY_VALUE = 666
-
-#: RFC 1997 well-known NO_EXPORT community.
-NO_EXPORT = (65535, 65281)
-
-#: RFC 1997 well-known NO_ADVERTISE community.
-NO_ADVERTISE = (65535, 65282)
 
 
 def _check_16bit(value: int, label: str) -> None:
@@ -52,15 +44,6 @@ class StandardCommunity:
     def __post_init__(self) -> None:
         _check_16bit(self.asn, "asn")
         _check_16bit(self.value, "value")
-
-    @classmethod
-    def parse(cls, text: str) -> "StandardCommunity":
-        """Parse the canonical ``"ASN:value"`` textual form."""
-        try:
-            asn_text, value_text = text.split(":")
-            return cls(int(asn_text), int(value_text))
-        except (ValueError, TypeError) as exc:
-            raise ValueError(f"invalid standard community {text!r}") from exc
 
     @property
     def is_blackhole(self) -> bool:
@@ -95,28 +78,6 @@ class ExtendedCommunity:
         _check_16bit(self.global_admin, "global_admin")
         _check_32bit(self.local_admin, "local_admin")
 
-    def pack(self) -> int:
-        """Return the community as a single 64-bit integer."""
-        return (
-            (self.type << 56)
-            | (self.subtype << 48)
-            | (self.global_admin << 32)
-            | self.local_admin
-        )
-
-    @classmethod
-    def unpack(cls, value: int) -> "ExtendedCommunity":
-        """Inverse of :meth:`pack`."""
-        _check = 0 <= value <= 0xFFFFFFFFFFFFFFFF
-        if not _check:
-            raise ValueError(f"extended community must fit in 64 bits, got {value}")
-        return cls(
-            type=(value >> 56) & 0xFF,
-            subtype=(value >> 48) & 0xFF,
-            global_admin=(value >> 32) & 0xFFFF,
-            local_admin=value & 0xFFFFFFFF,
-        )
-
     def __str__(self) -> str:
         return (
             f"ext:{self.type:#04x}:{self.subtype:#04x}:"
@@ -124,37 +85,7 @@ class ExtendedCommunity:
         )
 
 
-@dataclass(frozen=True)
-class LargeCommunity:
-    """RFC 8092 large community: three 32-bit fields."""
-
-    global_admin: int
-    local_data_1: int
-    local_data_2: int
-
-    def __post_init__(self) -> None:
-        _check_32bit(self.global_admin, "global_admin")
-        _check_32bit(self.local_data_1, "local_data_1")
-        _check_32bit(self.local_data_2, "local_data_2")
-
-    @classmethod
-    def parse(cls, text: str) -> "LargeCommunity":
-        """Parse the canonical ``"A:B:C"`` textual form."""
-        try:
-            a, b, c = (int(part) for part in text.split(":"))
-            return cls(a, b, c)
-        except (ValueError, TypeError) as exc:
-            raise ValueError(f"invalid large community {text!r}") from exc
-
-    def __str__(self) -> str:
-        return f"{self.global_admin}:{self.local_data_1}:{self.local_data_2}"
-
-
 def rtbh_community(ixp_asn: int) -> StandardCommunity:
     """Return the IXP specific RTBH community (``IXP_ASN:666``)."""
     return StandardCommunity(ixp_asn, RTBH_COMMUNITY_VALUE)
 
-
-def blackhole_community() -> StandardCommunity:
-    """Return the RFC 7999 well-known BLACKHOLE community (``65535:666``)."""
-    return StandardCommunity(*WELL_KNOWN_BLACKHOLE)

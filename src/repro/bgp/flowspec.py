@@ -2,9 +2,9 @@
 
 Flowspec is one of the baselines the paper compares against (§1.1, §4.2.1):
 it disseminates fine-grained traffic-flow specifications with traffic
-filtering actions over BGP.  The reproduction models the NLRI component
-types and actions needed to express the same filters as Advanced
-Blackholing rules so the baseline comparison (Table 1 and the signalling
+filtering actions over BGP.  The reproduction models the match fields
+and actions needed to express the same filters as Advanced Blackholing
+rules so the baseline comparison (Table 1 and the signalling
 ablation bench) can reason about expressiveness, resource consumption and
 cooperation requirements.
 """
@@ -16,23 +16,6 @@ from enum import Enum
 from typing import Optional
 
 from .prefix import Prefix, parse_prefix
-
-
-class FlowspecComponentType(Enum):
-    """RFC 5575 §4 component types (subset used here)."""
-
-    DEST_PREFIX = 1
-    SOURCE_PREFIX = 2
-    IP_PROTOCOL = 3
-    PORT = 4
-    DEST_PORT = 5
-    SOURCE_PORT = 6
-    ICMP_TYPE = 7
-    ICMP_CODE = 8
-    TCP_FLAGS = 9
-    PACKET_LENGTH = 10
-    DSCP = 11
-    FRAGMENT = 12
 
 
 class FlowspecActionType(Enum):
@@ -81,24 +64,6 @@ class FlowspecRule:
                 raise ValueError(f"{name} must be a valid L4 port, got {port}")
         if self.ip_protocol is not None and not 0 <= self.ip_protocol <= 255:
             raise ValueError(f"ip_protocol must fit in 8 bits, got {self.ip_protocol}")
-
-    # ------------------------------------------------------------------
-    def components(self) -> list[FlowspecComponentType]:
-        """The NLRI component types present in this rule (ordered)."""
-        present = []
-        if self.dest_prefix is not None:
-            present.append(FlowspecComponentType.DEST_PREFIX)
-        if self.source_prefix is not None:
-            present.append(FlowspecComponentType.SOURCE_PREFIX)
-        if self.ip_protocol is not None:
-            present.append(FlowspecComponentType.IP_PROTOCOL)
-        if self.dest_port is not None:
-            present.append(FlowspecComponentType.DEST_PORT)
-        if self.source_port is not None:
-            present.append(FlowspecComponentType.SOURCE_PORT)
-        if self.packet_length_max is not None:
-            present.append(FlowspecComponentType.PACKET_LENGTH)
-        return present
 
     @property
     def is_discard(self) -> bool:

@@ -13,21 +13,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from .prefix import Prefix, parse_prefix
-
-
-@dataclass(frozen=True)
-class RouteObject:
-    """An IRR ``route`` object binding a prefix to its origin ASN."""
-
-    prefix: Prefix
-    origin_asn: int
-    source: str = "RADB"
-
-    def __str__(self) -> str:
-        return f"route: {self.prefix} origin: AS{self.origin_asn} ({self.source})"
 
 
 class IrrDatabase:
@@ -35,34 +22,17 @@ class IrrDatabase:
 
     def __init__(self) -> None:
         self._by_origin: dict[int, set[Prefix]] = defaultdict(set)
-        self._objects: list[RouteObject] = []
 
-    # ------------------------------------------------------------------
-    # Registration
-    # ------------------------------------------------------------------
-    def register(
-        self, prefix: "str | Prefix", origin_asn: int, source: str = "RADB"
-    ) -> RouteObject:
-        """Register a route object and return it."""
+    def register(self, prefix: "str | Prefix", origin_asn: int) -> None:
+        """Register a ``route`` object binding ``prefix`` to ``origin_asn``."""
         if origin_asn <= 0:
             raise ValueError(f"origin ASN must be positive, got {origin_asn}")
-        prefix = parse_prefix(prefix)
-        obj = RouteObject(prefix=prefix, origin_asn=origin_asn, source=source)
-        self._by_origin[origin_asn].add(prefix)
-        self._objects.append(obj)
-        return obj
+        self._by_origin[origin_asn].add(parse_prefix(prefix))
 
     def register_many(self, prefixes: Iterable["str | Prefix"], origin_asn: int) -> None:
         """Register several prefixes for the same origin ASN."""
         for prefix in prefixes:
             self.register(prefix, origin_asn)
-
-    # ------------------------------------------------------------------
-    # Validation
-    # ------------------------------------------------------------------
-    def prefixes_for(self, origin_asn: int) -> set[Prefix]:
-        """All prefixes registered for an origin ASN."""
-        return set(self._by_origin.get(origin_asn, set()))
 
     def is_authorized(self, prefix: "str | Prefix", origin_asn: int) -> bool:
         """True if ``origin_asn`` registered ``prefix`` or a covering prefix.
@@ -75,10 +45,3 @@ class IrrDatabase:
         if not registered:
             return False
         return any(candidate.contains(prefix) for candidate in registered)
-
-    def objects(self) -> list[RouteObject]:
-        """All registered route objects (in registration order)."""
-        return list(self._objects)
-
-    def __len__(self) -> int:
-        return len(self._objects)

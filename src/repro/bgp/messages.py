@@ -11,22 +11,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Optional
 
 from .attributes import PathAttributes
-from .prefix import Prefix
+from .prefix import Prefix, parse_prefix
 
 _message_ids = itertools.count(1)
-
-
-class MessageType(Enum):
-    """BGP-4 message types (RFC 4271 §4)."""
-
-    OPEN = 1
-    UPDATE = 2
-    NOTIFICATION = 3
-    KEEPALIVE = 4
 
 
 @dataclass(frozen=True)
@@ -42,10 +31,6 @@ class RouteAnnouncement:
     prefix: Prefix
     attributes: PathAttributes
     path_id: int = 0
-
-    @property
-    def origin_asn(self) -> Optional[int]:
-        return self.attributes.origin_asn
 
     @property
     def is_blackhole_request(self) -> bool:
@@ -73,14 +58,6 @@ class UpdateMessage:
     withdrawals: tuple[RouteWithdrawal, ...] = ()
     message_id: int = field(default_factory=lambda: next(_message_ids))
 
-    @property
-    def type(self) -> MessageType:
-        return MessageType.UPDATE
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.announcements and not self.withdrawals
-
     def __len__(self) -> int:
         return len(self.announcements) + len(self.withdrawals)
 
@@ -95,56 +72,12 @@ class OpenMessage:
     add_path: bool = False
     ipv6: bool = True
 
-    @property
-    def type(self) -> MessageType:
-        return MessageType.OPEN
-
-
-@dataclass(frozen=True)
-class KeepaliveMessage:
-    """A BGP KEEPALIVE message."""
-
-    sender_asn: int
-
-    @property
-    def type(self) -> MessageType:
-        return MessageType.KEEPALIVE
-
-
-@dataclass(frozen=True)
-class NotificationMessage:
-    """A BGP NOTIFICATION message closing the session with an error."""
-
-    sender_asn: int
-    error_code: int
-    error_subcode: int = 0
-    reason: str = ""
-
-    @property
-    def type(self) -> MessageType:
-        return MessageType.NOTIFICATION
-
 
 def announcement(
-    prefix: "str | Prefix",
-    asn: int,
-    next_hop: str = "",
-    attributes: Optional[PathAttributes] = None,
-    path_id: int = 0,
+    prefix: "str | Prefix", asn: int, next_hop: str = ""
 ) -> RouteAnnouncement:
-    """Convenience constructor for a single-prefix announcement.
-
-    If explicit ``attributes`` are given they are used as-is (with the AS
-    path prepended with ``asn`` when empty); otherwise a minimal attribute
-    set originated by ``asn`` is created.
-    """
-    from .prefix import parse_prefix
-
-    prefix = parse_prefix(prefix)
-    if attributes is None:
-        attributes = PathAttributes(as_path=(asn,), next_hop=next_hop)
-    elif not attributes.as_path:
-        attributes = attributes.prepend(asn)
-    if next_hop and not attributes.next_hop:
-        attributes = attributes.with_next_hop(next_hop)
-    return RouteAnnouncement(prefix=prefix, attributes=attributes, path_id=path_id)
+    """A single-prefix announcement originated (and announced) by ``asn``."""
+    return RouteAnnouncement(
+        prefix=parse_prefix(prefix),
+        attributes=PathAttributes(as_path=(asn,), next_hop=next_hop),
+    )

@@ -50,13 +50,6 @@ class Prefix:
             text = f"{address}/{length}"
         return cls(ipaddress.ip_network(text, strict=False))
 
-    @classmethod
-    def host(cls, address: str | _IPAddress) -> "Prefix":
-        """Build the host route (/32 or /128) covering ``address``."""
-        addr = ipaddress.ip_address(str(address))
-        length = 32 if addr.version == 4 else 128
-        return cls(ipaddress.ip_network(f"{addr}/{length}"))
-
     # ------------------------------------------------------------------
     # Properties
     # ------------------------------------------------------------------
@@ -69,11 +62,6 @@ class Prefix:
     def length(self) -> int:
         """Prefix length in bits."""
         return self.network.prefixlen
-
-    @property
-    def is_host_route(self) -> bool:
-        """True for /32 (IPv4) or /128 (IPv6) prefixes."""
-        return self.length == (32 if self.version == 4 else 128)
 
     @property
     def address(self) -> str:
@@ -108,18 +96,6 @@ class Prefix:
             return False
         low, high = self.int_bounds
         return low <= value <= high
-
-    def is_more_specific_than(self, other: "Prefix") -> bool:
-        """True if this prefix is a strict subnet of ``other``."""
-        return self != other and other.contains(self)
-
-    def supernet(self, new_length: int) -> "Prefix":
-        """Return the covering prefix of length ``new_length``."""
-        if new_length > self.length:
-            raise ValueError(
-                f"supernet length {new_length} longer than prefix length {self.length}"
-            )
-        return Prefix(self.network.supernet(new_prefix=new_length))
 
     # ------------------------------------------------------------------
     # Ordering / display

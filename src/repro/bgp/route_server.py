@@ -65,14 +65,6 @@ class PolicyControl:
         return str(len(self.only_asns))
 
 
-@dataclass
-class RejectedAnnouncement:
-    """Book-keeping record of a rejected announcement (operator telemetry)."""
-
-    announcement: RouteAnnouncement
-    result: PolicyResult
-
-
 class RouteServer:
     """Multi-lateral peering route server with import policy."""
 
@@ -90,7 +82,6 @@ class RouteServer:
         self._member_sessions: dict[int, BgpSession] = {}
         #: Southbound consumers (e.g. the Stellar blackholing controller).
         self._consumers: list[Callable[[UpdateMessage], None]] = []
-        self._rejections: list[RejectedAnnouncement] = []
         self._path_ids = itertools.count(1)
 
     # ------------------------------------------------------------------
@@ -110,16 +101,6 @@ class RouteServer:
             session.open()
             self._member_sessions[member_asn] = session
         return session
-
-    def disconnect_member(self, member_asn: int) -> int:
-        """Tear down a member session and flush its routes.
-
-        Returns the number of routes removed.
-        """
-        session = self._member_sessions.pop(member_asn, None)
-        if session is not None:
-            session.close()
-        return self.rib.remove_neighbor(member_asn)
 
     @property
     def member_asns(self) -> set[int]:
@@ -162,7 +143,6 @@ class RouteServer:
             result = self.policy.evaluate(ann)
             results.append(result)
             if not result.accepted:
-                self._rejections.append(RejectedAnnouncement(ann, result))
                 continue
             # Implicit withdraw: a re-announcement of the same prefix by the
             # same member replaces the previously stored path.
@@ -262,9 +242,3 @@ class RouteServer:
             )
             for consumer in self._consumers:
                 consumer(southbound)
-
-    # ------------------------------------------------------------------
-    # Telemetry
-    # ------------------------------------------------------------------
-    def rejections(self) -> list[RejectedAnnouncement]:
-        return list(self._rejections)

@@ -6,8 +6,8 @@ reproduction: sessions are either eBGP (member ↔ route server) or iBGP
 at OPEN time, and deliver UPDATE messages to a registered consumer.
 
 The full RFC 4271 FSM (Connect/Active/OpenSent/OpenConfirm timers,
-collision detection, …) is intentionally collapsed into the three states
-the experiments observe: ``IDLE``, ``ESTABLISHED`` and ``CLOSED``.
+collision detection, …) is intentionally collapsed into the two states
+the experiments observe: ``IDLE`` and ``ESTABLISHED``.
 """
 
 from __future__ import annotations
@@ -17,12 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .messages import (
-    KeepaliveMessage,
-    NotificationMessage,
-    OpenMessage,
-    UpdateMessage,
-)
+from .messages import OpenMessage, UpdateMessage
 
 
 class SessionState(Enum):
@@ -30,7 +25,6 @@ class SessionState(Enum):
 
     IDLE = "idle"
     ESTABLISHED = "established"
-    CLOSED = "closed"
 
 
 class SessionType(Enum):
@@ -61,7 +55,6 @@ class BgpSession:
     state: SessionState = SessionState.IDLE
     #: Messages delivered over this session (most recent last).
     history: list[object] = field(default_factory=list)
-    keepalives_received: int = 0
     updates_received: int = 0
 
     def __post_init__(self) -> None:
@@ -82,19 +75,11 @@ class BgpSession:
 
     def open(self, message: Optional[OpenMessage] = None) -> None:
         """Establish the session, negotiating ADD-PATH from the OPEN."""
-        if self.state is SessionState.CLOSED:
-            raise SessionError("cannot re-open a closed session; create a new one")
         if message is not None:
             self.history.append(message)
             # ADD-PATH is only active when both sides want it.
             self.add_path = self.add_path and message.add_path
         self.state = SessionState.ESTABLISHED
-
-    def close(self, notification: Optional[NotificationMessage] = None) -> None:
-        """Tear the session down (optionally recording the NOTIFICATION)."""
-        if notification is not None:
-            self.history.append(notification)
-        self.state = SessionState.CLOSED
 
     # ------------------------------------------------------------------
     # Message delivery
@@ -109,13 +94,6 @@ class BgpSession:
         self.updates_received += 1
         if self.on_update is not None:
             self.on_update(message)
-
-    def keepalive(self) -> None:
-        """Record a KEEPALIVE (liveness signal)."""
-        if not self.is_established:
-            raise SessionError("cannot send KEEPALIVE on a non-established session")
-        self.history.append(KeepaliveMessage(sender_asn=self.peer_asn))
-        self.keepalives_received += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -126,7 +126,7 @@ class BlackholingController:
             self.stats.withdrawals_seen += 1
             # ADD-PATH: withdrawals carry the path id of the withdrawn path.
             for route in self.rib.routes_for(withdrawal.prefix):
-                if not withdrawal.path_id or route.path_id == withdrawal.path_id:
+                if route.path_id == withdrawal.path_id:
                     self.rib.remove_route(route)
         return self._reconcile()
 
@@ -266,6 +266,3 @@ class BlackholingController:
     def active_rules(self) -> list[BlackholingRule]:
         """Rules currently requested by the members (post-reconciliation)."""
         return list(self._active_rules.values())
-
-    def active_rule_count(self) -> int:
-        return len(self._active_rules)

@@ -101,13 +101,6 @@ class CustomerPortal:
         self._custom_owner[rule_id] = member_asn
         return rule_id
 
-    def custom_rules_of(self, member_asn: int) -> dict[int, RuleTemplate]:
-        return {
-            rule_id: template
-            for rule_id, template in self._custom.items()
-            if self._custom_owner[rule_id] == member_asn
-        }
-
     def remove_custom_rule(self, member_asn: int, rule_id: int) -> bool:
         """Remove a member-defined rule (only by its owner)."""
         if self._custom_owner.get(rule_id) != member_asn:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -70,17 +70,6 @@ class BlackholingRule:
     # ------------------------------------------------------------------
     # Derived views
     # ------------------------------------------------------------------
-    @property
-    def is_plain_rtbh(self) -> bool:
-        """True if the rule has no L3–L4/MAC selectivity (classic RTBH)."""
-        return (
-            self.protocol is None
-            and self.src_port is None
-            and self.dst_port is None
-            and self.src_mac is None
-            and self.src_prefix is None
-        )
-
     def flow_match(self) -> FlowMatch:
         """The data-plane match criteria for this rule."""
         return FlowMatch(
@@ -108,14 +97,6 @@ class BlackholingRule:
     # ------------------------------------------------------------------
     # Resource footprint (TCAM accounting, Fig. 9)
     # ------------------------------------------------------------------
-    @property
-    def mac_filter_entries(self) -> int:
-        return self.flow_match().mac_filter_entries
-
-    @property
-    def l3l4_criteria(self) -> int:
-        return self.flow_match().l3l4_criteria
-
     # ------------------------------------------------------------------
     # Convenience constructors
     # ------------------------------------------------------------------
@@ -151,11 +132,6 @@ class BlackholingRule:
         )
 
     @classmethod
-    def drop_all(cls, owner_asn: int, victim: "str | Prefix") -> "BlackholingRule":
-        """Drop all traffic towards the victim (RTBH-equivalent rule)."""
-        return cls(owner_asn=owner_asn, dst_prefix=parse_prefix(victim))
-
-    @classmethod
     def drop_protocol(
         cls, owner_asn: int, victim: "str | Prefix", protocol: IpProtocol
     ) -> "BlackholingRule":
@@ -165,12 +141,6 @@ class BlackholingRule:
             dst_prefix=parse_prefix(victim),
             protocol=protocol,
         )
-
-    def with_action(
-        self, action: RuleAction, shape_rate_bps: float = 0.0
-    ) -> "BlackholingRule":
-        """A copy of the rule with a different action (same identity)."""
-        return replace(self, action=action, shape_rate_bps=shape_rate_bps)
 
     @classmethod
     def fine_grained_set(

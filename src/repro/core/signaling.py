@@ -25,7 +25,7 @@ from typing import Optional
 
 from ..bgp.attributes import PathAttributes
 from ..bgp.communities import ExtendedCommunity
-from ..bgp.messages import RouteAnnouncement
+from ..bgp.messages import RouteAnnouncement, RouteWithdrawal, UpdateMessage
 from ..bgp.prefix import Prefix, parse_prefix
 from ..bgp.route_server import PolicyControl, RouteServer
 from .community_codec import StellarCommunityCodec
@@ -68,6 +68,9 @@ class SignalingLayer:
         # member can hold several concurrent rules for the same prefix (one
         # BGP announcement can only carry one rule at a time).
         self._api_path_ids = 1_000_000
+        #: The API path ids each (member, prefix) holds, so a withdrawal
+        #: removes exactly the caller's API signals for that prefix.
+        self._api_paths: dict[tuple[int, Prefix], list[int]] = {}
 
     # ------------------------------------------------------------------
     # Authorisation
@@ -178,22 +181,30 @@ class SignalingLayer:
         announcement = RouteAnnouncement(
             prefix=rule.dst_prefix, attributes=attributes, path_id=self._api_path_ids
         )
-        from ..bgp.messages import UpdateMessage
-
+        key = (rule.owner_asn, rule.dst_prefix)
+        self._api_paths.setdefault(key, []).append(self._api_path_ids)
         self.controller.process_update(
             UpdateMessage(sender_asn=self.route_server.ixp_asn, announcements=(announcement,))
         )
         return SignalResult(accepted=True, via="api", rule=rule)
 
     def withdraw_via_api(self, member_asn: int, prefix: "str | Prefix") -> SignalResult:
-        """Withdraw every rule a member signalled for a prefix via the API."""
-        from ..bgp.messages import RouteWithdrawal, UpdateMessage
+        """Withdraw every rule a member signalled for a prefix via the API.
 
+        Only the member's own API paths go: its BGP-signalled rule for the
+        prefix stays (the route server still holds that route), and so do
+        other members' API rules for the same prefix.
+        """
         prefix = parse_prefix(prefix)
-        self.controller.process_update(
-            UpdateMessage(
-                sender_asn=self.route_server.ixp_asn,
-                withdrawals=(RouteWithdrawal(prefix=prefix),),
+        path_ids = self._api_paths.pop((member_asn, prefix), [])
+        if path_ids:
+            self.controller.process_update(
+                UpdateMessage(
+                    sender_asn=self.route_server.ixp_asn,
+                    withdrawals=tuple(
+                        RouteWithdrawal(prefix=prefix, path_id=path_id)
+                        for path_id in path_ids
+                    ),
+                )
             )
-        )
         return SignalResult(accepted=True, via="api", detail="withdrawn")

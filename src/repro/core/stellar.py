@@ -56,10 +56,6 @@ class StellarIntervalReport:
     )
 
     @property
-    def delivered_bits(self) -> float:
-        return self.fabric_report.delivered_bits
-
-    @property
     def filtered_bits(self) -> float:
         return self.fabric_report.filtered_bits
 

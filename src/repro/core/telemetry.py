@@ -10,7 +10,7 @@ counters from the data-plane results and renders member-facing reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -25,33 +25,10 @@ class RuleTelemetry:
     shaped_passed_bits: float = 0.0
     shaped_dropped_bits: float = 0.0
     last_update: float = 0.0
-    #: (time, matched_bits) samples for the member's attack-status view —
-    #: raw matched volume per recorded interval, so rates can be derived
-    #: for whatever observation interval the caller reports over.
-    samples: list[tuple[float, float]] = field(default_factory=list)
 
     @property
     def filtered_bits(self) -> float:
         return self.dropped_bits + self.shaped_dropped_bits
-
-    def matched_rate_bps(self, interval: float) -> float:
-        """Matched traffic rate of the most recent sample over ``interval``.
-
-        Computed from the last sample's matched bits, so the rate really
-        reflects the interval the caller asks about (the old behaviour
-        baked the recording interval in and silently ignored the
-        argument).
-        """
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        if not self.samples:
-            return 0.0
-        return self.samples[-1][1] / interval
-
-    @property
-    def attack_appears_over(self) -> bool:
-        """Heuristic the member can use: no matched traffic in the last sample."""
-        return bool(self.samples) and self.samples[-1][1] == 0.0
 
 
 @dataclass
@@ -65,10 +42,6 @@ class MemberTelemetryReport:
     @property
     def total_filtered_bits(self) -> float:
         return sum(rule.filtered_bits for rule in self.rules)
-
-    @property
-    def total_shaped_passed_bits(self) -> float:
-        return sum(rule.shaped_passed_bits for rule in self.rules)
 
     @property
     def active_rule_count(self) -> int:
@@ -108,7 +81,6 @@ class TelemetryCollector:
         telemetry.shaped_passed_bits += shaped_passed_bits
         telemetry.shaped_dropped_bits += shaped_dropped_bits
         telemetry.last_update = time
-        telemetry.samples.append((time, matched_bits))
         return telemetry
 
     # ------------------------------------------------------------------
@@ -122,6 +94,3 @@ class TelemetryCollector:
             if telemetry.member_asn == member_asn
         ]
         return MemberTelemetryReport(member_asn=member_asn, time=time, rules=rules)
-
-    def all_rules(self) -> list[RuleTelemetry]:
-        return list(self._by_rule.values())

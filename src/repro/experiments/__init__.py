@@ -94,7 +94,6 @@ _EXPORTS = {
     "SteppedExperiment": "harness",
     "ExperimentSpec": "registry",
     "all_experiments": "registry",
-    "experiment_names": "registry",
     "get_experiment": "registry",
     "JsonResultMixin": "results",
     "ResultStore": "results",

@@ -26,7 +26,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from ..analysis.stats import cdf_quantile, empirical_cdf, fraction_below
+from ..analysis.stats import cdf_quantile, fraction_below
 from ..sim.rng import make_rng
 from .results import JsonResultMixin
 
@@ -55,10 +55,6 @@ class ChangeQueueingResult(JsonResultMixin):
     config: ChangeQueueingConfig
     arrival_times: list[float]
     waiting_times: dict[float, list[float]]
-
-    def cdf(self, rate: float):
-        """``(values, probabilities)`` of the waiting-time CDF for a rate."""
-        return empirical_cdf(self.waiting_times[rate])
 
     def fraction_below(self, rate: float, threshold_seconds: float) -> float:
         return fraction_below(self.waiting_times[rate], threshold_seconds)

@@ -52,10 +52,6 @@ class SteppedExperiment:
         self._order = itertools.count()
         self._events: list[PhaseEvent] = []
 
-    def phase_times(self, kind: str) -> list[float]:
-        """Timestamps at which the named phase action actually fired."""
-        return [time for time, name, _ in self._events if name == kind]
-
     def events(self) -> list[PhaseEvent]:
         """All logged phase transitions, in firing order."""
         return list(self._events)

@@ -82,10 +82,6 @@ class ShardWorkerPool:
             for _ in range(workers)
         ]
 
-    @property
-    def worker_count(self) -> int:
-        return len(self._executors)
-
     def submit(self, shard_index: int, fn: Callable, *args: Any) -> Future:
         """Queue ``fn(*args)`` on the worker that owns ``shard_index``."""
         return self._executors[shard_index % len(self._executors)].submit(fn, *args)

@@ -119,10 +119,6 @@ def all_experiments() -> list[ExperimentSpec]:
     return list(_REGISTRY.values())
 
 
-def experiment_names() -> list[str]:
-    return [spec.name for spec in all_experiments()]
-
-
 # ----------------------------------------------------------------------
 # The ten experiments of the paper's evaluation, in paper order.
 # ----------------------------------------------------------------------

@@ -98,10 +98,6 @@ class JsonResultMixin:
             payload["summary"] = to_jsonable(summary())
         return payload
 
-    def to_json(self, **dumps_kwargs: Any) -> str:
-        """Canonical JSON encoding of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), **dumps_kwargs)
-
 
 # ----------------------------------------------------------------------
 # Artifact store
@@ -159,11 +155,3 @@ class ResultStore:
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*.json"))
-
-    def clear(self) -> int:
-        """Delete all artifacts; returns how many were removed."""
-        removed = 0
-        for path in self.root.glob("*.json"):
-            path.unlink()
-            removed += 1
-        return removed

@@ -49,7 +49,7 @@ DEFAULT_IXP_ASN = 64700
 
 
 #: Any of the attack generators a scenario can carry; all expose the same
-#: ``flow_table`` / ``flows`` / ``rate_at`` interface.
+#: ``flow_table`` interface.
 AttackSource = Union[BooterAttack, PulseAttack, CarpetBombingAttack, MultiVectorAttack]
 
 #: Attack kinds :func:`build_attack_scenario` knows how to build.
@@ -146,10 +146,6 @@ class PaperScaleScenario:
     #: Platform-wide cross-member background load (one batch per interval).
     background: IxpTraceGenerator
     victim_ip: str = DEFAULT_VICTIM_IP
-
-    @property
-    def member_asns(self) -> list[int]:
-        return [member.asn for member in self.members]
 
 
 def build_paper_scale_scenario(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from ..analysis.collateral import collateral_damage
 from ..bgp.flowspec import drop_rule
 from ..mitigation.acl import AccessControlList, AclMitigation
-from ..mitigation.base import MitigationTechnique
+from ..mitigation.base import Dimension, MitigationTechnique
 from ..mitigation.comparison import (
     PAPER_TABLE_1,
     ComparisonTable,
@@ -30,30 +30,26 @@ from .results import JsonResultMixin
 from .scenario import build_attack_scenario
 
 
-class AdvancedBlackholingRatings(MitigationTechnique):
-    """Rating-only stand-in so the table can include Advanced Blackholing.
-
-    The quantitative comparison uses the real Stellar system; this class
-    only contributes the Table 1 column.
-    """
-
-    name = "Advanced Blackholing"
-    ratings = dict(PAPER_TABLE_1["Advanced Blackholing"])
-
-    def _partition(self, table, interval):  # pragma: no cover - not used
-        raise NotImplementedError("use the Stellar facade for quantitative runs")
-
-
 def build_table1() -> ComparisonTable:
-    """The Table 1 comparison matrix built from the technique classes."""
-    techniques = [
-        ScrubbingMitigation(),
-        AclMitigation(),
-        RtbhMitigation(RtbhService(ixp_asn=64700)),
-        FlowspecMitigation(FlowspecService()),
-        AdvancedBlackholingRatings(),
-    ]
-    return build_comparison_table(techniques)
+    """The Table 1 comparison matrix: the baselines' declared ratings plus
+    Advanced Blackholing's column (its quantitative runs use the real
+    Stellar system, so it has no mitigation class)."""
+    baselines = build_comparison_table(
+        [
+            ScrubbingMitigation(),
+            AclMitigation(),
+            RtbhMitigation(RtbhService(ixp_asn=64700)),
+            FlowspecMitigation(FlowspecService()),
+        ]
+    )
+    name = "Advanced Blackholing"
+    return ComparisonTable(
+        techniques=baselines.techniques + (name,),
+        ratings={
+            **baselines.ratings,
+            name: {dimension: PAPER_TABLE_1[name][dimension] for dimension in Dimension},
+        },
+    )
 
 
 @dataclass

@@ -96,10 +96,6 @@ class ControlPlaneCpuModel:
             return 0.0
         return (limit - self.base_percent) / self.percent_per_update
 
-    def within_budget(self, updates_per_second: float) -> bool:
-        """True if the (noise-free) usage stays within the CPU budget."""
-        return self.expected_usage(updates_per_second) <= self.cpu_limit_percent
-
     @classmethod
     def deterministic(cls, **overrides) -> "ControlPlaneCpuModel":
         """A noise-free model (``noise_std=0``).

@@ -105,9 +105,6 @@ class EdgeRouter:
         port = self._ports[member_asn] = self._build_port(member_asn, port_id)
         return port
 
-    def has_member(self, member_asn: int) -> bool:
-        return member_asn in self._port_ids
-
     def ports(self) -> list[MemberPort]:
         """Every attached member's port (building the ones not built yet)."""
         return [self.port_for(asn) for asn in self._port_ids]

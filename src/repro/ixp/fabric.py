@@ -495,7 +495,3 @@ class SwitchingFabric:
             return flows
         known = np.isin(flows.egress_asn, self.member_columns()[0])
         return flows if bool(known.all()) else flows.select(known)
-
-    def platform_overloaded(self, report: FabricIntervalReport) -> bool:
-        """True if the interval's load exceeded the platform capacity."""
-        return report.platform_load_bps > self.platform_capacity_bps

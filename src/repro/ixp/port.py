@@ -31,12 +31,6 @@ class PortCounters:
     shaped_dropped_bits: float = 0.0
     congestion_dropped_bits: float = 0.0
 
-    @property
-    def total_filtered_bits(self) -> float:
-        """Bits removed by blackholing rules (drop + shaped excess)."""
-        return self.dropped_bits + self.shaped_dropped_bits
-
-
 #: The :class:`PortCounters` fields, in declaration order: the columns of
 #: a :class:`PortCounterStore` row.
 COUNTER_FIELDS = tuple(field.name for field in fields(PortCounters))
@@ -109,9 +103,6 @@ class MemberPort:
 
     def remove_rule(self, rule_id: str) -> bool:
         return self.qos.remove(rule_id)
-
-    def rules(self) -> list[QosRule]:
-        return self.qos.rules()
 
     # ------------------------------------------------------------------
     # Telemetry

@@ -110,11 +110,6 @@ class FlowMatch:
             if value is not None
         )
 
-    @property
-    def is_catch_all(self) -> bool:
-        """True if the match has no criteria at all (matches everything)."""
-        return self.mac_filter_entries == 0 and self.l3l4_criteria == 0
-
     # ------------------------------------------------------------------
     @cached_property
     def _derived_mac_low_bits(self) -> Optional[int]:
@@ -242,10 +237,6 @@ class PortQosResult:
     def delivered_bits(self) -> float:
         """Bits actually delivered to the member (forwarded + shaped that passed)."""
         return self.forwarded_bits + self.shaped_passed_bits
-
-    @property
-    def total_dropped_bits(self) -> float:
-        return self.dropped_bits + self.shaped_dropped_bits + self.congestion_dropped_bits
 
     # ------------------------------------------------------------------
     # Columnar-aware summaries (used by the experiment drivers)

@@ -104,6 +104,3 @@ class RateLimiter:
         # Unused allowance (bounded by the burst) carries over.
         self._credit_bits = min(self.burst_bits, allowance - passed)
         return passed, dropped
-
-    def reset(self) -> None:
-        self._credit_bits = self.burst_bits

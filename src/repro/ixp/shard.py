@@ -103,14 +103,6 @@ class ShardPlanner:
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    @property
-    def pop_count(self) -> int:
-        return len(self._units)
-
-    @property
-    def member_count(self) -> int:
-        return sum(len(asns) for asns in self._units.values())
-
     def plan(self, shard_count: int | None = None) -> list[ShardSpec]:
         """Pack the non-empty PoPs into at most ``shard_count`` shards.
 
@@ -152,42 +144,6 @@ class ShardPlanner:
             )
             for shard_index, units in enumerate(assigned)
         ]
-
-
-class ShardLookup:
-    """Prebuilt ASN→shard resolution over a plan.
-
-    Building the dict walks the plan once; every lookup after that is a
-    plain dict hit.  Anything resolving members repeatedly — per member at
-    city scale — should hold one of these instead of re-scanning the plan
-    through :func:`shard_for_member`.
-    """
-
-    def __init__(self, plan: Sequence[ShardSpec]) -> None:
-        self._by_asn: dict[int, ShardSpec] = {
-            asn: spec for spec in plan for asn in spec.member_asns
-        }
-
-    def __getitem__(self, member_asn: int) -> ShardSpec:
-        try:
-            return self._by_asn[member_asn]
-        except KeyError:
-            raise KeyError(f"AS{member_asn} is in no shard of the plan") from None
-
-    def __contains__(self, member_asn: int) -> bool:
-        return member_asn in self._by_asn
-
-    def __len__(self) -> int:
-        return len(self._by_asn)
-
-
-def shard_for_member(plan: Sequence[ShardSpec], member_asn: int) -> ShardSpec:
-    """The shard owning ``member_asn`` (exactly one, by construction).
-
-    One-off convenience over :class:`ShardLookup`; loops should build the
-    lookup once rather than pay the plan walk per call.
-    """
-    return ShardLookup(plan)[member_asn]
 
 
 #: Platform-total keys, in the order the merge accumulates them.

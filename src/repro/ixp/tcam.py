@@ -69,10 +69,6 @@ class TcamModel:
     def l3l4_criteria_used(self) -> int:
         return sum(self._l3l4_used.values())
 
-    @property
-    def mac_filters_free(self) -> int:
-        return self.mac_filter_capacity - self.mac_filters_used
-
     def usage_for_port(self, port_id: int) -> tuple[int, int]:
         """``(mac_filters, l3l4_criteria)`` consumed by one port."""
         return self._mac_used.get(port_id, 0), self._l3l4_used.get(port_id, 0)
@@ -125,7 +121,3 @@ class TcamModel:
         """Release everything allocated to a port."""
         self._mac_used.pop(port_id, None)
         self._l3l4_used.pop(port_id, None)
-
-    def reset(self) -> None:
-        self._mac_used.clear()
-        self._l3l4_used.clear()

@@ -13,7 +13,6 @@ _EXPORTS = {
     "Dimension": "base",
     "MitigationOutcome": "base",
     "MitigationTechnique": "base",
-    "NoMitigation": "base",
     "Rating": "base",
     "PAPER_TABLE_1": "comparison",
     "TECHNIQUE_ORDER": "comparison",

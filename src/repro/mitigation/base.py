@@ -52,7 +52,6 @@ __all__ = [
     "Dimension",
     "MitigationOutcome",
     "MitigationTechnique",
-    "NoMitigation",
 ]
 
 
@@ -165,14 +164,3 @@ class MitigationTechnique(abc.ABC):
     def rating_row(self) -> dict[Dimension, Rating]:
         """All ratings, with NEUTRAL filled in for unspecified dimensions."""
         return {dimension: self.rating(dimension) for dimension in Dimension}
-
-
-class NoMitigation(MitigationTechnique):
-    """The do-nothing baseline: everything is delivered (subject to port capacity
-    further down the pipeline)."""
-
-    name = "none"
-    ratings: dict[Dimension, Rating] = {}
-
-    def _partition(self, table: FlowTable, interval: float) -> MitigationOutcome:
-        return MitigationOutcome(delivered_table=table)

@@ -1,9 +1,9 @@
 """Qualitative comparison of mitigation techniques (Table 1).
 
 Builds the paper's Table 1 from the per-technique ratings declared by each
-:class:`~repro.mitigation.base.MitigationTechnique` subclass, and provides
-helpers to render it as text or compare it against the expected reference
-matrix (used by the Table 1 bench and the tests).
+:class:`~repro.mitigation.base.MitigationTechnique` subclass, and compares
+it against the transcribed paper matrix (used by the Table 1 bench and the
+tests).
 """
 
 from __future__ import annotations
@@ -91,35 +91,6 @@ class ComparisonTable:
 
     def rating(self, technique: str, dimension: Dimension) -> Rating:
         return self.ratings[technique][dimension]
-
-    def advantage_count(self, technique: str) -> int:
-        """Number of dimensions in which a technique is rated as an advantage."""
-        return sum(
-            1
-            for rating in self.ratings[technique].values()
-            if rating is Rating.ADVANTAGE
-        )
-
-    def as_rows(self) -> list[list[str]]:
-        """Rows of (dimension, symbol, symbol, ...) for rendering."""
-        rows = []
-        for dimension in Dimension:
-            row = [dimension.value]
-            row.extend(
-                self.ratings[technique][dimension].symbol for technique in self.techniques
-            )
-            rows.append(row)
-        return rows
-
-    def render(self) -> str:
-        """Plain-text rendering of the table."""
-        header = ["Dimension"] + list(self.techniques)
-        rows = [header] + self.as_rows()
-        widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-        lines = []
-        for row in rows:
-            lines.append("  ".join(cell.ljust(width) for cell, width in zip(row, widths)))
-        return "\n".join(lines)
 
     def matches_paper(self) -> bool:
         """True if every cell agrees with the transcribed paper table."""

@@ -92,9 +92,6 @@ class FlowspecService:
     def installed_rules(self) -> list[InstalledFlowspecRule]:
         return list(self._installed)
 
-    def rules_installed_at(self, peer_asn: int) -> int:
-        return self._rules_per_peer.get(peer_asn, 0)
-
 
 class FlowspecMitigation(MitigationTechnique):
     """Flowspec as a mitigation technique.

@@ -96,9 +96,6 @@ class RtbhService:
             )
         return self._member_compliance[member_asn]
 
-    def set_compliance(self, member_asn: int, honors: bool) -> None:
-        self._member_compliance[member_asn] = honors
-
     # ------------------------------------------------------------------
     # Signalling
     # ------------------------------------------------------------------

@@ -8,7 +8,6 @@ _EXPORTS = {
     "VECTORS": "amplification",
     "AmplificationVector": "amplification",
     "get_vector": "amplification",
-    "vector_for_port": "amplification",
     "AmplificationAttack": "attacks",
     "BenignTrafficSource": "attacks",
     "BooterAttack": "attacks",
@@ -27,12 +26,9 @@ _EXPORTS = {
     "ExportedTable": "ipfix",
     "IpfixCollector": "ipfix",
     "IpfixExporter": "ipfix",
-    "ETHERNET_MTU": "packet",
     "IpProtocol": "packet",
-    "PacketTemplate": "packet",
     "WellKnownPort": "packet",
     "TrafficProfile": "profiles",
-    "attack_profile": "profiles",
     "benign_web_profile": "profiles",
     "blackholed_traffic_profile": "profiles",
     "other_traffic_profile": "profiles",

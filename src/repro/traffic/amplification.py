@@ -109,14 +109,6 @@ def get_vector(name: str) -> AmplificationVector:
         ) from exc
 
 
-def vector_for_port(port: int) -> AmplificationVector | None:
-    """Return the vector whose reflected source port is ``port``, if any."""
-    for vector in VECTORS.values():
-        if vector.source_port == port:
-            return vector
-    return None
-
-
 #: Ports the paper identifies as dominating blackholed traffic (Fig. 3(a)),
 #: in the order they appear on the figure's x-axis.
 AMPLIFICATION_PRONE_PORTS = (0, 123, 389, 11211, 53, 19)

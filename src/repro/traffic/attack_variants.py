@@ -90,17 +90,6 @@ class PulseAttack:
     def end(self) -> float:
         return self.start + self.duration
 
-    def is_active(self, time: float) -> bool:
-        """True while a burst is firing at ``time``."""
-        return self.rate_at(time) > 0
-
-    def rate_at(self, time: float) -> float:
-        """Attack rate at a point in time: peak inside a burst, else zero."""
-        if not (self.start <= time < self.end):
-            return 0.0
-        phase = (time - self.start) % self.period_seconds
-        return self.peak_rate_bps if phase < self.duty_cycle * self.period_seconds else 0.0
-
     def on_seconds(self, window_start: float, window_end: float) -> float:
         """Burst seconds inside ``[window_start, window_end)``."""
         a = max(window_start, self.start)
@@ -187,16 +176,6 @@ class CarpetBombingAttack:
             seed=self.seed,
         )
 
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
-
-    def is_active(self, time: float) -> bool:
-        return self._attack.is_active(time)
-
-    def rate_at(self, time: float) -> float:
-        return self._attack.rate_at(time)
-
     def flow_table(self, interval_start: float, interval: float) -> FlowTable:
         """Columnar flow batch with destinations spread over the prefix."""
         table = self._attack.flow_table(interval_start, interval)
@@ -269,16 +248,6 @@ class MultiVectorAttack:
             )
             for index, (name, share) in enumerate(zip(self.vectors, shares))
         ]
-
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
-
-    def is_active(self, time: float) -> bool:
-        return any(attack.is_active(time) for attack in self._attacks)
-
-    def rate_at(self, time: float) -> float:
-        return sum(attack.rate_at(time) for attack in self._attacks)
 
     def vector_source_ports(self) -> tuple[int, ...]:
         """The abused source port of each vector (signature per vector)."""

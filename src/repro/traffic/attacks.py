@@ -90,12 +90,6 @@ class AmplificationAttack:
         )
         self._victim_ip_int = ip_to_int(self.victim_ip)
 
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_vector_name(cls, vector_name: str, **kwargs) -> "AmplificationAttack":
-        """Construct using a vector name from the catalogue."""
-        return cls(vector=get_vector(vector_name), **kwargs)
-
     @property
     def end(self) -> float:
         return self.start + self.duration
@@ -198,16 +192,6 @@ class BooterAttack:
     @property
     def vector(self) -> AmplificationVector:
         return self._attack.vector
-
-    @property
-    def end(self) -> float:
-        return self._attack.end
-
-    def is_active(self, time: float) -> bool:
-        return self._attack.is_active(time)
-
-    def rate_at(self, time: float) -> float:
-        return self._attack.rate_at(time)
 
     def flow_table(self, interval_start: float, interval: float) -> FlowTable:
         return self._attack.flow_table(interval_start, interval)

@@ -19,11 +19,9 @@ materialise per-flow objects just to be archived.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..sim.rng import make_rng
 from .flowtable import FlowTable
-from .trace import TrafficTrace
 
 
 @dataclass(frozen=True)
@@ -88,18 +86,6 @@ class IpfixCollector:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def trace(self, exporter_id: Optional[str] = None) -> TrafficTrace:
-        """All collected flows (of one exporter, if given) as a trace."""
-        return TrafficTrace(
-            FlowTable.concat(
-                [
-                    batch.table
-                    for batch in self.tables
-                    if exporter_id is None or batch.exporter_id == exporter_id
-                ]
-            )
-        )
-
     def bytes_by_exporter(self) -> dict[str, int]:
         """Total (up-scaled) bytes per exporter."""
         totals: dict[str, int] = {}
@@ -108,6 +94,3 @@ class IpfixCollector:
                 totals.get(batch.exporter_id, 0) + batch.table.total_bytes
             )
         return totals
-
-    def exporters(self) -> set[str]:
-        return {batch.exporter_id for batch in self.tables}

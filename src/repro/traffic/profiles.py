@@ -42,29 +42,6 @@ class TrafficProfile:
         if any(share < 0 for share in self.shares.values()):
             raise ValueError("traffic shares must be non-negative")
 
-    # ------------------------------------------------------------------
-    def normalised(self) -> dict[TrafficClass, float]:
-        """Shares rescaled to sum to exactly 1.0."""
-        total = sum(self.shares.values())
-        return {key: value / total for key, value in self.shares.items()}
-
-    def classes(self) -> list[TrafficClass]:
-        return list(self.shares)
-
-    def share_of_port(self, port: int) -> float:
-        """Total share of all classes with the given source port."""
-        normalised = self.normalised()
-        return sum(
-            share for (_, src_port), share in normalised.items() if src_port == port
-        )
-
-    def share_of_protocol(self, protocol: IpProtocol) -> float:
-        """Total share of all classes with the given protocol."""
-        normalised = self.normalised()
-        return sum(
-            share for (proto, _), share in normalised.items() if proto == protocol
-        )
-
     @cached_property
     def _class_arrays(self) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
         """``(classes, probabilities, protocol values, port values)`` cache."""
@@ -74,12 +51,6 @@ class TrafficProfile:
         ports = np.array([port for _, port in classes], dtype=np.int32)
         return classes, weights / weights.sum(), protocols, ports
 
-    def sample_class(self, rng: np.random.Generator) -> TrafficClass:
-        """Draw one traffic class with probability equal to its share."""
-        classes, probabilities, _, _ = self._class_arrays
-        index = rng.choice(len(classes), p=probabilities)
-        return classes[index]
-
     def sample_classes(
         self, rng: np.random.Generator, size: int
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -87,21 +58,6 @@ class TrafficProfile:
         classes, probabilities, protocols, ports = self._class_arrays
         indices = rng.choice(len(classes), size=size, p=probabilities)
         return protocols[indices], ports[indices]
-
-    def merged_with(self, other: "TrafficProfile", other_weight: float) -> "TrafficProfile":
-        """Blend this profile with another one.
-
-        ``other_weight`` is the fraction of the merged traffic contributed
-        by ``other`` (e.g. an attack profile overlaid on benign traffic).
-        """
-        if not 0 <= other_weight <= 1:
-            raise ValueError("other_weight must lie in [0, 1]")
-        merged: dict[TrafficClass, float] = {}
-        for cls, share in self.normalised().items():
-            merged[cls] = merged.get(cls, 0.0) + share * (1 - other_weight)
-        for cls, share in other.normalised().items():
-            merged[cls] = merged.get(cls, 0.0) + share * other_weight
-        return TrafficProfile(name=f"{self.name}+{other.name}", shares=merged)
 
 
 def benign_web_profile() -> TrafficProfile:
@@ -177,15 +133,4 @@ def other_traffic_profile() -> TrafficProfile:
             (IpProtocol.UDP, 4500): 0.05,
             (IpProtocol.ICMP, 0): 0.006,
         },
-    )
-
-
-def attack_profile(vector_name: str) -> TrafficProfile:
-    """A single-vector attack profile (all bytes on the abused source port)."""
-    from .amplification import get_vector
-
-    vector = get_vector(vector_name)
-    return TrafficProfile(
-        name=f"attack-{vector.name}",
-        shares={(vector.protocol, vector.source_port): 1.0},
     )

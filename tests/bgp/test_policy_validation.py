@@ -45,11 +45,12 @@ class TestIrrDatabase:
         irr.register("100.10.10.0/24", 64500)
         assert not irr.is_authorized("100.10.0.0/16", 64500)
 
-    def test_register_many_and_objects(self):
+    def test_register_many(self):
         irr = IrrDatabase()
         irr.register_many(["10.0.0.0/8", "11.0.0.0/8"], 64500)
-        assert len(irr) == 2
-        assert irr.prefixes_for(64500) == {Prefix.parse("10.0.0.0/8"), Prefix.parse("11.0.0.0/8")}
+        assert irr.is_authorized("10.0.0.0/8", 64500)
+        assert irr.is_authorized("11.1.0.0/16", 64500)
+        assert not irr.is_authorized("12.0.0.0/8", 64500)
 
     def test_invalid_asn_rejected(self):
         with pytest.raises(ValueError):
@@ -102,11 +103,10 @@ class TestBogonFilter:
         assert bogons.is_bogon("2001:db8::/48")
         assert not bogons.is_bogon("2600::/32")
 
-    def test_custom_list_and_add(self):
+    def test_custom_list(self):
         bogons = BogonFilter(bogons=["203.0.113.0/24"])
+        assert bogons.is_bogon("203.0.113.0/25")
         assert not bogons.is_bogon("10.0.0.0/8")
-        bogons.add("10.0.0.0/8")
-        assert "10.0.0.0/8" in bogons
 
 
 def _make_policy():

@@ -16,7 +16,6 @@ class TestParsing:
     def test_parse_bare_address_becomes_host_route(self):
         prefix = Prefix.parse("100.10.10.10")
         assert prefix.length == 32
-        assert prefix.is_host_route
 
     def test_parse_non_strict_normalises_host_bits(self):
         prefix = Prefix.parse("100.10.10.10/24")
@@ -26,12 +25,6 @@ class TestParsing:
         prefix = Prefix.parse("2001:db8::/32")
         assert prefix.version == 6
         assert prefix.length == 32
-
-    def test_host_constructor_ipv4(self):
-        assert Prefix.host("10.0.0.1").length == 32
-
-    def test_host_constructor_ipv6(self):
-        assert Prefix.host("2001:db8::1").length == 128
 
     def test_parse_prefix_passthrough(self):
         prefix = Prefix.parse("10.0.0.0/8")
@@ -69,20 +62,6 @@ class TestRelations:
     def test_contains_address_cross_family(self):
         assert not Prefix.parse("10.0.0.0/8").contains_address("2001:db8::1")
 
-    def test_is_more_specific_than(self):
-        child = Prefix.parse("100.10.10.0/25")
-        parent = Prefix.parse("100.10.10.0/24")
-        assert child.is_more_specific_than(parent)
-        assert not parent.is_more_specific_than(child)
-        assert not parent.is_more_specific_than(parent)
-
-    def test_supernet(self):
-        assert Prefix.parse("100.10.10.0/24").supernet(16) == Prefix.parse("100.10.0.0/16")
-
-    def test_supernet_rejects_longer_length(self):
-        with pytest.raises(ValueError):
-            Prefix.parse("10.0.0.0/8").supernet(16)
-
     def test_ordering_is_by_address_then_length(self):
         a = Prefix.parse("10.0.0.0/8")
         b = Prefix.parse("10.0.0.0/16")
@@ -100,13 +79,5 @@ def test_property_prefix_contains_its_own_network_address(address_int, length):
     address = str(ipaddress.IPv4Address(address_int))
     prefix = Prefix.parse(f"{address}/{length}")
     assert prefix.contains_address(prefix.address)
-    assert prefix.contains(Prefix.host(prefix.address))
+    assert prefix.contains(Prefix.parse(prefix.address))
 
-
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=9, max_value=32))
-def test_property_supernet_contains_original(address_int, length):
-    import ipaddress
-
-    address = str(ipaddress.IPv4Address(address_int))
-    prefix = Prefix.parse(f"{address}/{length}")
-    assert prefix.supernet(length - 1).contains(prefix)

@@ -1,16 +1,13 @@
-"""Tests for the RIB, best-path selection and RIB diffs."""
+"""Tests for the multi-path RIB."""
 
 import pytest
 
 from repro.bgp import (
-    Origin,
     PathAttributes,
     Prefix,
     RouteAnnouncement,
-    RouteWithdrawal,
     RoutingInformationBase,
     announcement,
-    best_path,
 )
 
 
@@ -29,15 +26,14 @@ class TestRibBasics:
         rib = RoutingInformationBase()
         route = make_route("100.10.10.0/24", 64500)
         rib.add(route)
-        assert len(rib) == 1
+        assert list(rib.routes()) == [route]
         assert route in rib.routes_for(Prefix.parse("100.10.10.0/24"))
-        assert Prefix.parse("100.10.10.0/24") in rib
 
     def test_add_replaces_same_key(self):
         rib = RoutingInformationBase()
         rib.add(make_route("100.10.10.0/24", 64500, local_pref=100))
         rib.add(make_route("100.10.10.0/24", 64500, local_pref=200))
-        assert len(rib) == 1
+        assert len(list(rib.routes())) == 1
         assert rib.routes_for(Prefix.parse("100.10.10.0/24"))[0].attributes.local_pref == 200
 
     def test_add_path_keeps_multiple_paths(self):
@@ -46,30 +42,13 @@ class TestRibBasics:
         rib.add(make_route("100.10.10.0/24", 64500, path_id=2))
         assert len(rib.routes_for(Prefix.parse("100.10.10.0/24"))) == 2
 
-    def test_routes_from_neighbor(self):
+    def test_remove_route(self):
         rib = RoutingInformationBase()
-        rib.add(make_route("10.0.0.0/8", 1))
-        rib.add(make_route("11.0.0.0/8", 2))
-        assert len(rib.routes_from(1)) == 1
-
-    def test_withdraw(self):
-        rib = RoutingInformationBase()
-        rib.add(make_route("10.0.0.0/8", 1))
-        removed = rib.withdraw(RouteWithdrawal(prefix=Prefix.parse("10.0.0.0/8")), neighbor_asn=1)
-        assert removed
-        assert len(rib) == 0
-
-    def test_withdraw_missing_returns_false(self):
-        rib = RoutingInformationBase()
-        assert not rib.withdraw(RouteWithdrawal(prefix=Prefix.parse("10.0.0.0/8")), 1)
-
-    def test_remove_neighbor_flushes_all_routes(self):
-        rib = RoutingInformationBase()
-        rib.add(make_route("10.0.0.0/8", 1))
-        rib.add(make_route("11.0.0.0/8", 1))
-        rib.add(make_route("12.0.0.0/8", 2))
-        assert rib.remove_neighbor(1) == 2
-        assert len(rib) == 1
+        route = make_route("10.0.0.0/8", 1)
+        rib.add(route)
+        assert rib.remove_route(route)
+        assert list(rib.routes()) == []
+        assert not rib.remove_route(route)
 
     def test_empty_as_path_rejected(self):
         rib = RoutingInformationBase()
@@ -77,105 +56,8 @@ class TestRibBasics:
         with pytest.raises(ValueError):
             rib.add(route)
 
-    def test_prefixes_set(self):
-        rib = RoutingInformationBase()
-        rib.add(make_route("10.0.0.0/8", 1))
-        rib.add(make_route("10.0.0.0/8", 2))
-        assert rib.prefixes() == {Prefix.parse("10.0.0.0/8")}
-
-    def test_clear(self):
-        rib = RoutingInformationBase()
-        rib.add(make_route("10.0.0.0/8", 1))
-        rib.clear()
-        assert len(rib) == 0
-
-
-class TestLongestMatch:
-    def test_prefers_more_specific(self):
-        rib = RoutingInformationBase()
-        rib.add(make_route("100.10.0.0/16", 1))
-        rib.add(make_route("100.10.10.0/24", 2))
-        match = rib.longest_match("100.10.10.5")
-        assert match.prefix == Prefix.parse("100.10.10.0/24")
-
-    def test_no_match_returns_none(self):
-        rib = RoutingInformationBase()
-        rib.add(make_route("100.10.0.0/16", 1))
-        assert rib.longest_match("8.8.8.8") is None
-
-    def test_covering_routes(self):
-        rib = RoutingInformationBase()
-        rib.add(make_route("100.10.0.0/16", 1))
-        rib.add(make_route("100.10.10.0/24", 2))
-        rib.add(make_route("200.0.0.0/8", 3))
-        covering = rib.covering_routes(Prefix.parse("100.10.10.10/32"))
-        assert len(covering) == 2
-
-
-class TestBestPath:
-    def test_empty_returns_none(self):
-        assert best_path([]) is None
-
-    def test_highest_local_pref_wins(self):
-        low = make_route("10.0.0.0/8", 1, local_pref=100)
-        high = make_route("10.0.0.0/8", 2, local_pref=200)
-        assert best_path([low, high]) is high
-
-    def test_shorter_as_path_wins(self):
-        short = make_route("10.0.0.0/8", 1, as_path=[1])
-        long = make_route("10.0.0.0/8", 2, as_path=[2, 3, 4])
-        assert best_path([long, short]) is short
-
-    def test_lower_med_wins_when_rest_equal(self):
-        low_med = make_route("10.0.0.0/8", 1, med=5)
-        high_med = make_route("10.0.0.0/8", 1, med=50, path_id=1)
-        assert best_path([high_med, low_med]) is low_med
-
-    def test_lower_origin_wins(self):
-        igp = make_route("10.0.0.0/8", 1)
-        incomplete = RouteAnnouncement(
-            prefix=Prefix.parse("10.0.0.0/8"),
-            attributes=PathAttributes(as_path=(2,), next_hop="10.0.0.2", origin=Origin.INCOMPLETE),
-        )
-        assert best_path([incomplete, igp]) is igp
-
-    def test_tie_break_by_neighbor_asn(self):
-        a = make_route("10.0.0.0/8", 10)
-        b = make_route("10.0.0.0/8", 20)
-        assert best_path([b, a]) is a
-
-
-class TestRibDiff:
-    def test_added_and_removed(self):
-        rib = RoutingInformationBase()
-        before = rib.snapshot()
-        route = make_route("10.0.0.0/8", 1)
-        rib.add(route)
-        after = rib.snapshot()
-        diff = RoutingInformationBase.diff(before, after)
-        assert diff.added == (route,)
-        assert diff.removed == ()
-        reverse = RoutingInformationBase.diff(after, before)
-        assert reverse.removed == (route,)
-
-    def test_changed_routes(self):
-        rib = RoutingInformationBase()
-        rib.add(make_route("10.0.0.0/8", 1, local_pref=100))
-        before = rib.snapshot()
-        rib.add(make_route("10.0.0.0/8", 1, local_pref=300))
-        diff = RoutingInformationBase.diff(before, rib.snapshot())
-        assert len(diff.changed) == 1
-        assert diff.is_empty is False
-        assert len(diff) == 1
-
-    def test_identical_snapshots_produce_empty_diff(self):
-        rib = RoutingInformationBase()
-        rib.add(make_route("10.0.0.0/8", 1))
-        diff = RoutingInformationBase.diff(rib.snapshot(), rib.snapshot())
-        assert diff.is_empty
-
     def test_announcement_helper(self):
         route = announcement("100.10.10.10/32", 64500, next_hop="10.0.0.1")
         assert route.attributes.as_path == (64500,)
         assert route.attributes.next_hop == "10.0.0.1"
-        assert route.origin_asn == 64500
+        assert route.attributes.origin_asn == 64500

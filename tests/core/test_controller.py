@@ -70,7 +70,7 @@ class TestBlackholingController:
         assert changes[0].op == "install"
         assert changes[0].member_asn == 64500
         assert changes[0].rules[0].match.src_port == 123
-        assert controller.active_rule_count() == 1
+        assert len(controller.active_rules()) == 1
         assert controller.service.queue_depth() == 1
         assert controller.take_rejections() == []
 
@@ -82,7 +82,7 @@ class TestBlackholingController:
 
     def test_enqueue_rejections_are_kept_until_taken(self):
         controller = self._controller()
-        stranger = BlackholingRule.drop_all(60000, "9.9.9.9/32")
+        stranger = BlackholingRule(owner_asn=60000, dst_prefix=Prefix.parse("9.9.9.9/32"))
         (change,) = controller.process_update(signal_update(stranger))
         ((request, response),) = controller.take_rejections()
         assert request is change
@@ -101,7 +101,7 @@ class TestBlackholingController:
         controller.process_update(signal_update(rule, path_id=1))
         changes = controller.process_update(signal_update(rule, path_id=1))
         assert changes == []
-        assert controller.active_rule_count() == 1
+        assert len(controller.active_rules()) == 1
 
     def test_action_change_produces_update(self):
         controller = self._controller()
@@ -128,7 +128,7 @@ class TestBlackholingController:
         changes = controller.process_update(withdrawal)
         assert [change.op for change in changes] == ["remove"]
         assert changes[0].rule_id == installed.rule_id
-        assert controller.active_rule_count() == 0
+        assert len(controller.active_rules()) == 0
 
     def test_rtbh_translation_enabled(self):
         controller = self._controller(translate_rtbh=True)
@@ -143,7 +143,8 @@ class TestBlackholingController:
         )
         changes = controller.process_update(update)
         assert len(changes) == 1
-        assert controller.active_rules()[0].is_plain_rtbh
+        (rule,) = controller.active_rules()
+        assert (rule.protocol, rule.src_port, rule.dst_port, rule.src_mac) == (None,) * 4
 
     def test_rtbh_translation_disabled(self):
         controller = self._controller(translate_rtbh=False)
@@ -211,7 +212,7 @@ class TestBlackholingController:
         )
         controller.process_update(signal_update(rule_a, path_id=1))
         controller.process_update(signal_update(rule_b, path_id=2))
-        assert controller.active_rule_count() == 2
+        assert len(controller.active_rules()) == 2
 
     def test_session_is_ibgp_with_addpath(self):
         controller = self._controller()

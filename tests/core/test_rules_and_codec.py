@@ -26,7 +26,6 @@ class TestBlackholingRule:
         assert rule.protocol is IpProtocol.UDP
         assert rule.src_port == 123
         assert rule.dst_prefix == Prefix.parse("100.10.10.10/32")
-        assert not rule.is_plain_rtbh
 
     def test_shape_constructor_requires_rate(self):
         rule = BlackholingRule.shape_udp_source_port(64500, "1.2.3.4/32", 123, rate_bps=2e8)
@@ -36,9 +35,6 @@ class TestBlackholingRule:
             BlackholingRule(
                 owner_asn=1, dst_prefix=Prefix.parse("1.2.3.4/32"), action=RuleAction.SHAPE
             )
-
-    def test_drop_all_is_plain_rtbh(self):
-        assert BlackholingRule.drop_all(64500, "1.2.3.4/32").is_plain_rtbh
 
     def test_drop_rule_must_not_carry_rate(self):
         with pytest.raises(ValueError):
@@ -70,22 +66,16 @@ class TestBlackholingRule:
 
     def test_resource_footprint(self):
         rule = BlackholingRule.drop_udp_source_port(64500, "1.2.3.4/32", 123)
-        assert rule.l3l4_criteria == 3
-        assert rule.mac_filter_entries == 0
+        assert rule.flow_match().l3l4_criteria == 3
+        assert rule.flow_match().mac_filter_entries == 0
         mac_rule = BlackholingRule(
             owner_asn=1, dst_prefix=Prefix.parse("1.2.3.4/32"), src_mac="02:00:00:00:00:01"
         )
-        assert mac_rule.mac_filter_entries == 1
-
-    def test_with_action_preserves_identity(self):
-        rule = BlackholingRule.drop_udp_source_port(64500, "1.2.3.4/32", 123)
-        shaped = rule.with_action(RuleAction.SHAPE, shape_rate_bps=1e6)
-        assert shaped.rule_id == rule.rule_id
-        assert shaped.action is RuleAction.SHAPE
+        assert mac_rule.flow_match().mac_filter_entries == 1
 
     def test_rule_ids_are_unique(self):
-        a = BlackholingRule.drop_all(1, "1.2.3.4/32")
-        b = BlackholingRule.drop_all(1, "1.2.3.4/32")
+        a = BlackholingRule(owner_asn=1, dst_prefix=Prefix.parse("1.2.3.4/32"))
+        b = BlackholingRule(owner_asn=1, dst_prefix=Prefix.parse("1.2.3.4/32"))
         assert a.rule_id != b.rule_id
 
     def test_str_rendering(self):
@@ -153,11 +143,12 @@ class TestCommunityCodec:
         assert decoded.src_port is None
 
     def test_roundtrip_plain_drop_all(self):
-        rule = BlackholingRule.drop_all(64500, "1.2.3.4/32")
+        rule = BlackholingRule(owner_asn=64500, dst_prefix=Prefix.parse("1.2.3.4/32"))
         communities = self.codec.encode(rule)
         assert len(communities) == 1
         decoded, _ = self.codec.to_rule(communities, owner_asn=64500, dst_prefix=rule.dst_prefix)
-        assert decoded.is_plain_rtbh
+        selectors = (decoded.protocol, decoded.src_port, decoded.dst_port, decoded.src_mac)
+        assert selectors == (None, None, None, None) and decoded.src_prefix is None
         assert decoded.action is RuleAction.DROP
 
     def test_port_rule_requires_l4_protocol(self):
@@ -235,7 +226,6 @@ class TestCustomerPortal:
             64500, RuleTemplate(name="drop-tcp-80", protocol=IpProtocol.TCP, dst_port=80)
         )
         assert rule_id >= CustomerPortal.CUSTOM_RULE_ID_BASE
-        assert rule_id in portal.custom_rules_of(64500)
         resolved = portal.resolve(rule_id, 64500, Prefix.parse("1.2.3.4/32"))
         assert resolved.dst_port == 80
         assert portal.remove_custom_rule(64500, rule_id)

@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.bgp import ImportPolicy
+from repro.bgp import ImportPolicy, Prefix
 from repro.core import (
     BlackholingRule,
-    RuleTelemetry,
     SignalRejectedError,
     Stellar,
     TelemetryCollector,
@@ -76,7 +75,7 @@ class TestSignaling:
 
     def test_unknown_signalling_path_rejected(self):
         stellar, victim, peers = build_stellar()
-        rule = BlackholingRule.drop_all(VICTIM_ASN, f"{VICTIM_IP}/32")
+        rule = BlackholingRule(owner_asn=VICTIM_ASN, dst_prefix=Prefix.parse(f"{VICTIM_IP}/32"))
         with pytest.raises(ValueError):
             stellar.request_mitigation(rule, via="carrier-pigeon")
 
@@ -107,7 +106,8 @@ class TestSignaling:
         stellar, victim, peers = build_stellar(policy=policy)
         with pytest.raises(SignalRejectedError):
             stellar.request_mitigation(
-                BlackholingRule.drop_all(65001, f"{VICTIM_IP}/32"), via="api"
+                BlackholingRule(owner_asn=65001, dst_prefix=Prefix.parse(f"{VICTIM_IP}/32")),
+                via="api",
             )
 
     def test_withdraw_removes_rule_from_dataplane(self):
@@ -120,6 +120,40 @@ class TestSignaling:
         stellar.advance(now=2.0)
         assert stellar.installed_rule_count() == 0
         assert stellar.active_rules() == []
+
+    def test_api_withdrawal_keeps_the_members_bgp_signalled_rule(self):
+        stellar, victim, peers = build_stellar()
+        prefix = f"{VICTIM_IP}/32"
+        stellar.request_mitigation(
+            BlackholingRule.drop_udp_source_port(VICTIM_ASN, prefix, 123), via="bgp"
+        )
+        stellar.request_mitigation(
+            BlackholingRule.drop_udp_source_port(VICTIM_ASN, prefix, 53), via="api"
+        )
+        stellar.advance(now=1.0)
+        assert stellar.installed_rule_count() == 2
+        stellar.withdraw_mitigation(VICTIM_ASN, prefix, via="api")
+        stellar.advance(now=2.0)
+        assert [rule.src_port for rule in stellar.active_rules()] == [123]
+        assert stellar.installed_rule_count() == 1
+        # The route server still holds the BGP signal, and so does the controller.
+        (route,) = stellar.route_server.rib.routes_for(Prefix.parse(prefix))
+        assert stellar.controller.rib.routes_for(route.prefix) == [route]
+
+    def test_api_withdrawal_removes_only_the_callers_rules(self):
+        stellar, victim, peers = build_stellar()
+        prefix = f"{VICTIM_IP}/32"
+        other = peers[0].asn
+        for owner in (VICTIM_ASN, other):
+            stellar.request_mitigation(
+                BlackholingRule.drop_udp_source_port(owner, prefix, 123), via="api"
+            )
+        stellar.advance(now=1.0)
+        assert stellar.installed_rule_count() == 2
+        stellar.withdraw_mitigation(other, prefix, via="api")
+        stellar.advance(now=2.0)
+        assert [rule.owner_asn for rule in stellar.active_rules()] == [VICTIM_ASN]
+        assert stellar.installed_rule_count() == 1
 
     def test_signal_not_reflected_to_other_members(self):
         stellar, victim, peers = build_stellar()
@@ -282,7 +316,6 @@ class TestStellarDataPlane:
         assert report.total_filtered_bits > 0
         rule_telemetry = report.rules[0]
         assert rule_telemetry.matched_bits > 0
-        assert not rule_telemetry.attack_appears_over
 
     def test_shaper_discards_reach_telemetry(self):
         # A SHAPE rule over its rate: the bits its shaper discards count
@@ -310,20 +343,19 @@ class TestStellarDataPlane:
         stellar.request_mitigation(rule)
         stellar.advance(now=0.0)
         stellar.deliver_traffic(attack_flows(peers), interval=10.0, interval_start=0.0)
-        # Next interval: only benign traffic — the rule matches nothing.
-        stellar.deliver_traffic(benign_flows(peers, t=10.0), interval=10.0, interval_start=10.0)
         installed_rule_id = stellar.active_rules()[0].rule_id
         telemetry = stellar.telemetry.telemetry_for_rule(installed_rule_id)
-        assert telemetry is not None
-        # No new sample was appended for the second interval (nothing matched),
-        # so the latest matched-rate sample is still from the attack interval.
-        report = stellar.telemetry_report(VICTIM_ASN)
-        assert report.total_shaped_passed_bits == 0
+        during_attack = telemetry.matched_bits
+        assert during_attack > 0
+        # Next interval: only benign traffic — the rule matches nothing, so
+        # the member sees its matched volume stop growing.
+        stellar.deliver_traffic(benign_flows(peers, t=10.0), interval=10.0, interval_start=10.0)
+        assert telemetry.matched_bits == during_attack
 
     def test_interval_report_properties(self):
         stellar, victim, peers = build_stellar()
         report = stellar.deliver_traffic(benign_flows(peers), interval=10.0, interval_start=0.0)
-        assert report.delivered_bits > 0
+        assert report.fabric_report.delivered_bits > 0
         assert report.filtered_bits == 0
         assert report.deployments == []
 
@@ -347,28 +379,7 @@ class TestTelemetryCollector:
         telemetry = collector.telemetry_for_rule("r1")
         assert telemetry.matched_bits == 1500.0
         assert telemetry.dropped_bits == 1500.0
-        assert len(telemetry.samples) == 2
-        assert telemetry.matched_rate_bps(10.0) == 50.0
-
-    def test_matched_rate_uses_the_queried_interval(self):
-        # Regression: the interval argument used to be ignored — the
-        # method returned the last sample verbatim regardless of the
-        # observation interval the caller reported over.
-        collector = TelemetryCollector()
-        collector.record_rule_interval(
-            "r1", 64500, 1200.0, 1200.0, 0.0, interval=10.0, time=0.0, shaped_dropped_bits=0.0
-        )
-        telemetry = collector.telemetry_for_rule("r1")
-        assert telemetry.samples[-1] == (0.0, 1200.0)  # raw matched bits
-        assert telemetry.matched_rate_bps(10.0) == 120.0
-        assert telemetry.matched_rate_bps(5.0) == 240.0
-        with pytest.raises(ValueError):
-            telemetry.matched_rate_bps(0.0)
-
-    def test_matched_rate_without_samples_is_zero(self):
-        telemetry = RuleTelemetry(rule_id="x", member_asn=1)
-        assert telemetry.matched_rate_bps(10.0) == 0.0
-        assert not telemetry.attack_appears_over
+        assert telemetry.last_update == 10.0
 
     def test_report_for_member_filters_by_asn(self):
         collector = TelemetryCollector()
@@ -380,7 +391,7 @@ class TestTelemetryCollector:
         )
         report = collector.report_for_member(64500)
         assert report.active_rule_count == 1
-        assert len(collector.all_rules()) == 2
+        assert collector.report_for_member(64999).active_rule_count == 1
 
     def test_invalid_interval(self):
         with pytest.raises(ValueError):

@@ -256,11 +256,6 @@ class TestFig10bQueueing:
     def test_higher_rate_gives_lower_delays(self, result):
         assert result.percentile(5.0, 0.95) <= result.percentile(4.0, 0.95)
 
-    def test_cdf_shapes(self, result):
-        values, probabilities = result.cdf(4.0)
-        assert probabilities[-1] == pytest.approx(1.0)
-        assert len(values) == len(result.arrival_times)
-
     def test_waiting_times_non_negative(self, result):
         assert all(wait >= 0 for wait in result.waiting_times[4.0])
 

@@ -103,7 +103,6 @@ class TestSteppedExperiment:
         harness.at(10.0, lambda: fired.append(harness.now), name="attack-start")
         harness.run(lambda t, dt: None)
         assert fired == [10.0]
-        assert harness.phase_times("attack-start") == [10.0]
         assert harness.events() == [(10.0, "attack-start", {})]
 
     def test_event_past_last_step_never_fires(self):
@@ -171,14 +170,12 @@ class TestSteppedExperiment:
         assert fired == ["silent", "named"]
         assert harness.events() == [(10.0, "drop", {})]
 
-    def test_phase_times_filter_by_name(self):
+    def test_events_log_every_named_phase_in_time_order(self):
         harness = SteppedExperiment(duration=40.0, interval=10.0)
         for time, name in [(0.0, "shape"), (10.0, "drop"), (30.0, "shape")]:
             harness.at(time, lambda: None, name=name)
         harness.run()
-        assert harness.phase_times("shape") == [0.0, 30.0]
-        assert harness.phase_times("drop") == [10.0]
-        assert harness.phase_times("withdraw") == []
+        assert harness.events() == [(0.0, "shape", {}), (10.0, "drop", {}), (30.0, "shape", {})]
 
     def test_events_returns_a_copy(self):
         harness = SteppedExperiment(duration=10.0, interval=10.0)
@@ -302,9 +299,3 @@ class TestResultStore:
         store.path_for(key).write_text("{not json", encoding="utf-8")
         assert store.load(key) is None
 
-    def test_clear(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.save(store.key_for("a", {}), {"x": 1})
-        store.save(store.key_for("b", {}), {"x": 2})
-        assert store.clear() == 2
-        assert len(store) == 0

@@ -137,7 +137,7 @@ class TestRunSweep:
         result = run_sweep(
             Sweep(experiment="fig10a", grid={"samples_per_rate": (5,)}, quick=True)
         )
-        payload = json.loads(result.to_json())
+        payload = json.loads(json.dumps(result.to_dict()))
         assert payload["experiment"] == "fig10a"
         assert payload["summary"]["points"] == 1.0
         assert result.summaries()[0]["slope_percent_per_update"] > 0

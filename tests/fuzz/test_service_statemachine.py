@@ -143,6 +143,8 @@ class ServiceStateMachine(RuleBasedStateMachine):
                     self.portal.install_many(entry.member_asn, entry.rules)
                 except TcamExhaustedError:
                     assert entry.tcam_exhausted, entry
+                else:
+                    assert not entry.tcam_exhausted, entry
             elif entry.op == "remove":
                 self.portal.remove(entry.member_asn, entry.rule_id)
             elif entry.op == "clear":

@@ -79,7 +79,7 @@ class TestEdgeRouter:
     def test_connect_member_assigns_port(self):
         router = self._router()
         port = router_fabric(router).connect_member(IxpMember(asn=64500))
-        assert router.has_member(64500)
+        assert router.member_count == 1
         assert router.port_for(64500) is port
         assert port.port_id == 1
 
@@ -133,7 +133,7 @@ class TestEdgeRouter:
         router.install_rule(64500, drop_rule())
         router.install_rule(64500, drop_rule(src_port=53))
         assert router.tcam.l3l4_criteria_used == 3
-        assert len(router.port_for(64500).rules()) == 1
+        assert len(router.port_for(64500).qos.rules()) == 1
 
     def test_install_fails_when_tcam_full(self):
         profile = HardwareProfile(
@@ -243,7 +243,7 @@ class TestSwitchingFabric:
         fabric.add_edge_router(EdgeRouter("er", profile=small_ixp_edge_router_profile()))
         fabric.connect_member(IxpMember(asn=64500, port_capacity_bps=1e9))
         report = fabric.deliver(table(make_flow(bytes_=10_000_000)), interval=10.0)
-        assert fabric.platform_overloaded(report)
+        assert report.platform_load_bps > fabric.platform_capacity_bps
 
     def test_invalid_platform_capacity(self):
         with pytest.raises(ValueError):

@@ -121,13 +121,6 @@ class TestRateLimiter:
         passed, _ = shaper.shape(offered_bits=400.0, interval=1.0)
         assert passed == pytest.approx(300.0)
 
-    def test_reset(self):
-        shaper = RateLimiter(rate_bps=100.0, burst_bits=50.0)
-        shaper.shape(1000.0, 1.0)
-        shaper.reset()
-        passed, _ = shaper.shape(150.0, 1.0)
-        assert passed == 150.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             RateLimiter(rate_bps=-1.0)
@@ -149,7 +142,6 @@ class TestTcamModel:
         tcam.allocate(port_id=1, mac_filters=3, l3l4_criteria=5)
         assert tcam.mac_filters_used == 3
         assert tcam.l3l4_criteria_used == 5
-        assert tcam.mac_filters_free == 7
         assert tcam.usage_for_port(1) == (3, 5)
 
     def test_check_f1_takes_precedence(self):
@@ -183,14 +175,12 @@ class TestTcamModel:
         with pytest.raises(ValueError):
             tcam.release(1, 2, 0)
 
-    def test_release_port_and_reset(self):
+    def test_release_port(self):
         tcam = TcamModel(mac_filter_capacity=10, l3l4_criteria_capacity=10)
         tcam.allocate(1, 2, 2)
         tcam.allocate(2, 2, 2)
         tcam.release_port(1)
         assert tcam.mac_filters_used == 2
-        tcam.reset()
-        assert tcam.mac_filters_used == 0
 
     def test_negative_amounts_rejected(self):
         tcam = TcamModel(mac_filter_capacity=10, l3l4_criteria_capacity=10)

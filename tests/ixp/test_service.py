@@ -12,6 +12,7 @@ management layer: burst then rate, FIFO order, TCAM failures, updates in
 place).
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -29,6 +30,7 @@ from repro.ixp import (
     IxpMember,
     QosRule,
     SwitchingFabric,
+    TcamExhaustedError,
     TokenBucketPacing,
     build_multi_pop_fabric,
     make_member_population,
@@ -368,7 +370,7 @@ class TestTokenBucketPacing:
         assert service.advance(0.0) == []
         assert len(service.advance(1.0)) == 1
         assert service.queue_depth() == 1
-        assert len(fabric.port_for_member(64500).rules()) == 3
+        assert len(fabric.port_for_member(64500).qos.rules()) == 3
 
     def test_a_change_completes_when_its_tokens_arrive(self):
         _, service = self._service()
@@ -396,7 +398,7 @@ class TestTokenBucketPacing:
         assert service.advance(2.9) == []
         ((_, response),) = service.advance(3.0)
         assert response.applied_at == 3.0
-        assert len(fabric.port_for_member(64500).rules()) == 5
+        assert len(fabric.port_for_member(64500).qos.rules()) == 5
 
     def test_every_router_has_its_own_bucket(self):
         fabric, members = make_fabric(pop_count=2, routers_per_pop=1, member_count=4)
@@ -449,6 +451,25 @@ class TestTokenBucketPacing:
         assert entry.tcam_exhausted
         assert fabric.port_for_member(64500).qos.rule_ids() == ["first"]
 
+    def test_replay_checks_tcam_exhaustion_both_ways(self):
+        tiny = HardwareProfile(
+            name="tiny", port_count=4, mac_filter_capacity=2, l3l4_criteria_capacity=3
+        )
+        _, service = self._service(single_router_fabric(tiny))
+        self._install(service, "first", src_port=1)
+        self._install(service, "second", src_port=2)
+        service.advance(0.0)
+        (entry,) = service.request_log
+        assert replay_request_log(single_router_fabric(tiny), [entry]) == 1
+        # An exhaustion the log does not record raises ...
+        with pytest.raises(TcamExhaustedError):
+            replay_request_log(
+                single_router_fabric(tiny), [dataclasses.replace(entry, tcam_exhausted=False)]
+            )
+        # ... and so does a logged exhaustion the replay does not hit.
+        with pytest.raises(AssertionError, match="replay fit"):
+            replay_request_log(single_router_fabric(), [entry])
+
     def test_backpressure_retry_after_waits_for_the_backlog_tokens(self):
         fabric, _ = self._service()
         service = ControlPlaneService(
@@ -477,7 +498,7 @@ class TestTokenBucketPacing:
         service.enqueue(service.make_request(64500, "install", rules=(shape,), at=5.0))
         ((_, response),) = service.advance(5.0)
         assert response.status == "applied"
-        rules = {rule.rule_id: rule for rule in fabric.port_for_member(64500).rules()}
+        rules = {rule.rule_id: rule for rule in fabric.port_for_member(64500).qos.rules()}
         assert sorted(rules) == ["keep", "other"]
         assert rules["keep"].action is FilterAction.SHAPE
         assert rules["keep"].shape_rate_bps == 2e8

@@ -12,13 +12,11 @@ import pytest
 
 from oracle.shard import merge_interval_reports
 from repro.ixp import (
-    ShardLookup,
     ShardPlanner,
     build_multi_pop_fabric,
     columns_to_report_dict,
     make_member_population,
     merge_interval_columns,
-    shard_for_member,
 )
 from repro.ixp.fabric import MEMBER_REPORT_FIELDS
 from repro.ixp.shard import pop_index
@@ -50,8 +48,6 @@ class TestPlanPartition:
         seen = [asn for spec in plan for asn in spec.member_asns]
         assert len(seen) == len(set(seen)) == len(members)
         assert set(seen) == {member.asn for member in members}
-        for member in members:
-            assert member.asn in shard_for_member(plan, member.asn).member_asns
 
     def test_shards_own_disjoint_whole_pops(self):
         fabric, _ = make_platform()
@@ -93,12 +89,6 @@ class TestPlanPartition:
         fabric, _ = make_platform()
         with pytest.raises(ValueError):
             ShardPlanner.for_fabric(fabric).plan(0)
-
-    def test_unknown_member_raises(self):
-        fabric, _ = make_platform()
-        plan = ShardPlanner.for_fabric(fabric).plan()
-        with pytest.raises(KeyError):
-            shard_for_member(plan, 1)
 
 
 class TestForMembers:
@@ -177,29 +167,6 @@ class TestMergeIntervalReports:
     def test_rejects_member_overlap(self):
         with pytest.raises(ValueError):
             merge_interval_reports([report(members=[65001]), report(members=[65001])])
-
-
-class TestShardLookup:
-    def test_lookup_matches_linear_scan(self):
-        fabric, members = make_platform()
-        plan = ShardPlanner.for_fabric(fabric).plan()
-        lookup = ShardLookup(plan)
-        assert len(lookup) == len(members)
-        for member in members:
-            assert lookup[member.asn] is shard_for_member(plan, member.asn)
-            assert member.asn in lookup
-        assert 1 not in lookup
-
-    def test_unknown_member_raises_keyerror(self):
-        fabric, _ = make_platform()
-        lookup = ShardLookup(ShardPlanner.for_fabric(fabric).plan())
-        with pytest.raises(KeyError, match="AS1 is in no shard"):
-            lookup[1]
-
-    def test_empty_plan(self):
-        lookup = ShardLookup([])
-        assert len(lookup) == 0
-        assert 65001 not in lookup
 
 
 def columns(interval_start=0.0, interval=10.0, members=(), rule_stats=None, **totals):

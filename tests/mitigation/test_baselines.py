@@ -16,7 +16,6 @@ from repro.mitigation import (
     FlowspecMitigation,
     FlowspecService,
     MitigationOutcome,
-    NoMitigation,
     Rating,
     RtbhMitigation,
     RtbhService,
@@ -60,22 +59,15 @@ class TestMitigationOutcome:
         assert outcome.collateral_damage_bits == 80_000
         assert outcome.delivered_peers == {65001, 65002, 65004}
 
-    def test_no_mitigation_delivers_everything(self):
-        flows = table_of(make_flow(), make_flow(src_port=53))
-        outcome = NoMitigation().apply(flows, interval=10.0)
-        assert outcome.delivered_table is flows
-        assert len(outcome.discarded_table) == 0
-        assert len(outcome.shaped_table) == 0
-
     def test_empty_table(self):
-        outcome = NoMitigation().apply(FlowTable.empty(), 10.0)
+        outcome = AclMitigation().apply(FlowTable.empty(), 10.0)
         assert outcome.delivered_bits == 0.0
         assert outcome.delivered_peers == set()
         assert MitigationOutcome().discarded_bits == 0.0
 
 
 def configured_strategies():
-    """One configured instance of every strategy (and the do-nothing one)."""
+    """One configured instance of every strategy."""
     rtbh = RtbhService(ixp_asn=64700, compliance_rate=1.0, seed=1)
     rtbh.request_blackhole(64500, "100.10.10.10/32", peer_asns=[65001])
     flowspec = FlowspecService(acceptance_rate=1.0, seed=1)
@@ -84,7 +76,6 @@ def configured_strategies():
     )
     active_center = ScrubbingCenter(activation_delay_seconds=0.0)
     return {
-        "none": NoMitigation(),
         "rtbh": RtbhMitigation(rtbh),
         "acl": AclMitigation(),
         "flowspec": FlowspecMitigation(flowspec),
@@ -127,8 +118,6 @@ class TestRtbhService:
         service = RtbhService(ixp_asn=64700, member_compliance={65001: True}, compliance_rate=0.0)
         assert service.member_honors(65001)
         assert not service.member_honors(65002)
-        service.set_compliance(65002, True)
-        assert service.member_honors(65002)
 
     def test_request_blackhole_records_event(self):
         service = RtbhService(ixp_asn=64700, compliance_rate=1.0, seed=1)
@@ -240,7 +229,8 @@ class TestFlowspec:
         rule = drop_rule("100.10.10.10/32", source_port=123)
         for _ in range(3):
             service.announce_rule(rule, peer_asns=[65001])
-        assert service.rules_installed_at(65001) == 2
+        installed = [rule for rule in service.installed_rules() if 65001 in rule.installing_peers]
+        assert len(installed) == 2
 
     def test_non_accepting_peer_installs_nothing(self):
         service = FlowspecService(acceptance_rate=0.0, seed=1)
@@ -351,20 +341,15 @@ class TestComparisonTable:
 
     def test_advanced_blackholing_has_all_advantages(self):
         table = build_comparison_table()
-        assert table.advantage_count("Advanced Blackholing") == len(Dimension)
+        assert all(
+            table.rating("Advanced Blackholing", dimension) is Rating.ADVANTAGE
+            for dimension in Dimension
+        )
 
     def test_rtbh_is_coarse_but_cheap(self):
         table = build_comparison_table()
         assert table.rating("RTBH", Dimension.GRANULARITY) is Rating.DISADVANTAGE
         assert table.rating("RTBH", Dimension.COSTS) is Rating.ADVANTAGE
-
-    def test_rows_and_render(self):
-        table = build_comparison_table()
-        rows = table.as_rows()
-        assert len(rows) == len(Dimension)
-        rendered = table.render()
-        assert "Advanced Blackholing" in rendered
-        assert "Granularity" in rendered
 
     def test_table_from_instances_uses_declared_ratings(self):
         techniques = [RtbhMitigation(RtbhService(ixp_asn=1)), AclMitigation()]

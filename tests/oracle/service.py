@@ -54,9 +54,10 @@ def replay_request_log(fabric, entries, *, sequential=True):
 
     With ``sequential=True`` every coalesced ``install_many`` entry is
     applied one rule at a time via ``EdgeRouter.install_rule``;
-    ``sequential=False`` replays batches as batches.  An entry the live
-    run logged as TCAM-exhausted may exhaust again.  Returns the number
-    of entries applied.
+    ``sequential=False`` replays batches as batches.  An install entry
+    raises ``TcamExhaustedError`` on replay exactly when the live run
+    logged it as TCAM-exhausted; either mismatch raises.  Returns the
+    number of entries applied.
     """
     applied = 0
     for entry in entries:
@@ -71,6 +72,9 @@ def replay_request_log(fabric, entries, *, sequential=True):
             except TcamExhaustedError:
                 if not entry.tcam_exhausted:
                     raise
+            else:
+                if entry.tcam_exhausted:
+                    raise AssertionError(f"{entry} was logged as TCAM-exhausted, but its replay fit")
         elif entry.op == "remove":
             router.remove_rule(entry.member_asn, entry.rule_id)
         elif entry.op == "clear":

@@ -4,16 +4,10 @@ Every function takes a plain list of :class:`~oracle.records.FlowRecord`
 (``to_records(trace.table)``) and answers the query flow by flow with the
 scalar record helpers (``FlowRecord.overlaps``, ``.end``, ``.scaled``),
 none of the column masks or group-bys of :mod:`repro.traffic`.  Byte
-totals are Python ints, so they compare with ``==``.
-
-The one float reduction, the rate-bin volume, collects one term per flow
-(zero for a flow outside the bin) in row order and sums them with
-``ndarray.sum()``, the production reduction, so the rates also compare
-with ``==``.  The IPFIX sampler rebuilds the exporter's RNG from the same
-seed and draws once per flow, in row order.
+totals are Python ints, so they compare with ``==``.  The IPFIX sampler
+rebuilds the exporter's RNG from the same seed and draws once per flow,
+in row order.
 """
-
-import numpy as np
 
 from repro.analysis.collateral import PortShareSnapshot
 from repro.sim.rng import make_rng
@@ -46,16 +40,8 @@ def _bytes_by(flows, key):
     return totals
 
 
-def bytes_by_service_port(flows):
-    return _bytes_by(flows, service_port)
-
-
 def bytes_by_protocol(flows):
     return _bytes_by(flows, lambda flow: IpProtocol(flow.protocol))
-
-
-def bytes_by_source_port(flows):
-    return _bytes_by(flows, lambda flow: flow.src_port)
 
 
 def ingress_members(flows):
@@ -77,10 +63,6 @@ def towards(flows, dst_ip):
     return [flow for flow in flows if flow.dst_ip == dst_ip]
 
 
-def towards_member(flows, member_asn):
-    return [flow for flow in flows if flow.egress_member_asn == member_asn]
-
-
 def attack_flows(flows):
     return [flow for flow in flows if flow.is_attack]
 
@@ -91,38 +73,6 @@ def benign_flows(flows):
 
 def between(flows, start, end):
     return [flow for flow in flows if flow.overlaps(start, end)]
-
-
-# ----------------------------------------------------------------------
-# Time series
-# ----------------------------------------------------------------------
-def rate_timeseries(flows, bin_seconds, start=None, end=None):
-    """``(bin_start_times, rates_bps)``: bytes spread uniformly over each flow.
-
-    A zero-duration flow lands whole in the bin holding its start.
-    """
-    if not flows:
-        return [], []
-    first = trace_start(flows) if start is None else start
-    last = trace_end(flows) if end is None else end
-    if last <= first:
-        return [], []
-    bin_count = int((last - first) / bin_seconds) + 1
-    times = [first + i * bin_seconds for i in range(bin_count)]
-    rates_bps = []
-    for bin_start in times:
-        bin_end = bin_start + bin_seconds
-        terms = []
-        for flow in flows:
-            if flow.duration == 0:
-                inside = bin_start <= flow.start < bin_end
-                terms.append(flow.bytes / bin_seconds * (bin_seconds if inside else 0.0))
-            else:
-                overlap = min(flow.end, bin_end) - max(flow.start, bin_start)
-                terms.append(flow.bytes / flow.duration * max(overlap, 0.0))
-        volume = float(np.array(terms, dtype=np.float64).sum())
-        rates_bps.append(volume * 8 / bin_seconds)
-    return times, rates_bps
 
 
 def port_share_timeseries(flows, interval, top_ports, start=None, end=None):

@@ -99,16 +99,14 @@ class TestDeterminism:
         attack = factory(seed=11)
         assert len(attack.flow_table(0.0, 10.0)) == 0
         assert len(attack.flow_table(1000.0, 10.0)) == 0
-        assert attack.rate_at(0.0) == 0.0
-        assert attack.rate_at(1000.0) == 0.0
 
 
 class TestPulseEnvelope:
     def test_rate_alternates_with_duty_cycle(self):
         attack = make_pulse(period_seconds=60.0, duty_cycle=0.5)
-        assert attack.rate_at(110.0) == attack.peak_rate_bps  # burst
-        assert attack.rate_at(150.0) == 0.0  # gap
-        assert attack.rate_at(170.0) == attack.peak_rate_bps  # next burst
+        assert attack.on_seconds(110.0, 111.0) == 1.0  # burst
+        assert attack.on_seconds(150.0, 151.0) == 0.0  # gap
+        assert attack.on_seconds(170.0, 171.0) == 1.0  # next burst
 
     def test_gap_windows_are_empty(self):
         attack = make_pulse(period_seconds=60.0, duty_cycle=0.5)

@@ -1,4 +1,4 @@
-"""Tests for packet helpers, service ports and traffic profiles."""
+"""Tests for protocol numbers, service ports and traffic profiles."""
 
 import pytest
 
@@ -7,14 +7,13 @@ from oracle.records import FiveTuple, FlowRecord, from_records
 from repro.sim import make_rng
 from repro.traffic import (
     IpProtocol,
-    PacketTemplate,
     TrafficProfile,
     WellKnownPort,
-    attack_profile,
     benign_web_profile,
     blackholed_traffic_profile,
     other_traffic_profile,
 )
+from repro.traffic.flowtable import group_sum
 
 
 def make_flow(
@@ -40,33 +39,29 @@ def make_flow(
     )
 
 
+def profile_share(profile, protocol=None, port=None):
+    """A profile's byte share of one protocol and/or source port."""
+    total = sum(profile.shares.values())
+    matching = sum(
+        share
+        for (proto, src_port), share in profile.shares.items()
+        if protocol in (None, proto) and port in (None, src_port)
+    )
+    return matching / total
+
+
+def service_port_shares(table):
+    """Byte share per service port of a flow table."""
+    totals = group_sum(table.service_ports(), table.bytes)
+    grand_total = sum(totals.values())
+    return {port: volume / grand_total for port, volume in totals.items()}
+
+
 class TestIpProtocol:
-    def test_from_name(self):
-        assert IpProtocol.from_name("udp") is IpProtocol.UDP
-        assert IpProtocol.from_name("TCP") is IpProtocol.TCP
-
-    def test_from_name_unknown(self):
-        with pytest.raises(ValueError):
-            IpProtocol.from_name("quic")
-
     def test_values_match_iana(self):
         assert int(IpProtocol.TCP) == 6
         assert int(IpProtocol.UDP) == 17
         assert int(IpProtocol.ICMP) == 1
-
-
-class TestPacketTemplate:
-    def test_wire_bytes_include_headers(self):
-        template = PacketTemplate(IpProtocol.UDP, 123, 40000, payload_bytes=400)
-        assert template.wire_bytes > 400
-
-    def test_minimum_frame_size(self):
-        template = PacketTemplate(IpProtocol.UDP, 123, 40000, payload_bytes=1)
-        assert template.wire_bytes >= 64
-
-    def test_invalid_port(self):
-        with pytest.raises(ValueError):
-            PacketTemplate(IpProtocol.UDP, 70000, 0, 100)
 
 
 def service_ports(flow):
@@ -99,41 +94,26 @@ class TestProfiles:
         with pytest.raises(ValueError):
             TrafficProfile(name="bad", shares={(IpProtocol.UDP, 0): -1.0})
 
-    def test_normalised_sums_to_one(self):
-        profile = blackholed_traffic_profile()
-        assert sum(profile.normalised().values()) == pytest.approx(1.0)
-
     def test_blackholed_profile_is_udp_dominated(self):
         profile = blackholed_traffic_profile()
-        assert profile.share_of_protocol(IpProtocol.UDP) > 0.99
-        assert profile.share_of_protocol(IpProtocol.TCP) < 0.001
+        assert profile_share(profile, protocol=IpProtocol.UDP) > 0.99
+        assert profile_share(profile, protocol=IpProtocol.TCP) < 0.001
 
     def test_blackholed_profile_port_ranking(self):
         profile = blackholed_traffic_profile()
-        assert profile.share_of_port(0) > profile.share_of_port(123) > profile.share_of_port(19)
+        assert profile_share(profile, port=0) > profile_share(profile, port=123)
+        assert profile_share(profile, port=123) > profile_share(profile, port=19)
 
     def test_other_profile_is_tcp_dominated(self):
         profile = other_traffic_profile()
-        assert profile.share_of_protocol(IpProtocol.TCP) > 0.75
+        assert profile_share(profile, protocol=IpProtocol.TCP) > 0.75
 
     def test_benign_web_profile_https_dominant(self):
         profile = benign_web_profile()
-        assert profile.share_of_port(int(WellKnownPort.HTTPS)) > 0.4
+        assert profile_share(profile, port=int(WellKnownPort.HTTPS)) > 0.4
 
-    def test_attack_profile_single_port(self):
-        profile = attack_profile("ntp")
-        assert profile.share_of_port(123) == pytest.approx(1.0)
-
-    def test_sample_class_draws_existing_class(self):
+    def test_sample_classes_draw_existing_classes(self):
         profile = blackholed_traffic_profile()
-        rng = make_rng(1)
-        for _ in range(50):
-            assert profile.sample_class(rng) in profile.shares
-
-    def test_merged_with_weights(self):
-        merged = benign_web_profile().merged_with(attack_profile("memcached"), other_weight=0.8)
-        assert merged.share_of_port(11211) == pytest.approx(0.8, abs=0.01)
-
-    def test_merged_with_invalid_weight(self):
-        with pytest.raises(ValueError):
-            benign_web_profile().merged_with(attack_profile("ntp"), 1.5)
+        protocols, ports = profile.sample_classes(make_rng(1), 50)
+        for protocol, port in zip(protocols.tolist(), ports.tolist()):
+            assert (IpProtocol(protocol), port) in profile.shares
