@@ -10,6 +10,7 @@ from repro.bgp import (
     PolicyAction,
     Prefix,
     RejectReason,
+    Roa,
     RouteAnnouncement,
     RpkiValidator,
     RpkiValidity,
@@ -52,6 +53,19 @@ class TestIrrDatabase:
         assert irr.is_authorized("11.1.0.0/16", 64500)
         assert not irr.is_authorized("12.0.0.0/8", 64500)
 
+    def test_ipv6_registration_authorises_its_more_specifics(self):
+        irr = IrrDatabase()
+        irr.register("2620:1::/32", 64500)
+        assert irr.is_authorized("2620:1:2::1/128", 64500)
+        assert not irr.is_authorized("2620:1:2::1/128", 64501)
+        assert not irr.is_authorized("2620:2::/32", 64500)
+
+    def test_registration_does_not_cross_address_families(self):
+        irr = IrrDatabase()
+        irr.register("0.0.0.0/0", 64500)
+        assert irr.is_authorized("100.10.10.10/32", 64500)
+        assert not irr.is_authorized("2620:1:2::1/128", 64500)
+
     def test_invalid_asn_rejected(self):
         with pytest.raises(ValueError):
             IrrDatabase().register("10.0.0.0/8", 0)
@@ -84,6 +98,55 @@ class TestRpkiValidator:
     def test_max_length_validation(self):
         with pytest.raises(ValueError):
             RpkiValidator().add_roa("100.10.10.0/24", asn=1, max_length=16)
+
+
+ROA_CASES = {
+    # id: (ROA prefix, max length, ROA ASN, announced prefix, origin, authorises)
+    "exact": ("100.10.10.0/24", 24, 64500, "100.10.10.0/24", 64500, True),
+    "host-in-max-length": ("100.10.10.0/24", 32, 64500, "100.10.10.10/32", 64500, True),
+    "beyond-max-length": ("100.10.10.0/24", 28, 64500, "100.10.10.10/32", 64500, False),
+    "other-origin": ("100.10.10.0/24", 32, 64500, "100.10.10.10/32", 64501, False),
+    "as0": ("100.10.10.0/24", 32, 0, "100.10.10.10/32", 0, False),
+    "sibling": ("100.10.10.0/24", 32, 64500, "100.10.11.0/24", 64500, False),
+    "less-specific": ("100.10.10.0/24", 32, 64500, "100.10.0.0/16", 64500, False),
+    "ipv6-in-max-length": ("2620:1::/32", 48, 64500, "2620:1:2::/48", 64500, True),
+}
+
+
+class TestRoa:
+    @pytest.mark.parametrize(
+        "roa_prefix, max_length, roa_asn, prefix, origin, authorises",
+        list(ROA_CASES.values()),
+        ids=list(ROA_CASES),
+    )
+    def test_authorizes(self, roa_prefix, max_length, roa_asn, prefix, origin, authorises):
+        roa = Roa(prefix=Prefix.parse(roa_prefix), max_length=max_length, asn=roa_asn)
+        assert roa.authorizes(Prefix.parse(prefix), origin) is authorises
+        # A validator holding only this ROA agrees: valid exactly when it
+        # authorises, invalid whenever it covers the prefix but does not.
+        rpki = RpkiValidator()
+        rpki.add_roa(roa_prefix, asn=roa_asn, max_length=max_length)
+        expected = (
+            RpkiValidity.VALID
+            if authorises
+            else RpkiValidity.INVALID
+            if roa.covers(Prefix.parse(prefix))
+            else RpkiValidity.NOT_FOUND
+        )
+        assert rpki.validate(prefix, origin) is expected
+
+    @pytest.mark.parametrize(
+        "prefix, max_length, asn",
+        [
+            pytest.param("100.10.10.0/24", 16, 64500, id="max-length-below-prefix"),
+            pytest.param("100.10.10.0/24", 33, 64500, id="max-length-above-ipv4"),
+            pytest.param("2620:1::/32", 129, 64500, id="max-length-above-ipv6"),
+            pytest.param("100.10.10.0/24", 24, -1, id="negative-asn"),
+        ],
+    )
+    def test_rejects_invalid_fields(self, prefix, max_length, asn):
+        with pytest.raises(ValueError):
+            Roa(prefix=Prefix.parse(prefix), max_length=max_length, asn=asn)
 
 
 class TestBogonFilter:

@@ -50,6 +50,24 @@ class TestRibBasics:
         assert list(rib.routes()) == []
         assert not rib.remove_route(route)
 
+    def test_routes_from_two_neighbours_are_kept_apart(self):
+        rib = RoutingInformationBase()
+        first = make_route("100.10.10.0/24", 64500)
+        second = make_route("100.10.10.0/24", 64501)
+        rib.add(first)
+        rib.add(second)
+        assert rib.routes_for(Prefix.parse("100.10.10.0/24")) == [first, second]
+        assert rib.remove_route(first)
+        assert rib.routes_for(Prefix.parse("100.10.10.0/24")) == [second]
+
+    def test_routes_for_matches_the_exact_prefix_only(self):
+        rib = RoutingInformationBase()
+        rib.add(make_route("100.10.0.0/16", 64500))
+        rib.add(make_route("100.10.10.10/32", 64500))
+        (route,) = rib.routes_for(Prefix.parse("100.10.10.10/32"))
+        assert route.prefix == Prefix.parse("100.10.10.10/32")
+        assert rib.routes_for(Prefix.parse("100.10.10.0/24")) == []
+
     def test_empty_as_path_rejected(self):
         rib = RoutingInformationBase()
         route = RouteAnnouncement(prefix=Prefix.parse("10.0.0.0/8"), attributes=PathAttributes())

@@ -165,6 +165,43 @@ class TestRouteServer:
         last = server.session_for(64502).history[-1]
         assert len(last.withdrawals) == 1
 
+    def test_withdrawal_leaves_other_members_routes_for_the_prefix(self):
+        server = _route_server()
+        southbound = []
+        server.register_consumer(southbound.append)
+        server.announce(announcement("100.10.10.0/24", 64501, next_hop="10.0.0.1"))
+        server.announce(announcement("100.10.10.0/24", 64502, next_hop="10.0.0.2"))
+        kept_path_id = southbound[-1].announcements[0].path_id
+        server.withdraw(Prefix.parse("100.10.10.0/24"), 64501)
+        (route,) = server.rib.routes_for(Prefix.parse("100.10.10.0/24"))
+        assert route.attributes.neighbor_asn == 64502
+        # Southbound, only the withdrawing member's path id goes.
+        (withdrawal,) = southbound[-1].withdrawals
+        assert withdrawal.path_id != kept_path_id
+        assert withdrawal.path_id == southbound[0].announcements[0].path_id
+
+    def test_withdrawal_of_an_unannounced_prefix_sends_nothing(self):
+        server = _route_server()
+        southbound = []
+        server.register_consumer(southbound.append)
+        server.announce(announcement("100.10.10.0/24", 64501, next_hop="10.0.0.1"))
+        server.withdraw(Prefix.parse("100.10.11.0/24"), 64501)
+        server.withdraw(Prefix.parse("100.10.10.0/24"), 64502)
+        assert len(southbound) == 1
+        assert len(list(server.rib.routes())) == 1
+        assert server.session_for(64503).updates_received == 1
+
+    def test_reannouncement_withdraws_the_old_path_southbound(self):
+        server = _route_server()
+        southbound = []
+        server.register_consumer(southbound.append)
+        server.announce(announcement("100.10.10.0/24", 64501, next_hop="10.0.0.1"))
+        server.announce(announcement("100.10.10.0/24", 64501, next_hop="10.0.0.2"))
+        first, second = southbound
+        (withdrawal,) = second.withdrawals
+        assert withdrawal.path_id == first.announcements[0].path_id
+        assert second.announcements[0].path_id != withdrawal.path_id
+
     def test_southbound_consumer_receives_all_paths(self):
         server = _route_server()
         southbound = []

@@ -166,6 +166,28 @@ class TestCommunityCodec:
         assert rule is None
         assert predefined == 3
 
+    @pytest.mark.parametrize("rule_id", [-1, 2**32])
+    def test_predefined_reference_must_fit_32_bits(self, rule_id):
+        with pytest.raises(ValueError, match="32 bits"):
+            self.codec.encode_predefined(rule_id)
+
+    @pytest.mark.parametrize("rule_id", sorted(ixp_shared_templates()))
+    def test_each_shared_template_roundtrips_as_explicit_communities(self, rule_id):
+        # A member may signal a shared template's rule spelled out in full
+        # instead of by reference; both must describe the same filter.
+        prefix = Prefix.parse("100.10.10.10/32")
+        rule = ixp_shared_templates()[rule_id].instantiate(64500, prefix)
+        decoded, predefined = self.codec.to_rule(
+            self.codec.encode(rule), owner_asn=64500, dst_prefix=prefix
+        )
+        assert predefined is None
+        assert (decoded.action, decoded.protocol, decoded.src_port, decoded.dst_port) == (
+            rule.action,
+            rule.protocol,
+            rule.src_port,
+            rule.dst_port,
+        )
+
     def test_decode_rejects_foreign_communities(self):
         foreign = ExtendedCommunity(type=0x02, subtype=0x01, global_admin=1, local_admin=1)
         with pytest.raises(CommunityDecodeError):

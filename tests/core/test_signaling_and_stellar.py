@@ -5,12 +5,20 @@ import pytest
 from repro.bgp import ImportPolicy, Prefix
 from repro.core import (
     BlackholingRule,
+    RuleTemplate,
     SignalRejectedError,
     Stellar,
     TelemetryCollector,
+    ixp_shared_templates,
 )
-from repro.ixp import EdgeRouter, IxpMember, SwitchingFabric, small_ixp_edge_router_profile
-from repro.traffic import BenignTrafficSource, BooterAttack, FlowTable
+from repro.ixp import (
+    EdgeRouter,
+    HardwareProfile,
+    IxpMember,
+    SwitchingFabric,
+    small_ixp_edge_router_profile,
+)
+from repro.traffic import BenignTrafficSource, BooterAttack, FlowTable, IpProtocol
 
 IXP_ASN = 64700
 VICTIM_ASN = 64500
@@ -169,6 +177,161 @@ class TestSignaling:
         with pytest.raises(ValueError):
             stellar.advance_to(5.0)
 
+    def test_unknown_withdrawal_path_rejected(self):
+        stellar, victim, peers = build_stellar()
+        with pytest.raises(ValueError):
+            stellar.withdraw_mitigation(VICTIM_ASN, f"{VICTIM_IP}/32", via="carrier-pigeon")
+
+
+SIGNAL_PATHS = ("bgp", "api")
+
+
+class TestWithdrawalOwnership:
+    """A withdrawal removes exactly the rule its caller signalled on its path.
+
+    The victim and a peer each signal one rule for the same /32, each over
+    BGP or the API; then one of them withdraws over BGP or the API.
+    """
+
+    PREFIX = f"{VICTIM_IP}/32"
+
+    def _signal_both(self, victim_via, peer_via):
+        stellar, victim, peers = build_stellar()
+        signals = {VICTIM_ASN: (victim_via, 123), peers[0].asn: (peer_via, 53)}
+        for owner, (via, port) in signals.items():
+            stellar.request_mitigation(
+                BlackholingRule.drop_udp_source_port(owner, self.PREFIX, port), via=via
+            )
+        stellar.advance(now=1.0)
+        assert stellar.installed_rule_count() == 2
+        return stellar, signals
+
+    @pytest.mark.parametrize("withdraw_via", SIGNAL_PATHS)
+    @pytest.mark.parametrize("withdrawer", ["victim", "peer"])
+    @pytest.mark.parametrize("peer_via", SIGNAL_PATHS)
+    @pytest.mark.parametrize("victim_via", SIGNAL_PATHS)
+    def test_withdrawal_removes_only_the_callers_rule_on_its_path(
+        self, victim_via, peer_via, withdrawer, withdraw_via
+    ):
+        stellar, signals = self._signal_both(victim_via, peer_via)
+        caller = VICTIM_ASN if withdrawer == "victim" else next(
+            owner for owner in signals if owner != VICTIM_ASN
+        )
+        stellar.withdraw_mitigation(caller, self.PREFIX, via=withdraw_via)
+        stellar.advance(now=2.0)
+        expected = {
+            owner: port
+            for owner, (via, port) in signals.items()
+            if (owner, via) != (caller, withdraw_via)
+        }
+        assert {rule.owner_asn: rule.src_port for rule in stellar.active_rules()} == expected
+        assert stellar.installed_rule_count() == len(expected)
+        # The route server holds the BGP signals that are left, and the
+        # controller holds every one of them.
+        prefix = Prefix.parse(self.PREFIX)
+        held = stellar.route_server.rib.routes_for(prefix)
+        assert sorted(route.attributes.origin_asn for route in held) == sorted(
+            owner for owner in expected if signals[owner][0] == "bgp"
+        )
+        controller_routes = stellar.controller.rib.routes_for(prefix)
+        assert all(route in controller_routes for route in held)
+
+    @pytest.mark.parametrize("via", SIGNAL_PATHS)
+    def test_withdrawal_without_a_signal_changes_nothing(self, via):
+        stellar, signals = self._signal_both("bgp", "api")
+        stellar.withdraw_mitigation(VICTIM_ASN, "100.10.10.11/32", via=via)
+        stellar.advance(now=2.0)
+        assert stellar.installed_rule_count() == 2
+        assert len(stellar.active_rules()) == 2
+
+    @pytest.mark.parametrize("via", SIGNAL_PATHS)
+    def test_a_withdrawn_signal_can_be_sent_again(self, via):
+        stellar, victim, peers = build_stellar()
+        rule = BlackholingRule.drop_udp_source_port(VICTIM_ASN, self.PREFIX, 123)
+        stellar.request_mitigation(rule, via=via)
+        stellar.advance(now=1.0)
+        stellar.withdraw_mitigation(VICTIM_ASN, self.PREFIX, via=via)
+        stellar.advance(now=2.0)
+        assert stellar.installed_rule_count() == 0
+        stellar.request_mitigation(
+            BlackholingRule.drop_udp_source_port(VICTIM_ASN, self.PREFIX, 123), via=via
+        )
+        stellar.advance(now=3.0)
+        assert [rule.src_port for rule in stellar.active_rules()] == [123]
+        assert stellar.installed_rule_count() == 1
+
+    def test_api_withdrawal_removes_all_of_the_callers_api_rules_for_the_prefix(self):
+        stellar, victim, peers = build_stellar()
+        for port in (123, 53, 11211):
+            stellar.request_mitigation(
+                BlackholingRule.drop_udp_source_port(VICTIM_ASN, self.PREFIX, port), via="api"
+            )
+        other_prefix = "100.10.10.11/32"
+        stellar.request_mitigation(
+            BlackholingRule.drop_udp_source_port(VICTIM_ASN, other_prefix, 123), via="api"
+        )
+        stellar.advance(now=1.0)
+        assert stellar.installed_rule_count() == 4
+        stellar.withdraw_mitigation(VICTIM_ASN, self.PREFIX, via="api")
+        stellar.advance(now=2.0)
+        assert [str(rule.dst_prefix) for rule in stellar.active_rules()] == [other_prefix]
+        assert stellar.installed_rule_count() == 1
+
+
+class TestPredefinedSignalling:
+    """The portal's predefined rules, referenced by id from a BGP signal."""
+
+    PREFIX = f"{VICTIM_IP}/32"
+
+    @pytest.mark.parametrize("rule_id", sorted(ixp_shared_templates()))
+    def test_each_shared_template_installs_the_rule_it_describes(self, rule_id):
+        template = ixp_shared_templates()[rule_id]
+        stellar, victim, peers = build_stellar()
+        result = stellar.request_predefined_mitigation(VICTIM_ASN, self.PREFIX, rule_id)
+        assert result.accepted and result.via == "bgp"
+        stellar.advance(now=1.0)
+        (rule,) = stellar.active_rules()
+        assert rule.owner_asn == VICTIM_ASN
+        assert str(rule.dst_prefix) == self.PREFIX
+        assert (rule.action, rule.protocol, rule.src_port, rule.dst_port) == (
+            template.action,
+            template.protocol,
+            template.src_port,
+            template.dst_port,
+        )
+        assert stellar.installed_rule_count() == 1
+
+    def _custom_rule(self, stellar):
+        return stellar.controller.portal.define_custom_rule(
+            VICTIM_ASN, RuleTemplate(name="drop-tcp-80", protocol=IpProtocol.TCP, dst_port=80)
+        )
+
+    def test_a_custom_rule_is_signalled_by_its_owner(self):
+        stellar, victim, peers = build_stellar()
+        rule_id = self._custom_rule(stellar)
+        assert stellar.request_predefined_mitigation(VICTIM_ASN, self.PREFIX, rule_id).accepted
+        stellar.advance(now=1.0)
+        (rule,) = stellar.active_rules()
+        assert (rule.protocol, rule.dst_port) == (IpProtocol.TCP, 80)
+        assert stellar.installed_rule_count() == 1
+
+    def test_another_member_cannot_signal_a_custom_rule(self):
+        stellar, victim, peers = build_stellar()
+        rule_id = self._custom_rule(stellar)
+        with pytest.raises(PermissionError):
+            stellar.request_predefined_mitigation(peers[0].asn, self.PREFIX, rule_id)
+        stellar.advance(now=1.0)
+        assert stellar.active_rules() == []
+        assert stellar.installed_rule_count() == 0
+
+    def test_a_removed_custom_rule_can_no_longer_be_signalled(self):
+        stellar, victim, peers = build_stellar()
+        rule_id = self._custom_rule(stellar)
+        assert stellar.controller.portal.remove_custom_rule(VICTIM_ASN, rule_id)
+        with pytest.raises(KeyError):
+            stellar.request_predefined_mitigation(VICTIM_ASN, self.PREFIX, rule_id)
+        assert stellar.active_rules() == []
+
 
 class TestStellarDataPlane:
     def test_drop_rule_filters_attack_but_not_benign(self):
@@ -287,6 +450,27 @@ class TestStellarDataPlane:
         assert request.rules[0].match.src_port == 44
         assert response.status == "applied"
         assert stellar.installed_rule_count() == 44
+
+    def test_a_signal_the_tcam_cannot_hold_resolves_as_an_error(self):
+        # Three L3-L4 criteria fit: one UDP source-port rule (prefix,
+        # protocol, port) and not a second.
+        tiny = HardwareProfile(
+            name="tiny", port_count=4, mac_filter_capacity=2, l3l4_criteria_capacity=3
+        )
+        fabric = SwitchingFabric()
+        fabric.add_edge_router(EdgeRouter("er-1", profile=tiny))
+        stellar = Stellar(ixp_asn=IXP_ASN, fabric=fabric)
+        stellar.add_member(IxpMember(asn=VICTIM_ASN, prefixes=["100.10.10.0/24"]))
+        for host, port in (("100.10.10.10", 123), ("100.10.10.11", 53)):
+            stellar.request_mitigation(
+                BlackholingRule.drop_udp_source_port(VICTIM_ASN, f"{host}/32", port)
+            )
+        responses = [response for _, response in stellar.advance(now=1.0)]
+        assert [(r.status, r.reason) for r in responses] == [
+            ("applied", ""),
+            ("error", "tcam-exhausted"),
+        ]
+        assert stellar.installed_rule_count() == 1
 
     def test_rule_change_queue_throttles_deployment(self):
         # The paper's change queue: a burst of 10, then 4.33 changes/s.

@@ -174,3 +174,42 @@ def test_internal_links_resolve(doc):
                 f"{doc}: broken anchor {target} "
                 f"(known: {sorted(anchors_of(resolved))})"
             )
+
+
+def unscenarioed_mechanisms():
+    """``(mechanism, pinned-by cell)`` rows of SCENARIOS.md's table of
+    paper mechanisms that no scenario drives."""
+    text = (REPO_ROOT / "docs" / "SCENARIOS.md").read_text(encoding="utf-8")
+    section = text.split("## Mechanisms no scenario drives", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| ")]
+    cells = [[cell.strip() for cell in row.strip("|").split(" | ")] for row in rows[2:]]
+    return {github_slug(mechanism): pinned for mechanism, _code, pinned in cells}
+
+
+def defined_test_names():
+    names = set()
+    for path in (REPO_ROOT / "tests").rglob("*.py"):
+        names.update(
+            re.findall(r"^\s*(?:class|def) (\w+)", path.read_text(encoding="utf-8"), re.M)
+        )
+    return names
+
+
+@pytest.mark.parametrize("mechanism", sorted(unscenarioed_mechanisms()))
+def test_each_unscenarioed_mechanism_is_pinned_by_tests_that_exist(mechanism):
+    # The reachability ratchet allowlists these mechanisms as ``paper``
+    # because a test pins each one; a renamed or deleted test must not
+    # leave the table pointing at nothing.
+    pinned = unscenarioed_mechanisms()[mechanism]
+    names = defined_test_names()
+    tests = []
+    for token in re.findall(r"`([^`]+)`", pinned):
+        if token.startswith("tests/") and token.endswith(".py"):
+            assert (REPO_ROOT / token).is_file(), f"{mechanism}: missing {token}"
+            tests.append(token)
+            continue
+        for part in token.split("::"):
+            if part.startswith(("Test", "test_")):
+                assert part in names, f"{mechanism}: no test named {part}"
+                tests.append(part)
+    assert tests, f"{mechanism}: the table names no test"

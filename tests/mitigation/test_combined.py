@@ -92,6 +92,25 @@ class TestCombinedMitigation:
         assert combined.total_prefiltered_bits == 2 * 8_000_000
         assert combined.total_scrubbing_cost > 0
 
+    def test_most_specific_prefilter_claims_overlapping_traffic(self):
+        # Drop all UDP, but shape NTP: the NTP flow matches both rules and
+        # the more specific shaping rule wins, so a sample of it is scrubbed.
+        all_udp = BlackholingRule.drop_protocol(64500, VICTIM, IpProtocol.UDP)
+        shape_ntp = BlackholingRule.shape_udp_source_port(64500, VICTIM, 123, rate_bps=100_000.0)
+        combined = CombinedMitigation([all_udp, shape_ntp], perfect_scrubber())
+        ntp, dns = make_flow(), make_flow(src_port=53)
+        result = combined.apply_detailed(table_of(ntp, dns), interval=10.0)
+        assert result.scrubbed_bits == pytest.approx(100_000.0 * 10.0, rel=0.01)
+        assert result.prefiltered_bits == pytest.approx(
+            dns.bits + ntp.bits - 100_000.0 * 10.0, rel=0.01
+        )
+
+    def test_empty_interval_costs_nothing(self):
+        combined = CombinedMitigation([NTP_RULE], perfect_scrubber())
+        result = combined.apply_detailed(FlowTable.empty(), interval=10.0)
+        assert (result.prefiltered_bits, result.scrubbed_bits, result.scrubbing_cost) == (0, 0, 0)
+        assert len(result.outcome.delivered_table) == 0
+
     def test_invalid_interval(self):
         combined = CombinedMitigation([NTP_RULE], perfect_scrubber())
         with pytest.raises(ValueError):
@@ -127,3 +146,14 @@ class TestScrubbingCostSaving:
             scrubbing_alone=perfect_scrubber(),
         )
         assert saving["cost_saving_fraction"] == pytest.approx(0.0)
+
+    def test_empty_traffic_saves_nothing(self):
+        saving = scrubbing_cost_saving(
+            FlowTable.empty(),
+            interval=10.0,
+            prefilter_rules=[NTP_RULE],
+            scrubbing=perfect_scrubber(),
+            scrubbing_alone=perfect_scrubber(),
+        )
+        assert saving["cost_alone"] == saving["cost_combined"] == 0.0
+        assert saving["cost_saving_fraction"] == 0.0

@@ -37,6 +37,7 @@ from __future__ import annotations
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -227,3 +228,178 @@ def test_functions_are_keyed_by_qualname_at_their_first_decorator():
         "m.py:A.__init__": ("m.py", 10),
         "m.py:guarded": ("m.py", 16),
     }
+
+
+def test_async_functions_are_listed_and_lambdas_are_not():
+    source = (
+        "async def fetch():\n"
+        "    pass\n"
+        "key = lambda row: row\n"
+    )
+    assert functions_in(source, "m.py") == {"m.py:fetch": ("m.py", 1)}
+
+
+def test_functions_in_every_branch_of_a_statement_are_listed():
+    source = (
+        "try:\n"
+        "    def in_try():\n"
+        "        pass\n"
+        "except ImportError:\n"
+        "    def in_handler():\n"
+        "        pass\n"
+        "else:\n"
+        "    def in_else():\n"
+        "        pass\n"
+        "finally:\n"
+        "    def in_finally():\n"
+        "        pass\n"
+        "for _ in ():\n"
+        "    def in_loop():\n"
+        "        pass\n"
+    )
+    assert sorted(functions_in(source, "m.py")) == [
+        "m.py:in_else",
+        "m.py:in_finally",
+        "m.py:in_handler",
+        "m.py:in_loop",
+        "m.py:in_try",
+    ]
+
+
+def test_a_name_defined_twice_is_refused():
+    source = (
+        "if flag:\n"
+        "    def pick():\n"
+        "        pass\n"
+        "else:\n"
+        "    def pick():\n"
+        "        pass\n"
+    )
+    with pytest.raises(ValueError, match="m.py:pick is defined twice"):
+        functions_in(source, "m.py")
+
+
+def test_a_class_inside_a_function_is_keyed_through_locals():
+    source = (
+        "def factory():\n"
+        "    class Local:\n"
+        "        def method(self):\n"
+        "            pass\n"
+        "    return Local\n"
+    )
+    assert functions_in(source, "m.py") == {
+        "m.py:factory": ("m.py", 1),
+        "m.py:factory.<locals>.Local.method": ("m.py", 3),
+    }
+
+
+def test_stacked_decorators_key_the_first_line_of_the_first_one():
+    source = (
+        "import functools\n"
+        "@functools.lru_cache(\n"
+        "    maxsize=None,\n"
+        ")\n"
+        "@staticmethod\n"
+        "def cached():\n"
+        "    pass\n"
+    )
+    assert functions_in(source, "m.py") == {"m.py:cached": ("m.py", 2)}
+
+
+def test_dunders_and_abstract_methods_are_out_of_scope():
+    source = (
+        "from abc import abstractmethod\n"
+        "class Rule:\n"
+        "    def __post_init__(self):\n"
+        "        pass\n"
+        "    def __eq__(self, other):\n"
+        "        return True\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "    @abstractmethod\n"
+        "    def apply(self):\n"
+        "        pass\n"
+        "    def _private(self):\n"
+        "        pass\n"
+    )
+    assert sorted(functions_in(source, "m.py")) == [
+        "m.py:Rule.__post_init__",
+        "m.py:Rule._private",
+    ]
+
+
+def test_defined_functions_key_by_package_path_and_skip_lint(tmp_path):
+    (tmp_path / "core").mkdir()
+    (tmp_path / "lint").mkdir()
+    (tmp_path / "core" / "rules.py").write_text("def build():\n    pass\n")
+    (tmp_path / "lint" / "engine.py").write_text("def check():\n    pass\n")
+    (tmp_path / "top.py").write_text("\n\ndef main():\n    pass\n")
+    assert defined_functions(tmp_path) == {
+        "core/rules.py:build": ("core/rules.py", 1),
+        "top.py:main": ("top.py", 3),
+    }
+
+
+def test_ratchet_reports_every_failure_in_key_order():
+    allowlist = {
+        "a.py:used": {"tag": "paper", "reason": "no scenario drives it"},
+        "a.py:gone": {"tag": "oracle", "reason": "an oracle compares it"},
+    }
+    reached = {("a.py", 1)}
+    assert [failure.split(" ")[0] for failure in ratchet_failures(DEFINED, reached, allowlist)] == [
+        "a.py:Hook.read",
+        "a.py:dead",
+        "a.py:used",
+        "a.py:gone",
+    ]
+
+
+def test_a_location_reached_under_another_name_does_not_count():
+    # The ratchet matches (file, first line), so a call recorded in another
+    # module at the same line number leaves the function unreached.
+    reached = {("b.py", 1), ("a.py", 5), ("a.py", 9)}
+    assert ratchet_failures(DEFINED, reached, {}) == [
+        "a.py:used is reached by no entry point: delete it, or allowlist it "
+        "with one of oracle, test-hook, benchmark, worker, paper and a reason"
+    ]
+
+
+def _code_objects(code):
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, type(code)):
+            yield from _code_objects(const)
+
+
+def test_ast_keys_agree_with_the_code_objects_the_hook_records():
+    # The probe records (co_filename, co_firstlineno); the ratchet lists
+    # functions with ast.  Every in-scope function of the package must have
+    # exactly one code object with its qualname at the line ast gives it.
+    for module in sorted(PACKAGE.rglob("*.py")):
+        path = module.relative_to(PACKAGE).as_posix()
+        if path.startswith("lint/"):
+            continue
+        source = module.read_text(encoding="utf-8")
+        compiled = {
+            (code.co_qualname, code.co_firstlineno)
+            for code in _code_objects(compile(source, str(module), "exec"))
+        }
+        for key, (_, line) in functions_in(source, path).items():
+            qualname = key.split(":", 1)[1]
+            assert (qualname, line) in compiled, key
+
+
+def test_benchmark_and_oracle_reasons_cite_files_that_exist():
+    # A ``benchmark`` entry names the file under benchmarks/ that calls the
+    # function, an ``oracle`` entry the tests/oracle reference that compares
+    # against it; once that file is gone, so is the reason.
+    repo = TESTS.parent
+    prefixes = {"benchmark": "benchmarks/", "oracle": "tests/oracle/"}
+    for key, entry in load_allowlist().items():
+        prefix = prefixes.get(entry["tag"])
+        if prefix is None:
+            continue
+        cited = re.findall(rf"{prefix}[\w/]+\.py", entry["reason"])
+        assert cited, f"{key}: its reason names no {prefix} file"
+        for path in cited:
+            assert (repo / path).is_file(), f"{key}: {path} does not exist"
