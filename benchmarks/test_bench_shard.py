@@ -148,8 +148,8 @@ def test_bench_columnar_merge_10k_members(benchmark):
 
     import numpy as np
 
-    from oracle.shard import merge_interval_reports
-    from repro.ixp import columns_to_report_dict, merge_interval_columns
+    from oracle.shard import columns_to_report_dict, merge_interval_reports
+    from repro.ixp import merge_interval_columns
     from repro.ixp.fabric import MEMBER_REPORT_FIELDS
 
     member_count, shard_count = 10_000, 8

@@ -116,6 +116,14 @@ class RouteServer:
         """Register a southbound consumer fed with every accepted UPDATE."""
         self._consumers.append(consumer)
 
+    def next_path_id(self) -> int:
+        """A fresh ADD-PATH path id for a path forwarded southbound.
+
+        The signaling layer's API paths draw their ids here too, so no two
+        paths the controller holds share an id, whichever way they came.
+        """
+        return next(self._path_ids)
+
     # ------------------------------------------------------------------
     # Announcement processing
     # ------------------------------------------------------------------
@@ -155,7 +163,7 @@ class RouteServer:
             stored = RouteAnnouncement(
                 prefix=ann.prefix,
                 attributes=ann.attributes,
-                path_id=next(self._path_ids),
+                path_id=self.next_path_id(),
             )
             self.rib.add(stored)
             accepted.append(stored)
@@ -184,12 +192,21 @@ class RouteServer:
         update = UpdateMessage(sender_asn=sender, announcements=(announcement,))
         return self.receive_update(update, policy_control)[0]
 
-    def withdraw(self, prefix: Prefix, sender_asn: int) -> None:
-        """Convenience wrapper: withdraw a prefix previously announced."""
+    def withdraw(self, prefix: Prefix, sender_asn: int) -> bool:
+        """Convenience wrapper: withdraw a prefix previously announced.
+
+        Returns whether the sender held a route for the prefix (``False``
+        means the withdrawal changed nothing).
+        """
+        held = any(
+            route.attributes.neighbor_asn == sender_asn
+            for route in self.rib.routes_for(prefix)
+        )
         update = UpdateMessage(
             sender_asn=sender_asn, withdrawals=(RouteWithdrawal(prefix=prefix),)
         )
         self.receive_update(update)
+        return held
 
     # ------------------------------------------------------------------
     # Propagation

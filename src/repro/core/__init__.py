@@ -18,6 +18,7 @@ _EXPORTS = {
     "BlackholingRule": "rules",
     "RuleAction": "rules",
     "SignalingLayer": "signaling",
+    "NOTHING_WITHDRAWN": "signaling",
     "SignalRejectedError": "signaling",
     "SignalResult": "signaling",
     "Stellar": "stellar",

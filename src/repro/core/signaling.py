@@ -34,6 +34,11 @@ from .portal import CustomerPortal
 from .rules import BlackholingRule
 
 
+#: ``SignalResult.detail`` of a withdrawal that found nothing to withdraw:
+#: the member held no signal for the prefix on that path.
+NOTHING_WITHDRAWN = "nothing to withdraw"
+
+
 class SignalRejectedError(RuntimeError):
     """Raised when a signal fails validation (authorisation or policy)."""
 
@@ -66,8 +71,10 @@ class SignalingLayer:
         self.route_server.register_consumer(self.controller.process_update)
         # API signals are distinguished by synthetic ADD-PATH path ids so a
         # member can hold several concurrent rules for the same prefix (one
-        # BGP announcement can only carry one rule at a time).
-        self._api_path_ids = 1_000_000
+        # BGP announcement can only carry one rule at a time).  They come
+        # from the route server's counter, so an API path never shares its
+        # id with a route-server path: the controller matches a withdrawal
+        # by path id alone.
         #: The API path ids each (member, prefix) holds, so a withdrawal
         #: removes exactly the caller's API signals for that prefix.
         self._api_paths: dict[tuple[int, Prefix], list[int]] = {}
@@ -153,10 +160,16 @@ class SignalingLayer:
         return SignalResult(accepted=True, via="bgp", rule=rule)
 
     def withdraw_via_bgp(self, member_asn: int, prefix: "str | Prefix") -> SignalResult:
-        """Withdraw the signalling announcement (implicitly removing rules)."""
+        """Withdraw the signalling announcement (implicitly removing rules).
+
+        The result's ``detail`` is ``"withdrawn"``, or ``NOTHING_WITHDRAWN``
+        when the member announced nothing for the prefix.
+        """
         prefix = parse_prefix(prefix)
-        self.route_server.withdraw(prefix, member_asn)
-        return SignalResult(accepted=True, via="bgp", detail="withdrawn")
+        held = self.route_server.withdraw(prefix, member_asn)
+        return SignalResult(
+            accepted=True, via="bgp", detail="withdrawn" if held else NOTHING_WITHDRAWN
+        )
 
     # ------------------------------------------------------------------
     # API signalling
@@ -177,12 +190,12 @@ class SignalingLayer:
             as_path=(rule.owner_asn,),
             next_hop=f"203.0.113.{rule.owner_asn % 250 + 1}",
         ).with_extended_communities(*communities)
-        self._api_path_ids += 1
+        path_id = self.route_server.next_path_id()
         announcement = RouteAnnouncement(
-            prefix=rule.dst_prefix, attributes=attributes, path_id=self._api_path_ids
+            prefix=rule.dst_prefix, attributes=attributes, path_id=path_id
         )
         key = (rule.owner_asn, rule.dst_prefix)
-        self._api_paths.setdefault(key, []).append(self._api_path_ids)
+        self._api_paths.setdefault(key, []).append(path_id)
         self.controller.process_update(
             UpdateMessage(sender_asn=self.route_server.ixp_asn, announcements=(announcement,))
         )
@@ -193,18 +206,21 @@ class SignalingLayer:
 
         Only the member's own API paths go: its BGP-signalled rule for the
         prefix stays (the route server still holds that route), and so do
-        other members' API rules for the same prefix.
+        other members' API rules for the same prefix.  The result's
+        ``detail`` is ``"withdrawn"``, or ``NOTHING_WITHDRAWN`` when the
+        member held no API signal for the prefix.
         """
         prefix = parse_prefix(prefix)
         path_ids = self._api_paths.pop((member_asn, prefix), [])
-        if path_ids:
-            self.controller.process_update(
-                UpdateMessage(
-                    sender_asn=self.route_server.ixp_asn,
-                    withdrawals=tuple(
-                        RouteWithdrawal(prefix=prefix, path_id=path_id)
-                        for path_id in path_ids
-                    ),
-                )
+        if not path_ids:
+            return SignalResult(accepted=True, via="api", detail=NOTHING_WITHDRAWN)
+        self.controller.process_update(
+            UpdateMessage(
+                sender_asn=self.route_server.ixp_asn,
+                withdrawals=tuple(
+                    RouteWithdrawal(prefix=prefix, path_id=path_id)
+                    for path_id in path_ids
+                ),
             )
+        )
         return SignalResult(accepted=True, via="api", detail="withdrawn")

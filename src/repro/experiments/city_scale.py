@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -53,6 +52,7 @@ from ..core.rules import BlackholingRule
 from ..ixp.hardware_profiles import HardwareProfile, l_ixp_edge_router_profile
 from ..ixp.member import IxpMember, MemberPopulation
 from ..ixp.qos import QosRule
+from ..ixp.report_encoding import interval_columns_json
 from ..ixp.shard import ShardPlanner, ShardSpec, merge_interval_columns
 from ..ixp.topology import build_multi_pop_fabric, make_member_population
 from ..sim.clock import check_duration, check_interval
@@ -367,26 +367,6 @@ def _build_shard_runtime(
 # ----------------------------------------------------------------------
 # Runner
 # ----------------------------------------------------------------------
-def _digest_payload(merged: dict) -> dict:
-    """JSON-ready view of a merged columnar interval report.
-
-    Covers every number the merge carries — totals plus each member's
-    accounting and rule stats — so digest equality between two runs still
-    means every per-member value of every interval matched, exactly as
-    with the old dict-shaped payloads.
-    """
-    return {
-        "interval_start": merged["interval_start"],
-        "interval": merged["interval"],
-        "totals": merged["totals"],
-        "member_asns": merged["member_asns"].tolist(),
-        "member_fields": {
-            name: array.tolist() for name, array in merged["member_fields"].items()
-        },
-        "rule_stats": merged["rule_stats"],
-    }
-
-
 def plan_city_shards(
     config: CityScaleConfig, population: MemberPopulation
 ) -> list[ShardSpec]:
@@ -463,11 +443,7 @@ def run_city_scale_experiment(
             merged = merge_interval_columns(
                 [payload["report"] for payload in payloads]
             )
-            digest.update(
-                json.dumps(
-                    _digest_payload(merged), sort_keys=True, separators=(",", ":")
-                ).encode("utf-8")
-            )
+            digest.update(interval_columns_json(merged))
             platform_peak_bps = max(
                 platform_peak_bps, merged["totals"]["offered_bits"] / config.interval
             )

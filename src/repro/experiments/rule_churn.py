@@ -49,6 +49,7 @@ from ..core.rules import BlackholingRule
 from ..ixp.hardware_profiles import HardwareProfile, l_ixp_edge_router_profile
 from ..ixp.member import IxpMember, MemberPopulation
 from ..ixp.qos import FilterAction, FlowMatch, QosRule
+from ..ixp.report_encoding import report_json
 from ..ixp.service import (
     AppliedChange,
     ChangeRequest,
@@ -153,8 +154,8 @@ class RuleChurnResult(JsonResultMixin):
     ops_per_data_plane_call: float
     series: AttackTimeSeries
     #: SHA-256 over every interval's ``FabricIntervalReport.to_dict()``
-    #: (canonical JSON, time order) — the parity contract with the
-    #: replay oracle.
+    #: layout (canonical JSON encoded from the report's columns, time
+    #: order) — the parity contract with the replay oracle.
     report_digest: str
     #: SHA-256 over the canonical applied-change log.
     request_log_digest: str
@@ -482,11 +483,7 @@ class _IntervalAccounting:
         report = self.fabric.deliver(
             table, config.interval, interval_start=interval_start
         )
-        self.digest.update(
-            json.dumps(
-                report.to_dict(), sort_keys=True, separators=(",", ":")
-            ).encode("utf-8")
-        )
+        self.digest.update(report_json(report.to_columns()))
         victim_result = report.results_by_member.get(self.victim.asn)
         if victim_result is None:
             self.series.record(time=interval_start, delivered_mbps=0.0, peer_count=0)

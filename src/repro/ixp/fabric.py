@@ -16,6 +16,7 @@ and :class:`~repro.ixp.port.MemberPort` are built only when looked up.
 
 from __future__ import annotations
 
+import json
 import math
 from bisect import bisect_right
 from collections.abc import Mapping
@@ -31,7 +32,6 @@ from .edge_router import EdgeRouter, PortNotFoundError
 from .member import IxpMember, MemberPopulation
 from .port import MemberPort, PortCounterStore
 from .qos import PortQosResult, RuleEpoch
-from .shard import columns_to_report_dict
 
 #: Per-member bit-accounting fields carried by the columnar report view,
 #: in the order :meth:`FabricIntervalReport.to_dict` lists them.
@@ -143,9 +143,16 @@ class FabricIntervalReport:
         plus each member's bit accounting and per-rule stats — so equality
         of two reports' ``to_dict()`` is the parity contract between the
         fabric and the naive reference in ``tests/oracle`` (the fuzz suite
-        asserts it for arbitrary generated topologies and rule sets).
+        asserts it for arbitrary generated topologies and rule sets).  It
+        is the parse of :func:`~repro.ixp.report_encoding.report_json`, the
+        bytes the report digests hash, so that contract covers the encoder
+        too.
         """
-        return columns_to_report_dict(self.to_columns())
+        # Imported here: no run parses a report, so no run pays for the
+        # encoder's tables unless it digests reports itself.
+        from .report_encoding import report_json
+
+        return json.loads(report_json(self.to_columns()))
 
     def to_columns(self) -> dict:
         """Columnar view of the interval outcome, for the shard merge.
@@ -156,9 +163,8 @@ class FabricIntervalReport:
         array concatenation + one argsort instead of per-member dict
         copies.  Sparse ``rule_stats`` stay a nested dict (only members
         with claimed rules carry entries).
-        :func:`~repro.ixp.shard.columns_to_report_dict` converts back to
-        the :meth:`to_dict` shape bit-for-bit (float64 round-trips
-        exactly).
+        :func:`~repro.ixp.report_encoding.report_json` encodes them in the
+        :meth:`to_dict` layout without building it.
         """
         return {
             "interval_start": self.interval_start,

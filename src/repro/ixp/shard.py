@@ -209,29 +209,3 @@ def merge_interval_columns(payloads: Sequence[Mapping[str, Any]]) -> dict[str, A
         "member_fields": member_fields,
         "rule_stats": rule_stats,
     }
-
-
-def columns_to_report_dict(columns: Mapping[str, Any]) -> dict[str, Any]:
-    """Convert a columnar (merged) payload back to the ``to_dict()`` shape.
-
-    Bit-for-bit: float64 array values round-trip exactly through
-    ``tolist``, so converting the columnar merge of shard payloads equals
-    the dict-by-dict merge of the same shards' ``to_dict()`` payloads —
-    the parity bridge the shard tests pin, and what the city-scale
-    experiment digests.
-    """
-    asns = columns["member_asns"].tolist()
-    fields = {name: array.tolist() for name, array in columns["member_fields"].items()}
-    rule_stats = columns["rule_stats"]
-    members = {}
-    for row, asn in enumerate(asns):
-        key = str(asn)
-        member = {name: values[row] for name, values in fields.items()}
-        member["rule_stats"] = rule_stats.get(key, {})
-        members[key] = member
-    return {
-        "interval_start": columns["interval_start"],
-        "interval": columns["interval"],
-        **{key: columns["totals"][key] for key in _TOTAL_KEYS},
-        "members": members,
-    }

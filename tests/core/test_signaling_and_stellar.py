@@ -1,9 +1,12 @@
 """Integration tests for the signaling layer, telemetry and the Stellar facade."""
 
+import itertools
+
 import pytest
 
 from repro.bgp import ImportPolicy, Prefix
 from repro.core import (
+    NOTHING_WITHDRAWN,
     BlackholingRule,
     RuleTemplate,
     SignalRejectedError,
@@ -258,6 +261,51 @@ class TestWithdrawalOwnership:
         )
         stellar.advance(now=3.0)
         assert [rule.src_port for rule in stellar.active_rules()] == [123]
+        assert stellar.installed_rule_count() == 1
+
+    @pytest.mark.parametrize("via", SIGNAL_PATHS)
+    def test_a_withdrawal_says_whether_it_withdrew_anything(self, via):
+        stellar, victim, peers = build_stellar()
+        assert stellar.withdraw_mitigation(VICTIM_ASN, self.PREFIX, via=via).detail == (
+            NOTHING_WITHDRAWN
+        )
+        stellar.request_mitigation(
+            BlackholingRule.drop_udp_source_port(VICTIM_ASN, self.PREFIX, 123), via=via
+        )
+        # A signal on the other path is not one this path can withdraw.
+        other = next(path for path in SIGNAL_PATHS if path != via)
+        assert stellar.withdraw_mitigation(VICTIM_ASN, self.PREFIX, via=other).detail == (
+            NOTHING_WITHDRAWN
+        )
+        result = stellar.withdraw_mitigation(VICTIM_ASN, self.PREFIX, via=via)
+        assert (result.accepted, result.via, result.detail) == (True, via, "withdrawn")
+        assert stellar.withdraw_mitigation(VICTIM_ASN, self.PREFIX, via=via).detail == (
+            NOTHING_WITHDRAWN
+        )
+
+    def test_api_and_route_server_paths_never_share_a_path_id(self):
+        stellar, victim, peers = build_stellar()
+        # As after a million route-server announcements, where an API id
+        # space of its own starting at 1,000,001 would collide.
+        stellar.route_server._path_ids = itertools.count(1_000_001)
+        stellar.request_mitigation(
+            BlackholingRule.drop_udp_source_port(VICTIM_ASN, self.PREFIX, 123), via="api"
+        )
+        peer = peers[0].asn
+        stellar.request_mitigation(
+            BlackholingRule.drop_udp_source_port(peer, self.PREFIX, 53), via="bgp"
+        )
+        stellar.advance(now=1.0)
+        prefix = Prefix.parse(self.PREFIX)
+        path_ids = [route.path_id for route in stellar.controller.rib.routes_for(prefix)]
+        assert len(set(path_ids)) == len(path_ids) == 2
+        # The route server's withdrawal of the peer's signal leaves the
+        # victim's API rule active.
+        stellar.withdraw_mitigation(peer, self.PREFIX, via="bgp")
+        stellar.advance(now=2.0)
+        assert [(rule.owner_asn, rule.src_port) for rule in stellar.active_rules()] == [
+            (VICTIM_ASN, 123)
+        ]
         assert stellar.installed_rule_count() == 1
 
     def test_api_withdrawal_removes_all_of_the_callers_api_rules_for_the_prefix(self):

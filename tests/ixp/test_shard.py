@@ -10,11 +10,10 @@ losslessly into the platform report (merge).
 import numpy as np
 import pytest
 
-from oracle.shard import merge_interval_reports
+from oracle.shard import columns_to_report_dict, merge_interval_reports
 from repro.ixp import (
     ShardPlanner,
     build_multi_pop_fabric,
-    columns_to_report_dict,
     make_member_population,
     merge_interval_columns,
 )
@@ -265,8 +264,7 @@ class TestMergeIntervalColumns:
 class TestColumnsRoundtrip:
     def test_real_report_to_columns_bridges_to_to_dict(self):
         # A delivered interval's columnar view converts back to the exact
-        # to_dict() payload — the bit-for-bit contract the sharded runner
-        # digests rely on.
+        # to_dict() payload, which is the parse of the encoder's bytes.
         fabric, members = make_platform(member_count=12, pop_count=2, seed=3)
         rng = make_rng(7)
         n = 800
