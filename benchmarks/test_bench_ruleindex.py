@@ -13,9 +13,9 @@ installed rule count.
   1 000-rule policy on a same-sized interval.
 * ``test_bench_rule_count_scaling`` prints the cost curve over the rule
   count and asserts 30 000 rules cost at most 3× what 1 000 do.
-* ``test_bench_incremental_install_latency`` times absorbing one install,
-  and one 16-rule ``install_many`` span, through the change journal
-  against a full compile, and asserts both win ≥10× at 12 000 rules.
+* ``test_bench_install_latency`` records what one install costs once the
+  port's next classification has compiled its index (from scratch, after
+  every change) at 1 000, 12 000 and 30 000 rules; it asserts nothing.
 
 Functional parity with the naive reference in ``tests/oracle`` (verdicts,
 rule_stats, precedence) is pinned in ``tests/ixp/test_ruleindex.py``;
@@ -46,11 +46,6 @@ BASELINE_RULES = 1_000
 #: Largest allowed cost ratio against :data:`BASELINE_RULES` (measured
 #: ~1.4× at 30 000 rules).
 MAX_SCALING = 3.0
-
-#: Rules in the install-latency bench's coalesced span: one
-#: ``install_many`` batch kept as journal deltas (under the policy's
-#: ``_BATCH_DELTA_LIMIT``), so ``compiled_index()`` patches it.
-SPAN_RULES = 16
 
 
 def build_policy(rule_count: int) -> PortQosPolicy:
@@ -208,166 +203,59 @@ def test_bench_rule_count_scaling(benchmark):
     )
 
 
-def test_bench_incremental_install_latency(benchmark):
-    """Rule-install latency: journal-patched snapshots vs full recompiles.
+def test_bench_install_latency(benchmark):
+    """Rule-install latency: one install plus the compile it triggers.
 
-    Before the incremental compile, every mutation paid a from-scratch
-    ``RuleMatchIndex`` build on the next classification — O(rules) Python
-    work per install.  The delta path splices one signature group, so the
-    cost of absorbing a single install must stay roughly flat while the
-    full compile grows with the rule count.  Asserts the >= 10x win at
-    12 000 rules and records the 1k/12k/30k trajectory in
-    ``BENCH_ruleindex.json`` (merged into the classification record).
-
-    The span row does the same for a coalesced batch: a
-    :data:`SPAN_RULES`-rule ``install_many`` at 12 000 rules, absorbed by
-    one ``compiled_index()`` call (one journal span, one
-    ``RuleMatchIndex.with_changes`` pass), must also beat the full
-    compile >= 10x.
+    Any change to a port's rules makes its next classification compile
+    the whole index from scratch, so this grows with the rule count.
+    Records the 1k/12k/30k trajectory in ``BENCH_ruleindex.json`` (merged
+    into the classification record).
     """
     import json
     import os
     from pathlib import Path
 
     from repro.bgp import Prefix
-    from repro.ixp import FilterAction, FlowMatch, QosRule, RuleMatchIndex
-    from repro.ixp.qos import _BATCH_DELTA_LIMIT
+    from repro.ixp import FilterAction, FlowMatch, QosRule
     from repro.traffic.packet import IpProtocol
 
-    assert SPAN_RULES <= _BATCH_DELTA_LIMIT  # journalled, not re-sorted
+    def hot_rule(i: int) -> QosRule:
+        return QosRule(
+            match=FlowMatch(
+                dst_prefix=Prefix.parse(f"172.16.{i // 256}.{i % 256}/32"),
+                protocol=IpProtocol.UDP,
+                src_port=123,
+            ),
+            action=FilterAction.DROP,
+            rule_id=f"hot-{i}",
+        )
 
     counts = (1_000, 12_000, 30_000)
     installs = 16
     points = []
-    span_seconds = float("inf")
     for rule_count in counts:
         policy = build_policy(rule_count)
-        policy.compiled_index()  # warm snapshot: installs below patch it
-        fresh = [
-            QosRule(
-                match=FlowMatch(
-                    dst_prefix=Prefix.parse(f"172.16.{i // 256}.{i % 256}/32"),
-                    protocol=IpProtocol.UDP,
-                    src_port=123,
-                ),
-                action=FilterAction.DROP,
-                rule_id=f"hot-{i}",
-            )
-            for i in range(installs)
-        ]
+        policy.compiled_index()
         start = time.perf_counter()
-        for rule in fresh:
-            policy.install(rule)
+        for i in range(installs):
+            policy.install(hot_rule(i))
             policy.compiled_index()
-        incremental_seconds = (time.perf_counter() - start) / installs
-
-        if rule_count == 12_000:
-            for attempt in range(3):
-                batch = [
-                    QosRule(
-                        match=FlowMatch(
-                            dst_prefix=Prefix.parse(f"172.17.{attempt}.{i}/32"),
-                            protocol=IpProtocol.UDP,
-                            src_port=53,
-                        ),
-                        action=FilterAction.DROP,
-                        rule_id=f"span-{attempt}-{i}",
-                    )
-                    for i in range(SPAN_RULES)
-                ]
-                start = time.perf_counter()
-                policy.install_many(batch)
-                policy.compiled_index()
-                span_seconds = min(span_seconds, time.perf_counter() - start)
-
-        # What each of those installs used to cost: a from-scratch
-        # compile of the now-current rule list.
-        rules = policy.sorted_rules()
-        full_seconds = float("inf")
-        for _ in range(2):
-            start = time.perf_counter()
-            RuleMatchIndex(rules)
-            full_seconds = min(full_seconds, time.perf_counter() - start)
-
-        points.append((rule_count, incremental_seconds, full_seconds))
-
-    # The patched snapshot is the compile, structurally (spot-check at
-    # the smallest size; the fuzz suite pins it exhaustively).
-    check = build_policy(counts[0])
-    check.compiled_index()
-    check.install(fresh[0])
-    assert (
-        check.compiled_index().structure()
-        == RuleMatchIndex(check.sorted_rules()).structure()
-    )
+        points.append((rule_count, (time.perf_counter() - start) / installs))
 
     def hot_install():
-        policy.install(
-            QosRule(
-                match=FlowMatch(
-                    dst_prefix=Prefix.parse("172.31.0.1/32"),
-                    protocol=IpProtocol.UDP,
-                    src_port=123,
-                ),
-                action=FilterAction.DROP,
-                rule_id="hot-bench",
-            )
-        )
+        policy.install(hot_rule(installs))
         policy.compiled_index()
 
     benchmark.pedantic(hot_install, rounds=1)
 
-    rows = [("rules", "incremental [ms]", "full compile [ms]", "speedup")]
-    trajectory = []
-    for rule_count, incremental_seconds, full_seconds in points:
-        speedup = full_seconds / incremental_seconds
-        rows.append(
-            (
-                str(rule_count),
-                f"{incremental_seconds * 1e3:.3f}",
-                f"{full_seconds * 1e3:.1f}",
-                f"{speedup:.0f}x",
-            )
-        )
-        trajectory.append(
-            {
-                "rule_count": rule_count,
-                "incremental_install_seconds": incremental_seconds,
-                "full_compile_seconds": full_seconds,
-                "speedup": speedup,
-            }
-        )
-    full_at_12k = next(point[2] for point in points if point[0] == 12_000)
-    span_speedup = full_at_12k / span_seconds
-    rows.append(
-        (
-            f"12000, {SPAN_RULES}-rule span",
-            f"{span_seconds * 1e3:.3f}",
-            f"{full_at_12k * 1e3:.1f}",
-            f"{span_speedup:.0f}x",
-        )
-    )
-    print_table("Install latency: incremental snapshot patch vs full compile", rows)
+    rows = [("rules", "install + compile [ms]")]
+    rows += [(str(rule_count), f"{seconds * 1e3:.2f}") for rule_count, seconds in points]
+    print_table("Install latency: one install, then the next compile", rows)
 
     # Merge into the classification record rather than clobbering it.
     path = Path(os.environ.get("BENCH_OUTPUT_DIR", ".")) / "BENCH_ruleindex.json"
     payload = json.loads(path.read_text()) if path.exists() else {}
-    payload["install_latency"] = trajectory
-    payload["span_install_latency"] = {
-        "rule_count": 12_000,
-        "span_rules": SPAN_RULES,
-        "span_seconds": span_seconds,
-        "full_compile_seconds": full_at_12k,
-        "speedup": span_speedup,
-    }
+    payload["install_latency"] = [
+        {"rule_count": rule_count, "install_seconds": seconds} for rule_count, seconds in points
+    ]
     write_bench_json("ruleindex", payload)
-
-    at_12k = next(point for point in trajectory if point["rule_count"] == 12_000)
-    assert at_12k["speedup"] >= 10.0, (
-        f"expected >= 10x incremental install win at 12k rules, "
-        f"got {at_12k['speedup']:.1f}x"
-    )
-    assert span_speedup >= 10.0, (
-        f"expected >= 10x win absorbing a {SPAN_RULES}-rule span at 12k rules, "
-        f"got {span_speedup:.1f}x"
-    )

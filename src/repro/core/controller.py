@@ -20,7 +20,10 @@ The controller is the heart of Stellar's management layer (paper §4.4):
   service rejects with a ``retry_after`` (the member's change budget or
   a full lane) is not taken into the active rule set, so the diff sends
   it again once that time has passed (:meth:`retry_due`); a change
-  refused for good (an unknown member) is reported once.
+  refused for good (an unknown member) is reported once.  An install the
+  router's TCAM cannot hold leaves the active rule set when the service
+  resolves it (:meth:`apply_resolutions`), so the next diff sends it
+  again.
 
 The controller is *passive*: it never announces routes itself.
 """
@@ -254,6 +257,22 @@ class BlackholingController:
         if any(now >= at - _EPS for at in self._retry_at.values()):
             return self._reconcile()
         return []
+
+    def apply_resolutions(
+        self, resolutions: list[tuple[ChangeRequest, ServiceResponse]]
+    ) -> None:
+        """Drop the installs the TCAM refused from the active rule set.
+
+        A refused replacement has taken the old rule off the port too
+        (as a sequential install does), so the key holds no rule at all.
+        """
+        for request, response in resolutions:
+            if response.reason != "tcam-exhausted":
+                continue
+            refused = request.rules
+            for key, rule in list(self._active_rules.items()):
+                if rule.owner_asn == request.member_asn and rule.to_qos_rule() in refused:
+                    del self._active_rules[key]
 
     def take_rejections(self) -> list[tuple[ChangeRequest, ServiceResponse]]:
         """The requests the service rejected at enqueue since the last call."""

@@ -179,12 +179,14 @@ class Stellar:
         First sends again the rejected changes whose ``retry_after`` has
         passed.  Returns the enqueue rejections since the last call, then
         the service's resolutions up to ``now`` (the current time if
-        omitted).
+        omitted), which the controller learns from first.
         """
         if now is not None:
             self.advance_to(now)
         self.controller.retry_due()
-        return self.controller.take_rejections() + self.service.advance(self._now)
+        resolutions = self.service.advance(self._now)
+        self.controller.apply_resolutions(resolutions)
+        return self.controller.take_rejections() + resolutions
 
     def deliver_traffic(
         self,

@@ -45,17 +45,11 @@ from ..traffic.packet import IpProtocol
 from .queues import RateLimiter
 from .ruleindex import RuleMatchIndex
 
-#: Journal entries kept between compiles.  A cached index older than the
-#: journal's reach is recompiled from scratch; 64 entries comfortably
-#: covers the control-plane service's per-drain churn while bounding how
-#: many splices one :meth:`PortQosPolicy.compiled_index` call can replay.
-_JOURNAL_LIMIT = 64
-
-#: Largest :meth:`PortQosPolicy.install_many` batch maintained as splices.
-#: Past this, one full re-sort + recompile is cheaper than per-rule
-#: insertion — the staging path for tens of thousands of rules keeps its
-#: O(R log R) bulk behaviour.
-_BATCH_DELTA_LIMIT = 32
+#: Largest :meth:`PortQosPolicy.install_many` batch bisected into the
+#: sorted view one rule at a time.  Past this, one stable re-sort is
+#: cheaper than per-rule insertion — the staging path for tens of
+#: thousands of rules keeps its O(R log R) bulk behaviour.
+_SPLICE_BATCH_LIMIT = 32
 
 
 class FilterAction(Enum):
@@ -307,17 +301,6 @@ class PortQosPolicy:
         #: Monotonic rule-set version; every mutation bumps it, and the
         #: compiled index / fabric delivery plan caches key off it.
         self._version = 0
-        #: Change journal between versions: ``(version_after, deltas)``
-        #: entries where each delta is ``("install", rule, rank)`` or
-        #: ``("remove", rule_id, rank)`` against the sorted order at the
-        #: time the delta was recorded.  :meth:`compiled_index` replays it
-        #: to patch the previous cached snapshot forward instead of
-        #: recompiling; a full re-sort (or overflow past the journal
-        #: limit) resets it and the next compile falls back to scratch.
-        self._journal: list[tuple[int, tuple]] = []
-        #: Lowest version a cached index may hold and still be patched
-        #: forward by replaying the journal.
-        self._journal_base = 0
         self._index: Optional[RuleMatchIndex] = None
         self._index_version = -1
         self._action_codes: Optional[np.ndarray] = None
@@ -337,20 +320,12 @@ class PortQosPolicy:
         self._action_codes = None
         self._rule_id_codes = None
 
-    def _record(self, deltas: list[tuple]) -> None:
-        """Journal the deltas that produced the current version."""
-        self._journal.append((self._version, tuple(deltas)))
-        while len(self._journal) > _JOURNAL_LIMIT:
-            del self._journal[0]
-            self._journal_base = self._journal[0][0] - 1
-
-    def _insert_sorted(self, rule: QosRule) -> int:
-        """Splice one appended rule into the sorted views; returns its rank."""
+    def _insert_sorted(self, rule: QosRule) -> None:
+        """Splice one appended rule into the sorted views."""
         spec = -rule.match.specificity
         position = bisect_right(self._sorted_specs, spec)
         self._sorted_rules.insert(position, rule)
         self._sorted_specs.insert(position, spec)
-        return position
 
     def _resort(self) -> None:
         # Stable sort: ties keep installation order, so the first match in
@@ -360,10 +335,6 @@ class PortQosPolicy:
         )
         self._sorted_specs = [-rule.match.specificity for rule in self._sorted_rules]
         self._bump()
-        # A full re-sort rebuilds the order wholesale; the journal can no
-        # longer describe the change as splices, so patching restarts here.
-        self._journal = []
-        self._journal_base = self._version
 
     def _normalise(self, rule: QosRule, taken: Optional[set] = None) -> QosRule:
         """Give anonymous SHAPE rules a unique synthetic id.
@@ -395,32 +366,24 @@ class PortQosPolicy:
     def install(self, rule: QosRule) -> None:
         """Install a rule (replacing any existing rule with the same id).
 
-        Maintained as splices: the replaced rule (if any) and the new rule
-        each touch one position of the sorted views, and the change is
-        journalled so the next :meth:`compiled_index` call patches the
-        cached snapshot instead of recompiling O(rules) from scratch.
+        The replaced rule (if any) and the new rule each touch one
+        position of the sorted views, so no re-sort runs.
         """
         rule = self._normalise(rule)
-        deltas: list[tuple] = []
         if rule.rule_id and rule.rule_id in self._ids:
-            self._remove_sorted(rule.rule_id, deltas)
+            self._remove_sorted(rule.rule_id)
             self._forget(rule.rule_id)
         self._attach(rule)
-        deltas.append(("install", rule, self._insert_sorted(rule)))
+        self._insert_sorted(rule)
         self._bump()
-        self._record(deltas)
 
     def _forget(self, rule_id: str) -> None:
         """Take every rule carrying ``rule_id`` out of the install order."""
         self._rules = [rule for rule in self._rules if rule.rule_id != rule_id]
         del self._ids[rule_id]
 
-    def _remove_sorted(self, rule_id: str, deltas: list[tuple]) -> None:
-        """Splice every rule carrying ``rule_id`` out of the sorted views.
-
-        Ranks are journalled in descending order so each recorded rank is
-        valid against the sorted order the moment its delta is replayed.
-        """
+    def _remove_sorted(self, rule_id: str) -> None:
+        """Splice every rule carrying ``rule_id`` out of the sorted views."""
         ranks = [
             rank
             for rank, existing in enumerate(self._sorted_rules)
@@ -429,7 +392,6 @@ class PortQosPolicy:
         for rank in reversed(ranks):
             del self._sorted_rules[rank]
             del self._sorted_specs[rank]
-            deltas.append(("remove", rule_id, rank))
 
     def install_many(self, rules: Iterable[QosRule]) -> None:
         """Install a batch of rules with one re-sort and one version bump.
@@ -462,25 +424,22 @@ class PortQosPolicy:
             self._rules = [rule for rule in self._rules if rule.rule_id not in seen]
             for rule_id in replaced:
                 del self._ids[rule_id]
-        if len(batch) > _BATCH_DELTA_LIMIT:
+        if len(batch) > _SPLICE_BATCH_LIMIT:
             # Bulk staging: one stable sort beats thousands of splices.
-            # _resort resets the journal, so the next compile is scratch.
             for rule in batch:
                 self._attach(rule)
             self._resort()
             return
-        deltas: list[tuple] = []
         for rule_id in replaced:
-            self._remove_sorted(rule_id, deltas)
+            self._remove_sorted(rule_id)
         for rule in batch:
             self._attach(rule)
             # Sequential bisect insertion of the appended batch equals the
             # stable most-specific-first sort of the combined list: each
             # appended rule lands after every equal-specificity rule
             # already placed, exactly its stable-sort position.
-            deltas.append(("install", rule, self._insert_sorted(rule)))
+            self._insert_sorted(rule)
         self._bump()
-        self._record(deltas)
 
     def remove(self, rule_id: str) -> bool:
         """Remove the rule with the given id.  Returns True if found.
@@ -492,11 +451,9 @@ class PortQosPolicy:
         """
         if rule_id not in self._ids:
             return False
-        deltas: list[tuple] = []
-        self._remove_sorted(rule_id, deltas)
+        self._remove_sorted(rule_id)
         self._forget(rule_id)
         self._bump()
-        self._record(deltas)
         return True
 
     def rules(self) -> list[QosRule]:
@@ -537,9 +494,6 @@ class PortQosPolicy:
         self._sorted_rules.clear()
         self._sorted_specs.clear()
         self._bump()
-        # Cheaper to compile the empty set than to replay N removals.
-        self._journal = []
-        self._journal_base = self._version
 
     def __len__(self) -> int:
         return len(self._rules)
@@ -561,27 +515,10 @@ class PortQosPolicy:
     def compiled_index(self) -> RuleMatchIndex:
         """The rule-match index for the current rule set (cached per version).
 
-        When the change journal still covers the cached snapshot's
-        version, every delta recorded since — one span, however many
-        versions and coalesced batches it crosses — is applied in one
-        :meth:`~repro.ixp.ruleindex.RuleMatchIndex.with_changes` pass
-        instead of recompiling the whole rule set; a re-sort, a
-        :meth:`clear` or journal overflow falls back to the from-scratch
-        compile.  Either way the result is structurally identical (the
-        fuzz suite pins it), and a span that fails to apply leaves the
-        cached snapshot as it was.
+        Any mutation since the cached index was built compiles a new one
+        from the sorted rules; a no-op :meth:`remove` or :meth:`clear`
+        bumps no version and keeps the cached index.
         """
-        if self._index is not None and self._index_version != self._version:
-            if self._index_version >= self._journal_base:
-                self._index = self._index.with_changes(
-                    delta
-                    for version_after, deltas in self._journal
-                    if version_after > self._index_version
-                    for delta in deltas
-                )
-                self._index_version = self._version
-            else:
-                self._index = None
         if self._index is None or self._index_version != self._version:
             self._index = RuleMatchIndex(self._sorted_rules)
             self._index_version = self._version

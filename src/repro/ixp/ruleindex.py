@@ -44,24 +44,14 @@ verdict-for-verdict equal to a naive first-match loop (pinned against the
 reference in ``tests/oracle`` by ``tests/ixp/test_ruleindex.py`` and the
 fuzz suite).
 
-Indexes are immutable snapshots.  :class:`~repro.ixp.qos.PortQosPolicy`
-caches one per rule-set version and, under steady churn, *derives the
-next snapshot from the previous one*: :meth:`RuleMatchIndex.with_changes`
-absorbs one span of the policy's change journal — a whole coalesced batch
-of installs and removals — in a single pass.  The span's deltas resolve
-to one old→new rank map (``np.searchsorted`` over the sorted removed and
-inserted ranks); every group's rank array is gathered through it once,
-removed entries drop out, and the span's new entries merge in at their
-``searchsorted`` positions.  The map is monotone, so no group is
-re-sorted; fallback entries are held per radix bin as a rank array plus
-a rule array, so they remap the same way.  A k-operation span therefore
-costs one vectorized O(rules) pass instead of k of them, and only its
-new rules pay the per-rule Python compile.
+Indexes are immutable snapshots with one way to build them: a compile
+of the whole rule list.  :class:`~repro.ixp.qos.PortQosPolicy` caches
+one per rule-set version, so a port whose rules changed compiles once,
+on its next classification, however many changes it took since.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
@@ -227,74 +217,24 @@ def _bin_entries(entries: "list[tuple[int, QosRule]]") -> tuple[np.ndarray, np.n
     )
 
 
-def _remapped(
-    rank_map: np.ndarray, ranks: np.ndarray, other: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``ranks`` (and the parallel ``other``) through a span's rank map.
-
-    Removed entries (mapped to ``-1``) drop out; the map is monotone, so
-    the survivors keep their order.
-    """
-    ranks = rank_map[ranks]
-    kept = ranks >= 0
-    return ranks[kept], other[kept]
-
-
-def _merged(at: np.ndarray, old: tuple, new: tuple) -> list[np.ndarray]:
-    """The parallel ``old`` arrays with entry ``i`` of the ``new`` ones
-    placed before old position ``at[i]`` (``at`` ascending)."""
-    slots = at + np.arange(len(at))
-    kept = np.ones(len(old[0]) + len(at), dtype=bool)
-    kept[slots] = False
-    merged = []
-    for old_column, new_column in zip(old, new):
-        column = np.empty(len(kept), dtype=old_column.dtype)
-        column[slots] = new_column
-        column[kept] = old_column
-        merged.append(column)
-    return merged
-
-
 class ExactGroup:
     """One exact signature group: packed keys sorted by (key, rank)."""
 
     __slots__ = ("fields", "keys", "ranks")
 
-    def __init__(self, fields: tuple[str, ...], keys: np.ndarray, ranks: np.ndarray) -> None:
-        """Adopt already-(key, rank)-sorted arrays."""
-        self.fields = fields
-        self.keys = keys
-        self.ranks = ranks
-
-    @classmethod
-    def compile(cls, fields: tuple[str, ...], entries: list[tuple[int, int]]) -> "ExactGroup":
+    def __init__(self, fields: tuple[str, ...], entries: list[tuple[int, int]]) -> None:
         """Sort ``(key, rank)`` entries into a group."""
         keys = np.fromiter((key for key, _ in entries), dtype=np.uint64, count=len(entries))
         ranks = np.fromiter((rank for _, rank in entries), dtype=np.int32, count=len(entries))
-        # Sort by key, then rank.  Duplicate keys keep every entry: the
-        # side="left" lookup in best_ranks lands on the lowest rank (the
-        # most specific / earliest-installed rule), matching what the
-        # sequential first-match loop would claim — and keeping shadowed
-        # duplicates in place is what lets a removal restore them.
+        # Sort by key, then rank.  Duplicate keys keep every entry (each
+        # rule counts in describe()): the side="left" lookup in
+        # best_ranks lands on the lowest rank (the most specific /
+        # earliest-installed rule), matching what the sequential
+        # first-match loop would claim.
         order = np.lexsort((ranks, keys))
-        return cls(fields, keys[order], ranks[order])
-
-    def patched(self, rank_map: np.ndarray, inserts: Optional[list]) -> Optional["ExactGroup"]:
-        """The group after a journal span (None once it is empty): the
-        survivors keep their (key, rank) order through the monotone rank
-        map, and the span's new ``(key, rank)`` entries merge in."""
-        ranks, keys = _remapped(rank_map, self.ranks, self.keys)
-        if inserts:
-            inserts.sort()
-            new_keys = np.array([key for key, _ in inserts], dtype=np.uint64)
-            new_ranks = np.array([rank for _, rank in inserts], dtype=np.int32)
-            at = np.searchsorted(keys, new_keys, side="left")
-            end = np.searchsorted(keys, new_keys, side="right")
-            # A key already present lands among its duplicates by rank.
-            for i in np.flatnonzero(end > at).tolist():
-                at[i] += np.searchsorted(ranks[at[i] : end[i]], new_ranks[i])
-            keys, ranks = _merged(at, (keys, ranks), (new_keys, new_ranks))
-        return ExactGroup(self.fields, keys, ranks) if len(keys) else None
+        self.fields = fields
+        self.keys = keys[order]
+        self.ranks = ranks[order]
 
     # ------------------------------------------------------------------
     def flow_keys(self, table: FlowTable) -> tuple[np.ndarray, Optional[np.ndarray]]:
@@ -346,131 +286,42 @@ class RuleMatchIndex:
     def __init__(self, rules: "Sequence[QosRule]") -> None:
         self._rules = np.fromiter(rules, dtype=object, count=len(rules))
         exact, fallback = _file(enumerate(self._rules))
-        self._exact_groups = [
-            ExactGroup.compile(fields, entries) for fields, entries in exact.items()
-        ]
+        self._exact_groups = [ExactGroup(fields, entries) for fields, entries in exact.items()]
         #: Fallback entries by radix bin (``None``: the full-table pass).
         self._fallback: dict[_Bin, tuple[np.ndarray, np.ndarray]] = {
             where: _bin_entries(entries) for where, entries in fallback.items()
         }
 
     # ------------------------------------------------------------------
-    # Persistent-snapshot deltas
+    # Edited copies
     # ------------------------------------------------------------------
-    def with_changes(self, deltas: "Iterable[tuple]") -> "RuleMatchIndex":
-        """A new snapshot with one span of the change journal applied.
-
-        ``deltas`` are the journal's ``("install", rule, rank)`` /
-        ``("remove", rule_id, rank)`` tuples in recorded order, each rank
-        against the rule list the earlier deltas left.  Every delta is
-        checked before anything is built — a rank out of range raises
-        :class:`IndexError`, a rule id that differs from the rule's at
-        that rank :class:`KeyError` — and this snapshot is never
-        modified.  The result is structurally identical to
-        ``RuleMatchIndex`` compiled from scratch over the new rule list
-        (the fuzz suite pins it).
-        """
-        size = len(self._rules)
-        gone: list[int] = []  # ranks of this snapshot removed, ascending
-        added: list[int] = []  # current ranks of the span's live installs
-        added_rules: list["QosRule"] = []
-        for kind, item, rank in deltas:
-            at = bisect_left(added, rank)
-            if kind == "install":
-                if not 0 <= rank <= size:
-                    raise IndexError(f"insert rank {rank} outside 0..{size}")
-                added[at:] = [later + 1 for later in added[at:]]
-                added.insert(at, rank)
-                added_rules.insert(at, item)
-                size += 1
-                continue
-            if not 0 <= rank < size:
-                raise IndexError(f"remove rank {rank} outside 0..{size - 1}")
-            fresh = at < len(added) and added[at] == rank
-            if fresh:
-                rule = added_rules[at]
-            else:
-                # The rule is this snapshot's (rank - at)-th survivor:
-                # step over the removed ranks at or below it.
-                old = rank - at
-                for removed in gone:
-                    if removed > old:
-                        break
-                    old += 1
-                rule = self._rules[old]
-            if rule.rule_id != item:
-                raise KeyError(f"rule at rank {rank} carries id {rule.rule_id!r}, not {item!r}")
-            if fresh:
-                del added[at], added_rules[at]
-            else:
-                insort(gone, old)
-            added[at:] = [later - 1 for later in added[at:]]
-            size -= 1
-        if not gone and not added:
-            return self
-
-        # One old -> new rank map for the whole span: a survivor's new
-        # rank is its survivor index plus the installs landing before it
-        # (install j sits after added[j] - j survivors).
-        rank_map = np.arange(len(self._rules))
-        if gone:
-            removed = np.array(gone)
-            rank_map = rank_map - np.searchsorted(removed, rank_map)
-        if added:
-            slots = np.array(added) - np.arange(len(added))
-            rank_map = rank_map + np.searchsorted(slots, rank_map, side="right")
-        rank_map = rank_map.astype(np.int32)
-        if gone:
-            rank_map[removed] = -1
-        kept = rank_map >= 0
-        rules = np.empty(size, dtype=object)
-        rules[rank_map[kept]] = self._rules[kept]
-        rules[added] = np.fromiter(added_rules, dtype=object, count=len(added))
-
-        exact_new, fallback_new = _file(zip(added, added_rules))
-        clone = object.__new__(RuleMatchIndex)
-        clone._rules = rules
-        clone._exact_groups = []
-        for group in self._exact_groups:
-            patched = group.patched(rank_map, exact_new.pop(group.fields, None))
-            if patched is not None:
-                clone._exact_groups.append(patched)
-        for fields, entries in exact_new.items():
-            clone._exact_groups.append(ExactGroup.compile(fields, entries))
-        clone._fallback = {}
-        for where, entries in self._fallback.items():
-            bin_ranks, bin_rules = _remapped(rank_map, *entries)
-            inserts = fallback_new.pop(where, None)
-            if inserts:
-                new_ranks, new_rules = _bin_entries(inserts)
-                at = np.searchsorted(bin_ranks, new_ranks)
-                bin_ranks, bin_rules = _merged(at, (bin_ranks, bin_rules), (new_ranks, new_rules))
-            if len(bin_rules):
-                clone._fallback[where] = bin_ranks, bin_rules
-        for where, entries in fallback_new.items():
-            clone._fallback[where] = _bin_entries(entries)
-        return clone
-
     def with_installed(self, rule: "QosRule", rank: Optional[int] = None) -> "RuleMatchIndex":
-        """A new snapshot with ``rule`` spliced in at sorted position ``rank``
-        (default: last) — a one-delta :meth:`with_changes`."""
+        """A new index with ``rule`` at sorted position ``rank`` (default:
+        last), compiled from scratch; this index is left as it is."""
+        rules = self._rules.tolist()
         if rank is None:
-            rank = len(self._rules)
-        return self.with_changes((("install", rule, rank),))
+            rank = len(rules)
+        if not 0 <= rank <= len(rules):
+            raise IndexError(f"insert rank {rank} outside 0..{len(rules)}")
+        rules.insert(rank, rule)
+        return RuleMatchIndex(rules)
 
     def with_removed(self, rule_id: str, rank: Optional[int] = None) -> "RuleMatchIndex":
-        """A new snapshot with the rule at sorted position ``rank`` spliced out.
-
-        ``rank`` defaults to the first rule carrying ``rule_id``; when
-        given, the rule at that rank must carry ``rule_id`` (the change
-        journal records both, so replays verify they still agree).
-        """
+        """A new index without the rule at sorted position ``rank`` (default:
+        the first carrying ``rule_id``), compiled from scratch."""
+        rules = self._rules.tolist()
         if rank is None:
-            ids = [rule.rule_id for rule in self._rules]
+            ids = [rule.rule_id for rule in rules]
             if rule_id not in ids:
                 raise KeyError(f"no rule with id {rule_id!r} in the index")
             rank = ids.index(rule_id)
-        return self.with_changes((("remove", rule_id, rank),))
+        if not 0 <= rank < len(rules):
+            raise IndexError(f"remove rank {rank} outside 0..{len(rules) - 1}")
+        found = rules[rank].rule_id
+        if found != rule_id:
+            raise KeyError(f"rule at rank {rank} carries id {found!r}, not {rule_id!r}")
+        del rules[rank]
+        return RuleMatchIndex(rules)
 
     # ------------------------------------------------------------------
     # Introspection (docs, tests, telemetry)
@@ -531,25 +382,6 @@ class RuleMatchIndex:
             "fallback_rules": self.fallback_rule_count,
             "exact_groups": self.exact_group_count,
             "fallback_groups": self.fallback_group_count,
-        }
-
-    def structure(self) -> dict[str, object]:
-        """Canonical group-by-group content, for structural-equality checks.
-
-        Group *order* is irrelevant to verdicts (the rank fold is an
-        elementwise minimum), so groups are keyed by their signature /
-        field tuple; two indexes with equal ``structure()`` compile the
-        same rule list the same way regardless of how they were built —
-        the invariant the fuzz suite holds between incrementally-derived
-        snapshots and from-scratch compiles.
-        """
-        return {
-            "rules": self._rules.tolist(),
-            "exact": {
-                group.fields: (group.keys.tolist(), group.ranks.tolist())
-                for group in self._exact_groups
-            },
-            "fallback": self._fallback_groups(),
         }
 
     # ------------------------------------------------------------------

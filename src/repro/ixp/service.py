@@ -25,11 +25,8 @@ requests against one running :class:`~repro.ixp.fabric.SwitchingFabric`:
   drained into a single :meth:`EdgeRouter.install_rules` batch: one
   ``rules_version`` bump per drained batch instead of one per rule (the
   amortization the ``rule_churn`` scenario and ``BENCH_service.json``
-  measure).  Since the incremental-compile work in
-  :mod:`~repro.ixp.ruleindex`, the per-drain index cost is small even
-  uncoalesced — small batches replay as journal deltas into the cached
-  snapshot rather than triggering a full recompile — but one bump per
-  batch still means one delivery-plan patch per drain;
+  measure), so a touched port compiles its rule index and the fabric
+  patches its delivery plan once per drain;
 * **per-member change budgets** — a member may spend at most
   ``rate × window`` configuration operations per budget window, with
   the rate backed by the noise-free CPU model; over-budget requests are

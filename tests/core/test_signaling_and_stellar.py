@@ -520,6 +520,41 @@ class TestStellarDataPlane:
         ]
         assert stellar.installed_rule_count() == 1
 
+    def test_a_rule_the_tcam_refused_leaves_the_active_rules(self):
+        # The controller lists what the data plane holds: the refused
+        # install is not active, and a later diff sends it again.
+        tiny = HardwareProfile(
+            name="tiny", port_count=4, mac_filter_capacity=2, l3l4_criteria_capacity=3
+        )
+        fabric = SwitchingFabric()
+        fabric.add_edge_router(EdgeRouter("er-1", profile=tiny))
+        stellar = Stellar(ixp_asn=IXP_ASN, fabric=fabric)
+        stellar.add_member(IxpMember(asn=VICTIM_ASN, prefixes=["100.10.10.0/24"]))
+        ntp = BlackholingRule.drop_udp_source_port(VICTIM_ASN, "100.10.10.10/32", 123)
+        dns = BlackholingRule.drop_udp_source_port(VICTIM_ASN, "100.10.10.11/32", 53)
+
+        def active_ports():
+            return sorted(rule.src_port for rule in stellar.active_rules())
+
+        def installed_ports():
+            return sorted(
+                rule.match.src_port for rule in fabric.edge_routers()[0].installed_rules()
+            )
+
+        stellar.request_mitigation(ntp)
+        stellar.request_mitigation(dns)
+        stellar.advance(now=1.0)
+        assert active_ports() == installed_ports() == [123]
+        stellar.advance(now=60.0)
+        assert active_ports() == installed_ports() == [123]
+        stellar.withdraw_mitigation(VICTIM_ASN, "100.10.10.10/32")
+        stellar.advance(now=61.0)
+        assert active_ports() == installed_ports()
+        # With the TCAM free, signalling the refused rule again installs it.
+        stellar.request_mitigation(dns)
+        stellar.advance(now=62.0)
+        assert active_ports() == installed_ports() == [53]
+
     def test_rule_change_queue_throttles_deployment(self):
         # The paper's change queue: a burst of 10, then 4.33 changes/s.
         fabric = SwitchingFabric()

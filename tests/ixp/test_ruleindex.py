@@ -562,32 +562,36 @@ class TestBulkInstall:
         assert len(router.installed_rules()) == 20
 
 
-class TestIncrementalDeltas:
-    """with_installed / with_removed vs a from-scratch compile.
+def layout(index):
+    """A compiled index's rules in rank order and its group sizes."""
+    return [rule.rule_id for rule in index._rules], index.describe()
 
-    The delta ops must be *structurally* identical to recompiling the
-    new rule list — same keys and ranks per signature group — not just
-    verdict-equal, because a mis-spliced group can hide behind rules
-    that never claim rows.
+
+class TestIncrementalDeltas:
+    """with_installed / with_removed: a scratch compile of the edited list.
+
+    Each edited copy must lay its rules out exactly as a compile of the
+    edited list does (same ranks, same groups), and leave the index it
+    was made from as it was.
     """
 
     def scratch(self, rules):
-        return RuleMatchIndex(rules).structure()
+        return layout(RuleMatchIndex(rules))
 
     def test_install_at_every_rank_matches_scratch(self):
         rules = mixed_rules()
         base = RuleMatchIndex(rules)
         newcomer = host_drop("10.1.0.77", 19, "newcomer")
         for rank in range(len(rules) + 1):
-            patched = base.with_installed(newcomer, rank)
+            edited = base.with_installed(newcomer, rank)
             expected = rules[:rank] + [newcomer] + rules[rank:]
-            assert patched.structure() == self.scratch(expected), rank
+            assert layout(edited) == self.scratch(expected), rank
 
     def test_install_default_rank_appends(self):
         rules = mixed_rules()
         newcomer = host_drop("10.1.0.77", 19, "newcomer")
-        patched = RuleMatchIndex(rules).with_installed(newcomer)
-        assert patched.structure() == self.scratch(rules + [newcomer])
+        edited = RuleMatchIndex(rules).with_installed(newcomer)
+        assert layout(edited) == self.scratch(rules + [newcomer])
 
     def test_install_fallback_rule_matches_scratch(self):
         rules = mixed_rules()
@@ -598,45 +602,52 @@ class TestIncrementalDeltas:
             rule_id="broad-dns",
         )
         for rank in (0, 3, len(rules)):
-            patched = base.with_installed(broad, rank)
+            edited = base.with_installed(broad, rank)
             expected = rules[:rank] + [broad] + rules[rank:]
-            assert patched.structure() == self.scratch(expected), rank
+            assert layout(edited) == self.scratch(expected), rank
 
     def test_remove_each_rule_matches_scratch(self):
         rules = mixed_rules()
         base = RuleMatchIndex(rules)
+        table = flow_table(seed=6)
         for rank, rule in enumerate(rules):
-            patched = base.with_removed(rule.rule_id, rank)
+            edited = base.with_removed(rule.rule_id, rank)
             expected = rules[:rank] + rules[rank + 1 :]
-            assert patched.structure() == self.scratch(expected), rule.rule_id
+            assert layout(edited) == self.scratch(expected), rule.rule_id
+            assert np.array_equal(
+                edited.assign(table), RuleMatchIndex(expected).assign(table)
+            ), rule.rule_id
 
     def test_remove_by_id_finds_rank(self):
         rules = mixed_rules()
-        patched = RuleMatchIndex(rules).with_removed("mac-peer")
+        edited = RuleMatchIndex(rules).with_removed("mac-peer")
         expected = [rule for rule in rules if rule.rule_id != "mac-peer"]
-        assert patched.structure() == self.scratch(expected)
+        assert layout(edited) == self.scratch(expected)
 
     def test_duplicate_exact_keys_survive_removal(self):
         # Two rules with an identical packed key: removing one must leave
-        # the other in the group (the compile keeps duplicates precisely
-        # so the delta ops stay splice-exact).
+        # the other in the group.
         rules = [
             host_drop("10.1.0.1", 123, "first"),
             host_drop("10.1.0.1", 123, "second"),
         ]
-        patched = RuleMatchIndex(rules).with_removed("first", 0)
-        assert patched.structure() == self.scratch([rules[1]])
+        edited = RuleMatchIndex(rules).with_removed("first", 0)
+        assert layout(edited) == self.scratch([rules[1]])
         table = flow_table(seed=6)
-        hits = patched.assign(table)
+        hits = edited.assign(table)
+        assert (hits >= 0).any()
         assert (hits[hits >= 0] == 0).all()
 
     def test_delta_ops_leave_the_base_untouched(self):
         rules = mixed_rules()
         base = RuleMatchIndex(rules)
-        before = base.structure()
+        before = layout(base)
+        table = flow_table(seed=6)
+        hits = base.assign(table)
         base.with_installed(host_drop("10.1.0.9", 53, "x"), 0)
         base.with_removed("catch-all")
-        assert base.structure() == before
+        assert layout(base) == before
+        assert np.array_equal(base.assign(table), hits)
 
     def test_chained_deltas_match_scratch(self):
         rules = mixed_rules()
@@ -650,7 +661,7 @@ class TestIncrementalDeltas:
             0,
         )
         rules.insert(0, QosRule(match=FlowMatch(dst_port=9), action=FilterAction.DROP, rule_id="chain-b"))
-        assert index.structure() == self.scratch(rules)
+        assert layout(index) == self.scratch(rules)
 
     def test_install_rank_out_of_range(self):
         base = RuleMatchIndex(mixed_rules())
@@ -670,12 +681,15 @@ class TestIncrementalDeltas:
             base.with_removed("exact-ntp", 3)
         with pytest.raises(IndexError, match="remove rank"):
             base.with_removed("exact-ntp", 99)
+        with pytest.raises(IndexError, match="remove rank"):
+            base.with_removed("exact-ntp", -1)
 
 
-def span_pool():
-    """Rules a generated span draws from: every signature kind of
-    :func:`mixed_rules`, a duplicate of one of its exact keys, a rule
-    opening a new exact group, and binned / unbinned fallback rules."""
+def edit_pool():
+    """Rules a generated edit draws from: every signature kind of
+    :func:`mixed_rules`, a duplicate of one of its exact keys under a
+    new id, a rule opening a new exact group, and binned / unbinned
+    fallback rules."""
     return mixed_rules() + [
         host_drop("10.1.0.1", 123, "dup-ntp"),  # exact-ntp's packed key
         QosRule(match=FlowMatch(src_port=1900), action=FilterAction.DROP, rule_id="ssdp"),
@@ -698,228 +712,77 @@ def span_pool():
 
 
 @st.composite
-def journal_spans(draw):
-    """``(base rules, span deltas, rules after the span)``.
-
-    Deltas carry sequential ranks, as the change journal records them;
-    a ``replace`` step is a removal followed by an install of the same
-    rule id (what ``PortQosPolicy.install`` journals for a known id).
-    """
-    pool = span_pool()
+def policy_edits(draw):
+    """``(base rules, edits)``: a sequence of ``install`` / ``install_many`` /
+    ``remove`` calls over :func:`edit_pool` (ids may repeat, so installs
+    also replace, and removes may name an id that is not installed)."""
+    pool = edit_pool()
     base = draw(st.lists(st.sampled_from(pool), max_size=10))
-    current = list(base)
-    deltas = []
-    kinds = st.sampled_from(["install", "remove", "replace"])
-    for kind in draw(st.lists(kinds, min_size=1, max_size=12)):
-        if kind == "install" or not current:
-            rule = draw(st.sampled_from(pool))
-            rank = draw(st.integers(0, len(current)))
-            current.insert(rank, rule)
-            deltas.append(("install", rule, rank))
-            continue
-        rank = draw(st.integers(0, len(current) - 1))
-        rule = current.pop(rank)
-        deltas.append(("remove", rule.rule_id, rank))
-        if kind == "replace":
-            rank = draw(st.integers(0, len(current)))
-            current.insert(rank, rule)
-            deltas.append(("install", rule, rank))
-    return base, deltas, current
-
-
-def one_at_a_time(index, deltas):
-    """The span as a chain of one-element calls."""
-    for kind, item, rank in deltas:
-        if kind == "install":
-            index = index.with_installed(item, rank)
-        else:
-            index = index.with_removed(item, rank)
-    return index
-
-
-class TestSpanDeltas:
-    """with_changes: one journal span in one pass.
-
-    Each span must be structurally equal to a from-scratch compile of
-    the resulting rule list and to the chain of one-element calls, and a
-    bad delta anywhere in it must raise the one-element call's error
-    without touching the base snapshot.
-    """
-
-    @given(journal_spans())
-    def test_span_matches_scratch_and_chain(self, case):
-        base_rules, deltas, expected = case
-        base = RuleMatchIndex(base_rules)
-        before = base.structure()
-        patched = base.with_changes(deltas)
-        scratch = RuleMatchIndex(expected)
-        assert patched.structure() == scratch.structure()
-        assert one_at_a_time(base, deltas).structure() == scratch.structure()
-        assert patched.describe() == scratch.describe()
-        assert patched.radix_binned_rule_count == scratch.radix_binned_rule_count
-        assert base.structure() == before
-
-    def test_span_empties_groups(self):
-        rules = mixed_rules()
-        base = RuleMatchIndex(rules)
-        # dstport-only is its exact group's only rule; catch-all and
-        # mac-peer are the only rules of their fallback signatures.
-        doomed = ("dstport-only", "catch-all", "mac-peer")
-        deltas, current = [], list(rules)
-        for rule_id in doomed:
-            rank = [rule.rule_id for rule in current].index(rule_id)
-            current.pop(rank)
-            deltas.append(("remove", rule_id, rank))
-        patched = base.with_changes(deltas)
-        assert patched.structure() == RuleMatchIndex(current).structure()
-        assert patched.exact_group_count == base.exact_group_count - 1
-        assert patched.fallback_group_count == base.fallback_group_count - 2
-
-    def test_span_creates_groups(self):
-        rules = mixed_rules()
-        pool = {rule.rule_id: rule for rule in span_pool()}
-        deltas = [
-            ("install", pool["ssdp"], 2),
-            ("install", pool["bin-24"], 0),
-            ("install", pool["dup-ntp"], 5),
-        ]
-        expected = list(rules)
-        for _, rule, rank in deltas:
-            expected.insert(rank, rule)
-        patched = RuleMatchIndex(rules).with_changes(deltas)
-        assert patched.structure() == RuleMatchIndex(expected).structure()
-        assert patched.exact_group_count == RuleMatchIndex(rules).exact_group_count + 1
-
-    def test_replacement_in_one_span(self):
-        rules = mixed_rules()
-        replacement = host_drop("10.1.0.60", 53, "exact-ntp")
-        deltas = [("remove", "exact-ntp", 0), ("install", replacement, 4)]
-        expected = rules[1:5] + [replacement] + rules[5:]
-        patched = RuleMatchIndex(rules).with_changes(deltas)
-        assert patched.structure() == RuleMatchIndex(expected).structure()
-
-    def test_install_then_remove_within_span(self):
-        rules = mixed_rules()
-        newcomer = host_drop("10.1.0.77", 19, "newcomer")
-        deltas = [("install", newcomer, 3), ("remove", "newcomer", 3)]
-        assert RuleMatchIndex(rules).with_changes(deltas).structure() == (
-            RuleMatchIndex(rules).structure()
-        )
-
-    def test_empty_span_returns_the_snapshot(self):
-        base = RuleMatchIndex(mixed_rules())
-        assert base.with_changes(()) is base
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            ("remove", "exact-ntp", 99),  # rank past the end
-            ("install", "x", 42),  # insert rank past the end
-            ("install", "x", -1),
-            ("remove", "exact-ntp", 0),  # rank 0 now holds "first"
-            ("remove", "first", 1),  # rank 1 holds exact-ntp
-        ],
+    pick = st.sampled_from(pool)
+    edit = st.one_of(
+        st.tuples(st.just("install"), pick),
+        st.tuples(st.just("install_many"), st.lists(pick, max_size=5)),
+        st.tuples(st.just("remove"), pick.map(lambda rule: rule.rule_id)),
     )
-    def test_mid_span_error_matches_one_element_call(self, bad):
-        rules = mixed_rules()
-        base = RuleMatchIndex(rules)
-        before = base.structure()
-        head = [("install", host_drop("10.1.0.70", 19, "first"), 0), ("remove", "catch-all", 8)]
-        tail = [("install", host_drop("10.1.0.71", 19, "later"), 0)]
-        if bad[0] == "install":
-            bad = ("install", host_drop("10.1.0.72", 19, "bad"), bad[2])
-        with pytest.raises((IndexError, KeyError)) as expected:
-            one_at_a_time(one_at_a_time(base, head), [bad])
-        with pytest.raises(expected.type) as raised:
-            base.with_changes(head + [bad] + tail)
-        assert str(raised.value) == str(expected.value)
-        assert base.structure() == before
-
-    def test_failed_span_leaves_the_cached_index(self):
-        policy = make_policy()
-        cached = policy.compiled_index()
-        version = policy.rules_version
-        policy.install(host_drop("10.1.0.80", 19, "fine"))
-        # Corrupt the newest journal entry with a delta whose id cannot
-        # match: the patch must fail before the cache is replaced.
-        version_after, deltas = policy._journal[-1]
-        policy._journal[-1] = (version_after, deltas + (("remove", "ghost", 0),))
-        with pytest.raises(KeyError, match="carries id"):
-            policy.compiled_index()
-        assert policy._index is cached
-        assert policy._index_version == version
+    return base, draw(st.lists(edit, min_size=1, max_size=12))
 
 
-class TestJournalledCompile:
-    """PortQosPolicy.compiled_index() patches the cached snapshot."""
+class TestCompiledIndexCache:
+    """PortQosPolicy.compiled_index() compiles the sorted rules once per version."""
 
-    def scratch(self, policy):
-        return RuleMatchIndex(policy.sorted_rules()).structure()
-
-    def test_single_mutations_patch_the_snapshot(self):
-        policy = make_policy()
-        assert policy.compiled_index().structure() == self.scratch(policy)
-        policy.install(host_drop("10.1.0.50", 19, "late"))
-        assert policy.compiled_index().structure() == self.scratch(policy)
-        policy.remove("prefix-ntp")
-        assert policy.compiled_index().structure() == self.scratch(policy)
-        policy.install(host_drop("10.1.0.1", 123, "exact-ntp"))  # replace
-        assert policy.compiled_index().structure() == self.scratch(policy)
-
-    def test_batch_below_limit_journals_deltas(self):
-        policy = make_policy()
-        policy.compiled_index()
-        batch = [host_drop(f"10.1.1.{i}", 53, f"b{i}") for i in range(5)]
-        policy.install_many(batch)
-        assert policy.compiled_index().structure() == self.scratch(policy)
-
-    def test_large_batch_falls_back_to_full_compile(self):
-        from repro.ixp.qos import _BATCH_DELTA_LIMIT
-
-        policy = make_policy()
-        policy.compiled_index()
-        batch = [
-            host_drop(f"10.1.{i // 200}.{i % 200}", 53, f"big{i}")
-            for i in range(_BATCH_DELTA_LIMIT + 1)
-        ]
-        policy.install_many(batch)
-        assert policy.compiled_index().structure() == self.scratch(policy)
-
-    def test_truncated_journal_falls_back_to_full_compile(self):
-        from repro.ixp.qos import _JOURNAL_LIMIT
-
-        policy = make_policy()
-        policy.compiled_index()
-        # More mutations than the journal retains, with no compile in
-        # between: the cached snapshot is older than the journal base,
-        # so compiled_index() must recompile from scratch.
-        for i in range(_JOURNAL_LIMIT + 8):
-            policy.install(host_drop(f"10.1.{i // 200}.{i % 200}", 19, f"churn{i}"))
-        assert policy.compiled_index().structure() == self.scratch(policy)
-
-    @pytest.mark.parametrize("extra, scratch_compiles", [(0, 0), (1, 1)])
-    def test_journal_limit_boundary(self, monkeypatch, extra, scratch_compiles):
-        # Exactly _JOURNAL_LIMIT journalled versions since the cached
-        # snapshot still patch it; one more falls off the journal and
-        # the next compile starts from scratch.
-        from repro.ixp.qos import _JOURNAL_LIMIT
-
-        policy = make_policy()
-        policy.compiled_index()
-        for i in range(_JOURNAL_LIMIT + extra):
-            policy.install(host_drop(f"10.1.{i // 200}.{i % 200}", 19, f"edge{i}"))
-        compiles = []
-        original = RuleMatchIndex.__init__
-
-        def counting(index, rules):
-            compiles.append(len(rules))
-            original(index, rules)
-
-        monkeypatch.setattr(RuleMatchIndex, "__init__", counting)
+    def check(self, policy, table):
         index = policy.compiled_index()
-        assert len(compiles) == scratch_compiles
-        monkeypatch.undo()
-        assert index.structure() == self.scratch(policy)
+        assert index.describe() == RuleMatchIndex(policy.sorted_rules()).describe()
+        assert np.array_equal(policy.assign_table(table), assign(policy, table))
+        return index
+
+    def test_each_mutation_recompiles(self):
+        policy = make_policy()
+        table = flow_table(seed=16)
+        previous = self.check(policy, table)
+        for mutate in (
+            lambda: policy.install(host_drop("10.1.0.50", 19, "late")),
+            lambda: policy.remove("prefix-ntp"),
+            lambda: policy.install(host_drop("10.1.0.1", 123, "exact-ntp")),  # replace
+        ):
+            mutate()
+            current = self.check(policy, table)
+            assert current is not previous
+            previous = current
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_install_many_either_side_of_the_splice_limit(self, extra):
+        # Up to the limit a batch is bisected into the sorted view; past it
+        # one stable re-sort runs.  Both must leave the order sequential
+        # installs leave.
+        from repro.ixp.qos import _SPLICE_BATCH_LIMIT
+
+        batch = [
+            host_drop(f"10.1.{i // 200}.{i % 200}", (53, 123)[i % 2], f"b{i}")
+            for i in range(_SPLICE_BATCH_LIMIT + extra - 1)
+        ] + [host_drop("10.1.0.1", 123, "exact-ntp")]  # replaces a rule
+        bulk = make_policy()
+        bulk.compiled_index()
+        bulk.install_many(batch)
+        sequential = make_policy()
+        for rule in batch:
+            sequential.install(rule)
+        assert [r.rule_id for r in bulk.sorted_rules()] == [
+            r.rule_id for r in sequential.sorted_rules()
+        ]
+        self.check(bulk, flow_table(seed=18))
+
+    def test_removing_a_duplicate_key_uncovers_the_other(self):
+        policy = make_policy(
+            [host_drop("10.1.0.1", 123, "first"), host_drop("10.1.0.1", 123, "second")]
+        )
+        table = flow_table(seed=6)
+        policy.compiled_index()
+        policy.remove("first")
+        hits = self.check(policy, table).assign(table)
+        assert (hits >= 0).any()
+        assert (hits[hits >= 0] == 0).all()
+        assert policy.sorted_rules()[0].rule_id == "second"
 
     def test_clear_resets_and_recompiles(self):
         policy = make_policy()
@@ -927,17 +790,127 @@ class TestJournalledCompile:
         policy.clear()
         index = policy.compiled_index()
         assert index.rule_count == 0
-        assert index.structure() == self.scratch(policy)
 
-    def test_patched_index_classifies_identically(self):
+    def test_warm_and_cold_caches_classify_identically(self):
         table = flow_table(seed=17)
         warm = make_policy()
-        warm.compiled_index()  # warm snapshot, mutations below patch it
+        warm.compiled_index()  # cached before the mutations below
         cold = make_policy()
         for policy in (warm, cold):
             policy.install(host_drop("10.1.0.40", 123, "late"))
             policy.remove("exact-dns")
         assert np.array_equal(warm.assign_table(table), cold.assign_table(table))
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @given(case=policy_edits())
+    def test_generated_edits_match_a_scratch_compile(self, warm, case):
+        base_rules, edits = case
+        policy = PortQosPolicy(port_capacity_bps=10e9)
+        policy.install_many(base_rules)
+        table = flow_table(n=300, seed=19)
+        for kind, item in edits:
+            if warm:
+                policy.compiled_index()
+            getattr(policy, kind)(item)
+        assert layout(policy.compiled_index()) == layout(
+            RuleMatchIndex(policy.sorted_rules())
+        )
+        assert np.array_equal(policy.assign_table(table), assign(policy, table))
+
+    def test_removing_a_signatures_last_rule_drops_its_group(self):
+        policy = make_policy()
+        before = policy.compiled_index()
+        # dstport-only is its exact group's only rule; catch-all and
+        # mac-peer are the only rules of their fallback signatures.
+        for rule_id in ("dstport-only", "catch-all", "mac-peer"):
+            policy.remove(rule_id)
+        after = self.check(policy, flow_table(seed=20))
+        assert after.exact_group_count == before.exact_group_count - 1
+        assert after.fallback_group_count == before.fallback_group_count - 2
+
+    def test_installing_a_new_signature_opens_its_group(self):
+        policy = make_policy()
+        before = policy.compiled_index()
+        policy.install_many(
+            [
+                QosRule(match=FlowMatch(src_port=1900), action=FilterAction.DROP, rule_id="ssdp"),
+                host_drop("10.1.0.1", 123, "dup-ntp"),  # an existing exact key
+            ]
+        )
+        after = self.check(policy, flow_table(seed=21))
+        assert after.exact_group_count == before.exact_group_count + 1
+        assert after.exact_rule_count == before.exact_rule_count + 2
+
+    def test_a_replacement_inside_a_batch_keeps_one_copy(self):
+        policy = make_policy()
+        policy.compiled_index()
+        replacement = host_drop("10.1.0.60", 53, "exact-ntp")
+        policy.install_many([host_drop("10.1.0.61", 19, "fresh"), replacement])
+        assert policy.rule_ids().count("exact-ntp") == 1
+        index = self.check(policy, flow_table(seed=22))
+        assert index.rule_count == len(mixed_rules()) + 1
+        expected = [rule for rule in mixed_rules() if rule.rule_id != "exact-ntp"]
+        expected += [host_drop("10.1.0.61", 19, "fresh"), replacement]
+        assert layout(index) == layout(make_policy(expected).compiled_index())
+
+    def test_install_then_remove_classifies_as_before(self):
+        policy = make_policy()
+        table = flow_table(seed=23)
+        before = layout(policy.compiled_index())
+        hits = policy.assign_table(table)
+        policy.install(host_drop("10.1.0.77", 19, "newcomer"))
+        policy.remove("newcomer")
+        assert layout(self.check(policy, table)) == before
+        assert np.array_equal(policy.assign_table(table), hits)
+
+    @pytest.mark.parametrize("no_op", ["empty-batch", "unknown-id", "clear-empty"])
+    def test_no_op_mutations_leave_the_index_warm(self, no_op):
+        policy = make_policy([] if no_op == "clear-empty" else None)
+        cached = policy.compiled_index()
+        version = policy.rules_version
+        if no_op == "empty-batch":
+            policy.install_many([])
+        elif no_op == "unknown-id":
+            assert not policy.remove("ghost")
+        else:
+            policy.clear()
+        assert policy.rules_version == version
+        assert policy.compiled_index() is cached
+
+    def test_a_batch_that_fails_to_iterate_leaves_the_cached_index(self):
+        policy = make_policy()
+        cached = policy.compiled_index()
+        version = policy.rules_version
+
+        def batch():
+            yield host_drop("10.1.0.80", 19, "fine")
+            raise RuntimeError("feed broke")
+
+        with pytest.raises(RuntimeError, match="feed broke"):
+            policy.install_many(batch())
+        assert policy.rules_version == version
+        assert "fine" not in policy.rule_ids()
+        assert policy.compiled_index() is cached
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_later_duplicates_in_a_batch_win(self, extra):
+        # Either side of the splice limit the last copy of an id is the
+        # one installed, at its own position in the batch.
+        from repro.ixp.qos import _SPLICE_BATCH_LIMIT
+
+        batch = [
+            host_drop(f"10.2.{i // 200}.{i % 200}", 53, f"d{i}")
+            for i in range(_SPLICE_BATCH_LIMIT + extra - 1)
+        ]
+        batch.insert(0, host_drop("10.2.9.9", 19, "twice"))
+        batch.append(host_drop("10.2.9.10", 123, "twice"))
+        policy = make_policy()
+        policy.compiled_index()
+        policy.install_many(batch)
+        twice = [rule for rule in policy.sorted_rules() if rule.rule_id == "twice"]
+        assert twice == [batch[-1]]
+        assert policy.rule_ids()[-1] == "twice"
+        self.check(policy, flow_table(seed=24))
 
 
 class TestRadixBinning:
@@ -1039,6 +1012,19 @@ class TestRadixBinning:
         )
         policy = make_policy(self.prefix_rules())
         assert np.array_equal(policy.assign_table(table), assign(policy, table))
+
+    def test_mutations_recompile_radix_groups(self):
+        policy = make_policy(self.prefix_rules())
+        policy.install(
+            QosRule(
+                match=FlowMatch(dst_prefix=Prefix.parse("192.0.2.0/24")),
+                action=FilterAction.DROP,
+                rule_id="dst-24b",
+            )
+        )
+        assert policy.compiled_index().radix_binned_rule_count == 5
+        policy.remove("src-16")
+        assert policy.compiled_index().radix_binned_rule_count == 4
 
     def test_deltas_recompile_radix_groups(self):
         rules = self.prefix_rules()

@@ -5,13 +5,11 @@ class PortQosPolicy:
     def __init__(self):
         self._rules = []
         self._sorted_rules = []
-        self._journal = []
         self._version = 0
 
     def _resort(self):
         self._sorted_rules = sorted(self._rules, key=repr)
         self._version += 1
-        self._journal = []
 
     def install(self, rule):
         self._rules.append(rule)
@@ -25,7 +23,7 @@ class PortQosPolicy:
         # Same bug through a list mutator call.
         self._rules.pop()
 
-    def sneaky_journal(self, delta):
-        # Journal append without a bump: compiled_index() will replay a
-        # delta the version counter never acknowledged.
-        self._journal.append((self._version, (delta,)))
+    def sneaky_splice(self, rank):
+        # A splice out of the sorted view with no bump: the cached index
+        # still classifies with the rule.
+        del self._sorted_rules[rank]

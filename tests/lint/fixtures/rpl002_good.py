@@ -6,13 +6,11 @@ class PortQosPolicy:
     def __init__(self):
         self._rules = []
         self._sorted_rules = []
-        self._journal = []
         self._version = 0
 
     def _resort(self):
         self._sorted_rules = sorted(self._rules, key=repr)
         self._version += 1
-        self._journal = []
 
     def _bump(self):
         self._version += 1
@@ -21,18 +19,10 @@ class PortQosPolicy:
         # Helper: mutates without bumping, but every caller resorts.
         self._rules.append(rule)
 
-    def _record(self, deltas):
-        # Delta-journal helper: appends without bumping, but every caller
-        # bumps before journalling (the incremental-compile pattern).
-        self._journal.append((self._version, tuple(deltas)))
-        while len(self._journal) > 4:
-            del self._journal[0]
-
     def install(self, rule):
         self._attach(rule)
         self._sorted_rules.append(rule)
         self._bump()
-        self._record([("install", rule)])
 
     def install_many(self, rules):
         for rule in rules:
@@ -45,7 +35,6 @@ class PortQosPolicy:
             return False
         self._rules = remaining
         self._bump()
-        self._record([("remove", rule_id)])
         return True
 
     def clear(self):
@@ -54,4 +43,3 @@ class PortQosPolicy:
         self._rules.clear()
         self._sorted_rules.clear()
         self._version += 1
-        self._journal = []

@@ -50,9 +50,7 @@ def test_rpl002_names_the_offending_method(lint_tree, lint_run):
     messages = [f.message for f in lint_run(root).new_findings]
     assert any("sneaky_replace" in m for m in messages)
     assert any("sneaky_pop" in m for m in messages)
-    # The change journal is a rule container: an append outside a bumping
-    # path desynchronises the deltas compiled_index() replays.
-    assert any("sneaky_journal" in m for m in messages)
+    assert any("sneaky_splice" in m for m in messages)
 
 
 def test_rpl005_flags_each_callable_shape(lint_tree, lint_run):
