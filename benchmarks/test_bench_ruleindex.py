@@ -27,7 +27,7 @@ import time
 import numpy as np
 from bench_utils import print_table, write_bench_json
 
-from repro.core.rules import BlackholingRule
+from repro.core.rules import fine_grained_set
 from repro.ixp import PortQosPolicy
 from repro.sim.rng import make_rng
 from repro.traffic import FlowTable
@@ -54,8 +54,7 @@ def build_policy(rule_count: int) -> PortQosPolicy:
     hosts = [
         f"10.{1 + (i >> 16)}.{(i >> 8) & 255}.{i & 255}" for i in range(hosts_needed)
     ]
-    rules = BlackholingRule.fine_grained_set(
-        owner_asn=VICTIM_ASN,
+    rules = fine_grained_set(
         hosts=hosts,
         source_ports=PORTS,
         count=rule_count,
@@ -63,7 +62,7 @@ def build_policy(rule_count: int) -> PortQosPolicy:
         shape_rate_bps=5e6,
     )
     policy = PortQosPolicy(port_capacity_bps=100e9)
-    policy.install_many([rule.to_qos_rule() for rule in rules])
+    policy.install_many(rules)
     return policy
 
 

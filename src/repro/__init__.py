@@ -42,7 +42,6 @@ __version__ = "1.1.0"
 #: Public name -> the submodule that defines it.
 _EXPORTS = {
     "BlackholingRule": "core.rules",
-    "RuleAction": "core.rules",
     "Stellar": "core.stellar",
 }
 

@@ -16,7 +16,7 @@ _EXPORTS = {
     "RuleTemplate": "portal",
     "ixp_shared_templates": "portal",
     "BlackholingRule": "rules",
-    "RuleAction": "rules",
+    "fine_grained_set": "rules",
     "SignalingLayer": "signaling",
     "NOTHING_WITHDRAWN": "signaling",
     "SignalRejectedError": "signaling",

@@ -41,13 +41,14 @@ paper's "single BGP announcement" requirement.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..bgp.communities import ExtendedCommunity
 from ..bgp.prefix import Prefix
+from ..ixp.qos import FilterAction, FlowMatch
 from ..traffic.packet import IpProtocol
-from .rules import BlackholingRule, RuleAction
+from .rules import BlackholingRule
 
 #: Experimental, two-octet AS specific extended community type.
 STELLAR_COMMUNITY_TYPE = 0x80
@@ -75,12 +76,14 @@ class CommunityDecodeError(ValueError):
 
 @dataclass(frozen=True)
 class DecodedSignal:
-    """The outcome of decoding a Stellar community set (before binding to a prefix)."""
+    """The outcome of decoding a Stellar community set.
 
-    action: RuleAction
-    protocol: Optional[IpProtocol]
-    src_port: Optional[int]
-    dst_port: Optional[int]
+    ``match`` has no ``dst_prefix``: the prefix comes from the NLRI the
+    communities ride on (:meth:`StellarCommunityCodec.to_rule`).
+    """
+
+    action: FilterAction
+    match: FlowMatch
     shape_rate_bps: float
     predefined_rule_id: Optional[int]
 
@@ -124,34 +127,35 @@ class StellarCommunityCodec:
         communities, so it does not appear here.
         """
         communities: set[ExtendedCommunity] = set()
+        match = rule.qos.match
 
-        if rule.src_port is not None or rule.dst_port is not None:
-            if rule.protocol not in (IpProtocol.UDP, IpProtocol.TCP):
+        if match.src_port is not None or match.dst_port is not None:
+            if match.protocol not in (IpProtocol.UDP, IpProtocol.TCP):
                 raise ValueError(
                     "port-based rules must specify protocol UDP or TCP to be "
                     "encodable as a Stellar community"
                 )
-            is_udp = rule.protocol is IpProtocol.UDP
-            if rule.src_port is not None:
+            is_udp = match.protocol == IpProtocol.UDP
+            if match.src_port is not None:
                 selector = SELECTOR_UDP_SRC_PORT if is_udp else SELECTOR_TCP_SRC_PORT
                 communities.add(
                     self._community(
-                        SUBTYPE_PORT_SELECTOR, (selector << 24) | rule.src_port
+                        SUBTYPE_PORT_SELECTOR, (selector << 24) | match.src_port
                     )
                 )
-            if rule.dst_port is not None:
+            if match.dst_port is not None:
                 selector = SELECTOR_UDP_DST_PORT if is_udp else SELECTOR_TCP_DST_PORT
                 communities.add(
                     self._community(
-                        SUBTYPE_PORT_SELECTOR, (selector << 24) | rule.dst_port
+                        SUBTYPE_PORT_SELECTOR, (selector << 24) | match.dst_port
                     )
                 )
-        elif rule.protocol is not None:
-            communities.add(self._community(SUBTYPE_PROTOCOL, int(rule.protocol)))
+        elif match.protocol is not None:
+            communities.add(self._community(SUBTYPE_PROTOCOL, int(match.protocol)))
 
-        if rule.action is RuleAction.SHAPE:
+        if rule.qos.action is FilterAction.SHAPE:
             communities.add(self._community(SUBTYPE_ACTION, ACTION_SHAPE))
-            rate_mbps = max(1, int(round(rule.shape_rate_bps / 1e6)))
+            rate_mbps = max(1, int(round(rule.qos.shape_rate_bps / 1e6)))
             communities.add(self._community(SUBTYPE_SHAPE_RATE, rate_mbps))
         # Plain DROP is the default and may be omitted; we still emit it for
         # rules with no other community so the signal is never empty.
@@ -174,7 +178,7 @@ class StellarCommunityCodec:
         if not stellar:
             raise CommunityDecodeError("no Stellar extended communities present")
 
-        action = RuleAction.DROP
+        action = FilterAction.DROP
         protocol: Optional[IpProtocol] = None
         src_port: Optional[int] = None
         dst_port: Optional[int] = None
@@ -205,14 +209,14 @@ class StellarCommunityCodec:
                     ) from exc
             elif community.subtype == SUBTYPE_ACTION:
                 if payload == ACTION_DROP:
-                    action = RuleAction.DROP
+                    action = FilterAction.DROP
                 elif payload == ACTION_SHAPE:
-                    action = RuleAction.SHAPE
+                    action = FilterAction.SHAPE
                 else:
                     raise CommunityDecodeError(f"unknown action code {payload}")
             elif community.subtype == SUBTYPE_SHAPE_RATE:
                 shape_rate_bps = float(payload) * 1e6
-                action = RuleAction.SHAPE
+                action = FilterAction.SHAPE
             elif community.subtype == SUBTYPE_PREDEFINED_RULE:
                 predefined = payload
             else:
@@ -220,13 +224,11 @@ class StellarCommunityCodec:
                     f"unknown Stellar community subtype {community.subtype:#04x}"
                 )
 
-        if action is RuleAction.SHAPE and shape_rate_bps <= 0:
+        if action is FilterAction.SHAPE and shape_rate_bps <= 0:
             raise CommunityDecodeError("shape action signalled without a rate")
         return DecodedSignal(
             action=action,
-            protocol=protocol,
-            src_port=src_port,
-            dst_port=dst_port,
+            match=FlowMatch(protocol=protocol, src_port=src_port, dst_port=dst_port),
             shape_rate_bps=shape_rate_bps,
             predefined_rule_id=predefined,
         )
@@ -246,13 +248,10 @@ class StellarCommunityCodec:
         signal = self.decode(communities)
         if signal.predefined_rule_id is not None:
             return None, signal.predefined_rule_id
-        rule = BlackholingRule(
-            owner_asn=owner_asn,
-            dst_prefix=dst_prefix,
-            action=signal.action,
-            protocol=signal.protocol,
-            src_port=signal.src_port,
-            dst_port=signal.dst_port,
-            shape_rate_bps=signal.shape_rate_bps,
+        rule = BlackholingRule.create(
+            owner_asn,
+            replace(signal.match, dst_prefix=dst_prefix),
+            signal.action,
+            signal.shape_rate_bps,
         )
         return rule, None

@@ -12,9 +12,10 @@ The controller is the heart of Stellar's management layer (paper §4.4):
   plain RTBH announcements into drop-all rules),
 * the difference against the previously active rule set yields change
   requests for the victim's egress port, which the controller enqueues on
-  the fabric's :class:`~repro.ixp.service.ControlPlaneService`: an added
-  or updated rule becomes an ``install`` (a router replaces a rule id the
-  port already holds), a withdrawn one a ``remove`` by rule id.  The
+  the fabric's :class:`~repro.ixp.service.ControlPlaneService`: a
+  withdrawn rule becomes a ``remove`` by rule id, an added or updated one
+  an ``install`` (a router replaces a rule id the port already holds),
+  removals first so the TCAM space they free can hold the installs.  The
   service paces them per edge router with the paper's token bucket and
   deploys each as an egress QoS rule (§4.4, §4.5).  A change the
   service rejects with a ``retry_after`` (the member's change budget or
@@ -37,30 +38,14 @@ from typing import Optional
 from ..bgp.messages import RouteAnnouncement, UpdateMessage
 from ..bgp.rib import RoutingInformationBase
 from ..bgp.session import BgpSession, SessionType
+from ..ixp.qos import FlowMatch
 from ..ixp.service import ChangeRequest, ControlPlaneService, ServiceResponse
 from .community_codec import CommunityDecodeError, StellarCommunityCodec
 from .portal import CustomerPortal
-from .rules import BlackholingRule, RuleAction
-
-#: Identity of a blackholing rule, independent of its action: the owner, the
-#: victim prefix and the match fields.  Two signals with the same key but a
-#: different action are an *update* of the same rule.
-RuleKey = tuple[int, str, Optional[int], Optional[int], Optional[int], Optional[str], Optional[str]]
+from .rules import BlackholingRule
 
 #: Comparison slack for retry times.
 _EPS = 1e-9
-
-
-def _rule_key(rule: BlackholingRule) -> RuleKey:
-    return (
-        rule.owner_asn,
-        str(rule.dst_prefix),
-        int(rule.protocol) if rule.protocol is not None else None,
-        rule.src_port,
-        rule.dst_port,
-        rule.src_mac,
-        str(rule.src_prefix) if rule.src_prefix is not None else None,
-    )
 
 
 @dataclass
@@ -107,14 +92,16 @@ class BlackholingController:
         )
         self.session.open()
         self.stats = ControllerStats()
-        #: Currently active rules, by identity key; an update keeps the
-        #: active rule's id, so the router replaces it in place.
-        self._active_rules: dict[RuleKey, BlackholingRule] = {}
+        #: Currently active rules, keyed by their identity ``(owner_asn,
+        #: qos.match)``: two signals with the same key but a different
+        #: action are an *update* of one rule.  An update keeps the active
+        #: rule's id, so the router replaces it in place.
+        self._active_rules: dict[tuple[int, FlowMatch], BlackholingRule] = {}
         #: Requests the service rejected at enqueue, until taken.
         self._rejections: list[tuple[ChangeRequest, ServiceResponse]] = []
         #: Keys whose change the service rejected with a ``retry_after``,
         #: mapped to the time the change may be sent again.
-        self._retry_at: dict[RuleKey, float] = {}
+        self._retry_at: dict[tuple[int, FlowMatch], float] = {}
 
     # ------------------------------------------------------------------
     # BGP parser / processor
@@ -173,25 +160,21 @@ class BlackholingController:
             # Classic RTBH signal: drop everything towards the prefix at the
             # victim's egress port (no cooperation needed, unlike real RTBH).
             self.stats.signals_decoded += 1
-            return BlackholingRule(
-                owner_asn=owner,
-                dst_prefix=announcement.prefix,
-                action=RuleAction.DROP,
-            )
+            return BlackholingRule.create(owner, FlowMatch(dst_prefix=announcement.prefix))
         return None
 
-    def desired_rules(self) -> dict[RuleKey, BlackholingRule]:
+    def desired_rules(self) -> dict[tuple[int, FlowMatch], BlackholingRule]:
         """The rule set implied by the current RIB contents."""
-        desired: dict[RuleKey, BlackholingRule] = {}
+        desired: dict[tuple[int, FlowMatch], BlackholingRule] = {}
         for route in self.rib.routes():
             rule = self._rule_from_announcement(route)
             if rule is None:
                 continue
-            key = _rule_key(rule)
+            key = (rule.owner_asn, rule.qos.match)
             # Preserve a stable rule id across updates of the same rule.
             active = self._active_rules.get(key)
-            if active is not None and rule.rule_id != active.rule_id:
-                rule = replace(rule, rule_id=active.rule_id)
+            if active is not None and rule.qos.rule_id != active.qos.rule_id:
+                rule = replace(rule, qos=replace(rule.qos, rule_id=active.qos.rule_id))
             desired[key] = rule
         return desired
 
@@ -202,24 +185,26 @@ class BlackholingController:
         now = self._clock()
         desired = self.desired_rules()
         # (key, rule to commit or None for a removal, request) per change.
-        changes: list[tuple[RuleKey, Optional[BlackholingRule], ChangeRequest]] = []
+        # Removals go first, so the TCAM space a withdrawal frees can hold
+        # an install of the same diff.
+        changes: list[tuple[tuple[int, FlowMatch], Optional[BlackholingRule], ChangeRequest]] = []
+        for key, rule in self._active_rules.items():
+            if key not in desired:
+                request = self.service.make_request(
+                    rule.owner_asn, "remove", rule_id=rule.qos.rule_id, at=now
+                )
+                changes.append((key, None, request))
         for key, rule in desired.items():
             # desired_rules gave the rule the active one's id, so equality
             # means an unchanged action and rate.
             if self._active_rules.get(key) == rule:
                 continue
             request = self.service.make_request(
-                rule.owner_asn, "install", rules=(rule.to_qos_rule(),), at=now
+                rule.owner_asn, "install", rules=(rule.qos,), at=now
             )
             changes.append((key, rule, request))
-        for key, rule in self._active_rules.items():
-            if key not in desired:
-                request = self.service.make_request(
-                    rule.owner_asn, "remove", rule_id=rule.rule_id, at=now
-                )
-                changes.append((key, None, request))
 
-        retry_at: dict[RuleKey, float] = {}
+        retry_at: dict[tuple[int, FlowMatch], float] = {}
         requests: list[ChangeRequest] = []
         for key, rule, request in changes:
             held_until = self._retry_at.get(key)
@@ -239,7 +224,9 @@ class BlackholingController:
         self._retry_at = retry_at
         return requests
 
-    def _commit(self, key: RuleKey, rule: Optional[BlackholingRule]) -> None:
+    def _commit(
+        self, key: tuple[int, FlowMatch], rule: Optional[BlackholingRule]
+    ) -> None:
         """Record a change the service took (or refused for good)."""
         if rule is None:
             del self._active_rules[key]
@@ -271,7 +258,7 @@ class BlackholingController:
                 continue
             refused = request.rules
             for key, rule in list(self._active_rules.items()):
-                if rule.owner_asn == request.member_asn and rule.to_qos_rule() in refused:
+                if rule.owner_asn == request.member_asn and rule.qos in refused:
                     del self._active_rules[key]
 
     def take_rejections(self) -> list[tuple[ChangeRequest, ServiceResponse]]:

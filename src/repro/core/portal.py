@@ -11,36 +11,34 @@ member is authorised for.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
 
 from ..bgp.prefix import Prefix
+from ..ixp.qos import FilterAction, FlowMatch
 from ..traffic.packet import IpProtocol, WellKnownPort
-from .rules import BlackholingRule, RuleAction
+from .rules import BlackholingRule
 
 
 @dataclass(frozen=True)
 class RuleTemplate:
-    """A predefined rule: everything except the destination prefix/owner."""
+    """A predefined rule: everything except the destination prefix/owner.
+
+    ``match`` has no ``dst_prefix``; :meth:`instantiate` adds the victim's.
+    """
 
     name: str
-    action: RuleAction = RuleAction.DROP
-    protocol: Optional[IpProtocol] = None
-    src_port: Optional[int] = None
-    dst_port: Optional[int] = None
+    match: FlowMatch = FlowMatch()
+    action: FilterAction = FilterAction.DROP
     shape_rate_bps: float = 0.0
     description: str = ""
 
     def instantiate(self, owner_asn: int, dst_prefix: Prefix) -> BlackholingRule:
         """Bind the template to a concrete victim prefix and owner."""
-        return BlackholingRule(
-            owner_asn=owner_asn,
-            dst_prefix=dst_prefix,
-            action=self.action,
-            protocol=self.protocol,
-            src_port=self.src_port,
-            dst_port=self.dst_port,
-            shape_rate_bps=self.shape_rate_bps,
+        return BlackholingRule.create(
+            owner_asn,
+            replace(self.match, dst_prefix=dst_prefix),
+            self.action,
+            self.shape_rate_bps,
         )
 
 
@@ -57,21 +55,19 @@ def ixp_shared_templates() -> dict[int, RuleTemplate]:
     templates = {
         rule_id: RuleTemplate(
             name=name,
-            protocol=IpProtocol.UDP,
-            src_port=port,
+            match=FlowMatch(protocol=IpProtocol.UDP, src_port=port),
             description=description,
         )
         for rule_id, (name, port, description) in vectors.items()
     }
     templates[7] = RuleTemplate(
         name="drop-udp-fragments",
-        protocol=IpProtocol.UDP,
-        src_port=0,
+        match=FlowMatch(protocol=IpProtocol.UDP, src_port=0),
         description="UDP fragments (source port 0)",
     )
     templates[8] = RuleTemplate(
         name="drop-all-udp",
-        protocol=IpProtocol.UDP,
+        match=FlowMatch(protocol=IpProtocol.UDP),
         description="all UDP traffic towards the victim",
     )
     return templates

@@ -102,7 +102,7 @@ class SignalingLayer:
         communities = self.codec.encode(rule)
         return self._announce(
             member_asn=rule.owner_asn,
-            prefix=rule.dst_prefix,
+            prefix=rule.qos.match.dst_prefix,
             communities=communities,
             next_hop=next_hop,
             policy_control=policy_control,
@@ -181,9 +181,10 @@ class SignalingLayer:
         controller directly with a synthetic announcement so that rule
         tracking, diffing and deployment behave identically to the BGP path.
         """
-        if not self._authorised(rule.owner_asn, rule.dst_prefix):
+        prefix = rule.qos.match.dst_prefix
+        if not self._authorised(rule.owner_asn, prefix):
             raise SignalRejectedError(
-                f"AS{rule.owner_asn} is not authorised to blackhole {rule.dst_prefix}"
+                f"AS{rule.owner_asn} is not authorised to blackhole {prefix}"
             )
         communities = self.codec.encode(rule)
         attributes = PathAttributes(
@@ -192,9 +193,9 @@ class SignalingLayer:
         ).with_extended_communities(*communities)
         path_id = self.route_server.next_path_id()
         announcement = RouteAnnouncement(
-            prefix=rule.dst_prefix, attributes=attributes, path_id=path_id
+            prefix=prefix, attributes=attributes, path_id=path_id
         )
-        key = (rule.owner_asn, rule.dst_prefix)
+        key = (rule.owner_asn, prefix)
         self._api_paths.setdefault(key, []).append(path_id)
         self.controller.process_update(
             UpdateMessage(sender_asn=self.route_server.ixp_asn, announcements=(announcement,))

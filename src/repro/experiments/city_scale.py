@@ -39,7 +39,6 @@ that get a rule or a lookup (the victim's) are ever built as objects.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -210,9 +209,9 @@ def _mitigation_events(
         DEFAULT_VICTIM_ASN,
         f"{DEFAULT_VICTIM_IP}/32",
         get_vector(config.vector_name).source_port,
+        rule_id="stellar-city-drop",
     )
-    rule = dataclasses.replace(rule, rule_id="stellar-city-drop")
-    return ((config.mitigation_time, DEFAULT_VICTIM_ASN, rule.to_qos_rule()),)
+    return ((config.mitigation_time, DEFAULT_VICTIM_ASN, rule.qos),)
 
 
 class _ShardRuntime:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.rules import BlackholingRule
+from ..ixp.qos import FilterAction, FlowMatch, QosRule
 from ..sim.rng import derive_seed, make_rng
 from ..traffic.flowtable import FlowTable
 from .harness import SteppedExperiment
@@ -248,14 +248,10 @@ def run_fine_grained_experiment(
     def install_late_rule() -> None:
         member_asn = scenario.late_pair[2]
         host = scenario.late_pair[0]
-        rule = BlackholingRule(
-            owner_asn=member_asn,
-            dst_prefix=_host_prefix(host),
-            protocol=None,
-            src_port=int(scenario.late_pair[1]),
+        match = FlowMatch(
+            dst_prefix=_host_prefix(host), src_port=int(scenario.late_pair[1])
         )
-        qos_rule = rule.to_qos_rule()
-        qos_rule = _with_rule_id(qos_rule, late_rule_id)
+        qos_rule = QosRule(match, FilterAction.DROP, rule_id=late_rule_id)
         fabric.router_for_member(member_asn).install_rule(member_asn, qos_rule)
         late_installed["done"] = True
 
@@ -307,9 +303,3 @@ def _host_prefix(address_int: int):
     from ..traffic.flowtable import ints_to_ips
 
     return parse_prefix(ints_to_ips([address_int])[0])
-
-
-def _with_rule_id(rule, rule_id: str):
-    from dataclasses import replace
-
-    return replace(rule, rule_id=rule_id)

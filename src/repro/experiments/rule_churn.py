@@ -36,7 +36,6 @@ the service and to the replay.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -382,12 +381,12 @@ def generate_churn_requests(
             DEFAULT_VICTIM_ASN,
             f"{DEFAULT_VICTIM_IP}/32",
             get_vector(config.vector_name).source_port,
+            rule_id=MITIGATION_RULE_ID,
         )
-        rule = dataclasses.replace(rule, rule_id=MITIGATION_RULE_ID)
         descriptor = {
             "member_asn": DEFAULT_VICTIM_ASN,
             "op": "install",
-            "rules": (rule.to_qos_rule(),),
+            "rules": (rule.qos,),
             "at": config.mitigation_time,
             "mitigation": True,
         }

@@ -267,7 +267,7 @@ class FineGrainedScenario:
     members: MemberPopulation
     #: The members holding fine-grained rule sets, in install order.
     protected: MemberPopulation
-    #: Every installed blackholing rule, per protected member ASN.
+    #: Every installed QoS rule, per protected member ASN.
     rules_by_member: "dict[int, list]"
     #: All (dst_ip int, src_port, egress ASN) triples covered by a rule.
     covered_pairs: "tuple"
@@ -316,8 +316,9 @@ def build_fine_grained_scenario(
     from dataclasses import replace as dc_replace
 
     from ..bgp.prefix import parse_prefix
-    from ..core.rules import BlackholingRule
+    from ..core.rules import BlackholingRule, fine_grained_set
     from ..ixp.hardware_profiles import l_ixp_edge_router_profile
+    from ..ixp.qos import FlowMatch
     from ..traffic.flowtable import derived_mac, ip_to_int
 
     if protected_member_count >= member_count:
@@ -359,8 +360,7 @@ def build_fine_grained_scenario(
             f"10.{index + 1}.{host >> 8}.{host & 255}"
             for host in range(hosts_per_member)
         ]
-        rules = BlackholingRule.fine_grained_set(
-            owner_asn=member_asn,
+        rules = fine_grained_set(
             hosts=hosts,
             source_ports=REFLECTION_PORTS,
             count=rules_per_member,
@@ -373,19 +373,16 @@ def build_fine_grained_scenario(
         # compiled strategies every interval.
         for mac_index in range(mac_rules_per_member):
             peer_asn = peer_asns[(index + mac_index) % len(peer_asns)]
-            rules.append(
-                BlackholingRule(
-                    owner_asn=member_asn,
-                    dst_prefix=parse_prefix(f"10.{index + 1}.0.0/16"),
-                    src_mac=derived_mac(peer_asn),
-                )
+            match = FlowMatch(
+                dst_prefix=parse_prefix(f"10.{index + 1}.0.0/16"),
+                src_mac=derived_mac(peer_asn),
             )
-        router = fabric.router_for_member(member_asn)
-        router.install_rules(member_asn, [rule.to_qos_rule() for rule in rules])
+            rules.append(BlackholingRule.create(member_asn, match).qos)
+        fabric.router_for_member(member_asn).install_rules(member_asn, rules)
         rules_by_member[member_asn] = rules
         for rule in rules[:rules_per_member]:
             covered.append(
-                (rule.dst_prefix.int_bounds[0], rule.src_port, member_asn)
+                (rule.match.dst_prefix.int_bounds[0], rule.match.src_port, member_asn)
             )
 
     # The late-install rule's (host, port) pair: a port outside the

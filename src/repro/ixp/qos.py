@@ -1,5 +1,14 @@
 """QoS classification and queueing (the filtering layer's data plane).
 
+This module holds the rule format of the whole system: :class:`FlowMatch`
+is the one L2–L4 match record (and :meth:`FlowMatch.matches_table` the one
+columnar five-tuple matcher), :class:`FilterAction` the one action enum
+and :class:`QosRule` the one match-plus-action record.  A blackholing rule
+(:class:`~repro.core.rules.BlackholingRule`) is its owner plus the
+``QosRule`` it installs; the portal's templates, the community codec, the
+ACL baseline and the Flowspec baseline all state their matches as
+``FlowMatch`` values.
+
 Stellar's filtering layer compiles blackholing rules into per-member-port
 QoS policies (paper §4.5, Fig. 8).  Each policy classifies the packet
 stream leaving the IXP towards the member into one of three actions:
@@ -41,7 +50,6 @@ from ..traffic.flowtable import (
     population_bits,
     prefix_mask,
 )
-from ..traffic.packet import IpProtocol
 from .queues import RateLimiter
 from .ruleindex import RuleMatchIndex
 
@@ -64,16 +72,18 @@ class FilterAction(Enum):
 class FlowMatch:
     """L2–L4 match criteria of a classification rule.
 
-    Every field is optional; ``None`` means "any".  The resource footprint
-    properties report how many TCAM entries of each pool a rule with this
-    match consumes (one MAC entry if a MAC is matched; one L3–L4 criterion
-    per L3/L4 field).
+    Every field is optional; ``None`` means "any".  ``protocol`` is any
+    8-bit IP protocol number (an :class:`~repro.traffic.packet.IpProtocol`
+    or a plain ``int``, which compare and hash alike).  The resource
+    footprint properties report how many TCAM entries of each pool a rule
+    with this match consumes (one MAC entry if a MAC is matched; one L3–L4
+    criterion per L3/L4 field).
     """
 
     dst_prefix: Optional[Prefix] = None
     src_prefix: Optional[Prefix] = None
     src_mac: Optional[str] = None
-    protocol: Optional[IpProtocol] = None
+    protocol: Optional[int] = None
     src_port: Optional[int] = None
     dst_port: Optional[int] = None
 
@@ -82,6 +92,8 @@ class FlowMatch:
             port = getattr(self, name)
             if port is not None and not 0 <= port <= 65535:
                 raise ValueError(f"{name} must be a valid L4 port, got {port}")
+        if self.protocol is not None and not 0 <= self.protocol <= 255:
+            raise ValueError(f"protocol must fit in 8 bits, got {self.protocol}")
 
     # ------------------------------------------------------------------
     @property

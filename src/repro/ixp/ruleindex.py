@@ -158,7 +158,7 @@ class MatchSignature:
 _SIGNATURES: dict[tuple, MatchSignature] = {}
 
 
-def _rule_key(match: "FlowMatch", fields: tuple[str, ...]) -> int:
+def _packed_key(match: "FlowMatch", fields: tuple[str, ...]) -> int:
     """Pack one rule's exact criteria into the group's integer key."""
     key = 0
     for name in fields:
@@ -202,7 +202,7 @@ def _file(ranked: "Iterable[tuple[int, QosRule]]") -> tuple[dict, dict]:
         signature = MatchSignature.of(rule.match)
         if signature.is_exact:
             fields = signature.exact_fields
-            exact.setdefault(fields, []).append((_rule_key(rule.match, fields), rank))
+            exact.setdefault(fields, []).append((_packed_key(rule.match, fields), rank))
         else:
             fallback.setdefault(_radix_bin(rule.match), []).append((rank, rule))
     return exact, fallback

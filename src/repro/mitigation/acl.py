@@ -13,7 +13,9 @@ from IXP-side Advanced Blackholing in the model:
 
 The data plane is columnar: ``AclMitigation`` evaluates the ordered entry
 list over a :class:`~repro.traffic.flowtable.FlowTable` as one vectorized
-mask per entry (first match wins, implicit permit at the end).
+mask per entry (first match wins, implicit permit at the end).  An entry's
+match is a :class:`~repro.ixp.qos.FlowMatch`, the rule format of
+:mod:`repro.ixp.qos`.
 """
 
 from __future__ import annotations
@@ -24,15 +26,9 @@ from typing import Optional
 import numpy as np
 
 from ..bgp.prefix import Prefix, parse_prefix
+from ..ixp.qos import FlowMatch
 from ..traffic.flowtable import FlowTable
-from ..traffic.packet import IpProtocol
-from .base import (
-    Dimension,
-    MitigationOutcome,
-    MitigationTechnique,
-    Rating,
-    match_mask,
-)
+from .base import Dimension, MitigationOutcome, MitigationTechnique, Rating
 
 
 @dataclass(frozen=True)
@@ -40,30 +36,11 @@ class AclEntry:
     """One access-control-list entry (permit or deny)."""
 
     action: str  # "permit" | "deny"
-    dst_prefix: Optional[Prefix] = None
-    src_prefix: Optional[Prefix] = None
-    protocol: Optional[IpProtocol] = None
-    src_port: Optional[int] = None
-    dst_port: Optional[int] = None
+    match: FlowMatch = FlowMatch()
 
     def __post_init__(self) -> None:
         if self.action not in ("permit", "deny"):
             raise ValueError(f"action must be 'permit' or 'deny', got {self.action!r}")
-        for name in ("src_port", "dst_port"):
-            port = getattr(self, name)
-            if port is not None and not 0 <= port <= 65535:
-                raise ValueError(f"{name} must be a valid L4 port, got {port}")
-
-    def matches_table(self, table: FlowTable) -> np.ndarray:
-        """The rows of a columnar flow batch this entry matches."""
-        return match_mask(
-            table,
-            dst_prefix=self.dst_prefix,
-            src_prefix=self.src_prefix,
-            protocol=None if self.protocol is None else int(self.protocol),
-            src_port=self.src_port,
-            dst_port=self.dst_port,
-        )
 
 
 class AccessControlList:
@@ -84,7 +61,7 @@ class AccessControlList:
 
     def deny(self, dst_prefix: "str | Prefix", **criteria) -> AclEntry:
         """Convenience helper: append a deny entry for ``dst_prefix``."""
-        entry = AclEntry(action="deny", dst_prefix=parse_prefix(dst_prefix), **criteria)
+        entry = AclEntry("deny", FlowMatch(dst_prefix=parse_prefix(dst_prefix), **criteria))
         self.add(entry)
         return entry
 
@@ -105,7 +82,7 @@ class AccessControlList:
         for entry in self._entries:
             if not unmatched.any():
                 break
-            matched = unmatched & entry.matches_table(table)
+            matched = unmatched & entry.match.matches_table(table)
             if entry.action == "deny":
                 denied |= matched
             unmatched &= ~matched

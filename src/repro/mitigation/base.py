@@ -14,10 +14,14 @@ passed on in reduced (shaped) form.
 The data plane is columnar and has one path: :meth:`MitigationTechnique.apply`
 takes a :class:`~repro.traffic.flowtable.FlowTable`, validates the
 interval, and hands the table to the strategy's ``_partition``, which
-splits it with vectorized prefix / protocol / port / member masks (the
-shared helpers below).  The :class:`MitigationOutcome` is three
-``FlowTable`` partitions.  The per-record loops the strategies are
-checked against live in ``tests/oracle/mitigation.py``.
+splits it with vectorized masks: five-tuple matches through
+:meth:`repro.ixp.qos.FlowMatch.matches_table` (the rule format lives in
+:mod:`repro.ixp.qos`), prefix and member masks through
+:func:`~repro.traffic.flowtable.prefix_mask` and
+:func:`~repro.traffic.flowtable.member_mask`.  The
+:class:`MitigationOutcome` is three ``FlowTable`` partitions.  The
+per-record loops the strategies are checked against live in
+``tests/oracle/mitigation.py``.
 """
 
 from __future__ import annotations
@@ -27,32 +31,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from ..sim.clock import check_interval
-from ..traffic.flowtable import (
-    FlowTable,
-    ingress_peers,
-    match_mask,
-    member_mask,
-    population_bits,
-    prefix_mask,
-)
-
-# ``prefix_mask`` / ``member_mask`` / ``match_mask`` are the shared
-# vectorized mask helpers of the whole columnar data plane.  They are
-# defined next to :class:`FlowTable` (so the QoS layer and the compiled
-# rule-match index can reuse them without import cycles) and re-exported
-# here because this module is their historical home and the mitigation
-# strategies are their heaviest users.  ``check_interval`` is the timing
-# rule of :mod:`repro.sim.clock`, which every strategy applies.
-__all__ = [
-    "prefix_mask",
-    "member_mask",
-    "match_mask",
-    "check_interval",
-    "Rating",
-    "Dimension",
-    "MitigationOutcome",
-    "MitigationTechnique",
-]
+from ..traffic.flowtable import FlowTable, ingress_peers, population_bits
 
 
 class Rating(Enum):

@@ -30,9 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.rules import BlackholingRule, RuleAction
+from ..core.rules import BlackholingRule
+from ..ixp.qos import FilterAction
+from ..sim.clock import check_interval
 from ..traffic.flowtable import FlowTable, population_bits
-from .base import Dimension, MitigationOutcome, MitigationTechnique, Rating, check_interval
+from .base import Dimension, MitigationOutcome, MitigationTechnique, Rating
 from .scrubbing import ScrubbingMitigation
 
 
@@ -85,7 +87,7 @@ class CombinedMitigation(MitigationTechnique):
         """Pre-filter rules, most specific first (stable among ties)."""
         return sorted(
             self.prefilter_rules,
-            key=lambda rule: rule.flow_match().specificity,
+            key=lambda rule: rule.qos.match.specificity,
             reverse=True,
         )
 
@@ -111,16 +113,16 @@ class CombinedMitigation(MitigationTechnique):
         for rule in self._rules_by_specificity():
             if not unassigned.any():
                 break
-            matched = unassigned & rule.flow_match().matches_table(table)
+            matched = unassigned & rule.qos.match.matches_table(table)
             if not matched.any():
                 continue
             unassigned &= ~matched
-            if rule.action is RuleAction.DROP:
+            if rule.qos.action is FilterAction.DROP:
                 drop_mask |= matched
             else:
                 # Shaped sample: the bounded residue continues to the scrubber
                 # (and ultimately the victim), the excess is dropped at the IXP.
-                budget_bits = rule.shape_rate_bps * interval
+                budget_bits = rule.qos.shape_rate_bps * interval
                 shape_mask |= matched
                 safe_bits = np.where(bits > 0, bits, 1)
                 scale = np.where(

@@ -12,7 +12,10 @@ explore both the cooperation and the resource-sharing axes.
 The data plane is columnar: it resolves every installed rule with one
 vectorized five-tuple + installing-peer mask per rule (first matching rule
 wins per flow, in announcement order) and shapes each rate-limited
-population with a single scaling.
+population with a single scaling.  A rule's five-tuple match is a
+:class:`~repro.ixp.qos.FlowMatch` built from its wire fields.  Only a
+traffic-rate action filters: the model has no DSCP or VRF, so the rows a
+marking- or redirect-only rule matches first pass unchanged (RFC 5575 §7).
 """
 
 from __future__ import annotations
@@ -23,17 +26,11 @@ from typing import Optional
 
 import numpy as np
 
-from ..bgp.flowspec import FlowspecRule
+from ..bgp.flowspec import FlowspecActionType, FlowspecRule
+from ..ixp.qos import FlowMatch
 from ..sim.rng import make_rng
-from ..traffic.flowtable import FlowTable
-from .base import (
-    Dimension,
-    MitigationOutcome,
-    MitigationTechnique,
-    Rating,
-    match_mask,
-    member_mask,
-)
+from ..traffic.flowtable import FlowTable, member_mask
+from .base import Dimension, MitigationOutcome, MitigationTechnique, Rating
 
 
 @dataclass
@@ -120,18 +117,26 @@ class FlowspecMitigation(MitigationTechnique):
         self.service = service
 
     @staticmethod
-    def _rule_rate_limit(rule: FlowspecRule) -> float:
-        """The effective rate of a non-discard rule (bytes/second)."""
+    def _rule_rate_limit(rule: FlowspecRule) -> Optional[float]:
+        """The rate a rule's traffic-rate actions allow (bytes/second).
+
+        ``None`` when the rule has no traffic-rate action.
+        """
         return max(
-            action.rate_bytes_per_second
-            for action in rule.actions
-            if action.rate_bytes_per_second >= 0
+            (
+                action.rate_bytes_per_second
+                for action in rule.actions
+                if action.action_type is FlowspecActionType.TRAFFIC_RATE
+                and action.rate_bytes_per_second >= 0
+            ),
+            default=None,
         )
 
     def _partition(self, table: FlowTable, interval: float) -> MitigationOutcome:
         """Vectorized Flowspec: one mask per installed rule, first match wins."""
         n = len(table)
         unhandled = np.ones(n, dtype=bool)
+        passed = np.zeros(n, dtype=bool)
         discard = np.zeros(n, dtype=bool)
         shaped_groups: list[FlowTable] = []
         for installed in self.service.installed_rules():
@@ -142,17 +147,17 @@ class FlowspecMitigation(MitigationTechnique):
                 # Flows carry no packet length, so a length-bounded rule
                 # never matches them.
                 continue
+            match = FlowMatch(
+                dst_prefix=rule.dest_prefix,
+                src_prefix=rule.source_prefix,
+                protocol=rule.ip_protocol,
+                src_port=rule.source_port,
+                dst_port=rule.dest_port,
+            )
             matched = (
                 unhandled
                 & member_mask(table.ingress_asn, installed.installing_peers)
-                & match_mask(
-                    table,
-                    dst_prefix=rule.dest_prefix,
-                    src_prefix=rule.source_prefix,
-                    protocol=rule.ip_protocol,
-                    src_port=rule.source_port,
-                    dst_port=rule.dest_port,
-                )
+                & match.matches_table(table)
             )
             if not matched.any():
                 continue
@@ -160,13 +165,17 @@ class FlowspecMitigation(MitigationTechnique):
             if rule.is_discard:
                 discard |= matched
                 continue
+            rate = self._rule_rate_limit(rule)
+            if rate is None:
+                passed |= matched
+                continue
             group = table.select(matched)
-            budget_bytes = self._rule_rate_limit(rule) * interval
+            budget_bytes = rate * interval
             offered = int(group.bytes.sum())
             scale = min(1.0, budget_bytes / offered) if offered > 0 else 0.0
             shaped_groups.append(group.scaled(scale))
         return MitigationOutcome(
-            delivered_table=table.select(unhandled),
+            delivered_table=table.select(unhandled | passed),
             discarded_table=table.select(discard),
             shaped_table=FlowTable.concat(shaped_groups),
         )

@@ -33,15 +33,8 @@ from ..bgp.messages import RouteAnnouncement, announcement
 from ..bgp.prefix import Prefix, parse_prefix
 from ..bgp.route_server import PolicyControl, RouteServer
 from ..sim.rng import make_rng
-from ..traffic.flowtable import FlowTable
-from .base import (
-    Dimension,
-    MitigationOutcome,
-    MitigationTechnique,
-    Rating,
-    member_mask,
-    prefix_mask,
-)
+from ..traffic.flowtable import FlowTable, member_mask, prefix_mask
+from .base import Dimension, MitigationOutcome, MitigationTechnique, Rating
 
 
 @dataclass

@@ -107,15 +107,13 @@ def derived_mac_low_bits(mac: str) -> Optional[int]:
 
 
 # ----------------------------------------------------------------------
-# Shared vectorized mask matching
+# Shared vectorized masks
 # ----------------------------------------------------------------------
-# These helpers are the one implementation of columnar five-tuple matching.
-# Both data planes build on them: the mitigation strategies (via the
-# re-exports in :mod:`repro.mitigation.base`) and the QoS / rule-index
-# layer (:mod:`repro.ixp.qos`, :mod:`repro.ixp.ruleindex`).  They live here
-# rather than in either consumer because ``mitigation`` and ``ixp`` import
-# each other through :mod:`repro.core.rules`, while everything already
-# depends on the flow table.
+# The prefix and member masks the columnar consumers share: the RTBH and
+# Flowspec strategies and the QoS layer, whose
+# :meth:`repro.ixp.qos.FlowMatch.matches_table` is the one five-tuple
+# matcher.  They live here because everything already depends on the
+# flow table.
 def prefix_mask(column: np.ndarray, prefix: "Prefix") -> np.ndarray:
     """Rows of an integer IPv4 address ``column`` that fall inside ``prefix``.
 
@@ -135,35 +133,6 @@ def member_mask(column: np.ndarray, members: Iterable[int]) -> np.ndarray:
     if not members:
         return np.zeros(len(column), dtype=bool)
     return np.isin(column, np.fromiter(members, dtype=np.int64, count=len(members)))
-
-
-def match_mask(
-    table: "FlowTable",
-    dst_prefix: "Optional[Prefix]" = None,
-    src_prefix: "Optional[Prefix]" = None,
-    protocol: Optional[int] = None,
-    src_port: Optional[int] = None,
-    dst_port: Optional[int] = None,
-    ingress_members: Optional[Iterable[int]] = None,
-) -> np.ndarray:
-    """Vectorized five-tuple (+ ingress member) match over a flow table.
-
-    ``None`` criteria match everything.
-    """
-    mask = np.ones(len(table), dtype=bool)
-    if dst_prefix is not None:
-        mask &= prefix_mask(table.dst_ip, dst_prefix)
-    if src_prefix is not None:
-        mask &= prefix_mask(table.src_ip, src_prefix)
-    if protocol is not None:
-        mask &= table.protocol == int(protocol)
-    if src_port is not None:
-        mask &= table.src_port == src_port
-    if dst_port is not None:
-        mask &= table.dst_port == dst_port
-    if ingress_members is not None:
-        mask &= member_mask(table.ingress_asn, ingress_members)
-    return mask
 
 
 def group_sum(keys: np.ndarray, values: np.ndarray) -> dict[int, int]:

@@ -11,12 +11,13 @@ from repro.bgp import (
 from repro.core import (
     BlackholingController,
     BlackholingRule,
-    RuleAction,
     StellarCommunityCodec,
 )
 from repro.ixp import (
     ControlPlaneService,
     EdgeRouter,
+    FilterAction,
+    FlowMatch,
     IxpMember,
     SwitchingFabric,
     small_ixp_edge_router_profile,
@@ -26,15 +27,9 @@ from repro.traffic import IpProtocol
 IXP_ASN = 64700
 
 
-def make_rule(port=123, prefix="100.10.10.10/32", action=RuleAction.DROP, rate=0.0):
-    return BlackholingRule(
-        owner_asn=64500,
-        dst_prefix=Prefix.parse(prefix),
-        action=action,
-        protocol=IpProtocol.UDP,
-        src_port=port,
-        shape_rate_bps=rate,
-    )
+def make_rule(port=123, prefix="100.10.10.10/32", action=FilterAction.DROP, rate=0.0):
+    match = FlowMatch(dst_prefix=Prefix.parse(prefix), protocol=IpProtocol.UDP, src_port=port)
+    return BlackholingRule.create(64500, match, action, rate)
 
 
 def signal_update(rule, codec=None, path_id=0):
@@ -47,7 +42,9 @@ def signal_update(rule, codec=None, path_id=0):
     return UpdateMessage(
         sender_asn=IXP_ASN,
         announcements=(
-            RouteAnnouncement(prefix=rule.dst_prefix, attributes=attrs, path_id=path_id),
+            RouteAnnouncement(
+                prefix=rule.qos.match.dst_prefix, attributes=attrs, path_id=path_id
+            ),
         ),
     )
 
@@ -82,7 +79,9 @@ class TestBlackholingController:
 
     def test_enqueue_rejections_are_kept_until_taken(self):
         controller = self._controller()
-        stranger = BlackholingRule(owner_asn=60000, dst_prefix=Prefix.parse("9.9.9.9/32"))
+        stranger = BlackholingRule.create(
+            60000, FlowMatch(dst_prefix=Prefix.parse("9.9.9.9/32"))
+        )
         (change,) = controller.process_update(signal_update(stranger))
         ((request, response),) = controller.take_rejections()
         assert request is change
@@ -105,15 +104,15 @@ class TestBlackholingController:
 
     def test_action_change_produces_update(self):
         controller = self._controller()
-        shape = make_rule(action=RuleAction.SHAPE, rate=2e8)
+        shape = make_rule(action=FilterAction.SHAPE, rate=2e8)
         controller.process_update(signal_update(shape, path_id=1))
-        drop = make_rule(action=RuleAction.DROP)
+        drop = make_rule(action=FilterAction.DROP)
         changes = controller.process_update(signal_update(drop, path_id=1))
         # An update is an install of the same rule id: the router replaces
         # the rule in place.
         assert [change.op for change in changes] == ["install"]
         assert controller.stats.rules_updated == 1
-        assert changes[0].rules[0].rule_id == controller.active_rules()[0].rule_id
+        assert changes[0].rules[0].rule_id == controller.active_rules()[0].qos.rule_id
         assert changes[0].rules[0].action.name == "DROP"
 
     def test_withdrawal_produces_remove(self):
@@ -122,12 +121,12 @@ class TestBlackholingController:
         controller.process_update(signal_update(rule, path_id=1))
         withdrawal = UpdateMessage(
             sender_asn=IXP_ASN,
-            withdrawals=(RouteWithdrawal(prefix=rule.dst_prefix, path_id=1),),
+            withdrawals=(RouteWithdrawal(prefix=rule.qos.match.dst_prefix, path_id=1),),
         )
         installed = controller.active_rules()[0]
         changes = controller.process_update(withdrawal)
         assert [change.op for change in changes] == ["remove"]
-        assert changes[0].rule_id == installed.rule_id
+        assert changes[0].rule_id == installed.qos.rule_id
         assert len(controller.active_rules()) == 0
 
     def test_rtbh_translation_enabled(self):
@@ -144,7 +143,7 @@ class TestBlackholingController:
         changes = controller.process_update(update)
         assert len(changes) == 1
         (rule,) = controller.active_rules()
-        assert (rule.protocol, rule.src_port, rule.dst_port, rule.src_mac) == (None,) * 4
+        assert rule.qos.match == FlowMatch(dst_prefix=Prefix.parse("100.10.10.10/32"))
 
     def test_rtbh_translation_disabled(self):
         controller = self._controller(translate_rtbh=False)
@@ -204,12 +203,7 @@ class TestBlackholingController:
     def test_two_members_same_prefix_distinct_rules(self):
         controller = self._controller()
         rule_a = make_rule()
-        rule_b = BlackholingRule(
-            owner_asn=64501,
-            dst_prefix=Prefix.parse("100.10.10.10/32"),
-            protocol=IpProtocol.UDP,
-            src_port=53,
-        )
+        rule_b = BlackholingRule.drop_udp_source_port(64501, "100.10.10.10/32", 53)
         controller.process_update(signal_update(rule_a, path_id=1))
         controller.process_update(signal_update(rule_b, path_id=2))
         assert len(controller.active_rules()) == 2

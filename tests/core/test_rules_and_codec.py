@@ -1,5 +1,7 @@
 """Tests for blackholing rules, the extended-community codec and the portal."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,73 +12,87 @@ from repro.core import (
     BlackholingRule,
     CommunityDecodeError,
     CustomerPortal,
-    RuleAction,
     RuleTemplate,
     StellarCommunityCodec,
+    fine_grained_set,
     ixp_shared_templates,
 )
-from repro.ixp import FilterAction
+from repro.ixp import FilterAction, FlowMatch, QosRule
 from repro.traffic import IpProtocol
+
+HOST = Prefix.parse("1.2.3.4/32")
 
 
 class TestBlackholingRule:
+    def test_is_an_owner_and_the_qos_rule_it_installs(self):
+        assert [field.name for field in dataclasses.fields(BlackholingRule)] == [
+            "owner_asn",
+            "qos",
+        ]
+
     def test_drop_udp_source_port_constructor(self):
         rule = BlackholingRule.drop_udp_source_port(64500, "100.10.10.10/32", 123)
-        assert rule.action is RuleAction.DROP
-        assert rule.protocol is IpProtocol.UDP
-        assert rule.src_port == 123
-        assert rule.dst_prefix == Prefix.parse("100.10.10.10/32")
+        assert rule.owner_asn == 64500
+        match = FlowMatch(
+            dst_prefix=Prefix.parse("100.10.10.10/32"), protocol=IpProtocol.UDP, src_port=123
+        )
+        assert rule.qos == QosRule(match, FilterAction.DROP, rule_id=rule.qos.rule_id)
+        assert rule.qos.match.protocol is IpProtocol.UDP
 
     def test_shape_constructor_requires_rate(self):
         rule = BlackholingRule.shape_udp_source_port(64500, "1.2.3.4/32", 123, rate_bps=2e8)
-        assert rule.action is RuleAction.SHAPE
-        assert rule.shape_rate_bps == 2e8
+        assert rule.qos.action is FilterAction.SHAPE
+        assert rule.qos.shape_rate_bps == 2e8
+        assert rule.qos.match.src_port == 123
         with pytest.raises(ValueError):
-            BlackholingRule(
-                owner_asn=1, dst_prefix=Prefix.parse("1.2.3.4/32"), action=RuleAction.SHAPE
-            )
+            BlackholingRule.create(1, FlowMatch(dst_prefix=HOST), FilterAction.SHAPE)
 
     def test_drop_rule_must_not_carry_rate(self):
         with pytest.raises(ValueError):
-            BlackholingRule(
-                owner_asn=1,
-                dst_prefix=Prefix.parse("1.2.3.4/32"),
-                action=RuleAction.DROP,
-                shape_rate_bps=100,
-            )
+            BlackholingRule.create(1, FlowMatch(dst_prefix=HOST), FilterAction.DROP, 100)
 
-    def test_invalid_owner_and_ports(self):
+    def test_invalid_owner_ports_prefix_and_action(self):
         with pytest.raises(ValueError):
-            BlackholingRule(owner_asn=0, dst_prefix=Prefix.parse("1.2.3.4/32"))
+            BlackholingRule.create(0, FlowMatch(dst_prefix=HOST))
         with pytest.raises(ValueError):
-            BlackholingRule(owner_asn=1, dst_prefix=Prefix.parse("1.2.3.4/32"), src_port=70000)
-
-    def test_to_qos_rule_drop(self):
-        rule = BlackholingRule.drop_udp_source_port(64500, "1.2.3.4/32", 123)
-        qos = rule.to_qos_rule()
-        assert qos.action is FilterAction.DROP
-        assert qos.rule_id == rule.rule_id
-        assert qos.match.src_port == 123
-
-    def test_to_qos_rule_shape(self):
-        rule = BlackholingRule.shape_udp_source_port(64500, "1.2.3.4/32", 123, 1e8)
-        qos = rule.to_qos_rule()
-        assert qos.action is FilterAction.SHAPE
-        assert qos.shape_rate_bps == 1e8
+            BlackholingRule.create(1, FlowMatch(dst_prefix=HOST, src_port=70000))
+        with pytest.raises(ValueError, match="dst_prefix"):
+            BlackholingRule.create(1, FlowMatch(protocol=IpProtocol.UDP))
+        with pytest.raises(ValueError, match="drops or shapes"):
+            BlackholingRule.create(1, FlowMatch(dst_prefix=HOST), FilterAction.FORWARD)
 
     def test_resource_footprint(self):
         rule = BlackholingRule.drop_udp_source_port(64500, "1.2.3.4/32", 123)
-        assert rule.flow_match().l3l4_criteria == 3
-        assert rule.flow_match().mac_filter_entries == 0
-        mac_rule = BlackholingRule(
-            owner_asn=1, dst_prefix=Prefix.parse("1.2.3.4/32"), src_mac="02:00:00:00:00:01"
+        assert rule.qos.match.l3l4_criteria == 3
+        assert rule.qos.match.mac_filter_entries == 0
+        mac_rule = BlackholingRule.create(
+            1, FlowMatch(dst_prefix=HOST, src_mac="02:00:00:00:00:01")
         )
-        assert mac_rule.flow_match().mac_filter_entries == 1
+        assert mac_rule.qos.match.mac_filter_entries == 1
 
-    def test_rule_ids_are_unique(self):
-        a = BlackholingRule(owner_asn=1, dst_prefix=Prefix.parse("1.2.3.4/32"))
-        b = BlackholingRule(owner_asn=1, dst_prefix=Prefix.parse("1.2.3.4/32"))
-        assert a.rule_id != b.rule_id
+    def test_rule_ids_are_unique_unless_given(self):
+        a = BlackholingRule.create(1, FlowMatch(dst_prefix=HOST))
+        b = BlackholingRule.drop_protocol(1, HOST, IpProtocol.UDP)
+        assert a.qos.rule_id != b.qos.rule_id
+        assert a.qos.rule_id.startswith("bh-")
+        fixed = BlackholingRule.drop_udp_source_port(1, HOST, 123, rule_id="fixed")
+        assert fixed.qos.rule_id == "fixed"
+        shaped = BlackholingRule.shape_udp_source_port(1, HOST, 123, 1e6, rule_id="telemetry")
+        assert shaped.qos.rule_id == "telemetry"
+        proto = BlackholingRule.drop_protocol(1, HOST, IpProtocol.TCP, rule_id="tcp")
+        assert proto.qos.rule_id == "tcp"
+
+    def test_fine_grained_set_is_host_major_qos_rules(self):
+        rules = fine_grained_set(["10.0.0.1", "10.0.0.2"], [53, 123], count=3, shape_every=3)
+        assert [(str(r.match.dst_prefix), r.match.src_port) for r in rules] == [
+            ("10.0.0.1/32", 53),
+            ("10.0.0.1/32", 123),
+            ("10.0.0.2/32", 53),
+        ]
+        assert [r.action for r in rules] == [FilterAction.DROP] * 2 + [FilterAction.SHAPE]
+        assert len({r.rule_id for r in rules}) == 3
+        with pytest.raises(ValueError, match="exceeds"):
+            fine_grained_set(["10.0.0.1"], [53], count=2)
 
     def test_str_rendering(self):
         rule = BlackholingRule.shape_udp_source_port(64500, "1.2.3.4/32", 123, 2e8)
@@ -104,57 +120,49 @@ class TestCommunityCodec:
     def test_roundtrip_drop_rule(self):
         rule = BlackholingRule.drop_udp_source_port(64500, "100.10.10.10/32", 11211)
         decoded, predefined = self.codec.to_rule(
-            self.codec.encode(rule), owner_asn=64500, dst_prefix=rule.dst_prefix
+            self.codec.encode(rule), owner_asn=64500, dst_prefix=rule.qos.match.dst_prefix
         )
         assert predefined is None
-        assert decoded.action is RuleAction.DROP
-        assert decoded.protocol is IpProtocol.UDP
-        assert decoded.src_port == 11211
-        assert decoded.dst_prefix == rule.dst_prefix
+        assert decoded.owner_asn == 64500
+        assert decoded.qos.action is FilterAction.DROP
+        assert decoded.qos.match == rule.qos.match
+        assert decoded.qos.match.protocol is IpProtocol.UDP
 
     def test_roundtrip_shape_rule(self):
         rule = BlackholingRule.shape_udp_source_port(64500, "1.2.3.4/32", 123, rate_bps=200e6)
-        decoded, _ = self.codec.to_rule(
-            self.codec.encode(rule), owner_asn=64500, dst_prefix=rule.dst_prefix
-        )
-        assert decoded.action is RuleAction.SHAPE
-        assert decoded.shape_rate_bps == pytest.approx(200e6)
+        decoded, _ = self.codec.to_rule(self.codec.encode(rule), owner_asn=64500, dst_prefix=HOST)
+        assert decoded.qos.action is FilterAction.SHAPE
+        assert decoded.qos.shape_rate_bps == pytest.approx(200e6)
 
     def test_roundtrip_tcp_dst_port(self):
-        rule = BlackholingRule(
-            owner_asn=64500,
-            dst_prefix=Prefix.parse("1.2.3.4/32"),
-            protocol=IpProtocol.TCP,
-            dst_port=80,
-        )
-        decoded, _ = self.codec.to_rule(
-            self.codec.encode(rule), owner_asn=64500, dst_prefix=rule.dst_prefix
-        )
-        assert decoded.protocol is IpProtocol.TCP
-        assert decoded.dst_port == 80
-        assert decoded.src_port is None
+        match = FlowMatch(dst_prefix=HOST, protocol=IpProtocol.TCP, dst_port=80)
+        rule = BlackholingRule.create(64500, match)
+        decoded, _ = self.codec.to_rule(self.codec.encode(rule), owner_asn=64500, dst_prefix=HOST)
+        assert decoded.qos.match == match
+        assert decoded.qos.match.protocol is IpProtocol.TCP
 
     def test_roundtrip_protocol_only(self):
         rule = BlackholingRule.drop_protocol(64500, "1.2.3.4/32", IpProtocol.UDP)
-        decoded, _ = self.codec.to_rule(
-            self.codec.encode(rule), owner_asn=64500, dst_prefix=rule.dst_prefix
-        )
-        assert decoded.protocol is IpProtocol.UDP
-        assert decoded.src_port is None
+        decoded, _ = self.codec.to_rule(self.codec.encode(rule), owner_asn=64500, dst_prefix=HOST)
+        assert decoded.qos.match == FlowMatch(dst_prefix=HOST, protocol=IpProtocol.UDP)
 
     def test_roundtrip_plain_drop_all(self):
-        rule = BlackholingRule(owner_asn=64500, dst_prefix=Prefix.parse("1.2.3.4/32"))
+        rule = BlackholingRule.create(64500, FlowMatch(dst_prefix=HOST))
         communities = self.codec.encode(rule)
         assert len(communities) == 1
-        decoded, _ = self.codec.to_rule(communities, owner_asn=64500, dst_prefix=rule.dst_prefix)
-        selectors = (decoded.protocol, decoded.src_port, decoded.dst_port, decoded.src_mac)
-        assert selectors == (None, None, None, None) and decoded.src_prefix is None
-        assert decoded.action is RuleAction.DROP
+        decoded, _ = self.codec.to_rule(communities, owner_asn=64500, dst_prefix=HOST)
+        assert decoded.qos.match == FlowMatch(dst_prefix=HOST)
+        assert decoded.qos.action is FilterAction.DROP
+
+    def test_decode_carries_a_prefix_less_match(self):
+        rule = BlackholingRule.shape_udp_source_port(64500, "1.2.3.4/32", 123, rate_bps=2e6)
+        signal = self.codec.decode(self.codec.encode(rule))
+        assert signal.match == FlowMatch(protocol=IpProtocol.UDP, src_port=123)
+        assert (signal.action, signal.shape_rate_bps) == (FilterAction.SHAPE, 2e6)
+        assert signal.predefined_rule_id is None
 
     def test_port_rule_requires_l4_protocol(self):
-        rule = BlackholingRule(
-            owner_asn=64500, dst_prefix=Prefix.parse("1.2.3.4/32"), src_port=123
-        )
+        rule = BlackholingRule.create(64500, FlowMatch(dst_prefix=HOST, src_port=123))
         with pytest.raises(ValueError):
             self.codec.encode(rule)
 
@@ -181,12 +189,7 @@ class TestCommunityCodec:
             self.codec.encode(rule), owner_asn=64500, dst_prefix=prefix
         )
         assert predefined is None
-        assert (decoded.action, decoded.protocol, decoded.src_port, decoded.dst_port) == (
-            rule.action,
-            rule.protocol,
-            rule.src_port,
-            rule.dst_port,
-        )
+        assert (decoded.qos.action, decoded.qos.match) == (rule.qos.action, rule.qos.match)
 
     def test_decode_rejects_foreign_communities(self):
         foreign = ExtendedCommunity(type=0x02, subtype=0x01, global_admin=1, local_admin=1)
@@ -211,31 +214,31 @@ class TestCommunityCodec:
 
     @given(l4_protocols, l4_ports, st.booleans())
     def test_property_port_rules_roundtrip(self, protocol, port, use_src):
-        rule = BlackholingRule(
-            owner_asn=64500,
+        match = FlowMatch(
             dst_prefix=Prefix.parse("100.10.10.10/32"),
             protocol=protocol,
             src_port=port if use_src else None,
             dst_port=None if use_src else port,
         )
+        rule = BlackholingRule.create(64500, match)
         decoded, _ = self.codec.to_rule(
-            self.codec.encode(rule), owner_asn=64500, dst_prefix=rule.dst_prefix
+            self.codec.encode(rule), owner_asn=64500, dst_prefix=match.dst_prefix
         )
-        assert decoded.protocol is protocol
-        assert decoded.src_port == rule.src_port
-        assert decoded.dst_port == rule.dst_port
+        assert decoded.qos.match.protocol is protocol
+        assert decoded.qos.match == match
 
 
 class TestCustomerPortal:
     def test_shared_templates_cover_paper_vectors(self):
         templates = ixp_shared_templates()
-        ports = {template.src_port for template in templates.values()}
+        ports = {template.match.src_port for template in templates.values()}
         assert {123, 53, 11211, 389, 19, 0} <= ports
 
     def test_resolve_shared_template(self):
         portal = CustomerPortal()
         rule = portal.resolve(1, member_asn=64500, dst_prefix=Prefix.parse("1.2.3.4/32"))
-        assert rule.src_port == 123
+        assert rule.qos.match.src_port == 123
+        assert rule.qos.match.dst_prefix == HOST
         assert rule.owner_asn == 64500
 
     def test_resolve_unknown_id(self):
@@ -245,17 +248,19 @@ class TestCustomerPortal:
     def test_custom_rule_lifecycle(self):
         portal = CustomerPortal()
         rule_id = portal.define_custom_rule(
-            64500, RuleTemplate(name="drop-tcp-80", protocol=IpProtocol.TCP, dst_port=80)
+            64500,
+            RuleTemplate(name="drop-tcp-80", match=FlowMatch(protocol=IpProtocol.TCP, dst_port=80)),
         )
         assert rule_id >= CustomerPortal.CUSTOM_RULE_ID_BASE
         resolved = portal.resolve(rule_id, 64500, Prefix.parse("1.2.3.4/32"))
-        assert resolved.dst_port == 80
+        assert resolved.qos.match.dst_port == 80
         assert portal.remove_custom_rule(64500, rule_id)
         assert not portal.remove_custom_rule(64500, rule_id)
 
     def test_custom_rule_is_private_to_owner(self):
         portal = CustomerPortal()
-        rule_id = portal.define_custom_rule(64500, RuleTemplate(name="x", protocol=IpProtocol.UDP))
+        template = RuleTemplate(name="x", match=FlowMatch(protocol=IpProtocol.UDP))
+        rule_id = portal.define_custom_rule(64500, template)
         with pytest.raises(PermissionError):
             portal.resolve(rule_id, 64999, Prefix.parse("1.2.3.4/32"))
         assert not portal.remove_custom_rule(64999, rule_id)
@@ -265,13 +270,15 @@ class TestCustomerPortal:
         rule_id = portal.define_custom_rule(
             64500,
             RuleTemplate(
-                name="shape-ntp", action=RuleAction.SHAPE, protocol=IpProtocol.UDP,
-                src_port=123, shape_rate_bps=1e8,
+                name="shape-ntp",
+                match=FlowMatch(protocol=IpProtocol.UDP, src_port=123),
+                action=FilterAction.SHAPE,
+                shape_rate_bps=1e8,
             ),
         )
         rule = portal.resolve(rule_id, 64500, Prefix.parse("1.2.3.4/32"))
-        assert rule.action is RuleAction.SHAPE
-        assert rule.shape_rate_bps == 1e8
+        assert rule.qos.action is FilterAction.SHAPE
+        assert rule.qos.shape_rate_bps == 1e8
 
     def test_invalid_member_asn(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Integration tests for the signaling layer, telemetry and the Stellar facade."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.core import (
 )
 from repro.ixp import (
     EdgeRouter,
+    FlowMatch,
     HardwareProfile,
     IxpMember,
     SwitchingFabric,
@@ -86,7 +88,7 @@ class TestSignaling:
 
     def test_unknown_signalling_path_rejected(self):
         stellar, victim, peers = build_stellar()
-        rule = BlackholingRule(owner_asn=VICTIM_ASN, dst_prefix=Prefix.parse(f"{VICTIM_IP}/32"))
+        rule = BlackholingRule.drop_udp_source_port(VICTIM_ASN, f"{VICTIM_IP}/32", 123)
         with pytest.raises(ValueError):
             stellar.request_mitigation(rule, via="carrier-pigeon")
 
@@ -94,7 +96,7 @@ class TestSignaling:
         stellar, victim, peers = build_stellar()
         result = stellar.request_predefined_mitigation(VICTIM_ASN, f"{VICTIM_IP}/32", 1)
         assert result.accepted
-        assert stellar.active_rules()[0].src_port == 123
+        assert stellar.active_rules()[0].qos.match.src_port == 123
 
     def test_irr_authorisation_enforced(self):
         policy = ImportPolicy()
@@ -117,7 +119,9 @@ class TestSignaling:
         stellar, victim, peers = build_stellar(policy=policy)
         with pytest.raises(SignalRejectedError):
             stellar.request_mitigation(
-                BlackholingRule(owner_asn=65001, dst_prefix=Prefix.parse(f"{VICTIM_IP}/32")),
+                BlackholingRule.create(
+                    65001, FlowMatch(dst_prefix=Prefix.parse(f"{VICTIM_IP}/32"))
+                ),
                 via="api",
             )
 
@@ -145,7 +149,7 @@ class TestSignaling:
         assert stellar.installed_rule_count() == 2
         stellar.withdraw_mitigation(VICTIM_ASN, prefix, via="api")
         stellar.advance(now=2.0)
-        assert [rule.src_port for rule in stellar.active_rules()] == [123]
+        assert [rule.qos.match.src_port for rule in stellar.active_rules()] == [123]
         assert stellar.installed_rule_count() == 1
         # The route server still holds the BGP signal, and so does the controller.
         (route,) = stellar.route_server.rib.routes_for(Prefix.parse(prefix))
@@ -227,7 +231,8 @@ class TestWithdrawalOwnership:
             for owner, (via, port) in signals.items()
             if (owner, via) != (caller, withdraw_via)
         }
-        assert {rule.owner_asn: rule.src_port for rule in stellar.active_rules()} == expected
+        active = stellar.active_rules()
+        assert {rule.owner_asn: rule.qos.match.src_port for rule in active} == expected
         assert stellar.installed_rule_count() == len(expected)
         # The route server holds the BGP signals that are left, and the
         # controller holds every one of them.
@@ -260,7 +265,7 @@ class TestWithdrawalOwnership:
             BlackholingRule.drop_udp_source_port(VICTIM_ASN, self.PREFIX, 123), via=via
         )
         stellar.advance(now=3.0)
-        assert [rule.src_port for rule in stellar.active_rules()] == [123]
+        assert [rule.qos.match.src_port for rule in stellar.active_rules()] == [123]
         assert stellar.installed_rule_count() == 1
 
     @pytest.mark.parametrize("via", SIGNAL_PATHS)
@@ -303,7 +308,7 @@ class TestWithdrawalOwnership:
         # victim's API rule active.
         stellar.withdraw_mitigation(peer, self.PREFIX, via="bgp")
         stellar.advance(now=2.0)
-        assert [(rule.owner_asn, rule.src_port) for rule in stellar.active_rules()] == [
+        assert [(rule.owner_asn, rule.qos.match.src_port) for rule in stellar.active_rules()] == [
             (VICTIM_ASN, 123)
         ]
         assert stellar.installed_rule_count() == 1
@@ -322,7 +327,9 @@ class TestWithdrawalOwnership:
         assert stellar.installed_rule_count() == 4
         stellar.withdraw_mitigation(VICTIM_ASN, self.PREFIX, via="api")
         stellar.advance(now=2.0)
-        assert [str(rule.dst_prefix) for rule in stellar.active_rules()] == [other_prefix]
+        assert [str(rule.qos.match.dst_prefix) for rule in stellar.active_rules()] == [
+            other_prefix
+        ]
         assert stellar.installed_rule_count() == 1
 
 
@@ -340,18 +347,15 @@ class TestPredefinedSignalling:
         stellar.advance(now=1.0)
         (rule,) = stellar.active_rules()
         assert rule.owner_asn == VICTIM_ASN
-        assert str(rule.dst_prefix) == self.PREFIX
-        assert (rule.action, rule.protocol, rule.src_port, rule.dst_port) == (
-            template.action,
-            template.protocol,
-            template.src_port,
-            template.dst_port,
-        )
+        assert str(rule.qos.match.dst_prefix) == self.PREFIX
+        assert rule.qos.action is template.action
+        assert rule.qos.match == replace(template.match, dst_prefix=rule.qos.match.dst_prefix)
         assert stellar.installed_rule_count() == 1
 
     def _custom_rule(self, stellar):
         return stellar.controller.portal.define_custom_rule(
-            VICTIM_ASN, RuleTemplate(name="drop-tcp-80", protocol=IpProtocol.TCP, dst_port=80)
+            VICTIM_ASN,
+            RuleTemplate(name="drop-tcp-80", match=FlowMatch(protocol=IpProtocol.TCP, dst_port=80)),
         )
 
     def test_a_custom_rule_is_signalled_by_its_owner(self):
@@ -360,7 +364,7 @@ class TestPredefinedSignalling:
         assert stellar.request_predefined_mitigation(VICTIM_ASN, self.PREFIX, rule_id).accepted
         stellar.advance(now=1.0)
         (rule,) = stellar.active_rules()
-        assert (rule.protocol, rule.dst_port) == (IpProtocol.TCP, 80)
+        assert (rule.qos.match.protocol, rule.qos.match.dst_port) == (IpProtocol.TCP, 80)
         assert stellar.installed_rule_count() == 1
 
     def test_another_member_cannot_signal_a_custom_rule(self):
@@ -426,7 +430,7 @@ class TestStellarDataPlane:
         )
         ((request, response),) = report.deployments
         assert (request.op, request.member_asn) == ("install", VICTIM_ASN)
-        assert request.rules[0].rule_id == stellar.active_rules()[0].rule_id
+        assert request.rules[0] == stellar.active_rules()[0].qos
         assert response.status == "applied"
         # Signalled at 5 s with tokens to spare: applied on arrival.
         assert (response.applied_at, response.latency) == (5.0, 0.0)
@@ -534,7 +538,7 @@ class TestStellarDataPlane:
         dns = BlackholingRule.drop_udp_source_port(VICTIM_ASN, "100.10.10.11/32", 53)
 
         def active_ports():
-            return sorted(rule.src_port for rule in stellar.active_rules())
+            return sorted(rule.qos.match.src_port for rule in stellar.active_rules())
 
         def installed_ports():
             return sorted(
@@ -554,6 +558,31 @@ class TestStellarDataPlane:
         stellar.request_mitigation(dns)
         stellar.advance(now=62.0)
         assert active_ports() == installed_ports() == [53]
+
+    def test_a_withdrawal_frees_tcam_space_for_an_install_in_the_same_diff(self):
+        # The diff sends its removals first, so the refused DNS rule fits
+        # once the withdrawn NTP rule has left the TCAM.
+        tiny = HardwareProfile(
+            name="tiny", port_count=4, mac_filter_capacity=2, l3l4_criteria_capacity=3
+        )
+        fabric = SwitchingFabric()
+        fabric.add_edge_router(EdgeRouter("er-1", profile=tiny))
+        stellar = Stellar(ixp_asn=IXP_ASN, fabric=fabric)
+        stellar.add_member(IxpMember(asn=VICTIM_ASN, prefixes=["100.10.10.0/24"]))
+        for host, port in (("100.10.10.10", 123), ("100.10.10.11", 53)):
+            stellar.request_mitigation(
+                BlackholingRule.drop_udp_source_port(VICTIM_ASN, f"{host}/32", port)
+            )
+        stellar.advance(now=1.0)
+        stellar.advance(now=60.0)
+        stellar.withdraw_mitigation(VICTIM_ASN, "100.10.10.10/32")
+        resolved = [
+            (request.op, response.status) for request, response in stellar.advance(now=61.0)
+        ]
+        assert resolved == [("remove", "applied"), ("install", "applied")]
+        (installed,) = fabric.edge_routers()[0].installed_rules()
+        assert installed.match.src_port == 53
+        assert len(stellar.active_rules()) == 1
 
     def test_rule_change_queue_throttles_deployment(self):
         # The paper's change queue: a burst of 10, then 4.33 changes/s.
@@ -610,7 +639,7 @@ class TestStellarDataPlane:
         stellar.request_mitigation(rule)
         stellar.advance(now=0.0)
         stellar.deliver_traffic(attack_flows(peers), interval=10.0, interval_start=0.0)
-        installed_rule_id = stellar.active_rules()[0].rule_id
+        installed_rule_id = stellar.active_rules()[0].qos.rule_id
         telemetry = stellar.telemetry.telemetry_for_rule(installed_rule_id)
         during_attack = telemetry.matched_bits
         assert during_attack > 0

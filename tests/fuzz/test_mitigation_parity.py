@@ -26,7 +26,8 @@ from oracle.mitigation import assert_matches_reference
 from oracle.records import to_records
 from repro.bgp import Prefix
 from repro.bgp.flowspec import FlowspecAction, FlowspecActionType, FlowspecRule
-from repro.core.rules import BlackholingRule, RuleAction
+from repro.core.rules import BlackholingRule
+from repro.ixp.qos import FilterAction, FlowMatch
 from repro.mitigation import (
     AccessControlList,
     AclEntry,
@@ -74,29 +75,47 @@ def access_lists(draw):
     for _ in range(draw(st.integers(0, 5))):
         acl.add(
             AclEntry(
-                action=draw(st.sampled_from(["permit", "deny"])),
-                dst_prefix=draw(optional(prefixes)),
-                src_prefix=draw(optional(prefixes)),
-                protocol=draw(optional(l4_protocols)),
-                src_port=draw(optional(pool_ports)),
-                dst_port=draw(optional(pool_ports)),
+                draw(st.sampled_from(["permit", "deny"])),
+                FlowMatch(
+                    dst_prefix=draw(optional(prefixes)),
+                    src_prefix=draw(optional(prefixes)),
+                    protocol=draw(optional(l4_protocols)),
+                    src_port=draw(optional(pool_ports)),
+                    dst_port=draw(optional(pool_ports)),
+                ),
             )
         )
     return acl
 
 
+#: Actions that do not filter: the model has no DSCP or VRF.
+_PASSING_ACTIONS = [
+    (FlowspecAction(FlowspecActionType.TRAFFIC_MARKING),),
+    (FlowspecAction(FlowspecActionType.REDIRECT, redirect_target="65000:1"),),
+    (),
+]
+
+
 @st.composite
 def flowspec_rules(draw):
-    # Rate 0 is a discard; a length-bounded rule never matches a flow.
+    # Rate 0 is a discard; a length-bounded rule never matches a flow; a
+    # rule without a traffic-rate action passes what it matches.  Any
+    # 8-bit protocol number is a valid match (47 is GRE, absent from the
+    # tables).
     rate = draw(st.sampled_from([0.0, 0.0, 50.0, 1e3, 1e5]))
+    actions = draw(
+        st.sampled_from(
+            [(FlowspecAction(FlowspecActionType.TRAFFIC_RATE, rate),)] * 3 + _PASSING_ACTIONS
+        )
+    )
     return FlowspecRule(
         dest_prefix=draw(optional(prefixes)),
         source_prefix=draw(optional(prefixes)),
-        ip_protocol=draw(optional(l4_protocols.map(int))),
+        ip_protocol=draw(optional(st.one_of(l4_protocols.map(int), st.just(47)))),
         source_port=draw(optional(pool_ports)),
         dest_port=draw(optional(pool_ports)),
         packet_length_max=draw(st.sampled_from([None, None, None, 500])),
-        actions=(FlowspecAction(FlowspecActionType.TRAFFIC_RATE, rate),),
+        actions=actions,
     )
 
 
@@ -134,18 +153,18 @@ def scrubbing_center(kwargs, table, interval):
 
 @st.composite
 def prefilter_rules(draw):
-    action = draw(st.sampled_from([RuleAction.DROP, RuleAction.SHAPE]))
+    action = draw(st.sampled_from([FilterAction.DROP, FilterAction.SHAPE]))
     shape_rate = draw(st.sampled_from([1e3, 5e4, 1e6]))
-    return BlackholingRule(
-        owner_asn=VICTIM_ASN,
+    match = FlowMatch(
         dst_prefix=draw(prefixes),
-        action=action,
         protocol=draw(optional(l4_protocols)),
         src_port=draw(optional(pool_ports)),
         dst_port=draw(optional(pool_ports)),
         src_mac=draw(optional(ingress_asns.map(derived_mac))),
         src_prefix=draw(optional(prefixes)),
-        shape_rate_bps=shape_rate if action is RuleAction.SHAPE else 0.0,
+    )
+    return BlackholingRule.create(
+        VICTIM_ASN, match, action, shape_rate if action is FilterAction.SHAPE else 0.0
     )
 
 

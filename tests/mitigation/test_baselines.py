@@ -5,8 +5,17 @@ import math
 import pytest
 
 from oracle.records import FiveTuple, FlowRecord, from_records
-from repro.bgp import RouteServer, drop_rule, rate_limit_rule
+from repro.bgp import (
+    FlowspecAction,
+    FlowspecActionType,
+    FlowspecRule,
+    Prefix,
+    RouteServer,
+    drop_rule,
+    rate_limit_rule,
+)
 from repro.core import BlackholingRule
+from repro.ixp import FlowMatch
 from repro.mitigation import (
     AccessControlList,
     AclEntry,
@@ -184,7 +193,7 @@ class TestRtbhMitigation:
 class TestAcl:
     def test_first_match_wins(self):
         acl = AccessControlList()
-        acl.add(AclEntry(action="permit", src_port=123))
+        acl.add(AclEntry("permit", FlowMatch(src_port=123)))
         acl.deny("100.10.10.10/32", src_port=123)
         flows = table_of(make_flow(), make_flow(src_port=53))
         assert acl.deny_mask(flows).tolist() == [False, False]
@@ -204,7 +213,7 @@ class TestAcl:
         with pytest.raises(ValueError):
             AclEntry(action="block")
         with pytest.raises(ValueError):
-            AclEntry(action="deny", src_port=99999)
+            AclEntry("deny", FlowMatch(src_port=99999))
         with pytest.raises(ValueError):
             AccessControlList(max_entries=0)
 
@@ -218,9 +227,9 @@ class TestAcl:
         assert outcome.delivered_table.src_port.tolist() == [443]
 
     def test_acl_entry_field_matching(self):
-        entry = AclEntry(action="deny", protocol=IpProtocol.UDP, dst_port=40000)
+        entry = AclEntry("deny", FlowMatch(protocol=IpProtocol.UDP, dst_port=40000))
         flows = table_of(make_flow(), make_flow(protocol=IpProtocol.TCP))
-        assert entry.matches_table(flows).tolist() == [True, False]
+        assert entry.match.matches_table(flows).tolist() == [True, False]
 
 
 class TestFlowspec:
@@ -259,6 +268,32 @@ class TestFlowspec:
             table_of(make_flow(bytes_=10_000)), interval=10.0
         )
         assert outcome.shaped_table.bytes.tolist() == [1000]
+
+    @pytest.mark.parametrize(
+        "actions",
+        [
+            (FlowspecAction(FlowspecActionType.TRAFFIC_MARKING),),
+            (FlowspecAction(FlowspecActionType.REDIRECT, redirect_target="65000:1"),),
+            (),
+        ],
+        ids=["marking", "redirect", "no-action"],
+    )
+    def test_a_rule_without_a_traffic_rate_delivers_what_it_matches(self, actions):
+        # Only a traffic-rate action filters (RFC 5575 section 7); the model
+        # has no DSCP or VRF, so the rule's first-matched rows pass unchanged,
+        # ahead of a later discard rule for the same traffic.
+        service = FlowspecService(peer_acceptance={65001: True}, seed=1)
+        rule = FlowspecRule(
+            dest_prefix=Prefix.parse("100.10.10.10/32"), source_port=123, actions=actions
+        )
+        service.announce_rule(rule, peer_asns=[65001])
+        service.announce_rule(drop_rule("100.10.10.10/32"), peer_asns=[65001])
+        flows = table_of(make_flow(bytes_=10_000), make_flow(src_port=53, bytes_=5_000))
+        outcome = FlowspecMitigation(service).apply(flows, interval=10.0)
+        assert outcome.delivered_bits + outcome.discarded_bits == flows.bits.sum()
+        assert outcome.delivered_table.src_port.tolist() == [123]
+        assert outcome.discarded_table.src_port.tolist() == [53]
+        assert len(outcome.shaped_table) == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from oracle.records import to_records
 from repro.bgp.flowspec import drop_rule, rate_limit_rule
 from repro.bgp.prefix import parse_prefix
 from repro.core.rules import BlackholingRule
+from repro.ixp.qos import FlowMatch
 from repro.experiments.scenario import build_attack_scenario
 from repro.mitigation import (
     AccessControlList,
@@ -75,10 +76,12 @@ class TestAclParity:
         # Permit one source port explicitly, deny the rest of UDP: order matters.
         acl.add(
             AclEntry(
-                action="permit",
-                dst_prefix=parse_prefix(VICTIM_PREFIX),
-                protocol=IpProtocol.UDP,
-                src_port=53,
+                "permit",
+                FlowMatch(
+                    dst_prefix=parse_prefix(VICTIM_PREFIX),
+                    protocol=IpProtocol.UDP,
+                    src_port=53,
+                ),
             )
         )
         acl.deny(VICTIM_PREFIX, protocol=IpProtocol.UDP)

@@ -4,9 +4,9 @@ Each reference reads a production strategy's configuration (blackhole
 events, ACL entries, installed Flowspec rules, pre-filter rules, the
 scrubbing centre) and partitions one interval the slow, obvious way:
 flow by flow over a list of :class:`~oracle.records.FlowRecord`, with
-the scalar matchers (``RtbhService.event_for``, :func:`acl_entry_matches`,
-:func:`flowspec_matches`, ``record_matches``) and none of the vectorized
-masks of :mod:`repro.mitigation`.  A :class:`ReferenceOutcome` carries the same
+the scalar matchers (``RtbhService.event_for``, :func:`flowspec_matches`,
+``record_matches`` over an ACL entry's or a rule's ``FlowMatch``) and
+none of the vectorized masks of :mod:`repro.mitigation`.  A :class:`ReferenceOutcome` carries the same
 accounting properties as ``MitigationOutcome``, summed over records, so
 parity tests compare them with ``==``.
 
@@ -17,7 +17,8 @@ from the same seed and draws once per flow, in row order.
 from dataclasses import dataclass, field
 
 from oracle.records import record_matches, to_records
-from repro.core.rules import RuleAction
+from repro.bgp.flowspec import FlowspecActionType
+from repro.ixp.qos import FilterAction
 from repro.sim.rng import make_rng
 
 BUCKETS = ("delivered", "discarded", "shaped")
@@ -107,16 +108,6 @@ def rtbh(service, flows):
     return outcome
 
 
-def acl_entry_matches(entry, flow):
-    return (
-        (entry.dst_prefix is None or entry.dst_prefix.contains_address(flow.dst_ip))
-        and (entry.src_prefix is None or entry.src_prefix.contains_address(flow.src_ip))
-        and (entry.protocol is None or flow.protocol == entry.protocol)
-        and (entry.src_port is None or flow.src_port == entry.src_port)
-        and (entry.dst_port is None or flow.dst_port == entry.dst_port)
-    )
-
-
 def flowspec_matches(rule, flow, packet_length=None):
     """Whether ``flow`` meets every component of a ``FlowspecRule``.
 
@@ -141,16 +132,27 @@ def acl(access_list, flows):
     outcome = ReferenceOutcome()
     for flow in flows:
         action = next(
-            (e.action for e in access_list.entries() if acl_entry_matches(e, flow)), "permit"
+            (e.action for e in access_list.entries() if record_matches(e.match, flow)), "permit"
         )
         (outcome.discarded if action == "deny" else outcome.delivered).append(flow)
     return outcome
 
 
+def traffic_rates(rule):
+    """The byte rates of a Flowspec rule's traffic-rate actions."""
+    return [
+        action.rate_bytes_per_second
+        for action in rule.actions
+        if action.action_type is FlowspecActionType.TRAFFIC_RATE
+        and action.rate_bytes_per_second >= 0
+    ]
+
+
 def flowspec(service, flows, interval):
     """First installed rule (announcement order) whose installing peers
     include the flow's ingress decides; rate limits scale each rule's
-    matched flows to its byte budget."""
+    matched flows to its byte budget, and a rule without a traffic-rate
+    action delivers its flows unchanged."""
     rules = service.installed_rules()
     outcome = ReferenceOutcome()
     rate_limited = {}
@@ -161,17 +163,15 @@ def flowspec(service, flows, interval):
             ):
                 if installed.rule.is_discard:
                     outcome.discarded.append(flow)
-                else:
+                elif traffic_rates(installed.rule):
                     rate_limited.setdefault(index, []).append(flow)
+                else:
+                    outcome.delivered.append(flow)
                 break
         else:
             outcome.delivered.append(flow)
     for index, matched in rate_limited.items():
-        rate = max(
-            action.rate_bytes_per_second
-            for action in rules[index].rule.actions
-            if action.rate_bytes_per_second >= 0
-        )
+        rate = max(traffic_rates(rules[index].rule))
         offered = sum(flow.bytes for flow in matched)
         scale = min(1.0, rate * interval / offered) if offered > 0 else 0.0
         outcome.shaped.extend(flow.scaled(scale) for flow in matched)
@@ -233,12 +233,12 @@ def combined(rules, scrubber, flows, interval):
     to a sample the scrubber sees; unmatched flows go to the scrubber."""
     prefiltered, shaped, remaining = [], [], []
     for flow in flows:
-        matching = [rule for rule in rules if record_matches(rule.flow_match(), flow)]
+        matching = [rule.qos for rule in rules if record_matches(rule.qos.match, flow)]
         if not matching:
             remaining.append(flow)
             continue
-        rule = max(matching, key=lambda rule: rule.flow_match().specificity)
-        if rule.action is RuleAction.DROP:
+        rule = max(matching, key=lambda rule: rule.match.specificity)
+        if rule.action is FilterAction.DROP:
             prefiltered.append(flow)
             continue
         scale = min(1.0, rule.shape_rate_bps * interval / flow.bits) if flow.bits else 0.0

@@ -9,6 +9,7 @@ from oracle import mitigation as reference
 from oracle.records import FiveTuple, FlowRecord
 from repro.bgp.flowspec import rate_limit_rule
 from repro.core.rules import BlackholingRule
+from repro.ixp.qos import FlowMatch
 from repro.mitigation import (
     AccessControlList,
     AclEntry,
@@ -49,7 +50,7 @@ def test_rtbh_most_specific_event_decides():
 
 def test_acl_first_match_and_implicit_permit():
     acl = AccessControlList()
-    acl.add(AclEntry(action="permit", src_port=53))
+    acl.add(AclEntry("permit", FlowMatch(src_port=53)))
     acl.deny(f"{VICTIM}/32", protocol=IpProtocol.UDP)
     flows = [flow(src_port=53), flow(src_port=123), flow(dst_ip="9.9.9.9")]
     outcome = reference.acl(acl, flows)
