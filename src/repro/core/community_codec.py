@@ -25,7 +25,7 @@ subtype      meaning                     local_admin payload (32 bit)
                                           source port, 2 = UDP source port,
                                           3 = TCP destination port, 4 = UDP
                                           destination port
-``0x02``     IP protocol filter          IANA protocol number
+``0x02``     IP protocol filter          IANA protocol number (0–255)
 ``0x03``     action                      1 = drop, 2 = shape
 ``0x04``     shape rate                  rate in Mbit/s
 ``0x05``     predefined rule reference   rule id from the customer portal
@@ -179,7 +179,7 @@ class StellarCommunityCodec:
             raise CommunityDecodeError("no Stellar extended communities present")
 
         action = FilterAction.DROP
-        protocol: Optional[IpProtocol] = None
+        protocol: Optional[int] = None
         src_port: Optional[int] = None
         dst_port: Optional[int] = None
         shape_rate_bps = 0.0
@@ -201,12 +201,16 @@ class StellarCommunityCodec:
                 else:
                     dst_port = port
             elif community.subtype == SUBTYPE_PROTOCOL:
+                # Any 8-bit protocol number, as FlowMatch takes and encode
+                # emits; the ones IpProtocol names decode to its members.
+                if payload > 0xFF:
+                    raise CommunityDecodeError(
+                        f"IP protocol number {payload} does not fit in 8 bits"
+                    )
                 try:
                     protocol = IpProtocol(payload)
-                except ValueError as exc:
-                    raise CommunityDecodeError(
-                        f"unknown IP protocol number {payload}"
-                    ) from exc
+                except ValueError:
+                    protocol = payload
             elif community.subtype == SUBTYPE_ACTION:
                 if payload == ACTION_DROP:
                     action = FilterAction.DROP

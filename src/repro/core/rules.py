@@ -109,10 +109,10 @@ class BlackholingRule:
         cls,
         owner_asn: int,
         victim: "str | Prefix",
-        protocol: IpProtocol,
+        protocol: int,
         rule_id: Optional[str] = None,
     ) -> "BlackholingRule":
-        """Drop all traffic of one IP protocol towards the victim."""
+        """Drop all traffic of one IP protocol (any 8-bit number) towards the victim."""
         match = FlowMatch(dst_prefix=parse_prefix(victim), protocol=protocol)
         return cls.create(owner_asn, match, rule_id=rule_id)
 

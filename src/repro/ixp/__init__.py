@@ -9,8 +9,6 @@ _EXPORTS = {
     "ControlPlaneCpuModel": "control_plane",
     "EdgeRouter": "edge_router",
     "PortNotFoundError": "edge_router",
-    "RuleInstallation": "edge_router",
-    "CompiledRule": "delivery",
     "FabricDeliveryPlan": "delivery",
     "FabricIntervalReport": "fabric",
     "SwitchingFabric": "fabric",

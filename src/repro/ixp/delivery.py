@@ -8,10 +8,10 @@ per observation interval (§4.5, footnote 1) — a Python loop over members
 would cost O(members × flows) before any classification happens, so the
 plan works platform-wide:
 
-1. **compile** — every connected port's QoS rules are snapshotted into a
-   single columnar rule set; each :class:`CompiledRule` is tagged with its
-   egress member, and per-port precedence (most-specific-first) is
-   preserved inside the global order;
+1. **compile** — the platform rule order is every filtered port's
+   sorted (most-specific-first) rules, members in ascending ASN order;
+   the plan keeps only each filtered member's offset into it and the
+   total rule count, and reads the rules from the live port policies;
 2. **classify** — one vectorized group-by over the whole interval (a
    stable argsort of the egress column; each member's offered bits are
    one ``np.add.reduceat``), then each filtered member's slice is
@@ -42,12 +42,11 @@ fabric's :attr:`~repro.ixp.fabric.SwitchingFabric.membership_version`
 and every rule-set mutation of a connected port bumps its
 :attr:`~repro.ixp.fabric.SwitchingFabric.rule_epoch`, so
 :meth:`FabricDeliveryPlan.is_current` is two integer compares and only
-intervals after a configuration change recompile.  A recompile patches
-the previous plan: each plan snapshots every port's rule-set version
-(:attr:`~repro.ixp.qos.PortQosPolicy.rules_version`) and reuses the
-compiled segment of each port whose version is unchanged, and the
-per-port match indexes themselves are cached on the policies, so
-untouched ports never recompile at all.
+intervals after a configuration change recompile.  A recompile counts
+each built port's rules and copies none, and the per-port match indexes
+are cached on the policies behind their
+:attr:`~repro.ixp.qos.PortQosPolicy.rules_version`, so untouched ports
+never recompile their index.
 
 The test suite checks every report bit for bit against a deliberately
 naive first-match reference (``tests/oracle``).
@@ -57,7 +56,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING
 
@@ -65,30 +63,13 @@ import numpy as np
 
 from ..traffic.flowtable import FlowTable
 from .port import MemberPort
-from .qos import (
-    _DROP_CODE,
-    _FORWARD_CODE,
-    _SHAPE_CODE,
-    PortQosResult,
-    QosRule,
-)
+from .qos import _DROP_CODE, _FORWARD_CODE, _SHAPE_CODE, PortQosResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .fabric import FabricIntervalReport, SwitchingFabric
 
 #: Deferred producer of a result's ``(forwarded, dropped, shaped)`` tables.
 TableSource = Callable[[], tuple[FlowTable, FlowTable, FlowTable]]
-
-
-@dataclass(frozen=True)
-class CompiledRule:
-    """One port rule inside the platform-level rule set."""
-
-    #: Egress member whose port owns the rule (the implicit match column).
-    member_asn: int
-    rule: QosRule
-    #: Position in the owning port's most-specific-first rule order.
-    port_rule_index: int
 
 
 class PortResults(Mapping[int, PortQosResult]):
@@ -161,20 +142,16 @@ class PortResults(Mapping[int, PortQosResult]):
 
 
 class FabricDeliveryPlan:
-    """Compiled snapshot of a fabric's ports and QoS rules.
+    """A fabric's member columns plus each filtered port's rule offset.
 
     A plan is cheap to build (the fabric's member columns plus one walk
-    over the ports built so far), and it records the fabric's rule epoch,
-    so the fabric keeps reusing it across delivery intervals until
-    :meth:`is_current` reports that the membership or some port's rules
-    changed.
+    over the ports built so far, counting their rules), and it records
+    the fabric's rule epoch, so the fabric keeps reusing it across
+    delivery intervals until :meth:`is_current` reports that the
+    membership or some port's rules changed.
     """
 
-    def __init__(
-        self,
-        fabric: "SwitchingFabric",
-        previous: "FabricDeliveryPlan | None" = None,
-    ) -> None:
+    def __init__(self, fabric: "SwitchingFabric") -> None:
         self.fabric = fabric
         #: Fabric membership counter at compile time (bumped by every
         #: connect that adds members).
@@ -187,45 +164,22 @@ class FabricDeliveryPlan:
         #: read off the fabric's member columns.
         self._asns, self._capacities, self._slots = fabric.member_columns()
         #: The ports built so far, ascending by ASN: a port nothing has
-        #: looked up holds no rules, so only these can own a segment.
+        #: looked up holds no rules, so only these can be filtered.
         self._ports: dict[int, MemberPort] = dict(sorted(fabric.built_ports().items()))
-        #: The platform-level rule set, grouped per member in per-port
-        #: precedence order (members in ascending ASN order, matching the
-        #: sorted group-by the execution pass produces).
-        self._rules: list[CompiledRule] = []
-        #: Each filtered member's contiguous slice of :attr:`_rules`.  The
-        #: :class:`CompiledRule` entries are position-independent (global
-        #: index = start + port-local rank), so an unchanged port's
-        #: segment is reused verbatim when patching a stale plan.
-        self._segments: dict[int, list[CompiledRule]] = {}
-        #: First global index of each filtered member's contiguous rule
-        #: block (global index = start + port-local rank).
+        #: First platform-level rank of each filtered member's rules: the
+        #: platform order lists every filtered port's sorted rules, members
+        #: in ascending ASN order (matching the sorted group-by the
+        #: execution pass produces), so port-local rank r is start + r.
         self._member_start: dict[int, int] = {}
-        #: Rule-set version of every port at compile time: which segments
-        #: the next patch may reuse.
-        self._port_versions: dict[int, int] = {}
+        self._rule_count = 0
         for asn, port in self._ports.items():
-            qos = port.qos
-            version = qos.rules_version
-            self._port_versions[asn] = version
-            if previous is not None and previous._port_versions.get(asn) == version:
-                # Unchanged port: adopt the previous plan's compiled
-                # segment (possibly absent — a rule-less port compiles to
-                # no segment on both sides) instead of rebuilding it.
-                segment = previous._segments.get(asn, [])
-            else:
-                segment = [
-                    CompiledRule(member_asn=asn, rule=rule, port_rule_index=position)
-                    for position, rule in enumerate(qos.sorted_rules())
-                ]
-            if not segment:
-                continue
-            self._member_start[asn] = len(self._rules)
-            self._segments[asn] = segment
-            self._rules.extend(segment)
+            count = len(port.qos)
+            if count:
+                self._member_start[asn] = self._rule_count
+                self._rule_count += count
         #: The filtered members' ASNs (int64, ascending).
         self._filtered_asns = np.fromiter(
-            self._segments, dtype=np.int64, count=len(self._segments)
+            self._member_start, dtype=np.int64, count=len(self._member_start)
         )
 
     # ------------------------------------------------------------------
@@ -237,10 +191,7 @@ class FabricDeliveryPlan:
 
     @property
     def rule_count(self) -> int:
-        return len(self._rules)
-
-    def compiled_rules(self) -> list[CompiledRule]:
-        return list(self._rules)
+        return self._rule_count
 
     def is_current(self) -> bool:
         """True while the plan still matches the fabric's configuration.
@@ -267,9 +218,9 @@ class FabricDeliveryPlan:
         if not (math.isfinite(interval) and interval > 0):
             raise ValueError("interval must be positive and finite")
         if not self.is_current():
-            # Classification delegates to the live port policies while the
-            # scatter indexes this plan's snapshot; running a stale plan
-            # would silently attribute bits to the wrong rules.
+            # The plan's rule offsets index the live port policies' rules;
+            # running a stale plan would silently attribute bits to the
+            # wrong rules.
             raise RuntimeError(
                 "delivery plan is stale (rules or membership changed since "
                 "compile); rebuild via SwitchingFabric.current_delivery_plan()"
@@ -427,7 +378,7 @@ class FabricDeliveryPlan:
                 claimed.append((index, asn))
         matched = assigned >= 0
         per_rule_bits = np.bincount(
-            assigned[matched], weights=bits[matched], minlength=len(self._rules)
+            assigned[matched], weights=bits[matched], minlength=self._rule_count
         )
         return assigned, per_rule_bits, claimed
 
@@ -457,9 +408,9 @@ class FabricDeliveryPlan:
         """
         qos = self._ports[asn].qos
         start = self._member_start[asn]
-        # Rules come from the plan's own snapshot (rank -> _rules[start +
-        # rank]); the is_current guard in execute() keeps it aligned with
-        # the live policy.
+        # Port-local ranks index the live policy's sorted rules; the
+        # is_current guard in execute() keeps the plan's offsets aligned
+        # with them.
         local = assigned[rows] - start
         matched = local >= 0
         row_actions = np.full(len(rows), _FORWARD_CODE, dtype=np.int8)
@@ -498,20 +449,18 @@ class FabricDeliveryPlan:
         # Every SHAPE rule carries an id no other rule of the port has
         # (anonymous ones a synthetic ``anon-<n>``), so each claimed rank
         # drains its own shaper, once, and owns its rule_stats entry.
-        shape_ids: list[str] = []
+        shape_ids = [rule_ids[code] for code in id_codes[shape_ranks].tolist()]
         scales: list[float] = []
         # Per-shaper terms, reduced once after the loop (RPL006).
         passed_terms: list[float] = []
         dropped_terms: list[float] = []
-        for rank, offered_int in zip(shape_ranks.tolist(), rank_bits.tolist()):
+        for rule_id, offered_int in zip(shape_ids, rank_bits.tolist()):
             offered_bits = float(offered_int)
-            rule_id = self._rules[start + rank].rule.rule_id
             shaper = qos.shaper_for(rule_id)
             if shaper is None:
                 passed_bits, dropped_bits = offered_bits, 0.0
             else:
                 passed_bits, dropped_bits = shaper.shape(offered_bits, interval)
-            shape_ids.append(rule_id)
             scales.append(passed_bits / offered_bits if offered_bits > 0 else 0.0)
             passed_terms.append(passed_bits)
             dropped_terms.append(dropped_bits)

@@ -3,7 +3,9 @@
 An edge router serves a set of member ports, owns the TCAM that backs its
 QoS policies, and exposes a control plane whose CPU budget limits the
 configuration update rate (paper §5.1).  Rule installation goes through the
-router so TCAM accounting and update-rate accounting stay consistent.
+router so TCAM accounting and update-rate accounting stay consistent.  The
+port's QoS policy is the one record of its rules: the router reads a rule's
+TCAM footprint off its match when it installs, replaces or removes it.
 
 A router numbers its ports when members attach, but builds a
 :class:`~repro.ixp.port.MemberPort` (and its QoS policy) only when the
@@ -13,29 +15,18 @@ that ever get a rule or a lookup exist as objects.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Sequence
 from typing import Optional
 
 from .control_plane import ControlPlaneCpuModel
 from .hardware_profiles import HardwareProfile, l_ixp_edge_router_profile
 from .port import MemberPort
-from .qos import QosRule
+from .qos import PortQosPolicy, QosRule
 from .tcam import TcamExhaustedError, TcamModel, TcamStatus
 
 
 class PortNotFoundError(KeyError):
     """Raised when traffic or configuration targets an unknown member port."""
-
-
-@dataclass
-class RuleInstallation:
-    """Book-keeping for an installed rule (needed to release TCAM on removal)."""
-
-    rule: QosRule
-    port_id: int
-    mac_filters: int
-    l3l4_criteria: int
 
 
 class EdgeRouter:
@@ -59,10 +50,6 @@ class EdgeRouter:
         self._ports: dict[int, MemberPort] = {}
         #: Builds the port of a member attached by :meth:`attach_members`.
         self._build_port: Optional[Callable[[int, int], MemberPort]] = None
-        # Keyed by (port_id, rule_id): rule ids are scoped to one member
-        # port's policy, so the same id on two ports of this router is two
-        # independent installations, not a replacement.
-        self._installations: dict[tuple[int, str], RuleInstallation] = {}
         self._next_port_id = 1
         #: Total number of configuration (rule add/remove) operations applied.
         self.config_operations = 0
@@ -125,127 +112,97 @@ class EdgeRouter:
     # Configuration (consumes TCAM + control-plane budget)
     # ------------------------------------------------------------------
     def install_rule(self, member_asn: int, rule: QosRule) -> TcamStatus:
-        """Install a QoS rule on a member's egress port.
+        """Install one QoS rule on a member's egress port: the one-row
+        :meth:`install_rules`."""
+        return self.install_rules(member_asn, (rule,))
 
-        Returns :data:`TcamStatus.OK` on success; raises
-        :class:`TcamExhaustedError` when the hardware limits are exceeded.
+    def install_rules(self, member_asn: int, rules: Iterable[QosRule]) -> TcamStatus:
+        """Install rules on one member's egress port, in order.
+
+        Each rule claims its TCAM footprint (read off ``rule.match``), and
+        one carrying an installed id first releases the footprint of the
+        rule it replaces, whether that rule is on the port or earlier in
+        the batch.  The port policy then ingests the placed rules in one
+        :meth:`~repro.ixp.qos.PortQosPolicy.install_many` — one rule-set
+        version bump for the batch, which is what makes staging tens of
+        thousands of fine-grained rules tractable.
+
+        Returns :data:`TcamStatus.OK`; raises :class:`TcamExhaustedError`
+        (its ``installed`` the number of rules placed) at the first rule
+        the TCAM refuses.  The rules before it stay installed, and a
+        refused rule's id names no rule afterwards, because its
+        replacement released the old rule first — the state one-row
+        installs leave when they stop at that rule.
         """
         port = self.port_for(member_asn)
-        mac_filters = rule.match.mac_filter_entries
-        l3l4 = rule.match.l3l4_criteria
-        if rule.rule_id and (port.port_id, rule.rule_id) in self._installations:
-            # Replacing an existing rule on this port: release the old
-            # footprint first.
-            self.remove_rule(member_asn, rule.rule_id)
-        self.tcam.allocate(port.port_id, mac_filters, l3l4)
-        port.install_rule(rule)
-        if rule.rule_id:
-            self._installations[(port.port_id, rule.rule_id)] = RuleInstallation(
-                rule=rule, port_id=port.port_id, mac_filters=mac_filters, l3l4_criteria=l3l4
-            )
-        self.config_operations += 1
-        return TcamStatus.OK
-
-    def install_rules(self, member_asn: int, rules: Sequence[QosRule]) -> TcamStatus:
-        """Install a batch of rules on one member port in a single pass.
-
-        TCAM is allocated (and replaced ids released) rule by rule, so the
-        accounting equals sequential :meth:`install_rule` calls, but the
-        port policy ingests the batch through
-        :meth:`~repro.ixp.qos.PortQosPolicy.install_many` — one re-sort
-        and one rule-set version bump instead of one per rule, which is
-        what makes staging tens of thousands of fine-grained rules
-        tractable.
-        """
-        port = self.port_for(member_asn)
-        rules = list(rules)
-        allocated = 0
-        try:
-            for rule in rules:
-                mac_filters = rule.match.mac_filter_entries
-                l3l4 = rule.match.l3l4_criteria
-                # Replacements release the old footprint directly (the
-                # data-plane side is handled by install_many's same-id
-                # replacement) — going through remove_rule here would cost
-                # one full policy re-sort per replaced rule.
-                old = (
-                    self._installations.pop((port.port_id, rule.rule_id), None)
-                    if rule.rule_id
-                    else None
+        qos = port.qos
+        # The rules placed so far, and the rule each of their ids names.
+        placed: list[QosRule] = []
+        named: dict[str, QosRule] = {}
+        for rule in rules:
+            match = rule.match
+            old = named.get(rule.rule_id) or qos.rule_for(rule.rule_id)
+            if old is not None:
+                self.tcam.release(
+                    port.port_id, old.match.mac_filter_entries, old.match.l3l4_criteria
                 )
+                self.config_operations += 1
+            try:
+                self.tcam.allocate(port.port_id, match.mac_filter_entries, match.l3l4_criteria)
+            except TcamExhaustedError as exc:
+                exc.installed = len(placed)
+                self._place(qos, placed)
                 if old is not None:
-                    self.tcam.release(
-                        old.port_id, old.mac_filters, old.l3l4_criteria
-                    )
-                try:
-                    self.tcam.allocate(port.port_id, mac_filters, l3l4)
-                except Exception:
-                    if old is not None and port.qos.remove(rule.rule_id):
-                        # Sequential install_rule removes the replaced rule
-                        # from the data plane before the failing allocate.
-                        self.config_operations += 1
-                    raise
-                if old is not None:
-                    self.config_operations += 1
-                allocated += 1
-                if rule.rule_id:
-                    self._installations[(port.port_id, rule.rule_id)] = RuleInstallation(
-                        rule=rule,
-                        port_id=port.port_id,
-                        mac_filters=mac_filters,
-                        l3l4_criteria=l3l4,
-                    )
-        except TcamExhaustedError as exc:
-            exc.installed = allocated
-            raise
-        finally:
-            # On TCAM exhaustion mid-batch, the rules allocated so far must
-            # still reach the data plane — exactly where sequential
-            # install_rule calls would have left the router.
-            if allocated:
-                port.qos.install_many(rules[:allocated])
-                self.config_operations += allocated
+                    qos.remove(rule.rule_id)
+                raise
+            rule = qos.normalise(rule, named)
+            if rule.rule_id:
+                named[rule.rule_id] = rule
+            placed.append(rule)
+        self._place(qos, placed)
         return TcamStatus.OK
+
+    def _place(self, qos: PortQosPolicy, rules: list[QosRule]) -> None:
+        """Hand the rules placed in the TCAM to the port policy at once."""
+        if rules:
+            qos.install_many(rules)
+            self.config_operations += len(rules)
 
     def remove_rule(self, member_asn: int, rule_id: str) -> bool:
-        """Remove a rule and release its TCAM footprint."""
+        """Remove the rule ``rule_id`` names and release its TCAM footprint.
+
+        Returns False, changing nothing, when no rule on the port carries
+        the id; the empty id names no rule.
+        """
         port = self.port_for(member_asn)
-        removed = port.remove_rule(rule_id)
-        installation = self._installations.pop((port.port_id, rule_id), None)
-        if installation is not None:
-            self.tcam.release(
-                installation.port_id,
-                installation.mac_filters,
-                installation.l3l4_criteria,
-            )
-        if removed:
-            self.config_operations += 1
-        return removed
+        rule = port.qos.rule_for(rule_id)
+        if rule is None:
+            return False
+        port.qos.remove(rule_id)
+        self.tcam.release(port.port_id, rule.match.mac_filter_entries, rule.match.l3l4_criteria)
+        self.config_operations += 1
+        return True
 
     def clear_rules(self, member_asn: int) -> int:
         """Remove every rule on a member's port and release its TCAM.
 
-        The TCAM pool is released wholesale via ``release_port``, which
-        also frees the footprint of anonymous (id-less) rules that never
-        got a :class:`RuleInstallation` record — going through per-rule
-        :meth:`remove_rule` calls would leak those.  Returns the number of
-        rules removed; clearing an empty port is a no-op (no config
-        operations, no policy version bump).
+        Anonymous rules go too: ``release_port`` frees the port's whole
+        footprint.  Returns the number of rules removed; clearing an empty
+        port is a no-op (no config operations, no policy version bump).
         """
         port = self.port_for(member_asn)
         removed = len(port.qos)
         port.qos.clear()
         self.tcam.release_port(port.port_id)
-        self._installations = {
-            key: installation
-            for key, installation in self._installations.items()
-            if installation.port_id != port.port_id
-        }
         self.config_operations += removed
         return removed
 
     def installed_rules(self) -> list[QosRule]:
-        return [installation.rule for installation in self._installations.values()]
+        """Every rule an id names on the built ports, port by port in
+        install order (anonymous SHAPE rules under their ``anon-<n>`` id)."""
+        return [
+            rule for port in self._ports.values() for rule in port.qos.rules() if rule.rule_id
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -461,14 +461,13 @@ class SwitchingFabric:
         themselves, so even a recompile only rebuilds touched ports'
         indexes.
 
-        A stale cached plan is *patched*, not rebuilt: the replacement
-        plan adopts the previous plan's compiled segment for every port
-        whose rule-set version is unchanged, so a single-port install
-        re-derives only that port's slice of the platform rule set.
+        A recompile copies no rule: the plan keeps each filtered port's
+        offset into the platform rule order, and reads the rules
+        themselves from the live policies.
         """
         plan = self._plan_cache
         if plan is None or not plan.is_current():
-            plan = FabricDeliveryPlan(self, previous=plan)
+            plan = FabricDeliveryPlan(self)
             self._plan_cache = plan
         return plan
 

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .member import IxpMember
-from .qos import PortQosPolicy, QosRule
+from .qos import PortQosPolicy
 
 
 @dataclass
@@ -94,15 +94,6 @@ class MemberPort:
     @property
     def capacity_bps(self) -> float:
         return self.member.port_capacity_bps
-
-    # ------------------------------------------------------------------
-    # QoS rule management (delegated to the policy)
-    # ------------------------------------------------------------------
-    def install_rule(self, rule: QosRule) -> None:
-        self.qos.install(rule)
-
-    def remove_rule(self, rule_id: str) -> bool:
-        return self.qos.remove(rule_id)
 
     # ------------------------------------------------------------------
     # Telemetry

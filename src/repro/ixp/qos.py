@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Container, Iterable
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -306,10 +306,12 @@ class PortQosPolicy:
         #: bisect_right lands a new rule exactly where the stable
         #: most-specific-first sort would have placed it.
         self._sorted_specs: list[int] = []
-        #: Installed rule ids, each with its SHAPE rule's token bucket
-        #: (None for any other action).  Installing a fresh id or removing
-        #: an unknown one checks here instead of scanning the rules.
-        self._ids: dict[str, Optional[RateLimiter]] = {}
+        #: The rule each non-empty id names.  Installing a fresh id or
+        #: removing an unknown one checks here instead of scanning the
+        #: rules, and the router reads a replaced rule's footprint here.
+        self._ids: dict[str, QosRule] = {}
+        #: Each SHAPE rule's token bucket, by rule id.
+        self._shapers: dict[str, RateLimiter] = {}
         #: Monotonic rule-set version; every mutation bumps it, and the
         #: compiled index / fabric delivery plan caches key off it.
         self._version = 0
@@ -348,8 +350,8 @@ class PortQosPolicy:
         self._sorted_specs = [-rule.match.specificity for rule in self._sorted_rules]
         self._bump()
 
-    def _normalise(self, rule: QosRule, taken: Optional[set] = None) -> QosRule:
-        """Give anonymous SHAPE rules a unique synthetic id.
+    def normalise(self, rule: QosRule, taken: Container[str] = ()) -> QosRule:
+        """Give an anonymous SHAPE rule a unique synthetic id.
 
         Every SHAPE rule needs its own :class:`RateLimiter`; keying the
         shaper (and the shaped-traffic grouping) off a per-policy
@@ -357,66 +359,59 @@ class PortQosPolicy:
         no longer silently share one token bucket.  Synthetic ids skip any
         id already installed (or pending in the same batch via ``taken``),
         so a caller-supplied rule literally named ``anon-<n>`` is never
-        silently replaced by a later anonymous install.
+        silently replaced by a later anonymous install.  Any other rule
+        is returned as it is.
         """
         if rule.action is FilterAction.SHAPE and not rule.rule_id:
-            existing = self._ids.keys() | taken if taken else self._ids
             while True:
                 rule_id = f"anon-{next(self._anon_ids)}"
-                if rule_id not in existing:
+                if rule_id not in self._ids and rule_id not in taken:
                     return replace(rule, rule_id=rule_id)
         return rule
 
     def _attach(self, rule: QosRule) -> None:
         self._rules.append(rule)
-        self._ids[rule.rule_id] = (
-            RateLimiter(rate_bps=rule.shape_rate_bps)
-            if rule.action is FilterAction.SHAPE
-            else None
-        )
+        if rule.rule_id:
+            self._ids[rule.rule_id] = rule
+        if rule.action is FilterAction.SHAPE:
+            self._shapers[rule.rule_id] = RateLimiter(rate_bps=rule.shape_rate_bps)
 
-    def install(self, rule: QosRule) -> None:
-        """Install a rule (replacing any existing rule with the same id).
-
-        The replaced rule (if any) and the new rule each touch one
-        position of the sorted views, so no re-sort runs.
-        """
-        rule = self._normalise(rule)
-        if rule.rule_id and rule.rule_id in self._ids:
-            self._remove_sorted(rule.rule_id)
-            self._forget(rule.rule_id)
-        self._attach(rule)
-        self._insert_sorted(rule)
-        self._bump()
-
-    def _forget(self, rule_id: str) -> None:
-        """Take every rule carrying ``rule_id`` out of the install order."""
-        self._rules = [rule for rule in self._rules if rule.rule_id != rule_id]
-        del self._ids[rule_id]
+    def _forget(self, rule_ids: set[str]) -> None:
+        """Take the installed rules ``rule_ids`` name out of the install
+        order and the id maps (the sorted views are the caller's)."""
+        self._rules = [rule for rule in self._rules if rule.rule_id not in rule_ids]
+        for rule_id in rule_ids:
+            del self._ids[rule_id]
+            self._shapers.pop(rule_id, None)
 
     def _remove_sorted(self, rule_id: str) -> None:
-        """Splice every rule carrying ``rule_id`` out of the sorted views."""
-        ranks = [
+        """Splice the rule carrying ``rule_id`` out of the sorted views."""
+        rank = next(
             rank
             for rank, existing in enumerate(self._sorted_rules)
             if existing.rule_id == rule_id
-        ]
-        for rank in reversed(ranks):
-            del self._sorted_rules[rank]
-            del self._sorted_specs[rank]
+        )
+        del self._sorted_rules[rank]
+        del self._sorted_specs[rank]
+
+    def install(self, rule: QosRule) -> None:
+        """Install one rule: the one-row :meth:`install_many`."""
+        self.install_many((rule,))
 
     def install_many(self, rules: Iterable[QosRule]) -> None:
-        """Install a batch of rules with one re-sort and one version bump.
+        """Install a batch of rules with one version bump.
 
-        Semantically equivalent to calling :meth:`install` per rule (same
-        id-replacement behaviour, later duplicates win), but O(R log R)
-        for the whole batch instead of O(R² log R) — the path the
-        fine-grained scenario uses to stage tens of thousands of rules.
+        A rule replaces the installed rule carrying its id, and a later
+        duplicate id in the batch wins, so the batch leaves the rules that
+        installing them one at a time would, in one pass: up to
+        ``_SPLICE_BATCH_LIMIT`` rules are spliced into the sorted view,
+        a larger batch re-sorts it once — O(R log R) for the tens of
+        thousands of rules the fine-grained scenario stages.
         """
         normalised: list[QosRule] = []
         taken: set[str] = set()
         for rule in rules:
-            rule = self._normalise(rule, taken)
+            rule = self.normalise(rule, taken)
             if rule.rule_id:
                 taken.add(rule.rule_id)
             normalised.append(rule)
@@ -431,11 +426,9 @@ class PortQosPolicy:
         batch.reverse()
         if not batch:
             return
-        replaced = [rule_id for rule_id in seen if rule_id in self._ids]
+        replaced = {rule_id for rule_id in seen if rule_id in self._ids}
         if replaced:
-            self._rules = [rule for rule in self._rules if rule.rule_id not in seen]
-            for rule_id in replaced:
-                del self._ids[rule_id]
+            self._forget(replaced)
         if len(batch) > _SPLICE_BATCH_LIMIT:
             # Bulk staging: one stable sort beats thousands of splices.
             for rule in batch:
@@ -459,14 +452,19 @@ class PortQosPolicy:
         Removing an unknown id is a no-op: the rule-set version is *not*
         bumped, so the compiled index and the fabric's cached delivery
         plan stay warm instead of recompiling for a change that never
-        happened.
+        happened.  The empty id names no rule (anonymous DROP/FORWARD
+        rules leave only through :meth:`clear`).
         """
         if rule_id not in self._ids:
             return False
         self._remove_sorted(rule_id)
-        self._forget(rule_id)
+        self._forget({rule_id})
         self._bump()
         return True
+
+    def rule_for(self, rule_id: str) -> Optional[QosRule]:
+        """The installed rule ``rule_id`` names (None for an unknown or empty id)."""
+        return self._ids.get(rule_id)
 
     def rules(self) -> list[QosRule]:
         return list(self._rules)
@@ -482,19 +480,16 @@ class PortQosPolicy:
         return [rule.rule_id for rule in self._rules]
 
     def sorted_rules(self) -> list[QosRule]:
-        """The rules in classification (most-specific-first) order.
-
-        The fabric delivery plan compiles these into its platform-level
-        rule set; the order is the rank order :meth:`assign_table`
-        reports.
-        """
+        """The rules in classification (most-specific-first) order: the
+        rank order :meth:`assign_table` reports, which :meth:`action_codes`
+        and :meth:`rule_id_codes` follow."""
         return list(self._sorted_rules)
 
     def shaper_for(self, key: str) -> Optional[RateLimiter]:
         """The stateful shaper behind a SHAPE rule id, drained by the
         fabric delivery plan.  Anonymous shape rules are keyed by their
         synthetic ``anon-<n>`` id assigned at install time."""
-        return self._ids.get(key)
+        return self._shapers.get(key)
 
     def clear(self) -> None:
         """Drop every rule.  Clearing an already-empty policy is a no-op
@@ -503,6 +498,7 @@ class PortQosPolicy:
             return
         self._rules.clear()
         self._ids.clear()
+        self._shapers.clear()
         self._sorted_rules.clear()
         self._sorted_specs.clear()
         self._bump()

@@ -146,6 +146,17 @@ class TestCommunityCodec:
         decoded, _ = self.codec.to_rule(self.codec.encode(rule), owner_asn=64500, dst_prefix=HOST)
         assert decoded.qos.match == FlowMatch(dst_prefix=HOST, protocol=IpProtocol.UDP)
 
+    def test_decode_takes_every_8_bit_protocol_encode_emits(self):
+        for protocol in (0, 99, 255):
+            rule = BlackholingRule.drop_protocol(64500, "1.2.3.4/32", protocol)
+            decoded, _ = self.codec.to_rule(
+                self.codec.encode(rule), owner_asn=64500, dst_prefix=HOST
+            )
+            assert decoded.qos.match == FlowMatch(dst_prefix=HOST, protocol=protocol)
+        too_wide = ExtendedCommunity(type=0x80, subtype=0x02, global_admin=64700, local_admin=256)
+        with pytest.raises(CommunityDecodeError, match="8 bits"):
+            self.codec.decode([too_wide])
+
     def test_roundtrip_plain_drop_all(self):
         rule = BlackholingRule.create(64500, FlowMatch(dst_prefix=HOST))
         communities = self.codec.encode(rule)

@@ -524,6 +524,20 @@ class TestStellarDataPlane:
         ]
         assert stellar.installed_rule_count() == 1
 
+    def test_a_protocol_the_codec_has_no_name_for_is_installed(self):
+        # The encoder emits any 8-bit protocol number; the decoder must
+        # take it back, or the signal is silently dropped.
+        stellar, _, _ = build_stellar()
+        rule = BlackholingRule.drop_protocol(VICTIM_ASN, f"{VICTIM_IP}/32", 99)
+        assert stellar.request_mitigation(rule, via="bgp").accepted
+        stellar.advance(now=1.0)
+        assert stellar.controller.stats.decode_errors == 0
+        assert [active.qos.match.protocol for active in stellar.active_rules()] == [99]
+        (installed,) = stellar.fabric.edge_routers()[0].installed_rules()
+        assert installed.match == FlowMatch(
+            dst_prefix=Prefix.parse(f"{VICTIM_IP}/32"), protocol=99
+        )
+
     def test_a_rule_the_tcam_refused_leaves_the_active_rules(self):
         # The controller lists what the data plane holds: the refused
         # install is not active, and a later diff sends it again.

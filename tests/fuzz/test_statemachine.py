@@ -10,9 +10,8 @@ step Hypothesis checks the machine's invariants:
 * ``rules_version`` increases monotonically, and *only* when a mutation
   actually changed a rule set (no-op removes/clears must leave the
   compiled index and the cached delivery plan warm),
-* chassis TCAM usage equals the footprint of the rules actually
-  installed (plus the tracked leak of anonymous rules removed per-rule,
-  which only ``clear_rules`` can reclaim),
+* every port's TCAM usage equals the footprint of the rules installed
+  on it (anonymous SHAPE rules removed by their ``anon-<n>`` id included),
 * every SHAPE rule — anonymous ones included — owns a distinct, live
   :class:`RateLimiter` at its configured rate.
 """
@@ -49,10 +48,6 @@ class RuleStateMachine(RuleBasedStateMachine):
         self.oracle = ReferenceFabric(self.fabric)
         #: Last observed rules_version per member (monotonicity check).
         self.versions = {asn: 0 for asn in MEMBERS}
-        #: TCAM footprint of anonymous rules removed via remove_rule —
-        #: per-rule removal cannot release it (no installation record),
-        #: only clear_rules can.  Keyed (router_name, port_id).
-        self.leaked = {}
         self.step = 0
 
     # ------------------------------------------------------------------
@@ -91,11 +86,6 @@ class RuleStateMachine(RuleBasedStateMachine):
         """Installs reset the shapers of every id they name or create."""
         fresh = set(self.policy(asn).rule_ids()) - before["ids"]
         self.oracle.forget(asn, {rule.rule_id for rule in rules} | fresh)
-
-    def _footprint_key(self, asn):
-        router = self.fabric.router_for_member(asn)
-        port = router.port_for(asn)
-        return (router.name, port.port_id)
 
     # ------------------------------------------------------------------
     # Rules (operations)
@@ -136,17 +126,7 @@ class RuleStateMachine(RuleBasedStateMachine):
         if not ids:
             return
         rule_id = ids[pick % len(ids)]
-        victim = next(r for r in policy.rules() if r.rule_id == rule_id)
         before = self._snapshot(asn)
-        if rule_id.startswith("anon-"):
-            # No installation record: the router cannot release this
-            # footprint on per-rule removal.  Track the leak.
-            key = self._footprint_key(asn)
-            mac, l3l4 = self.leaked.get(key, (0, 0))
-            self.leaked[key] = (
-                mac + victim.match.mac_filter_entries,
-                l3l4 + victim.match.l3l4_criteria,
-            )
         assert self.fabric.router_for_member(asn).remove_rule(asn, rule_id) is True
         self.oracle.forget(asn, {rule_id})
         assert policy.shaper_for(rule_id) is None
@@ -162,14 +142,13 @@ class RuleStateMachine(RuleBasedStateMachine):
 
     @rule(member=member_indices)
     def clear(self, member):
-        """clear_rules drops the whole port, reclaiming leaked TCAM."""
+        """clear_rules drops the whole port and releases its TCAM."""
         asn = MEMBERS[member]
         policy = self.policy(asn)
         count = len(policy)
         before = self._snapshot(asn)
         assert self.fabric.router_for_member(asn).clear_rules(asn) == count
         self.oracle.forget(asn)
-        self.leaked[self._footprint_key(asn)] = (0, 0)
         self._check_mutation(asn, before, mutated=count > 0)
         assert len(policy) == 0
 
@@ -203,11 +182,10 @@ class RuleStateMachine(RuleBasedStateMachine):
             for port in router.ports():
                 mac = sum(r.match.mac_filter_entries for r in port.qos.rules())
                 l3l4 = sum(r.match.l3l4_criteria for r in port.qos.rules())
-                leak_mac, leak_l3l4 = self.leaked.get((router.name, port.port_id), (0, 0))
-                assert router.tcam.usage_for_port(port.port_id) == (
-                    mac + leak_mac,
-                    l3l4 + leak_l3l4,
-                ), (router.name, port.port_id)
+                assert router.tcam.usage_for_port(port.port_id) == (mac, l3l4), (
+                    router.name,
+                    port.port_id,
+                )
 
     @invariant()
     def every_shape_rule_has_its_own_shaper(self):

@@ -145,6 +145,60 @@ class TestEdgeRouter:
         with pytest.raises(TcamExhaustedError):
             router.install_rule(64500, drop_rule("b"))
 
+    def test_a_refused_batch_replacement_leaves_what_single_installs_leave(self):
+        # A and B share the id "x"; B replaces A inside the batch, then
+        # the TCAM refuses B.  One-row installs remove A before refusing
+        # B, so the batch must leave no "x" and nothing charged.
+        tiny = HardwareProfile("tiny", 4, 4, 2)
+        a = QosRule(match=FlowMatch(src_port=123), action=FilterAction.DROP, rule_id="x")
+        b = QosRule(
+            match=FlowMatch(
+                dst_prefix=Prefix.parse("100.10.10.10/32"),
+                protocol=IpProtocol.UDP,
+                src_port=53,
+            ),
+            action=FilterAction.DROP,
+            rule_id="x",
+        )
+        states = []
+        for install in (
+            lambda router: router.install_rules(64500, [a, b]),
+            lambda router: [router.install_rule(64500, rule) for rule in (a, b)],
+        ):
+            router = EdgeRouter("tiny", profile=tiny)
+            router_fabric(router, IxpMember(asn=64500))
+            with pytest.raises(TcamExhaustedError) as refused:
+                install(router)
+            port = router.port_for(64500)
+            states.append(
+                (
+                    port.qos.rules(),
+                    router.tcam.usage_for_port(port.port_id),
+                    router.installed_rules(),
+                    router.config_operations,
+                )
+            )
+            assert refused.value.installed == (1 if len(states) == 1 else 0)
+        assert states[0] == states[1] == ([], (0, 0), [], 2)
+
+    def test_removing_the_empty_id_changes_nothing(self):
+        # Anonymous DROP rules carry the empty id, which names no rule:
+        # removing it must neither drop them nor leave their TCAM charged.
+        router = self._router()
+        router_fabric(router, IxpMember(asn=64500))
+        for src_port in (123, 53, 19):
+            router.install_rule(
+                64500, QosRule(match=FlowMatch(src_port=src_port), action=FilterAction.DROP)
+            )
+        port = router.port_for(64500)
+        operations, version = router.config_operations, port.qos.rules_version
+        assert router.remove_rule(64500, "") is False
+        assert len(port.qos) == 3
+        assert router.tcam.usage_for_port(port.port_id) == (0, 3)
+        assert (router.config_operations, port.qos.rules_version) == (operations, version)
+        assert router.clear_rules(64500) == 3
+        assert router.tcam.usage_for_port(port.port_id) == (0, 0)
+
     def test_deliver_applies_port_policy(self):
         router = self._router()
         fabric = SwitchingFabric(name="test-ixp")

@@ -146,7 +146,7 @@ def victim_port_fabric(rules) -> SwitchingFabric:
     """A one-port fabric: the victim alone, with ``rules`` on its port."""
     fabric, port = single_port_fabric(asn=VICTIM_ASN)
     for rule in rules:
-        port.install_rule(rule)
+        port.qos.install(rule)
     return fabric
 
 
@@ -244,13 +244,9 @@ class TestDeliveryPlan:
         plan = FabricDeliveryPlan(build_fabric())
         assert plan.port_count == 1 + len(PEER_ASNS)
         assert plan.rule_count == 4
-        by_member = {}
-        for compiled in plan.compiled_rules():
-            by_member.setdefault(compiled.member_asn, []).append(compiled)
-        assert set(by_member) == {VICTIM_ASN, 65001}
-        # Per-port precedence survives compilation.
-        victim_positions = [c.port_rule_index for c in by_member[VICTIM_ASN]]
-        assert victim_positions == sorted(victim_positions)
+        # The plan copies no rule: it keeps each filtered member's offset
+        # into the platform order, members ascending by ASN.
+        assert plan._member_start == {VICTIM_ASN: 0, 65001: 3}
 
     def test_plan_recompiled_per_interval_sees_new_rules(self):
         fabric = build_fabric(with_rules=False)
@@ -268,37 +264,32 @@ class TestDeliveryPlan:
         report = fabric.deliver(table, 10.0, 10.0)
         assert report.results_by_member[VICTIM_ASN].dropped_bits > 0.0
 
-    def test_recompile_patches_only_the_touched_port(self):
-        # A rule change on one member must rebuild only that member's
-        # segment; every other port's compiled rules are adopted from the
-        # previous plan by identity (the incremental-plan fast path).
+    def test_recompile_shifts_the_members_behind_a_touched_port(self):
+        # An install on the lowest filtered ASN moves every later member's
+        # rules one rank further on; the scatter must still read each
+        # member's rules at its new offset.
         fabric = build_fabric()
-        table = interval_table(with_unknown=False)
-        fabric.deliver(table, 10.0)
+        oracle = ReferenceFabric(fabric)
+        assert_matches_reference(fabric, oracle, interval_table(with_unknown=False))
         before = fabric.current_delivery_plan()
-        fabric.router_for_member(65001).install_rule(
-            65001,
+        fabric.router_for_member(VICTIM_ASN).install_rule(
+            VICTIM_ASN,
             QosRule(
-                match=FlowMatch(src_port=19),
+                match=FlowMatch(dst_prefix=Prefix.parse(f"{VICTIM_IP}/32")),
                 action=FilterAction.DROP,
-                rule_id="late-chargen",
+                rule_id="late-host",
             ),
         )
         after = fabric.current_delivery_plan()
         assert after is not before
-        assert after._segments[VICTIM_ASN] is before._segments[VICTIM_ASN]
-        assert after._segments[65001] is not before._segments[65001]
         assert after.rule_count == before.rule_count + 1
-        assert "late-chargen" in {
-            compiled.rule.rule_id for compiled in after.compiled_rules()
-        }
-        # The patched plan delivers identically to a from-scratch one.
-        report_patched = fabric.deliver(table, 10.0, 10.0)
-        fabric._plan_cache = None
-        report_fresh = fabric.deliver(table, 10.0, 20.0)
-        patched, fresh = report_patched.to_dict(), report_fresh.to_dict()
-        patched.pop("interval_start"), fresh.pop("interval_start")
-        assert patched == fresh
+        assert after._member_start == {VICTIM_ASN: 0, 65001: 4}
+        report = assert_matches_reference(
+            fabric, oracle, interval_table(seed=2, with_unknown=False), 10.0
+        )
+        stats = report.rule_stats_by_member
+        assert "late-host" in stats[VICTIM_ASN]
+        assert set(stats[65001]) == {"drop-memcached"}
 
     def test_passthrough_results_defer_tables(self):
         fabric = build_fabric()

@@ -14,7 +14,9 @@ regression test for a bug the fuzzing work fixed:
   replacing it (and merging two shapers into one);
 * an :class:`EdgeRouter` keyed installation records by rule id alone, so
   the same id on two different member ports of one router released the
-  other port's TCAM footprint.
+  other port's TCAM footprint;
+* removing an anonymous SHAPE rule by its ``anon-<n>`` id left its TCAM
+  footprint charged until the whole port was cleared.
 """
 
 import pytest
@@ -199,7 +201,7 @@ class TestAnonIdCollision:
 
 
 class TestRouterInstallationScoping:
-    """Regression: installation records are per (port, rule id)."""
+    """Regression: a rule id is scoped to one port's policy."""
 
     def _router_with_two_members(self):
         router = EdgeRouter("edge-1")
@@ -235,12 +237,22 @@ class TestRouterInstallationScoping:
 
     def test_clear_rules_releases_anonymous_footprint(self):
         router = self._router_with_two_members()
-        router.install_rule(64500, shape_rule())  # anonymous: no record
+        router.install_rule(64500, shape_rule())  # anonymous
         port_a = router.port_for(64500)
         assert router.tcam.usage_for_port(port_a.port_id) == (0, 1)
         assert router.clear_rules(64500) == 1
         assert router.tcam.usage_for_port(port_a.port_id) == (0, 0)
         assert len(port_a.qos) == 0
+
+    def test_removing_an_anonymous_shape_rule_by_its_id_releases_its_footprint(self):
+        router = self._router_with_two_members()
+        router.install_rule(64500, shape_rule())
+        port_a = router.port_for(64500)
+        (anon_id,) = port_a.qos.rule_ids()
+        assert [rule.rule_id for rule in router.installed_rules()] == [anon_id]
+        assert router.remove_rule(64500, anon_id) is True
+        assert router.tcam.usage_for_port(port_a.port_id) == (0, 0)
+        assert router.installed_rules() == []
 
     def test_clear_rules_on_empty_port_is_no_op(self):
         router = self._router_with_two_members()

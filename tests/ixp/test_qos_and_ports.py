@@ -13,7 +13,6 @@ from repro.ixp import (
     FilterAction,
     FlowMatch,
     IxpMember,
-    MemberPort,
     PortQosPolicy,
     QosRule,
     RateLimiter,
@@ -173,6 +172,18 @@ class TestPortQosPolicy:
         assert not policy.remove("x")
         assert len(policy) == 0
 
+    def test_the_empty_id_names_no_rule(self):
+        # Anonymous DROP rules carry the empty id; removing "" must not
+        # take them all out (they leave only through clear()).
+        policy = PortQosPolicy(port_capacity_bps=1e9)
+        for port in (1, 2):
+            policy.install(QosRule(match=FlowMatch(src_port=port), action=FilterAction.DROP))
+        version = policy.rules_version
+        assert policy.rule_for("") is None
+        assert policy.remove("") is False
+        assert len(policy) == 2
+        assert policy.rules_version == version
+
     def test_classify_returns_none_without_match(self):
         policy = PortQosPolicy(port_capacity_bps=1e9)
         policy.install(QosRule(match=FlowMatch(src_port=1), action=FilterAction.DROP))
@@ -247,14 +258,6 @@ class TestMemberPort:
         port, result = deliver([make_flow(bytes_=1000)], interval_start=5.0)
         assert port.counters.offered_bits == 8000
         assert port.counters.delivered_bits == result.delivered_bits
-
-    def test_rule_management_delegation(self):
-        port = MemberPort(member=IxpMember(asn=64500), port_id=1)
-        port.install_rule(
-            QosRule(match=FlowMatch(src_port=1), action=FilterAction.DROP, rule_id="a")
-        )
-        assert len(port.qos.rules()) == 1
-        assert port.remove_rule("a")
 
     def test_utilisation_reports_true_oversubscription(self):
         # 80 Mbit of demand against a 10 Mbit interval budget: the port is
