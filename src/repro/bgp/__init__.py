@@ -17,7 +17,6 @@ _EXPORTS = {
     "drop_rule": "flowspec",
     "rate_limit_rule": "flowspec",
     "IrrDatabase": "irr",
-    "OpenMessage": "messages",
     "RouteAnnouncement": "messages",
     "RouteWithdrawal": "messages",
     "UpdateMessage": "messages",
@@ -36,9 +35,6 @@ _EXPORTS = {
     "RpkiValidator": "rpki",
     "RpkiValidity": "rpki",
     "BgpSession": "session",
-    "SessionError": "session",
-    "SessionState": "session",
-    "SessionType": "session",
 }
 
 __all__ = list(_EXPORTS)

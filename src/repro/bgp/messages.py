@@ -62,17 +62,6 @@ class UpdateMessage:
         return len(self.announcements) + len(self.withdrawals)
 
 
-@dataclass(frozen=True)
-class OpenMessage:
-    """A BGP OPEN message with the capabilities relevant to the model."""
-
-    sender_asn: int
-    hold_time: int = 90
-    bgp_identifier: str = "0.0.0.0"
-    add_path: bool = False
-    ipv6: bool = True
-
-
 def announcement(
     prefix: "str | Prefix", asn: int, next_hop: str = ""
 ) -> RouteAnnouncement:

@@ -2,16 +2,13 @@
 
 :class:`RoutingInformationBase` is a multi-path RIB keyed by
 ``(prefix, neighbor ASN, path id)``.  The route server stores accepted
-routes in one, and the blackholing controller keeps another, fed over
-iBGP with ADD-PATH, so it sees *all* paths for a prefix rather than only
-the route server's best path (paper §4.3).  The controller derives its
-rule set from the whole RIB and diffs *rule sets*, not RIB snapshots
-(paper §4.4).
+routes in one.  The blackholing controller keeps no RIB: it keys the rule
+each southbound path decoded to by the same :data:`RibKey`, so it still
+tells *all* paths for a prefix apart (ADD-PATH, paper §4.3), and diffs
+*rule sets* (paper §4.4).
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterator
 
 from .messages import RouteAnnouncement
 from .prefix import Prefix
@@ -20,7 +17,8 @@ from .prefix import Prefix
 RibKey = tuple[Prefix, int, int]
 
 
-def _key_for(route: RouteAnnouncement) -> RibKey:
+def rib_key(route: RouteAnnouncement) -> RibKey:
+    """The key of a route; a route with an empty AS path has none."""
     neighbor = route.attributes.neighbor_asn
     if neighbor is None:
         raise ValueError(f"route {route} has an empty AS path")
@@ -35,15 +33,11 @@ class RoutingInformationBase:
 
     def add(self, route: RouteAnnouncement) -> None:
         """Insert or replace a route."""
-        self._routes[_key_for(route)] = route
+        self._routes[rib_key(route)] = route
 
     def remove_route(self, route: RouteAnnouncement) -> bool:
         """Remove a specific route object.  Returns True if found."""
-        return self._routes.pop(_key_for(route), None) is not None
-
-    def routes(self) -> Iterator[RouteAnnouncement]:
-        """Iterate over all routes."""
-        return iter(self._routes.values())
+        return self._routes.pop(rib_key(route), None) is not None
 
     def routes_for(self, prefix: Prefix) -> list[RouteAnnouncement]:
         """All routes (from all neighbours / path ids) for an exact prefix."""

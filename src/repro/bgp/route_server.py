@@ -11,9 +11,9 @@ route-server users (paper §2.1).  For the reproduction the route server
   (honouring per-announcement policy-control communities such as
   "announce to all except AS x" used in Fig. 3(b)),
 * feeds *all* accepted paths to registered southbound consumers (the
-  Stellar blackholing controller) over iBGP with ADD-PATH — crucially it
-  does **not** reflect Advanced Blackholing signals back to the members
-  (paper §4.3).
+  Stellar blackholing controller), each with its own ADD-PATH path id —
+  crucially it does **not** reflect Advanced Blackholing signals back to
+  the members (paper §4.3).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .messages import (
 from .policy import ImportPolicy, PolicyResult, permissive_policy
 from .prefix import Prefix
 from .rib import RoutingInformationBase
-from .session import BgpSession, SessionType
+from .session import BgpSession
 
 
 @dataclass(frozen=True)
@@ -93,13 +93,7 @@ class RouteServer:
             raise ValueError("a member cannot use the IXP's own ASN")
         session = self._member_sessions.get(member_asn)
         if session is None:
-            session = BgpSession(
-                local_asn=self.ixp_asn,
-                peer_asn=member_asn,
-                session_type=SessionType.EBGP,
-            )
-            session.open()
-            self._member_sessions[member_asn] = session
+            session = self._member_sessions[member_asn] = BgpSession(member_asn)
         return session
 
     @property
@@ -239,10 +233,7 @@ class RouteServer:
         if member_facing or withdrawals:
             targets = control.targets(self.member_asns, sender)
             for member_asn in sorted(targets):
-                session = self._member_sessions[member_asn]
-                if not session.is_established:
-                    continue
-                session.deliver(
+                self._member_sessions[member_asn].deliver(
                     UpdateMessage(
                         sender_asn=self.ixp_asn,
                         announcements=tuple(member_facing),

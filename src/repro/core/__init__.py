@@ -8,7 +8,7 @@ from .._lazy import lazy_exports
 #: Public name -> the submodule that defines it.
 _EXPORTS = {
     "CommunityDecodeError": "community_codec",
-    "DecodedSignal": "community_codec",
+    "UnencodableRuleError": "community_codec",
     "StellarCommunityCodec": "community_codec",
     "BlackholingController": "controller",
     "ControllerStats": "controller",

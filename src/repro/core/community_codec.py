@@ -9,6 +9,10 @@ remaining compatible with every route-server implementation (paper
 This module defines the concrete namespace used by the reproduction and
 implements a reversible codec between :class:`~repro.core.rules.BlackholingRule`
 objects and sets of :class:`~repro.bgp.communities.ExtendedCommunity`.
+:meth:`StellarCommunityCodec.decode` gives back the prefix-less
+:class:`~repro.core.portal.RuleTemplate` the portal uses (or the id of a
+portal rule), and :meth:`~repro.core.portal.RuleTemplate.instantiate`
+binds it to the owner and the prefix of the announcement it rode on.
 
 Layout
 ------
@@ -36,18 +40,32 @@ communities: the selector/port community (``0x01``, ``2<<24 | 123``) and —
 only if non-default — the action community.  Plain "drop" is the default
 action, so the minimal signal stays a single community, matching the
 paper's "single BGP announcement" requirement.
+
+Encodable domain
+----------------
+
+The communities carry exactly these rules, and :meth:`~StellarCommunityCodec.encode`
+refuses every other one with :class:`UnencodableRuleError` rather than
+signal a different rule:
+
+* any destination prefix (it rides in the NLRI), with no ``src_mac`` and
+  no ``src_prefix`` — the layout has no field for either, and dropping
+  one would broaden the rule to traffic from every peer;
+* a source and/or destination port only together with protocol UDP or
+  TCP, which the selector names; any 8-bit protocol number without a port;
+* DROP, or SHAPE at a whole number of Mbit/s from 1 to 2^32 - 1, which the
+  rate community carries exactly.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..bgp.communities import ExtendedCommunity
-from ..bgp.prefix import Prefix
 from ..ixp.qos import FilterAction, FlowMatch
 from ..traffic.packet import IpProtocol
+from .portal import RuleTemplate
 from .rules import BlackholingRule
 
 #: Experimental, two-octet AS specific extended community type.
@@ -69,23 +87,17 @@ SELECTOR_UDP_DST_PORT = 4
 ACTION_DROP = 1
 ACTION_SHAPE = 2
 
+#: Largest value a community's 32-bit local administrator field carries.
+_MAX_PAYLOAD = 0xFFFFFFFF
+
 
 class CommunityDecodeError(ValueError):
     """Raised when a set of extended communities is not a valid Stellar signal."""
 
 
-@dataclass(frozen=True)
-class DecodedSignal:
-    """The outcome of decoding a Stellar community set.
-
-    ``match`` has no ``dst_prefix``: the prefix comes from the NLRI the
-    communities ride on (:meth:`StellarCommunityCodec.to_rule`).
-    """
-
-    action: FilterAction
-    match: FlowMatch
-    shape_rate_bps: float
-    predefined_rule_id: Optional[int]
+class UnencodableRuleError(ValueError):
+    """Raised by :meth:`StellarCommunityCodec.encode` for a rule outside the
+    encodable domain: the communities would signal a different rule."""
 
 
 class StellarCommunityCodec:
@@ -124,14 +136,19 @@ class StellarCommunityCodec:
         """Encode a rule into its extended-community representation.
 
         The destination prefix is carried by the BGP NLRI, not by the
-        communities, so it does not appear here.
+        communities, so it does not appear here.  A rule outside the
+        encodable domain raises :class:`UnencodableRuleError`.
         """
         communities: set[ExtendedCommunity] = set()
         match = rule.qos.match
+        if match.src_mac is not None or match.src_prefix is not None:
+            raise UnencodableRuleError(
+                "the Stellar communities carry no source MAC or source prefix"
+            )
 
         if match.src_port is not None or match.dst_port is not None:
             if match.protocol not in (IpProtocol.UDP, IpProtocol.TCP):
-                raise ValueError(
+                raise UnencodableRuleError(
                     "port-based rules must specify protocol UDP or TCP to be "
                     "encodable as a Stellar community"
                 )
@@ -154,9 +171,14 @@ class StellarCommunityCodec:
             communities.add(self._community(SUBTYPE_PROTOCOL, int(match.protocol)))
 
         if rule.qos.action is FilterAction.SHAPE:
+            rate_bps = rule.qos.shape_rate_bps
+            if rate_bps % 1e6 or rate_bps > _MAX_PAYLOAD * 1e6:
+                raise UnencodableRuleError(
+                    f"a shape rate of {rate_bps:g} bit/s is not a whole number "
+                    f"of Mbit/s from 1 to {_MAX_PAYLOAD}"
+                )
             communities.add(self._community(SUBTYPE_ACTION, ACTION_SHAPE))
-            rate_mbps = max(1, int(round(rule.qos.shape_rate_bps / 1e6)))
-            communities.add(self._community(SUBTYPE_SHAPE_RATE, rate_mbps))
+            communities.add(self._community(SUBTYPE_SHAPE_RATE, int(rate_bps // 1e6)))
         # Plain DROP is the default and may be omitted; we still emit it for
         # rules with no other community so the signal is never empty.
         elif not communities:
@@ -165,15 +187,19 @@ class StellarCommunityCodec:
 
     def encode_predefined(self, predefined_rule_id: int) -> set[ExtendedCommunity]:
         """Encode a reference to a portal-defined rule."""
-        if predefined_rule_id < 0 or predefined_rule_id > 0xFFFFFFFF:
+        if predefined_rule_id < 0 or predefined_rule_id > _MAX_PAYLOAD:
             raise ValueError("predefined rule id must fit in 32 bits")
         return {self._community(SUBTYPE_PREDEFINED_RULE, predefined_rule_id)}
 
     # ------------------------------------------------------------------
     # Decoding
     # ------------------------------------------------------------------
-    def decode(self, communities: Iterable[ExtendedCommunity]) -> DecodedSignal:
-        """Decode a community set into the signalled filter parameters."""
+    def decode(self, communities: Iterable[ExtendedCommunity]) -> RuleTemplate | int:
+        """Decode a community set into the signalled rule.
+
+        Returns the prefix-less template of an explicit rule, or the id of
+        the portal rule the communities reference.
+        """
         stellar = [c for c in communities if self.is_stellar_community(c)]
         if not stellar:
             raise CommunityDecodeError("no Stellar extended communities present")
@@ -230,32 +256,11 @@ class StellarCommunityCodec:
 
         if action is FilterAction.SHAPE and shape_rate_bps <= 0:
             raise CommunityDecodeError("shape action signalled without a rate")
-        return DecodedSignal(
-            action=action,
+        if predefined is not None:
+            return predefined
+        return RuleTemplate(
+            name="signalled",
             match=FlowMatch(protocol=protocol, src_port=src_port, dst_port=dst_port),
+            action=action,
             shape_rate_bps=shape_rate_bps,
-            predefined_rule_id=predefined,
         )
-
-    def to_rule(
-        self,
-        communities: Iterable[ExtendedCommunity],
-        owner_asn: int,
-        dst_prefix: Prefix,
-    ) -> tuple[Optional[BlackholingRule], Optional[int]]:
-        """Decode communities and bind them to a prefix/owner.
-
-        Returns ``(rule, predefined_rule_id)``: exactly one of the two is
-        non-None — signals referencing a portal-defined rule are resolved by
-        the signaling layer, not here.
-        """
-        signal = self.decode(communities)
-        if signal.predefined_rule_id is not None:
-            return None, signal.predefined_rule_id
-        rule = BlackholingRule.create(
-            owner_asn,
-            replace(signal.match, dst_prefix=dst_prefix),
-            signal.action,
-            signal.shape_rate_bps,
-        )
-        return rule, None

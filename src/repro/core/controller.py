@@ -2,15 +2,19 @@
 
 The controller is the heart of Stellar's management layer (paper §4.4):
 
-* it maintains an iBGP session with the route server (with ADD-PATH, so it
-  sees every accepted path rather than only the best one),
-* a *BGP parser* consumes the message stream and a *BGP processor*
-  interprets the semantics, storing announced routes in a local RIB,
-* after every update it derives the set of blackholing rules requested by
-  the members (by decoding the Stellar extended communities, resolving
+* the route server hands it every accepted path (ADD-PATH: each
+  southbound path carries its own path id, so the controller sees all
+  paths for a prefix rather than only the best one) by calling
+  :meth:`BlackholingController.process_update`; there is no iBGP session
+  object in between,
+* each announced path is decoded once, when it arrives, into the rule it
+  requests (by decoding the Stellar extended communities, resolving
   predefined-rule references through the customer portal, and translating
-  plain RTBH announcements into drop-all rules),
-* the difference against the previously active rule set yields change
+  plain RTBH announcements into drop-all rules); the controller keeps one
+  entry per path, keyed ``(prefix, neighbour ASN, path id)`` in arrival
+  order, holding that rule and no route,
+* after every update the rules of those entries form the desired rule
+  set, and its difference against the previously active rule set yields change
   requests for the victim's egress port, which the controller enqueues on
   the fabric's :class:`~repro.ixp.service.ControlPlaneService`: a
   withdrawn rule becomes a ``remove`` by rule id, an added or updated one
@@ -36,16 +40,18 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..bgp.messages import RouteAnnouncement, UpdateMessage
-from ..bgp.rib import RoutingInformationBase
-from ..bgp.session import BgpSession, SessionType
+from ..bgp.rib import RibKey, rib_key
 from ..ixp.qos import FlowMatch
 from ..ixp.service import ChangeRequest, ControlPlaneService, ServiceResponse
 from .community_codec import CommunityDecodeError, StellarCommunityCodec
-from .portal import CustomerPortal
+from .portal import CustomerPortal, RuleTemplate
 from .rules import BlackholingRule
 
 #: Comparison slack for retry times.
 _EPS = 1e-9
+
+#: What a classic RTBH announcement requests: drop everything to the prefix.
+_DROP_ALL = RuleTemplate(name="rtbh-drop-all")
 
 
 @dataclass
@@ -82,15 +88,9 @@ class BlackholingController:
         #: are also translated into drop-all rules on the victim's port.
         self.translate_rtbh = translate_rtbh
         self._clock = clock if clock is not None else (lambda: 0.0)
-        self.rib = RoutingInformationBase()
-        self.session = BgpSession(
-            local_asn=ixp_asn,
-            peer_asn=ixp_asn,
-            session_type=SessionType.IBGP,
-            add_path=True,
-            on_update=self.process_update,
-        )
-        self.session.open()
+        #: The rule each announced path decoded to (``None`` for a path
+        #: that requests none), in arrival order.
+        self.paths: dict[RibKey, Optional[BlackholingRule]] = {}
         self.stats = ControllerStats()
         #: Currently active rules, keyed by their identity ``(owner_asn,
         #: qos.match)``: two signals with the same key but a different
@@ -111,13 +111,17 @@ class BlackholingController:
         self.stats.updates_processed += 1
         for announcement in update.announcements:
             self.stats.announcements_seen += 1
-            self.rib.add(announcement)
+            # A re-announcement of a path replaces its rule in place.
+            self.paths[rib_key(announcement)] = self._rule_from_announcement(announcement)
         for withdrawal in update.withdrawals:
             self.stats.withdrawals_seen += 1
             # ADD-PATH: withdrawals carry the path id of the withdrawn path.
-            for route in self.rib.routes_for(withdrawal.prefix):
-                if route.path_id == withdrawal.path_id:
-                    self.rib.remove_route(route)
+            for key in [
+                key
+                for key in self.paths
+                if key[0] == withdrawal.prefix and key[2] == withdrawal.path_id
+            ]:
+                del self.paths[key]
         return self._reconcile()
 
     # ------------------------------------------------------------------
@@ -126,7 +130,7 @@ class BlackholingController:
     def _rule_from_announcement(
         self, announcement: RouteAnnouncement
     ) -> Optional[BlackholingRule]:
-        """Derive the blackholing rule requested by one announcement, if any."""
+        """Decode the blackholing rule one announcement requests, if any."""
         attrs = announcement.attributes
         owner = attrs.origin_asn
         if owner is None:
@@ -139,35 +143,32 @@ class BlackholingController:
         ]
         if stellar_communities:
             try:
-                rule, predefined_id = self.codec.to_rule(
-                    stellar_communities, owner_asn=owner, dst_prefix=announcement.prefix
-                )
+                signal = self.codec.decode(stellar_communities)
             except CommunityDecodeError:
                 self.stats.decode_errors += 1
                 return None
             self.stats.signals_decoded += 1
-            if predefined_id is not None:
+            if isinstance(signal, int):
                 try:
                     return self.portal.resolve(
-                        predefined_id, member_asn=owner, dst_prefix=announcement.prefix
+                        signal, member_asn=owner, dst_prefix=announcement.prefix
                     )
                 except (KeyError, PermissionError):
                     self.stats.decode_errors += 1
                     return None
-            return rule
+            return signal.instantiate(owner, announcement.prefix)
 
         if self.translate_rtbh and attrs.has_blackhole_community:
             # Classic RTBH signal: drop everything towards the prefix at the
             # victim's egress port (no cooperation needed, unlike real RTBH).
             self.stats.signals_decoded += 1
-            return BlackholingRule.create(owner, FlowMatch(dst_prefix=announcement.prefix))
+            return _DROP_ALL.instantiate(owner, announcement.prefix)
         return None
 
     def desired_rules(self) -> dict[tuple[int, FlowMatch], BlackholingRule]:
-        """The rule set implied by the current RIB contents."""
+        """The rule set the announced paths request."""
         desired: dict[tuple[int, FlowMatch], BlackholingRule] = {}
-        for route in self.rib.routes():
-            rule = self._rule_from_announcement(route)
+        for rule in self.paths.values():
             if rule is None:
                 continue
             key = (rule.owner_asn, rule.qos.match)
@@ -179,7 +180,7 @@ class BlackholingController:
         return desired
 
     # ------------------------------------------------------------------
-    # Reconciliation (RIB diff → change requests)
+    # Reconciliation (rule-set diff → change requests)
     # ------------------------------------------------------------------
     def _reconcile(self) -> list[ChangeRequest]:
         now = self._clock()

@@ -128,7 +128,7 @@ class BlackholingRule:
         if match.src_mac is not None:
             parts.append(f"src_mac={match.src_mac}")
         if qos.action is FilterAction.SHAPE:
-            parts.append(f"rate={qos.shape_rate_bps / 1e6:.0f}Mbps")
+            parts.append(f"rate={qos.shape_rate_bps / 1e6:g}Mbps")
         return f"BlackholingRule({qos.rule_id}: " + ", ".join(parts) + ")"
 
 

@@ -7,15 +7,20 @@ Members signal Advanced Blackholing requests to the IXP in one of two ways
   the route server, tagged with Stellar extended communities encoding the
   blackholing rule (or a reference to a predefined rule).  The route server
   applies its usual import policy ("routing hygiene": IRR, RPKI, bogons) and
-  forwards accepted announcements southbound to the blackholing controller
-  over iBGP/ADD-PATH.  Crucially the signal is *not* reflected to the other
-  members.
+  forwards accepted announcements southbound to the blackholing controller,
+  each with its own ADD-PATH path id.  Crucially the signal is *not*
+  reflected to the other members.
 * **Out-of-band, via the customer portal API** — mainly used to manage
   predefined rules, but the reproduction also exposes a direct API signal
   path so the signalling-interface ablation can compare the two.
 
 The signaling layer owns authentication/authorisation: a member may only
-request blackholing for prefixes it is authorised to originate.
+request blackholing for prefixes it is authorised to originate.  Both
+paths raise :class:`SignalRejectedError` for an unauthorised prefix, and
+for a rule the Stellar communities cannot carry exactly (a source MAC or
+source prefix, a shape rate that is not a whole number of Mbit/s, a port
+without UDP or TCP; see :mod:`repro.core.community_codec`), before the
+route server or the controller sees anything.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from ..bgp.communities import ExtendedCommunity
 from ..bgp.messages import RouteAnnouncement, RouteWithdrawal, UpdateMessage
 from ..bgp.prefix import Prefix, parse_prefix
 from ..bgp.route_server import PolicyControl, RouteServer
-from .community_codec import StellarCommunityCodec
+from .community_codec import StellarCommunityCodec, UnencodableRuleError
 from .controller import BlackholingController
 from .portal import CustomerPortal
 from .rules import BlackholingRule
@@ -40,7 +45,7 @@ NOTHING_WITHDRAWN = "nothing to withdraw"
 
 
 class SignalRejectedError(RuntimeError):
-    """Raised when a signal fails validation (authorisation or policy)."""
+    """Raised when a signal fails validation (authorisation or encoding)."""
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,13 @@ class SignalingLayer:
             return True
         return policy.irr.is_authorized(prefix, member_asn)
 
+    def _encode(self, rule: BlackholingRule) -> set[ExtendedCommunity]:
+        """The rule's communities; a rule they cannot carry is rejected."""
+        try:
+            return self.codec.encode(rule)
+        except UnencodableRuleError as error:
+            raise SignalRejectedError(f"{rule} cannot be signalled: {error}") from error
+
     # ------------------------------------------------------------------
     # BGP signalling
     # ------------------------------------------------------------------
@@ -99,7 +111,7 @@ class SignalingLayer:
         policy_control: Optional[PolicyControl] = None,
     ) -> SignalResult:
         """Signal a rule by announcing its prefix with Stellar communities."""
-        communities = self.codec.encode(rule)
+        communities = self._encode(rule)
         return self._announce(
             member_asn=rule.owner_asn,
             prefix=rule.qos.match.dst_prefix,
@@ -186,7 +198,7 @@ class SignalingLayer:
             raise SignalRejectedError(
                 f"AS{rule.owner_asn} is not authorised to blackhole {prefix}"
             )
-        communities = self.codec.encode(rule)
+        communities = self._encode(rule)
         attributes = PathAttributes(
             as_path=(rule.owner_asn,),
             next_hop=f"203.0.113.{rule.owner_asn % 250 + 1}",

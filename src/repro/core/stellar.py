@@ -6,7 +6,8 @@ IXP fabric:
 * **signaling** — route server + :class:`~repro.core.signaling.SignalingLayer`
   + customer portal,
 * **management** — :class:`~repro.core.controller.BlackholingController`,
-  which enqueues the RIB diff of member signals on the fabric's
+  which decodes each member signal once and enqueues the diff of the
+  rule set they request on the fabric's
   :class:`~repro.ixp.service.ControlPlaneService`; each edge router's lane
   paces the changes with the paper's token bucket (a burst of 10, then
   4.33 changes/s) and installs them as egress QoS rules,
@@ -212,19 +213,22 @@ class Stellar:
     ) -> None:
         # The QoS policies attribute matched/dropped/shaped bits per rule id
         # while classifying, so telemetry folds those stats in directly
-        # instead of re-classifying every dropped/shaped flow.
+        # instead of re-classifying every dropped/shaped flow.  A SHAPE
+        # rule's "matched" stat is what its shaper passed; the rule matched
+        # that plus what the shaper discarded.
         for member_asn, rule_stats in report.rule_stats_by_member.items():
             shaper_drops = report.shaped_dropped_by_member.get(member_asn, {})
             for rule_id, stats in rule_stats.items():
+                discarded = shaper_drops.get(rule_id, 0.0)
                 self.telemetry.record_rule_interval(
                     rule_id=rule_id,
                     member_asn=member_asn,
-                    matched_bits=stats["matched"],
+                    matched_bits=stats["matched"] + discarded,
                     dropped_bits=stats["dropped"],
                     shaped_passed_bits=stats["shaped"],
                     interval=interval,
                     time=time,
-                    shaped_dropped_bits=shaper_drops.get(rule_id, 0.0),
+                    shaped_dropped_bits=discarded,
                 )
 
     def telemetry_report(self, member_asn: int) -> MemberTelemetryReport:

@@ -1,4 +1,4 @@
-"""Tests for BGP sessions, the route server and Flowspec."""
+"""Tests for the route server's member sessions, the route server and Flowspec."""
 
 import pytest
 
@@ -8,13 +8,10 @@ from repro.bgp import (
     BgpSession,
     FlowspecActionType,
     ImportPolicy,
-    OpenMessage,
     PolicyControl,
     Prefix,
     RouteAnnouncement,
     RouteServer,
-    SessionError,
-    SessionType,
     UpdateMessage,
     announcement,
     drop_rule,
@@ -36,32 +33,11 @@ def flow(dst_ip, src_port=0):
 
 
 class TestBgpSession:
-    def test_ebgp_requires_distinct_asns(self):
-        with pytest.raises(ValueError):
-            BgpSession(local_asn=1, peer_asn=1)
-
-    def test_ibgp_requires_same_asn(self):
-        with pytest.raises(ValueError):
-            BgpSession(local_asn=1, peer_asn=2, session_type=SessionType.IBGP)
-
-    def test_deliver_requires_established(self):
-        session = BgpSession(local_asn=1, peer_asn=2)
-        with pytest.raises(SessionError):
-            session.deliver(UpdateMessage(sender_asn=2))
-
-    def test_open_and_deliver(self):
-        received = []
-        session = BgpSession(local_asn=1, peer_asn=2, on_update=received.append)
-        session.open()
-        update = UpdateMessage(sender_asn=2)
+    def test_deliver_records_the_update(self):
+        session = BgpSession(peer_asn=2)
+        update = UpdateMessage(sender_asn=1)
         session.deliver(update)
-        assert received == [update]
-        assert session.updates_received == 1
-
-    def test_addpath_negotiation_requires_both_sides(self):
-        session = BgpSession(local_asn=1, peer_asn=2, add_path=True)
-        session.open(OpenMessage(sender_asn=2, add_path=False))
-        assert session.add_path is False
+        assert session.updates == [update]
 
 
 def _route_server(require_irr=False):
@@ -86,17 +62,17 @@ class TestRouteServer:
         server = _route_server()
         result = server.announce(announcement("100.10.10.0/24", 64501, next_hop="10.0.0.1"))
         assert result.accepted
-        assert len(list(server.rib.routes())) == 1
+        assert len(server.rib.routes_for(Prefix.parse("100.10.10.0/24"))) == 1
         # The other two members received the update; the sender did not.
-        assert server.session_for(64502).updates_received == 1
-        assert server.session_for(64503).updates_received == 1
-        assert server.session_for(64501).updates_received == 0
+        assert len(server.session_for(64502).updates) == 1
+        assert len(server.session_for(64503).updates) == 1
+        assert len(server.session_for(64501).updates) == 0
 
     def test_rejected_announcement_is_not_stored(self):
         server = _route_server(require_irr=True)
         result = server.announce(announcement("200.1.1.0/24", 64501, next_hop="10.0.0.1"))
         assert not result.accepted
-        assert len(list(server.rib.routes())) == 0
+        assert server.rib.routes_for(Prefix.parse("200.1.1.0/24")) == []
 
     def test_blackhole_next_hop_rewrite_towards_members(self):
         server = _route_server()
@@ -106,7 +82,7 @@ class TestRouteServer:
             attributes=route.attributes.with_communities(rtbh_community(64700)),
         )
         server.announce(tagged)
-        delivered = server.session_for(64502).history[-1]
+        delivered = server.session_for(64502).updates[-1]
         assert delivered.announcements[0].attributes.next_hop == server.blackhole_next_hop
 
     def test_stellar_signals_are_not_reflected_to_members(self):
@@ -123,7 +99,7 @@ class TestRouteServer:
         southbound = []
         server.register_consumer(southbound.append)
         server.announce(tagged)
-        assert server.session_for(64502).updates_received == 0
+        assert len(server.session_for(64502).updates) == 0
         assert len(southbound) == 1
 
     def test_policy_control_except_list(self):
@@ -132,8 +108,8 @@ class TestRouteServer:
         server.announce(
             announcement("100.10.10.0/24", 64501, next_hop="10.0.0.1"), control
         )
-        assert server.session_for(64502).updates_received == 0
-        assert server.session_for(64503).updates_received == 1
+        assert len(server.session_for(64502).updates) == 0
+        assert len(server.session_for(64503).updates) == 1
 
     def test_policy_control_only_list(self):
         server = _route_server()
@@ -141,8 +117,8 @@ class TestRouteServer:
         server.announce(
             announcement("100.10.10.0/24", 64501, next_hop="10.0.0.1"), control
         )
-        assert server.session_for(64502).updates_received == 0
-        assert server.session_for(64503).updates_received == 1
+        assert len(server.session_for(64502).updates) == 0
+        assert len(server.session_for(64503).updates) == 1
 
     def test_policy_control_categories(self):
         assert PolicyControl().category == "All"
@@ -161,8 +137,8 @@ class TestRouteServer:
         server = _route_server()
         server.announce(announcement("100.10.10.0/24", 64501, next_hop="10.0.0.1"))
         server.withdraw(Prefix.parse("100.10.10.0/24"), 64501)
-        assert len(list(server.rib.routes())) == 0
-        last = server.session_for(64502).history[-1]
+        assert server.rib.routes_for(Prefix.parse("100.10.10.0/24")) == []
+        last = server.session_for(64502).updates[-1]
         assert len(last.withdrawals) == 1
 
     def test_withdrawal_leaves_other_members_routes_for_the_prefix(self):
@@ -188,8 +164,8 @@ class TestRouteServer:
         server.withdraw(Prefix.parse("100.10.11.0/24"), 64501)
         server.withdraw(Prefix.parse("100.10.10.0/24"), 64502)
         assert len(southbound) == 1
-        assert len(list(server.rib.routes())) == 1
-        assert server.session_for(64503).updates_received == 1
+        assert len(server.rib.routes_for(Prefix.parse("100.10.10.0/24"))) == 1
+        assert len(server.session_for(64503).updates) == 1
 
     def test_reannouncement_withdraws_the_old_path_southbound(self):
         server = _route_server()

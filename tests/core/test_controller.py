@@ -1,6 +1,7 @@
-"""Tests for the blackholing controller: RIB diff to control-plane requests."""
+"""Tests for the blackholing controller: rule-set diff to control-plane requests."""
 
 from repro.bgp import (
+    ExtendedCommunity,
     PathAttributes,
     Prefix,
     RouteAnnouncement,
@@ -11,6 +12,8 @@ from repro.bgp import (
 from repro.core import (
     BlackholingController,
     BlackholingRule,
+    RuleTemplate,
+    Stellar,
     StellarCommunityCodec,
 )
 from repro.ixp import (
@@ -208,8 +211,68 @@ class TestBlackholingController:
         controller.process_update(signal_update(rule_b, path_id=2))
         assert len(controller.active_rules()) == 2
 
-    def test_session_is_ibgp_with_addpath(self):
-        controller = self._controller()
-        assert controller.session.add_path
-        assert controller.session.is_established
-        assert controller.session.local_asn == controller.session.peer_asn
+
+class TestDecodeOnce:
+    """Each announced path is decoded once, when it arrives."""
+
+    HOST = "100.10.10.10/32"
+
+    def _stellar(self):
+        fabric = SwitchingFabric()
+        fabric.add_edge_router(EdgeRouter("er-1"))
+        stellar = Stellar(ixp_asn=IXP_ASN, fabric=fabric)
+        stellar.add_member(IxpMember(asn=64500, prefixes=["100.10.10.0/24"]))
+        return stellar
+
+    def test_n_api_signals_decode_n_times(self):
+        stellar = self._stellar()
+        signals = 40
+        for port in range(1, signals + 1):
+            rule = BlackholingRule.drop_udp_source_port(64500, self.HOST, port)
+            stellar.request_mitigation(rule, via="api")
+        assert stellar.controller.stats.signals_decoded == signals
+        assert len(stellar.active_rules()) == signals
+
+    def test_a_malformed_signal_counts_one_decode_error(self):
+        controller = TestBlackholingController()._controller()
+        bogus = ExtendedCommunity(type=0x80, subtype=0x7F, global_admin=IXP_ASN, local_admin=1)
+        attrs = PathAttributes(as_path=(64500,), next_hop="10.0.0.1").with_extended_communities(
+            bogus
+        )
+        controller.process_update(
+            UpdateMessage(
+                sender_asn=IXP_ASN,
+                announcements=(
+                    RouteAnnouncement(prefix=Prefix.parse(self.HOST), attributes=attrs),
+                ),
+            )
+        )
+        for path_id, port in enumerate((53, 123, 11211), start=1):
+            controller.process_update(signal_update(make_rule(port=port), path_id=path_id))
+        assert controller.stats.decode_errors == 1
+        assert controller.stats.signals_decoded == 3
+
+    def test_a_removed_custom_rule_stays_active_until_its_signal_is_withdrawn(self):
+        stellar = self._stellar()
+        portal = stellar.portal
+        custom = portal.define_custom_rule(
+            64500,
+            RuleTemplate(name="drop-tcp-80", match=FlowMatch(protocol=IpProtocol.TCP, dst_port=80)),
+        )
+        stellar.request_predefined_mitigation(64500, self.HOST, custom)
+        stellar.advance(now=1.0)
+        (signalled,) = stellar.active_rules()
+        assert portal.remove_custom_rule(64500, custom)
+        # An unrelated signal leaves the accepted one as it is.
+        stellar.request_mitigation(
+            BlackholingRule.drop_udp_source_port(64500, self.HOST, 123), via="api"
+        )
+        stellar.advance(now=2.0)
+        assert signalled in stellar.active_rules()
+        assert len(stellar.active_rules()) == 2
+        assert stellar.installed_rule_count() == 2
+        assert stellar.controller.stats.decode_errors == 0
+        stellar.withdraw_mitigation(64500, self.HOST, via="bgp")
+        stellar.advance(now=3.0)
+        assert [rule.qos.match.src_port for rule in stellar.active_rules()] == [123]
+        assert stellar.installed_rule_count() == 1

@@ -9,7 +9,7 @@ controller keys its rules by.
 from dataclasses import replace
 
 from repro.bgp import Prefix
-from repro.core import BlackholingRule, Stellar, StellarCommunityCodec
+from repro.core import BlackholingRule, RuleTemplate, Stellar, StellarCommunityCodec
 from repro.ixp import (
     EdgeRouter,
     FilterAction,
@@ -54,9 +54,10 @@ class CarryingCodec(StellarCommunityCodec):
         self._carried.append(rule)
         return {self._community(_CARRIER_SUBTYPE, len(self._carried) - 1)}
 
-    def to_rule(self, communities, owner_asn, dst_prefix):
+    def decode(self, communities):
         (carrier,) = communities
-        return self._carried[carrier.local_admin], None
+        qos = self._carried[carrier.local_admin].qos
+        return RuleTemplate("carried", qos.match, qos.action, qos.shape_rate_bps)
 
 
 def build_stellar(codec=None):

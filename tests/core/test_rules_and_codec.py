@@ -3,9 +3,9 @@
 import dataclasses
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
-from fuzz.strategies import l4_ports, l4_protocols
+from fuzz.strategies import encodable_rules, unencodable_rules
 
 from repro.bgp import ExtendedCommunity, Prefix
 from repro.core import (
@@ -14,6 +14,7 @@ from repro.core import (
     CustomerPortal,
     RuleTemplate,
     StellarCommunityCodec,
+    UnencodableRuleError,
     fine_grained_set,
     ixp_shared_templates,
 )
@@ -21,7 +22,6 @@ from repro.ixp import FilterAction, FlowMatch, QosRule
 from repro.traffic import IpProtocol
 
 HOST = Prefix.parse("1.2.3.4/32")
-
 
 class TestBlackholingRule:
     def test_is_an_owner_and_the_qos_rule_it_installs(self):
@@ -119,10 +119,9 @@ class TestCommunityCodec:
 
     def test_roundtrip_drop_rule(self):
         rule = BlackholingRule.drop_udp_source_port(64500, "100.10.10.10/32", 11211)
-        decoded, predefined = self.codec.to_rule(
-            self.codec.encode(rule), owner_asn=64500, dst_prefix=rule.qos.match.dst_prefix
+        decoded = self.codec.decode(self.codec.encode(rule)).instantiate(
+            64500, rule.qos.match.dst_prefix
         )
-        assert predefined is None
         assert decoded.owner_asn == 64500
         assert decoded.qos.action is FilterAction.DROP
         assert decoded.qos.match == rule.qos.match
@@ -130,28 +129,26 @@ class TestCommunityCodec:
 
     def test_roundtrip_shape_rule(self):
         rule = BlackholingRule.shape_udp_source_port(64500, "1.2.3.4/32", 123, rate_bps=200e6)
-        decoded, _ = self.codec.to_rule(self.codec.encode(rule), owner_asn=64500, dst_prefix=HOST)
+        decoded = self.codec.decode(self.codec.encode(rule)).instantiate(64500, HOST)
         assert decoded.qos.action is FilterAction.SHAPE
         assert decoded.qos.shape_rate_bps == pytest.approx(200e6)
 
     def test_roundtrip_tcp_dst_port(self):
         match = FlowMatch(dst_prefix=HOST, protocol=IpProtocol.TCP, dst_port=80)
         rule = BlackholingRule.create(64500, match)
-        decoded, _ = self.codec.to_rule(self.codec.encode(rule), owner_asn=64500, dst_prefix=HOST)
+        decoded = self.codec.decode(self.codec.encode(rule)).instantiate(64500, HOST)
         assert decoded.qos.match == match
         assert decoded.qos.match.protocol is IpProtocol.TCP
 
     def test_roundtrip_protocol_only(self):
         rule = BlackholingRule.drop_protocol(64500, "1.2.3.4/32", IpProtocol.UDP)
-        decoded, _ = self.codec.to_rule(self.codec.encode(rule), owner_asn=64500, dst_prefix=HOST)
+        decoded = self.codec.decode(self.codec.encode(rule)).instantiate(64500, HOST)
         assert decoded.qos.match == FlowMatch(dst_prefix=HOST, protocol=IpProtocol.UDP)
 
     def test_decode_takes_every_8_bit_protocol_encode_emits(self):
         for protocol in (0, 99, 255):
             rule = BlackholingRule.drop_protocol(64500, "1.2.3.4/32", protocol)
-            decoded, _ = self.codec.to_rule(
-                self.codec.encode(rule), owner_asn=64500, dst_prefix=HOST
-            )
+            decoded = self.codec.decode(self.codec.encode(rule)).instantiate(64500, HOST)
             assert decoded.qos.match == FlowMatch(dst_prefix=HOST, protocol=protocol)
         too_wide = ExtendedCommunity(type=0x80, subtype=0x02, global_admin=64700, local_admin=256)
         with pytest.raises(CommunityDecodeError, match="8 bits"):
@@ -161,29 +158,38 @@ class TestCommunityCodec:
         rule = BlackholingRule.create(64500, FlowMatch(dst_prefix=HOST))
         communities = self.codec.encode(rule)
         assert len(communities) == 1
-        decoded, _ = self.codec.to_rule(communities, owner_asn=64500, dst_prefix=HOST)
+        decoded = self.codec.decode(communities).instantiate(64500, HOST)
         assert decoded.qos.match == FlowMatch(dst_prefix=HOST)
         assert decoded.qos.action is FilterAction.DROP
 
-    def test_decode_carries_a_prefix_less_match(self):
+    def test_decode_gives_a_prefix_less_template(self):
         rule = BlackholingRule.shape_udp_source_port(64500, "1.2.3.4/32", 123, rate_bps=2e6)
-        signal = self.codec.decode(self.codec.encode(rule))
-        assert signal.match == FlowMatch(protocol=IpProtocol.UDP, src_port=123)
-        assert (signal.action, signal.shape_rate_bps) == (FilterAction.SHAPE, 2e6)
-        assert signal.predefined_rule_id is None
+        template = self.codec.decode(self.codec.encode(rule))
+        assert template.match == FlowMatch(protocol=IpProtocol.UDP, src_port=123)
+        assert (template.action, template.shape_rate_bps) == (FilterAction.SHAPE, 2e6)
 
     def test_port_rule_requires_l4_protocol(self):
         rule = BlackholingRule.create(64500, FlowMatch(dst_prefix=HOST, src_port=123))
-        with pytest.raises(ValueError):
+        with pytest.raises(UnencodableRuleError, match="UDP or TCP"):
+            self.codec.encode(rule)
+
+    @pytest.mark.parametrize(
+        "criteria",
+        [{"src_mac": "02:00:00:00:fd:e8"}, {"src_prefix": Prefix.parse("198.51.100.0/24")}],
+    )
+    def test_a_source_criterion_is_refused(self, criteria):
+        match = FlowMatch(dst_prefix=HOST, protocol=IpProtocol.UDP, src_port=123, **criteria)
+        with pytest.raises(UnencodableRuleError, match="source MAC or source prefix"):
+            self.codec.encode(BlackholingRule.create(64500, match))
+
+    @pytest.mark.parametrize("rate_bps", [5e5, 1.5e6, 2**32 * 1e6])
+    def test_a_rate_the_rate_community_cannot_carry_is_refused(self, rate_bps):
+        rule = BlackholingRule.shape_udp_source_port(64500, "1.2.3.4/32", 123, rate_bps)
+        with pytest.raises(UnencodableRuleError, match="whole number of Mbit/s"):
             self.codec.encode(rule)
 
     def test_predefined_reference_roundtrip(self):
-        communities = self.codec.encode_predefined(3)
-        rule, predefined = self.codec.to_rule(
-            communities, owner_asn=64500, dst_prefix=Prefix.parse("1.2.3.4/32")
-        )
-        assert rule is None
-        assert predefined == 3
+        assert self.codec.decode(self.codec.encode_predefined(3)) == 3
 
     @pytest.mark.parametrize("rule_id", [-1, 2**32])
     def test_predefined_reference_must_fit_32_bits(self, rule_id):
@@ -196,10 +202,7 @@ class TestCommunityCodec:
         # instead of by reference; both must describe the same filter.
         prefix = Prefix.parse("100.10.10.10/32")
         rule = ixp_shared_templates()[rule_id].instantiate(64500, prefix)
-        decoded, predefined = self.codec.to_rule(
-            self.codec.encode(rule), owner_asn=64500, dst_prefix=prefix
-        )
-        assert predefined is None
+        decoded = self.codec.decode(self.codec.encode(rule)).instantiate(64500, prefix)
         assert (decoded.qos.action, decoded.qos.match) == (rule.qos.action, rule.qos.match)
 
     def test_decode_rejects_foreign_communities(self):
@@ -223,20 +226,20 @@ class TestCommunityCodec:
         other_ixp = ExtendedCommunity(type=0x80, subtype=0x01, global_admin=6695, local_admin=1)
         assert not self.codec.is_stellar_community(other_ixp)
 
-    @given(l4_protocols, l4_ports, st.booleans())
-    def test_property_port_rules_roundtrip(self, protocol, port, use_src):
-        match = FlowMatch(
-            dst_prefix=Prefix.parse("100.10.10.10/32"),
-            protocol=protocol,
-            src_port=port if use_src else None,
-            dst_port=None if use_src else port,
+    @given(encodable_rules())
+    def test_property_every_encodable_rule_roundtrips(self, rule):
+        template = self.codec.decode(self.codec.encode(rule))
+        decoded = template.instantiate(rule.owner_asn, rule.qos.match.dst_prefix)
+        assert decoded.qos.match == rule.qos.match
+        assert (decoded.qos.action, decoded.qos.shape_rate_bps) == (
+            rule.qos.action,
+            rule.qos.shape_rate_bps,
         )
-        rule = BlackholingRule.create(64500, match)
-        decoded, _ = self.codec.to_rule(
-            self.codec.encode(rule), owner_asn=64500, dst_prefix=match.dst_prefix
-        )
-        assert decoded.qos.match.protocol is protocol
-        assert decoded.qos.match == match
+
+    @given(unencodable_rules())
+    def test_property_every_rule_outside_the_domain_is_refused(self, rule):
+        with pytest.raises(UnencodableRuleError):
+            self.codec.encode(rule)
 
 
 class TestCustomerPortal:

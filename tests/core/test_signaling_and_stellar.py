@@ -153,7 +153,8 @@ class TestSignaling:
         assert stellar.installed_rule_count() == 1
         # The route server still holds the BGP signal, and so does the controller.
         (route,) = stellar.route_server.rib.routes_for(Prefix.parse(prefix))
-        assert stellar.controller.rib.routes_for(route.prefix) == [route]
+        held = [key for key in stellar.controller.paths if key[0] == route.prefix]
+        assert held == [(route.prefix, VICTIM_ASN, route.path_id)]
 
     def test_api_withdrawal_removes_only_the_callers_rules(self):
         stellar, victim, peers = build_stellar()
@@ -175,8 +176,7 @@ class TestSignaling:
         rule = BlackholingRule.drop_udp_source_port(VICTIM_ASN, f"{VICTIM_IP}/32", 123)
         stellar.request_mitigation(rule, via="bgp")
         for peer in peers:
-            session = stellar.route_server.session_for(peer.asn)
-            assert session.updates_received == 0
+            assert stellar.route_server.session_for(peer.asn).updates == []
 
     def test_time_cannot_move_backwards(self):
         stellar, victim, peers = build_stellar()
@@ -241,8 +241,11 @@ class TestWithdrawalOwnership:
         assert sorted(route.attributes.origin_asn for route in held) == sorted(
             owner for owner in expected if signals[owner][0] == "bgp"
         )
-        controller_routes = stellar.controller.rib.routes_for(prefix)
-        assert all(route in controller_routes for route in held)
+        controller_paths = stellar.controller.paths
+        assert all(
+            (prefix, route.attributes.neighbor_asn, route.path_id) in controller_paths
+            for route in held
+        )
 
     @pytest.mark.parametrize("via", SIGNAL_PATHS)
     def test_withdrawal_without_a_signal_changes_nothing(self, via):
@@ -302,7 +305,7 @@ class TestWithdrawalOwnership:
         )
         stellar.advance(now=1.0)
         prefix = Prefix.parse(self.PREFIX)
-        path_ids = [route.path_id for route in stellar.controller.rib.routes_for(prefix)]
+        path_ids = [key[2] for key in stellar.controller.paths if key[0] == prefix]
         assert len(set(path_ids)) == len(path_ids) == 2
         # The route server's withdrawal of the peer's signal leaves the
         # victim's API rule active.
@@ -331,6 +334,44 @@ class TestWithdrawalOwnership:
             other_prefix
         ]
         assert stellar.installed_rule_count() == 1
+
+
+def _unencodable(case):
+    prefix = Prefix.parse(f"{VICTIM_IP}/32")
+    if case == "shape rate of 500 kbit/s":
+        return BlackholingRule.shape_udp_source_port(VICTIM_ASN, prefix, 123, rate_bps=5e5)
+    match = {
+        "source MAC": FlowMatch(
+            dst_prefix=prefix, protocol=IpProtocol.UDP, src_port=123, src_mac="02:00:00:00:fd:e8"
+        ),
+        "source prefix": FlowMatch(
+            dst_prefix=prefix,
+            src_prefix=Prefix.parse("198.51.100.0/24"),
+            protocol=IpProtocol.UDP,
+            src_port=123,
+        ),
+        "port without UDP or TCP": FlowMatch(dst_prefix=prefix, src_port=123),
+    }[case]
+    return BlackholingRule.create(VICTIM_ASN, match)
+
+
+class TestUnencodableSignals:
+    """A rule the Stellar communities cannot carry is refused out loud."""
+
+    @pytest.mark.parametrize("via", SIGNAL_PATHS)
+    @pytest.mark.parametrize(
+        "case",
+        ["source MAC", "source prefix", "shape rate of 500 kbit/s", "port without UDP or TCP"],
+    )
+    def test_is_rejected_before_the_route_server_and_the_controller(self, case, via):
+        stellar, victim, peers = build_stellar()
+        with pytest.raises(SignalRejectedError, match="cannot be signalled"):
+            stellar.request_mitigation(_unencodable(case), via=via)
+        assert stellar.route_server.rib.routes_for(Prefix.parse(f"{VICTIM_IP}/32")) == []
+        assert stellar.controller.stats.updates_processed == 0
+        stellar.advance(now=1.0)
+        assert stellar.active_rules() == []
+        assert stellar.installed_rule_count() == 0
 
 
 class TestPredefinedSignalling:
@@ -646,6 +687,27 @@ class TestStellarDataPlane:
         assert rule_telemetry.shaped_dropped_bits == result.shaped_dropped_bits
         assert telemetry.total_filtered_bits == result.shaped_dropped_bits
         assert telemetry.total_filtered_bits == report.filtered_bits
+
+    def test_a_shape_rules_telemetry_counts_what_it_matched(self):
+        # 10 Gbit offered in a 10 s interval, shaped to 100 Mbit/s: the rule
+        # matched all of it, passed 1 Gbit and discarded the rest.
+        stellar, victim, peers = build_stellar(victim_capacity=10e9)
+        rule = BlackholingRule.shape_udp_source_port(
+            VICTIM_ASN, f"{VICTIM_IP}/32", 123, rate_bps=1e8
+        )
+        stellar.request_mitigation(rule)
+        flows = attack_flows(peers, rate=1e9)
+        stellar.deliver_traffic(flows, interval=10.0, interval_start=0.0)
+        matched = (flows.protocol == int(IpProtocol.UDP)) & (flows.src_port == 123)
+        offered_bits = float(flows.bytes[matched].sum()) * 8
+        (rule_telemetry,) = stellar.telemetry_report(VICTIM_ASN).rules
+        assert rule_telemetry.shaped_dropped_bits > 0
+        assert rule_telemetry.matched_bits == pytest.approx(
+            offered_bits, rel=0, abs=8 * int(matched.sum())
+        )
+        assert rule_telemetry.matched_bits == pytest.approx(
+            rule_telemetry.shaped_passed_bits + rule_telemetry.shaped_dropped_bits
+        )
 
     def test_telemetry_detects_attack_end(self):
         stellar, victim, peers = build_stellar(victim_capacity=10e9)

@@ -7,7 +7,7 @@ so arbitrary examples actually exercise matches, precedence ties,
 shadowing and shaper grouping instead of classifying everything as
 FORWARD.
 
-Three layers:
+Four layers:
 
 * **Scalar strategies** (``l4_ports``, ``shaping_rates``,
   ``tcam_allocation_sequences`` …) — shared with the unit-test suites that
@@ -20,6 +20,9 @@ Three layers:
   anonymous SHAPE rules; ``flow_tables`` builds seeded columnar intervals
   whose rows straddle the rule pools (empty and single-flow tables
   included).
+* **Signal strategies** — ``encodable_rules`` and ``unencodable_rules``
+  draw blackholing rules from one declared domain of the community codec
+  (``ENCODABLE``) and from just outside it (``UNENCODABLE``).
 * **Topology strategies** — ``fabric_specs`` describes small multi-PoP
   fabrics; :func:`build_fabric` materialises one, and
   :func:`single_port_fabric` is the smallest fabric a QoS test can
@@ -35,6 +38,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from repro.bgp import Prefix
+from repro.core import BlackholingRule
 from repro.ixp import (
     EdgeRouter,
     FilterAction,
@@ -322,6 +326,64 @@ def churn_requests(draw, member_indices: int = 8) -> dict:
 def churn_request_streams(min_size: int = 0, max_size: int = 10):
     """A burst of service requests submitted before one drain."""
     return st.lists(churn_requests(), min_size=min_size, max_size=max_size)
+
+
+# ----------------------------------------------------------------------
+# Signal strategies — the community codec's encodable domain
+# ----------------------------------------------------------------------
+#: The codec's encodable domain, declared once as a schema: one strategy
+#: per field of a signalled rule, drawing the values the communities carry.
+#: A port takes ``port_protocol``; a rule without one takes ``protocol``.
+#: A ``shape_rate_bps`` makes the rule a SHAPE rule, ``None`` a DROP rule.
+ENCODABLE = {
+    "dst_prefix": st.sampled_from(["1.2.3.4/32", "100.10.10.0/24", "10.0.0.0/8"]).map(
+        Prefix.parse
+    ),
+    "protocol": st.none() | st.integers(min_value=0, max_value=255),
+    "port_protocol": l4_protocols,
+    "src_port": st.none() | l4_ports,
+    "dst_port": st.none() | l4_ports,
+    "shape_rate_bps": st.none()
+    | st.integers(min_value=1, max_value=2**32 - 1).map(lambda mbps: mbps * 1e6),
+}
+#: Values outside it: fields the communities have no room for, and shape
+#: rates that are not a whole number of Mbit/s.
+UNENCODABLE = {
+    "src_mac": st.sampled_from([derived_mac(asn) for asn in INGRESS_ASNS[:2]]),
+    "src_prefix": st.sampled_from(["198.51.100.0/24", "203.0.113.7/32"]).map(Prefix.parse),
+    "shape_rate_bps": st.floats(min_value=1.0, max_value=1e12).filter(lambda bps: bps % 1e6),
+}
+
+
+def signalled_rule(fields: dict) -> BlackholingRule:
+    """The rule a member signals with these field values."""
+    has_port = fields["src_port"] is not None or fields["dst_port"] is not None
+    match = FlowMatch(
+        dst_prefix=fields["dst_prefix"],
+        src_prefix=fields.get("src_prefix"),
+        src_mac=fields.get("src_mac"),
+        protocol=fields["port_protocol"] if has_port else fields["protocol"],
+        src_port=fields["src_port"],
+        dst_port=fields["dst_port"],
+    )
+    rate = fields["shape_rate_bps"]
+    if rate is None:
+        return BlackholingRule.create(64500, match)
+    return BlackholingRule.create(64500, match, FilterAction.SHAPE, rate)
+
+
+def encodable_rules():
+    """A rule drawn from the encodable domain."""
+    return st.fixed_dictionaries(ENCODABLE).map(signalled_rule)
+
+
+@st.composite
+def unencodable_rules(draw) -> BlackholingRule:
+    """An encodable rule with one field drawn from outside the domain."""
+    fields = draw(st.fixed_dictionaries(ENCODABLE))
+    name = draw(st.sampled_from(sorted(UNENCODABLE)))
+    fields[name] = draw(UNENCODABLE[name])
+    return signalled_rule(fields)
 
 
 # ----------------------------------------------------------------------

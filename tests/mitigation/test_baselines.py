@@ -154,7 +154,7 @@ class TestRtbhService:
             server.connect_member(asn)
         service = RtbhService(ixp_asn=64700, route_server=server, compliance_rate=1.0, seed=1)
         service.request_blackhole(64500, "100.10.10.10/32", peer_asns=[65001])
-        update = server.session_for(65001).history[-1]
+        update = server.session_for(65001).updates[-1]
         assert update.announcements[0].attributes.next_hop == server.blackhole_next_hop
 
     def test_invalid_compliance_rate(self):
