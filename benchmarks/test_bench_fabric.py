@@ -16,14 +16,20 @@ O(members × flows) in Python per interval).
   Shaping adds one stateful shaper call per claimed rule on top of the
   drop accounting, so SHAPE must stay within 2.5× of DROP; the absolute
   seconds go into ``BENCH_fabric.json``.
+* ``test_bench_retained_report_bytes`` records, with ``tracemalloc``, the
+  bytes one retained report of that SHAPE interval holds, in total and
+  per claimed rule row, in ``BENCH_fabric.json`` (no bound: the memory
+  guard is ``tests/ixp/test_report_memory.py``).
 
 Functional parity with the naive reference in ``tests/oracle`` is pinned
 in ``tests/ixp/test_fabric_delivery.py``; here only the clock matters.
 """
 
+import gc
 import json
 import os
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -311,3 +317,33 @@ def test_bench_shape_scatter_vs_drop(benchmark):
         f"SHAPE scatter took {ratio:.1f}x the DROP scatter over {SCATTER_RULES} "
         f"claimed rules (limit {MAX_SHAPE_OVER_DROP}x)"
     )
+
+
+def test_bench_retained_report_bytes():
+    table = scatter_interval()
+    fabric = single_port_fabric(FilterAction.SHAPE)
+    fabric.deliver(table, INTERVAL, 0.0)  # compile the plan and the index
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = fabric.deliver(table, INTERVAL, INTERVAL)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    rows = len(report.rule_columns.member_asns)
+    assert rows == SCATTER_RULES
+    print_table(
+        f"Retained report, {rows} claimed rules, {len(table)} flows",
+        [("bytes", "bytes per rule row"), (f"{held}", f"{held / rows:.0f}")],
+    )
+    path = Path(os.environ.get("BENCH_OUTPUT_DIR", ".")) / "BENCH_fabric.json"
+    payload = json.loads(path.read_text()) if path.exists() else {}
+    payload["retained_report"] = {
+        "rule_rows": rows,
+        "flow_count": len(table),
+        "bytes": held,
+        "bytes_per_rule_row": held / rows,
+    }
+    write_bench_json("fabric", payload)

@@ -189,9 +189,11 @@ class SignalingLayer:
     def signal_via_api(self, rule: BlackholingRule) -> SignalResult:
         """Signal a rule through the customer-facing API (bypassing BGP).
 
-        The API path still enforces prefix authorisation, then feeds the
-        controller directly with a synthetic announcement so that rule
+        The API path still enforces prefix authorisation and the route
+        server's import policy (RPKI, bogons, prefix lengths), then feeds
+        the controller directly with a synthetic announcement so that rule
         tracking, diffing and deployment behave identically to the BGP path.
+        An announcement the import policy rejects reaches no controller.
         """
         prefix = rule.qos.match.dst_prefix
         if not self._authorised(rule.owner_asn, prefix):
@@ -203,6 +205,16 @@ class SignalingLayer:
             as_path=(rule.owner_asn,),
             next_hop=f"203.0.113.{rule.owner_asn % 250 + 1}",
         ).with_extended_communities(*communities)
+        verdict = self.route_server.policy.evaluate(
+            RouteAnnouncement(prefix=prefix, attributes=attributes)
+        )
+        if not verdict.accepted:
+            return SignalResult(
+                accepted=False,
+                via="api",
+                rule=rule,
+                detail=f"route server rejected the announcement: {verdict.reason.value}",
+            )
         path_id = self.route_server.next_path_id()
         announcement = RouteAnnouncement(
             prefix=prefix, attributes=attributes, path_id=path_id

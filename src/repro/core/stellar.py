@@ -211,25 +211,30 @@ class Stellar:
     def _record_telemetry(
         self, report: FabricIntervalReport, interval: float, time: float
     ) -> None:
-        # The QoS policies attribute matched/dropped/shaped bits per rule id
-        # while classifying, so telemetry folds those stats in directly
-        # instead of re-classifying every dropped/shaped flow.  A SHAPE
-        # rule's "matched" stat is what its shaper passed; the rule matched
-        # that plus what the shaper discarded.
-        for member_asn, rule_stats in report.rule_stats_by_member.items():
-            shaper_drops = report.shaped_dropped_by_member.get(member_asn, {})
-            for rule_id, stats in rule_stats.items():
-                discarded = shaper_drops.get(rule_id, 0.0)
-                self.telemetry.record_rule_interval(
-                    rule_id=rule_id,
-                    member_asn=member_asn,
-                    matched_bits=stats["matched"] + discarded,
-                    dropped_bits=stats["dropped"],
-                    shaped_passed_bits=stats["shaped"],
-                    interval=interval,
-                    time=time,
-                    shaped_dropped_bits=discarded,
-                )
+        # The delivery pass attributes matched/dropped/shaped bits per rule
+        # id while classifying, so telemetry folds its rule columns in
+        # directly instead of re-classifying every dropped/shaped flow.  A
+        # SHAPE rule's "matched" column is what its shaper passed; the rule
+        # matched that plus what the shaper discarded.
+        columns = report.rule_columns
+        for member_asn, rule_id, matched, dropped, shaped, discarded in zip(
+            columns.member_asns.tolist(),
+            columns.rule_ids.tolist(),
+            (columns.matched + columns.discarded).tolist(),
+            columns.dropped.tolist(),
+            columns.shaped.tolist(),
+            columns.discarded.tolist(),
+        ):
+            self.telemetry.record_rule_interval(
+                rule_id=rule_id,
+                member_asn=member_asn,
+                matched_bits=matched,
+                dropped_bits=dropped,
+                shaped_passed_bits=shaped,
+                interval=interval,
+                time=time,
+                shaped_dropped_bits=discarded,
+            )
 
     def telemetry_report(self, member_asn: int) -> MemberTelemetryReport:
         """The member-facing telemetry report at the current time."""

@@ -265,13 +265,13 @@ def run_fine_grained_experiment(
         totals["delivered"] += report.delivered_bits
         totals["filtered"] += report.filtered_bits
         totals["congested"] += report.congestion_dropped_bits
-        for rule_stats in report.rule_stats_by_member.values():
-            matched_rule_ids.update(rule_stats)
-        late_result = report.results_by_member.get(scenario.late_pair[2])
-        if late_result is not None:
-            late_bits = late_result.rule_stats.get(late_rule_id, {}).get("dropped", 0.0)
+        columns = report.rule_columns
+        matched_rule_ids.update(columns.rule_ids.tolist())
+        lo, hi = columns.span(scenario.late_pair[2])
+        late_rows = lo + np.flatnonzero(columns.rule_ids[lo:hi] == late_rule_id)
+        if len(late_rows):
             key = "late_after" if late_installed["done"] else "late_before"
-            totals[key] += late_bits
+            totals[key] += columns.dropped[late_rows[0]].item()
 
     harness.run(step)
 

@@ -20,30 +20,37 @@ plan works platform-wide:
    :class:`~repro.ixp.ruleindex.RuleMatchIndex`); per-rule matched bits
    fall out of a single ``bincount``;
 3. **scatter** — the verdicts are folded into per-member arrays and the
-   ``rule_stats`` the telemetry layer ingests, in grouped array passes.
-   Only the rules that claimed rows are visited: DROP stats are one
-   gather of the per-rule bits, summed per rule id by one ``bincount``;
-   SHAPE rules sort their rows by rank once, take each rank's offered
-   and scaled bits with ``reduceat`` and call their stateful shaper once
-   per rank.  Congestion caps every member port in one elementwise pass,
-   and one fancy-indexed add folds the interval into the fabric's
-   :class:`~repro.ixp.port.PortCounterStore`.  No step loops over the
-   members in Python: the arrays stay on the
+   per-rule :class:`RuleColumns` the telemetry layer ingests, in
+   platform-wide array passes over the claimed ports' sorted rows laid
+   end to end.  Each row's action is one gather of the plan's per-rank
+   action codes; a port's forwarded and dropped bits are exact int64
+   grouped sums over its rows.  Only the rules that claimed rows are
+   visited: DROP stats are one ``bincount``
+   of the per-rule bits over the claimed ranks in ascending order, summed
+   per (member, rule id) code; SHAPE rules sort their rows by rank once,
+   take each rank's offered and scaled bits with ``reduceat`` and call
+   their stateful shaper once per rank.  Congestion caps every member
+   port in one elementwise pass, and one fancy-indexed add folds the
+   interval into the fabric's :class:`~repro.ixp.port.PortCounterStore`.
+   No step loops over the members in Python: the arrays stay on the
    :class:`~repro.ixp.fabric.FabricIntervalReport` as its columns, and
    its :class:`PortResults` builds a port's
-   :class:`~repro.ixp.qos.PortQosResult` only when that port is looked
-   up.  A result defers its verdict tables behind a ``table_source`` —
-   the shaped table is scaled only when read — so a port with tens of
-   thousands of installed fine-grained rules costs O(claimed), not
-   O(installed), and an interval builds no sub-table nobody reads.
+   :class:`~repro.ixp.qos.PortQosResult` — its ``rule_stats`` dict and a
+   ``table_source`` deriving its verdict tables from the claimed rows'
+   action column — only when that port is looked up.  The shaped table is
+   scaled only when read, so a port with tens of thousands of installed
+   fine-grained rules costs O(claimed), not O(installed), and an interval
+   builds no per-rule dict and no sub-table nobody reads.
 
 Plans are cached across intervals.  Every connect bumps the
 fabric's :attr:`~repro.ixp.fabric.SwitchingFabric.membership_version`
 and every rule-set mutation of a connected port bumps its
 :attr:`~repro.ixp.fabric.SwitchingFabric.rule_epoch`, so
 :meth:`FabricDeliveryPlan.is_current` is two integer compares and only
-intervals after a configuration change recompile.  A recompile counts
-each built port's rules and copies none, and the per-port match indexes
+intervals after a configuration change recompile.  A recompile copies
+no rule: it counts each built port's rules, and a port's cached
+per-rule action and id codes join the plan's platform-level arrays
+when its rules first claim rows.  The per-port match indexes
 are cached on the policies behind their
 :attr:`~repro.ixp.qos.PortQosPolicy.rules_version`, so untouched ports
 never recompile their index.
@@ -72,35 +79,102 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 TableSource = Callable[[], tuple[FlowTable, FlowTable, FlowTable]]
 
 
+class RuleColumns(Mapping[int, dict[str, dict[str, float]]]):
+    """One interval's per-rule statistics, as columns.
+
+    One row per (member, rule id) that claimed bits: :attr:`member_asns`
+    (int64, ascending), :attr:`rule_ids` (an object array referencing the
+    policies' own id strings) and the float64 :attr:`matched`,
+    :attr:`dropped`, :attr:`shaped` and :attr:`discarded` columns, the
+    last being the bits a SHAPE rule's shaper threw away.  Within a
+    member the rows list its DROP ids in first-claimed rank order, then
+    its SHAPE ids in rank order; a member's anonymous DROP rules share
+    the id ``""`` and one row.
+
+    As a read-only mapping this is the report's ``rule_stats_by_member``:
+    looking a member up builds its ``{rule id: {"matched", "dropped",
+    "shaped"}}`` dict, and only members with a row are keys.
+    """
+
+    __slots__ = ("member_asns", "rule_ids", "matched", "dropped", "shaped", "discarded")
+
+    def __init__(
+        self,
+        member_asns: np.ndarray,
+        rule_ids: np.ndarray,
+        matched: np.ndarray,
+        dropped: np.ndarray,
+        shaped: np.ndarray,
+        discarded: np.ndarray,
+    ) -> None:
+        self.member_asns = member_asns
+        self.rule_ids = rule_ids
+        self.matched = matched
+        self.dropped = dropped
+        self.shaped = shaped
+        self.discarded = discarded
+
+    @classmethod
+    def empty(cls) -> "RuleColumns":
+        none = np.zeros(0)
+        return cls(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=object), none, none, none, none)
+
+    def span(self, asn: object) -> tuple[int, int]:
+        """The ``[lo, hi)`` row range of member ``asn`` (empty if it has no row)."""
+        if not isinstance(asn, (int, np.integer)):
+            return 0, 0
+        asns = self.member_asns
+        return int(np.searchsorted(asns, asn, "left")), int(np.searchsorted(asns, asn, "right"))
+
+    def __getitem__(self, asn: int) -> dict[str, dict[str, float]]:
+        lo, hi = self.span(asn)
+        if lo == hi:
+            raise KeyError(asn)
+        return {
+            rule_id: {"matched": matched, "dropped": dropped, "shaped": shaped}
+            for rule_id, matched, dropped, shaped in zip(
+                self.rule_ids[lo:hi].tolist(),
+                self.matched[lo:hi].tolist(),
+                self.dropped[lo:hi].tolist(),
+                self.shaped[lo:hi].tolist(),
+            )
+        }
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(np.unique(self.member_asns).tolist())
+
+    def __len__(self) -> int:
+        return len(np.unique(self.member_asns))
+
+    def __repr__(self) -> str:
+        return f"RuleColumns({len(self.member_asns)} rows, {len(self)} members)"
+
+
 class PortResults(Mapping[int, PortQosResult]):
     """Each member port's :class:`~repro.ixp.qos.PortQosResult` for one
     interval, built when the port is looked up.
 
     A read-only mapping over an interval report's columns, in ascending-ASN
     order.  The first lookup of a port builds its result from the column
-    entries — a port where a rule claimed rows gets its scattered
-    ``rule_stats`` and verdict-table source, any other port forwards all
-    of its rows — and caches it, so a second lookup returns the same
-    object.  An interval accounts for every port of the platform, but its
-    readers look up a few (the victim's); the other results are never
-    built.
+    entries — its ``rule_stats`` from the :class:`RuleColumns`, its
+    verdict-table source from the claimed rows' action column — and caches it,
+    so a second lookup returns the same object.  An interval accounts for
+    every port of the platform, but its readers look up a few (the
+    victim's); the other results are never built.
     """
 
     def __init__(
         self,
         member_asns: np.ndarray,
         member_fields: dict[str, np.ndarray],
-        rule_stats: dict[int, dict[str, dict[str, float]]],
-        table_sources: dict[int, TableSource],
-        passthrough: Callable[[int], TableSource],
+        rule_columns: RuleColumns,
+        table_source: Callable[[int], TableSource],
     ) -> None:
         self._asns = member_asns
         self._fields = member_fields
-        self._rule_stats = rule_stats
-        self._table_sources = table_sources
-        #: The table source of the member at a column index when no rule
-        #: claimed its rows.
-        self._passthrough = passthrough
+        self._rules = rule_columns
+        #: The table source of the member at a column index.
+        self._table_source = table_source
         #: Results built so far, keyed by column index.
         self._built: dict[int, PortQosResult] = {}
 
@@ -118,12 +192,10 @@ class PortResults(Mapping[int, PortQosResult]):
             raise KeyError(asn)
         result = self._built.get(index)
         if result is None:
-            asn = int(self._asns[index])
-            source = self._table_sources.get(asn)
             result = PortQosResult(
-                self._passthrough(index) if source is None else source,
+                self._table_source(index),
                 **{name: column[index].item() for name, column in self._fields.items()},
-                rule_stats=self._rule_stats.get(asn),
+                rule_stats=self._rules.get(int(self._asns[index])),
             )
             self._built[index] = result
         return result
@@ -181,6 +253,18 @@ class FabricDeliveryPlan:
         self._filtered_asns = np.fromiter(
             self._member_start, dtype=np.int64, count=len(self._member_start)
         )
+        #: Per platform rank: the rule's action code, and its rule-id code
+        #: (the member's start plus the port's own id code, so one code
+        #: names one (member, rule id)); per code: the rule id (the
+        #: policy's own string) and its member.  A member's block is
+        #: copied from its policy's cached codes when its rules first claim
+        #: rows, once per plan: a port whose rules claim nothing until the
+        #: rule set changes again costs nothing.
+        self._rule_actions = np.zeros(self._rule_count, dtype=np.int8)
+        self._rule_codes = np.zeros(self._rule_count, dtype=np.int64)
+        self._rule_ids = np.empty(self._rule_count, dtype=object)
+        self._code_owners = np.zeros(self._rule_count, dtype=np.int64)
+        self._loaded: set[int] = set()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -229,18 +313,17 @@ class FabricDeliveryPlan:
         if n == 0:
             return FabricIntervalReport(interval_start=interval_start, interval=interval)
 
-        bits = table.bits
-
         # One platform-wide group-by: the stable argsort lists each
         # member's rows as ascending original-order indices, members in
         # ascending ASN order; group g is order[starts[g]:ends[g]].
         order = np.argsort(table.egress_asn, kind="stable")
         sorted_egress = table.egress_asn[order]
+        sorted_bits = table.bits[order]
         starts = np.flatnonzero(
             np.concatenate(([True], sorted_egress[1:] != sorted_egress[:-1]))
         )
         # Exact int64 sums, one per member.
-        group_bits = np.add.reduceat(bits[order], starts)
+        group_bits = np.add.reduceat(sorted_bits, starts)
         ends = np.append(starts[1:], n)
         # Each group's position in the plan's member arrays.  Unknown
         # egress members never entered the IXP: drop their groups.
@@ -255,38 +338,44 @@ class FabricDeliveryPlan:
 
         filtered_at = np.flatnonzero(np.isin(member_asns, self._filtered_asns))
         filtered = list(zip(filtered_at.tolist(), member_asns[filtered_at].tolist()))
-        assigned, per_rule_bits, claimed = self._classify(
-            table, bits, order, starts, ends, filtered
-        )
+        claims = self._classify(table, order, starts, ends, filtered)
 
         # Per-member accounting as parallel arrays: a port where no rule
-        # claimed a row forwards everything it is offered; the others
-        # overwrite their entries from the verdict scatter.
+        # claimed a row forwards everything it is offered; the claimed
+        # ports' entries come from the verdict scatter.
         count = len(member_asns)
         offered = group_bits.astype(np.float64)
         forwarded = offered.copy()
         dropped = np.zeros(count)
         shaped_passed = np.zeros(count)
         shaped_dropped = np.zeros(count)
-        rule_stats_by_member: dict[int, dict[str, dict[str, float]]] = {}
-        shaped_dropped_by_member: dict[int, dict[str, float]] = {}
-        table_sources: dict[int, TableSource] = {}
-        for index, asn in claimed:
-            bit_counts, rule_stats, shaper_drops, table_source = self._scatter(
-                table, order[starts[index]:ends[index]], asn, assigned, bits,
-                per_rule_bits, interval,
+        rule_columns, verdicts = _NO_RULES, _ALL_FORWARD
+        if claims:
+            # The claimed ports' sorted rows, end to end: ``bounds`` are
+            # their offsets, ``ranks`` and ``actions`` their verdicts.
+            groups = np.fromiter(claims, dtype=np.intp, count=len(claims))
+            ranks = np.concatenate(list(claims.values()))
+            lengths = ends[groups] - starts[groups]
+            bounds = np.cumsum(lengths) - lengths
+            positions = np.repeat(starts[groups] - bounds, lengths) + np.arange(len(ranks))
+            claimed_bits = sorted_bits[positions]
+            matched = ranks >= 0
+            actions = np.full(len(ranks), _FORWARD_CODE, dtype=np.int8)
+            actions[matched] = self._rule_actions[ranks[matched]]
+            # Exact int64 sums per claimed port.
+            drop_bits = np.add.reduceat(
+                np.where(actions == _DROP_CODE, claimed_bits, 0), bounds
             )
-            (
-                forwarded[index],
-                dropped[index],
-                shaped_passed[index],
-                shaped_dropped[index],
-            ) = bit_counts
-            table_sources[asn] = table_source
-            if rule_stats:
-                rule_stats_by_member[asn] = rule_stats
-            if shaper_drops:
-                shaped_dropped_by_member[asn] = shaper_drops
+            shape_bits = np.add.reduceat(
+                np.where(actions == _SHAPE_CODE, claimed_bits, 0), bounds
+            )
+            forwarded[groups] = group_bits[groups] - drop_bits - shape_bits
+            dropped[groups] = drop_bits
+            rule_columns, shape_rows, shape_factors = self._scatter(
+                table, order[positions], claimed_bits, ranks, actions, member_asns,
+                shaped_passed, shaped_dropped, interval,
+            )
+            verdicts = (groups, bounds, actions, shape_rows, shape_factors)
 
         # Egress queue: forwarded + shaped traffic shares the port
         # capacity; anything beyond it is congestion loss at the member
@@ -334,12 +423,10 @@ class FabricDeliveryPlan:
             results_by_member=PortResults(
                 member_asns,
                 member_fields,
-                rule_stats_by_member,
-                table_sources,
-                partial(_forwarded_only, table, order, starts, ends),
+                rule_columns,
+                partial(_verdict_tables, table, order, starts, ends, verdicts),
             ),
-            rule_stats_by_member=rule_stats_by_member,
-            shaped_dropped_by_member=shaped_dropped_by_member,
+            rule_columns=rule_columns,
             member_asns=member_asns,
             member_fields=member_fields,
             capacity_bits=capacity_bits,
@@ -349,13 +436,12 @@ class FabricDeliveryPlan:
     def _classify(
         self,
         table: FlowTable,
-        bits: np.ndarray,
         order: np.ndarray,
         starts: np.ndarray,
         ends: np.ndarray,
         filtered: Sequence[tuple[int, int]],
-    ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
-        """Assign each row its claiming rule (global index, or -1 = forward).
+    ) -> dict[int, np.ndarray]:
+        """Classify each filtered member's rows against its port's rules.
 
         Rules of different members are disjoint by the egress column, so
         each filtered member's rules are matched against that member's
@@ -363,140 +449,192 @@ class FabricDeliveryPlan:
         :meth:`~repro.ixp.qos.PortQosPolicy.assign_table` (its compiled
         rule-match index).  ``assign_table`` is row-wise, so verdicts on
         the slice equal verdicts on the full table; local ranks map to
-        global rule indices by the member's contiguous block offset.
-        Also returns the ``(group, asn)`` pairs where some rule claimed a
-        row: only those need a verdict scatter.
+        global ranks by the member's contiguous block offset.  Returns,
+        for each group where some rule claimed a row (ascending), its
+        sorted rows' claiming global ranks (-1 = forward).
         """
-        assigned = np.full(len(table), -1, dtype=np.int64)
-        claimed: list[tuple[int, int]] = []
+        claims: dict[int, np.ndarray] = {}
         for index, asn in filtered:
             rows = order[starts[index]:ends[index]]
             ranks = self._ports[asn].qos.assign_table(table.select(rows))
             matched = ranks >= 0
             if matched.any():
-                assigned[rows[matched]] = self._member_start[asn] + ranks[matched]
-                claimed.append((index, asn))
-        matched = assigned >= 0
-        per_rule_bits = np.bincount(
-            assigned[matched], weights=bits[matched], minlength=self._rule_count
-        )
-        return assigned, per_rule_bits, claimed
+                start = self._member_start[asn]
+                claims[index] = np.where(matched, ranks.astype(np.int64) + start, -1)
+                self._load(asn)
+        return claims
+
+    def _load(self, asn: int) -> None:
+        """Copy member ``asn``'s per-rule codes into the platform arrays."""
+        if asn in self._loaded:
+            return
+        qos = self._ports[asn].qos
+        start = self._member_start[asn]
+        stop = start + len(qos)
+        codes, rule_ids = qos.rule_id_codes()
+        self._rule_actions[start:stop] = qos.action_codes()
+        self._rule_codes[start:stop] = start + codes
+        self._rule_ids[start:start + len(rule_ids)] = rule_ids
+        self._code_owners[start:stop] = asn
+        self._loaded.add(asn)
 
     # ------------------------------------------------------------------
     def _scatter(
         self,
         table: FlowTable,
         rows: np.ndarray,
-        asn: int,
-        assigned: np.ndarray,
         bits: np.ndarray,
-        per_rule_bits: np.ndarray,
+        ranks: np.ndarray,
+        actions: np.ndarray,
+        member_asns: np.ndarray,
+        shaped_passed: np.ndarray,
+        shaped_dropped: np.ndarray,
         interval: float,
-    ) -> tuple[
-        tuple[float, float, float, float],
-        dict[str, dict[str, float]],
-        dict[str, float],
-        TableSource,
-    ]:
-        """Fold the platform-level verdicts back into one claimed port.
+    ) -> tuple[RuleColumns, np.ndarray, np.ndarray]:
+        """Fold the claimed ranks into per-rule columns, platform-wide.
 
-        Returns the port's pre-congestion ``(forwarded, dropped,
-        shaped_passed, shaped_dropped)`` bits, its ``rule_stats``, the
-        bits each claimed SHAPE rule's shaper discarded, and the deferred
-        source of its verdict tables.  Only the rules that
-        claimed rows are visited, in grouped array passes.
+        ``rows``, ``bits``, ``ranks`` and ``actions`` describe the claimed
+        ports' sorted rows end to end (each port's rows in ascending
+        original order).  Writes each member's shaped-passed and
+        shaper-discarded bits into ``shaped_passed``/``shaped_dropped`` and
+        returns the interval's :class:`RuleColumns`, the shaped rows
+        (sorted stably by rank, so members ascending) and each shaped
+        row's scale factor.  Only the ranks that claimed rows are visited.
         """
-        qos = self._ports[asn].qos
-        start = self._member_start[asn]
-        # Port-local ranks index the live policy's sorted rules; the
-        # is_current guard in execute() keeps the plan's offsets aligned
-        # with them.
-        local = assigned[rows] - start
-        matched = local >= 0
-        row_actions = np.full(len(rows), _FORWARD_CODE, dtype=np.int8)
-        row_actions[matched] = qos.action_codes()[local[matched]]
-        forward_rows = rows[row_actions == _FORWARD_CODE]
-        drop_mask = row_actions == _DROP_CODE
-        drop_rows = rows[drop_mask]
+        matched = ranks >= 0
+        claimed_ranks = ranks[matched]
+        per_rule_bits = np.bincount(
+            claimed_ranks, weights=bits[matched], minlength=self._rule_count
+        )
+        claimed = np.flatnonzero(np.bincount(claimed_ranks, minlength=self._rule_count))
+        claimed_actions = self._rule_actions[claimed]
+
         # DROP rules: one gather of their matched bits.  Rule ids repeat
-        # (every anonymous DROP/FORWARD rule is ``""``); bincount sums each
-        # id's terms sequentially from 0.0 in ascending rank order, exactly
-        # like a running ``+=``, and the ids keep first-claimed order.
-        drop_ranks = np.unique(local[drop_mask])
-        id_codes, rule_ids = qos.rule_id_codes()
+        # (every anonymous DROP/FORWARD rule of a port is ``""``), so the
+        # bits are summed per (member, id) code; bincount sums each code's
+        # terms sequentially from 0.0 in ascending rank order, exactly like
+        # a running ``+=``.  Sorted by first claimed rank, the codes list
+        # members ascending, each member's ids in first-claimed order.
+        drop_ranks = claimed[claimed_actions == _DROP_CODE]
         codes, first, slots = np.unique(
-            id_codes[drop_ranks], return_index=True, return_inverse=True
+            self._rule_codes[drop_ranks], return_index=True, return_inverse=True
         )
         drop_sums = np.bincount(
-            slots, weights=per_rule_bits[start + drop_ranks], minlength=len(codes)
+            slots, weights=per_rule_bits[drop_ranks], minlength=len(codes)
         )
         appear = np.argsort(first)
-        rule_stats: dict[str, dict[str, float]] = {
-            rule_ids[code]: {"matched": bits_sum, "dropped": bits_sum, "shaped": 0.0}
-            for code, bits_sum in zip(codes[appear].tolist(), drop_sums[appear].tolist())
-        }
+        drop_codes, drop_sums = codes[appear], drop_sums[appear]
 
         # SHAPE rules: the shaped rows sorted stably by rank, so each
         # claimed rank owns one contiguous run of ascending rows.
-        shape_at = np.flatnonzero(row_actions == _SHAPE_CODE)
-        by_rank = shape_at[np.argsort(local[shape_at], kind="stable")]
+        shape_at = np.flatnonzero(actions == _SHAPE_CODE)
+        by_rank = shape_at[np.argsort(ranks[shape_at], kind="stable")]
         shape_rows = rows[by_rank]
         shape_ranks, runs, run_lengths = np.unique(
-            local[by_rank], return_index=True, return_counts=True
+            ranks[by_rank], return_index=True, return_counts=True
         )
         # Exact int64 sums per rank.
-        rank_bits = np.add.reduceat(bits[shape_rows], runs)
-        # Every SHAPE rule carries an id no other rule of the port has
+        rank_bits = np.add.reduceat(bits[by_rank], runs)
+        shape_codes = self._rule_codes[shape_ranks]
+        owners = self._code_owners[shape_codes]
+        # Every SHAPE rule carries an id no other rule of its port has
         # (anonymous ones a synthetic ``anon-<n>``), so each claimed rank
-        # drains its own shaper, once, and owns its rule_stats entry.
-        shape_ids = [rule_ids[code] for code in id_codes[shape_ranks].tolist()]
+        # drains its own shaper, once, and owns its row.
         scales: list[float] = []
-        # Per-shaper terms, reduced once after the loop (RPL006).
-        passed_terms: list[float] = []
-        dropped_terms: list[float] = []
-        for rule_id, offered_int in zip(shape_ids, rank_bits.tolist()):
+        passed: list[float] = []
+        discarded: list[float] = []
+        for asn, rule_id, offered_int in zip(
+            owners.tolist(), self._rule_ids[shape_codes].tolist(), rank_bits.tolist()
+        ):
             offered_bits = float(offered_int)
-            shaper = qos.shaper_for(rule_id)
+            shaper = self._ports[asn].qos.shaper_for(rule_id)
             if shaper is None:
-                passed_bits, dropped_bits = offered_bits, 0.0
+                passed_bits, discarded_bits = offered_bits, 0.0
             else:
-                passed_bits, dropped_bits = shaper.shape(offered_bits, interval)
+                passed_bits, discarded_bits = shaper.shape(offered_bits, interval)
             scales.append(passed_bits / offered_bits if offered_bits > 0 else 0.0)
-            passed_terms.append(passed_bits)
-            dropped_terms.append(dropped_bits)
+            passed.append(passed_bits)
+            discarded.append(discarded_bits)
+        owner_asns, owner_first = np.unique(owners, return_index=True)
+        spans = [*owner_first.tolist(), len(owners)]
+        for index, lo, hi in zip(
+            np.searchsorted(member_asns, owner_asns).tolist(), spans, spans[1:]
+        ):
+            # Each member's shaper terms, reduced once in rank order (RPL006).
+            passed_terms, discarded_terms = passed[lo:hi], discarded[lo:hi]
+            shaped_passed[index] = float(sum(passed_terms))
+            shaped_dropped[index] = float(sum(discarded_terms))
         # One factor per shaped row; the same rounding FlowTable.scaled_by
         # applies when the shaped table is finally built.
         factors = np.repeat(np.asarray(scales, dtype=np.float64), run_lengths)
         scaled_bytes = np.rint(table.bytes[shape_rows] * factors).astype(np.int64)
         scaled_bits = np.add.reduceat(scaled_bytes * 8, runs).astype(np.float64)
 
-        for rule_id, shaped_bits in zip(shape_ids, scaled_bits.tolist()):
-            rule_stats[rule_id] = {"matched": shaped_bits, "dropped": 0.0, "shaped": shaped_bits}
-
-        def table_source() -> tuple[FlowTable, FlowTable, FlowTable]:
-            shaped = (
-                table.select(shape_rows).scaled_by(factors)
-                if len(shape_rows)
-                else FlowTable.empty()
-            )
-            return table.select(forward_rows), table.select(drop_rows), shaped
-
-        bit_counts = (
-            float(bits[forward_rows].sum()),
-            float(bits[drop_rows].sum()),
-            float(sum(passed_terms)),
-            float(sum(dropped_terms)),
+        # One row per code: DROP rows, then SHAPE rows, each part members
+        # ascending; a stable sort by member interleaves them.
+        no_drops = np.zeros(len(drop_codes))
+        no_shapes = np.zeros(len(shape_codes))
+        row_codes = np.concatenate((drop_codes, shape_codes))
+        row_asns = self._code_owners[row_codes]
+        by_member = np.argsort(row_asns, kind="stable")
+        columns = RuleColumns(
+            row_asns[by_member],
+            self._rule_ids[row_codes[by_member]],
+            np.concatenate((drop_sums, scaled_bits))[by_member],
+            np.concatenate((drop_sums, no_shapes))[by_member],
+            np.concatenate((no_drops, scaled_bits))[by_member],
+            np.concatenate((no_drops, np.asarray(discarded, dtype=np.float64)))[by_member],
         )
-        return bit_counts, rule_stats, dict(zip(shape_ids, dropped_terms)), table_source
+        return columns, shape_rows, factors
 
 
-def _forwarded_only(
+#: An interval's rule stats when no rule claimed a row.
+_NO_RULES = RuleColumns.empty()
+
+#: The claimed ports' verdicts (see :meth:`FabricDeliveryPlan.execute`):
+#: their groups, the offsets of their runs of rows, each row's action
+#: code, and the shaped rows with their scale factors.
+Verdicts = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+#: No claimed group: every port forwards all of its rows.
+_ALL_FORWARD: Verdicts = (np.zeros(0, dtype=np.intp),) * 5
+
+
+def _verdict_tables(
     table: FlowTable,
     order: np.ndarray,
     starts: np.ndarray,
     ends: np.ndarray,
+    verdicts: Verdicts,
     index: int,
 ) -> TableSource:
-    """Table source of a port where no rule claimed a row: all rows forward."""
+    """Table source of the member at column ``index``.
+
+    A claimed member's rows split by their action codes (its run of the
+    verdicts' actions), and its shaped rows are its segment of the
+    platform's rank-sorted shaped rows (members ascending), each scaled
+    by its factor.  Any other member's rows all forward.
+    """
     rows = order[starts[index]:ends[index]]
-    return lambda: (table.select(rows), FlowTable.empty(), FlowTable.empty())
+
+    def source() -> tuple[FlowTable, FlowTable, FlowTable]:
+        groups, bounds, actions, shape_rows, shape_factors = verdicts
+        at = int(np.searchsorted(groups, index))
+        if at == len(groups) or groups[at] != index:
+            return table.select(rows), FlowTable.empty(), FlowTable.empty()
+        row_actions = actions[bounds[at]:bounds[at] + len(rows)]
+        shaped_egress = table.egress_asn[shape_rows]
+        asn = table.egress_asn[rows[0]]
+        lo = int(np.searchsorted(shaped_egress, asn, "left"))
+        hi = int(np.searchsorted(shaped_egress, asn, "right"))
+        shaped = (
+            table.select(shape_rows[lo:hi]).scaled_by(shape_factors[lo:hi])
+            if hi > lo
+            else FlowTable.empty()
+        )
+        return (
+            table.select(rows[row_actions == _FORWARD_CODE]),
+            table.select(rows[row_actions == _DROP_CODE]),
+            shaped,
+        )
+
+    return source

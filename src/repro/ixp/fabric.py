@@ -27,7 +27,7 @@ import numpy as np
 
 from ..traffic.flowtable import FlowTable
 from ..traffic.ipfix import IpfixCollector, IpfixExporter
-from .delivery import FabricDeliveryPlan
+from .delivery import FabricDeliveryPlan, RuleColumns
 from .edge_router import EdgeRouter, PortNotFoundError
 from .member import IxpMember, MemberPopulation
 from .port import MemberPort, PortCounterStore
@@ -76,11 +76,11 @@ class FabricIntervalReport:
     Per-member accounting is held once, as the arrays the delivery pass
     computed: :attr:`member_asns`, :attr:`member_fields` and
     :attr:`capacity_bits` are parallel arrays in ascending-ASN order, for
-    scans over every port, and :attr:`rule_stats_by_member` holds the
-    sparse per-rule stats.  :attr:`results_by_member` is a read-only
-    mapping over those columns that builds one port's
-    :class:`~repro.ixp.qos.PortQosResult` (verdict tables, per-rule stats)
-    when that port is looked up.
+    scans over every port, and :attr:`rule_columns` holds the sparse
+    per-rule stats, one row per (member, rule id) that claimed bits.
+    :attr:`results_by_member` is a read-only mapping over those columns
+    that builds one port's :class:`~repro.ixp.qos.PortQosResult` (verdict
+    tables, per-rule stats) when that port is looked up.
     """
 
     interval_start: float
@@ -92,17 +92,11 @@ class FabricIntervalReport:
     #: A :class:`~repro.ixp.delivery.PortResults` view (an empty interval
     #: keeps the empty default).
     results_by_member: Mapping[int, PortQosResult] = field(default_factory=dict)
-    #: ``rule_stats`` of every member where a rule claimed bits, in
-    #: ascending-ASN order (each the same dict its result carries).
-    rule_stats_by_member: dict[int, dict[str, dict[str, float]]] = field(
-        default_factory=dict
-    )
-    #: Bits each SHAPE rule's shaper discarded, per member with a claimed
-    #: SHAPE rule (``member -> rule id -> bits``).  Telemetry reads it;
-    #: it is not part of :meth:`to_dict` or :meth:`to_columns`.
-    shaped_dropped_by_member: dict[int, dict[str, float]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    #: Per-rule stats of every member where a rule claimed bits.  Its
+    #: ``discarded`` column (the bits each SHAPE rule's shaper threw away)
+    #: is read by telemetry and is not part of :meth:`to_dict` or
+    #: :meth:`to_columns`.
+    rule_columns: RuleColumns = field(default_factory=RuleColumns.empty)
     #: Member ASNs (int64), ascending.
     member_asns: np.ndarray = field(
         default_factory=lambda: np.zeros(0, dtype=np.int64), repr=False, compare=False
@@ -116,6 +110,13 @@ class FabricIntervalReport:
     capacity_bits: np.ndarray = field(
         default_factory=lambda: np.zeros(0), repr=False, compare=False
     )
+
+    @property
+    def rule_stats_by_member(self) -> Mapping[int, dict[str, dict[str, float]]]:
+        """``member -> rule id -> {"matched", "dropped", "shaped"}``, in
+        ascending-ASN order: the :attr:`rule_columns` as a read-only
+        mapping that builds a member's dict when it is looked up."""
+        return self.rule_columns
 
     @property
     def platform_load_bps(self) -> float:
@@ -161,8 +162,8 @@ class FabricIntervalReport:
         report's parallel numpy arrays in ascending-ASN order, so
         :func:`~repro.ixp.shard.merge_interval_columns` reduces shards with
         array concatenation + one argsort instead of per-member dict
-        copies.  Sparse ``rule_stats`` stay a nested dict (only members
-        with claimed rules carry entries).
+        copies.  Sparse ``rule_stats`` become a nested dict (only members
+        with claimed rules carry entries), built from the rule columns.
         :func:`~repro.ixp.report_encoding.report_json` encodes them in the
         :meth:`to_dict` layout without building it.
         """
@@ -178,9 +179,7 @@ class FabricIntervalReport:
             "member_asns": self.member_asns,
             "member_fields": dict(self.member_fields),
             "rule_stats": {
-                str(asn): {
-                    rule_id: dict(stats) for rule_id, stats in sorted(rule_stats.items())
-                }
+                str(asn): dict(sorted(rule_stats.items()))
                 for asn, rule_stats in self.rule_stats_by_member.items()
             },
         }

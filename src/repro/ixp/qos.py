@@ -546,7 +546,7 @@ class PortQosPolicy:
         """Per-sorted-rule codes into the list of distinct rule ids.
 
         Ids repeat across rules — every anonymous DROP/FORWARD rule is
-        ``""`` — so the scatter sums ``rule_stats`` per code.
+        ``""`` — so the delivery plan sums a rule-column row per code.
         """
         if self._rule_id_codes is None:
             codes: dict[str, int] = {}

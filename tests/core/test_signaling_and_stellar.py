@@ -1,6 +1,7 @@
 """Integration tests for the signaling layer, telemetry and the Stellar facade."""
 
 import itertools
+import math
 from dataclasses import replace
 
 import pytest
@@ -43,8 +44,9 @@ def build_stellar(policy=None, peer_count=5, victim_capacity=1e9):
     return stellar, victim, peers
 
 
-def attack_flows(peers, t=0.0, interval=10.0, rate=5e8, seed=1):
+def attack_flows(peers, t=0.0, interval=10.0, rate=5e8, seed=1, vector="ntp"):
     attack = BooterAttack(
+        vector_name=vector,
         victim_ip=VICTIM_IP,
         victim_member_asn=VICTIM_ASN,
         peer_member_asns=[peer.asn for peer in peers],
@@ -124,6 +126,23 @@ class TestSignaling:
                 ),
                 via="api",
             )
+
+    @pytest.mark.parametrize("via", ["bgp", "api"])
+    def test_rpki_invalid_signal_is_refused_on_both_paths(self, via):
+        # The IRR lets AS65002 originate the prefix, but its ROA names
+        # another AS: the route server's import policy refuses the signal,
+        # whichever way it arrives, and no rule becomes active.
+        policy = ImportPolicy()
+        policy.irr.register("100.21.0.0/24", 65002)
+        policy.rpki.add_roa("100.21.0.0/24", 64999, max_length=32)
+        stellar, victim, peers = build_stellar(policy=policy)
+        rule = BlackholingRule.drop_udp_source_port(65002, "100.21.0.7/32", 123)
+        result = stellar.request_mitigation(rule, via=via)
+        assert not result.accepted and result.via == via
+        assert result.detail == "route server rejected the announcement: rpki_invalid"
+        assert stellar.active_rules() == []
+        stellar.advance(now=1.0)
+        assert stellar.installed_rule_count() == 0
 
     def test_withdraw_removes_rule_from_dataplane(self):
         stellar, victim, peers = build_stellar()
@@ -708,6 +727,44 @@ class TestStellarDataPlane:
         assert rule_telemetry.matched_bits == pytest.approx(
             rule_telemetry.shaped_passed_bits + rule_telemetry.shaped_dropped_bits
         )
+
+    def test_rule_rows_reconcile_with_the_port_every_interval(self):
+        """Per interval, the member's rule rows account for every filtered bit.
+
+        The sum over the victim's rule rows of ``dropped + discarded``
+        equals its port's ``dropped_bits + shaped_dropped_bits``, with
+        exact equality: DROP bits are whole numbers far below 2**53, so
+        every partial sum of them is exact, and with one SHAPE rule the
+        shaper's discard is the only fractional term.  ``math.fsum``
+        rounds the row sum once, as the port's one addition does.
+        """
+        stellar, victim, peers = build_stellar(victim_capacity=10e9)
+        host = f"{VICTIM_IP}/32"
+        for rule in (
+            BlackholingRule.drop_udp_source_port(VICTIM_ASN, host, 123),
+            BlackholingRule.drop_udp_source_port(VICTIM_ASN, host, 19),
+            BlackholingRule.shape_udp_source_port(VICTIM_ASN, host, 11211, rate_bps=1e8),
+        ):
+            # Over the API, one member's signals for one prefix add up.
+            assert stellar.request_mitigation(rule, via="api").accepted
+        discarded_intervals = 0
+        for step in range(4):
+            start = step * 10.0
+            flows = FlowTable.concat([
+                attack_flows(peers, t=start, seed=step, vector="ntp"),
+                attack_flows(peers, t=start, rate=1e9, seed=step, vector="memcached"),
+                attack_flows(peers, t=start, seed=step, vector="chargen"),
+                benign_flows(peers, t=start, seed=step),
+            ])
+            report = stellar.deliver_traffic(flows, interval=10.0, interval_start=start)
+            columns = report.fabric_report.rule_columns
+            lo, hi = columns.span(VICTIM_ASN)
+            assert hi - lo == 3
+            result = report.fabric_report.results_by_member[VICTIM_ASN]
+            rows = (columns.dropped[lo:hi] + columns.discarded[lo:hi]).tolist()
+            assert math.fsum(rows) == result.dropped_bits + result.shaped_dropped_bits
+            discarded_intervals += result.shaped_dropped_bits > 0
+        assert discarded_intervals == 4
 
     def test_telemetry_detects_attack_end(self):
         stellar, victim, peers = build_stellar(victim_capacity=10e9)

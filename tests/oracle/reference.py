@@ -15,6 +15,11 @@ interval report the production data path must produce, bit for bit:
   shape-rule bits, builtin ``sum()`` over ascending-ASN terms for the
   platform totals — so reports compare with ``==``, never a tolerance.
 
+Beside the expected report, :meth:`ReferenceFabric.deliver` keeps the
+interval's per-port rule stats as the naive dict-building scatter builds
+them (``rule_stats``, rows in claim order) and each shaper's discarded
+bits (``discarded``): the ``==`` reference of the report's rule columns.
+
 :func:`utilisation` is the scalar twin of
 ``FabricIntervalReport.port_utilisation()``: one port's demand over its
 capacity, from one result.
@@ -82,6 +87,13 @@ class ReferenceFabric:
         self.counters = {}
         #: Last interval's ``(forwarded, dropped, shaped)`` records per member.
         self.verdicts = {}
+        #: Last interval's rule stats per member with a claimed DROP or
+        #: SHAPE rule, in the order the delivery pass lists its rule rows:
+        #: DROP ids by first claimed rank, then SHAPE ids by rank.
+        self.rule_stats = {}
+        #: Last interval's bits each claimed SHAPE rule's shaper discarded,
+        #: per member (``member -> rule id -> bits``).
+        self.discarded = {}
 
     def forget(self, member_asn, rule_ids=None):
         """Reset the shapers of ``rule_ids`` (all of the member's if None)."""
@@ -93,6 +105,7 @@ class ReferenceFabric:
         """The expected ``FabricIntervalReport.to_dict()`` of one interval."""
         records = to_records(table)
         bits = np.array([record.bits for record in records], dtype=np.int64)
+        self.rule_stats, self.discarded = {}, {}
         connected = self.fabric.member_asns
         rows_by_member = {}
         for row, record in enumerate(records):
@@ -151,6 +164,7 @@ class ReferenceFabric:
                 entry["matched"] += float(drop_bits[rank])
                 entry["dropped"] += float(drop_bits[rank])
         passed, shaped_away, shaped = [], [], []
+        discarded = {}
         for rank in claimed:
             rule = rules[rank]
             if rule.action is not FilterAction.SHAPE:
@@ -169,7 +183,12 @@ class ReferenceFabric:
             entry["shaped"] += scaled_bits
             passed.append(passed_bits)
             shaped_away.append(dropped_bits)
+            discarded[rule.rule_id] = dropped_bits
             shaped.extend(scaled)
+        if stats:
+            self.rule_stats[asn] = stats
+        if discarded:
+            self.discarded[asn] = discarded
         self.verdicts[asn] = (
             [records[row] for row in forward],
             [records[row] for row in drop],
