@@ -20,6 +20,10 @@ O(members × flows) in Python per interval).
   bytes one retained report of that SHAPE interval holds, in total and
   per claimed rule row, in ``BENCH_fabric.json`` (no bound: the memory
   guard is ``tests/ixp/test_report_memory.py``).
+* ``test_bench_fabric_traced_bytes`` delivers fresh SHAPE intervals
+  through that default fabric, dropping each report, and records in
+  ``BENCH_fabric.json`` the bytes the fabric still holds after them (no
+  bound: the flat-memory guard is ``tests/ixp/test_report_memory.py``).
 
 Functional parity with the naive reference in ``tests/oracle`` is pinned
 in ``tests/ixp/test_fabric_delivery.py``; here only the clock matters.
@@ -47,7 +51,7 @@ from repro.ixp import (
     make_member_population,
 )
 from repro.traffic import BooterAttack, FlowTable, IpProtocol, IxpTraceGenerator
-from repro.traffic.flowtable import ip_to_int
+from repro.traffic.flowtable import COLUMNS, ip_to_int
 
 VICTIM_ASN = 64500
 VICTIM_IP = "100.10.10.10"
@@ -345,5 +349,40 @@ def test_bench_retained_report_bytes():
         "flow_count": len(table),
         "bytes": held,
         "bytes_per_rule_row": held / rows,
+    }
+    write_bench_json("fabric", payload)
+
+
+#: Intervals delivered for the fabric's traced-bytes record.
+TRACED_INTERVALS = 8
+
+
+def test_bench_fabric_traced_bytes():
+    fabric = single_port_fabric(FilterAction.SHAPE)
+    fabric.deliver(scatter_interval(), INTERVAL, 0.0)  # compile the plan and the index
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for step in range(1, TRACED_INTERVALS + 1):
+            table = scatter_interval()
+            table_bytes = sum(getattr(table, name).nbytes for name in COLUMNS)
+            fabric.deliver(table, INTERVAL, step * INTERVAL)
+            del table
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    print_table(
+        f"Fabric memory after {TRACED_INTERVALS} fresh {SCATTER_FLOWS}-flow intervals",
+        [("bytes held", "one table [bytes]"), (f"{held}", f"{table_bytes}")],
+    )
+    path = Path(os.environ.get("BENCH_OUTPUT_DIR", ".")) / "BENCH_fabric.json"
+    payload = json.loads(path.read_text()) if path.exists() else {}
+    payload["fabric_traced"] = {
+        "intervals": TRACED_INTERVALS,
+        "flow_count": SCATTER_FLOWS,
+        "table_bytes": table_bytes,
+        "bytes": held,
     }
     write_bench_json("fabric", payload)

@@ -167,17 +167,20 @@ class BlackholingController:
 
     def desired_rules(self) -> dict[tuple[int, FlowMatch], BlackholingRule]:
         """The rule set the announced paths request."""
-        desired: dict[tuple[int, FlowMatch], BlackholingRule] = {}
-        for rule in self.paths.values():
-            if rule is None:
-                continue
-            key = (rule.owner_asn, rule.qos.match)
-            # Preserve a stable rule id across updates of the same rule.
-            active = self._active_rules.get(key)
-            if active is not None and rule.qos.rule_id != active.qos.rule_id:
-                rule = replace(rule, qos=replace(rule.qos, rule_id=active.qos.rule_id))
-            desired[key] = rule
-        return desired
+        rules = map(self._tracked, filter(None, self.paths.values()))
+        return {(rule.owner_asn, rule.qos.match): rule for rule in rules}
+
+    def rule_for_path(self, key: RibKey) -> Optional[BlackholingRule]:
+        """The rule path ``key`` requests (``None`` if none), under its tracked id."""
+        rule = self.paths.get(key)
+        return None if rule is None else self._tracked(rule)
+
+    def _tracked(self, rule: BlackholingRule) -> BlackholingRule:
+        """``rule`` under the id of the active rule it updates: updates keep their id."""
+        active = self._active_rules.get((rule.owner_asn, rule.qos.match))
+        if active is not None and rule.qos.rule_id != active.qos.rule_id:
+            rule = replace(rule, qos=replace(rule.qos, rule_id=active.qos.rule_id))
+        return rule
 
     # ------------------------------------------------------------------
     # Reconciliation (rule-set diff → change requests)

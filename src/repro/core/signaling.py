@@ -50,7 +50,7 @@ class SignalRejectedError(RuntimeError):
 
 @dataclass(frozen=True)
 class SignalResult:
-    """Outcome of one signalling operation."""
+    """Outcome of one signalling operation (if accepted, its installed rule)."""
 
     accepted: bool
     via: str  # "bgp" | "api"
@@ -131,7 +131,7 @@ class SignalingLayer:
         """Signal a predefined (portal) rule by its identifier."""
         prefix = parse_prefix(prefix)
         # Resolve eagerly so an invalid reference is reported to the member,
-        # mirroring the portal's validation, and the caller gets the rule back.
+        # mirroring the portal's validation.
         rule = self.portal.resolve(predefined_rule_id, member_asn, prefix)
         communities = self.codec.encode_predefined(predefined_rule_id)
         return self._announce(
@@ -169,7 +169,12 @@ class SignalingLayer:
                 rule=rule,
                 detail=f"route server rejected the announcement: {result.reason.value}",
             )
-        return SignalResult(accepted=True, via="bgp", rule=rule)
+        return SignalResult(accepted=True, via="bgp", rule=self._arrived())
+
+    def _arrived(self) -> Optional[BlackholingRule]:
+        """The rule of the path the controller received last: each path
+        has a fresh path id, so it is the one just signalled."""
+        return self.controller.rule_for_path(next(reversed(self.controller.paths)))
 
     def withdraw_via_bgp(self, member_asn: int, prefix: "str | Prefix") -> SignalResult:
         """Withdraw the signalling announcement (implicitly removing rules).
@@ -224,7 +229,7 @@ class SignalingLayer:
         self.controller.process_update(
             UpdateMessage(sender_asn=self.route_server.ixp_asn, announcements=(announcement,))
         )
-        return SignalResult(accepted=True, via="api", rule=rule)
+        return SignalResult(accepted=True, via="api", rule=self._arrived())
 
     def withdraw_via_api(self, member_asn: int, prefix: "str | Prefix") -> SignalResult:
         """Withdraw every rule a member signalled for a prefix via the API.

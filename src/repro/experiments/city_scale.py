@@ -261,7 +261,6 @@ class _ShardRuntime:
             seed=config.seed,
             pop_indices=spec.pop_indices,
             collect_ipfix=False,
-            retain_reports=False,
             members=shard_members,
         )
         self.attack: Optional[BooterAttack] = None

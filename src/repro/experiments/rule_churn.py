@@ -226,7 +226,6 @@ def _build_platform(
         profile=_router_profile(config),
         seed=config.seed,
         collect_ipfix=False,
-        retain_reports=False,
         members=MemberPopulation.concat([MemberPopulation.from_members([victim]), members]),
     )
     return fabric, victim, members

@@ -199,7 +199,7 @@ class SwitchingFabric:
         platform_capacity_bps: float = 25e12,
         ipfix_sampling_rate: int = 1,
         collect_ipfix: bool = True,
-        retain_reports: bool = True,
+        retain_reports: bool = False,
     ) -> None:
         if not (math.isfinite(platform_capacity_bps) and platform_capacity_bps > 0):
             raise ValueError("platform capacity must be positive and finite")
@@ -207,12 +207,11 @@ class SwitchingFabric:
         #: Connected member capacity of the platform (25 Tbps at DE-CIX
         #: Frankfurt in 2017, paper footnote 1).
         self.platform_capacity_bps = platform_capacity_bps
-        #: Streaming knobs: an hour-long city-scale run delivers thousands
-        #: of intervals through one fabric, so accumulating every IPFIX
-        #: export and interval report would hold the whole trace in
-        #: memory.  Disabling retention changes no delivered/filtered
-        #: accounting — reports are still returned to the caller, just not
-        #: stored on the fabric.
+        #: The fabric keeps no interval's traffic: the IPFIX collector
+        #: keeps totals, and a report (which holds its interval's table)
+        #: goes to :attr:`reports` only under ``retain_reports``.
+        #: ``collect_ipfix=False`` skips the export.  Neither knob changes
+        #: any delivered/filtered accounting.
         self.collect_ipfix = collect_ipfix
         self.retain_reports = retain_reports
         self._edge_routers: dict[str, EdgeRouter] = {}

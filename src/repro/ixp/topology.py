@@ -84,7 +84,6 @@ def build_multi_pop_fabric(
     seed: Optional[int] = None,
     pop_indices: Optional[Sequence[int]] = None,
     collect_ipfix: bool = True,
-    retain_reports: bool = True,
     members: Optional[MemberPopulation] = None,
 ) -> SwitchingFabric:
     """A fabric with ``pop_count`` PoPs of ``routers_per_pop`` edge routers.
@@ -98,7 +97,7 @@ def build_multi_pop_fabric(
     keeping every router's name, PoP label and per-router seed identical
     to the full build — a shard-local fabric built for PoPs ``(2, 5)`` of
     a ten-PoP platform is indistinguishable, router for router, from
-    those PoPs inside the full fabric.  The streaming knobs pass through
+    those PoPs inside the full fabric.  ``collect_ipfix`` passes through
     to :class:`~repro.ixp.fabric.SwitchingFabric`.
 
     ``members``, when given, is connected in row order by one
@@ -124,7 +123,6 @@ def build_multi_pop_fabric(
         name=name,
         platform_capacity_bps=platform_capacity_bps,
         collect_ipfix=collect_ipfix,
-        retain_reports=retain_reports,
     )
     profile = profile if profile is not None else l_ixp_edge_router_profile()
     for pop_index in pop_indices:

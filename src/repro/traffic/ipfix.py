@@ -11,13 +11,15 @@ collectors do.
 
 The data plane hands the exporter one columnar
 :class:`~repro.traffic.flowtable.FlowTable` per interval, and each export
-is one :class:`ExportedTable` batch: the columnar representation goes all
-the way into the collector, so high-rate observation points don't
-materialise per-flow objects just to be archived.
+is one :class:`ExportedTable` batch.  The collector folds each batch into
+per-exporter totals when it receives it and keeps no flow: a long run
+exports thousands of intervals, and archiving their tables would hold the
+whole trace in memory.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from ..sim.rng import make_rng
@@ -73,24 +75,22 @@ class IpfixExporter:
 
 @dataclass
 class IpfixCollector:
-    """Aggregates the exported batches of all exporters."""
+    """Aggregates the exported batches of all exporters into running
+    totals on arrival; no batch is kept."""
 
-    tables: list[ExportedTable] = field(default_factory=list)
+    _flow_count: int = field(default=0, init=False)
+    _bytes: Counter[str] = field(default_factory=Counter, init=False)
 
     def receive(self, batch: ExportedTable) -> None:
-        self.tables.append(batch)
+        self._flow_count += len(batch)
+        self._bytes[batch.exporter_id] += batch.table.total_bytes
 
     def __len__(self) -> int:
-        return sum(len(batch) for batch in self.tables)
+        return self._flow_count
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def bytes_by_exporter(self) -> dict[str, int]:
         """Total (up-scaled) bytes per exporter."""
-        totals: dict[str, int] = {}
-        for batch in self.tables:
-            totals[batch.exporter_id] = (
-                totals.get(batch.exporter_id, 0) + batch.table.total_bytes
-            )
-        return totals
+        return dict(self._bytes)

@@ -212,6 +212,54 @@ class TestSignaling:
 SIGNAL_PATHS = ("bgp", "api")
 
 
+class TestSignalResultRule:
+    """An accepted signal names the rule the controller installed, so the
+    member finds it, and its telemetry, by the id it got back."""
+
+    SIGNALS = {
+        "bgp": lambda stellar: stellar.request_mitigation(
+            BlackholingRule.drop_udp_source_port(VICTIM_ASN, f"{VICTIM_IP}/32", 123),
+            via="bgp",
+        ),
+        "predefined": lambda stellar: stellar.request_predefined_mitigation(
+            VICTIM_ASN, f"{VICTIM_IP}/32", 1
+        ),
+        "api": lambda stellar: stellar.request_mitigation(
+            BlackholingRule.drop_udp_source_port(VICTIM_ASN, f"{VICTIM_IP}/32", 123),
+            via="api",
+        ),
+    }
+
+    @pytest.mark.parametrize("signal", sorted(SIGNALS))
+    def test_the_returned_rule_is_the_installed_one(self, signal):
+        stellar, victim, peers = build_stellar(victim_capacity=10e9)
+        result = self.SIGNALS[signal](stellar)
+        assert result.accepted
+        stellar.advance(now=1.0)
+        rule_id = result.rule.qos.rule_id
+        assert rule_id in {rule.qos.rule_id for rule in stellar.active_rules()}
+        stellar.deliver_traffic(attack_flows(peers), interval=10.0, interval_start=1.0)
+        telemetry = stellar.telemetry_report(VICTIM_ASN)
+        assert [rule.rule_id for rule in telemetry.rules] == [rule_id]
+        assert telemetry.rules[0].dropped_bits > 0
+
+    @pytest.mark.parametrize("via", ["bgp", "api"])
+    def test_an_update_keeps_the_id_of_the_rule_it_replaces(self, via):
+        stellar, victim, peers = build_stellar()
+        prefix = f"{VICTIM_IP}/32"
+        first = stellar.request_mitigation(
+            BlackholingRule.drop_udp_source_port(VICTIM_ASN, prefix, 123), via=via
+        )
+        update = stellar.request_mitigation(
+            BlackholingRule.shape_udp_source_port(VICTIM_ASN, prefix, 123, rate_bps=1e6),
+            via=via,
+        )
+        stellar.advance(now=1.0)
+        (active,) = stellar.active_rules()
+        assert update.rule == active
+        assert update.rule.qos.rule_id == first.rule.qos.rule_id
+
+
 class TestWithdrawalOwnership:
     """A withdrawal removes exactly the rule its caller signalled on its path.
 

@@ -101,11 +101,11 @@ def install_all(fabric, assignments):
         fabric.router_for_member(member_asn).install_rule(member_asn, rule)
 
 
-def known_bytes(fabric, table):
-    """Bytes of the rows whose egress member is connected to the fabric."""
+def known_rows(fabric, table):
+    """``(rows, bytes)`` of the rows whose egress member is connected."""
     member_asns = fabric.member_asns
     mask = [int(asn) in member_asns for asn in table.egress_asn.tolist()]
-    return int(sum(b for b, keep in zip(table.bytes.tolist(), mask) if keep))
+    return sum(mask), int(sum(b for b, keep in zip(table.bytes.tolist(), mask) if keep))
 
 
 class TestDeliveryEngineParity:
@@ -250,10 +250,11 @@ class TestFabricConservation:
         spec, assignments, tables = scenario
         fabric = build_fabric(spec)
         install_all(fabric, assignments)
-        carried_bytes = 0
+        carried_rows = carried_bytes = 0
         for step, table in enumerate(tables):
             report = fabric.deliver(table, INTERVAL, step * INTERVAL)
-            interval_bytes = known_bytes(fabric, table)
+            interval_rows, interval_bytes = known_rows(fabric, table)
+            carried_rows += interval_rows
             carried_bytes += interval_bytes
             # Offered == the traffic whose egress member is connected;
             # rows to unknown ASNs never entered the IXP.
@@ -280,6 +281,7 @@ class TestFabricConservation:
         # IPFIX export only sees carried traffic, and sees all of it.
         totals = fabric.collector.bytes_by_exporter()
         assert sum(totals.values()) == carried_bytes
+        assert len(fabric.collector) == carried_rows
 
     @given(spec=fabric_specs(), seed=st.integers(0, 2**31 - 1), n=st.integers(0, 40))
     def test_unknown_egress_traffic_is_ignored(self, spec, seed, n):

@@ -215,8 +215,10 @@ class TestEdgeRouter:
 
 
 class TestSwitchingFabric:
-    def _fabric(self):
-        fabric = SwitchingFabric(name="test-ixp", platform_capacity_bps=1e12)
+    def _fabric(self, retain_reports=False):
+        fabric = SwitchingFabric(
+            name="test-ixp", platform_capacity_bps=1e12, retain_reports=retain_reports
+        )
         fabric.add_edge_router(EdgeRouter("er-1", profile=small_ixp_edge_router_profile()))
         return fabric
 
@@ -268,7 +270,7 @@ class TestSwitchingFabric:
         assert fabric.connected_capacity_bps == 110e9
 
     def test_deliver_groups_by_egress_member(self):
-        fabric = self._fabric()
+        fabric = self._fabric(retain_reports=True)
         fabric.connect_member(IxpMember(asn=64500, port_capacity_bps=1e9))
         fabric.connect_member(IxpMember(asn=64501, port_capacity_bps=1e9))
         flows = [make_flow(egress=64500), make_flow(egress=64501), make_flow(egress=9999)]
@@ -276,7 +278,7 @@ class TestSwitchingFabric:
         assert set(report.results_by_member) == {64500, 64501}
         assert report.offered_bits == 160_000
         assert report.delivered_bits == 160_000
-        assert len(fabric.reports) == 1
+        assert fabric.reports == [report]
 
     def test_deliver_with_installed_rule_filters(self):
         fabric = self._fabric()

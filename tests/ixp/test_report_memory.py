@@ -1,15 +1,21 @@
-"""Memory guard: what a retained report's per-rule statistics hold.
+"""Memory guards: what a report holds, and what a fabric keeps.
 
-A fabric keeps every interval report, and at the paper's fine-grained
-rule load (§5, Table 1) each report carries thousands of claimed rules.
-Stored as columns — member ASN, rule id reference and four float64
-counters — a claimed rule row costs under 50 bytes; one small dict per
-rule would cost several times that.  The guard measures with
-``tracemalloc`` the bytes one report still holds after delivery, on a
-fabric whose rules claim every flow, minus those of the same interval on
-the same fabric without rules.  That difference is everything the report
-keeps because rules claimed bits: the rule statistics and whatever the
-verdict scatter retains for the tables built on lookup.
+At the paper's fine-grained rule load (§5, Table 1) each interval report
+carries thousands of claimed rules.  Stored as columns — member ASN, rule
+id reference and four float64 counters — a claimed rule row costs under
+50 bytes; one small dict per rule would cost several times that.  The
+first guard measures with ``tracemalloc`` the bytes one report still
+holds after delivery, on a fabric whose rules claim every flow, minus
+those of the same interval on the same fabric without rules.  That
+difference is everything the report keeps because rules claimed bits:
+the rule statistics and whatever the verdict scatter retains for the
+tables built on lookup.
+
+A report holds its interval's table for those lookups, so a fabric that
+kept its reports, or the tables its IPFIX collector received, would grow
+by a table per interval.  The second guard delivers fresh intervals
+through a default fabric and checks that, once the caller drops each
+report, the fabric's memory stays flat.
 """
 
 import gc
@@ -17,8 +23,10 @@ import tracemalloc
 
 import numpy as np
 
+from repro.experiments.fine_grained import FineGrainedTrafficSource
 from repro.experiments.scenario import build_fine_grained_scenario
 from repro.traffic import FlowTable, IpProtocol
+from repro.traffic.flowtable import COLUMNS
 
 INTERVAL = 10.0
 #: Bytes a retained report may hold per claimed rule row.
@@ -28,7 +36,7 @@ MAX_BYTES_PER_ROW = 96
 def scenario(rules_per_member):
     """Four protected ports of 20 members, ``rules_per_member`` rules each
     (every tenth a SHAPE rule), on one edge router."""
-    built = build_fine_grained_scenario(
+    return build_fine_grained_scenario(
         member_count=20,
         pop_count=1,
         routers_per_pop=1,
@@ -37,9 +45,6 @@ def scenario(rules_per_member):
         hosts_per_member=50,
         mac_rules_per_member=0,
     )
-    built.fabric.retain_reports = False
-    built.fabric.collect_ipfix = False
-    return built
 
 
 def covering_table(covered_pairs, peer_asn, flows_per_pair=2):
@@ -91,3 +96,35 @@ def test_a_retained_report_holds_few_bytes_per_rule_row():
     assert rows == 2400  # every rule claimed its flows
     per_row = (held - baseline) / rows
     assert per_row < MAX_BYTES_PER_ROW, f"{per_row:.0f} B per rule row"
+
+
+def test_a_default_fabric_keeps_no_interval_traffic():
+    """Intervals 3-8 of fresh 60k-row tables leave the fabric flat."""
+    built = build_fine_grained_scenario()
+    source = FineGrainedTrafficSource(
+        built,
+        flows_per_interval=60_000,
+        targeted_fraction=0.5,
+        late_fraction=0.02,
+        interval=INTERVAL,
+        seed=8,
+    )
+    fabric = built.fabric
+    protected = int(built.protected.asns[0])
+    traced = []
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for step in range(8):
+            table = source.interval_table(step * INTERVAL)
+            nbytes = sum(getattr(table, name).nbytes for name in COLUMNS)
+            report = fabric.deliver(table, INTERVAL, step * INTERVAL)
+            assert report.results_by_member[protected].dropped_bits > 0
+            del report, table
+            gc.collect()
+            traced.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    growth = traced[-1] - traced[2]
+    assert growth < nbytes, f"{growth} B over intervals 3-8 (one table: {nbytes} B)"
+    assert fabric.reports == []
