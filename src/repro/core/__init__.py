@@ -25,7 +25,6 @@ _EXPORTS = {
     "StellarIntervalReport": "stellar",
     "MemberTelemetryReport": "telemetry",
     "RuleTelemetry": "telemetry",
-    "TelemetryCollector": "telemetry",
 }
 
 __all__ = list(_EXPORTS)

@@ -188,33 +188,37 @@ class BlackholingController:
     def _reconcile(self) -> list[ChangeRequest]:
         now = self._clock()
         desired = self.desired_rules()
-        # (key, rule to commit or None for a removal, request) per change.
-        # Removals go first, so the TCAM space a withdrawal frees can hold
-        # an install of the same diff.
-        changes: list[tuple[tuple[int, FlowMatch], Optional[BlackholingRule], ChangeRequest]] = []
-        for key, rule in self._active_rules.items():
-            if key not in desired:
-                request = self.service.make_request(
-                    rule.owner_asn, "remove", rule_id=rule.qos.rule_id, at=now
-                )
-                changes.append((key, None, request))
-        for key, rule in desired.items():
-            # desired_rules gave the rule the active one's id, so equality
-            # means an unchanged action and rate.
-            if self._active_rules.get(key) == rule:
-                continue
-            request = self.service.make_request(
-                rule.owner_asn, "install", rules=(rule.qos,), at=now
-            )
-            changes.append((key, rule, request))
+        # (key, rule to commit or None for a removal) per change.  Removals
+        # go first, so the TCAM space a withdrawal frees can hold an
+        # install of the same diff.
+        changes: list[tuple[tuple[int, FlowMatch], Optional[BlackholingRule]]] = [
+            (key, None) for key in self._active_rules if key not in desired
+        ]
+        # desired_rules gave each rule the active one's id, so equality
+        # means an unchanged action and rate.
+        changes += [
+            (key, rule)
+            for key, rule in desired.items()
+            if self._active_rules.get(key) != rule
+        ]
 
         retry_at: dict[tuple[int, FlowMatch], float] = {}
         requests: list[ChangeRequest] = []
-        for key, rule, request in changes:
+        for key, rule in changes:
             held_until = self._retry_at.get(key)
             if held_until is not None and now < held_until - _EPS:
+                # Held for a retry_after: no request, so no request id.
                 retry_at[key] = held_until
                 continue
+            if rule is None:
+                active = self._active_rules[key]
+                request = self.service.make_request(
+                    active.owner_asn, "remove", rule_id=active.qos.rule_id, at=now
+                )
+            else:
+                request = self.service.make_request(
+                    rule.owner_asn, "install", rules=(rule.qos,), at=now
+                )
             requests.append(request)
             rejection = self.service.enqueue(request)
             if rejection is not None:

@@ -42,7 +42,7 @@ from .controller import BlackholingController
 from .portal import CustomerPortal
 from .rules import BlackholingRule
 from .signaling import SignalingLayer, SignalResult
-from .telemetry import MemberTelemetryReport, TelemetryCollector
+from .telemetry import MemberTelemetryReport, RuleTelemetry
 
 
 @dataclass
@@ -94,7 +94,10 @@ class Stellar:
             portal=self.portal,
             codec=self.codec,
         )
-        self.telemetry = TelemetryCollector()
+        #: Each member's cumulative per-rule telemetry, by rule id, in
+        #: the order the rules first claimed bits.  A withdrawn rule's
+        #: entry stays.
+        self._telemetry: dict[int, dict[str, RuleTelemetry]] = {}
 
     # ------------------------------------------------------------------
     # Membership
@@ -201,21 +204,19 @@ class Stellar:
         deployments = self.advance(interval_start)
         start = self._now
         fabric_report = self.fabric.deliver(flows, interval, start)
-        self._record_telemetry(fabric_report, interval, start)
+        self._record_telemetry(fabric_report, start)
         self._now = start + interval
         return StellarIntervalReport(fabric_report=fabric_report, deployments=deployments)
 
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------
-    def _record_telemetry(
-        self, report: FabricIntervalReport, interval: float, time: float
-    ) -> None:
-        # The delivery pass attributes matched/dropped/shaped bits per rule
-        # id while classifying, so telemetry folds its rule columns in
-        # directly instead of re-classifying every dropped/shaped flow.  A
-        # SHAPE rule's "matched" column is what its shaper passed; the rule
-        # matched that plus what the shaper discarded.
+    def _record_telemetry(self, report: FabricIntervalReport, time: float) -> None:
+        # The delivery pass attributes matched/dropped/shaped bits per
+        # (member, rule id) while classifying; telemetry adds the rows of
+        # its rule columns.  A SHAPE rule's "matched" column is what its
+        # shaper passed; the rule matched that plus what the shaper
+        # discarded.
         columns = report.rule_columns
         for member_asn, rule_id, matched, dropped, shaped, discarded in zip(
             columns.member_asns.tolist(),
@@ -225,20 +226,21 @@ class Stellar:
             columns.shaped.tolist(),
             columns.discarded.tolist(),
         ):
-            self.telemetry.record_rule_interval(
-                rule_id=rule_id,
-                member_asn=member_asn,
-                matched_bits=matched,
-                dropped_bits=dropped,
-                shaped_passed_bits=shaped,
-                interval=interval,
-                time=time,
-                shaped_dropped_bits=discarded,
-            )
+            rules = self._telemetry.setdefault(member_asn, {})
+            telemetry = rules.get(rule_id)
+            if telemetry is None:
+                telemetry = rules[rule_id] = RuleTelemetry(rule_id, member_asn)
+            telemetry.matched_bits += matched
+            telemetry.dropped_bits += dropped
+            telemetry.shaped_passed_bits += shaped
+            telemetry.shaped_dropped_bits += discarded
+            telemetry.last_update = time
 
     def telemetry_report(self, member_asn: int) -> MemberTelemetryReport:
-        """The member-facing telemetry report at the current time."""
-        return self.telemetry.report_for_member(member_asn, time=self._now)
+        """The member-facing telemetry report at the current time: every
+        rule of ``member_asn`` that ever claimed bits."""
+        rules = list(self._telemetry.get(member_asn, {}).values())
+        return MemberTelemetryReport(member_asn=member_asn, time=self._now, rules=rules)
 
     # ------------------------------------------------------------------
     # Introspection

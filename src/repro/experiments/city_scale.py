@@ -258,7 +258,6 @@ class _ShardRuntime:
             pop_count=config.pop_count,
             routers_per_pop=config.routers_per_pop,
             profile=_router_profile(config),
-            seed=config.seed,
             pop_indices=spec.pop_indices,
             collect_ipfix=False,
             members=shard_members,

@@ -83,7 +83,7 @@ class FunctionalityResult(JsonResultMixin):
 
 def _build_system(config: FunctionalityConfig):
     fabric = SwitchingFabric(name="lab")
-    fabric.add_edge_router(EdgeRouter("lab-er", seed=config.seed))
+    fabric.add_edge_router(EdgeRouter("lab-er"))
     stellar = Stellar(ixp_asn=64700, fabric=fabric)
     victim = IxpMember(
         asn=64500,

@@ -224,7 +224,6 @@ def _build_platform(
         pop_count=config.pop_count,
         routers_per_pop=config.routers_per_pop,
         profile=_router_profile(config),
-        seed=config.seed,
         collect_ipfix=False,
         members=MemberPopulation.concat([MemberPopulation.from_members([victim]), members]),
     )

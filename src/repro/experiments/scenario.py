@@ -189,7 +189,6 @@ def build_paper_scale_scenario(
         pop_count=pop_count,
         routers_per_pop=routers_per_pop,
         platform_capacity_bps=platform_capacity_bps,
-        seed=seed,
     )
     stellar = Stellar(ixp_asn=ixp_asn, fabric=fabric)
 
@@ -347,7 +346,6 @@ def build_fine_grained_scenario(
         routers_per_pop=routers_per_pop,
         platform_capacity_bps=platform_capacity_bps,
         profile=profile,
-        seed=seed,
         members=members,
     )
 
@@ -440,9 +438,7 @@ def build_attack_scenario(
         )
 
     fabric = SwitchingFabric(name="l-ixp")
-    fabric.add_edge_router(
-        EdgeRouter("edge-1", profile=l_ixp_edge_router_profile(), seed=seed)
-    )
+    fabric.add_edge_router(EdgeRouter("edge-1", profile=l_ixp_edge_router_profile()))
     stellar = Stellar(ixp_asn=ixp_asn, fabric=fabric)
 
     victim = IxpMember(

@@ -20,7 +20,7 @@ plan works platform-wide:
    :class:`~repro.ixp.ruleindex.RuleMatchIndex`); per-rule matched bits
    fall out of a single ``bincount``;
 3. **scatter** — the verdicts are folded into per-member arrays and the
-   per-rule :class:`RuleColumns` the telemetry layer ingests, in
+   per-rule :class:`RuleColumns` Stellar's telemetry adds up, in
    platform-wide array passes over the claimed ports' sorted rows laid
    end to end.  Each row's action is one gather of the plan's per-rank
    action codes; a port's forwarded and dropped bits are exact int64
@@ -35,7 +35,7 @@ plan works platform-wide:
    No step loops over the members in Python: the arrays stay on the
    :class:`~repro.ixp.fabric.FabricIntervalReport` as its columns, and
    its :class:`PortResults` builds a port's
-   :class:`~repro.ixp.qos.PortQosResult` — its ``rule_stats`` dict and a
+   :class:`~repro.ixp.qos.PortQosResult` — its bit counters and a
    ``table_source`` deriving its verdict tables from the claimed rows'
    action column — only when that port is looked up.  The shaped table is
    scaled only when read, so a port with tens of thousands of installed
@@ -79,7 +79,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 TableSource = Callable[[], tuple[FlowTable, FlowTable, FlowTable]]
 
 
-class RuleColumns(Mapping[int, dict[str, dict[str, float]]]):
+class RuleColumns:
     """One interval's per-rule statistics, as columns.
 
     One row per (member, rule id) that claimed bits: :attr:`member_asns`
@@ -89,11 +89,9 @@ class RuleColumns(Mapping[int, dict[str, dict[str, float]]]):
     last being the bits a SHAPE rule's shaper threw away.  Within a
     member the rows list its DROP ids in first-claimed rank order, then
     its SHAPE ids in rank order; a member's anonymous DROP rules share
-    the id ``""`` and one row.
-
-    As a read-only mapping this is the report's ``rule_stats_by_member``:
-    looking a member up builds its ``{rule id: {"matched", "dropped",
-    "shaped"}}`` dict, and only members with a row are keys.
+    the id ``""`` and one row.  These columns are the one per-interval
+    store of per-rule statistics: the report's ``to_columns()`` payload
+    and Stellar's telemetry are both read from them.
     """
 
     __slots__ = ("member_asns", "rule_ids", "matched", "dropped", "shaped", "discarded")
@@ -126,28 +124,8 @@ class RuleColumns(Mapping[int, dict[str, dict[str, float]]]):
         asns = self.member_asns
         return int(np.searchsorted(asns, asn, "left")), int(np.searchsorted(asns, asn, "right"))
 
-    def __getitem__(self, asn: int) -> dict[str, dict[str, float]]:
-        lo, hi = self.span(asn)
-        if lo == hi:
-            raise KeyError(asn)
-        return {
-            rule_id: {"matched": matched, "dropped": dropped, "shaped": shaped}
-            for rule_id, matched, dropped, shaped in zip(
-                self.rule_ids[lo:hi].tolist(),
-                self.matched[lo:hi].tolist(),
-                self.dropped[lo:hi].tolist(),
-                self.shaped[lo:hi].tolist(),
-            )
-        }
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(np.unique(self.member_asns).tolist())
-
-    def __len__(self) -> int:
-        return len(np.unique(self.member_asns))
-
     def __repr__(self) -> str:
-        return f"RuleColumns({len(self.member_asns)} rows, {len(self)} members)"
+        return f"RuleColumns({len(self.member_asns)} rows)"
 
 
 class PortResults(Mapping[int, PortQosResult]):
@@ -156,9 +134,9 @@ class PortResults(Mapping[int, PortQosResult]):
 
     A read-only mapping over an interval report's columns, in ascending-ASN
     order.  The first lookup of a port builds its result from the column
-    entries — its ``rule_stats`` from the :class:`RuleColumns`, its
-    verdict-table source from the claimed rows' action column — and caches it,
-    so a second lookup returns the same object.  An interval accounts for
+    entries — its bit counters, and a verdict-table source reading the
+    claimed rows' action column — and caches it, so a second lookup
+    returns the same object.  An interval accounts for
     every port of the platform, but its readers look up a few (the
     victim's); the other results are never built.
     """
@@ -167,12 +145,10 @@ class PortResults(Mapping[int, PortQosResult]):
         self,
         member_asns: np.ndarray,
         member_fields: dict[str, np.ndarray],
-        rule_columns: RuleColumns,
         table_source: Callable[[int], TableSource],
     ) -> None:
         self._asns = member_asns
         self._fields = member_fields
-        self._rules = rule_columns
         #: The table source of the member at a column index.
         self._table_source = table_source
         #: Results built so far, keyed by column index.
@@ -195,7 +171,6 @@ class PortResults(Mapping[int, PortQosResult]):
             result = PortQosResult(
                 self._table_source(index),
                 **{name: column[index].item() for name, column in self._fields.items()},
-                rule_stats=self._rules.get(int(self._asns[index])),
             )
             self._built[index] = result
         return result
@@ -423,7 +398,6 @@ class FabricDeliveryPlan:
             results_by_member=PortResults(
                 member_asns,
                 member_fields,
-                rule_columns,
                 partial(_verdict_tables, table, order, starts, ends, verdicts),
             ),
             rule_columns=rule_columns,

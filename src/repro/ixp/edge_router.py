@@ -1,10 +1,11 @@
 """IXP edge routers.
 
-An edge router serves a set of member ports, owns the TCAM that backs its
-QoS policies, and exposes a control plane whose CPU budget limits the
-configuration update rate (paper §5.1).  Rule installation goes through the
-router so TCAM accounting and update-rate accounting stay consistent.  The
-port's QoS policy is the one record of its rules: the router reads a rule's
+An edge router serves a set of member ports and owns the TCAM that backs
+its QoS policies.  Its control-plane CPU budget, which limits the
+configuration update rate (paper §5.1), is enforced by the control-plane
+service (:mod:`repro.ixp.service`) that paces changes to it.  Rule
+installation goes through the router so TCAM accounting stays consistent
+and every change counts in ``config_operations``.  The port's QoS policy is the one record of its rules: the router reads a rule's
 TCAM footprint off its match when it installs, replaces or removes it.
 
 A router numbers its ports when members attach, but builds a
@@ -18,7 +19,6 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 from typing import Optional
 
-from .control_plane import ControlPlaneCpuModel
 from .hardware_profiles import HardwareProfile, l_ixp_edge_router_profile
 from .port import MemberPort
 from .qos import PortQosPolicy, QosRule
@@ -37,13 +37,11 @@ class EdgeRouter:
         name: str,
         profile: Optional[HardwareProfile] = None,
         pop: str = "pop-1",
-        seed: int | None = None,
     ) -> None:
         self.name = name
         self.pop = pop
         self.profile = profile if profile is not None else l_ixp_edge_router_profile()
         self.tcam: TcamModel = self.profile.make_tcam()
-        self.cpu: ControlPlaneCpuModel = self.profile.make_cpu_model(seed=seed)
         #: Port id of every attached member, in attach order.
         self._port_ids: dict[int, int] = {}
         #: The ports built so far (see :meth:`port_for`).

@@ -78,9 +78,9 @@ class FabricIntervalReport:
     :attr:`capacity_bits` are parallel arrays in ascending-ASN order, for
     scans over every port, and :attr:`rule_columns` holds the sparse
     per-rule stats, one row per (member, rule id) that claimed bits.
-    :attr:`results_by_member` is a read-only mapping over those columns
-    that builds one port's :class:`~repro.ixp.qos.PortQosResult` (verdict
-    tables, per-rule stats) when that port is looked up.
+    :attr:`results_by_member` is a read-only mapping over the member
+    columns that builds one port's :class:`~repro.ixp.qos.PortQosResult`
+    (bit counters, verdict tables) when that port is looked up.
     """
 
     interval_start: float
@@ -110,13 +110,6 @@ class FabricIntervalReport:
     capacity_bits: np.ndarray = field(
         default_factory=lambda: np.zeros(0), repr=False, compare=False
     )
-
-    @property
-    def rule_stats_by_member(self) -> Mapping[int, dict[str, dict[str, float]]]:
-        """``member -> rule id -> {"matched", "dropped", "shaped"}``, in
-        ascending-ASN order: the :attr:`rule_columns` as a read-only
-        mapping that builds a member's dict when it is looked up."""
-        return self.rule_columns
 
     @property
     def platform_load_bps(self) -> float:
@@ -163,10 +156,25 @@ class FabricIntervalReport:
         :func:`~repro.ixp.shard.merge_interval_columns` reduces shards with
         array concatenation + one argsort instead of per-member dict
         copies.  Sparse ``rule_stats`` become a nested dict (only members
-        with claimed rules carry entries), built from the rule columns.
+        with claimed rules carry entries: ``{str(asn): {rule id:
+        {"matched", "dropped", "shaped"}}}``, members ascending and ids
+        sorted), built from the rule columns' rows in one pass.
         :func:`~repro.ixp.report_encoding.report_json` encodes them in the
         :meth:`to_dict` layout without building it.
         """
+        columns = self.rule_columns
+        rule_stats: dict[str, dict[str, dict[str, float]]] = {}
+        # (member, rule id) is unique per row, so the sort compares no bits.
+        for asn, rule_id, matched, dropped, shaped in sorted(zip(
+            columns.member_asns.tolist(),
+            columns.rule_ids.tolist(),
+            columns.matched.tolist(),
+            columns.dropped.tolist(),
+            columns.shaped.tolist(),
+        )):
+            rule_stats.setdefault(str(asn), {})[rule_id] = {
+                "matched": matched, "dropped": dropped, "shaped": shaped,
+            }
         return {
             "interval_start": self.interval_start,
             "interval": self.interval,
@@ -178,10 +186,7 @@ class FabricIntervalReport:
             },
             "member_asns": self.member_asns,
             "member_fields": dict(self.member_fields),
-            "rule_stats": {
-                str(asn): dict(sorted(rule_stats.items()))
-                for asn, rule_stats in self.rule_stats_by_member.items()
-            },
+            "rule_stats": rule_stats,
         }
 
 

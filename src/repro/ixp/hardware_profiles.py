@@ -1,8 +1,7 @@
 """Hardware profiles of IXP edge routers.
 
 A :class:`HardwareProfile` bundles the resource limits of one router model:
-how many member ports it serves, the TCAM pool sizes, and the control-plane
-CPU coefficients.  The router's TCAM, sized from its profile, is the one
+how many member ports it serves and the TCAM pool sizes.  The router's TCAM, sized from its profile, is the one
 per-port limit on installed rules: an install it cannot hold fails with
 :class:`~repro.ixp.tcam.TcamExhaustedError`.
 
@@ -31,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .control_plane import ControlPlaneCpuModel
 from .tcam import TcamModel
 
 #: N — the 95th percentile of parallel RTBH rules any member holds on any
@@ -50,10 +48,6 @@ class HardwareProfile:
     l3l4_criteria_capacity: int
     #: Default member port speed in bits per second.
     port_capacity_bps: float = 10e9
-    #: Control-plane CPU model coefficients.
-    cpu_base_percent: float = 1.5
-    cpu_percent_per_update: float = 3.117
-    cpu_limit_percent: float = 15.0
 
     def __post_init__(self) -> None:
         if self.port_count <= 0:
@@ -67,15 +61,6 @@ class HardwareProfile:
         return TcamModel(
             mac_filter_capacity=self.mac_filter_capacity,
             l3l4_criteria_capacity=self.l3l4_criteria_capacity,
-        )
-
-    def make_cpu_model(self, seed: int | None = None) -> ControlPlaneCpuModel:
-        """Instantiate the control-plane CPU model."""
-        return ControlPlaneCpuModel(
-            base_percent=self.cpu_base_percent,
-            percent_per_update=self.cpu_percent_per_update,
-            cpu_limit_percent=self.cpu_limit_percent,
-            seed=seed,
         )
 
 

@@ -183,9 +183,8 @@ class QosRule:
 class PortQosResult:
     """Outcome of pushing one interval of traffic through a port's QoS policy.
 
-    The bit counters and ``rule_stats`` are eager; ``rule_stats``
-    attributes matched/dropped/shaped bits to the rule id that classified
-    them, which is what the telemetry layer reports.  The per-action flow
+    The bit counters are eager (a port's per-rule statistics are its rows
+    of the interval report's rule columns).  The per-action flow
     populations are deferred: ``table_source`` produces the
     ``(forwarded, dropped, shaped)`` tables, and only runs if a consumer
     asks for one (``forwarded_table`` etc.) — the fabric accounts for
@@ -201,7 +200,6 @@ class PortQosResult:
         shaped_passed_bits: float = 0.0,
         shaped_dropped_bits: float = 0.0,
         congestion_dropped_bits: float = 0.0,
-        rule_stats: Optional[dict[str, dict[str, float]]] = None,
     ) -> None:
         self._table_source: Optional[
             Callable[[], tuple[FlowTable, FlowTable, FlowTable]]
@@ -212,9 +210,6 @@ class PortQosResult:
         self.shaped_passed_bits = shaped_passed_bits
         self.shaped_dropped_bits = shaped_dropped_bits
         self.congestion_dropped_bits = congestion_dropped_bits
-        self.rule_stats: dict[str, dict[str, float]] = (
-            rule_stats if rule_stats is not None else {}
-        )
 
     # ------------------------------------------------------------------
     # Per-action tables (built on first access)

@@ -81,7 +81,6 @@ def build_multi_pop_fabric(
     name: str = "l-ixp",
     platform_capacity_bps: float = 25e12,
     profile: Optional[HardwareProfile] = None,
-    seed: Optional[int] = None,
     pop_indices: Optional[Sequence[int]] = None,
     collect_ipfix: bool = True,
     members: Optional[MemberPopulation] = None,
@@ -94,7 +93,7 @@ def build_multi_pop_fabric(
     placement on).
 
     ``pop_indices`` restricts construction to a subset of the PoPs while
-    keeping every router's name, PoP label and per-router seed identical
+    keeping every router's name and PoP label identical
     to the full build — a shard-local fabric built for PoPs ``(2, 5)`` of
     a ten-PoP platform is indistinguishable, router for router, from
     those PoPs inside the full fabric.  ``collect_ipfix`` passes through
@@ -132,7 +131,6 @@ def build_multi_pop_fabric(
                     name=f"edge-{pop_index}-{router_index}",
                     profile=profile,
                     pop=f"pop-{pop_index}",
-                    seed=None if seed is None else seed + pop_index * 100 + router_index,
                 )
             )
     if members is not None:

@@ -4,7 +4,8 @@ The paper's measurement study relies on IPFIX data exported by the IXP's
 edge routers (§2.3).  This module models the export/collection pipeline:
 flows observed on the data plane are sampled, exported by an
 :class:`IpfixExporter` and aggregated by an :class:`IpfixCollector`, which
-the telemetry layer and the analyses then query.  The sampling model is
+keeps a flow count and each exporter's byte total (member telemetry reads
+the report's rule columns, not the collector).  The sampling model is
 simple 1-in-N byte-unbiased sampling: exported flows scale their byte and
 packet counters back up by the sampling rate, which is what production
 collectors do.

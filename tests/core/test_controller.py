@@ -276,3 +276,31 @@ class TestDecodeOnce:
         stellar.advance(now=3.0)
         assert [rule.qos.match.src_port for rule in stellar.active_rules()] == [123]
         assert stellar.installed_rule_count() == 1
+
+
+class TestHeldChanges:
+    """A change held for a ``retry_after`` is not built into a request."""
+
+    def test_only_the_requests_sent_are_made(self, monkeypatch):
+        stellar = TestDecodeOnce()._stellar()
+        service = stellar.service
+        made = []
+        make_request = service.make_request
+
+        def counting(*args, **kwargs):
+            request = make_request(*args, **kwargs)
+            made.append(request)
+            return request
+
+        monkeypatch.setattr(service, "make_request", counting)
+        for host in range(1, 121):
+            rule = BlackholingRule.drop_udp_source_port(64500, f"100.10.10.{host}/32", 123)
+            assert stellar.request_mitigation(rule, via="bgp").accepted
+        # The member's change budget holds most of the 120 signals back.
+        assert len(stellar.active_rules()) < 120
+        assert len(made) == service.stats.submitted
+        for now in (10.0, 30.0, 60.0):
+            stellar.advance(now=now)
+            assert len(made) == service.stats.submitted
+        assert stellar.installed_rule_count() == 120
+        assert [request.request_id for request in made] == list(range(1, len(made) + 1))

@@ -13,14 +13,15 @@ from repro.core import (
     RuleTemplate,
     SignalRejectedError,
     Stellar,
-    TelemetryCollector,
     ixp_shared_templates,
 )
 from repro.ixp import (
     EdgeRouter,
+    FilterAction,
     FlowMatch,
     HardwareProfile,
     IxpMember,
+    QosRule,
     SwitchingFabric,
     small_ixp_edge_router_profile,
 )
@@ -44,11 +45,12 @@ def build_stellar(policy=None, peer_count=5, victim_capacity=1e9):
     return stellar, victim, peers
 
 
-def attack_flows(peers, t=0.0, interval=10.0, rate=5e8, seed=1, vector="ntp"):
+def attack_flows(peers, t=0.0, interval=10.0, rate=5e8, seed=1, vector="ntp",
+                 victim_ip=VICTIM_IP, victim_asn=VICTIM_ASN):
     attack = BooterAttack(
         vector_name=vector,
-        victim_ip=VICTIM_IP,
-        victim_member_asn=VICTIM_ASN,
+        victim_ip=victim_ip,
+        victim_member_asn=victim_asn,
         peer_member_asns=[peer.asn for peer in peers],
         peak_rate_bps=rate,
         start=0.0,
@@ -821,7 +823,8 @@ class TestStellarDataPlane:
         stellar.advance(now=0.0)
         stellar.deliver_traffic(attack_flows(peers), interval=10.0, interval_start=0.0)
         installed_rule_id = stellar.active_rules()[0].qos.rule_id
-        telemetry = stellar.telemetry.telemetry_for_rule(installed_rule_id)
+        (telemetry,) = stellar.telemetry_report(VICTIM_ASN).rules
+        assert telemetry.rule_id == installed_rule_id
         during_attack = telemetry.matched_bits
         assert during_attack > 0
         # Next interval: only benign traffic — the rule matches nothing, so
@@ -844,34 +847,133 @@ class TestStellarDataPlane:
         assert stellar.now == 0.0
 
 
-class TestTelemetryCollector:
-    def test_record_rule_interval_accumulates(self):
-        collector = TelemetryCollector()
-        collector.record_rule_interval(
-            "r1", 64500, 1000.0, 1000.0, 0.0, interval=10.0, time=0.0, shaped_dropped_bits=0.0
-        )
-        collector.record_rule_interval(
-            "r1", 64500, 500.0, 500.0, 0.0, interval=10.0, time=10.0, shaped_dropped_bits=0.0
-        )
-        telemetry = collector.telemetry_for_rule("r1")
-        assert telemetry.matched_bits == 1500.0
-        assert telemetry.dropped_bits == 1500.0
-        assert telemetry.last_update == 10.0
+SECOND_ASN = 64501
+SECOND_IP = "100.20.20.20"
 
-    def test_report_for_member_filters_by_asn(self):
-        collector = TelemetryCollector()
-        collector.record_rule_interval(
-            "a", 64500, 1.0, 1.0, 0.0, 10.0, 0.0, shaped_dropped_bits=0.0
-        )
-        collector.record_rule_interval(
-            "b", 64999, 1.0, 1.0, 0.0, 10.0, 0.0, shaped_dropped_bits=0.0
-        )
-        report = collector.report_for_member(64500)
-        assert report.active_rule_count == 1
-        assert collector.report_for_member(64999).active_rule_count == 1
 
-    def test_invalid_interval(self):
-        with pytest.raises(ValueError):
-            TelemetryCollector().record_rule_interval(
-                "r", 1, 0, 0, 0, interval=0, time=0, shaped_dropped_bits=0.0
+def build_two_victims(victim_capacity=10e9):
+    """The Stellar fixture plus a second member with its own prefix."""
+    stellar, victim, peers = build_stellar(victim_capacity=victim_capacity)
+    second = IxpMember(
+        asn=SECOND_ASN, port_capacity_bps=victim_capacity, prefixes=["100.20.20.0/24"]
+    )
+    stellar.add_member(second)
+    return stellar, peers
+
+
+def filtered_by_port(stellar, asn):
+    counters = stellar.fabric.port_for_member(asn).counters
+    return counters.dropped_bits + counters.shaped_dropped_bits
+
+
+class TestStellarTelemetry:
+    """Telemetry is the running sum of the reports' rule columns, keyed by
+    (member, rule id)."""
+
+    def test_intervals_accumulate(self):
+        stellar, victim, peers = build_stellar(victim_capacity=10e9)
+        rule = BlackholingRule.drop_udp_source_port(VICTIM_ASN, f"{VICTIM_IP}/32", 123)
+        rule_id = stellar.request_mitigation(rule).rule.qos.rule_id
+        matched = []
+        for step in range(2):
+            start = step * 10.0
+            report = stellar.deliver_traffic(
+                attack_flows(peers, t=start, seed=step), interval=10.0, interval_start=start
             )
+            columns = report.fabric_report.rule_columns
+            assert columns.rule_ids.tolist() == [rule_id]
+            matched.append(columns.matched[0].item())
+        (telemetry,) = stellar.telemetry_report(VICTIM_ASN).rules
+        assert telemetry.matched_bits == matched[0] + matched[1]
+        assert telemetry.dropped_bits == telemetry.matched_bits
+        assert telemetry.last_update == 10.0
+        assert stellar.telemetry_report(VICTIM_ASN).time == 20.0
+
+    @pytest.mark.parametrize("rule_id", ["", "shared"])
+    def test_members_sharing_a_rule_id_each_get_their_own_bits(self, rule_id):
+        # The same id on two members' ports (anonymous, or an explicit id
+        # installed straight on the routers) names two rules.
+        stellar, peers = build_two_victims()
+        for asn, ip in ((VICTIM_ASN, VICTIM_IP), (SECOND_ASN, SECOND_IP)):
+            match = FlowMatch(
+                dst_prefix=Prefix.parse(f"{ip}/32"), protocol=IpProtocol.UDP, src_port=123
+            )
+            stellar.fabric.router_for_member(asn).install_rule(
+                asn, QosRule(match, FilterAction.DROP, rule_id=rule_id)
+            )
+        flows = FlowTable.concat([
+            attack_flows(peers, rate=1e8),
+            attack_flows(peers, rate=3e8, seed=2, victim_ip=SECOND_IP, victim_asn=SECOND_ASN),
+        ])
+        stellar.deliver_traffic(flows, interval=10.0, interval_start=0.0)
+        for asn in (VICTIM_ASN, SECOND_ASN):
+            report = stellar.telemetry_report(asn)
+            (telemetry,) = report.rules
+            assert (telemetry.member_asn, telemetry.rule_id) == (asn, rule_id)
+            assert telemetry.dropped_bits == filtered_by_port(stellar, asn) > 0
+        assert (
+            stellar.telemetry_report(SECOND_ASN).total_filtered_bits
+            > 2 * stellar.telemetry_report(VICTIM_ASN).total_filtered_bits
+        )
+
+    def test_filtered_bits_equal_the_port_counters_over_shape_then_drop(self):
+        """Per member, the rules' cumulative filtered bits equal its port's
+        cumulative dropped + shaped-dropped bits, over intervals that shape
+        and then drop (the update keeps the rule's id)."""
+        stellar, peers = build_two_victims()
+        hosts = {VICTIM_ASN: VICTIM_IP, SECOND_ASN: SECOND_IP}
+        for asn, ip in hosts.items():
+            stellar.request_mitigation(
+                BlackholingRule.shape_udp_source_port(asn, f"{ip}/32", 123, rate_bps=1e8)
+            )
+        for step in range(6):
+            start = step * 10.0
+            if step == 3:
+                for asn, ip in hosts.items():
+                    stellar.request_mitigation(
+                        BlackholingRule.drop_udp_source_port(asn, f"{ip}/32", 123)
+                    )
+            flows = FlowTable.concat([
+                attack_flows(peers, t=start, rate=1e9, seed=step),
+                attack_flows(peers, t=start, rate=5e8, seed=step + 10,
+                             victim_ip=SECOND_IP, victim_asn=SECOND_ASN),
+                benign_flows(peers, t=start, seed=step),
+            ])
+            stellar.deliver_traffic(flows, interval=10.0, interval_start=start)
+        for asn in hosts:
+            report = stellar.telemetry_report(asn)
+            (telemetry,) = report.rules
+            assert telemetry.shaped_dropped_bits > 0 and telemetry.dropped_bits > 0
+            assert report.total_filtered_bits == filtered_by_port(stellar, asn)
+
+    def test_a_withdrawn_rules_telemetry_persists(self):
+        stellar, victim, peers = build_stellar(victim_capacity=10e9)
+        rule = BlackholingRule.drop_udp_source_port(VICTIM_ASN, f"{VICTIM_IP}/32", 123)
+        stellar.request_mitigation(rule)
+        stellar.deliver_traffic(attack_flows(peers), interval=10.0, interval_start=0.0)
+        (before,) = stellar.telemetry_report(VICTIM_ASN).rules
+        filtered = before.filtered_bits
+        assert filtered > 0
+        assert stellar.withdraw_mitigation(VICTIM_ASN, f"{VICTIM_IP}/32").accepted
+        stellar.deliver_traffic(attack_flows(peers, t=10.0), interval=10.0, interval_start=10.0)
+        assert stellar.installed_rule_count() == 0
+        report = stellar.telemetry_report(VICTIM_ASN)
+        assert report.rules == [before]
+        assert report.active_rule_count == 1
+        assert before.filtered_bits == filtered
+        assert before.last_update == 0.0
+
+    def test_a_member_without_rules_reads_an_empty_report(self):
+        stellar, victim, peers = build_stellar()
+        stellar.deliver_traffic(benign_flows(peers), interval=10.0, interval_start=0.0)
+        report = stellar.telemetry_report(VICTIM_ASN)
+        assert report.rules == [] and report.total_filtered_bits == 0
+
+    def test_an_invalid_interval_records_nothing(self):
+        stellar, victim, peers = build_stellar(victim_capacity=10e9)
+        stellar.request_mitigation(
+            BlackholingRule.drop_udp_source_port(VICTIM_ASN, f"{VICTIM_IP}/32", 123)
+        )
+        with pytest.raises(ValueError):
+            stellar.deliver_traffic(attack_flows(peers), interval=0.0, interval_start=0.0)
+        assert stellar.telemetry_report(VICTIM_ASN).rules == []

@@ -426,7 +426,6 @@ def build_fabric(spec: dict) -> SwitchingFabric:
         pop_count=spec["pop_count"],
         routers_per_pop=spec["routers_per_pop"],
         name="fuzz-ixp",
-        seed=spec["seed"],
         members=members,
     )
 

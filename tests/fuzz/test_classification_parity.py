@@ -13,7 +13,13 @@ from hypothesis import given, strategies as st
 
 from fuzz.strategies import flow_tables, rule_sets, single_port_fabric
 from oracle.records import to_records
-from oracle.reference import ReferenceFabric, assign, first_match, precedence
+from oracle.reference import (
+    ReferenceFabric,
+    assign,
+    column_rule_stats,
+    first_match,
+    precedence,
+)
 
 PORT_CAPACITY = 10e9
 INTERVAL = 10.0
@@ -70,21 +76,22 @@ class TestApplyInvariants:
 
     @given(rules=rule_sets(min_size=1), table=flow_tables(min_rows=1))
     def test_rule_stats_match_claimed_flows(self, rules, table):
-        """rule_stats sums reconcile with the aggregate verdict buckets."""
-        _, port, _, result = deliver(rules, table)
-        dropped = sum(stats["dropped"] for stats in result.rule_stats.values())
+        """The port's rule rows reconcile with the aggregate verdict buckets."""
+        _, port, report, result = deliver(rules, table)
+        rule_stats = column_rule_stats(report.rule_columns).get(port.asn, {})
+        dropped = sum(stats["dropped"] for stats in rule_stats.values())
         assert dropped == pytest.approx(result.dropped_bits, rel=1e-9, abs=1e-6)
-        shaped = sum(stats["shaped"] for stats in result.rule_stats.values())
+        shaped = sum(stats["shaped"] for stats in rule_stats.values())
         # Shaped stats are computed from the rounded (scaled) byte column,
         # so the reconciliation target is the shaped table itself.
         assert shaped == pytest.approx(
             float(result.shaped_table.total_bits), rel=1e-9, abs=1e-6
         )
-        for stats in result.rule_stats.values():
+        for stats in rule_stats.values():
             assert stats["matched"] == pytest.approx(
                 stats["dropped"] + stats["shaped"], rel=1e-9, abs=1e-6
             )
-        assert set(result.rule_stats) <= set(port.qos.rule_ids())
+        assert set(rule_stats) <= set(port.qos.rule_ids())
 
     @given(
         rules=rule_sets(),

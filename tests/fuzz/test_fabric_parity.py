@@ -26,7 +26,11 @@ from fuzz.strategies import (
     qos_rules,
     rule_sets,
 )
-from oracle.reference import ReferenceFabric, utilisation as port_utilisation
+from oracle.reference import (
+    ReferenceFabric,
+    column_rule_stats,
+    utilisation as port_utilisation,
+)
 from repro.ixp import IxpMember
 from repro.ixp.fabric import MEMBER_REPORT_FIELDS
 
@@ -202,8 +206,9 @@ class TestPortResults:
         """``results_by_member`` is a read-only view of the report's columns.
 
         A lookup builds the port's result from its column entries and
-        caches it; ``rule_stats_by_member`` holds exactly the non-empty
-        ``rule_stats`` of the results; an ASN that carried no traffic is
+        caches it; each port's ``rule_stats`` in ``to_dict()`` are its
+        rows of the rule columns (``{}`` when it has none), and only ports
+        that carried traffic have rows; an ASN that carried no traffic is
         not a key.
         """
         spec, assignments, tables, interval = scenario
@@ -225,11 +230,11 @@ class TestPortResults:
                 assert results[asn] is result
                 assert results[np.int64(asn)] is result
                 assert results.get(asn) is result
-            assert report.rule_stats_by_member == {
-                asn: result.rule_stats
-                for asn, result in results.items()
-                if result.rule_stats
-            }
+            stats_by_member = column_rule_stats(report.rule_columns)
+            assert set(stats_by_member) <= set(asns)
+            members = report.to_dict()["members"]
+            for asn in asns:
+                assert members[str(asn)]["rule_stats"] == stats_by_member.get(asn, {})
             # A float twin of an ASN looked up above hashes like it, but is
             # no key either: the answer must not depend on earlier lookups.
             absent = [UNKNOWN_EGRESS_ASN, "64500", None]
@@ -240,7 +245,7 @@ class TestPortResults:
                 assert results.get(key) is None
                 with pytest.raises(KeyError):
                     results[key]
-            if report.rule_stats_by_member:
+            if len(report.rule_columns.member_asns):
                 event("a rule claimed bits")
 
 

@@ -12,8 +12,9 @@ things must be equal, with ``==`` and no tolerance:
 
 * each member's rule rows, in order: DROP ids by first claimed rank,
   then SHAPE ids by rank;
-* every member's ``rule_stats_by_member`` mapping view;
-* every ``PortQosResult.rule_stats``;
+* every row's ``matched``/``dropped``/``shaped`` bits;
+* every member's ``rule_stats`` in ``to_dict()`` (``{}`` for a port no
+  rule claimed);
 * the ``discarded`` column against each reference shaper's discarded
   bits (``0.0`` on DROP rows).
 
@@ -34,7 +35,7 @@ from fuzz.strategies import (
     rule_sets,
     single_port_fabric,
 )
-from oracle.reference import ReferenceFabric
+from oracle.reference import ReferenceFabric, column_rule_stats
 from repro.bgp import Prefix
 from repro.ixp import FilterAction, FlowMatch, QosRule
 from repro.traffic import IpProtocol
@@ -94,15 +95,19 @@ class TestRuleColumns:
             columns = report.rule_columns
             rows = list(zip(columns.member_asns.tolist(), columns.rule_ids.tolist()))
             assert rows == expected_rows(oracle), step
-            # The mapping view, member by member and as a whole.
-            assert list(report.rule_stats_by_member) == sorted(oracle.rule_stats)
+            # The rows' bits, member by member and as a whole.
+            stats_by_member = column_rule_stats(columns)
             for asn, stats in oracle.rule_stats.items():
-                assert report.rule_stats_by_member[asn] == stats, (step, asn)
-                assert list(report.rule_stats_by_member[asn]) == list(stats)
-            assert report.rule_stats_by_member == oracle.rule_stats
-            # Each port's result carries its member's stats (or none).
-            for asn, result in report.results_by_member.items():
-                assert result.rule_stats == oracle.rule_stats.get(asn, {}), (step, asn)
+                assert stats_by_member[asn] == stats, (step, asn)
+            assert stats_by_member == oracle.rule_stats
+            # Each port's entry in the canonical report carries its
+            # member's stats (or none).
+            members = report.to_dict()["members"]
+            assert sorted(int(asn) for asn in members) == list(report.results_by_member)
+            for asn in report.results_by_member:
+                assert members[str(asn)]["rule_stats"] == oracle.rule_stats.get(asn, {}), (
+                    step, asn,
+                )
             # What each shaper discarded; DROP rows discard nothing.
             assert columns.discarded.tolist() == [
                 oracle.discarded.get(asn, {}).get(rule_id, 0.0) for asn, rule_id in rows
@@ -141,5 +146,6 @@ def test_the_anonymous_row_sits_at_its_first_claimed_rank():
     report = fabric.deliver(table, INTERVAL)
     oracle.deliver(table, INTERVAL)
     assert report.rule_columns.rule_ids.tolist() == ["named", ""]
-    assert list(report.rule_stats_by_member[port.asn]) == list(oracle.rule_stats[port.asn])
-    assert report.rule_stats_by_member == oracle.rule_stats
+    stats_by_member = column_rule_stats(report.rule_columns)
+    assert list(stats_by_member[port.asn]) == list(oracle.rule_stats[port.asn])
+    assert stats_by_member == oracle.rule_stats

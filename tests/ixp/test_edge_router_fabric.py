@@ -61,8 +61,6 @@ class TestHardwareProfiles:
         profile = small_ixp_edge_router_profile()
         tcam = profile.make_tcam()
         assert tcam.mac_filter_capacity == profile.mac_filter_capacity
-        cpu = profile.make_cpu_model(seed=1)
-        assert cpu.cpu_limit_percent == profile.cpu_limit_percent
 
     def test_invalid_profile(self):
         with pytest.raises(ValueError):
@@ -74,7 +72,7 @@ class TestEdgeRouter:
         profile = HardwareProfile(
             name="test", port_count=ports, mac_filter_capacity=100, l3l4_criteria_capacity=100
         )
-        return EdgeRouter("er-1", profile=profile, seed=1)
+        return EdgeRouter("er-1", profile=profile)
 
     def test_connect_member_assigns_port(self):
         router = self._router()
@@ -208,11 +206,6 @@ class TestEdgeRouter:
         report = fabric.deliver(table(make_flow()), interval=10.0)
         assert report.results_by_member[64500].dropped_bits == 80_000
 
-    def test_cpu_helpers(self):
-        router = self._router()
-        assert 0 <= router.cpu.measure_usage(2.0) <= 100
-        assert router.cpu.max_update_rate() > 0
-
 
 class TestSwitchingFabric:
     def _fabric(self, retain_reports=False):
@@ -318,7 +311,7 @@ class TestMultiPopTopology:
     def test_build_multi_pop_fabric_layout(self):
         from repro.ixp import build_multi_pop_fabric
 
-        fabric = build_multi_pop_fabric(pop_count=3, routers_per_pop=2, seed=1)
+        fabric = build_multi_pop_fabric(pop_count=3, routers_per_pop=2)
         routers = fabric.edge_routers()
         assert len(routers) == 6
         assert {router.pop for router in routers} == {"pop-1", "pop-2", "pop-3"}
@@ -349,7 +342,7 @@ class TestMultiPopTopology:
         honoring = sum(member.honors_rtbh for member in members)
         assert 30 <= honoring <= 90  # ~30 % of 200, seeded
 
-        fabric = build_multi_pop_fabric(pop_count=4, routers_per_pop=2, seed=3)
+        fabric = build_multi_pop_fabric(pop_count=4, routers_per_pop=2)
         for member in members:
             fabric.connect_member(member)
         # PoP affinity: every member landed on a router in its own PoP.

@@ -15,7 +15,7 @@ import pytest
 
 from fuzz.strategies import single_port_fabric
 from oracle.records import FiveTuple, FlowRecord, from_records, to_records
-from oracle.reference import ReferenceFabric
+from oracle.reference import ReferenceFabric, column_rule_stats
 from repro.bgp import Prefix
 from repro.ixp import (
     EdgeRouter,
@@ -288,7 +288,7 @@ class TestDeliveryPlan:
         report = assert_matches_reference(
             fabric, oracle, interval_table(seed=2, with_unknown=False), 10.0
         )
-        stats = report.rule_stats_by_member
+        stats = column_rule_stats(report.rule_columns)
         assert "late-host" in stats[VICTIM_ASN]
         assert set(stats[65001]) == {"drop-memcached"}
 
@@ -358,7 +358,7 @@ class TestDeliveryPlan:
 
 def wide_fabric(member_count: int = 120) -> SwitchingFabric:
     """Two PoPs of two routers, ``member_count`` members, no rules."""
-    fabric = build_multi_pop_fabric(pop_count=2, routers_per_pop=2, seed=5)
+    fabric = build_multi_pop_fabric(pop_count=2, routers_per_pop=2)
     for member in make_member_population(member_count, pop_count=2, seed=5):
         fabric.connect_member(member)
     return fabric
@@ -473,7 +473,7 @@ class TestRuleStats:
             ]
         )
         report = assert_matches_reference(fabric, ReferenceFabric(fabric), table)
-        stats = report.results_by_member[VICTIM_ASN].rule_stats
+        stats = column_rule_stats(report.rule_columns)[VICTIM_ASN]
         # (1,000 + 2,000 + 3,000 + 4,000) bytes x 8.
         assert stats[""] == {"matched": 80_000.0, "dropped": 80_000.0, "shaped": 0.0}
         assert set(stats) == {"", "shape-dns"}

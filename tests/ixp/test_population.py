@@ -161,8 +161,8 @@ def test_batch_connect_places_like_one_at_a_time(layout):
 def test_lazy_ports_read_back_like_eager_ones(args, data):
     args = {**args, "pop_count": min(args["pop_count"], 3)}
     population = make_member_population(**args)
-    lazy = build_multi_pop_fabric(pop_count=3, seed=1, members=population)
-    eager = build_multi_pop_fabric(pop_count=3, seed=1)
+    lazy = build_multi_pop_fabric(pop_count=3, members=population)
+    eager = build_multi_pop_fabric(pop_count=3)
     # Each port is built as its member connects.
     for member in make_member_objects(**args):
         eager.connect_member(member)

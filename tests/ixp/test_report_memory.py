@@ -92,7 +92,7 @@ def test_a_retained_report_holds_few_bytes_per_rule_row():
     table = covering_table(filtered.covered_pairs, int(filtered.members.asns[-1]))
     report, held = retained_bytes(filtered.fabric, table)
     _, baseline = retained_bytes(bare.fabric, table)
-    rows = sum(len(stats) for stats in report.rule_stats_by_member.values())
+    rows = len(report.rule_columns.member_asns)
     assert rows == 2400  # every rule claimed its flows
     per_row = (held - baseline) / rows
     assert per_row < MAX_BYTES_PER_ROW, f"{per_row:.0f} B per rule row"

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from fuzz.strategies import single_port_fabric
 from oracle.records import record_matches, to_records
-from oracle.reference import ReferenceFabric, assign
+from oracle.reference import ReferenceFabric, assign, column_rule_stats
 from repro.bgp import Prefix
 from repro.ixp import (
     EdgeRouter,
@@ -131,6 +131,13 @@ def make_policy(rules=None):
 def deliver(fabric, table, interval=10.0):
     """The single port's result for one interval."""
     return fabric.deliver(table, interval).results_by_member[64500]
+
+
+def deliver_with_rule_stats(fabric, table, interval=10.0):
+    """The single port's result and its rule rows for one interval."""
+    report = fabric.deliver(table, interval)
+    stats = column_rule_stats(report.rule_columns).get(64500, {})
+    return report.results_by_member[64500], stats
 
 
 class TestMatchSignature:
@@ -253,7 +260,7 @@ class TestAssignParity:
         fabric, _ = make_fabric()
         oracle = ReferenceFabric(fabric)
         report = fabric.deliver(table, 10.0)
-        assert report.results_by_member[64500].rule_stats  # rules matched something
+        assert column_rule_stats(report.rule_columns)[64500]  # rules matched something
         assert report.to_dict() == oracle.deliver(table, 10.0)
         result = report.results_by_member[64500]
         forwarded, dropped, shaped = oracle.verdicts[64500]
@@ -361,9 +368,9 @@ class TestVersionCounterAndCaching:
                 match=FlowMatch(src_port=123), action=FilterAction.DROP, rule_id="mid"
             )
         )
-        during = deliver(fabric, table)
+        during, during_stats = deliver_with_rule_stats(fabric, table)
         assert during.dropped_bits > 0.0
-        assert during.rule_stats["mid"]["dropped"] == during.dropped_bits
+        assert during_stats["mid"]["dropped"] == during.dropped_bits
         port.qos.remove("mid")
         after = deliver(fabric, table)
         assert after.dropped_bits == 0.0
@@ -461,10 +468,8 @@ class TestAnonymousShapeRules:
             table.bits[(table.src_port == 53) & (table.protocol == 17)].sum()
         )
         assert offered_123 > 5e5 * interval and offered_53 > 2e6 * interval
-        result = deliver(fabric, table, interval)
-        shaped = {
-            rule_id: stats["shaped"] for rule_id, stats in result.rule_stats.items()
-        }
+        result, rule_stats = deliver_with_rule_stats(fabric, table, interval)
+        shaped = {rule_id: stats["shaped"] for rule_id, stats in rule_stats.items()}
         assert len(shaped) == 2
         budgets = sorted(shaped.values())
         assert budgets[0] == pytest.approx(5e5 * interval, rel=0.05)
@@ -477,9 +482,9 @@ class TestAnonymousShapeRules:
             QosRule(match=FlowMatch(src_port=123), action=FilterAction.DROP)
         )
         assert port.qos.rules()[0].rule_id == ""
-        result = deliver(fabric, flow_table(n=500, seed=31))
+        result, rule_stats = deliver_with_rule_stats(fabric, flow_table(n=500, seed=31))
         assert result.dropped_bits > 0
-        assert "" in result.rule_stats
+        assert "" in rule_stats
 
 
 class TestBulkInstall:
@@ -510,8 +515,8 @@ class TestBulkInstall:
         assert router.tcam.l3l4_criteria_used == 6
         assert {r.rule_id for r in router.installed_rules()} == {"r0", "r1"}
         # ... and the active rules really classify traffic.
-        result = deliver(fabric, flow_table(n=500, seed=40))
-        assert set(result.rule_stats) <= {"r0", "r1"}
+        _, rule_stats = deliver_with_rule_stats(fabric, flow_table(n=500, seed=40))
+        assert set(rule_stats) <= {"r0", "r1"}
 
     def test_stale_plan_execute_is_rejected(self):
         from repro.ixp import FabricDeliveryPlan

@@ -49,7 +49,6 @@ def make_fabric(pop_count=1, routers_per_pop=1, member_count=3, seed=5):
         pop_count=pop_count,
         routers_per_pop=routers_per_pop,
         name="svc-ixp",
-        seed=seed,
         members=members,
     )
     return fabric, members.asns.tolist()

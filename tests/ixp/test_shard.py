@@ -25,7 +25,7 @@ from repro.traffic import FlowTable
 
 def make_platform(member_count=60, pop_count=4, seed=11):
     members = make_member_population(member_count, pop_count=pop_count, seed=seed)
-    fabric = build_multi_pop_fabric(pop_count=pop_count, seed=seed, members=members)
+    fabric = build_multi_pop_fabric(pop_count=pop_count, members=members)
     return fabric, members
 
 
@@ -81,7 +81,7 @@ class TestPlanPartition:
         assert [spec.index for spec in plan] == [0, 1]
 
     def test_empty_fabric_plans_to_zero_shards(self):
-        fabric = build_multi_pop_fabric(pop_count=3, seed=5)
+        fabric = build_multi_pop_fabric(pop_count=3)
         assert ShardPlanner.for_fabric(fabric).plan() == []
 
     def test_invalid_shard_count(self):
@@ -114,9 +114,7 @@ class TestSubsetFabricParity:
         plan = ShardPlanner.for_fabric(fabric).plan(2)
         by_asn = {member.asn: member for member in members}
         for spec in plan:
-            shard_fabric = build_multi_pop_fabric(
-                pop_count=4, seed=13, pop_indices=spec.pop_indices
-            )
+            shard_fabric = build_multi_pop_fabric(pop_count=4, pop_indices=spec.pop_indices)
             for asn in spec.member_asns:
                 shard_fabric.connect_member(by_asn[asn])
                 assert (

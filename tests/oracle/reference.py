@@ -20,6 +20,9 @@ interval's per-port rule stats as the naive dict-building scatter builds
 them (``rule_stats``, rows in claim order) and each shaper's discarded
 bits (``discarded``): the ``==`` reference of the report's rule columns.
 
+:func:`column_rule_stats` reads a report's rule columns in the
+``rule_stats`` layout, so the two compare with ``==``.
+
 :func:`utilisation` is the scalar twin of
 ``FabricIntervalReport.port_utilisation()``: one port's demand over its
 capacity, from one result.
@@ -72,6 +75,27 @@ def utilisation(port, result, interval):
         raise ValueError("interval must be positive")
     demand_bits = result.delivered_bits + result.congestion_dropped_bits
     return demand_bits / (port.capacity_bps * interval)
+
+
+def column_rule_stats(columns):
+    """A report's :class:`~repro.ixp.delivery.RuleColumns` in the layout of
+    :attr:`ReferenceFabric.rule_stats`: ``member -> rule id ->
+    {"matched", "dropped", "shaped"}``, members and ids in row order.
+
+    Raises ``AssertionError`` if a (member, rule id) has two rows.
+    """
+    stats = {}
+    for asn, rule_id, matched, dropped, shaped in zip(
+        columns.member_asns.tolist(),
+        columns.rule_ids.tolist(),
+        columns.matched.tolist(),
+        columns.dropped.tolist(),
+        columns.shaped.tolist(),
+    ):
+        member = stats.setdefault(asn, {})
+        assert rule_id not in member, (asn, rule_id)
+        member[rule_id] = {"matched": matched, "dropped": dropped, "shaped": shaped}
+    return stats
 
 
 def display_utilisation(port, result, interval):
