@@ -116,12 +116,12 @@ def time_classification(
     the minimum over repeats discards GC/scheduler noise, as in the
     fabric bench.
     """
-    policy.assign_table(table)
+    policy.compiled_index().assign(table)
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
         for _ in range(rounds):
-            policy.assign_table(table)
+            policy.compiled_index().assign(table)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -144,7 +144,7 @@ def test_bench_indexed_speedup_10k_rules(benchmark):
     )
 
     def indexed_pass():
-        indexed.assign_table(table)
+        indexed.compiled_index().assign(table)
 
     benchmark.pedantic(indexed_pass, rounds=1)
 
@@ -185,7 +185,7 @@ def test_bench_rule_count_scaling(benchmark):
 
     def indexed_largest():
         policy = build_policy(counts[-1])
-        policy.assign_table(build_interval(counts[-1], flow_count))
+        policy.compiled_index().assign(build_interval(counts[-1], flow_count))
 
     benchmark.pedantic(indexed_largest, rounds=1)
 

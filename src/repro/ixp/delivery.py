@@ -14,10 +14,10 @@ plan works platform-wide:
    total rule count, and reads the rules from the live port policies;
 2. **classify** — one vectorized group-by over the whole interval (a
    stable argsort of the egress column; each member's offered bits are
-   one ``np.add.reduceat``), then each filtered member's slice is
-   classified through the port's
-   :meth:`~repro.ixp.qos.PortQosPolicy.assign_table` (its compiled
-   :class:`~repro.ixp.ruleindex.RuleMatchIndex`); per-rule matched bits
+   one ``np.add.reduceat``), then every filtered member's rows, laid end
+   to end, are classified by one
+   :meth:`~repro.ixp.ruleindex.RuleMatchIndex.assign` of the filtered
+   ports' compiled indexes composed into one; per-rule matched bits
    fall out of a single ``bincount``;
 3. **scatter** — the verdicts are folded into per-member arrays and the
    per-rule :class:`RuleColumns` Stellar's telemetry adds up, in
@@ -48,9 +48,9 @@ and every rule-set mutation of a connected port bumps its
 :attr:`~repro.ixp.fabric.SwitchingFabric.rule_epoch`, so
 :meth:`FabricDeliveryPlan.is_current` is two integer compares and only
 intervals after a configuration change recompile.  A recompile copies
-no rule: it counts each built port's rules, and a port's cached
-per-rule action and id codes join the plan's platform-level arrays
-when its rules first claim rows.  The per-port match indexes
+no rule: it counts each built port's rules, and the per-rule action
+and id codes of a port's compiled index join the plan's platform-level
+arrays when its rules first claim rows.  The per-port match indexes
 are cached on the policies behind their
 :attr:`~repro.ixp.qos.PortQosPolicy.rules_version`, so untouched ports
 never recompile their index.
@@ -62,7 +62,7 @@ naive first-match reference (``tests/oracle``).
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping
 from functools import partial
 from typing import TYPE_CHECKING
 
@@ -71,6 +71,7 @@ import numpy as np
 from ..traffic.flowtable import FlowTable
 from .port import MemberPort
 from .qos import _DROP_CODE, _FORWARD_CODE, _SHAPE_CODE, PortQosResult
+from .ruleindex import RuleMatchIndex, TableRows
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .fabric import FabricIntervalReport, SwitchingFabric
@@ -240,6 +241,10 @@ class FabricDeliveryPlan:
         self._rule_ids = np.empty(self._rule_count, dtype=object)
         self._code_owners = np.zeros(self._rule_count, dtype=np.int64)
         self._loaded: set[int] = set()
+        #: The index composed over the filtered members with rows in the
+        #: last interval, keyed by their ASNs' bytes.
+        self._composed_key = b""
+        self._composed = RuleMatchIndex.compose((), ())
 
     # ------------------------------------------------------------------
     # Introspection
@@ -312,8 +317,9 @@ class FabricDeliveryPlan:
         member_asns = self._asns[members]
 
         filtered_at = np.flatnonzero(np.isin(member_asns, self._filtered_asns))
-        filtered = list(zip(filtered_at.tolist(), member_asns[filtered_at].tolist()))
-        claims = self._classify(table, order, starts, ends, filtered)
+        groups, positions, ranks = self._classify(
+            table, order, starts, ends, filtered_at, member_asns
+        )
 
         # Per-member accounting as parallel arrays: a port where no rule
         # claimed a row forwards everything it is offered; the claimed
@@ -325,14 +331,11 @@ class FabricDeliveryPlan:
         shaped_passed = np.zeros(count)
         shaped_dropped = np.zeros(count)
         rule_columns, verdicts = _NO_RULES, _ALL_FORWARD
-        if claims:
+        if len(groups):
             # The claimed ports' sorted rows, end to end: ``bounds`` are
             # their offsets, ``ranks`` and ``actions`` their verdicts.
-            groups = np.fromiter(claims, dtype=np.intp, count=len(claims))
-            ranks = np.concatenate(list(claims.values()))
             lengths = ends[groups] - starts[groups]
             bounds = np.cumsum(lengths) - lengths
-            positions = np.repeat(starts[groups] - bounds, lengths) + np.arange(len(ranks))
             claimed_bits = sorted_bits[positions]
             matched = ranks >= 0
             actions = np.full(len(ranks), _FORWARD_CODE, dtype=np.int8)
@@ -413,42 +416,54 @@ class FabricDeliveryPlan:
         order: np.ndarray,
         starts: np.ndarray,
         ends: np.ndarray,
-        filtered: Sequence[tuple[int, int]],
-    ) -> dict[int, np.ndarray]:
-        """Classify each filtered member's rows against its port's rules.
+        filtered_at: np.ndarray,
+        member_asns: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Classify every filtered member's rows with one index lookup.
 
-        Rules of different members are disjoint by the egress column, so
-        each filtered member's rules are matched against that member's
-        row slice only, through the port policy's
-        :meth:`~repro.ixp.qos.PortQosPolicy.assign_table` (its compiled
-        rule-match index).  ``assign_table`` is row-wise, so verdicts on
-        the slice equal verdicts on the full table; local ranks map to
-        global ranks by the member's contiguous block offset.  Returns,
-        for each group where some rule claimed a row (ascending), its
-        sorted rows' claiming global ranks (-1 = forward).
+        The filtered groups' sorted rows, laid end to end, go through one
+        :meth:`~repro.ixp.ruleindex.RuleMatchIndex.assign` of the filtered
+        ports' composed index, each row against its own member's rules
+        (its slot: the member's position among the filtered groups).
+        Returns the groups where some rule claimed a row (ascending),
+        their rows' positions in the sorted order and their claiming
+        platform ranks (-1 = forward).
         """
-        claims: dict[int, np.ndarray] = {}
-        for index, asn in filtered:
-            rows = order[starts[index]:ends[index]]
-            ranks = self._ports[asn].qos.assign_table(table.select(rows))
-            matched = ranks >= 0
-            if matched.any():
-                start = self._member_start[asn]
-                claims[index] = np.where(matched, ranks.astype(np.int64) + start, -1)
-                self._load(asn)
-        return claims
+        if not len(filtered_at):
+            return filtered_at, filtered_at, np.zeros(0, dtype=np.int32)
+        lengths = ends[filtered_at] - starts[filtered_at]
+        bounds = np.cumsum(lengths) - lengths
+        positions = np.repeat(starts[filtered_at] - bounds, lengths) + np.arange(lengths.sum())
+        slots = np.repeat(np.arange(len(filtered_at), dtype=np.int32), lengths)
+        asns = member_asns[filtered_at]
+        if asns.tobytes() != self._composed_key:
+            # The members' cached compiles (a port recompiles only on its
+            # first interval with rows after a rule change), composed
+            # again only when other members carry traffic.
+            self._composed_key = asns.tobytes()
+            self._composed = RuleMatchIndex.compose(
+                [self._ports[asn].qos.compiled_index() for asn in asns.tolist()],
+                [self._member_start[asn] for asn in asns.tolist()],
+            )
+        ranks = self._composed.assign(TableRows(table, order[positions]), slots)
+        claimed = np.logical_or.reduceat(ranks >= 0, bounds)
+        if not claimed.all():
+            kept = np.repeat(claimed, lengths)
+            positions, ranks = positions[kept], ranks[kept]
+        for asn in asns[claimed].tolist():
+            self._load(asn)
+        return filtered_at[claimed], positions, ranks
 
     def _load(self, asn: int) -> None:
         """Copy member ``asn``'s per-rule codes into the platform arrays."""
         if asn in self._loaded:
             return
-        qos = self._ports[asn].qos
+        index = self._ports[asn].qos.compiled_index()
         start = self._member_start[asn]
-        stop = start + len(qos)
-        codes, rule_ids = qos.rule_id_codes()
-        self._rule_actions[start:stop] = qos.action_codes()
-        self._rule_codes[start:stop] = start + codes
-        self._rule_ids[start:start + len(rule_ids)] = rule_ids
+        stop = start + index.rule_count
+        self._rule_actions[start:stop] = index.action_codes
+        self._rule_codes[start:stop] = start + index.rule_id_codes
+        self._rule_ids[start:start + len(index.rule_ids)] = index.rule_ids
         self._code_owners[start:stop] = asn
         self._loaded.add(asn)
 

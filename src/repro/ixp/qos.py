@@ -21,12 +21,13 @@ stream leaving the IXP towards the member into one of three actions:
 
 The reproduction models this at flow level per observation interval.  A
 :class:`PortQosPolicy` holds a port's rules in most-specific-first order
-and classifies a columnar :class:`~repro.traffic.flowtable.FlowTable`
-through its compiled :class:`~repro.ixp.ruleindex.RuleMatchIndex`
-(:meth:`PortQosPolicy.assign_table`).  The verdict scatter, shaping and
-congestion accounting run platform-wide in
-:class:`~repro.ixp.delivery.FabricDeliveryPlan`; its interval report
-builds a port's :class:`PortQosResult` when that port is looked up.
+and compiles them into a :class:`~repro.ixp.ruleindex.RuleMatchIndex`
+(:meth:`PortQosPolicy.compiled_index`).  Classification, the verdict
+scatter, shaping and congestion accounting run platform-wide in
+:class:`~repro.ixp.delivery.FabricDeliveryPlan`, which joins the
+filtered ports' indexes to classify an interval in one pass; its
+interval report builds a port's :class:`PortQosResult` when that port
+is looked up.
 """
 
 from __future__ import annotations
@@ -312,8 +313,6 @@ class PortQosPolicy:
         self._version = 0
         self._index: Optional[RuleMatchIndex] = None
         self._index_version = -1
-        self._action_codes: Optional[np.ndarray] = None
-        self._rule_id_codes: Optional[tuple[np.ndarray, list[str]]] = None
         self._anon_ids = itertools.count(1)
         #: The epoch of the fabric the port is connected to (set by the
         #: fabric when it builds the port); every version bump bumps it too.
@@ -326,8 +325,6 @@ class PortQosPolicy:
         self._version += 1
         if self.epoch is not None:
             self.epoch.bump()
-        self._action_codes = None
-        self._rule_id_codes = None
 
     def _insert_sorted(self, rule: QosRule) -> None:
         """Splice one appended rule into the sorted views."""
@@ -476,8 +473,8 @@ class PortQosPolicy:
 
     def sorted_rules(self) -> list[QosRule]:
         """The rules in classification (most-specific-first) order: the
-        rank order :meth:`assign_table` reports, which :meth:`action_codes`
-        and :meth:`rule_id_codes` follow."""
+        rank order the :meth:`compiled_index` assigns and files its
+        action and rule-id codes in."""
         return list(self._sorted_rules)
 
     def shaper_for(self, key: str) -> Optional[RateLimiter]:
@@ -526,45 +523,3 @@ class PortQosPolicy:
             self._index = RuleMatchIndex(self._sorted_rules)
             self._index_version = self._version
         return self._index
-
-    def action_codes(self) -> np.ndarray:
-        """Per-sorted-rule action codes (forward/drop/shape) for the scatter."""
-        if self._action_codes is None or len(self._action_codes) != len(self._sorted_rules):
-            self._action_codes = np.fromiter(
-                (_ACTION_CODES[rule.action] for rule in self._sorted_rules),
-                dtype=np.int8,
-                count=len(self._sorted_rules),
-            )
-        return self._action_codes
-
-    def rule_id_codes(self) -> tuple[np.ndarray, list[str]]:
-        """Per-sorted-rule codes into the list of distinct rule ids.
-
-        Ids repeat across rules — every anonymous DROP/FORWARD rule is
-        ``""`` — so the delivery plan sums a rule-column row per code.
-        """
-        if self._rule_id_codes is None:
-            codes: dict[str, int] = {}
-            self._rule_id_codes = (
-                np.fromiter(
-                    (codes.setdefault(rule.rule_id, len(codes)) for rule in self._sorted_rules),
-                    dtype=np.int64,
-                    count=len(self._sorted_rules),
-                ),
-                list(codes),
-            )
-        return self._rule_id_codes
-
-    # ------------------------------------------------------------------
-    # Classification
-    # ------------------------------------------------------------------
-    def assign_table(self, table: FlowTable) -> np.ndarray:
-        """Rank of each row's claiming rule in :meth:`sorted_rules` order.
-
-        ``-1`` means no rule matches (forward).  The batched fabric
-        delivery plan calls this once per filtered member slice.
-        """
-        n = len(table)
-        if not self._sorted_rules or n == 0:
-            return np.full(n, -1, dtype=np.int32)
-        return self.compiled_index().assign(table)

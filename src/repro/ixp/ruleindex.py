@@ -17,10 +17,10 @@ fields are set:
   This is the dominant Stellar rule shape
   (:meth:`~repro.core.rules.BlackholingRule.drop_udp_source_port` is
   ``dst host + UDP + src_port``).  The group's rule criteria are packed
-  into one integer key per rule, and a whole table is matched with a
-  single ``np.searchsorted`` over the group's sorted key array —
-  O(flows × log rules) per group, independent of the rule count in
-  Python terms.
+  into one integer key of at most 64 bits per rule, and a whole table is
+  matched with one ``np.searchsorted`` over the group's sorted distinct
+  keys — O(flows × log rules) per group, independent of the rule count
+  in Python terms.
 * **Fallback groups** — anything with a broader prefix, an IPv6 prefix, a
   MAC criterion or no criteria at all keeps the per-rule masked pass
   (one ``matches_table`` per rule).  Broad IPv4-prefix rules of at least
@@ -32,17 +32,23 @@ fields are set:
   unchanged while the O(fallback rules × flows) term collapses to
   O(fallback rules × bin rows).
 
-Precedence is resolved *across* groups with a vectorized argmin over rule
-ranks: each rule carries its position in the port's most-specific-first
-order, every group contributes the per-row rank of its best match, and the
-row's verdict is the minimum rank seen — exactly the rule the sequential
-first-match loop would have claimed the row with.  Duplicate exact keys
-keep every entry (sorted by rank within the key), and the ``side="left"``
-lookup returns the lowest rank — the most specific / earliest-installed
-rule, matching the sequential loop.  The index is therefore
-verdict-for-verdict equal to a naive first-match loop (pinned against the
-reference in ``tests/oracle`` by ``tests/ixp/test_ruleindex.py`` and the
-fuzz suite).
+Precedence is resolved *across* groups with a vectorized minimum over
+rule ranks: each rule carries its position in the port's
+most-specific-first order, and a row's verdict is the minimum rank of the
+rules it matches (a duplicate exact key keeps its lowest rank) — exactly
+the rule the sequential first-match loop would have claimed it with
+(pinned against the reference in ``tests/oracle`` by
+``tests/ixp/test_ruleindex.py`` and the fuzz suite).
+
+**One pass over many ports.** :meth:`RuleMatchIndex.compose` joins
+several ports' compiled indexes, so the delivery plan classifies every
+filtered port's rows with one :meth:`~RuleMatchIndex.assign`.  Each row
+carries its member's *slot*, and each port's ranks are shifted by its
+offset in the platform rule order.  A composed exact group keeps one
+sorted array of ``key id × slots + slot`` composites (the key id being
+the key's position among the group's distinct packed keys), so the
+member never enters the 64-bit key; fallback rules run per member over
+its slot's rows.  A compiled port index is the one-member case.
 
 Indexes are immutable snapshots with one way to build them: a compile
 of the whole rule list.  :class:`~repro.ixp.qos.PortQosPolicy` caches
@@ -52,7 +58,7 @@ on its next classification, however many changes it took since.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -193,84 +199,150 @@ def _radix_bin(match: "FlowMatch") -> Optional[tuple[str, int]]:
 _Bin = Optional[tuple[str, int]]
 
 
-def _file(ranked: "Iterable[tuple[int, QosRule]]") -> tuple[dict, dict]:
-    """Sort ``(rank, rule)`` pairs into exact ``(key, rank)`` entries per
-    field tuple and fallback ``(rank, rule)`` entries per :data:`_Bin`."""
-    exact: dict[tuple[str, ...], list[tuple[int, int]]] = {}
-    fallback: dict[_Bin, list["tuple[int, QosRule]"]] = {}
-    for rank, rule in ranked:
-        signature = MatchSignature.of(rule.match)
-        if signature.is_exact:
-            fields = signature.exact_fields
-            exact.setdefault(fields, []).append((_packed_key(rule.match, fields), rank))
-        else:
-            fallback.setdefault(_radix_bin(rule.match), []).append((rank, rule))
-    return exact, fallback
+class TableRows:
+    """``table.select(rows)`` that gathers each column on its first read:
+    a rule match reads at most six of a flow table's twelve columns.
+    ``rows`` is an index array or a bounded ``slice`` (read as views)."""
+
+    def __init__(self, table: FlowTable | TableRows, rows: np.ndarray | slice) -> None:
+        self._table = table
+        self._rows = rows
+        self._length = rows.stop - rows.start if isinstance(rows, slice) else len(rows)
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        column = getattr(self._table, name)[self._rows]
+        setattr(self, name, column)
+        return column
 
 
-def _bin_entries(entries: "list[tuple[int, QosRule]]") -> tuple[np.ndarray, np.ndarray]:
-    """Rank-ascending ``(rank, rule)`` pairs as a rank + rule array."""
-    count = len(entries)
-    return (
-        np.fromiter((rank for rank, _ in entries), dtype=np.int32, count=count),
-        np.fromiter((rule for _, rule in entries), dtype=object, count=count),
-    )
+#: A row's best rank while no rule has claimed it (above every real rank).
+_NO_RANK = np.int32(np.iinfo(np.int32).max)
+
+#: Distinct keys from which a group sorts the flow keys before its lookup:
+#: ``searchsorted`` over sorted needles costs about half, sort included,
+#: while a group of a few keys is cheaper to search unsorted.
+_SORTED_LOOKUP_KEYS = 16
 
 
 class ExactGroup:
-    """One exact signature group: packed keys sorted by (key, rank)."""
+    """One exact signature group over one or more members' rules.
 
-    __slots__ = ("fields", "keys", "ranks")
+    :attr:`keys` holds the distinct packed keys, ascending; each (key,
+    member slot) pair is one *composite* ``key id × slot_count + slot``
+    (the key id being the key's position in :attr:`keys`), ascending in
+    :attr:`composites` beside the lowest rank of the member's rules
+    carrying the key, the rule a first-match loop would claim with.  With
+    one member, the key id is the composite, and neither is stored.
+    """
 
-    def __init__(self, fields: tuple[str, ...], entries: list[tuple[int, int]]) -> None:
-        """Sort ``(key, rank)`` entries into a group."""
-        keys = np.fromiter((key for key, _ in entries), dtype=np.uint64, count=len(entries))
-        ranks = np.fromiter((rank for _, rank in entries), dtype=np.int32, count=len(entries))
-        # Sort by key, then rank.  Duplicate keys keep every entry (each
-        # rule counts in describe()): the side="left" lookup in
-        # best_ranks lands on the lowest rank (the most specific /
-        # earliest-installed rule), matching what the sequential
-        # first-match loop would claim.
-        order = np.lexsort((ranks, keys))
+    __slots__ = ("fields", "keys", "slot_count", "composites", "ranks", "first")
+
+    def __init__(
+        self,
+        fields: tuple[str, ...],
+        keys: np.ndarray,
+        ranks: np.ndarray,
+        slots: "np.ndarray | int",
+        slot_count: int,
+    ) -> None:
+        """Group entries ``(keys[i], ranks[i], slots[i])``, ranks ascending."""
         self.fields = fields
-        self.keys = keys[order]
-        self.ranks = ranks[order]
+        self.slot_count = slot_count
+        self.composites: Optional[np.ndarray] = None
+        #: Each key's first composite (``None`` while each key's only one).
+        self.first: Optional[np.ndarray] = None
+        # np.unique is stable: each key (composite) keeps its lowest rank.
+        if slot_count == 1:  # one member: a key's id is its composite
+            self.keys, first = np.unique(keys, return_index=True)
+        else:
+            self.keys, key_ids = np.unique(keys, return_inverse=True)
+            bound = len(self.keys) * slot_count
+            assert bound < 2**63, "composite overflows int64"
+            composites = key_ids * slot_count + slots
+            composites = composites.astype(np.int32 if bound < 2**31 else np.int64)
+            self.composites, first = np.unique(composites, return_index=True)
+            if len(self.composites) > len(self.keys):  # some key has several members
+                key_starts = np.arange(len(self.keys)) * slot_count
+                self.first = np.searchsorted(self.composites, key_starts)
+        self.ranks = ranks[first]
 
     # ------------------------------------------------------------------
-    def flow_keys(self, table: FlowTable) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """Pack the group's key fields out of a flow table.
+    def lookup(self, table: FlowTable | TableRows) -> tuple[np.ndarray, np.ndarray]:
+        """The rows whose packed key the group holds, and their key ids (a
+        flow table holds each key column at exactly its lane's width)."""
+        first, *rest = self.fields
+        flow = getattr(table, first).astype(np.uint64)
+        for name in rest:
+            flow <<= np.uint64(_FIELD_WIDTHS[name])
+            flow |= getattr(table, name)
+        order = None
+        if len(self.keys) >= _SORTED_LOOKUP_KEYS:
+            order = np.argsort(flow)
+            flow = flow[order]
+        at = np.searchsorted(self.keys, flow)
+        np.minimum(at, len(self.keys) - 1, out=at)
+        found = np.flatnonzero(self.keys[at] == flow)
+        return (found if order is None else order[found]), at[found]
 
-        Returns ``(keys, valid)`` where ``valid`` flags rows whose field
-        values fit the packed widths (``None`` when all rows do) — a row
-        with an out-of-range value can never equal a validated rule key,
-        so it must not alias into another key's lane.
+    def claim(
+        self, table: FlowTable | TableRows, slots: Optional[np.ndarray], best: np.ndarray
+    ) -> None:
+        """Lower each row's ``best`` rank to its member's rule with the row's
+        key; ``slots`` holds each row's member slot (``None``: all slot 0).
         """
-        keys = np.zeros(len(table), dtype=np.uint64)
-        valid: Optional[np.ndarray] = None
-        for name in self.fields:
-            column = getattr(table, name)
-            width = np.uint64(_FIELD_WIDTHS[name])
-            lane = np.uint64((1 << _FIELD_WIDTHS[name]) - 1)
-            if column.dtype.kind == "i":  # the L4 port columns are signed
-                in_range = (column >= 0) & (column <= int(lane))
-                if not bool(in_range.all()):
-                    valid = in_range if valid is None else (valid & in_range)
-            keys = (keys << width) | (column.astype(np.uint64) & lane)
-        return keys, valid
+        rows, entries = self.lookup(table)
+        composites, first = self.composites, self.first
+        if composites is not None and slots is not None:
+            wanted = entries * self.slot_count + slots[rows]
+            if first is not None:
+                entries = first[entries]
+            # The key's first composite is another member's: search the row's own.
+            shared = composites[entries] != wanted
+            if shared.any():
+                entries[shared] = np.searchsorted(composites, wanted[shared])
+                np.minimum(entries, len(composites) - 1, out=entries)
+                held = composites[entries] == wanted
+                rows, entries = rows[held], entries[held]
+        best[rows] = np.minimum(best[rows], self.ranks[entries])
 
-    def best_ranks(self, table: FlowTable, sentinel: int) -> Optional[np.ndarray]:
-        """Per-row rank of the group's matching rule (``sentinel`` = none)."""
-        if not len(self.keys):
-            return None
-        keys, valid = self.flow_keys(table)
-        positions = np.searchsorted(self.keys, keys)
-        positions = np.minimum(positions, len(self.keys) - 1)
-        hits = self.keys[positions] == keys
-        if valid is not None:
-            hits &= valid
-        if not bool(hits.any()):
-            return None
-        return np.where(hits, self.ranks[positions], np.int32(sentinel))
+
+def _claim_fallback(
+    bins: dict[_Bin, tuple[np.ndarray, np.ndarray]], table: TableRows, best: np.ndarray
+) -> None:
+    """Lower ``best`` by one member's fallback rules over its rows ``table``:
+    one masked pass per rule, over its radix bin's candidate rows if any."""
+    binned = [(where, entries) for where, entries in bins.items() if where]
+    if binned:
+        shift = np.uint32(32 - RADIX_BITS)
+        # One bucketing pass per address column: bin each row, then a
+        # stable argsort groups the rows so every bin's candidates are
+        # one contiguous slice (ascending original row order).
+        bucketed: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for column in {column for (column, _), _ in binned}:
+            row_bins = getattr(table, column) >> shift
+            order = np.argsort(row_bins, kind="stable")
+            bucketed[column] = (order, row_bins[order])
+        for (column, bin_value), (ranks, rules) in binned:
+            order, sorted_bins = bucketed[column]
+            lo = int(np.searchsorted(sorted_bins, np.uint32(bin_value), side="left"))
+            hi = int(np.searchsorted(sorted_bins, np.uint32(bin_value), side="right"))
+            if lo == hi:
+                continue
+            rows = order[lo:hi]
+            candidates = TableRows(table, rows)
+            for rank, rule in zip(ranks.tolist(), rules):
+                mask = rule.match.matches_table(candidates)
+                if bool(mask.any()):
+                    hit = rows[mask]
+                    best[hit] = np.minimum(best[hit], np.int32(rank))
+    ranks, rules = bins.get(None, ((), ()))
+    for rank, rule in zip(ranks, rules):
+        mask = rule.match.matches_table(table)
+        if bool(mask.any()):
+            np.minimum(best, np.where(mask, np.int32(rank), _NO_RANK), out=best)
 
 
 class RuleMatchIndex:
@@ -280,17 +352,79 @@ class RuleMatchIndex:
     evaluates them (:meth:`~repro.ixp.qos.PortQosPolicy.sorted_rules`);
     the index assigns each row the *rank* of its claiming rule in that
     order, so callers index back into the same list for actions, shaping
-    rates and rule ids.
+    rates and rule ids (the compile also files each rank's action and
+    rule-id codes for the delivery plan's scatter).  A compiled index is
+    one member's, slot 0; :meth:`compose` joins several into one that
+    classifies all their rows.
     """
 
     def __init__(self, rules: "Sequence[QosRule]") -> None:
+        from .qos import _ACTION_CODES
+
         self._rules = np.fromiter(rules, dtype=object, count=len(rules))
-        exact, fallback = _file(enumerate(self._rules))
-        self._exact_groups = [ExactGroup(fields, entries) for fields, entries in exact.items()]
-        #: Fallback entries by radix bin (``None``: the full-table pass).
-        self._fallback: dict[_Bin, tuple[np.ndarray, np.ndarray]] = {
-            where: _bin_entries(entries) for where, entries in fallback.items()
-        }
+        exact: dict[tuple[str, ...], tuple[list[int], list[int]]] = {}
+        fallback: dict[_Bin, tuple[list[int], list[QosRule]]] = {}
+        actions: list[int] = []
+        id_codes: list[int] = []
+        codes: dict[str, int] = {}
+        for rank, rule in enumerate(self._rules):
+            actions.append(_ACTION_CODES[rule.action])
+            id_codes.append(codes.setdefault(rule.rule_id, len(codes)))
+            signature = MatchSignature.of(rule.match)
+            if signature.is_exact:
+                keys, ranks = exact.setdefault(signature.exact_fields, ([], []))
+                keys.append(_packed_key(rule.match, signature.exact_fields))
+            else:
+                ranks, binned = fallback.setdefault(_radix_bin(rule.match), ([], []))
+                binned.append(rule)
+            ranks.append(rank)
+        #: Per rank: the rule's action code, and its code into
+        #: :attr:`rule_ids` (every anonymous DROP/FORWARD rule is ``""``).
+        self.action_codes = np.array(actions, dtype=np.int8)
+        self.rule_id_codes = np.array(id_codes, dtype=np.int64)
+        self.rule_ids = list(codes)
+        self._exact_groups = [
+            ExactGroup(fields, np.array(keys, np.uint64), np.array(ranks, np.int32), 0, 1)
+            for fields, (keys, ranks) in exact.items()
+        ]
+        #: Per member slot, its fallback ranks and rules by radix bin
+        #: (``None``: the pass over all of the member's rows).
+        self._fallback: dict[int, dict[_Bin, tuple[np.ndarray, np.ndarray]]] = {}
+        if fallback:
+            self._fallback[0] = {
+                where: (np.array(ranks, np.int32), np.fromiter(binned, object, len(binned)))
+                for where, (ranks, binned) in fallback.items()
+            }
+
+    @classmethod
+    def compose(
+        cls, indexes: "Sequence[RuleMatchIndex]", offsets: Sequence[int]
+    ) -> "RuleMatchIndex":
+        """One index whose member slot ``i`` holds ``indexes[i]``, its ranks
+        shifted by ``offsets[i]`` (non-overlapping blocks): a row's verdict
+        is its member's own verdict plus the member's offset.
+        """
+        composed = cls.__new__(cls)
+        parts: dict[tuple[str, ...], list[tuple[ExactGroup, int, int]]] = {}
+        composed._fallback = {}
+        for slot, (index, offset) in enumerate(zip(indexes, offsets)):
+            for group in index._exact_groups:
+                parts.setdefault(group.fields, []).append((group, offset, slot))
+            for bins in index._fallback.values():
+                composed._fallback[slot] = {
+                    where: (ranks + offset, rules) for where, (ranks, rules) in bins.items()
+                }
+        composed._exact_groups = [
+            ExactGroup(
+                fields,
+                np.concatenate([group.keys for group, _, _ in members]),
+                np.concatenate([group.ranks + offset for group, offset, _ in members]),
+                np.repeat([slot for _, _, slot in members], [len(g.keys) for g, _, _ in members]),
+                len(indexes),
+            )
+            for fields, members in parts.items()
+        ]
+        return composed
 
     # ------------------------------------------------------------------
     # Edited copies
@@ -331,7 +465,8 @@ class RuleMatchIndex:
         entries = sorted(
             (
                 (rank, rule)
-                for ranks, rules in self._fallback.values()
+                for bins in self._fallback.values()
+                for ranks, rules in bins.values()
                 for rank, rule in zip(ranks.tolist(), rules)
             ),
             key=lambda entry: entry[0],
@@ -347,11 +482,13 @@ class RuleMatchIndex:
 
     @property
     def exact_rule_count(self) -> int:
-        return sum(len(group.keys) for group in self._exact_groups)
+        return self.rule_count - self.fallback_rule_count
 
     @property
     def fallback_rule_count(self) -> int:
-        return sum(len(rules) for _, rules in self._fallback.values())
+        return sum(
+            len(rules) for bins in self._fallback.values() for _, rules in bins.values()
+        )
 
     @property
     def exact_group_count(self) -> int:
@@ -365,7 +502,10 @@ class RuleMatchIndex:
     def radix_binned_rule_count(self) -> int:
         """Fallback rules matched through a radix bin (not the full pass)."""
         return sum(
-            len(rules) for where, (_, rules) in self._fallback.items() if where is not None
+            len(rules)
+            for bins in self._fallback.values()
+            for where, (_, rules) in bins.items()
+            if where is not None
         )
 
     def describe(self) -> dict[str, int]:
@@ -387,56 +527,30 @@ class RuleMatchIndex:
     # ------------------------------------------------------------------
     # Classification
     # ------------------------------------------------------------------
-    def assign(self, table: FlowTable) -> np.ndarray:
+    def assign(
+        self, table: FlowTable | TableRows, slots: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Rank of each row's claiming rule (``-1`` = no rule matches).
 
-        Equal to the sequential first-match loop over the sorted rules:
-        the winner is the matching rule with the minimum rank, which the
-        exact groups resolve via one sorted-key lookup each and the
-        fallback groups via per-rule masked passes — radix-binned rules
-        over their candidate bin's rows only — folded together with a
-        running elementwise minimum.
+        ``slots`` holds each row's member slot, ascending (each member's
+        rows are one contiguous run); ``None`` makes every row slot 0, the
+        one-member case.  Equal to the sequential first-match loop over
+        each member's sorted rules: the winner is the matching rule with
+        the minimum rank, which the exact groups resolve via one key
+        lookup each and the fallback rules via per-rule masked passes
+        over their member's rows — radix-binned rules over their
+        candidate bin's rows only — folded together with a running
+        elementwise minimum.
         """
-        n = len(table)
-        sentinel = len(self._rules)
-        best = np.full(n, np.int32(sentinel), dtype=np.int32)
-        if n == 0 or sentinel == 0:
-            return np.full(n, -1, dtype=np.int32)
+        best = np.full(len(table), _NO_RANK, dtype=np.int32)
         for group in self._exact_groups:
-            ranks = group.best_ranks(table, sentinel)
-            if ranks is not None:
-                np.minimum(best, ranks, out=best)
-        binned = [(where, entries) for where, entries in self._fallback.items() if where]
-        if binned:
-            shift = np.uint32(32 - RADIX_BITS)
-            # One bucketing pass per address column: bin each row, then a
-            # stable argsort groups the rows so every bin's candidates are
-            # one contiguous slice (ascending original row order).
-            bucketed: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-            for column in {column for (column, _), _ in binned}:
-                row_bins = getattr(table, column) >> shift
-                order = np.argsort(row_bins, kind="stable")
-                bucketed[column] = (order, row_bins[order])
-            for (column, bin_value), (ranks, rules) in binned:
-                order, sorted_bins = bucketed[column]
-                lo = int(np.searchsorted(sorted_bins, np.uint32(bin_value), side="left"))
-                hi = int(np.searchsorted(sorted_bins, np.uint32(bin_value), side="right"))
-                if lo == hi:
-                    continue
-                rows = order[lo:hi]
-                candidates = table.select(rows)
-                for rank, rule in zip(ranks.tolist(), rules):
-                    mask = rule.match.matches_table(candidates)
-                    if bool(mask.any()):
-                        hit = rows[mask]
-                        best[hit] = np.minimum(best[hit], np.int32(rank))
-        ranks, rules = self._fallback.get(None, ((), ()))
-        for rank, rule in zip(ranks, rules):
-            mask = rule.match.matches_table(table)
-            if bool(mask.any()):
-                np.minimum(
-                    best, np.where(mask, np.int32(rank), np.int32(sentinel)), out=best
-                )
-        assigned = best
-        assigned[assigned == sentinel] = -1
-        return assigned
+            group.claim(table, slots, best)
+        for slot, bins in self._fallback.items():
+            lo, hi = 0, len(table)
+            if slots is not None:
+                lo = int(np.searchsorted(slots, slot, side="left"))
+                hi = int(np.searchsorted(slots, slot, side="right"))
+            if lo < hi:
+                _claim_fallback(bins, TableRows(table, slice(lo, hi)), best[lo:hi])
+        best[best == _NO_RANK] = -1
+        return best

@@ -1,8 +1,8 @@
 """Property tests: rule-index classification against the naive reference.
 
-The first parity contract — :meth:`PortQosPolicy.assign_table` (the
-compiled rule-match index) must be *verdict-for-verdict* equal to the
-naive per-rule first match in ``tests/oracle`` — plus the conservation
+The first parity contract — a port's compiled rule-match index
+(``policy.compiled_index().assign``) must be *verdict-for-verdict* equal
+to the naive per-rule first match in ``tests/oracle`` — plus the conservation
 and accounting invariants of a full delivery, for arbitrary generated
 rule sets and intervals (not just the scripted scenarios).
 """
@@ -43,13 +43,13 @@ class TestAssignParity:
     @given(rules=rule_sets(), table=flow_tables())
     def test_indexed_equals_per_rule(self, rules, table):
         _, port = make_fabric(rules)
-        assert np.array_equal(port.qos.assign_table(table), assign(port.qos, table))
+        assert np.array_equal(port.qos.compiled_index().assign(table), assign(port.qos, table))
 
     @given(rules=rule_sets(min_size=1), table=flow_tables(min_rows=1))
     def test_assigned_rank_really_is_first_match(self, rules, table):
         """The claiming rule is the reference's first match, object for object."""
         _, port = make_fabric(rules)
-        ranks = port.qos.assign_table(table)
+        ranks = port.qos.compiled_index().assign(table)
         sorted_rules = port.qos.sorted_rules()
         reference_rules = precedence(port.qos)
         for row, record in enumerate(to_records(table)[:10]):

@@ -17,11 +17,13 @@ import pytest
 from hypothesis import event, given, strategies as st
 
 from fuzz.strategies import (
+    BROAD_PREFIXES,
     MEMBER_BASE_ASN,
     UNKNOWN_EGRESS_ASN,
     build_fabric,
     build_flow_table,
     fabric_specs,
+    ingress_asns,
     member_asns_of,
     qos_rules,
     rule_sets,
@@ -31,8 +33,10 @@ from oracle.reference import (
     column_rule_stats,
     utilisation as port_utilisation,
 )
-from repro.ixp import IxpMember
+from repro.bgp import Prefix
+from repro.ixp import FilterAction, FlowMatch, IxpMember, QosRule
 from repro.ixp.fabric import MEMBER_REPORT_FIELDS
+from repro.traffic.flowtable import derived_mac
 
 INTERVAL = 10.0
 
@@ -100,6 +104,40 @@ def growing_scenarios(draw):
     return spec, assignments, tables, late_asn, connect_at, install_at, late_rule
 
 
+@st.composite
+def shared_rule_scenarios(draw):
+    """Several members holding one rule list, one member holding none.
+
+    Every exact key of the list then collides across the members holding
+    it, so one classification pass must still resolve each row to its own
+    member's copy of the rule.  A MAC rule and a broad-prefix rule ride
+    along on the fallback path, and the tables also send traffic to an
+    unconnected egress ASN.
+    """
+    spec = {**draw(fabric_specs()), "member_count": draw(st.integers(3, 5))}
+    members = member_asns_of(spec)
+    bare = draw(st.sampled_from(members))
+    fallbacks = [
+        QosRule(FlowMatch(src_mac=derived_mac(draw(ingress_asns))), FilterAction.DROP),
+        QosRule(
+            FlowMatch(dst_prefix=Prefix.parse(draw(st.sampled_from(BROAD_PREFIXES)))),
+            draw(st.sampled_from([FilterAction.DROP, FilterAction.FORWARD])),
+            rule_id="broad",
+        ),
+    ]
+    rules = draw(st.permutations(draw(rule_sets(min_size=1, max_size=10)) + fallbacks))
+    assignments = [(asn, rule) for asn in members if asn != bare for rule in rules]
+    tables = [
+        build_flow_table(
+            seed=draw(st.integers(0, 2**31 - 1)),
+            n=draw(st.integers(1, 80)),
+            egress_pool=(*members, UNKNOWN_EGRESS_ASN),
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return spec, assignments, tables
+
+
 def install_all(fabric, assignments):
     for member_asn, rule in assignments:
         fabric.router_for_member(member_asn).install_rule(member_asn, rule)
@@ -162,6 +200,25 @@ class TestDeliveryEngineParity:
                 counters = vars(fabric.port_for_member(member_asn).counters)
                 expected = oracle.counters.get(member_asn, dict.fromkeys(counters, 0.0))
                 assert counters == expected, (step, member_asn)
+
+
+class TestSharedRuleLists:
+    @given(scenario=shared_rule_scenarios())
+    def test_members_sharing_rules_match_reference(self, scenario):
+        """Each member's report entry and rule rows equal the reference's."""
+        spec, assignments, tables = scenario
+        fabric = build_fabric(spec)
+        install_all(fabric, assignments)
+        oracle = ReferenceFabric(fabric)
+        for step, table in enumerate(tables):
+            report = fabric.deliver(table, INTERVAL, step * INTERVAL).to_dict()
+            expected = oracle.deliver(table, INTERVAL, step * INTERVAL)
+            assert list(report["members"]) == list(expected["members"]), step
+            for asn, entry in expected["members"].items():
+                assert report["members"][asn] == entry, (step, asn)
+            assert report == expected, step
+            if any(entry["rule_stats"] for entry in expected["members"].values()):
+                event("a shared rule claimed bits")
 
 
 class TestReportColumns:

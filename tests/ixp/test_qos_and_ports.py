@@ -189,7 +189,7 @@ class TestPortQosPolicy:
         policy.install(QosRule(match=FlowMatch(src_port=1), action=FilterAction.DROP))
         assert first_match(precedence(policy), make_flow()) == -1
         table = from_records([make_flow()])
-        assert policy.assign_table(table).tolist() == [-1]
+        assert policy.compiled_index().assign(table).tolist() == [-1]
 
     def test_conservation_of_bits(self):
         rule = QosRule(match=FlowMatch(src_port=123), action=FilterAction.DROP, rule_id="d")

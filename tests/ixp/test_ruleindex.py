@@ -1,7 +1,7 @@
 """The compiled rule-match index: signatures, parity, caching, shapers.
 
 The index must be *verdict-for-verdict* equal to the naive per-rule first
-match of ``tests/oracle`` — ``assign_table`` rank arrays identical — and
+match of ``tests/oracle`` — ``assign`` rank arrays identical — and
 the fabric's accounting on top of it bit-for-bit the reference's.  These tests pin that across mixed
 signature groups (exact host rules, broader prefixes shadowing them,
 MAC-match rules forcing the fallback path, precedence ties), plus the
@@ -190,7 +190,7 @@ class TestAssignParity:
     def test_mixed_signatures(self, seed):
         table = flow_table(seed=seed)
         policy = make_policy()
-        indexed = policy.assign_table(table)
+        indexed = policy.compiled_index().assign(table)
         assert np.array_equal(indexed, assign(policy, table))
         # The catch-all claims everything unclaimed, so every row has a
         # rank; several distinct rules must actually win rows.
@@ -253,7 +253,7 @@ class TestAssignParity:
                     )
             table = flow_table(seed=100 + round_index)
             policy = make_policy(rules)
-            assert np.array_equal(policy.assign_table(table), assign(policy, table))
+            assert np.array_equal(policy.compiled_index().assign(table), assign(policy, table))
 
     def test_full_apply_bit_for_bit(self):
         table = flow_table(seed=8)
@@ -280,7 +280,7 @@ class TestPrecedence:
             & (table.protocol == 17)
         )
         assert len(ntp_host)
-        for ranks in (policy.assign_table(ntp_host), assign(policy, ntp_host)):
+        for ranks in (policy.compiled_index().assign(ntp_host), assign(policy, ntp_host)):
             assert all(rules[r].rule_id == "exact-ntp" for r in ranks.tolist())
         # NTP flows to other 10.1/16 hosts fall through to the prefix
         # rule (regardless of protocol: the prefix rule matches any).
@@ -288,7 +288,7 @@ class TestPrecedence:
             (table.dst_ip == ip_to_int("10.1.0.5")) & (table.src_port == 123)
         )
         assert len(other)
-        for ranks in (policy.assign_table(other), assign(policy, other)):
+        for ranks in (policy.compiled_index().assign(other), assign(policy, other)):
             assert all(rules[r].rule_id == "prefix-ntp" for r in ranks.tolist())
 
     def test_fallback_rule_can_shadow_exact_rule(self):
@@ -319,7 +319,7 @@ class TestPrecedence:
         assert len(sub) > 0
         policy = make_policy(rules)
         sorted_rules = policy.sorted_rules()
-        for ranks in (policy.assign_table(sub), assign(policy, sub)):
+        for ranks in (policy.compiled_index().assign(sub), assign(policy, sub)):
             assert all(sorted_rules[r].rule_id == "mac-udp-host" for r in ranks.tolist())
 
     def test_specificity_tie_keeps_install_order(self):
@@ -329,7 +329,7 @@ class TestPrecedence:
         table = flow_table(seed=6)
         policy = make_policy([rule_a, rule_b])
         rules = policy.sorted_rules()
-        for ranks in (policy.assign_table(table), assign(policy, table)):
+        for ranks in (policy.compiled_index().assign(table), assign(policy, table)):
             winners = {rules[r].rule_id for r in ranks[ranks >= 0].tolist()}
             assert winners == {"first"}
 
@@ -353,7 +353,7 @@ class TestVersionCounterAndCaching:
         policy = make_policy()
         first = policy.compiled_index()
         assert policy.compiled_index() is first
-        policy.assign_table(flow_table(n=50))
+        policy.compiled_index().assign(flow_table(n=50))
         assert policy.compiled_index() is first
         policy.install(host_drop("10.1.0.9", 19, "late"))
         assert policy.compiled_index() is not first
@@ -386,7 +386,9 @@ class TestVersionCounterAndCaching:
             r.rule_id for r in sequential.sorted_rules()
         ]
         table = flow_table(seed=13)
-        assert np.array_equal(bulk.assign_table(table), sequential.assign_table(table))
+        assert np.array_equal(
+            bulk.compiled_index().assign(table), sequential.compiled_index().assign(table)
+        )
 
 
 class TestFabricPlanCache:
@@ -432,6 +434,82 @@ class TestFabricPlanCache:
         fabric.connect_member(IxpMember(asn=65002, port_capacity_bps=10e9))
         fabric.deliver(table, 10.0, 10.0)
         assert fabric._plan_cache is not plan
+
+
+def shared_rule_fabric(member_count, filtered_count):
+    """``member_count`` members on one router; the first ``filtered_count``
+    hold the same mixed rule list, and an interval of traffic to each."""
+    fabric = SwitchingFabric(name="shared-ixp")
+    fabric.add_edge_router(EdgeRouter("edge-1", profile=l_ixp_edge_router_profile()))
+    asns = [64500 + index for index in range(member_count)]
+    for asn in asns:
+        fabric.connect_member(IxpMember(asn=asn, port_capacity_bps=100e9))
+    for asn in asns[:filtered_count]:
+        fabric.router_for_member(asn).install_rules(asn, mixed_rules())
+    table = FlowTable.concat(
+        [flow_table(n=300, seed=40 + index, egress=asn) for index, asn in enumerate(asns)]
+    )
+    return fabric, asns, table
+
+
+class TestOnePassClassification:
+    """The delivery plan classifies every filtered port's rows in one
+    :meth:`RuleMatchIndex.assign` of the ports' composed index."""
+
+    @pytest.mark.parametrize("filtered_count", [1, 3, 6])
+    def test_one_assign_per_deliver(self, monkeypatch, filtered_count):
+        fabric, asns, table = shared_rule_fabric(6, filtered_count)
+        rows = []
+        assign = RuleMatchIndex.assign
+
+        def counted(index, table, slots=None):
+            ranks = assign(index, table, slots)
+            rows.append(len(ranks))
+            return ranks
+
+        monkeypatch.setattr(RuleMatchIndex, "assign", counted)
+        report = fabric.deliver(table, 10.0)
+        filtered = np.isin(table.egress_asn, asns[:filtered_count])
+        assert rows == [int(filtered.sum())]
+        assert report.filtered_bits > 0.0
+
+    def test_unchanged_port_not_recompiled(self, monkeypatch):
+        fabric, asns, table = shared_rule_fabric(3, 3)
+        fabric.deliver(table, 10.0, 0.0)
+        indexes = {asn: fabric.port_for_member(asn).qos.compiled_index() for asn in asns}
+        compiled = []
+        compile_index = RuleMatchIndex.__init__
+
+        def counted(index, rules):
+            compiled.append(len(rules))
+            compile_index(index, rules)
+
+        monkeypatch.setattr(RuleMatchIndex, "__init__", counted)
+        plan = fabric._plan_cache
+        fabric.router_for_member(asns[1]).install_rule(asns[1], host_drop("10.1.0.9", 19, "new"))
+        fabric.deliver(table, 10.0, 10.0)
+        assert fabric._plan_cache is not plan
+        assert compiled == [len(mixed_rules()) + 1]
+        for asn in (asns[0], asns[2]):
+            assert fabric.port_for_member(asn).qos.compiled_index() is indexes[asn]
+
+    def test_composed_ranks_are_member_ranks_plus_offsets(self):
+        """Members holding the same keys each resolve to their own rules."""
+        fabric, asns, table = shared_rule_fabric(3, 3)
+        policies = [fabric.port_for_member(asn).qos for asn in asns]
+        policies[2].install(host_drop("10.1.0.2", 53, "extra"))
+        indexes = [policy.compiled_index() for policy in policies]
+        offsets = [0, 40, 90]
+        parts = [table.select(table.egress_asn == asn) for asn in asns]
+        lengths = [len(part) for part in parts]
+        slots = np.repeat(np.arange(len(asns)), lengths)
+        ranks = RuleMatchIndex.compose(indexes, offsets).assign(FlowTable.concat(parts), slots)
+        expected = []
+        for index, part, offset in zip(indexes, parts, offsets):
+            own = index.assign(part)
+            expected.append(np.where(own >= 0, own + offset, -1))
+        assert np.array_equal(ranks, np.concatenate(expected))
+        assert (ranks >= 0).any()
 
 
 class TestAnonymousShapeRules:
@@ -738,7 +816,7 @@ class TestCompiledIndexCache:
     def check(self, policy, table):
         index = policy.compiled_index()
         assert index.describe() == RuleMatchIndex(policy.sorted_rules()).describe()
-        assert np.array_equal(policy.assign_table(table), assign(policy, table))
+        assert np.array_equal(policy.compiled_index().assign(table), assign(policy, table))
         return index
 
     def test_each_mutation_recompiles(self):
@@ -804,7 +882,9 @@ class TestCompiledIndexCache:
         for policy in (warm, cold):
             policy.install(host_drop("10.1.0.40", 123, "late"))
             policy.remove("exact-dns")
-        assert np.array_equal(warm.assign_table(table), cold.assign_table(table))
+        assert np.array_equal(
+            warm.compiled_index().assign(table), cold.compiled_index().assign(table)
+        )
 
     @pytest.mark.parametrize("warm", [False, True])
     @given(case=policy_edits())
@@ -820,7 +900,7 @@ class TestCompiledIndexCache:
         assert layout(policy.compiled_index()) == layout(
             RuleMatchIndex(policy.sorted_rules())
         )
-        assert np.array_equal(policy.assign_table(table), assign(policy, table))
+        assert np.array_equal(policy.compiled_index().assign(table), assign(policy, table))
 
     def test_removing_a_signatures_last_rule_drops_its_group(self):
         policy = make_policy()
@@ -862,11 +942,11 @@ class TestCompiledIndexCache:
         policy = make_policy()
         table = flow_table(seed=23)
         before = layout(policy.compiled_index())
-        hits = policy.assign_table(table)
+        hits = policy.compiled_index().assign(table)
         policy.install(host_drop("10.1.0.77", 19, "newcomer"))
         policy.remove("newcomer")
         assert layout(self.check(policy, table)) == before
-        assert np.array_equal(policy.assign_table(table), hits)
+        assert np.array_equal(policy.compiled_index().assign(table), hits)
 
     @pytest.mark.parametrize("no_op", ["empty-batch", "unknown-id", "clear-empty"])
     def test_no_op_mutations_leave_the_index_warm(self, no_op):
@@ -984,7 +1064,7 @@ class TestRadixBinning:
     def test_radix_parity_with_per_rule(self, seed):
         table = flow_table(seed=seed, in_prefix_fraction=0.4)
         policy = make_policy(self.prefix_rules())
-        indexed = policy.assign_table(table)
+        indexed = policy.compiled_index().assign(table)
         assert np.array_equal(indexed, assign(policy, table))
         assert (indexed >= 0).all()  # catch-all claims the rest
 
@@ -1016,7 +1096,7 @@ class TestRadixBinning:
             is_attack=np.zeros(n, dtype=bool),
         )
         policy = make_policy(self.prefix_rules())
-        assert np.array_equal(policy.assign_table(table), assign(policy, table))
+        assert np.array_equal(policy.compiled_index().assign(table), assign(policy, table))
 
     def test_mutations_recompile_radix_groups(self):
         policy = make_policy(self.prefix_rules())
@@ -1118,6 +1198,6 @@ class TestDerivedMacMatching:
         )
         table = self.table(n=2000, seed=seed)
         policy = make_policy(rules)
-        indexed = policy.assign_table(table)
+        indexed = policy.compiled_index().assign(table)
         assert np.array_equal(indexed, assign(policy, table))
         assert len(np.unique(indexed)) >= 4
